@@ -25,11 +25,6 @@ ProblemSize wcs::bench::sizeFromEnv(ProblemSize Default) {
   return S;
 }
 
-HierarchyConfig wcs::bench::scaledTestSystem() {
-  return HierarchyConfig::twoLevel(CacheConfig::scaledL1(),
-                                   CacheConfig::scaledL2());
-}
-
 HierarchyConfig wcs::bench::scaledPolyCacheConfig() {
   CacheConfig L1{4 * 1024, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
   CacheConfig L2{32 * 1024, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
@@ -62,11 +57,6 @@ unsigned wcs::bench::jobsFromEnv(unsigned Default) {
   if (!parseJobCount(E, N))
     std::fprintf(stderr, "warning: ignoring malformed WCS_JOBS '%s'\n", E);
   return N;
-}
-
-BatchReport wcs::bench::runBatch(const std::vector<BatchJob> &Jobs,
-                                 unsigned DefaultThreads) {
-  return runBatchOn(Jobs, jobsFromEnv(DefaultThreads));
 }
 
 BatchReport wcs::bench::runBatchOn(const std::vector<BatchJob> &Jobs,

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Helpers shared by the per-figure benchmark binaries: cache-config
-/// presets (the scaled test system and the scaled PolyCache setup),
+/// presets (the scaled PolyCache setup and fully-associative twins),
 /// problem-size selection via the WCS_SIZE environment variable, kernel
 /// iteration, and result verification.
 ///
@@ -32,10 +32,6 @@ namespace bench {
 /// \p Default.
 ProblemSize sizeFromEnv(ProblemSize Default);
 
-/// The scaled test-system hierarchy (paper Sec. 6.1, scaled per
-/// EXPERIMENTS.md): 4 KiB 8-way PLRU L1 + 32 KiB 16-way Quad-age LRU L2.
-HierarchyConfig scaledTestSystem();
-
 /// The scaled PolyCache comparison configuration (paper Sec. 6.3):
 /// two-level LRU, write-back write-allocate; 4 KiB 4-way + 32 KiB 4-way.
 HierarchyConfig scaledPolyCacheConfig();
@@ -50,20 +46,9 @@ ScopProgram mustBuild(const KernelInfo &K, ProblemSize S);
 /// malformed (malformed values warn). 0 means every hardware thread.
 unsigned jobsFromEnv(unsigned Default);
 
-/// Runs \p Jobs on a BatchRunner sized by $WCS_JOBS (defaulting to
-/// \p DefaultThreads when unset), dies if any job failed, and prints the
-/// batch throughput summary to stderr (kept off stdout so figure tables
-/// stay machine-readable). Harnesses whose *timing* columns feed a
-/// figure should pass DefaultThreads = 1: concurrent jobs contend for
-/// cores and memory bandwidth, so parallelism must be an explicit
-/// WCS_JOBS opt-in there. Counter-only harnesses can pass 0 (all cores).
-BatchReport runBatch(const std::vector<BatchJob> &Jobs,
-                     unsigned DefaultThreads = 1);
-
-/// Like runBatch but with an exact thread count: $WCS_JOBS is NOT
-/// consulted. For drivers whose thread count comes from an explicit
-/// command-line flag that must not be overridden by ambient environment
-/// (stray parallelism contaminates the timing columns).
+/// Runs \p Jobs on a BatchRunner with exactly \p Threads workers, dies
+/// if any job failed, and prints the batch throughput summary to stderr
+/// (kept off stdout so result lines stay machine-readable).
 BatchReport runBatchOn(const std::vector<BatchJob> &Jobs, unsigned Threads);
 
 /// Aborts the benchmark if two simulators disagree (soundness check that

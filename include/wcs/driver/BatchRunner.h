@@ -115,12 +115,6 @@ public:
 
   unsigned threads() const { return NumThreads; }
 
-  /// Observer invoked once per finished job, serialized under a lock but
-  /// concurrent with other jobs' execution; must be set before run().
-  void setProgress(std::function<void(const BatchResult &)> Fn) {
-    Progress = std::move(Fn);
-  }
-
   /// Runs all jobs and blocks until completion.
   BatchReport run(const std::vector<BatchJob> &Jobs);
 
@@ -165,7 +159,6 @@ public:
 
 private:
   unsigned NumThreads;
-  std::function<void(const BatchResult &)> Progress;
   std::vector<std::thread> Pool;
   std::function<bool(std::function<void()> &)> PoolNext;
 };

@@ -81,8 +81,8 @@ struct SweepRequest {
   /// set, so deadline-free requests hash as they always did; and it is
   /// deliberately NOT part of sweepPointKey() -- a deadline changes how
   /// long the daemon tries, never what a point means, so deadlined and
-  /// undeadlined requests share stored points. The serial
-  /// serveSweepRequest/CLI paths ignore it.
+  /// undeadlined requests share stored points. The in-process
+  /// runSweepRequest path ignores it.
   double DeadlineSeconds = 0.0;
 
   /// Label for the SweepDoc Program / SizeName fields: the kernel name
@@ -153,11 +153,10 @@ struct SweepResponse {
   uint64_t StoreMisses = 0; ///< Points freshly simulated (then stored).
   /// Points answered by subscribing to another in-flight request that
   /// was already computing the same key (the concurrent-scheduler
-  /// extension of store sharing to the live pipeline; always 0 from
-  /// the serial serveSweepRequest path). The three counters partition
-  /// the grid: hits + inflight_hits + misses == points. Serialized as
-  /// "inflight_hits", optional on read so pre-scheduler responses
-  /// still parse.
+  /// extension of store sharing to the live pipeline). The three
+  /// counters partition the grid: hits + inflight_hits + misses ==
+  /// points. Serialized as "inflight_hits", optional on read so
+  /// pre-scheduler responses still parse.
   uint64_t InFlightHits = 0;
   uint64_t StoreEntries = 0; ///< Store size after serving this request.
   /// With Error="overloaded" (admission-cap shedding): how long the

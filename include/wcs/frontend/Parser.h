@@ -55,6 +55,28 @@ private:
   // -- Diagnostics -------------------------------------------------------
   bool fail(SrcLoc Loc, std::string Msg);
 
+  // -- Nesting limit -----------------------------------------------------
+  /// Deepest nesting of recursive productions (statements inside blocks,
+  /// guards and loops; parenthesized, negated and call-argument
+  /// subexpressions) the parser accepts. Deeper input is refused with a
+  /// located diagnostic instead of exhausting the stack, like
+  /// support/Json.cpp's MaxDepth.
+  static constexpr unsigned MaxNestingDepth = 100;
+
+  /// One level of a recursive production, held while it parses. ok() is
+  /// false, with the diagnostic recorded, past MaxNestingDepth.
+  class NestingScope {
+  public:
+    explicit NestingScope(Parser &P);
+    ~NestingScope() { --P.Nesting; }
+    NestingScope(const NestingScope &) = delete;
+    NestingScope &operator=(const NestingScope &) = delete;
+    bool ok() const { return P.Nesting <= MaxNestingDepth; }
+
+  private:
+    Parser &P;
+  };
+
   // -- Declarations and statements (Lowering.cpp) -------------------------
   bool parseTopLevel();
   bool parseParamDecl();
@@ -100,6 +122,7 @@ private:
   std::map<std::string, Symbol> Syms;
   ScopBuilder Builder;
   bool SeenStmt = false;
+  unsigned Nesting = 0; ///< Open NestingScopes.
   std::string Error;
   SrcLoc ErrorLoc;
 };

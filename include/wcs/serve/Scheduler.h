@@ -60,22 +60,6 @@ namespace wcs {
 
 class Scheduler {
 public:
-  /// Counter snapshot for the wcs-control "status" command and tests.
-  struct Stats {
-    uint64_t RequestsServed = 0; ///< serve() calls completed (any outcome).
-    uint64_t PointsComputed = 0; ///< Points computed by scheduler jobs.
-    uint64_t StoreHits = 0;      ///< Points answered from the store.
-    uint64_t InFlightHits = 0;   ///< Points answered by subscription.
-    uint64_t CancelledJobs = 0;  ///< Queued jobs dropped on disconnect
-                                 ///< or deadline expiry.
-    uint64_t DeadlineExpired = 0; ///< Requests that hit their deadline.
-    uint64_t ShedRequests = 0;   ///< Requests refused by the admission cap.
-    uint64_t ActiveRequests = 0; ///< serve() calls in flight right now.
-    uint64_t QueuedJobs = 0;     ///< Jobs enqueued, not yet running.
-    uint64_t QueuedPoints = 0;   ///< Points in those queued jobs.
-    uint64_t StoreEntries = 0;   ///< Live store size.
-  };
-
   /// \p Threads sizes the worker pool (0 = all cores); workers start
   /// immediately. \p Store must outlive the scheduler and must not be
   /// touched by anyone else while it runs (the scheduler's lock is its
@@ -95,6 +79,14 @@ public:
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
+  /// Per-request timing filled by serve() when the caller passes a
+  /// slot; the daemon's --log line reports these.
+  struct RequestTelemetry {
+    double QueueWaitSeconds = 0.0; ///< Summed over the request's jobs.
+    double ComputeSeconds = 0.0;   ///< Summed job compute time.
+    double WallSeconds = 0.0;      ///< serve() entry to exit.
+  };
+
   /// Serves one request, blocking until every point is answered or the
   /// request is cancelled. Safe to call from many threads at once.
   ///
@@ -108,26 +100,21 @@ public:
   /// due; a cancelled request comes back Ok=false after its
   /// still-running jobs drain.
   ///
-  /// Semantics match serveSweepRequest (the serial reference
-  /// implementation) bit-for-bit on counters and provenance, except
-  /// that points taken over from another in-flight request report
-  /// method "store" (their counters land in the store the moment they
-  /// are shared) and count toward SweepResponse::InFlightHits.
-  /// Per-request timing filled by serve() when the caller passes a
-  /// slot; the daemon's --log line reports these.
-  struct RequestTelemetry {
-    double QueueWaitSeconds = 0.0; ///< Summed over the request's jobs.
-    double ComputeSeconds = 0.0;   ///< Summed job compute time.
-    double WallSeconds = 0.0;      ///< serve() entry to exit.
-  };
-
+  /// Store misses carry the counters runSweepRequest (the in-process
+  /// reference) computes, bit for bit; store hits come back verbatim
+  /// under method "store", and so do points taken over from another
+  /// in-flight request (their counters land in the store the moment
+  /// they are shared), which count toward SweepResponse::InFlightHits.
   SweepResponse
   serve(const SweepRequest &Req,
         const std::function<bool(const ProgressEvent &)> &OnProgress,
         const std::function<bool()> &IsCancelled = {},
         RequestTelemetry *Tel = nullptr);
 
-  Stats stats() const;
+  /// The scheduler and store fields of a wcs-status document, for the
+  /// wcs-control "status" command and tests; the server fills in the
+  /// connection and uptime fields.
+  StatusDoc status() const;
 
   unsigned threads() const { return PoolThreads; }
 
@@ -216,7 +203,7 @@ private:
   /// gives the measured per-point cost behind retry_after_seconds.
   double ComputeSecondsTotal = 0.0;
   bool Stopping = false;
-  Stats Counters; ///< Cumulative fields only; snapshots fill the rest.
+  StatusDoc Counters; ///< Cumulative fields only; status() fills the rest.
 
   std::function<void(uint64_t, size_t)> Observer;
 };

@@ -6,19 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving core behind tools/wcs-serve: serveSweepRequest() answers
-/// one wcs-request against a ResultStore -- store hits return their
-/// stored SweepPoint verbatim under method "store" provenance, misses
-/// are sharded through the existing runSweep machinery (which itself
-/// partitions them across the stack-distance / filtered-stream /
-/// simulated fast paths) and the fresh results are inserted back.
-/// runServer() wraps the same semantics in a concurrent accept loop
-/// speaking serve/Protocol: one thread per connection, every request
-/// admitted to one shared serve/Scheduler (cross-request point dedup,
-/// fair round-robin, disconnect cancellation). serveSweepRequest stays
-/// as the SERIAL REFERENCE implementation of one request's semantics;
-/// the tests drive it directly and through the socket, and both must
-/// agree bit-for-bit on counters and provenance.
+/// The serving core behind tools/wcs-serve: runServer() is a concurrent
+/// accept loop speaking serve/Protocol -- one thread per connection,
+/// every request answered by one shared serve/Scheduler (store hits
+/// verbatim under method "store", cross-request point dedup, fair
+/// round-robin, disconnect cancellation). Scheduler::serve is the only
+/// way a request is answered; its counters match runSweepRequest, the
+/// in-process `wcs-sim --sweep` path, bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,20 +26,6 @@
 #include <string>
 
 namespace wcs {
-
-/// Serves one request: prepare, look every expanded point up in
-/// \p Store, run the misses through runSweep with \p Threads workers,
-/// insert the fresh Ok points, and package everything as a
-/// wcs-response. Store hits keep their stored counters bit-identical
-/// and are re-labeled method "store"; failed points are never stored.
-/// \p OnProgress (may be null) fires once per point in input order.
-/// Malformed requests come back as Ok=false responses, never as a
-/// transport error.
-SweepResponse
-serveSweepRequest(const SweepRequest &Req, ResultStore &Store,
-                  unsigned Threads,
-                  const std::function<void(const ProgressEvent &)>
-                      &OnProgress);
 
 struct ServerOptions {
   std::string SocketPath;

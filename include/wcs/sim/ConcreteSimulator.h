@@ -22,7 +22,6 @@
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
 
-#include <functional>
 #include <vector>
 
 namespace wcs {
@@ -36,25 +35,13 @@ public:
   /// Simulates the whole program on an initially empty hierarchy.
   SimStats run();
 
-  /// The hierarchy state after run() (e.g. to chain SCoPs).
-  const ConcreteHierarchy &hierarchy() const { return Cache; }
-
-  /// Observer invoked once per simulated access with the block, the
-  /// write flag and the full hierarchy outcome. This is the filter tap
-  /// of trace/FilteredStream: recording the accesses with !L1Hit yields
-  /// exactly the stream a NINE L2 sees. Must be set before run(); the
-  /// tap may throw to abort the simulation (the exception propagates
+  /// Observer invoked only on L1 misses, in program order, with the
+  /// block and the write flag: exactly the stream a NINE L2 sees. Hits
+  /// never reach it, so the batched hot loop keeps running and calls it
+  /// from the (rare) miss branch. This is how trace/FilteredStream
+  /// records the L1-filtered stream at batched speed. Must be set before
+  /// run(); may throw to abort the simulation (the exception propagates
   /// out of run()).
-  using AccessTap =
-      std::function<void(BlockId, bool IsWrite, const HierarchyOutcome &)>;
-  void setTap(AccessTap T) { Tap = std::move(T); }
-
-  /// Narrower observer invoked only on L1 misses, in program order, with
-  /// the block and the write flag. Unlike setTap, a miss tap does NOT
-  /// disable batching: hits never reach it, so the batched hot loop can
-  /// keep running and call it from the (rare) miss branch. This is how
-  /// trace/FilteredStream records the L1-filtered stream at batched
-  /// speed. Must be set before run(); may throw to abort the simulation.
   using MissTap = ConcreteHierarchy::L1MissSink;
   void setMissTap(MissTap T) { MissTapFn = std::move(T); }
 
@@ -80,9 +67,7 @@ private:
   SimOptions Options;
   SimStats Stats;
   unsigned BlockShift;
-  AccessTap Tap;
   MissTap MissTapFn;
-  bool UseBatch = false; ///< Resolved at run(): BatchConcrete && !Tap.
   /// One batched child access: its running byte address and constant
   /// innermost-loop stride.
   struct BatchLane {

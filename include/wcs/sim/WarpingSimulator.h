@@ -67,9 +67,6 @@ public:
   /// after a run() with enableDepthProfile().
   const std::vector<uint64_t> &depthHist() const { return DepthHist; }
 
-  /// The symbolic hierarchy state after run().
-  const SymbolicHierarchy &hierarchy() const { return Cache; }
-
   ~WarpingSimulator();
 
 private:

@@ -6,13 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generates the explicit memory-access trace of a ScopProgram, either
-/// streamed record-by-record or in materialized chunks. Chunked
-/// generation models the trace transport of traditional trace-driven
-/// simulation (Dinero IV fed by QEMU in the paper's appendix B): the
-/// trace is produced into a buffer that the consumer then drains, so the
-/// measured baseline pays for trace materialization like a real
-/// trace-driven pipeline does.
+/// Generates the explicit memory-access trace of a ScopProgram, streamed
+/// record by record in execution order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace wcs {
 
@@ -43,26 +37,6 @@ struct TraceOptions {
 /// order. Returns the number of records emitted.
 uint64_t generateTrace(const ScopProgram &Program, const TraceOptions &Opts,
                        const std::function<void(const TraceRecord &)> &Sink);
-
-/// Chunked generator: fills an internal buffer of \p ChunkRecords records
-/// at a time; nextChunk() exposes each full (or final partial) chunk.
-class ChunkedTraceGenerator {
-public:
-  ChunkedTraceGenerator(const ScopProgram &Program, TraceOptions Opts,
-                        size_t ChunkRecords = 1 << 20);
-  ~ChunkedTraceGenerator();
-
-  /// Returns the next chunk, or an empty span-equivalent when exhausted.
-  /// The returned vector is owned by the generator and invalidated by the
-  /// next call.
-  const std::vector<TraceRecord> &nextChunk();
-
-private:
-  struct Walker;
-  std::unique_ptr<Walker> W;
-  std::vector<TraceRecord> Buffer;
-  size_t ChunkRecords;
-};
 
 } // namespace wcs
 

@@ -45,9 +45,9 @@ public:
   /// Feeds one record.
   void access(const TraceRecord &R);
 
-  /// Runs the full trace of \p Program through a chunked generator
-  /// (paying for trace materialization, like a real trace-driven
-  /// pipeline) and returns the counters. Timing covers generation plus
+  /// Runs the full trace of \p Program, materialized in 1<<20-record
+  /// chunks (paying for trace transport, like a real trace-driven
+  /// pipeline), and returns the counters. Timing covers generation plus
   /// consumption.
   TraceSimResult runOnProgram(const ScopProgram &Program);
 

@@ -273,19 +273,12 @@ BatchReport BatchRunner::run(const std::vector<BatchJob> &Jobs) {
   telemetry::TimePoint T0 = telemetry::now();
 
   // One thunk per job over the shared fan-out: each task owns its
-  // preallocated result slot, so only the progress callback needs the
-  // lock.
-  std::mutex ProgressMutex;
+  // preallocated result slot, so no lock is needed.
   std::vector<std::function<void()>> Tasks;
   Tasks.reserve(Jobs.size());
   for (size_t I = 0; I < Jobs.size(); ++I)
-    Tasks.push_back([this, &Jobs, &Report, &ProgressMutex, I] {
-      Report.Results[I] = runJob(Jobs[I], I);
-      if (Progress) {
-        std::lock_guard<std::mutex> Lock(ProgressMutex);
-        Progress(Report.Results[I]);
-      }
-    });
+    Tasks.push_back(
+        [&Jobs, &Report, I] { Report.Results[I] = runJob(Jobs[I], I); });
   runTasks(Tasks);
 
   Report.WallSeconds = telemetry::secondsSince(T0);

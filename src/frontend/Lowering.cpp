@@ -13,9 +13,11 @@
 
 #include "wcs/frontend/Parser.h"
 
+#include "wcs/support/IterVec.h"
 #include "wcs/support/MathUtil.h"
 
 #include <cassert>
+#include <string>
 
 using namespace wcs;
 
@@ -114,6 +116,9 @@ bool Parser::parseVarDecl(unsigned ElemBytes) {
 }
 
 bool Parser::parseStmt() {
+  NestingScope Scope(*this);
+  if (!Scope.ok())
+    return false;
   if (Tok.is(Token::Kind::Error))
     return fail(Tok.Loc, Tok.Text);
   if (Tok.is(Token::Kind::LBrace))
@@ -147,6 +152,11 @@ bool Parser::parseBlock() {
 
 bool Parser::parseFor() {
   SrcLoc ForLoc = Tok.Loc;
+  // Refused as the loop opens: lowering cost grows with depth, so a
+  // deep nest must not be built first and rejected at finish().
+  if (Builder.depth() >= MaxLoopDepth)
+    return fail(ForLoc, "loop nest deeper than MaxLoopDepth (" +
+                            std::to_string(MaxLoopDepth) + ")");
   bump(); // 'for'
   if (!expect(Token::Kind::LParen, "after 'for'"))
     return false;

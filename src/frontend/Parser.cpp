@@ -9,6 +9,7 @@
 
 #include <cassert>
 #include <sstream>
+#include <string>
 
 using namespace wcs;
 
@@ -83,6 +84,12 @@ bool Parser::fail(SrcLoc Loc, std::string Msg) {
     ErrorLoc = Loc;
   }
   return false;
+}
+
+Parser::NestingScope::NestingScope(Parser &P) : P(P) {
+  if (++P.Nesting > MaxNestingDepth)
+    P.fail(P.Tok.Loc, "nesting deeper than " +
+                          std::to_string(MaxNestingDepth) + " levels");
 }
 
 const Parser::Symbol *Parser::lookup(const std::string &Name) const {
@@ -169,6 +176,9 @@ std::optional<AffineExpr> Parser::parseAffineTerm() {
 }
 
 std::optional<AffineExpr> Parser::parseAffinePrimary() {
+  NestingScope Scope(*this);
+  if (!Scope.ok())
+    return std::nullopt;
   if (Tok.is(Token::Kind::Error)) {
     fail(Tok.Loc, Tok.Text);
     return std::nullopt;
@@ -333,6 +343,9 @@ bool Parser::parseValueUnary() {
 }
 
 bool Parser::parseValuePrimary() {
+  NestingScope Scope(*this);
+  if (!Scope.ok())
+    return false;
   if (Tok.is(Token::Kind::Error))
     return fail(Tok.Loc, Tok.Text);
   if (Tok.is(Token::Kind::IntLit) || Tok.is(Token::Kind::FloatLit)) {

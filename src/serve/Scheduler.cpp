@@ -502,9 +502,9 @@ SweepResponse Scheduler::serve(
   return Resp;
 }
 
-Scheduler::Stats Scheduler::stats() const {
+StatusDoc Scheduler::status() const {
   std::lock_guard<std::mutex> L(Mu);
-  Stats S = Counters;
+  StatusDoc S = Counters;
   S.ActiveRequests = NumActive;
   S.QueuedJobs = 0;
   for (const RequestState *RS : RoundRobin)

@@ -28,87 +28,6 @@
 using namespace wcs;
 using json::Value;
 
-SweepResponse wcs::serveSweepRequest(
-    const SweepRequest &Req, ResultStore &Store, unsigned Threads,
-    const std::function<void(const ProgressEvent &)> &OnProgress) {
-  SweepResponse Resp;
-  Resp.RequestHash = requestHash(Req);
-
-  PreparedSweep Prep;
-  std::string Err;
-  if (!prepareSweep(Req, Prep, &Err)) {
-    Resp.Error = Err;
-    Resp.StoreEntries = Store.numEntries();
-    return Resp;
-  }
-
-  // Partition the expanded grid by store state. Hits come back
-  // verbatim -- the stored counters ARE the fresh-simulation counters,
-  // property-tested bit-identical -- under method "store" so the
-  // provenance of every answer stays honest.
-  size_t Total = Prep.Configs.size();
-  std::vector<SweepPoint> Points(Total);
-  std::vector<size_t> MissIdx;
-  std::vector<std::string> Keys(Total);
-  for (size_t I = 0; I < Total; ++I) {
-    Keys[I] = sweepPointKey(Req, Prep.Configs[I]);
-    SweepPoint Hit;
-    if (Store.lookup(Keys[I], Hit)) {
-      Hit.Method = SweepMethod::Store;
-      Points[I] = std::move(Hit);
-      ++Resp.StoreHits;
-      if (OnProgress) {
-        ProgressEvent E;
-        E.Point = I;
-        E.Total = Total;
-        E.Cache = Prep.Configs[I].str();
-        E.Method = SweepMethod::Store;
-        E.Ok = Points[I].Ok;
-        OnProgress(E);
-      }
-    } else {
-      MissIdx.push_back(I);
-    }
-  }
-  Resp.StoreMisses = MissIdx.size();
-
-  // The misses run as ONE sub-sweep, so they still share passes and
-  // streams among themselves exactly as a CLI sweep would.
-  SweepReport Merged;
-  Merged.Threads = Threads == 0 ? 1 : Threads;
-  if (!MissIdx.empty()) {
-    std::vector<HierarchyConfig> MissConfigs;
-    MissConfigs.reserve(MissIdx.size());
-    for (size_t I : MissIdx)
-      MissConfigs.push_back(Prep.Configs[I]);
-    SweepOptions SO = Req.Options;
-    SO.Threads = Threads;
-    Merged = runSweep(Prep.Program, MissConfigs, SO);
-    for (size_t J = 0; J < MissIdx.size(); ++J) {
-      size_t I = MissIdx[J];
-      Points[I] = Merged.Points[J];
-      if (Points[I].Ok)
-        Store.insert(Keys[I], Points[I], nullptr);
-      if (OnProgress) {
-        ProgressEvent E;
-        E.Point = I;
-        E.Total = Total;
-        E.Cache = Prep.Configs[I].str();
-        E.Method = Points[I].Method;
-        E.Ok = Points[I].Ok;
-        OnProgress(E);
-      }
-    }
-  }
-  Merged.Points = std::move(Points);
-
-  Resp.Ok = true;
-  Resp.StoreEntries = Store.numEntries();
-  Resp.Sweep = makeSweepDoc("wcs-serve", Req.programLabel(),
-                            Req.sizeLabel(), Merged);
-  return Resp;
-}
-
 //===----------------------------------------------------------------------===//
 // The accept loop
 //===----------------------------------------------------------------------===//
@@ -218,19 +137,7 @@ void serveConnection(int Fd, ServerState &S) {
       // The status answer is its own versioned document, not a control
       // ack: clients validate it through fromJson like every other
       // wire document.
-      Scheduler::Stats St = S.Sched->stats();
-      StatusDoc D;
-      D.RequestsServed = St.RequestsServed;
-      D.PointsComputed = St.PointsComputed;
-      D.StoreHits = St.StoreHits;
-      D.InFlightHits = St.InFlightHits;
-      D.CancelledJobs = St.CancelledJobs;
-      D.ActiveRequests = St.ActiveRequests;
-      D.QueuedJobs = St.QueuedJobs;
-      D.StoreEntries = St.StoreEntries;
-      D.DeadlineExpired = St.DeadlineExpired;
-      D.ShedRequests = St.ShedRequests;
-      D.QueuedPoints = St.QueuedPoints;
+      StatusDoc D = S.Sched->status();
       {
         std::lock_guard<std::mutex> L(S.Mu);
         // This connection is one of the active ones.
@@ -500,7 +407,7 @@ bool wcs::runServer(const ServerOptions &Opts,
   ::unlink(Opts.SocketPath.c_str());
   if (St.Log)
     std::fclose(St.Log);
-  Scheduler::Stats Final = Sched.stats();
+  StatusDoc Final = Sched.status();
   std::fprintf(stderr,
                "wcs-serve: shut down (%llu requests: %llu store hits, "
                "%llu in-flight hits, %llu points computed, %llu jobs "

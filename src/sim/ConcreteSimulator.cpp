@@ -35,11 +35,6 @@ ConcreteSimulator::ConcreteSimulator(const ScopProgram &Program,
 
 SimStats ConcreteSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
-  // The full tap observes every access individually, so batching (which
-  // never materializes per-access outcomes) is reserved for untapped
-  // runs. A miss tap is fine: the batch loop calls it from the miss
-  // branch only.
-  UseBatch = Options.BatchConcrete && !Tap;
   IterVec Iter;
   for (const std::unique_ptr<Node> &R : Program.roots())
     simulateNode(R.get(), Iter);
@@ -62,7 +57,7 @@ void ConcreteSimulator::simulateLoop(const LoopNode *L, IterVec &Iter) {
   // Domains with several disjuncts may have holes inside the hull; test
   // membership per iteration in that case (Algorithm 1 line 5).
   bool NeedMembership = !L->Domain.isSingleDisjunct();
-  if (UseBatch && !NeedMembership && loopIsBatchable(L)) {
+  if (Options.BatchConcrete && !NeedMembership && loopIsBatchable(L)) {
     simulateLoopBatched(L, Iter, B->Lo, B->Hi);
     return;
   }
@@ -146,8 +141,6 @@ void ConcreteSimulator::simulateAccess(const AccessNode *A,
     return;
   BlockId B = A->Address.eval(Iter) >> BlockShift;
   HierarchyOutcome O = Cache.access(B, A->isWrite());
-  if (Tap)
-    Tap(B, A->isWrite(), O);
   if (MissTapFn && !O.L1Hit)
     MissTapFn(B, A->isWrite());
   ++Stats.SimulatedAccesses;

@@ -13,7 +13,7 @@ using namespace wcs;
 
 namespace {
 
-/// Recursive streaming walk (shared by generateTrace).
+/// Recursive streaming walk behind generateTrace.
 class StreamWalk {
 public:
   StreamWalk(const ScopProgram &P, const TraceOptions &Opts,
@@ -69,108 +69,4 @@ wcs::generateTrace(const ScopProgram &Program, const TraceOptions &Opts,
                    const std::function<void(const TraceRecord &)> &Sink) {
   StreamWalk W(Program, Opts, Sink);
   return W.run();
-}
-
-//===----------------------------------------------------------------------===//
-// Chunked generation: an explicit, resumable tree walk.
-//===----------------------------------------------------------------------===//
-
-struct ChunkedTraceGenerator::Walker {
-  struct Frame {
-    const LoopNode *L;
-    int64_t X, Hi;
-    size_t Child;
-    bool NeedMembership;
-  };
-
-  const ScopProgram &P;
-  TraceOptions Opts;
-  size_t RootIdx = 0;
-  std::vector<Frame> Stack;
-  IterVec Iter;
-  bool Done = false;
-
-  Walker(const ScopProgram &P, TraceOptions Opts) : P(P), Opts(Opts) {}
-
-  /// Emits records until the buffer reaches Cap or the walk finishes.
-  void fill(std::vector<TraceRecord> &Buf, size_t Cap) {
-    while (Buf.size() < Cap && !Done) {
-      if (Stack.empty()) {
-        if (RootIdx >= P.roots().size()) {
-          Done = true;
-          return;
-        }
-        dispatch(P.roots()[RootIdx++].get(), Buf);
-        continue;
-      }
-      Frame &F = Stack.back();
-      if (F.Child < F.L->Children.size()) {
-        dispatch(F.L->Children[F.Child++].get(), Buf);
-        continue;
-      }
-      // End of one body iteration: advance (skipping domain holes).
-      for (;;) {
-        ++F.X;
-        if (F.X > F.Hi) {
-          Iter.pop();
-          Stack.pop_back();
-          break;
-        }
-        Iter.back() = F.X;
-        if (!F.NeedMembership || F.L->Domain.contains(Iter)) {
-          F.Child = 0;
-          break;
-        }
-      }
-    }
-  }
-
-  void dispatch(const Node *N, std::vector<TraceRecord> &Buf) {
-    if (const LoopNode *L = asLoop(N)) {
-      std::optional<VarBounds> B = L->Domain.lastDimBounds(Iter);
-      assert(B && "loop domain must be bounded");
-      if (B->empty())
-        return;
-      bool NeedMembership = !L->Domain.isSingleDisjunct();
-      // Find the first member iteration.
-      Iter.push(B->Lo);
-      int64_t X = B->Lo;
-      while (NeedMembership && X <= B->Hi) {
-        Iter.back() = X;
-        if (L->Domain.contains(Iter))
-          break;
-        ++X;
-      }
-      if (X > B->Hi) {
-        Iter.pop();
-        return;
-      }
-      Iter.back() = X;
-      Stack.push_back(Frame{L, X, B->Hi, 0, NeedMembership});
-      return;
-    }
-    const AccessNode *A = asAccess(N);
-    const ArrayInfo &Arr = P.array(A->ArrayId);
-    if (!Opts.IncludeScalars && Arr.isScalar())
-      return;
-    if (A->Guarded && !A->Domain.contains(Iter))
-      return;
-    Buf.push_back(
-        TraceRecord{A->Address.eval(Iter), Arr.ElemBytes, A->isWrite()});
-  }
-};
-
-ChunkedTraceGenerator::ChunkedTraceGenerator(const ScopProgram &Program,
-                                             TraceOptions Opts,
-                                             size_t ChunkRecords)
-    : W(std::make_unique<Walker>(Program, Opts)), ChunkRecords(ChunkRecords) {
-  Buffer.reserve(ChunkRecords);
-}
-
-ChunkedTraceGenerator::~ChunkedTraceGenerator() = default;
-
-const std::vector<TraceRecord> &ChunkedTraceGenerator::nextChunk() {
-  Buffer.clear();
-  W->fill(Buffer, ChunkRecords);
-  return Buffer;
 }

@@ -206,17 +206,6 @@ TEST(BatchRunner, ParseJobCountIsStrict) {
   EXPECT_FALSE(parseJobCount(nullptr, N));
 }
 
-TEST(BatchRunner, ProgressSeesEveryJobExactlyOnce) {
-  RandomBatch Batch(/*Seed=*/11, /*NumJobs=*/12);
-  std::vector<unsigned> Seen(Batch.Jobs.size(), 0);
-  BatchRunner Runner(4);
-  Runner.setProgress([&](const BatchResult &R) { ++Seen[R.JobIndex]; });
-  BatchReport Rep = Runner.run(Batch.Jobs);
-  ASSERT_TRUE(Rep.allOk());
-  for (unsigned Count : Seen)
-    EXPECT_EQ(Count, 1u);
-}
-
 TEST(BatchRunner, PersistentPoolDrainsASharedQueue) {
   // The scheduler-style use: workers loop a caller-owned Next until it
   // says retire. Every queued task runs exactly once, on some worker,

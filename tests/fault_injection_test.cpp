@@ -14,8 +14,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "wcs/serve/Server.h"
+#include "wcs/serve/Scheduler.h"
 #include "wcs/support/FaultInjection.h"
+#include "wcs/support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -198,10 +199,11 @@ TEST(FaultInjection, TornAppendLosesOnlyTheInFlightInsert) {
   std::remove(Path.c_str());
 }
 
-// The acceptance contract end to end: a daemon whose every store write
-// tears loses no correctness -- it answers from computation -- and a
-// restarted daemon recovers the store, recomputes what was lost, and
-// serves it bit-identically, computing each point at most once more.
+// The acceptance contract end to end, on the daemon's request path (a
+// one-client Scheduler): a daemon whose every store write tears loses no
+// correctness -- it answers from computation -- and a restarted daemon
+// recovers the store, recomputes what was lost, and serves it
+// bit-identically, computing each point at most once more.
 TEST(FaultInjection, ServeRecomputesUnpersistedPointsAfterRestart) {
   DisarmGuard G;
   std::string Path = tempPath("restart");
@@ -213,17 +215,32 @@ TEST(FaultInjection, ServeRecomputesUnpersistedPointsAfterRestart) {
   {
     ResultStore Store;
     ASSERT_TRUE(Store.open(Path, &Err)) << Err;
+    MetricsDoc MBefore = telemetry::registry().snapshot("test");
     ASSERT_TRUE(faultinject::arm("store.write:1", 0, &Err)) << Err;
-    SweepResponse Resp = serveSweepRequest(Req, Store, 1, nullptr);
+    SweepResponse Resp;
+    {
+      Scheduler Sched(Store, 1);
+      Resp = Sched.serve(Req, nullptr);
+    }
+    faultinject::disarm();
     // Every answer is computed and correct; persistence failed quietly
     // underneath (at most a torn first line on disk).
     ASSERT_TRUE(Resp.Ok) << Resp.Error;
     EXPECT_EQ(Resp.StoreMisses, 2u);
+    EXPECT_EQ(Store.numEntries(), 0u);
     for (const SweepPoint &P : Resp.Sweep.Points) {
       ASSERT_TRUE(P.Ok) << P.Error;
       FirstRun.push_back(counters(P));
     }
-    faultinject::disarm();
+    // The first append tore (the one injected fault); the second was
+    // refused behind the poisoned tail. Both inserts count as failed.
+    MetricsDoc MAfter = telemetry::registry().snapshot("test");
+    EXPECT_EQ(MAfter.counter("store.insert_failed") -
+                  MBefore.counter("store.insert_failed"),
+              Resp.StoreMisses);
+    EXPECT_EQ(MAfter.counter("fault.injected") -
+                  MBefore.counter("fault.injected"),
+              1u);
   }
 
   // "Restart": a fresh store over the same log recovers the tear and
@@ -231,7 +248,8 @@ TEST(FaultInjection, ServeRecomputesUnpersistedPointsAfterRestart) {
   ResultStore Store;
   ASSERT_TRUE(Store.open(Path, &Err)) << Err;
   EXPECT_EQ(Store.numEntries(), 0u);
-  SweepResponse Again = serveSweepRequest(Req, Store, 1, nullptr);
+  Scheduler Sched(Store, 1);
+  SweepResponse Again = Sched.serve(Req, nullptr);
   ASSERT_TRUE(Again.Ok) << Again.Error;
   EXPECT_EQ(Again.StoreMisses, 2u);
   ASSERT_EQ(Again.Sweep.Points.size(), FirstRun.size());
@@ -240,7 +258,7 @@ TEST(FaultInjection, ServeRecomputesUnpersistedPointsAfterRestart) {
 
   // ...exactly once: with writes healthy the points persisted, and a
   // third submission is all store hits, still bit-identical.
-  SweepResponse Hits = serveSweepRequest(Req, Store, 1, nullptr);
+  SweepResponse Hits = Sched.serve(Req, nullptr);
   ASSERT_TRUE(Hits.Ok) << Hits.Error;
   EXPECT_EQ(Hits.StoreHits, 2u);
   EXPECT_EQ(Hits.StoreMisses, 0u);

@@ -20,6 +20,7 @@
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/trace/FilteredStream.h"
+#include "wcs/trace/TraceGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -264,14 +265,15 @@ TEST(FilteredStreamRle, ForEachRecordExpandsInOrder) {
   CacheConfig L1{512, 2, 64, PolicyKind::Lru, WriteAllocate::Yes};
   FilteredStream Compressed = FilteredStream::record(P, L1);
   ASSERT_TRUE(Compressed.compressed());
-  // An independent tap-order reference: drive the same L1 concretely.
+  // An independent program-order reference: drive the explicit trace
+  // through the same L1, one access at a time.
   std::vector<FilteredRecord> Ref;
-  ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(L1));
-  Sim.setTap([&Ref](BlockId B, bool IsWrite, const HierarchyOutcome &O) {
-    if (!O.L1Hit)
-      Ref.push_back(FilteredRecord{B, IsWrite});
+  ConcreteHierarchy Cache(HierarchyConfig::singleLevel(L1));
+  generateTrace(P, TraceOptions(), [&](const TraceRecord &T) {
+    BlockId B = T.Addr >> 6; // 64-byte blocks.
+    if (!Cache.access(B, T.IsWrite).L1Hit)
+      Ref.push_back(FilteredRecord{B, T.IsWrite});
   });
-  Sim.run();
   ASSERT_EQ(Compressed.size(), Ref.size());
   size_t I = 0;
   Compressed.forEachRecord([&](const FilteredRecord &R) {

@@ -6,8 +6,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "wcs/frontend/Frontend.h"
+#include "wcs/support/IterVec.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace wcs;
 
@@ -237,6 +240,66 @@ TEST(Frontend, ErrorLocationsAreMeaningful) {
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.ErrorLoc.Line, 3);
   EXPECT_NE(R.message().find("line 3"), std::string::npos);
+}
+
+// Hostile nesting is refused while parsing, with a located diagnostic:
+// with its recursion unbounded, the parser would exhaust the stack on
+// each shape below.
+TEST(Frontend, DeepNestingIsRefusedAtParseTime) {
+  const size_t Deep = 100000;
+  const std::string Open(Deep, '('), Close(Deep, ')');
+  std::string Negations, Calls;
+  for (size_t I = 0; I < Deep; ++I) {
+    Negations += "- ";
+    Calls += "f(";
+  }
+  const std::string Sources[] = {
+      // Parentheses and unary minus in a subscript (affine grammar).
+      "double A[10];\nA[" + Open + "0" + Close + "] = 0.0;",
+      "double A[10];\nA[" + Negations + "0] = 0.0;",
+      // Parentheses around a value expression, and nested calls.
+      "double A[10];\nA[0] = " + Open + "1.0" + Close + ";",
+      "double A[10];\nA[0] = " + Calls + "1.0" + Close + ";",
+      // Blocks.
+      "double A[10];\n" + std::string(Deep, '{') + "A[0] = 0.0;" +
+          std::string(Deep, '}'),
+  };
+  for (const std::string &Src : Sources) {
+    ParseResult R = parseScop(Src, {}, "t");
+    ASSERT_FALSE(R.ok());
+    EXPECT_NE(R.Error.find("nesting deeper than 100 levels"),
+              std::string::npos)
+        << R.Error;
+    EXPECT_EQ(R.ErrorLoc.Line, 2);
+    EXPECT_GT(R.ErrorLoc.Col, 1);
+  }
+  // Ordinary nesting stays well inside the limit.
+  std::string Fifty = std::string(50, '(') + "i" + std::string(50, ')');
+  parseOk("double A[10]; for (i = 0; i < 10; i++) A[" + Fifty +
+          "] = -(-(" + Fifty + "));");
+}
+
+// MaxLoopDepth is enforced as each `for` opens, so a deep nest is
+// refused at its first excess loop instead of being lowered first, at a
+// time and memory cost that grows with its depth.
+TEST(Frontend, LoopNestDepthIsCheckedWhenALoopOpens) {
+  auto Nest = [](unsigned Depth) {
+    std::string Src = "double A[10];\n";
+    for (unsigned D = 0; D < Depth; ++D) {
+      std::string I = "i" + std::to_string(D);
+      Src += "for (" + I + " = 0; " + I + " < 2; " + I + "++)\n";
+    }
+    return Src + "A[0] = 0.0;\n";
+  };
+  parseOk(Nest(MaxLoopDepth));
+  for (unsigned Depth : {MaxLoopDepth + 1, 500u, 2000u}) {
+    ParseResult R = parseScop(Nest(Depth), {}, "t");
+    ASSERT_FALSE(R.ok()) << Depth;
+    EXPECT_NE(R.Error.find("MaxLoopDepth"), std::string::npos) << R.Error;
+    // The first excess `for` opens line MaxLoopDepth + 2.
+    EXPECT_EQ(R.ErrorLoc.Line, static_cast<int>(MaxLoopDepth) + 2);
+    EXPECT_EQ(R.ErrorLoc.Col, 1);
+  }
 }
 
 TEST(Frontend, CommentsAndWhitespace) {

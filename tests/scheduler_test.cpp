@@ -12,14 +12,13 @@
 // survive for their subscribers), the single-writer store guarantee
 // (racing same-key requests append exactly one log line per key), and a
 // seeded multi-threaded stress run whose every response must match the
-// serial reference bit for bit. The deterministic tests steer the
-// interleaving through the job observer, which runs on the worker
-// thread after dequeue and before any work.
+// in-process runSweepRequest reference bit for bit. The deterministic
+// tests steer the interleaving through the job observer, which runs on
+// the worker thread after dequeue and before any work.
 //
 //===----------------------------------------------------------------------===//
 
 #include "wcs/serve/Scheduler.h"
-#include "wcs/serve/Server.h"
 
 #include <gtest/gtest.h>
 
@@ -75,6 +74,16 @@ std::string counters(SweepPoint P) {
   return toJson(P).dump(false);
 }
 
+/// The in-process reference: \p Req through runSweepRequest, the path
+/// `wcs-sim --sweep` runs.
+std::vector<SweepPoint> referencePoints(const SweepRequest &Req) {
+  PreparedSweep Prep;
+  SweepReport Rep;
+  std::string Err;
+  EXPECT_TRUE(runSweepRequest(Req, 2, Prep, Rep, &Err)) << Err;
+  return Rep.Points;
+}
+
 std::string tempPath(const char *Tag, const char *Ext) {
   std::ostringstream OS;
   OS << ::testing::TempDir() << "wcs-sched-" << Tag << "-" << ::getpid()
@@ -83,7 +92,7 @@ std::string tempPath(const char *Tag, const char *Ext) {
 }
 
 /// Spins until \p Pred holds or ~5s pass; the scheduler's admission and
-/// counters are lock-protected, so polling stats() is race-free.
+/// counters are lock-protected, so polling status() is race-free.
 template <typename PredT> bool waitFor(PredT Pred) {
   for (int I = 0; I < 5000; ++I) {
     if (Pred())
@@ -112,26 +121,22 @@ struct Gate {
 };
 
 TEST(Scheduler, MatchesSerialReferenceBitForBit) {
-  ResultStore Ref, Store;
+  ResultStore Store;
   std::string Err;
-  ASSERT_TRUE(Ref.open("", &Err)) << Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
   SweepRequest Req = mixedRequest({1024, 2048});
-
-  SweepResponse Serial = serveSweepRequest(Req, Ref, 2, nullptr);
-  ASSERT_TRUE(Serial.Ok) << Serial.Error;
+  std::vector<SweepPoint> Serial = referencePoints(Req);
 
   Scheduler Sched(Store, 2);
   SweepResponse Resp = Sched.serve(Req, nullptr);
   ASSERT_TRUE(Resp.Ok) << Resp.Error;
-  EXPECT_EQ(Resp.StoreHits, Serial.StoreHits);
-  EXPECT_EQ(Resp.StoreMisses, Serial.StoreMisses);
+  EXPECT_EQ(Resp.StoreHits, 0u);
+  EXPECT_EQ(Resp.StoreMisses, Serial.size());
   EXPECT_EQ(Resp.InFlightHits, 0u);
-  EXPECT_EQ(Resp.StoreEntries, Serial.StoreEntries);
-  ASSERT_EQ(Resp.Sweep.Points.size(), Serial.Sweep.Points.size());
+  EXPECT_EQ(Resp.StoreEntries, Serial.size());
+  ASSERT_EQ(Resp.Sweep.Points.size(), Serial.size());
   for (size_t I = 0; I < Resp.Sweep.Points.size(); ++I)
-    EXPECT_EQ(counters(Resp.Sweep.Points[I]),
-              counters(Serial.Sweep.Points[I]))
+    EXPECT_EQ(counters(Resp.Sweep.Points[I]), counters(Serial[I]))
         << "point " << I;
 
   // Resubmission hits the store for every point, like the reference.
@@ -156,12 +161,12 @@ TEST(Scheduler, InFlightSubscriptionComputesSharedPointsOnce) {
   // point computes or lands in the store.
   SweepResponse RespA, RespB;
   std::thread A([&] { RespA = Sched.serve(Req, nullptr); });
-  ASSERT_TRUE(waitFor([&] { return Sched.stats().ActiveRequests == 1; }));
+  ASSERT_TRUE(waitFor([&] { return Sched.status().ActiveRequests == 1; }));
 
   // Admit B with the SAME grid: nothing is stored yet, so every point
   // must be answered by subscribing to A's in-flight jobs.
   std::thread B([&] { RespB = Sched.serve(Req, nullptr); });
-  ASSERT_TRUE(waitFor([&] { return Sched.stats().ActiveRequests == 2; }));
+  ASSERT_TRUE(waitFor([&] { return Sched.status().ActiveRequests == 2; }));
 
   Release.open();
   A.join();
@@ -176,7 +181,7 @@ TEST(Scheduler, InFlightSubscriptionComputesSharedPointsOnce) {
 
   // Each shared point was computed once and delivered twice,
   // bit-identically; the subscriber sees honest "store" provenance.
-  Scheduler::Stats St = Sched.stats();
+  StatusDoc St = Sched.status();
   EXPECT_EQ(St.PointsComputed, 4u);
   EXPECT_EQ(St.InFlightHits, 4u);
   EXPECT_EQ(St.StoreEntries, 4u);
@@ -219,7 +224,7 @@ TEST(Scheduler, RoundRobinKeepsSmallRequestsAheadOfHugeOnes) {
   ASSERT_TRUE(waitFor([&] { return Started.load() == 1; }));
   std::thread B(
       [&] { Small = Sched.serve(fifoRequest({512}), nullptr); });
-  ASSERT_TRUE(waitFor([&] { return Sched.stats().QueuedJobs == 4; }));
+  ASSERT_TRUE(waitFor([&] { return Sched.status().QueuedJobs == 4; }));
 
   Release.open();
   A.join();
@@ -264,13 +269,13 @@ TEST(Scheduler, DisconnectCancelsQueuedJobsButKeepsSubscribedOnes) {
   // B needs only the 1024 point -- the one A's RUNNING job computes --
   // so it subscribes rather than enqueueing anything.
   std::thread B([&] { RespB = Sched.serve(fifoRequest({1024}), nullptr); });
-  ASSERT_TRUE(waitFor([&] { return Sched.stats().ActiveRequests == 2; }));
-  EXPECT_EQ(Sched.stats().QueuedJobs, 1u);
+  ASSERT_TRUE(waitFor([&] { return Sched.status().ActiveRequests == 2; }));
+  EXPECT_EQ(Sched.status().QueuedJobs, 1u);
 
   // A's client disconnects. Its queued 2048 job has no subscriber and
   // must be dropped unrun; the running 1024 job finishes for B.
   AGone.store(true);
-  ASSERT_TRUE(waitFor([&] { return Sched.stats().CancelledJobs == 1; }));
+  ASSERT_TRUE(waitFor([&] { return Sched.status().CancelledJobs == 1; }));
   Release.open();
   A.join();
   B.join();
@@ -283,7 +288,7 @@ TEST(Scheduler, DisconnectCancelsQueuedJobsButKeepsSubscribedOnes) {
   ASSERT_EQ(RespB.Sweep.Points.size(), 1u);
   EXPECT_TRUE(RespB.Sweep.Points[0].Ok) << RespB.Sweep.Points[0].Error;
 
-  Scheduler::Stats St = Sched.stats();
+  StatusDoc St = Sched.status();
   EXPECT_EQ(St.CancelledJobs, 1u);  // The 2048 job never ran...
   EXPECT_EQ(St.PointsComputed, 1u); // ...only the shared 1024 did,
   EXPECT_EQ(St.StoreEntries, 1u);   // and only it was stored.
@@ -310,10 +315,10 @@ TEST(Scheduler, RacingSameKeyRequestsAppendOneLogLinePerKey) {
     SweepResponse RespA, RespB;
     std::thread A([&] { RespA = Sched.serve(Req, nullptr); });
     ASSERT_TRUE(
-        waitFor([&] { return Sched.stats().ActiveRequests == 1; }));
+        waitFor([&] { return Sched.status().ActiveRequests == 1; }));
     std::thread B([&] { RespB = Sched.serve(Req, nullptr); });
     ASSERT_TRUE(
-        waitFor([&] { return Sched.stats().ActiveRequests == 2; }));
+        waitFor([&] { return Sched.status().ActiveRequests == 2; }));
     Release.open();
     A.join();
     B.join();
@@ -362,23 +367,20 @@ TEST(Scheduler, SeededConcurrentStressMatchesReference) {
       {1024, 2048, 4096}};
 
   // Serial reference for the whole universe.
-  ResultStore Ref;
-  std::string Err;
-  ASSERT_TRUE(Ref.open("", &Err)) << Err;
-  SweepResponse Union =
-      serveSweepRequest(mixedRequest({1024, 2048, 4096}), Ref, 2, nullptr);
-  ASSERT_TRUE(Union.Ok) << Union.Error;
+  std::vector<SweepPoint> Union =
+      referencePoints(mixedRequest({1024, 2048, 4096}));
   std::map<std::string, std::string> Expect;
-  for (const SweepPoint &P : Union.Sweep.Points)
+  for (const SweepPoint &P : Union)
     Expect[P.Cache.str()] = counters(P);
 
   ResultStore Store;
+  std::string Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
 
   // The metrics registry is process-global, so the telemetry
   // assertions below work on snapshot DELTAS across this run. The
-  // serial reference above ran through serveSweepRequest (no
-  // scheduler), so it does not pollute the scheduler.* deltas.
+  // serial reference above ran in process (no scheduler), so it does
+  // not pollute the scheduler.* deltas.
   MetricsDoc MBefore = telemetry::registry().snapshot("test");
   Scheduler Sched(Store, 4);
 
@@ -426,9 +428,9 @@ TEST(Scheduler, SeededConcurrentStressMatchesReference) {
 
   // Every point was computed at most once ever: the whole run costs no
   // more simulation than the union grid, however the races fell.
-  Scheduler::Stats St = Sched.stats();
-  EXPECT_LE(St.PointsComputed, Union.Sweep.Points.size());
-  EXPECT_EQ(St.StoreEntries, Union.Sweep.Points.size());
+  StatusDoc St = Sched.status();
+  EXPECT_LE(St.PointsComputed, Union.size());
+  EXPECT_EQ(St.StoreEntries, Union.size());
   EXPECT_EQ(St.RequestsServed, NumClients * Iters);
 
   // The telemetry registry tells the same story as the scheduler's own
@@ -464,16 +466,12 @@ TEST(Scheduler, SeededConcurrentStressMatchesReference) {
 // finished point is bit-identical to a fresh run, and every cut-off
 // point carries an honest per-point error -- no silent gaps.
 TEST(Scheduler, DeadlineExpiredMidComputeReturnsPartialResults) {
-  ResultStore Ref, Store;
+  ResultStore Store;
   std::string Err;
-  ASSERT_TRUE(Ref.open("", &Err)) << Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
 
-  SweepResponse Serial =
-      serveSweepRequest(fifoRequest({1024, 2048}), Ref, 1, nullptr);
-  ASSERT_TRUE(Serial.Ok) << Serial.Error;
   std::map<std::string, std::string> Expect;
-  for (const SweepPoint &P : Serial.Sweep.Points)
+  for (const SweepPoint &P : referencePoints(fifoRequest({1024, 2048})))
     Expect[P.Cache.str()] = counters(P);
 
   MetricsDoc MBefore = telemetry::registry().snapshot("test");
@@ -494,7 +492,7 @@ TEST(Scheduler, DeadlineExpiredMidComputeReturnsPartialResults) {
   std::thread A([&] { Resp = Sched.serve(Req, nullptr); });
   ASSERT_TRUE(waitFor([&] { return Started.load() == 1; }));
   ASSERT_TRUE(
-      waitFor([&] { return Sched.stats().DeadlineExpired == 1; }));
+      waitFor([&] { return Sched.status().DeadlineExpired == 1; }));
   // The running job survives expiry: release it and let it finish.
   Release.open();
   A.join();
@@ -518,7 +516,7 @@ TEST(Scheduler, DeadlineExpiredMidComputeReturnsPartialResults) {
   EXPECT_EQ(OkPoints, 1u); // The job that was already running landed...
   EXPECT_EQ(Expired, 1u);  // ...the queued one was cut off, honestly.
 
-  Scheduler::Stats St = Sched.stats();
+  StatusDoc St = Sched.status();
   EXPECT_EQ(St.DeadlineExpired, 1u);
   EXPECT_EQ(St.CancelledJobs, 1u);
   EXPECT_EQ(St.PointsComputed, 1u);
@@ -526,6 +524,31 @@ TEST(Scheduler, DeadlineExpiredMidComputeReturnsPartialResults) {
   EXPECT_EQ(MAfter.counter("serve.deadline_expired") -
                 MBefore.counter("serve.deadline_expired"),
             1u);
+}
+
+// A hostile inline source -- 100,000 nested parentheses in a subscript,
+// about 200 KB on the wire -- is refused at parse time with a located
+// diagnostic, and the scheduler goes on serving the next request.
+TEST(Scheduler, DeeplyNestedSourceIsRefusedAndServingContinues) {
+  ResultStore Store;
+  std::string Err;
+  ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 1);
+
+  SweepRequest Bomb = fifoRequest({1024});
+  Bomb.Source = "int A[512];\nA[" + std::string(100000, '(') + "0" +
+                std::string(100000, ')') + "] = 0;\n";
+  SweepResponse Refused = Sched.serve(Bomb, nullptr);
+  EXPECT_FALSE(Refused.Ok);
+  EXPECT_NE(Refused.Error.find("line 2, column"), std::string::npos)
+      << Refused.Error;
+  EXPECT_NE(Refused.Error.find("nesting deeper than"), std::string::npos)
+      << Refused.Error;
+
+  SweepResponse Next = Sched.serve(fifoRequest({1024}), nullptr);
+  ASSERT_TRUE(Next.Ok) << Next.Error;
+  EXPECT_EQ(Next.StoreMisses, 1u);
+  EXPECT_EQ(Sched.status().RequestsServed, 2u);
 }
 
 // The admission cap refuses requests that would grow the compute queue
@@ -578,7 +601,7 @@ TEST(Scheduler, AdmissionCapShedsOverloadedRequests) {
   ASSERT_TRUE(Again.Ok) << Again.Error;
   EXPECT_EQ(Again.StoreMisses, 2u);
 
-  Scheduler::Stats St = Sched.stats();
+  StatusDoc St = Sched.status();
   EXPECT_EQ(St.ShedRequests, 1u);
   EXPECT_EQ(St.QueuedPoints, 0u);
   MetricsDoc MAfter = telemetry::registry().snapshot("test");

@@ -5,15 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The wcs-serve semantic surface, driven two ways: serveSweepRequest()
-// directly (store hit/miss partitioning, method "store" relabeling,
-// bit-identical counters, progress events, malformed-request handling)
-// and end-to-end through the Unix-domain socket (runServer on a thread,
-// the submitSweepRequest client, control shutdown). Both paths must
-// agree bit for bit.
+// The wcs-serve semantic surface, driven two ways: a one-client
+// Scheduler in process (store hit/miss partitioning, method "store"
+// relabeling, progress events, malformed-request handling) and end to
+// end through the Unix-domain socket (runServer on a thread, the
+// submitSweepRequest client, control shutdown). Both must agree bit for
+// bit with runSweepRequest, the in-process path `wcs-sim --sweep` runs,
+// and with what the store holds.
 //
 //===----------------------------------------------------------------------===//
 
+#include "wcs/serve/Scheduler.h"
 #include "wcs/serve/Server.h"
 #include "wcs/support/Telemetry.h"
 
@@ -58,6 +60,15 @@ std::string counters(SweepPoint P) {
   return toJson(P).dump(false);
 }
 
+/// The in-process reference: \p Req through runSweepRequest.
+std::vector<SweepPoint> referencePoints(const SweepRequest &Req) {
+  PreparedSweep Prep;
+  SweepReport Rep;
+  std::string Err;
+  EXPECT_TRUE(runSweepRequest(Req, 2, Prep, Rep, &Err)) << Err;
+  return Rep.Points;
+}
+
 std::string tempPath(const char *Tag, const char *Ext) {
   std::ostringstream OS;
   OS << ::testing::TempDir() << "wcs-serve-" << Tag << "-" << ::getpid()
@@ -69,24 +80,33 @@ TEST(Serve, MissesThenHitsBitIdentical) {
   ResultStore Store;
   std::string Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 2);
   SweepRequest Req = smallRequest();
+  std::vector<SweepPoint> Ref = referencePoints(Req);
 
   // Cold store: every point is a miss, simulated and inserted.
-  SweepResponse First = serveSweepRequest(Req, Store, 2, nullptr);
+  SweepResponse First = Sched.serve(Req, nullptr);
   ASSERT_TRUE(First.Ok) << First.Error;
   EXPECT_EQ(First.RequestHash, requestHash(Req));
   EXPECT_EQ(First.StoreHits, 0u);
   EXPECT_EQ(First.StoreMisses, 4u);
   EXPECT_EQ(First.StoreEntries, 4u);
-  ASSERT_EQ(First.Sweep.Points.size(), 4u);
-  for (const SweepPoint &P : First.Sweep.Points) {
+  ASSERT_EQ(First.Sweep.Points.size(), Ref.size());
+  for (size_t I = 0; I < Ref.size(); ++I) {
+    const SweepPoint &P = First.Sweep.Points[I];
     ASSERT_TRUE(P.Ok) << P.Error;
-    EXPECT_NE(P.Method, SweepMethod::Store); // Fresh results keep their
-                                             // computing method.
+    // Fresh results keep their computing method and carry exactly the
+    // in-process counters...
+    EXPECT_NE(P.Method, SweepMethod::Store);
+    EXPECT_EQ(counters(P), counters(Ref[I])) << "point " << I;
+    // ...and the store holds them verbatim.
+    SweepPoint Stored;
+    ASSERT_TRUE(Store.lookup(sweepPointKey(Req, P.Cache), Stored));
+    EXPECT_EQ(toJson(Stored).dump(false), toJson(P).dump(false));
   }
 
   // Resubmission: every point comes from the store, zero simulation.
-  SweepResponse Second = serveSweepRequest(Req, Store, 2, nullptr);
+  SweepResponse Second = Sched.serve(Req, nullptr);
   ASSERT_TRUE(Second.Ok) << Second.Error;
   EXPECT_EQ(Second.StoreHits, 4u);
   EXPECT_EQ(Second.StoreMisses, 0u);
@@ -108,10 +128,11 @@ TEST(Serve, OverlappingGridsShareStoredPoints) {
   ResultStore Store;
   std::string Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 2);
 
   SweepRequest Narrow = smallRequest();
   Narrow.L1.SizesBytes = {1024};
-  SweepResponse First = serveSweepRequest(Narrow, Store, 2, nullptr);
+  SweepResponse First = Sched.serve(Narrow, nullptr);
   ASSERT_TRUE(First.Ok) << First.Error;
   EXPECT_EQ(First.StoreMisses, 2u);
 
@@ -119,7 +140,7 @@ TEST(Serve, OverlappingGridsShareStoredPoints) {
   // served from the store, only the new one simulates.
   SweepRequest Wide = smallRequest();
   Wide.L1.SizesBytes = {1024, 2048};
-  SweepResponse Second = serveSweepRequest(Wide, Store, 2, nullptr);
+  SweepResponse Second = Sched.serve(Wide, nullptr);
   ASSERT_TRUE(Second.Ok) << Second.Error;
   EXPECT_NE(Second.RequestHash, First.RequestHash);
   EXPECT_EQ(Second.StoreHits, 2u);
@@ -133,40 +154,51 @@ TEST(Serve, OverlappingGridsShareStoredPoints) {
   EXPECT_NE(Second.Sweep.Points[3].Method, SweepMethod::Store);
 }
 
-TEST(Serve, ProgressCoversEveryPointInInputOrder) {
+TEST(Serve, ProgressCoversEveryPointHitsFirst) {
   ResultStore Store;
   std::string Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 2);
   SweepRequest Req = smallRequest();
 
   // Warm half the store so both hit and miss progress paths fire.
   SweepRequest Narrow = Req;
   Narrow.L1.SizesBytes = {1024};
-  ASSERT_TRUE(serveSweepRequest(Narrow, Store, 2, nullptr).Ok);
+  ASSERT_TRUE(Sched.serve(Narrow, nullptr).Ok);
 
   std::vector<ProgressEvent> Events;
-  SweepResponse Resp = serveSweepRequest(
-      Req, Store, 2, [&](const ProgressEvent &E) { Events.push_back(E); });
+  SweepResponse Resp = Sched.serve(Req, [&](const ProgressEvent &E) {
+    Events.push_back(E);
+    return true;
+  });
   ASSERT_TRUE(Resp.Ok) << Resp.Error;
   ASSERT_EQ(Events.size(), 4u);
-  size_t Hits = 0;
+  std::vector<unsigned> Seen(4, 0);
   for (size_t I = 0; I < Events.size(); ++I) {
-    EXPECT_EQ(Events[I].Point, I); // One event per point, input order.
-    EXPECT_EQ(Events[I].Total, 4u);
-    EXPECT_TRUE(Events[I].Ok);
-    EXPECT_EQ(Events[I].Cache, Resp.Sweep.Points[I].Cache.str());
-    Hits += Events[I].Method == SweepMethod::Store ? 1 : 0;
+    const ProgressEvent &E = Events[I];
+    ASSERT_LT(E.Point, 4u);
+    ++Seen[E.Point];
+    EXPECT_EQ(E.Total, 4u);
+    EXPECT_TRUE(E.Ok);
+    EXPECT_EQ(E.Cache, Resp.Sweep.Points[E.Point].Cache.str());
+    // The two store hits (points 0-1) stream first, in input order;
+    // computed points follow in completion order.
+    EXPECT_EQ(E.Method == SweepMethod::Store, I < 2) << "event " << I;
+    if (I < 2) {
+      EXPECT_EQ(E.Point, I);
+    }
   }
-  EXPECT_EQ(Hits, 2u);
+  EXPECT_EQ(Seen, std::vector<unsigned>(4, 1)); // One event per point.
 }
 
 TEST(Serve, MalformedRequestIsAnOkFalseResponse) {
   ResultStore Store;
   std::string Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 2);
   SweepRequest Bad = smallRequest();
   Bad.Source = "for (;;) nonsense";
-  SweepResponse Resp = serveSweepRequest(Bad, Store, 2, nullptr);
+  SweepResponse Resp = Sched.serve(Bad, nullptr);
   EXPECT_FALSE(Resp.Ok);
   EXPECT_FALSE(Resp.Error.empty());
   EXPECT_EQ(Resp.RequestHash, requestHash(Bad)); // Still attributed.
@@ -177,11 +209,12 @@ TEST(Serve, FailedPointsAreNeverStored) {
   ResultStore Store;
   std::string Err;
   ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 2);
   // A grid that expands fine but cannot all simulate does not poison
   // the store; here every point is fine, so instead pin the contract
   // from the other side: only Ok points land in the store.
   SweepRequest Req = smallRequest();
-  SweepResponse Resp = serveSweepRequest(Req, Store, 2, nullptr);
+  SweepResponse Resp = Sched.serve(Req, nullptr);
   ASSERT_TRUE(Resp.Ok);
   EXPECT_EQ(Store.numEntries(),
             static_cast<size_t>(Resp.StoreMisses)); // All Ok, all stored.
@@ -257,14 +290,10 @@ TEST(ServeSocket, EndToEndMatchesDirectServing) {
   }
 
   // The socket path and the in-process path are the same computation.
-  ResultStore Fresh;
-  ASSERT_TRUE(Fresh.open("", &Err)) << Err;
-  SweepResponse Direct = serveSweepRequest(Req, Fresh, 2, nullptr);
-  ASSERT_TRUE(Direct.Ok) << Direct.Error;
-  ASSERT_EQ(Direct.Sweep.Points.size(), First.Sweep.Points.size());
-  for (size_t I = 0; I < Direct.Sweep.Points.size(); ++I)
-    EXPECT_EQ(counters(Direct.Sweep.Points[I]),
-              counters(First.Sweep.Points[I]))
+  std::vector<SweepPoint> Direct = referencePoints(Req);
+  ASSERT_EQ(Direct.size(), First.Sweep.Points.size());
+  for (size_t I = 0; I < Direct.size(); ++I)
+    EXPECT_EQ(counters(Direct[I]), counters(First.Sweep.Points[I]))
         << "point " << I;
 
   // A malformed line gets a refusal, not a hang or a dropped connection

@@ -33,40 +33,19 @@ ScopProgram smallKernel() {
   return std::move(R.Program);
 }
 
-TEST(TraceGenerator, StreamedAndChunkedAgree) {
-  ScopProgram P = smallKernel();
-  TraceOptions TO;
-  TO.IncludeScalars = true;
-  std::vector<TraceRecord> Streamed;
-  uint64_t N = generateTrace(
-      P, TO, [&](const TraceRecord &R) { Streamed.push_back(R); });
-  EXPECT_EQ(N, Streamed.size());
-  // 3 reads + 1 write for stmt 1; scalar read + B read + scalar write for
-  // stmt 2 => 7 per iteration, hmm: B[i]=A[i]+A[i-1] is 2 reads + 1
-  // write; s += B[i] is read s, read B[i], write s.
-  EXPECT_EQ(N, 3u * 299u * 6u);
-
-  ChunkedTraceGenerator Gen(P, TO, /*ChunkRecords=*/777);
-  std::vector<TraceRecord> Chunked;
-  for (;;) {
-    const std::vector<TraceRecord> &C = Gen.nextChunk();
-    if (C.empty())
-      break;
-    Chunked.insert(Chunked.end(), C.begin(), C.end());
-  }
-  ASSERT_EQ(Chunked.size(), Streamed.size());
-  for (size_t I = 0; I < Streamed.size(); ++I) {
-    EXPECT_EQ(Chunked[I].Addr, Streamed[I].Addr) << I;
-    EXPECT_EQ(Chunked[I].IsWrite, Streamed[I].IsWrite) << I;
-    EXPECT_EQ(Chunked[I].Size, Streamed[I].Size) << I;
-  }
-}
-
 TEST(TraceGenerator, ScalarExclusionMatchesSimulatorAccounting) {
   ScopProgram P = smallKernel();
   TraceOptions TO;
+  TO.IncludeScalars = true;
+  uint64_t Emitted = 0;
+  uint64_t N =
+      generateTrace(P, TO, [&](const TraceRecord &) { ++Emitted; });
+  EXPECT_EQ(N, Emitted);
+  // B[i] = A[i] + A[i-1] is 2 reads + 1 write; s += B[i] is read s,
+  // read B[i], write s.
+  EXPECT_EQ(N, 3u * 299u * 6u);
   TO.IncludeScalars = false;
-  uint64_t N = generateTrace(P, TO, [](const TraceRecord &) {});
+  N = generateTrace(P, TO, [](const TraceRecord &) {});
   // Without scalars: A[i], A[i-1], B[i] write, B[i] read.
   EXPECT_EQ(N, 3u * 299u * 4u);
 }
@@ -95,6 +74,34 @@ TEST(TraceSimulator, AgreesWithTreeSimulatorWithoutWritebacks) {
   EXPECT_EQ(TR.Stats.Level[1].Accesses, R.Level[1].Accesses);
   EXPECT_EQ(TR.Stats.Level[1].Misses, R.Level[1].Misses);
   EXPECT_EQ(TR.Writebacks, 0u);
+}
+
+TEST(TraceSimulator, AgreesWithTreeSimulatorAcrossChunkBoundaries) {
+  // 2 x 249999 x 3 = 1,499,994 accesses: more than one 1<<20-record
+  // trace chunk, so runOnProgram drains once at the cap and once more
+  // for the final partial chunk.
+  ParseResult PR = parseScop(R"(
+    param N = 250000;
+    double A[N]; double B[N];
+    for (t = 0; t < 2; t++)
+      for (i = 1; i < N; i++)
+        B[i] = A[i] + A[i-1];
+  )");
+  ASSERT_TRUE(PR.ok()) << PR.message();
+  const ScopProgram &P = PR.Program;
+  CacheConfig L1{4096, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  CacheConfig L2{65536, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
+
+  TraceSimOptions TSO;
+  TSO.PropagateWritebacks = false;
+  TraceSimResult TR = TraceSimulator(H, TSO).runOnProgram(P);
+  SimStats R = ConcreteSimulator(P, H).run();
+  ASSERT_EQ(R.totalAccesses(), 1499994u);
+  EXPECT_EQ(TR.Stats.totalAccesses(), R.totalAccesses());
+  EXPECT_EQ(TR.Stats.Level[0].Misses, R.Level[0].Misses);
+  EXPECT_EQ(TR.Stats.Level[1].Accesses, R.Level[1].Accesses);
+  EXPECT_EQ(TR.Stats.Level[1].Misses, R.Level[1].Misses);
 }
 
 TEST(TraceSimulator, WritebacksOnlyAddL2Traffic) {
