@@ -13,7 +13,7 @@
 /// schedule; only wall-clock fields vary. The driver exposes the three
 /// simulation backends -- warping (Algorithm 2), concrete (Algorithm 1)
 /// and trace-driven (Dinero-style) -- behind one job interface, which is
-/// what the command-line tool and the figure harnesses drive.
+/// what the command-line tool and the bench driver drive.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,9 +54,9 @@ const char *backendName(SimBackend B);
 bool parseBackendName(const std::string &Name, SimBackend &Out);
 
 /// Strictly parses a worker-thread count (digits only, fits unsigned):
-/// the one parser behind --jobs and $WCS_JOBS, so tool and bench
-/// harnesses accept exactly the same inputs. Returns false on malformed
-/// input, leaving \p Out untouched.
+/// the one parser behind every --jobs, so the tools and wcs-bench
+/// accept exactly the same inputs. Returns false on malformed input,
+/// leaving \p Out untouched.
 bool parseJobCount(const char *Text, unsigned &Out);
 
 /// One unit of batch work: simulate \p Program on \p Cache with \p Backend.

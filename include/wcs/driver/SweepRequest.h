@@ -92,9 +92,16 @@ struct SweepRequest {
   std::string sizeLabel() const;
 };
 
+/// The most grid points one request may expand to. The largest grid any
+/// benchmark workload sends has 21 points; without a cap, a 30 KB
+/// request listing one capacity 1,000 times per level expands to a
+/// million points and can exhaust a daemon's memory.
+constexpr uint64_t MaxSweepPoints = 65536;
+
 /// Fast structural check with a diagnostic: exactly one program
-/// variant, a non-empty L1 grid. Serialization and preparation both
-/// run it; tools can call it early for better error placement.
+/// variant, a non-empty L1 grid, at most MaxSweepPoints grid points
+/// (counted without expanding anything). Serialization and preparation
+/// both run it; tools can call it early for better error placement.
 bool validateSweepRequest(const SweepRequest &Req, std::string *Err);
 
 json::Value toJson(const SweepRequest &R);

@@ -33,6 +33,25 @@ bool wcs::validateSweepRequest(const SweepRequest &Req, std::string *Err) {
     return failMsg(Err, "request names both a kernel and inline source");
   if (Req.L1.SizesBytes.empty())
     return failMsg(Err, "request has an empty L1 grid");
+  // The cross product's size, saturating, before anything is expanded.
+  uint64_t Points = 1;
+  auto Times = [&Points](const SweepLevelGrid &G) {
+    for (uint64_t N : {G.SizesBytes.size(), G.Assocs.size(),
+                       G.Policies.size()})
+      if (__builtin_mul_overflow(Points, N, &Points))
+        Points = UINT64_MAX;
+  };
+  Times(Req.L1);
+  if (Req.HasL2)
+    Times(Req.L2);
+  if (Points > MaxSweepPoints) {
+    std::string Count = (Points == UINT64_MAX ? "at least " : "") +
+                        std::to_string(Points);
+    return failMsg(Err, "grid expands to " + Count +
+                            " points, over the cap of " +
+                            std::to_string(MaxSweepPoints) +
+                            " points per request");
+  }
   if (!Req.HasL2 && Req.Inclusion !=
                         InclusionPolicy::NonInclusiveNonExclusive)
     return failMsg(Err, "inclusion policy requires an L2 grid");

@@ -192,19 +192,25 @@ void serveConnection(int Fd, ServerState &S) {
     Gone.store(true);
   });
 
+  // After one failed write the connection is dead to the server: it
+  // writes nothing more, so a client that is in fact still there sees
+  // no answer (and may retry) instead of a "disconnected" one. Progress
+  // and the response are both sent from this thread.
+  bool WriteFailed = false;
+  auto Send = [Fd, &WriteFailed](const Value &Doc) {
+    WriteFailed = WriteFailed || !sendLine(Fd, Doc.dump(false), nullptr);
+    return !WriteFailed;
+  };
   Scheduler::RequestTelemetry Tel;
   Resp = S.Sched->serve(
-      Req,
-      [Fd](const ProgressEvent &E) {
-        return sendLine(Fd, toJson(E).dump(false), nullptr);
-      },
+      Req, [&Send](const ProgressEvent &E) { return Send(toJson(E)); },
       [&Gone, &S] { return Gone.load() || S.DrainExpired.load(); }, &Tel);
   // A request cut short by the drain timeout was cancelled by the
   // server, not the client; say so.
   if (!Resp.Ok && S.DrainExpired.load() &&
       Resp.Error == "cancelled: client disconnected")
     Resp.Error = "cancelled: server shutting down (drain timeout)";
-  sendLine(Fd, toJson(Resp).dump(false), nullptr);
+  Send(toJson(Resp));
   // Wake the watcher (its recv returns 0 once the read side shuts) and
   // reap it before the fd closes.
   ::shutdown(Fd, SHUT_RDWR);

@@ -551,6 +551,33 @@ TEST(Scheduler, DeeplyNestedSourceIsRefusedAndServingContinues) {
   EXPECT_EQ(Sched.status().RequestsServed, 2u);
 }
 
+// A 30 KB request whose L1 and L2 grids each list one capacity 1,000
+// times would expand to a million points; it is refused before anything
+// is expanded, and the next request is served.
+TEST(Scheduler, OversizedGridIsRefusedAndServingContinues) {
+  ResultStore Store;
+  std::string Err;
+  ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 1);
+
+  SweepRequest Huge = fifoRequest(std::vector<uint64_t>(1000, 1024));
+  Huge.HasL2 = true;
+  Huge.L2.SizesBytes.assign(1000, 8192);
+  SweepResponse Refused = Sched.serve(Huge, nullptr);
+  EXPECT_FALSE(Refused.Ok);
+  EXPECT_NE(Refused.Error.find("grid expands to 1000000 points, over the "
+                               "cap of 65536"),
+            std::string::npos)
+      << Refused.Error;
+  EXPECT_EQ(Refused.StoreHits + Refused.StoreMisses + Refused.InFlightHits,
+            0u);
+
+  SweepResponse Next = Sched.serve(fifoRequest({1024}), nullptr);
+  ASSERT_TRUE(Next.Ok) << Next.Error;
+  EXPECT_EQ(Next.StoreMisses, 1u);
+  EXPECT_EQ(Sched.status().RequestsServed, 2u);
+}
+
 // The admission cap refuses requests that would grow the compute queue
 // past --max-queued-points -- immediately, with a retry hint, and
 // without leaving any in-flight registration behind.

@@ -17,10 +17,12 @@
 
 #include "wcs/serve/Scheduler.h"
 #include "wcs/serve/Server.h"
+#include "wcs/support/FaultInjection.h"
 #include "wcs/support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -539,6 +541,70 @@ TEST(ServeSocket, ClientRetriesOverloadedButTakesOtherErrorsAsFinal) {
   Fake.join();
   closeFd(Listen);
   std::remove(Socket.c_str());
+}
+
+// One failed progress write: the daemon cancels the request as a
+// disconnect and writes nothing more on that connection -- not even the
+// "cancelled: client disconnected" response, which a client that never
+// left would take as final. The client sees no answer, which is a retry
+// class.
+TEST(ServeSocket, FailedWriteEndsTheConnectionAndTheClientRetries) {
+  struct DisarmGuard {
+    ~DisarmGuard() { faultinject::disarm(); }
+  } Guard;
+  std::string Socket = tempPath("sendfault", ".sock");
+  std::remove(Socket.c_str());
+  ServerOptions SO;
+  SO.SocketPath = Socket;
+  SO.Threads = 2;
+  TestServer Server;
+  Server.start(SO);
+  ASSERT_EQ(Server.Err, "");
+
+  // Every socket.send in the process draws from one seeded schedule, in
+  // this order per attempt: the client's request, one progress line per
+  // point (4 here), the response. Pick a seed that passes the request,
+  // fails a progress line, and then passes one whole retry.
+  const char *Spec = "socket.send:0.3";
+  std::string Err;
+  uint64_t Seed = 0;
+  for (;; ++Seed) {
+    ASSERT_TRUE(faultinject::arm(Spec, Seed, &Err)) << Err;
+    std::vector<bool> Fails;
+    for (int I = 0; I < 12; ++I)
+      Fails.push_back(faultinject::shouldFail("socket.send"));
+    auto First = std::find(Fails.begin(), Fails.end(), true);
+    size_t F = First - Fails.begin();
+    if (F >= 1 && F <= 4 &&
+        std::none_of(First + 1, First + 7, [](bool B) { return B; }))
+      break;
+  }
+
+  SweepRequest Req = smallRequest();
+  ASSERT_TRUE(faultinject::arm(Spec, Seed, &Err)) << Err;
+  ClientRetryPolicy OneShot;
+  SweepResponse Resp;
+  EXPECT_FALSE(submitSweepRequest(Socket, Req, Resp, nullptr, OneShot, &Err))
+      << "answered after a failed write: " << Resp.Error;
+
+  ASSERT_TRUE(faultinject::arm(Spec, Seed, &Err)) << Err;
+  ClientRetryPolicy Retrying;
+  Retrying.Retries = 1;
+  Retrying.BaseBackoffSeconds = 0.01;
+  ASSERT_TRUE(submitSweepRequest(Socket, Req, Resp, nullptr, Retrying, &Err))
+      << Err;
+  ASSERT_TRUE(Resp.Ok) << Resp.Error;
+  faultinject::disarm();
+  std::vector<SweepPoint> Direct = referencePoints(Req);
+  ASSERT_EQ(Resp.Sweep.Points.size(), Direct.size());
+  for (size_t I = 0; I < Direct.size(); ++I) {
+    SweepPoint P = Resp.Sweep.Points[I];
+    P.Method = Direct[I].Method; // Store hits from the first attempts.
+    EXPECT_EQ(counters(P), counters(Direct[I])) << "point " << I;
+  }
+
+  ASSERT_TRUE(requestShutdown(Socket, &Err)) << Err;
+  Server.join();
 }
 
 TEST(ServeSocket, ShutdownDrainsInFlightRequests) {

@@ -175,6 +175,41 @@ TEST(SweepRequest, ValidationRejections) {
   EXPECT_NE(Err.find("no capacity"), std::string::npos);
 }
 
+// The grid cap counts points from the list lengths, before expanding
+// anything: exactly MaxSweepPoints passes, one more is refused, and a
+// product past 2^64 saturates instead of wrapping to something small.
+TEST(SweepRequest, GridPointCapIsCheckedBeforeExpansion) {
+  std::string Err;
+  SweepRequest Req = sourceRequest();
+  Req.L1.SizesBytes.assign(MaxSweepPoints, 4096);
+  Req.L1.Assocs = {4};
+  Req.L1.Policies = {PolicyKind::Lru};
+  EXPECT_TRUE(validateSweepRequest(Req, &Err)) << Err;
+  Req.L1.SizesBytes.push_back(4096);
+  EXPECT_FALSE(validateSweepRequest(Req, &Err));
+  EXPECT_NE(Err.find("grid expands to 65537 points, over the cap of 65536 "
+                     "points per request"),
+            std::string::npos)
+      << Err;
+
+  // 2048^6 = 2^66 points: the wrapped product would be 0.
+  SweepRequest Overflow = sourceRequest();
+  Overflow.HasL2 = true;
+  for (SweepLevelGrid *G : {&Overflow.L1, &Overflow.L2}) {
+    G->SizesBytes.assign(2048, 4096);
+    G->Assocs.assign(2048, 4);
+    G->Policies.assign(2048, PolicyKind::Lru);
+  }
+  EXPECT_FALSE(validateSweepRequest(Overflow, &Err));
+  EXPECT_NE(Err.find("at least 18446744073709551615 points"),
+            std::string::npos)
+      << Err;
+  // fromJson refuses the same document, so a daemon never expands it.
+  SweepRequest Out;
+  EXPECT_FALSE(fromJson(toJson(Overflow), Out, &Err));
+  EXPECT_NE(Err.find("over the cap"), std::string::npos) << Err;
+}
+
 TEST(SweepRequest, PrepareReportsProgramAndGridErrors) {
   std::string Err;
   PreparedSweep Prep;

@@ -104,13 +104,17 @@ TEST(TraceSimulator, AgreesWithTreeSimulatorAcrossChunkBoundaries) {
   EXPECT_EQ(TR.Stats.Level[1].Misses, R.Level[1].Misses);
 }
 
-TEST(TraceSimulator, WritebacksOnlyAddL2Traffic) {
+// Leaving write-backs out never changes what the L1 does, whatever its
+// policy: wcs-bench's fig11 reference (PLRU L1) relies on it.
+class WritebackL1Policy : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(WritebackL1Policy, WritebacksOnlyAddL2Traffic) {
   ScopProgram P = smallKernel();
   CacheConfig L1;
-  L1.Assoc = 1;
+  L1.Assoc = 4;
   L1.BlockBytes = 64;
-  L1.SizeBytes = 2 * 64;
-  L1.Policy = PolicyKind::Lru;
+  L1.SizeBytes = 2 * 4 * 64;
+  L1.Policy = GetParam();
   CacheConfig L2 = L1;
   L2.SizeBytes *= 8;
   HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
@@ -125,6 +129,14 @@ TEST(TraceSimulator, WritebacksOnlyAddL2Traffic) {
       << "write-backs never change L1 behavior";
   EXPECT_GT(RA.Writebacks, 0u) << "dirty victims must occur here";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TraceSimulator, WritebackL1Policy,
+    ::testing::Values(PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Plru,
+                      PolicyKind::QuadAgeLru),
+    [](const ::testing::TestParamInfo<PolicyKind> &I) {
+      return std::string(policyName(I.param));
+    });
 
 TEST(StackDistance, MatchesBruteForceLruStack) {
   // Reference: explicit LRU stack simulation over random block traces.
