@@ -70,11 +70,13 @@ void BM_SymbolicAccess(benchmark::State &State) {
                   WriteAllocate::Yes});
   SymbolicHierarchy C(H);
   std::vector<BlockId> T = streamTrace(4096);
-  IterVec Iter{0, 0};
+  // A depth-2 access: the epoch holds the outer iterator, X the inner.
+  EpochTable Epochs(64);
+  uint32_t E = Epochs.add(IterVec{0});
   size_t I = 0;
   for (auto _ : State) {
-    Iter[1] = static_cast<int64_t>(I);
-    benchmark::DoNotOptimize(C.access(T[I], false, 3, Iter).L1Hit);
+    SymTag Tag{3, E, static_cast<int64_t>(I)};
+    benchmark::DoNotOptimize(C.access(T[I], false, Tag).L1Hit);
     I = (I + 1) & 4095;
   }
   State.SetItemsProcessed(State.iterations());
@@ -89,17 +91,24 @@ void BM_StateKey(benchmark::State &State) {
   SymbolicHierarchy C(H);
   SimOptions O;
   WarpEngine Eng(P, H, O);
-  // Populate the cache with tagged lines.
+  // Populate the cache with tagged lines: access 0 sits in the (t, i, j)
+  // nest, so its epoch holds (t, i) and X is j.
   const AccessNode *A = P.accesses()[0];
-  for (int64_t I = 0; I < 4096; ++I)
-    C.access(A->Address.eval(IterVec{0, 1 + I % 40, 1 + I % 40}) >> 6,
-             false, A->Id, IterVec{0, 1 + I % 40, 1 + I % 40});
+  EpochTable Epochs(64);
+  std::vector<uint32_t> RowEpoch;
+  for (int64_t Row = 0; Row < 40; ++Row)
+    RowEpoch.push_back(Epochs.add(IterVec{0, 1 + Row}));
+  for (int64_t I = 0; I < 4096; ++I) {
+    int64_t Y = 1 + I % 40;
+    C.access(A->Address.eval(IterVec{0, Y, Y}) >> 6, false,
+             SymTag{A->Id, RowEpoch[I % 40], Y});
+  }
   WarpScope S;
   S.Loop = P.loops()[1]; // The i-loop.
   S.Prefix = IterVec{0};
   S.Hi = 40;
   for (auto _ : State)
-    benchmark::DoNotOptimize(Eng.stateKey(C, S));
+    benchmark::DoNotOptimize(Eng.stateKey(C, Epochs, S));
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_StateKey);

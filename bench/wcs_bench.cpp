@@ -9,7 +9,11 @@
 // input to wcs-report, which diffs two runs and gates CI on counter
 // drift and time regressions. The suites:
 //
-//   fig06        warping vs non-warping per replacement policy (scaled L1)
+//   fig06        warping vs non-warping per replacement policy (scaled
+//                L1); prints the no-warp floor ratio (concrete s /
+//                warping s over the pairs that did 0 warps) and the pairs
+//                won, and requires the ratio >= 0.5 in the CI gate
+//                configuration
 //   fig07        warping vs non-warping at the chosen size and the next
 //                larger
 //   fig07-sweep  single-pass capacity sweep (stack-distance fast path)
@@ -56,7 +60,9 @@
 // beats the independent runs it replaces in aggregate: >= 3x for the
 // fig07-sweep single pass, >= 2x for the fig09-hier filtered-stream
 // engine, >= 1x -- strictly better than the runs it replaces -- for the
-// fig07-warp-sweep periodic pass.
+// fig07-warp-sweep periodic pass. Two more contracts guard the stepping
+// floor: hotloop's batched walk >= 2x the scalar one, and fig06's
+// no-warp floor ratio >= 0.5.
 //
 //   wcs-bench --size small --out BENCH_results.json
 //   wcs-bench --suite fig06 --suite fig12 --jobs 4
@@ -893,6 +899,47 @@ int main(int argc, char **argv) {
     std::printf("%s: %u pairs, geomean speedup %.2fx, %llu warps\n",
                 G.c_str(), S.Speedup.count(), S.Speedup.value(),
                 static_cast<unsigned long long>(S.Warps));
+  }
+
+  // The Fig. 6 premise: where warping cannot warp, it costs about what
+  // ordinary simulation costs. The no-warp floor ratio is sum(concrete s)
+  // / sum(warping s) over the pairs whose warping job did 0 warps (each
+  // job's mean over the reps); >= 0.5 is enforced in the CI gate
+  // configuration (serial jobs, gate sizes), like the other contracts.
+  if (HasSuite("fig06")) {
+    auto MeanSeconds = [&](size_t J) {
+      MeanStddev MS;
+      for (double S : BatchSamples[J])
+        MS.add(S);
+      return MS.mean();
+    };
+    double FloorConcrete = 0.0, FloorWarping = 0.0;
+    unsigned NoWarpPairs = 0, Won = 0, Fig06Pairs = 0;
+    for (const VerifyPair &P : Pairs) {
+      if (P.Group != "fig06")
+        continue;
+      ++Fig06Pairs;
+      double Concrete = MeanSeconds(P.Slow), Warping = MeanSeconds(P.Fast);
+      if (Warping < Concrete)
+        ++Won;
+      if (Rep.Results[P.Fast].Stats.Warps != 0)
+        continue;
+      ++NoWarpPairs;
+      FloorConcrete += Concrete;
+      FloorWarping += Warping;
+    }
+    double Floor = FloorWarping > 0 ? FloorConcrete / FloorWarping : 0.0;
+    std::printf("fig06: no-warp floor ratio %.2f over %u pairs with 0 "
+                "warps, warping won %u of %u pairs\n",
+                Floor, NoWarpPairs, Won, Fig06Pairs);
+    if (Jobs == 1 && Size <= ProblemSize::Medium && NoWarpPairs != 0 &&
+        Floor < 0.5) {
+      std::fprintf(stderr,
+                   "fatal: fig06 no-warp floor ratio %.2f is below the "
+                   "0.5 warping-floor contract (%u pairs with 0 warps)\n",
+                   Floor, NoWarpPairs);
+      return 1;
+    }
   }
 
   // fig10 and fig11 are tables over other suites' L1 misses, by tag.

@@ -6,23 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Concrete (non-symbolic) caches and the one/two-level non-inclusive
-/// non-exclusive hierarchy of the paper's Eq. (24): the L2 is accessed
-/// exactly when the L1 misses, with the same block. An optional
-/// writeback-propagation mode additionally sends dirty L1 victims to the
-/// L2, for the richer reference model used as "measured" ground truth in
-/// the accuracy experiments (Figs. 11/13/14); the formal model used for
-/// warping does not propagate victims, exactly as in the paper.
+/// Concrete (non-symbolic) caches and hierarchies: the line payload is a
+/// block plus a dirty bit, and the hierarchy is CacheHierarchy over it
+/// (see CacheHierarchy.h for the Eq. (24) semantics, the inclusion
+/// policies and the writeback-propagation mode).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_CACHE_CONCRETECACHE_H
 #define WCS_CACHE_CONCRETECACHE_H
 
-#include "wcs/cache/SetAssocCache.h"
-
-#include <functional>
-#include <vector>
+#include "wcs/cache/CacheHierarchy.h"
 
 namespace wcs {
 
@@ -34,99 +28,11 @@ struct ConcreteLine {
 
 using ConcreteCache = SetAssocCache<ConcreteLine>;
 
-/// Result of one hierarchy access.
-struct HierarchyOutcome {
-  bool L1Hit = false;
-  bool L2Accessed = false; ///< Only in two-level configurations.
-  bool L2Hit = false;
-  unsigned L2Writebacks = 0;      ///< Victim writes issued to the L2.
-  unsigned L2WritebackMisses = 0; ///< Of those, how many missed in L2.
-  unsigned BackInvalidations = 0; ///< Inclusive mode: L1 lines removed
-                                  ///< because their L2 copy was evicted.
-};
-
-/// One element of a batched address stream: a block plus its access
-/// direction, in program order. The polyhedral iterator fills arrays of
-/// these (one innermost-loop chunk at a time) instead of making one
-/// hierarchy call per access.
-/// One word per access keeps a 1024-entry chunk at 8 KiB, small enough
-/// to stay L1-resident between the generating and the consuming loop.
-struct BatchedAccess {
-  uint64_t Bits; ///< Block << 1 | IsWrite.
-
-  static BatchedAccess make(BlockId Block, bool IsWrite) {
-    return BatchedAccess{static_cast<uint64_t>(Block) << 1 |
-                         static_cast<uint64_t>(IsWrite)};
-  }
-  BlockId block() const { return static_cast<BlockId>(Bits >> 1); }
-  bool isWrite() const { return (Bits & 1) != 0; }
-};
-
-/// Counter deltas of one accessBatch call.
-struct BatchCounters {
-  uint64_t L1Accesses = 0;
-  uint64_t L1Misses = 0;
-  uint64_t L2Accesses = 0;
-  uint64_t L2Misses = 0;
-};
-
 /// A one- or two-level concrete cache hierarchy supporting all three
-/// inclusion policies (NINE per paper Eq. (24); inclusive with
-/// back-invalidation; exclusive with victim caching).
-class ConcreteHierarchy {
-public:
-  explicit ConcreteHierarchy(const HierarchyConfig &Config,
-                             bool PropagateWritebacks = false);
+/// inclusion policies.
+using ConcreteHierarchy = CacheHierarchy<ConcreteLine>;
 
-  unsigned numLevels() const { return static_cast<unsigned>(Levels.size()); }
-  const HierarchyConfig &config() const { return Cfg; }
-
-  ConcreteCache &level(unsigned I) { return Levels[I]; }
-  const ConcreteCache &level(unsigned I) const { return Levels[I]; }
-
-  /// Performs one memory access (paper Eq. (24) extended to writes).
-  HierarchyOutcome access(BlockId B, bool IsWrite);
-
-  /// Observer of the L1 miss stream: called once per L1 miss, in
-  /// program order, with the block and the write flag. This is exactly
-  /// the stream a NINE L2 sees (trace/FilteredStream records through
-  /// it), and because hits never reach it, it rides the batched hot
-  /// loop without forcing per-access outcomes. The sink may throw; the
-  /// exception propagates out of accessBatch mid-chunk.
-  using L1MissSink = std::function<void(BlockId, bool IsWrite)>;
-
-  /// Performs \p N accesses in order, accumulating counter deltas into
-  /// \p C. Semantically identical to N access() calls, but the L1
-  /// replacement policy -- and, for the common way counts, the L1
-  /// associativity -- is dispatched once for the whole chunk and the
-  /// L1-hit fast path never leaves the loop; only L1 misses take the
-  /// (runtime-dispatched) lower-level leg and, when \p Sink is nonnull,
-  /// the miss-sink call.
-  void accessBatch(const BatchedAccess *Ops, size_t N, BatchCounters &C,
-                   const L1MissSink *Sink = nullptr);
-
-  void reset();
-
-private:
-  /// The below-L1 leg of access(): everything that happens after an L1
-  /// miss in a two-level hierarchy (shared by access and accessBatch).
-  /// \p O1 is the L1 outcome of the miss; fills the L2 fields of \p R.
-  void lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
-                   const AccessOutcome &O1, HierarchyOutcome &R);
-
-  template <PolicyKind P, unsigned CtAssoc>
-  void accessBatchImpl(const BatchedAccess *Ops, size_t N, BatchCounters &C,
-                       const L1MissSink *Sink);
-  /// Second dispatch stage: picks the compile-time associativity
-  /// instantiation matching the L1 (0 = the runtime-assoc fallback).
-  template <PolicyKind P>
-  void accessBatchAs(const BatchedAccess *Ops, size_t N, BatchCounters &C,
-                     const L1MissSink *Sink);
-
-  HierarchyConfig Cfg;
-  bool Writebacks;
-  std::vector<ConcreteCache> Levels;
-};
+extern template class CacheHierarchy<ConcreteLine>;
 
 } // namespace wcs
 

@@ -53,14 +53,17 @@ inline constexpr BlockId kInvalidBlock = -1;
 /// Describes how a line payload maps onto the struct-of-arrays storage.
 /// The primary template covers payloads that are nothing but
 /// (Block, Dirty) -- e.g. ConcreteLine -- and stores no tag array at all.
-/// Payload types with extra state (the symbolic line's node id and
-/// iteration vector) specialize this with HasTag = true and a Tag struct
-/// holding exactly that extra state.
+/// Payload types with extra state (the symbolic line's tag) specialize
+/// this with HasTag = true, a Tag struct holding exactly that extra
+/// state, and a TagCursor that yields the tags of a batch's accesses in
+/// order (see CacheHierarchy::accessBatch).
 template <typename LineT>
 struct CacheLineTraits {
   static constexpr bool HasTag = false;
   struct Tag {};
-  static void packTag(Tag &, const LineT &) {}
+  struct TagCursor {
+    Tag next() { return Tag(); }
+  };
   static void unpackTag(LineT &, const Tag &) {}
 };
 
@@ -123,11 +126,10 @@ public:
   /// Most-recently-accessed logical set (hash anchor for warping).
   unsigned mraSet() const { return MraSet; }
 
-  /// The full payload of the line evicted by the most recent inserting
-  /// access (valid when AccessOutcome::EvictedValid). Exclusive
-  /// hierarchies use this to migrate a victim (with its symbolic tag)
-  /// into the next level.
-  const LineT &lastEvicted() const { return EvictedLine; }
+  /// The tag of the line evicted by the most recent inserting access
+  /// (valid when AccessOutcome::EvictedValid). Exclusive hierarchies use
+  /// this to migrate a victim with its symbolic tag into the next level.
+  const TagT &lastEvictedTag() const { return EvictedTag; }
 
   /// Accesses block \p B. On a miss with \p Allocate, the block is
   /// inserted and the victim (if any) reported in the outcome. The caller
@@ -558,21 +560,16 @@ private:
       tagRow(Ph)[Way] = TagT();
   }
 
-  /// Captures the victim at (Ph, Way) into \p R and EvictedLine BEFORE
+  /// Captures the victim at (Ph, Way) into \p R and EvictedTag BEFORE
   /// the slot is overwritten.
   void recordVictim(unsigned Ph, unsigned Way, AccessOutcome &R) {
     BlockId VB = Blocks[static_cast<size_t>(Ph) * Assoc + Way];
     R.EvictedValid = VB != kInvalidBlock;
     R.EvictedBlock = VB;
     R.EvictedDirty = R.EvictedValid && dirtyBit(Ph, Way);
-    if (R.EvictedValid) {
-      EvictedLine = LineT();
-      EvictedLine.Block = VB;
-      EvictedLine.Dirty = R.EvictedDirty;
-      if constexpr (Traits::HasTag)
-        Traits::unpackTag(EvictedLine,
-                          Tags[static_cast<size_t>(Ph) * Assoc + Way]);
-    }
+    if constexpr (Traits::HasTag)
+      if (R.EvictedValid)
+        EvictedTag = Tags[static_cast<size_t>(Ph) * Assoc + Way];
   }
 
   CacheConfig Cfg;
@@ -583,7 +580,7 @@ private:
   uint64_t WayMask;     ///< Low Assoc bits set (single-word sets only).
   unsigned Base = 0;    ///< Logical-to-physical set rotation offset.
   unsigned MraSet = 0;  ///< Most-recently-accessed logical set.
-  LineT EvictedLine;    ///< Payload of the most recent victim.
+  TagT EvictedTag;      ///< Tag of the most recent victim.
   /// Struct-of-arrays state, hot to cold: block ids (the scan), dirty
   /// bits, policy metadata, then any cold tag payload.
   std::vector<BlockId, AlignedAllocator<BlockId, 64>> Blocks;

@@ -19,10 +19,9 @@
 
 #include "wcs/cache/ConcreteCache.h"
 #include "wcs/scop/Program.h"
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
-
-#include <vector>
 
 namespace wcs {
 
@@ -42,7 +41,7 @@ public:
   /// records the L1-filtered stream at batched speed. Must be set before
   /// run(); may throw to abort the simulation (the exception propagates
   /// out of run()).
-  using MissTap = ConcreteHierarchy::L1MissSink;
+  using MissTap = L1MissSink;
   void setMissTap(MissTap T) { MissTapFn = std::move(T); }
 
 private:
@@ -50,33 +49,13 @@ private:
   void simulateLoop(const LoopNode *L, IterVec &Iter);
   void simulateAccess(const AccessNode *A, const IterVec &Iter);
 
-  /// True when \p L can run through the batched address path: every
-  /// child is an unguarded access whose subscripts are affine in the
-  /// loop iterator (i.e. plain AccessNodes -- the innermost-loop shape
-  /// of the polybench kernels).
-  bool loopIsBatchable(const LoopNode *L) const;
-  /// The batched walk of one loop activation over [Lo, Hi]: per included
-  /// child, a start address and a constant innermost stride; addresses
-  /// are generated incrementally into chunks and handed to
-  /// ConcreteHierarchy::accessBatch.
-  void simulateLoopBatched(const LoopNode *L, IterVec &Iter, int64_t Lo,
-                           int64_t Hi);
-
   const ScopProgram &Program;
   ConcreteHierarchy Cache;
   SimOptions Options;
   SimStats Stats;
   unsigned BlockShift;
   MissTap MissTapFn;
-  /// One batched child access: its running byte address and constant
-  /// innermost-loop stride.
-  struct BatchLane {
-    int64_t Addr;
-    int64_t Stride;
-    bool IsWrite;
-  };
-  std::vector<BatchLane> Lanes;        ///< Per-activation scratch.
-  std::vector<BatchedAccess> BatchBuf; ///< Chunk scratch, reused.
+  BatchWalker Walker; ///< The batched walk (BatchConcrete).
 };
 
 } // namespace wcs

@@ -93,13 +93,18 @@ struct SimOptions {
   /// array accesses only (Sec. 6.4), so the default is off.
   bool IncludeScalars = false;
 
-  /// Concrete backend: batched address generation. Innermost loops whose
-  /// bodies are plain (unguarded, single-disjunct) affine accesses are
-  /// lowered to stride-incremented address chunks handed to
-  /// ConcreteHierarchy::accessBatch, instead of one tree-walk step and
-  /// one hierarchy call per access. Counters are bit-identical either
-  /// way (the equivalence suite runs both); off = the per-access
-  /// reference walk, kept as the bench baseline and escape hatch.
+  /// Batched address generation, in both simulators. Innermost loops
+  /// whose bodies are plain (unguarded, single-disjunct) affine accesses
+  /// are lowered to stride-incremented address chunks (BatchWalker)
+  /// handed to CacheHierarchy::accessBatch, instead of one tree-walk
+  /// step and one hierarchy call per access. The warping simulator
+  /// batches every such stretch it is not probing -- whole activations
+  /// of loops that cannot probe or stopped probing, and the tail after
+  /// WarpConfig::MaxProbeIters -- and refreshes the symbolic tags inside
+  /// the batch loop. Counters and warp decisions are bit-identical
+  /// either way (the equivalence and fuzz suites run both); off = the
+  /// per-access reference walk, kept as the bench baseline and escape
+  /// hatch.
   bool BatchConcrete = true;
 
   WarpConfig Warp;

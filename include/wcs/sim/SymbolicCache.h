@@ -16,81 +16,134 @@
 /// every iterator increment (paper footnote 2): they store absolute
 /// iteration vectors and are relativized on demand by the warp engine.
 ///
-/// SymbolicHierarchy is the one/two-level composition with the update of
-/// paper Eq. (24): the L2 is accessed exactly on L1 misses.
+/// Tag layout. A tag is 16 bytes: the access node id, a prefix *epoch*
+/// and the value X of the node's innermost iterator. The epoch indexes an
+/// EpochTable holding the enclosing-iterator prefix -- every iterator but
+/// the innermost -- and the simulator opens one epoch per loop
+/// activation, so all accesses of one innermost-loop activation share
+/// it. The full iteration vector of a tag is prefix(epoch) ++ [X]; the
+/// warp engine rebuilds it where it relativizes a tag. A warp that
+/// shifts a dimension inside the prefix moves lines to a fresh epoch;
+/// shifting the innermost dimension only moves X.
+///
+/// Reclamation. The table reclaims, by mark and sweep, every epoch that
+/// no tag references in the live hierarchy, a valid snapshot or an open
+/// activation. A collection runs when an epoch is opened while the free
+/// list is empty and the table has reached twice its live size after the
+/// previous collection (at least a floor the simulator sets from its
+/// line count), so the table's size follows the number of distinct
+/// prefixes still referenced, never the number of activations.
+///
+/// SymbolicHierarchy is CacheHierarchy over symbolic lines: the same
+/// Eq. (24) composition, per-access path and batch loop as the concrete
+/// hierarchy, with the tag refresh compiled in.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SIM_SYMBOLICCACHE_H
 #define WCS_SIM_SYMBOLICCACHE_H
 
-#include "wcs/cache/SetAssocCache.h"
-#include "wcs/scop/Program.h"
+#include "wcs/cache/CacheHierarchy.h"
 #include "wcs/support/IterVec.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace wcs {
+
+/// The installing access instance of a symbolic line.
+struct SymTag {
+  int32_t NodeId = -1; ///< AccessNode::Id of the last touch; -1 if none.
+  uint32_t Epoch = 0;  ///< EpochTable index of the enclosing prefix.
+  int64_t X = 0;       ///< Innermost iterator value (0 at depth 0).
+};
+static_assert(sizeof(SymTag) == 16, "symbolic tags are 16 bytes");
 
 /// A symbolic cache line: concrete block + installing access instance.
 struct SymLine {
   BlockId Block = kInvalidBlock;
   bool Dirty = false;
-  int32_t NodeId = -1; ///< AccessNode::Id of the last touch; -1 if none.
-  IterVec Iter;        ///< Iteration vector of the last touch.
+  SymTag Tag;
 };
 
 /// The symbolic payload beyond (Block, Dirty) lives in the cache's tag
 /// array: the struct-of-arrays layout keeps the per-access block-id scan
-/// free of the (comparatively fat) iteration vectors.
+/// free of the tags.
 template <>
 struct CacheLineTraits<SymLine> {
   static constexpr bool HasTag = true;
-  struct Tag {
-    int32_t NodeId = -1;
-    IterVec Iter;
+  using Tag = SymTag;
+  /// The tags of one batch. Its ops are whole iterations of one loop
+  /// activation in lane order, so op K is lane K % NumLanes at iteration
+  /// X + K / NumLanes, and every op shares the activation's epoch.
+  struct TagCursor {
+    const int32_t *Nodes = nullptr; ///< Access node id per lane.
+    unsigned NumLanes = 0;
+    unsigned Lane = 0;
+    uint32_t Epoch = 0;
+    int64_t X = 0; ///< Iteration of the next op.
+
+    SymTag next() {
+      SymTag T{Nodes[Lane], Epoch, X};
+      if (++Lane == NumLanes) {
+        Lane = 0;
+        ++X;
+      }
+      return T;
+    }
   };
-  static void packTag(Tag &T, const SymLine &L) {
-    T.NodeId = L.NodeId;
-    T.Iter = L.Iter;
-  }
-  static void unpackTag(SymLine &L, const Tag &T) {
-    L.NodeId = T.NodeId;
-    L.Iter = T.Iter;
-  }
+  static void unpackTag(SymLine &L, const Tag &T) { L.Tag = T; }
 };
 
 using SymbolicCache = SetAssocCache<SymLine>;
-using SymTag = SymbolicCache::TagT;
-
-/// Result of one symbolic hierarchy access.
-struct SymAccessOutcome {
-  bool L1Hit = false;
-  bool L2Accessed = false;
-  bool L2Hit = false;
-  /// On an L1 hit: the way the line occupied before the policy update
-  /// (under LRU the per-set stack distance; see AccessOutcome::HitDepth).
-  unsigned L1HitDepth = 0;
-};
 
 /// One- or two-level symbolic hierarchy with Eq. (24) semantics.
 /// Copyable: warp snapshots are whole-object copies.
-class SymbolicHierarchy {
+using SymbolicHierarchy = CacheHierarchy<SymLine>;
+
+extern template class CacheHierarchy<SymLine>;
+
+/// The enclosing-iterator prefixes behind SymTag::Epoch (see the file
+/// comment). Epoch 0 is the empty prefix -- the epoch of accesses outside
+/// every loop and of untouched lines -- and is never reclaimed.
+class EpochTable {
 public:
-  explicit SymbolicHierarchy(const HierarchyConfig &Config);
+  /// \p MinCollectSize is the table size below which no collection
+  /// runs.
+  explicit EpochTable(size_t MinCollectSize);
 
-  unsigned numLevels() const { return static_cast<unsigned>(Levels.size()); }
-  SymbolicCache &level(unsigned I) { return Levels[I]; }
-  const SymbolicCache &level(unsigned I) const { return Levels[I]; }
+  /// A fresh epoch for \p Prefix, reusing a reclaimed index when one is
+  /// free.
+  uint32_t add(const IterVec &Prefix);
 
-  /// Performs one access by node \p NodeId at iteration \p Iter touching
-  /// block \p B, refreshing the tags of all touched lines.
-  SymAccessOutcome access(BlockId B, bool IsWrite, int32_t NodeId,
-                          const IterVec &Iter);
+  const IterVec &prefix(uint32_t E) const { return Prefixes[E]; }
+
+  /// The full iteration vector of \p T, a tag of an access node nested
+  /// in \p Depth loops.
+  IterVec iterOf(const SymTag &T, unsigned Depth) const;
+
+  /// True when the next add() should be preceded by a collection:
+  /// beginMark(), mark every root, sweep().
+  bool wantsCollection() const {
+    return Free.empty() && Prefixes.size() >= Limit;
+  }
+  void beginMark();
+  void mark(uint32_t E) { Marked[E] = 1; }
+  /// Marks the epoch of every tag slot of \p H.
+  void markTags(const SymbolicHierarchy &H);
+  /// Frees every unmarked epoch and sets the next collection size.
+  void sweep();
+
+  /// The most entries the table has held: its size, which never
+  /// shrinks (freed entries are reused in place).
+  size_t highWater() const { return Prefixes.size(); }
 
 private:
-  InclusionPolicy Inclusion = InclusionPolicy::NonInclusiveNonExclusive;
-  std::vector<SymbolicCache> Levels;
+  std::vector<IterVec> Prefixes;
+  std::vector<uint8_t> Marked;
+  std::vector<uint32_t> Free;
+  size_t MinLimit;
+  size_t Limit;
 };
 
 } // namespace wcs

@@ -80,22 +80,26 @@ public:
   /// contributions use the tag's access node and inner iterators for
   /// subtree tags (stable across periodic re-touching) and the concrete
   /// block otherwise; set traversal starts at the most-recently-accessed
-  /// set so rotated states collide.
-  uint64_t stateKey(const SymbolicHierarchy &State,
+  /// set so rotated states collide. \p Epochs resolves the tags'
+  /// prefixes, here and in checkWarp/applyWarp.
+  uint64_t stateKey(const SymbolicHierarchy &State, const EpochTable &Epochs,
                     const WarpScope &Scope) const;
 
   /// Verifies that \p Cur (at iteration \p X1) matches \p Old (snapshot
   /// at \p X0) and computes how many deltas may be warped (Theorem 4).
   /// On success fills \p Plan (N >= 1) and returns true.
   bool checkWarp(const SymbolicHierarchy &Old, const SymbolicHierarchy &Cur,
-                 const WarpScope &Scope, int64_t X0, int64_t X1,
-                 WarpPlan &Plan) const;
+                 const EpochTable &Epochs, const WarpScope &Scope,
+                 int64_t X0, int64_t X1, WarpPlan &Plan) const;
 
   /// Applies a verified plan: advances moving tags by N*Delta,
   /// re-concretizes their blocks, and rotates each level by N*Rot[l]
-  /// (an O(1) base-offset update).
-  void applyWarp(SymbolicHierarchy &State, const WarpScope &Scope,
-                 const WarpPlan &Plan) const;
+  /// (an O(1) base-offset update). A moving tag whose node sits below
+  /// the warped loop's direct children has the warped dimension in its
+  /// prefix: it moves to a fresh epoch of \p Epochs (one per distinct
+  /// old epoch), while fixed lines keep theirs.
+  void applyWarp(SymbolicHierarchy &State, EpochTable &Epochs,
+                 const WarpScope &Scope, const WarpPlan &Plan) const;
 
 private:
   /// Per-access-node shift info for one warp attempt.

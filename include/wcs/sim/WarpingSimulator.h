@@ -23,12 +23,29 @@
 /// warping stop probing (see WarpConfig), keeping non-warping kernels at
 /// ordinary-simulation cost.
 ///
+/// Stepping. Every loop activation opens one epoch of the simulator's
+/// EpochTable (its enclosing-iterator prefix), so a tag is 16 bytes
+/// (see SymbolicCache.h); an epoch collection runs, when due, as an
+/// activation opens, with the live hierarchy, the valid snapshots of the
+/// open activations and the open activations' own epochs as roots.
+/// Probe points are the tops of the first MaxProbeIters iterations of a
+/// loop that may probe, and there the walk steps one access at a time.
+/// Between probe points it rides the concrete simulator's batch: with
+/// SimOptions::BatchConcrete, a batchable innermost loop that is not
+/// probing -- a whole activation of a loop that cannot probe or whose
+/// probing learning or the profit guard disabled, or the tail after
+/// MaxProbeIters -- goes through the shared BatchWalker and the
+/// hierarchy's accessBatch, which refreshes each tag from the lane's
+/// node, the activation's epoch and the iteration. The state every probe
+/// sees, and so every warp decision, is the same either way.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SIM_WARPINGSIMULATOR_H
 #define WCS_SIM_WARPINGSIMULATOR_H
 
 #include "wcs/scop/Program.h"
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
 #include "wcs/sim/SymbolicCache.h"
@@ -67,18 +84,29 @@ public:
   /// after a run() with enableDepthProfile().
   const std::vector<uint64_t> &depthHist() const { return DepthHist; }
 
+  /// The most entries the epoch table held during run(): bounded by a
+  /// small multiple of the distinct prefixes still referenced, not by
+  /// the number of loop activations.
+  size_t epochHighWater() const { return Epochs.highWater(); }
+
   ~WarpingSimulator();
 
 private:
-  void runNode(const Node *N, IterVec &Iter);
+  /// \p Epoch is the epoch of the innermost enclosing loop activation
+  /// (0 outside every loop).
+  void runNode(const Node *N, IterVec &Iter, uint32_t Epoch);
   void runLoop(const LoopNode *L, IterVec &Iter);
-  void runAccess(const AccessNode *A, const IterVec &Iter);
+  void runAccess(const AccessNode *A, const IterVec &Iter, uint32_t Epoch);
 
   /// Per-nesting-depth activation scratch (hash map + snapshot storage),
   /// pooled across activations to avoid allocation churn in loops with
   /// many short activations.
   struct Activation;
   Activation &activationAtDepth(unsigned Depth);
+
+  /// Opens the epoch of a loop activation whose enclosing iterators are
+  /// \p Prefix, collecting unreferenced epochs first when due.
+  uint32_t openEpoch(const IterVec &Prefix);
 
   const ScopProgram &Program;
   HierarchyConfig CacheCfg;
@@ -87,6 +115,11 @@ private:
   SimOptions Options;
   SimStats Stats;
   unsigned BlockShift;
+  EpochTable Epochs;
+  /// Epochs of the open loop activations, outermost first; entry D is
+  /// the activation whose pool is Pools[D].
+  std::vector<uint32_t> OpenEpochs;
+  BatchWalker Walker;
   /// Per-loop learning state: consecutive fully-probed activations with
   /// no warp; probing disabled once the threshold is reached.
   std::vector<unsigned> LoopFailures;

@@ -8,8 +8,9 @@
 /// \file
 /// Fixed-capacity vector of loop iterator values. Loop nests in the
 /// polyhedral model are shallow (PolyBench's deepest nest has four loops),
-/// so a small inline array avoids any allocation in the simulator's hot
-/// path, where one IterVec is stored per cache line.
+/// so a small inline array avoids any allocation in the simulators' loop
+/// walks and in the symbolic tags' epoch table, which keeps one IterVec
+/// per loop activation.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,185 +7,4 @@
 
 #include "wcs/cache/ConcreteCache.h"
 
-#include <cassert>
-
-using namespace wcs;
-
-ConcreteHierarchy::ConcreteHierarchy(const HierarchyConfig &Config,
-                                     bool PropagateWritebacks)
-    : Cfg(Config), Writebacks(PropagateWritebacks) {
-  assert(Config.validate().empty() && "invalid hierarchy configuration");
-  for (const CacheConfig &C : Config.Levels)
-    Levels.emplace_back(C);
-}
-
-HierarchyOutcome ConcreteHierarchy::access(BlockId B, bool IsWrite) {
-  HierarchyOutcome R;
-  ConcreteCache &L1 = Levels.front();
-  bool Alloc1 = !(IsWrite && L1.config().WriteAlloc == WriteAllocate::No);
-  AccessOutcome O1 = L1.access(B, Alloc1);
-  R.L1Hit = O1.Hit;
-  if (O1.Hit || O1.Inserted)
-    L1.orDirtyAt(O1.Set, O1.Way, IsWrite);
-
-  if (O1.Hit || Levels.size() < 2)
-    return R;
-  lowerLevels(B, IsWrite, Alloc1, O1, R);
-  return R;
-}
-
-void ConcreteHierarchy::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
-                                    const AccessOutcome &O1,
-                                    HierarchyOutcome &R) {
-  ConcreteCache &L1 = Levels.front();
-  ConcreteCache &L2 = Levels[1];
-  bool Alloc2 = !(IsWrite && L2.config().WriteAlloc == WriteAllocate::No);
-  R.L2Accessed = true;
-
-  switch (Cfg.Inclusion) {
-  case InclusionPolicy::NonInclusiveNonExclusive:
-  case InclusionPolicy::Inclusive: {
-    // The L2 sees the same block (paper Eq. (24)); inclusively, an L2
-    // victim additionally back-invalidates its L1 copy.
-    AccessOutcome O2 = L2.access(B, Alloc2);
-    R.L2Hit = O2.Hit;
-    if (O2.Hit || O2.Inserted)
-      L2.orDirtyAt(O2.Set, O2.Way, IsWrite);
-    if (Cfg.Inclusion == InclusionPolicy::Inclusive && O2.Inserted &&
-        O2.EvictedValid && L1.invalidate(O2.EvictedBlock))
-      ++R.BackInvalidations;
-    // Optional richer model: a dirty L1 victim is written back to the L2.
-    if (Writebacks && O1.Inserted && O1.EvictedDirty) {
-      AccessOutcome WB = L2.access(O1.EvictedBlock, /*Allocate=*/true);
-      if (WB.Hit || WB.Inserted)
-        L2.setDirtyAt(WB.Set, WB.Way, true);
-      if (Cfg.Inclusion == InclusionPolicy::Inclusive && WB.Inserted &&
-          WB.EvictedValid && L1.invalidate(WB.EvictedBlock))
-        ++R.BackInvalidations;
-      ++R.L2Writebacks;
-      if (!WB.Hit)
-        ++R.L2WritebackMisses;
-    }
-    break;
-  }
-  case InclusionPolicy::Exclusive: {
-    if (!Alloc1) {
-      // Bypassed write miss: look up the L2 without promoting.
-      R.L2Hit = L2.probe(B);
-      break;
-    }
-    // Promotion: the block leaves the L2 (if present) and lives in the
-    // L1 only; the L1 victim becomes an L2 resident.
-    std::optional<ConcreteLine> InL2 = L2.invalidate(B);
-    R.L2Hit = InL2.has_value();
-    if (InL2)
-      L1.orDirtyAt(O1.Set, O1.Way, InL2->Dirty);
-    if (O1.Inserted && O1.EvictedValid) {
-      AccessOutcome OV = L2.access(O1.EvictedBlock, /*Allocate=*/true);
-      if (OV.Inserted)
-        L2.setDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
-      else if (OV.Hit)
-        L2.orDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
-    }
-    break;
-  }
-  }
-}
-
-template <PolicyKind P, unsigned CtAssoc>
-void ConcreteHierarchy::accessBatchImpl(const BatchedAccess *Ops, size_t N,
-                                        BatchCounters &C,
-                                        const L1MissSink *Sink) {
-  ConcreteCache &L1 = Levels.front();
-  const bool NoWriteAlloc = L1.config().WriteAlloc == WriteAllocate::No;
-  const bool TwoLevel = Levels.size() >= 2;
-  C.L1Accesses += N;
-  // Consecutive accesses to one block are guaranteed hits whose policy
-  // update is idempotent (LRU: already most recent; FIFO: no-op; PLRU:
-  // touch of the same way; QLRU: re-zeroing a zero hit age) -- only the
-  // dirty OR of a write still matters. Sub-block strides and stride-0
-  // operands make such runs common, so they bypass the cache entirely.
-  // For QLRU the previous access must itself have been a hit: a hit on
-  // a just-inserted line ages it InsertAge -> HitAge, a real update.
-  BlockId LastB = kInvalidBlock;
-  unsigned LastSet = 0, LastWay = 0;
-  for (size_t K = 0; K < N; ++K) {
-    BlockId B = Ops[K].block();
-    bool IsWrite = Ops[K].isWrite();
-    if (B == LastB) {
-      if (IsWrite)
-        L1.orDirtyAt(LastSet, LastWay, true);
-      continue;
-    }
-    bool Alloc1 = !(IsWrite && NoWriteAlloc);
-    AccessOutcome O1 = L1.accessAsNoMra<P, CtAssoc>(B, Alloc1);
-    bool Resident = P == PolicyKind::QuadAgeLru ? O1.Hit
-                                                : O1.Hit || O1.Inserted;
-    LastB = Resident ? B : kInvalidBlock;
-    LastSet = O1.Set;
-    LastWay = O1.Way;
-    if (O1.Hit) {
-      if (IsWrite)
-        L1.orDirtyAt(O1.Set, O1.Way, true);
-      continue;
-    }
-    ++C.L1Misses;
-    if (Sink)
-      (*Sink)(B, IsWrite);
-    if (O1.Inserted && IsWrite)
-      L1.orDirtyAt(O1.Set, O1.Way, true);
-    if (!TwoLevel)
-      continue;
-    HierarchyOutcome R;
-    lowerLevels(B, IsWrite, Alloc1, O1, R);
-    ++C.L2Accesses;
-    if (!R.L2Hit)
-      ++C.L2Misses;
-  }
-  if (N != 0)
-    L1.noteAccessedSet(L1.setOf(Ops[N - 1].block()));
-}
-
-template <PolicyKind P>
-void ConcreteHierarchy::accessBatchAs(const BatchedAccess *Ops, size_t N,
-                                      BatchCounters &C,
-                                      const L1MissSink *Sink) {
-  switch (Levels.front().assoc()) {
-  case 4:
-    accessBatchImpl<P, 4>(Ops, N, C, Sink);
-    break;
-  case 8:
-    accessBatchImpl<P, 8>(Ops, N, C, Sink);
-    break;
-  case 16:
-    accessBatchImpl<P, 16>(Ops, N, C, Sink);
-    break;
-  default:
-    accessBatchImpl<P, 0>(Ops, N, C, Sink);
-    break;
-  }
-}
-
-void ConcreteHierarchy::accessBatch(const BatchedAccess *Ops, size_t N,
-                                    BatchCounters &C,
-                                    const L1MissSink *Sink) {
-  switch (Levels.front().config().Policy) {
-  case PolicyKind::Lru:
-    accessBatchAs<PolicyKind::Lru>(Ops, N, C, Sink);
-    break;
-  case PolicyKind::Fifo:
-    accessBatchAs<PolicyKind::Fifo>(Ops, N, C, Sink);
-    break;
-  case PolicyKind::Plru:
-    accessBatchAs<PolicyKind::Plru>(Ops, N, C, Sink);
-    break;
-  case PolicyKind::QuadAgeLru:
-    accessBatchAs<PolicyKind::QuadAgeLru>(Ops, N, C, Sink);
-    break;
-  }
-}
-
-void ConcreteHierarchy::reset() {
-  for (ConcreteCache &C : Levels)
-    C.reset();
-}
+template class wcs::CacheHierarchy<wcs::ConcreteLine>;

@@ -7,80 +7,62 @@
 
 #include "wcs/sim/SymbolicCache.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace wcs;
 
-SymbolicHierarchy::SymbolicHierarchy(const HierarchyConfig &Config)
-    : Inclusion(Config.Inclusion) {
-  assert(Config.validate().empty() && "invalid hierarchy configuration");
-  for (const CacheConfig &C : Config.Levels)
-    Levels.emplace_back(C);
+template class wcs::CacheHierarchy<SymLine>;
+
+EpochTable::EpochTable(size_t MinCollectSize)
+    : Prefixes(1), Marked(1, 0), MinLimit(std::max<size_t>(MinCollectSize, 2)),
+      Limit(MinLimit) {}
+
+uint32_t EpochTable::add(const IterVec &Prefix) {
+  if (!Free.empty()) {
+    uint32_t E = Free.back();
+    Free.pop_back();
+    Prefixes[E] = Prefix;
+    return E;
+  }
+  assert(Prefixes.size() < UINT32_MAX && "epoch table overflow");
+  Prefixes.push_back(Prefix);
+  Marked.push_back(0);
+  return static_cast<uint32_t>(Prefixes.size() - 1);
 }
 
-SymAccessOutcome SymbolicHierarchy::access(BlockId B, bool IsWrite,
-                                           int32_t NodeId,
-                                           const IterVec &Iter) {
-  SymAccessOutcome R;
-  SymbolicCache &L1 = Levels.front();
-  bool Alloc1 = !(IsWrite && L1.config().WriteAlloc == WriteAllocate::No);
-  AccessOutcome O1 = L1.access(B, Alloc1);
-  R.L1Hit = O1.Hit;
-  R.L1HitDepth = O1.HitDepth;
-  if (O1.Hit || O1.Inserted) {
-    SymTag &T = L1.tagAt(O1.Set, O1.Way);
-    T.NodeId = NodeId;
-    T.Iter = Iter;
-    L1.orDirtyAt(O1.Set, O1.Way, IsWrite);
-  }
-  if (O1.Hit || Levels.size() < 2)
-    return R;
+IterVec EpochTable::iterOf(const SymTag &T, unsigned Depth) const {
+  if (Depth == 0)
+    return IterVec();
+  IterVec V = Prefixes[T.Epoch];
+  assert(V.size() + 1 == Depth && "tag epoch does not match node depth");
+  V.push(T.X);
+  return V;
+}
 
-  SymbolicCache &L2 = Levels[1];
-  bool Alloc2 = !(IsWrite && L2.config().WriteAlloc == WriteAllocate::No);
-  R.L2Accessed = true;
+void EpochTable::beginMark() {
+  std::fill(Marked.begin(), Marked.end(), 0);
+  Marked[0] = 1;
+}
 
-  switch (Inclusion) {
-  case InclusionPolicy::NonInclusiveNonExclusive:
-  case InclusionPolicy::Inclusive: {
-    AccessOutcome O2 = L2.access(B, Alloc2);
-    R.L2Hit = O2.Hit;
-    if (O2.Hit || O2.Inserted) {
-      SymTag &T = L2.tagAt(O2.Set, O2.Way);
-      T.NodeId = NodeId;
-      T.Iter = Iter;
-      L2.orDirtyAt(O2.Set, O2.Way, IsWrite);
-    }
-    if (Inclusion == InclusionPolicy::Inclusive && O2.Inserted &&
-        O2.EvictedValid)
-      L1.invalidate(O2.EvictedBlock);
-    break;
+void EpochTable::markTags(const SymbolicHierarchy &H) {
+  for (unsigned Lv = 0; Lv < H.numLevels(); ++Lv) {
+    const SymbolicCache &C = H.level(Lv);
+    for (unsigned S = 0; S < C.numSets(); ++S)
+      for (unsigned W = 0; W < C.assoc(); ++W)
+        Marked[C.tagAt(S, W).Epoch] = 1;
   }
-  case InclusionPolicy::Exclusive: {
-    if (!Alloc1) {
-      R.L2Hit = L2.probe(B);
-      break;
-    }
-    // Promotion: the L2 copy (with whatever tag it carried) moves into
-    // the L1 slot just filled; the access re-tags it anyway. The L1
-    // victim migrates to the L2 *keeping its own tag*, so the warping
-    // bijection checks continue to see its installing access instance.
-    std::optional<SymLine> InL2 = L2.invalidate(B);
-    R.L2Hit = InL2.has_value();
-    if (InL2)
-      L1.orDirtyAt(O1.Set, O1.Way, InL2->Dirty);
-    if (O1.Inserted && O1.EvictedValid) {
-      SymLine Victim = L1.lastEvicted();
-      AccessOutcome OV = L2.access(O1.EvictedBlock, /*Allocate=*/true);
-      if (OV.Hit || OV.Inserted) {
-        SymTag &T = L2.tagAt(OV.Set, OV.Way);
-        T.NodeId = Victim.NodeId;
-        T.Iter = Victim.Iter;
-        L2.setDirtyAt(OV.Set, OV.Way, Victim.Dirty);
-      }
-    }
-    break;
+}
+
+void EpochTable::sweep() {
+  Free.clear();
+  size_t Live = 0;
+  // Highest index first, so add() hands out the lowest free index.
+  for (size_t E = Prefixes.size(); E-- > 0;) {
+    if (Marked[E])
+      ++Live;
+    else
+      Free.push_back(static_cast<uint32_t>(E));
   }
-  }
-  return R;
+  Limit = std::max(MinLimit, 2 * Live);
 }

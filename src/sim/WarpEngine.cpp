@@ -52,6 +52,7 @@ int64_t WarpEngine::deltaUnit(const LoopNode *Loop) const {
 //===----------------------------------------------------------------------===//
 
 uint64_t WarpEngine::stateKey(const SymbolicHierarchy &State,
+                              const EpochTable &Epochs,
                               const WarpScope &Scope) const {
   const unsigned D = Scope.Loop->Depth;
   const int First = Scope.Loop->FirstAccess;
@@ -72,19 +73,24 @@ uint64_t WarpEngine::stateKey(const SymbolicHierarchy &State,
         // Subtree tags at the current prefix hash by (node, inner dims):
         // stable both across periodic re-touching (iteration advances
         // uniformly) and for frozen lines. Everything else hashes by its
-        // concrete block.
+        // concrete block. A subtree node nests in more than D loops, so
+        // its epoch prefix (all dims but the innermost) holds the D
+        // scope dims; the inner dims are the rest of it, then X.
         const SymTag &T = C.tagAt(S, W);
-        bool Subtree = T.NodeId >= First && T.NodeId < End &&
-                       T.Iter.size() > D && T.Iter.prefixEquals(Scope.Prefix, D);
-        if (Subtree) {
-          H.add(uint64_t{1});
-          H.add(static_cast<uint64_t>(T.NodeId));
-          for (unsigned K = D + 1; K < T.Iter.size(); ++K)
-            H.add(T.Iter[K]);
-        } else {
-          H.add(uint64_t{2});
-          H.add(static_cast<uint64_t>(Blk));
+        if (T.NodeId >= First && T.NodeId < End) {
+          const IterVec &P = Epochs.prefix(T.Epoch);
+          if (P.prefixEquals(Scope.Prefix, D)) {
+            H.add(uint64_t{1});
+            H.add(static_cast<uint64_t>(T.NodeId));
+            for (unsigned K = D + 1; K < P.size(); ++K)
+              H.add(P[K]);
+            if (P.size() > D)
+              H.add(T.X);
+            continue;
+          }
         }
+        H.add(uint64_t{2});
+        H.add(static_cast<uint64_t>(Blk));
       }
     }
   }
@@ -502,8 +508,8 @@ bool WarpEngine::cacheAgrees(
 
 bool WarpEngine::checkWarp(const SymbolicHierarchy &Old,
                            const SymbolicHierarchy &Cur,
-                           const WarpScope &Scope, int64_t X0, int64_t X1,
-                           WarpPlan &Plan) const {
+                           const EpochTable &Epochs, const WarpScope &Scope,
+                           int64_t X0, int64_t X1, WarpPlan &Plan) const {
   const unsigned D = Scope.Loop->Depth;
   const int First = Scope.Loop->FirstAccess;
   const int End = Scope.Loop->EndAccess;
@@ -542,20 +548,19 @@ bool WarpEngine::checkWarp(const SymbolicHierarchy &Old,
         if (!V0)
           continue;
 
-        const SymTag &L0 = CO.tagAt(S, W);
-        const SymTag &L1 = CC.tagAt(S2, W);
+        const SymTag &T0 = CO.tagAt(S, W);
+        const SymTag &T1 = CC.tagAt(S2, W);
         int64_t BlockDelta = B1 - B0;
         bool Moving = false;
-        if (L0.NodeId == L1.NodeId && L0.NodeId >= First && L0.NodeId < End) {
-          const AccessNode *A = Program.accesses()[L0.NodeId];
+        if (T0.NodeId == T1.NodeId && T0.NodeId >= First && T0.NodeId < End) {
+          const AccessNode *A = Program.accesses()[T0.NodeId];
           unsigned M = A->Depth;
-          if (L0.Iter.size() == M && L1.Iter.size() == M && M > D &&
-              L0.Iter.prefixEquals(Scope.Prefix, D) &&
-              L1.Iter.prefixEquals(Scope.Prefix, D) &&
-              L0.Iter[D] + Delta == L1.Iter[D]) {
+          IterVec I0 = Epochs.iterOf(T0, M), I1 = Epochs.iterOf(T1, M);
+          if (M > D && I0.prefixEquals(Scope.Prefix, D) &&
+              I1.prefixEquals(Scope.Prefix, D) && I0[D] + Delta == I1[D]) {
             bool InnerEq = true;
             for (unsigned K = D + 1; K < M; ++K)
-              InnerEq &= L0.Iter[K] == L1.Iter[K];
+              InnerEq &= I0[K] == I1[K];
             if (InnerEq) {
               int64_t CoefBytes =
                   A->Address.numDims() > D ? A->Address.coeff(D) : 0;
@@ -608,10 +613,14 @@ bool WarpEngine::checkWarp(const SymbolicHierarchy &Old,
   return true;
 }
 
-void WarpEngine::applyWarp(SymbolicHierarchy &State, const WarpScope &Scope,
+void WarpEngine::applyWarp(SymbolicHierarchy &State, EpochTable &Epochs,
+                           const WarpScope &Scope,
                            const WarpPlan &Plan) const {
   const unsigned D = Scope.Loop->Depth;
   const int64_t Shift = Plan.N * Plan.Delta;
+  // Moving lines whose prefix holds the warped dimension: old epoch ->
+  // the fresh epoch of the shifted prefix, shared by all of them.
+  std::unordered_map<uint32_t, uint32_t> Moved;
   for (unsigned Lv = 0; Lv < NumLevels; ++Lv) {
     SymbolicCache &C = State.level(Lv);
     unsigned Sets = C.numSets(), Assoc = C.assoc();
@@ -620,9 +629,20 @@ void WarpEngine::applyWarp(SymbolicHierarchy &State, const WarpScope &Scope,
         if (!Plan.Moving[Lv][static_cast<size_t>(S) * Assoc + W])
           continue;
         SymTag &T = C.tagAt(S, W);
-        T.Iter[D] += Shift;
+        const AccessNode *A = Program.accesses()[T.NodeId];
+        if (D + 1 == A->Depth) {
+          T.X += Shift;
+        } else {
+          auto [It, New] = Moved.try_emplace(T.Epoch, 0);
+          if (New) {
+            IterVec P = Epochs.prefix(T.Epoch);
+            P[D] += Shift;
+            It->second = Epochs.add(P);
+          }
+          T.Epoch = It->second;
+        }
         C.setBlockAt(S, W,
-                     Program.accesses()[T.NodeId]->Address.eval(T.Iter) >>
+                     A->Address.eval(Epochs.iterOf(T, A->Depth)) >>
                          BlockShift);
       }
     }

@@ -10,6 +10,7 @@
 #include "wcs/support/MathUtil.h"
 #include "wcs/support/Telemetry.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
@@ -68,6 +69,12 @@ struct WarpingSimulator::Activation {
     return E.Slot < SlotGen.size() && SlotGen[E.Slot] == E.Generation;
   }
 
+  /// Ring slots written by this activation: [0, liveSlots()).
+  size_t liveSlots() const {
+    return static_cast<size_t>(
+        std::min<uint64_t>(StoresThisActivation, Snapshots.size()));
+  }
+
   /// Stores into the ring, overwriting (and thereby invalidating) the
   /// oldest slot once the ring is full.
   StoredEntry store(const SymbolicHierarchy &State, unsigned RingSize,
@@ -103,12 +110,28 @@ WarpingSimulator::activationAtDepth(unsigned Depth) {
   return *Pools[Depth];
 }
 
+namespace {
+
+/// The epoch-table size below which no collection runs: twice the tag
+/// slots plus the open activations of the deepest nest, so a collection
+/// frees at least about one epoch per tag slot.
+size_t epochCollectFloor(const HierarchyConfig &Cfg) {
+  size_t Lines = 0;
+  for (const CacheConfig &C : Cfg.Levels)
+    Lines += C.numLines();
+  return 2 * (Lines + MaxLoopDepth);
+}
+
+} // namespace
+
 WarpingSimulator::WarpingSimulator(const ScopProgram &Program,
                                    const HierarchyConfig &CacheCfg,
                                    SimOptions Options)
     : Program(Program), CacheCfg(CacheCfg), Cache(CacheCfg),
       Engine(Program, CacheCfg, Options), Options(Options),
       BlockShift(log2Exact(CacheCfg.blockBytes())),
+      Epochs(epochCollectFloor(CacheCfg)),
+      Walker(Program, Options.IncludeScalars, BlockShift),
       LoopFailures(Program.loops().size(), 0),
       LoopDisabled(Program.loops().size(), 0),
       ProbeCost(Program.loops().size(), 0),
@@ -134,16 +157,35 @@ SimStats WarpingSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
   IterVec Iter;
   for (const std::unique_ptr<Node> &R : Program.roots())
-    runNode(R.get(), Iter);
+    runNode(R.get(), Iter, /*Epoch=*/0);
   Stats.Seconds = telemetry::secondsSince(Start);
   return Stats;
 }
 
-void WarpingSimulator::runNode(const Node *N, IterVec &Iter) {
+void WarpingSimulator::runNode(const Node *N, IterVec &Iter, uint32_t Epoch) {
   if (const LoopNode *L = asLoop(N))
     runLoop(L, Iter);
   else
-    runAccess(asAccess(N), Iter);
+    runAccess(asAccess(N), Iter, Epoch);
+}
+
+uint32_t WarpingSimulator::openEpoch(const IterVec &Prefix) {
+  if (Epochs.wantsCollection()) {
+    // Roots: the live hierarchy, the snapshots the open activations may
+    // still compare against, and the open activations themselves. The
+    // pool of the activation being opened was just reset: no live slots.
+    Epochs.beginMark();
+    Epochs.markTags(Cache);
+    for (size_t D = 0; D < OpenEpochs.size(); ++D)
+      for (size_t Slot = 0; Slot < Pools[D]->liveSlots(); ++Slot)
+        Epochs.markTags(Pools[D]->Snapshots[Slot]);
+    for (uint32_t E : OpenEpochs)
+      Epochs.mark(E);
+    Epochs.sweep();
+  }
+  uint32_t E = Epochs.add(Prefix);
+  OpenEpochs.push_back(E);
+  return E;
 }
 
 void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
@@ -161,6 +203,8 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
   int64_t Unit = DeltaUnit[L->Id];
   bool CanProbe = WC.Enable && !LoopDisabled[L->Id] && !NeedMembership &&
                   L->EndAccess > L->FirstAccess && Unit > 0;
+  // Stretches that are not probing take the batched walk.
+  bool Batchable = Options.BatchConcrete && BatchWalker::batchable(L);
 
   WarpScope Scope;
   Scope.Loop = L;
@@ -171,6 +215,7 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
   // attempted while the enclosing iterators are unchanged. The backing
   // storage is pooled per nesting depth.
   Activation &Act = activationAtDepth(L->Depth);
+  const uint32_t Epoch = openEpoch(Iter);
   unsigned Probes = 0;
   bool WarpedAny = false;
   bool EagerSnapshots = B->Hi - B->Lo + 1 <= WC.EagerSnapshotTripLimit;
@@ -179,6 +224,8 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
   Iter.push(0);
   int64_t X = B->Lo;
   while (X <= B->Hi) {
+    if (Batchable && !(CanProbe && Probes < WC.MaxProbeIters))
+      break; // No probe point left: the rest is one batched stretch.
     Iter.back() = X;
     if (NeedMembership && !L->Domain.contains(Iter)) {
       ++X;
@@ -186,7 +233,7 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
     }
     if (CanProbe && Probes < WC.MaxProbeIters) {
       ++Probes;
-      uint64_t Key = Engine.stateKey(Cache, Scope);
+      uint64_t Key = Engine.stateKey(Cache, Epochs, Scope);
       Bucket &Bk = Act.Map[Key];
       bool Warped = false;
       // Try stored snapshots, most recent (smallest delta) first.
@@ -197,8 +244,8 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
         if (Delta < 1 || Delta > WC.MaxDelta || Delta % Unit != 0)
           continue;
         WarpPlan Plan;
-        if (!Engine.checkWarp(Act.Snapshots[It->Slot], Cache, Scope,
-                              It->X0, X, Plan)) {
+        if (!Engine.checkWarp(Act.Snapshots[It->Slot], Cache, Epochs,
+                              Scope, It->X0, X, Plan)) {
           ++Stats.FailedWarpChecks;
           continue;
         }
@@ -224,7 +271,7 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
           for (size_t D = 0; D < DepthHist.size(); ++D)
             DepthHist[D] += N * (DepthHist[D] - H0[D]);
         }
-        Engine.applyWarp(Cache, Scope, Plan);
+        Engine.applyWarp(Cache, Epochs, Scope, Plan);
         X += Plan.N * Plan.Delta;
         Warped = true;
         WarpedAny = true;
@@ -252,10 +299,14 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
       }
     }
     for (const std::unique_ptr<Node> &C : L->Children)
-      runNode(C.get(), Iter);
+      runNode(C.get(), Iter, Epoch);
     ++X;
   }
   Iter.pop();
+  if (X <= B->Hi)
+    Walker.walk(L, Iter, X, B->Hi, Cache, Stats, Epoch, /*Sink=*/nullptr,
+                DepthProfile ? DepthHist.data() : nullptr);
+  OpenEpochs.pop_back();
 
   // Learning: loops that probe a lot without ever warping stop probing.
   if (CanProbe) {
@@ -279,20 +330,21 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
   }
 }
 
-void WarpingSimulator::runAccess(const AccessNode *A, const IterVec &Iter) {
+void WarpingSimulator::runAccess(const AccessNode *A, const IterVec &Iter,
+                                 uint32_t Epoch) {
   if (!Options.IncludeScalars && Program.array(A->ArrayId).isScalar())
     return;
   if (A->Guarded && !A->Domain.contains(Iter))
     return;
   BlockId B = A->Address.eval(Iter) >> BlockShift;
-  SymAccessOutcome O =
-      Cache.access(B, A->isWrite(), static_cast<int32_t>(A->Id), Iter);
+  HierarchyOutcome O =
+      Cache.access(B, A->isWrite(),
+                   SymTag{A->Id, Epoch, Iter.empty() ? 0 : Iter.back()},
+                   DepthProfile ? DepthHist.data() : nullptr);
   ++Stats.SimulatedAccesses;
   ++Stats.Level[0].Accesses;
   if (!O.L1Hit)
     ++Stats.Level[0].Misses;
-  else if (DepthProfile)
-    ++DepthHist[O.L1HitDepth];
   if (O.L2Accessed) {
     ++Stats.Level[1].Accesses;
     if (!O.L2Hit)

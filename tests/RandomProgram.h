@@ -110,7 +110,9 @@ inline HierarchyConfig randomHierarchy(std::mt19937 &Rng, PolicyKind K,
   };
   CacheConfig L1;
   L1.BlockBytes = 64;
-  L1.Assoc = 1u << Rand(0, 2);             // 1, 2 or 4 ways.
+  // 1 to 16 ways: 4, 8 and 16 are the batch loop's compile-time
+  // associativities, the others its runtime-assoc fallback.
+  L1.Assoc = 1u << Rand(0, 4);
   unsigned Sets = 1u << Rand(0, 3);        // 1..8 sets.
   L1.SizeBytes = static_cast<uint64_t>(L1.Assoc) * Sets * 64;
   L1.Policy = K;

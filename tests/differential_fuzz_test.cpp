@@ -8,10 +8,10 @@
 // backend and every sweep flavor, all required to agree bit for bit.
 // This is the bug-finding net under the SoA/policy-template hot-loop
 // refactor (and under any future change to the simulation floor): the
-// scalar concrete walk, the batched walk, the warping simulator, the
-// trace simulator and the sweep fast paths are independent
-// implementations of the same semantics, so any divergence is a bug in
-// one of them.
+// scalar concrete walk, the batched walk, the warping simulator (with
+// per-access and with batched stepping), the trace simulator and the
+// sweep fast paths are independent implementations of the same
+// semantics, so any divergence is a bug in one of them.
 //
 // The default iteration count keeps the suite in the sub-second range;
 // set WCS_FUZZ_ITERS for longer local runs (the seed stays fixed, so a
@@ -23,6 +23,7 @@
 #include "wcs/driver/BatchRunner.h"
 #include "wcs/driver/Sweep.h"
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/sim/WarpingSimulator.h"
 
 #include <gtest/gtest.h>
 
@@ -80,6 +81,54 @@ TEST(DifferentialFuzz, BatchedConcreteMatchesScalarAllPolicies) {
         expectStatsEqual(A, B,
                          "iter " + std::to_string(I) + " " + H.str());
       }
+  }
+}
+
+/// The warping simulator's batched stepping (BatchConcrete on: every
+/// stretch it is not probing rides the shared batch walk, tags refreshed
+/// from lane, epoch and iteration) must leave every probe the same state
+/// as per-access stepping, so the warp diagnostics -- not just the
+/// counters -- must agree. Random warp bounds make probing stop early
+/// (short probe windows, eager learning and profit guard), so batched
+/// tails and disabled loops interleave with probes of enclosing loops.
+TEST(DifferentialFuzz, BatchedWarpingMatchesPerAccessWarping) {
+  std::mt19937 Rng(0xFACADE);
+  auto Pick = [&](std::initializer_list<unsigned> Vs) {
+    return Vs.begin()[std::uniform_int_distribution<size_t>(
+        0, Vs.size() - 1)(Rng)];
+  };
+  const InclusionPolicy Inclusions[] = {
+      InclusionPolicy::NonInclusiveNonExclusive, InclusionPolicy::Inclusive,
+      InclusionPolicy::Exclusive};
+  const unsigned Iters = fuzzIters();
+  for (unsigned I = 0; I < Iters; ++I) {
+    ScopProgram P = generateProgram(Rng);
+    SimOptions Batched;
+    Batched.Warp.MaxProbeIters = Pick({2, 5, 4096});
+    Batched.Warp.MinProbesForLearning = Pick({1, 32});
+    Batched.Warp.DisableAfterFailedActivations = Pick({1, 4});
+    Batched.Warp.ProfitGuardActivations = Pick({1, 8});
+    SimOptions PerAccess = Batched;
+    PerAccess.BatchConcrete = false;
+    for (PolicyKind K : kPolicies)
+      for (bool TwoLevel : {false, true})
+        for (InclusionPolicy Incl : Inclusions) {
+          if (!TwoLevel && Incl != Inclusions[0])
+            continue; // One level has no inclusion policy.
+          HierarchyConfig H = randomHierarchy(Rng, K, TwoLevel);
+          H.Inclusion = Incl;
+          std::string Ctx = "iter " + std::to_string(I) + " " + H.str() +
+                            " " + inclusionName(Incl);
+          SimStats A = WarpingSimulator(P, H, PerAccess).run();
+          SimStats B = WarpingSimulator(P, H, Batched).run();
+          expectStatsEqual(A, B, Ctx);
+          EXPECT_EQ(A.SimulatedAccesses, B.SimulatedAccesses) << Ctx;
+          EXPECT_EQ(A.WarpedAccesses, B.WarpedAccesses) << Ctx;
+          EXPECT_EQ(A.Warps, B.Warps) << Ctx;
+          EXPECT_EQ(A.FailedWarpChecks, B.FailedWarpChecks) << Ctx;
+          expectStatsEqual(ConcreteSimulator(P, H).run(), B,
+                           Ctx + " vs concrete");
+        }
   }
 }
 

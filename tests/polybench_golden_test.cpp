@@ -5,7 +5,8 @@
 //
 // Miss counts that can be derived by hand pin the whole pipeline
 // (frontend -> layout -> simulation) to the right absolute numbers, not
-// just to simulator-vs-simulator consistency.
+// just to simulator-vs-simulator consistency; warp decisions on the
+// scaled L1 are pinned the same way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +55,65 @@ TEST(PolybenchGolden, HugeCacheLeavesExactlyColdMisses) {
     EXPECT_EQ(S.Level[0].Misses, distinctBlocks(P)) << Name;
     WarpingSimulator Warp(P, hugeCache());
     EXPECT_EQ(Warp.run().Level[0].Misses, distinctBlocks(P)) << Name;
+  }
+}
+
+/// Warp decisions, pinned. Miss counts alone cannot see a change that
+/// only loses (or gains) warps -- a relativization bug in the symbolic
+/// tags, say -- so the warp diagnostics of kernels that warp a lot
+/// (stencils, deriche), a little (correlation) and not at all (gemm,
+/// gramschmidt) are fixed constants, under every policy, for both the
+/// batched and the per-access stepping of the warping simulator.
+TEST(PolybenchGolden, WarpDecisionsArePinned) {
+  struct Pin {
+    const char *Kernel;
+    PolicyKind Policy;
+    uint64_t Warps, WarpedAccesses, FailedWarpChecks, SimulatedAccesses;
+  };
+  const Pin Pins[] = {
+      {"jacobi-2d", PolicyKind::Lru, 5, 247296, 0, 6624},
+      {"jacobi-2d", PolicyKind::Fifo, 5, 246192, 0, 7728},
+      {"jacobi-2d", PolicyKind::Plru, 13, 154560, 93, 99360},
+      {"jacobi-2d", PolicyKind::QuadAgeLru, 1, 203136, 15, 50784},
+      {"heat-3d", PolicyKind::Lru, 13, 471856, 0, 11088},
+      {"heat-3d", PolicyKind::Fifo, 13, 470624, 0, 12320},
+      {"heat-3d", PolicyKind::Plru, 5, 431200, 3, 51744},
+      {"heat-3d", PolicyKind::QuadAgeLru, 5, 463540, 0, 19404},
+      {"deriche", PolicyKind::Lru, 22, 217656, 4, 12744},
+      {"deriche", PolicyKind::Fifo, 22, 217296, 4, 13104},
+      {"deriche", PolicyKind::Plru, 20, 98560, 119, 131840},
+      {"deriche", PolicyKind::QuadAgeLru, 13, 132224, 127, 98176},
+      {"gemm", PolicyKind::Lru, 0, 0, 0, 363600},
+      {"gemm", PolicyKind::Fifo, 0, 0, 0, 363600},
+      {"gemm", PolicyKind::Plru, 0, 0, 0, 363600},
+      {"gemm", PolicyKind::QuadAgeLru, 0, 0, 0, 363600},
+      {"gramschmidt", PolicyKind::Lru, 0, 0, 12, 604275},
+      {"gramschmidt", PolicyKind::Fifo, 0, 0, 0, 604275},
+      {"gramschmidt", PolicyKind::Plru, 0, 0, 0, 604275},
+      {"gramschmidt", PolicyKind::QuadAgeLru, 0, 0, 0, 604275},
+      {"correlation", PolicyKind::Lru, 2, 17600, 31, 325625},
+      {"correlation", PolicyKind::Fifo, 1, 2936, 2, 340289},
+      {"correlation", PolicyKind::Plru, 0, 0, 0, 343225},
+      {"correlation", PolicyKind::QuadAgeLru, 1, 2936, 7, 340289},
+  };
+  for (const Pin &X : Pins) {
+    std::string Err;
+    ScopProgram P = buildKernel(X.Kernel, ProblemSize::Small, &Err);
+    ASSERT_EQ(Err, "") << X.Kernel;
+    CacheConfig C = CacheConfig::scaledL1();
+    C.Policy = X.Policy;
+    for (bool Batch : {true, false}) {
+      SimOptions O;
+      O.BatchConcrete = Batch;
+      SimStats S = WarpingSimulator(P, HierarchyConfig::singleLevel(C), O)
+                       .run();
+      std::string Ctx = std::string(X.Kernel) + "/" + policyName(X.Policy) +
+                        (Batch ? " batched" : " per-access");
+      EXPECT_EQ(S.Warps, X.Warps) << Ctx;
+      EXPECT_EQ(S.WarpedAccesses, X.WarpedAccesses) << Ctx;
+      EXPECT_EQ(S.FailedWarpChecks, X.FailedWarpChecks) << Ctx;
+      EXPECT_EQ(S.SimulatedAccesses, X.SimulatedAccesses) << Ctx;
+    }
   }
 }
 
