@@ -5,7 +5,8 @@
 //
 // google-benchmark microbenchmarks of the hot components: concrete cache
 // accesses per policy, symbolic (tagged) accesses, warp state-key
-// hashing, Fourier-Motzkin minimization, and stack-distance updates.
+// hashing, Fourier-Motzkin minimization, and stack-distance updates
+// (the lone profiler and both per-set bank representations).
 // These quantify the constant factors behind the figure harnesses.
 //
 //===----------------------------------------------------------------------===//
@@ -140,6 +141,26 @@ void BM_StackDistance(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_StackDistance);
+
+/// One access of a 64-set bank that answers up to 16 ways, in each
+/// representation: the bank width is the argument, 16 keeps LRU rows and
+/// MaxTruncatedAssoc + 1 keeps the exact per-set profilers (the per-access
+/// gap behind the 64-way rule).
+void BM_SetDistanceBank(benchmark::State &State) {
+  std::vector<BlockId> T = streamTrace(1 << 16);
+  SetDistanceBank Bank(64, 64, static_cast<unsigned>(State.range(0)));
+  size_t I = 0;
+  for (auto _ : State) {
+    Bank.accessBlock(T[I]);
+    I = (I + 1) & ((1 << 16) - 1);
+  }
+  benchmark::DoNotOptimize(Bank.missesForAssoc(16));
+  State.SetLabel(Bank.truncatedAtAssoc() != 0 ? "lru-rows" : "exact");
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_SetDistanceBank)
+    ->Arg(16)
+    ->Arg(SetDistanceBank::MaxTruncatedAssoc + 1);
 
 } // namespace
 

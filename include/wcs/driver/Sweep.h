@@ -16,10 +16,13 @@
 ///    and every associativity of a geometry -- and thus every capacity
 ///    point -- falls out of the Mattson inclusion property without
 ///    further work. K LRU capacity points cost one shared pass instead
-///    of K simulations. The pass itself comes in two flavors: for long
-///    traces (decided by a cheap counting pre-walk) each bank is
-///    produced by a warp-aware periodic pass (trace/PeriodicPass) that
-///    skips periodic trace phases analytically and is sublinear in
+///    of K simulations. Each bank is built for the widest associativity
+///    its points ask for: up to 64 ways it keeps LRU rows of that width
+///    (a row scan per access), wider it keeps exact per-set profilers
+///    (a tree walk per access). The pass itself comes in two flavors:
+///    for long traces (decided by a cheap counting pre-walk) each bank
+///    is produced by a warp-aware periodic pass (trace/PeriodicPass)
+///    that skips periodic trace phases analytically and is sublinear in
 ///    trace length like warping itself; short traces, and sweeps with
 ///    WarpSweep off, use ONE linear trace walk feeding all banks.
 ///    Both flavors are bit-identical.
@@ -28,7 +31,8 @@
 ///    L1-miss-filtered access stream of each distinct L1 is recorded
 ///    ONCE (trace/FilteredStream) and answers every L2 sharing that L1
 ///    -- LRU write-allocate L2s analytically from stack-distance banks
-///    conditioned on the stream, all other L2s by replaying the (much
+///    conditioned on the stream (sized to their widest L2 like the
+///    single-level banks), all other L2s by replaying the (much
 ///    shorter) recorded stream through a concrete L2 as deduplicated
 ///    BatchRunner jobs. K two-level points over G distinct L1s cost G
 ///    L1 simulations plus cheap replays instead of K full simulations.

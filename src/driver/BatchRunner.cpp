@@ -166,7 +166,7 @@ BatchResult BatchRunner::runJob(const BatchJob &Job, size_t JobIndex) {
       double Seconds = 0.0;
       SetDistanceBank Bank =
           profileProgramSets(*Job.Program, C.BlockBytes, C.numSets(),
-                             Job.Options.IncludeScalars, &Seconds);
+                             C.Assoc, Job.Options.IncludeScalars, &Seconds);
       R.Stats.NumLevels = 1;
       R.Stats.Level[0].Accesses = Bank.totalAccesses();
       R.Stats.Level[0].Misses = Bank.missesForCache(C);

@@ -57,6 +57,40 @@ bool wcs::parseSweepMethodName(const std::string &Name, SweepMethod &Out) {
 // The sweep driver
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The stack-distance banks one pass conditions: one per distinct
+/// (block size, set count) geometry, each sized to the widest
+/// associativity any of its points asks for -- which is known only once
+/// the partition is complete, so the banks are built after it.
+struct BankPlan {
+  std::map<std::pair<unsigned, unsigned>, size_t> Index;
+  std::vector<CacheConfig> Widest; ///< Per bank: geometry at its widest.
+
+  /// Registers a point answered from \p C's geometry; returns its bank.
+  size_t add(const CacheConfig &C) {
+    auto Key = std::make_pair(C.BlockBytes, C.numSets());
+    auto It = Index.find(Key);
+    if (It == Index.end()) {
+      It = Index.emplace(Key, Widest.size()).first;
+      Widest.push_back(C);
+    } else if (C.Assoc > Widest[It->second].Assoc) {
+      Widest[It->second] = C;
+    }
+    return It->second;
+  }
+
+  std::vector<SetDistanceBank> build() const {
+    std::vector<SetDistanceBank> Banks;
+    Banks.reserve(Widest.size());
+    for (const CacheConfig &C : Widest)
+      Banks.emplace_back(C.BlockBytes, C.numSets(), C.Assoc);
+    return Banks;
+  }
+};
+
+} // namespace
+
 bool SweepReport::allOk() const {
   for (const SweepPoint &P : Points)
     if (!P.Ok)
@@ -111,9 +145,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   //    through deduplicated BatchRunner jobs;
   //  - everything else: a simulation job, deduplicated by exact
   //    configuration.
-  std::vector<SetDistanceBank> Banks;
-  std::vector<unsigned> BankMaxAssoc; ///< Largest ways asked of each bank.
-  std::map<std::pair<unsigned, unsigned>, size_t> BankIndex;
+  BankPlan Plan;
   struct FastPoint {
     size_t Point;
     size_t Bank;
@@ -129,8 +161,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     std::vector<size_t> Members; ///< All input indices sharing this L1.
     std::vector<AnalyticPoint> Analytic;
     std::vector<size_t> ReplayPoints;
+    BankPlan Plan;
     std::vector<SetDistanceBank> Banks; ///< Conditioned on the stream.
-    std::map<std::pair<unsigned, unsigned>, size_t> BankIndex;
     FilteredStream Stream;
     double FeedSeconds = 0.0;
     /// Recording/feeding threw: the stream is unusable, exactly like a
@@ -157,16 +189,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         L1.WriteAlloc == WriteAllocate::Yes) {
       P.Method = SweepMethod::StackDistance;
       P.Backend = SimBackend::StackDistance;
-      auto Key = std::make_pair(L1.BlockBytes, L1.numSets());
-      auto It = BankIndex.find(Key);
-      if (It == BankIndex.end()) {
-        It = BankIndex.emplace(Key, Banks.size()).first;
-        Banks.emplace_back(L1.BlockBytes, L1.numSets());
-        BankMaxAssoc.push_back(0);
-      }
-      BankMaxAssoc[It->second] =
-          std::max(BankMaxAssoc[It->second], L1.Assoc);
-      Fast.push_back(FastPoint{I, It->second});
+      Fast.push_back(FastPoint{I, Plan.add(L1)});
       continue;
     }
     if (H.numLevels() == 2 &&
@@ -184,13 +207,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       const CacheConfig &L2 = H.Levels[1];
       if (FilteredStream::l2IsAnalytic(L2)) {
         P.Backend = SimBackend::StackDistance;
-        auto BKey = std::make_pair(L2.BlockBytes, L2.numSets());
-        auto BIt = G.BankIndex.find(BKey);
-        if (BIt == G.BankIndex.end()) {
-          BIt = G.BankIndex.emplace(BKey, G.Banks.size()).first;
-          G.Banks.emplace_back(L2.BlockBytes, L2.numSets());
-        }
-        G.Analytic.push_back(AnalyticPoint{I, BIt->second});
+        G.Analytic.push_back(AnalyticPoint{I, G.Plan.add(L2)});
       } else {
         P.Backend = SimBackend::Concrete;
         G.ReplayPoints.push_back(I);
@@ -201,6 +218,9 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     P.Backend = Opts.Backend;
     PlainSim.push_back(I);
   }
+  std::vector<SetDistanceBank> Banks = Plan.build();
+  for (FilteredGroup &G : Groups)
+    G.Banks = G.Plan.build();
   PartitionSpan.arg("banks", static_cast<uint64_t>(Banks.size()));
   PartitionSpan.arg("l1_groups", static_cast<uint64_t>(Groups.size()));
   PartitionSpan.arg("plain_sim", static_cast<uint64_t>(PlainSim.size()));
@@ -260,15 +280,14 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       std::vector<std::function<void()>> Tasks;
       Tasks.reserve(Banks.size());
       for (size_t B = 0; B < Banks.size(); ++B)
-        Tasks.push_back([&Program, &Opts, &PassResults, &Banks,
-                         &BankMaxAssoc, &PassFailed, B] {
+        Tasks.push_back([&Program, &Opts, &PassResults, &Plan,
+                         &PassFailed, B] {
           telemetry::Span PassSpan("sweep.periodic-bank");
           PassSpan.arg("bank", static_cast<uint64_t>(B));
+          const CacheConfig &C = Plan.Widest[B];
           try {
-            PassResults[B] =
-                runPeriodicPass(Program, Banks[B].blockBytes(),
-                                Banks[B].numSets(), BankMaxAssoc[B],
-                                Opts.Sim);
+            PassResults[B] = runPeriodicPass(Program, C.BlockBytes,
+                                             C.numSets(), C.Assoc, Opts.Sim);
           } catch (...) {
             PassFailed[B] = 1;
           }

@@ -231,37 +231,13 @@ void FilteredStream::feed(SetDistanceBank &Bank) const {
   assert(!Truncated && "cannot condition a bank on a truncated stream");
   assert(Bank.blockBytes() == L1.BlockBytes &&
          "bank block size must equal the recorded L1's");
-  for (const FilteredSegment &S : Segments) {
-    auto Walk = [&] {
+  // Repeated segments walk twice and enter the bank in bulk when the
+  // second repetition verifies (see SetDistanceBank::accessRepeated).
+  for (const FilteredSegment &S : Segments)
+    Bank.accessRepeated(S.Reps, [&] {
       for (uint64_t I = 0; I < S.Len; ++I)
         Bank.accessBlock(Records[S.Offset + I].Block);
-    };
-    if (S.Reps <= 2) {
-      for (uint64_t R = 0; R < S.Reps; ++R)
-        Walk();
-      continue;
-    }
-    // Repetition 1 enters from whatever state the stream prefix left;
-    // repetition 2 is the stationary one whose increments every later
-    // repetition copies (see the periodic-bulk-update comment in
-    // StackDistance.h). Capture it and apply the rest analytically.
-    Walk();
-    Bank.beginPeriodCapture();
-    Walk();
-    DistanceHistogram H = Bank.endPeriodCapture();
-    if (H.Colds != 0 || !Bank.addPeriodicContribution(H, S.Reps - 2)) {
-      // A repetition of an identical block sequence cannot touch a new
-      // block, so a cold here falsifies the period hypothesis. It is
-      // unreachable for verbatim RLE segments, but the check is the
-      // verification discipline: reject and fall back to walking. The
-      // same fallback covers a bulk update the bank rejects because the
-      // scaled counters would overflow (the walked path increments by
-      // one per access and cannot).
-      for (uint64_t R = 2; R < S.Reps; ++R)
-        Walk();
-      continue;
-    }
-  }
+    });
 }
 
 SimStats FilteredStream::replay(const CacheConfig &L2) const {

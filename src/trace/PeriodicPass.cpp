@@ -15,7 +15,7 @@ using namespace wcs;
 
 uint64_t PeriodicPassResult::missesForAssoc(uint64_t Assoc) const {
   assert(Assoc <= MaxAssoc && "histogram is truncated below Assoc");
-  uint64_t M = Histogram.Beyond + Histogram.Colds;
+  uint64_t M = Histogram.Beyond;
   for (uint64_t D = Assoc; D < Histogram.Hist.size(); ++D)
     M += Histogram.Hist[D];
   return M;
@@ -46,10 +46,7 @@ PeriodicPassResult wcs::runPeriodicPass(const ScopProgram &Program,
     R.Histogram.Hist.pop_back();
   // Everything that was not a hit below MaxAssoc -- colds and distances
   // at or beyond it -- misses at every answerable associativity. The
-  // run cannot tell the two apart (nor does any consumer need it), so
-  // all of it lands in Beyond and Colds stays 0: a nonzero Colds is the
-  // periodicity-violation signal of CAPTURED fragments, which this
-  // whole-run histogram is not.
+  // run cannot tell the two apart, nor does any consumer need it.
   R.Histogram.Beyond = R.Stats.Level[0].Misses;
   R.Histogram.Accesses = R.Stats.Level[0].Accesses;
   return R;

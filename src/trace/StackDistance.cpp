@@ -79,15 +79,60 @@ uint64_t StackDistanceProfiler::missesForAssoc(uint64_t Assoc) const {
   return M;
 }
 
-SetDistanceBank::SetDistanceBank(unsigned BlockBytes, unsigned NumSets)
-    : BlockShift(log2Exact(BlockBytes)), SetMask(NumSets - 1) {
+SetDistanceBank::SetDistanceBank(unsigned BlockBytes, unsigned NumSets,
+                                 unsigned MaxAssoc)
+    : BlockShift(log2Exact(BlockBytes)), NumSets(NumSets),
+      SetMask(NumSets - 1) {
   assert(NumSets != 0 && (NumSets & (NumSets - 1)) == 0 &&
          "set count must be a power of two (modulo placement)");
+  assert(MaxAssoc != 0 && "a bank must answer at least one way");
+  if (MaxAssoc <= MaxTruncatedAssoc) {
+    Rows.emplace(CacheConfig{static_cast<uint64_t>(BlockBytes) * NumSets *
+                                 MaxAssoc,
+                             MaxAssoc, BlockBytes, PolicyKind::Lru,
+                             WriteAllocate::Yes});
+    RowHist.assign(MaxAssoc, 0);
+    TruncAssoc = MaxAssoc;
+    return;
+  }
   // Small initial trees: a bank with thousands of sets would otherwise
   // pay 8 KiB per set before the first access.
-  Sets.reserve(NumSets);
+  Profilers.reserve(NumSets);
   for (unsigned S = 0; S < NumSets; ++S)
-    Sets.emplace_back(BlockBytes, NumSets > 1 ? 64 : 1024);
+    Profilers.emplace_back(BlockBytes, NumSets > 1 ? 64 : 1024);
+}
+
+void SetDistanceBank::captureDistance(int64_t D) {
+  ++Capture.Accesses;
+  if (D < 0) {
+    ++Capture.Beyond;
+    // Only an exact bank knows a miss is cold; a truncated bank's
+    // misses may be deep re-touches, verified through its rows instead.
+    if (!Rows)
+      CaptureSawCold = true;
+    return;
+  }
+  uint64_t UD = static_cast<uint64_t>(D);
+  if (Capture.Hist.size() <= UD)
+    Capture.Hist.resize(UD + 1, 0);
+  ++Capture.Hist[UD];
+}
+
+void SetDistanceBank::beginPeriodCapture() {
+  Capture = DistanceHistogram();
+  CaptureSawCold = false;
+  if (Rows)
+    CaptureRows = Rows; // Copy-assignment reuses the snapshot's storage.
+  Capturing = true;
+}
+
+std::optional<DistanceHistogram> SetDistanceBank::endPeriodCapture() {
+  Capturing = false;
+  bool Stationary =
+      Rows ? Rows->stateEquals(*CaptureRows) : !CaptureSawCold;
+  if (!Stationary)
+    return std::nullopt;
+  return std::move(Capture);
 }
 
 bool SetDistanceBank::addPeriodicContribution(const DistanceHistogram &H,
@@ -106,9 +151,7 @@ bool SetDistanceBank::addPeriodicContribution(const DistanceHistogram &H,
   }
   // Colds and beyond-truncation distances both miss at every
   // associativity the bank may answer afterwards.
-  uint64_t AlwaysMiss;
-  if (__builtin_add_overflow(H.Beyond, H.Colds, &AlwaysMiss) ||
-      __builtin_mul_overflow(AlwaysMiss, Reps, &Scaled) ||
+  if (__builtin_mul_overflow(H.Beyond, Reps, &Scaled) ||
       __builtin_add_overflow(BulkAlwaysMiss, Scaled, &Accum))
     return false;
   if (__builtin_mul_overflow(H.Accesses, Reps, &Scaled) ||
@@ -119,7 +162,7 @@ bool SetDistanceBank::addPeriodicContribution(const DistanceHistogram &H,
     BulkHist.resize(H.Hist.size(), 0);
   for (size_t D = 0; D < H.Hist.size(); ++D)
     BulkHist[D] += H.Hist[D] * Reps;
-  BulkAlwaysMiss += (H.Beyond + H.Colds) * Reps;
+  BulkAlwaysMiss += H.Beyond * Reps;
   Total += H.Accesses * Reps;
   if (TruncatedAtAssoc != 0 &&
       (TruncAssoc == 0 || TruncatedAtAssoc < TruncAssoc))
@@ -130,10 +173,12 @@ bool SetDistanceBank::addPeriodicContribution(const DistanceHistogram &H,
 uint64_t SetDistanceBank::missesForAssoc(uint64_t Assoc) const {
   assert((TruncAssoc == 0 || Assoc <= TruncAssoc) &&
          "bank is truncated below the requested associativity");
-  uint64_t M = BulkAlwaysMiss;
+  uint64_t M = BulkAlwaysMiss + RowMisses;
   for (uint64_t D = Assoc; D < BulkHist.size(); ++D)
     M += BulkHist[D];
-  for (const StackDistanceProfiler &P : Sets)
+  for (uint64_t D = Assoc; D < RowHist.size(); ++D)
+    M += RowHist[D];
+  for (const StackDistanceProfiler &P : Profilers)
     M += P.missesForAssoc(Assoc);
   return M;
 }
@@ -167,11 +212,11 @@ StackDistanceProfiler wcs::profileProgram(const ScopProgram &Program,
 
 SetDistanceBank wcs::profileProgramSets(const ScopProgram &Program,
                                         unsigned BlockBytes,
-                                        unsigned NumSets,
+                                        unsigned NumSets, unsigned MaxAssoc,
                                         bool IncludeScalars,
                                         double *Seconds) {
   telemetry::TimePoint Start = telemetry::now();
-  SetDistanceBank Bank(BlockBytes, NumSets);
+  SetDistanceBank Bank(BlockBytes, NumSets, MaxAssoc);
   TraceOptions TO;
   TO.IncludeScalars = IncludeScalars;
   generateTrace(Program, TO,

@@ -40,6 +40,14 @@ constexpr PolicyKind kPolicies[] = {PolicyKind::Lru, PolicyKind::Fifo,
                                     PolicyKind::Plru,
                                     PolicyKind::QuadAgeLru};
 
+/// A fully-associative 128-way (8 KiB) write-allocate LRU point. Random
+/// hierarchies draw LRU points of at most 16 ways, which stack-distance
+/// banks answer from LRU rows; this one is wider than
+/// SetDistanceBank::MaxTruncatedAssoc, so the exact per-set profilers
+/// stay fuzzed as well.
+const CacheConfig kWideLru{128 * 64, 128, 64, PolicyKind::Lru,
+                           WriteAllocate::Yes};
+
 /// Iterations per fuzz test: WCS_FUZZ_ITERS when set, else a default
 /// small enough for the suite to stay in the default ctest budget.
 unsigned fuzzIters() {
@@ -168,6 +176,16 @@ TEST(DifferentialFuzz, BackendsAgreeAcrossRandomHierarchies) {
             << Ctx << " stack-distance";
       }
     }
+    // The stack-distance backend on an exact (wider than 64-way) bank.
+    BatchJob Wide;
+    Wide.Program = &P;
+    Wide.Cache = HierarchyConfig::singleLevel(kWideLru);
+    Wide.Backend = SimBackend::StackDistance;
+    BatchResult R = BatchRunner::runJob(Wide);
+    ASSERT_TRUE(R.Ok) << "iter " << I << ": " << R.Error;
+    EXPECT_EQ(R.Stats.Level[0].Misses,
+              ConcreteSimulator(P, Wide.Cache).run().Level[0].Misses)
+        << "iter " << I << " " << kWideLru.str() << " stack-distance";
   }
 }
 
@@ -183,10 +201,12 @@ TEST(DifferentialFuzz, SweepFlavorsBitIdentical) {
     for (PolicyKind K : kPolicies)
       Grid.push_back(randomHierarchy(Rng, K, /*TwoLevel=*/(I % 2) == 0));
     // A few single-level LRU capacity points keep the stack-distance
-    // fast path in every run.
+    // fast path in every run, on banks of both representations: LRU
+    // rows (4 sets) and exact profilers (the 128-way point).
     for (unsigned Assoc : {1u, 4u})
       Grid.push_back(HierarchyConfig::singleLevel(CacheConfig{
           Assoc * 4 * 64, Assoc, 64, PolicyKind::Lru, WriteAllocate::Yes}));
+    Grid.push_back(HierarchyConfig::singleLevel(kWideLru));
 
     SweepOptions Auto;
     SweepOptions Periodic;

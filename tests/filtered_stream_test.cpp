@@ -131,21 +131,24 @@ TEST(FilteredStream, ConditionedBankMatchesConcreteLruL2) {
   ScopProgram P = generateProgram(Rng);
   CacheConfig L1{512, 2, 64, PolicyKind::Lru, WriteAllocate::Yes};
   FilteredStream FS = FilteredStream::record(P, L1);
-  for (unsigned L2Sets : {1u, 4u, 16u}) {
-    SetDistanceBank Bank(64, L2Sets);
-    FS.feed(Bank);
-    EXPECT_EQ(Bank.totalAccesses(), FS.size());
-    for (unsigned L2Assoc : {2u, 8u}) {
-      CacheConfig L2{static_cast<uint64_t>(L2Assoc) * L2Sets * 64, L2Assoc,
-                     64, PolicyKind::Lru, WriteAllocate::Yes};
-      HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
-      if (!H.validate().empty())
-        continue; // L2 sets must be a multiple of L1 sets.
-      ConcreteSimulator Sim(P, H);
-      SimStats Ref = Sim.run();
-      EXPECT_EQ(Bank.missesForCache(L2), Ref.Level[1].Misses)
-          << H.str() << "\n"
-          << P.str();
+  // Both bank representations: LRU rows 8 ways wide, and exact.
+  for (unsigned Width : {8u, SetDistanceBank::MaxTruncatedAssoc + 1}) {
+    for (unsigned L2Sets : {1u, 4u, 16u}) {
+      SetDistanceBank Bank(64, L2Sets, Width);
+      FS.feed(Bank);
+      EXPECT_EQ(Bank.totalAccesses(), FS.size());
+      for (unsigned L2Assoc : {2u, 8u}) {
+        CacheConfig L2{static_cast<uint64_t>(L2Assoc) * L2Sets * 64,
+                       L2Assoc, 64, PolicyKind::Lru, WriteAllocate::Yes};
+        HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
+        if (!H.validate().empty())
+          continue; // L2 sets must be a multiple of L1 sets.
+        ConcreteSimulator Sim(P, H);
+        SimStats Ref = Sim.run();
+        EXPECT_EQ(Bank.missesForCache(L2), Ref.Level[1].Misses)
+            << "width " << Width << " " << H.str() << "\n"
+            << P.str();
+      }
     }
   }
 }
@@ -250,7 +253,7 @@ TEST(FilteredStreamRle, CompressesPeriodicStreamsExactly) {
     ASSERT_TRUE(FS.answersHierarchy(H));
     expectStatsMatchConcrete(P, H, FS.replay(L2), "RLE replay");
   }
-  SetDistanceBank Bank(64, 4);
+  SetDistanceBank Bank(64, 4, 16);
   FS.feed(Bank);
   EXPECT_EQ(Bank.totalAccesses(), FS.size());
   CacheConfig L2{16 * 4 * 64, 16, 64, PolicyKind::Lru,

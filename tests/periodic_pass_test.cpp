@@ -52,10 +52,10 @@ ScopProgram periodicSweepProgram(int Steps, int Blocks) {
 void expectPassesAgree(const ScopProgram &P, unsigned BlockBytes,
                        unsigned NumSets, unsigned MaxAssoc) {
   SetDistanceBank Linear =
-      profileProgramSets(P, BlockBytes, NumSets);
+      profileProgramSets(P, BlockBytes, NumSets, MaxAssoc);
   PeriodicPassResult R =
       runPeriodicPass(P, BlockBytes, NumSets, MaxAssoc);
-  SetDistanceBank Warp(BlockBytes, NumSets);
+  SetDistanceBank Warp(BlockBytes, NumSets, MaxAssoc);
   ASSERT_TRUE(R.addTo(Warp));
   EXPECT_EQ(Warp.totalAccesses(), Linear.totalAccesses()) << P.str();
   EXPECT_EQ(Warp.truncatedAtAssoc(), MaxAssoc);
@@ -116,7 +116,7 @@ TEST(PeriodicPass, AgreesWithConcreteSimulatorSpotChecks) {
 TEST(PeriodicPass, TruncatedBankAnswersOnlyWithinDepth) {
   ScopProgram P = periodicSweepProgram(/*Steps=*/4, /*Blocks=*/16);
   PeriodicPassResult R = runPeriodicPass(P, 64, 1, 8);
-  SetDistanceBank Bank(64, 1);
+  SetDistanceBank Bank(64, 1, SetDistanceBank::MaxTruncatedAssoc + 1);
   EXPECT_EQ(Bank.truncatedAtAssoc(), 0u); // Exact before the update.
   ASSERT_TRUE(R.addTo(Bank));
   EXPECT_EQ(Bank.truncatedAtAssoc(), 8u);

@@ -35,10 +35,12 @@ uint64_t distinctBlocks(const ScopProgram &P) {
 }
 
 HierarchyConfig hugeCache() {
-  // Big enough that only cold misses remain; fully associative LRU.
+  // Big enough that only cold misses remain on every MINI working set
+  // used here; fully associative LRU at the widest valid associativity
+  // (4096 ways x 64 B = 256 KiB).
   CacheConfig C;
   C.BlockBytes = 64;
-  C.Assoc = 1 << 15;
+  C.Assoc = 4096;
   C.SizeBytes = static_cast<uint64_t>(C.Assoc) * 64;
   C.Policy = PolicyKind::Lru;
   return HierarchyConfig::singleLevel(C);

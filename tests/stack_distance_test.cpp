@@ -5,9 +5,10 @@
 //
 // Validates the stack-distance profiler (the HayStack-style LRU model)
 // against ground truth from two directions: hand-computed distances on
-// tiny traces, and a seeded property test cross-checking the derived
-// fully-associative LRU miss counts against ConcreteSimulator over
-// randomized programs and associativities.
+// tiny traces, and seeded property tests cross-checking the derived LRU
+// miss counts against ConcreteSimulator over randomized programs and
+// associativities. The per-set banks are checked in both of their
+// representations (LRU rows up to 64 ways, exact profilers beyond).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
+#include <string>
 
 using namespace wcs;
 using testutil::generateProgram;
@@ -64,52 +67,58 @@ TEST(StackDistance, HistogramAccountsForEveryAccess) {
   EXPECT_EQ(Finite + Prof.coldAccesses(), Prof.totalAccesses());
 }
 
+/// A bank width that keeps the exact per-set profilers.
+constexpr unsigned Exact = SetDistanceBank::MaxTruncatedAssoc + 1;
+
 TEST(StackDistance, PeriodCaptureAndBulkUpdateMatchLinearWalk) {
   // Stream: prefix, then period P repeated 5 times, then a suffix that
   // re-touches both periodic and pre-periodic blocks. The bulk-updated
   // bank walks P only twice (the second under capture) and applies the
   // other three repetitions analytically; it must agree with the
-  // linearly walked twin at every associativity, including on the
-  // suffix distances (the profilers' markers stay equivalent).
+  // linearly walked exact twin at every associativity it answers,
+  // including on the suffix distances (the walked state stays
+  // equivalent).
   const std::vector<BlockId> Prefix = {0, 1, 2};
   const std::vector<BlockId> Period = {3, 4, 5, 3, 6};
   const std::vector<BlockId> Suffix = {1, 4, 0, 6};
   const uint64_t Reps = 5;
-
-  SetDistanceBank Linear(64, 2), Bulk(64, 2);
   auto Walk = [](SetDistanceBank &B, const std::vector<BlockId> &Seq) {
     for (BlockId Blk : Seq)
       B.accessBlock(Blk);
   };
+  SetDistanceBank Linear(64, 2, Exact);
   Walk(Linear, Prefix);
   for (uint64_t R = 0; R < Reps; ++R)
     Walk(Linear, Period);
   Walk(Linear, Suffix);
 
-  Walk(Bulk, Prefix);
-  Walk(Bulk, Period); // Repetition 1: entered from the prefix state.
-  Bulk.beginPeriodCapture();
-  Walk(Bulk, Period); // Repetition 2: the stationary one.
-  DistanceHistogram H = Bulk.endPeriodCapture();
-  EXPECT_EQ(H.Colds, 0u) << "identical repetition cannot touch new blocks";
-  EXPECT_EQ(H.Accesses, Period.size());
-  ASSERT_TRUE(Bulk.addPeriodicContribution(H, Reps - 2));
-  Walk(Bulk, Suffix);
+  for (unsigned Width : {16u, Exact}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    SetDistanceBank Bulk(64, 2, Width);
+    Walk(Bulk, Prefix);
+    unsigned Walks = 0;
+    Bulk.accessRepeated(Reps, [&] {
+      ++Walks;
+      Walk(Bulk, Period);
+    });
+    EXPECT_EQ(Walks, 2u) << "an identical repetition must verify";
+    Walk(Bulk, Suffix);
 
-  EXPECT_EQ(Bulk.totalAccesses(), Linear.totalAccesses());
-  EXPECT_EQ(Bulk.truncatedAtAssoc(), 0u); // Untruncated contribution.
-  for (uint64_t Assoc = 1; Assoc <= 16; ++Assoc)
-    EXPECT_EQ(Bulk.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc))
-        << "assoc " << Assoc;
+    EXPECT_EQ(Bulk.totalAccesses(), Linear.totalAccesses());
+    EXPECT_EQ(Bulk.truncatedAtAssoc(), Width == Exact ? 0u : Width);
+    for (uint64_t Assoc = 1; Assoc <= 16; ++Assoc)
+      EXPECT_EQ(Bulk.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc))
+          << "assoc " << Assoc;
+  }
 }
 
 TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
   // Adversarial repetition counts: any scaled accumulation that would
   // overflow uint64 must be rejected with the bank left bit-identical,
-  // so the caller can demote to walking the repetitions (the Colds>0
-  // path). Pre-fix this silently wrapped and produced garbage miss
-  // counts.
-  SetDistanceBank Bank(64, 1);
+  // so the caller can demote to walking the repetitions (the path of a
+  // capture that fails verification). Pre-fix this silently wrapped and
+  // produced garbage miss counts.
+  SetDistanceBank Bank(64, 1, Exact);
   for (BlockId B : {0, 1, 2, 0, 2, 1})
     Bank.accessBlock(B);
   DistanceHistogram Seed;
@@ -154,40 +163,135 @@ TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
   EXPECT_EQ(Bank.missesForAssoc(2), M2);
 }
 
-TEST(StackDistance, CaptureFlagsColdAccessesAsPeriodicityViolation) {
-  SetDistanceBank Bank(64, 1);
-  for (BlockId B : {0, 1, 2})
-    Bank.accessBlock(B);
-  Bank.beginPeriodCapture();
-  for (BlockId B : {1, 2, 7}) // 7 is new: not a repetition of anything.
-    Bank.accessBlock(B);
-  DistanceHistogram H = Bank.endPeriodCapture();
-  EXPECT_EQ(H.Colds, 1u);
-  EXPECT_EQ(H.Accesses, 3u);
+TEST(StackDistance, TruncatedCaptureVerifiesRowsNotColdness) {
+  // A 2-way bank over the period {0, 1, 2}: every access misses (at
+  // distance 2), which a truncated bank cannot tell from a cold miss --
+  // but its rows map onto themselves across a repetition, so the
+  // capture verifies and the bulk update stays exact.
+  SetDistanceBank Bank(64, 1, 2), Linear(64, 1, Exact);
+  const std::vector<BlockId> Period = {0, 1, 2};
+  const uint64_t Reps = 6;
+  for (uint64_t R = 0; R < Reps; ++R)
+    for (BlockId B : Period)
+      Linear.accessBlock(B);
+  unsigned Walks = 0;
+  Bank.accessRepeated(Reps, [&] {
+    ++Walks;
+    for (BlockId B : Period)
+      Bank.accessBlock(B);
+  });
+  EXPECT_EQ(Walks, 2u);
+  EXPECT_EQ(Bank.totalAccesses(), Linear.totalAccesses());
+  for (uint64_t Assoc : {1u, 2u})
+    EXPECT_EQ(Bank.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc));
+}
+
+TEST(StackDistance, UnverifiedCaptureFallsBackToWalking) {
+  // accessRepeated is how FilteredStream::feed consumes a repeated
+  // segment. Feed it "repetitions" that each touch one new block: the
+  // exact bank sees a cold access in the captured one, the truncated
+  // bank sees its rows change. Both reject the capture, walk every
+  // repetition, and still match the exact bank walked access by access.
+  const uint64_t Reps = 5;
+  SetDistanceBank Linear(64, 4, Exact);
+  for (uint64_t R = 0; R < Reps; ++R)
+    for (BlockId B : {BlockId{1}, BlockId{2}, BlockId{3},
+                      static_cast<BlockId>(10 + R)})
+      Linear.accessBlock(B);
+  for (unsigned Width : {1u, 3u, 16u, Exact}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    SetDistanceBank Bank(64, 4, Width);
+    BlockId Fresh = 10;
+    Bank.accessRepeated(Reps, [&] {
+      for (BlockId B : {BlockId{1}, BlockId{2}, BlockId{3}, Fresh++})
+        Bank.accessBlock(B);
+    });
+    EXPECT_EQ(Fresh, static_cast<BlockId>(10 + Reps)) << "walked them all";
+    EXPECT_EQ(Bank.totalAccesses(), Linear.totalAccesses());
+    for (uint64_t Assoc = 1; Assoc <= std::min(Width, 16u); ++Assoc)
+      EXPECT_EQ(Bank.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc))
+          << "assoc " << Assoc;
+  }
 }
 
 TEST(StackDistance, TruncatedContributionLimitsMatches) {
-  SetDistanceBank Bank(64, 1);
-  DistanceHistogram H;
-  H.Hist = {4, 2};
-  H.Beyond = 3;
-  H.Accesses = 9;
-  ASSERT_TRUE(Bank.addPeriodicContribution(H, 2, /*TruncatedAtAssoc=*/4));
-  EXPECT_EQ(Bank.truncatedAtAssoc(), 4u);
-  EXPECT_EQ(Bank.totalAccesses(), 18u);
-  // missesForAssoc(1) = (2 + 3) * 2; missesForAssoc(2+) = 3 * 2.
-  EXPECT_EQ(Bank.missesForAssoc(1), 10u);
-  EXPECT_EQ(Bank.missesForAssoc(2), 6u);
-  EXPECT_EQ(Bank.missesForAssoc(4), 6u);
-  CacheConfig Within{4 * 64, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
-  CacheConfig Beyond{8 * 64, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
-  EXPECT_TRUE(Bank.matches(Within));
-  EXPECT_FALSE(Bank.matches(Beyond));
-  // A tighter later truncation wins; a looser one must not widen it.
-  ASSERT_TRUE(Bank.addPeriodicContribution(H, 1, /*TruncatedAtAssoc=*/8));
-  EXPECT_EQ(Bank.truncatedAtAssoc(), 4u);
-  ASSERT_TRUE(Bank.addPeriodicContribution(H, 1, /*TruncatedAtAssoc=*/2));
-  EXPECT_EQ(Bank.truncatedAtAssoc(), 2u);
+  for (unsigned Width : {16u, Exact}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    SetDistanceBank Bank(64, 1, Width);
+    DistanceHistogram H;
+    H.Hist = {4, 2};
+    H.Beyond = 3;
+    H.Accesses = 9;
+    ASSERT_TRUE(Bank.addPeriodicContribution(H, 2, /*TruncatedAtAssoc=*/4));
+    EXPECT_EQ(Bank.truncatedAtAssoc(), 4u);
+    EXPECT_EQ(Bank.totalAccesses(), 18u);
+    // missesForAssoc(1) = (2 + 3) * 2; missesForAssoc(2+) = 3 * 2.
+    EXPECT_EQ(Bank.missesForAssoc(1), 10u);
+    EXPECT_EQ(Bank.missesForAssoc(2), 6u);
+    EXPECT_EQ(Bank.missesForAssoc(4), 6u);
+    CacheConfig Within{4 * 64, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
+    CacheConfig Beyond{8 * 64, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
+    EXPECT_TRUE(Bank.matches(Within));
+    EXPECT_FALSE(Bank.matches(Beyond));
+    // A tighter later truncation wins; a looser one must not widen it.
+    ASSERT_TRUE(Bank.addPeriodicContribution(H, 1, /*TruncatedAtAssoc=*/8));
+    EXPECT_EQ(Bank.truncatedAtAssoc(), 4u);
+    ASSERT_TRUE(Bank.addPeriodicContribution(H, 1, /*TruncatedAtAssoc=*/2));
+    EXPECT_EQ(Bank.truncatedAtAssoc(), 2u);
+  }
+}
+
+TEST(StackDistance, SixtyFourWaysTruncateAndSixtyFiveStayExact) {
+  SetDistanceBank Rows(64, 4, 64), Fenwick(64, 4, 65);
+  for (const SetDistanceBank *B : {&Rows, &Fenwick}) {
+    EXPECT_EQ(B->numSets(), 4u);
+    EXPECT_EQ(B->blockBytes(), 64u);
+  }
+  CacheConfig Ways64{4 * 64 * 64, 64, 64, PolicyKind::Lru,
+                     WriteAllocate::Yes};
+  CacheConfig Ways128{4 * 128 * 64, 128, 64, PolicyKind::Lru,
+                      WriteAllocate::Yes};
+  EXPECT_EQ(Rows.truncatedAtAssoc(), 64u);
+  EXPECT_TRUE(Rows.matches(Ways64));
+  EXPECT_FALSE(Rows.matches(Ways128));
+  EXPECT_EQ(Fenwick.truncatedAtAssoc(), 0u);
+  EXPECT_TRUE(Fenwick.matches(Ways64));
+  EXPECT_TRUE(Fenwick.matches(Ways128));
+}
+
+/// The two representations against each other and against concrete
+/// simulation: on random programs, a bank of every width answers every
+/// associativity up to that width exactly like the exact bank and like
+/// ConcreteSimulator on the same geometry.
+TEST(StackDistance, TruncatedEqualsExactEqualsConcrete) {
+  std::mt19937 Rng(1515);
+  for (int Trial = 0; Trial < 4; ++Trial) {
+    ScopProgram P = generateProgram(Rng);
+    for (unsigned Sets : {1u, 4u, 64u}) {
+      SetDistanceBank ExactBank = profileProgramSets(P, 64, Sets, Exact);
+      std::vector<uint64_t> Concrete(SetDistanceBank::MaxTruncatedAssoc + 1);
+      for (unsigned Assoc = 1; Assoc < Concrete.size(); ++Assoc) {
+        CacheConfig C{static_cast<uint64_t>(Sets) * Assoc * 64, Assoc, 64,
+                      PolicyKind::Lru, WriteAllocate::Yes};
+        ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
+        Concrete[Assoc] = Sim.run().Level[0].Misses;
+      }
+      for (unsigned Width : {1u, 3u, 16u, 64u}) {
+        SetDistanceBank Bank = profileProgramSets(P, 64, Sets, Width);
+        ASSERT_EQ(Bank.totalAccesses(), ExactBank.totalAccesses());
+        for (unsigned Assoc = 1; Assoc <= Width; ++Assoc) {
+          EXPECT_EQ(Bank.missesForAssoc(Assoc),
+                    ExactBank.missesForAssoc(Assoc))
+              << "trial " << Trial << " sets " << Sets << " width "
+              << Width << " assoc " << Assoc;
+          EXPECT_EQ(ExactBank.missesForAssoc(Assoc), Concrete[Assoc])
+              << "trial " << Trial << " sets " << Sets << " assoc "
+              << Assoc << "\n"
+              << P.str();
+        }
+      }
+    }
+  }
 }
 
 TEST(StackDistance, MissesMonotoneInAssociativity) {

@@ -186,10 +186,14 @@ TEST(Sweep, BankDegeneratesToFullyAssociativeProfiler) {
   std::mt19937 Rng(11);
   ScopProgram P = generateProgram(Rng);
   StackDistanceProfiler Prof = profileProgram(P, 64, false);
-  SetDistanceBank Bank = profileProgramSets(P, 64, 1, false);
-  ASSERT_EQ(Bank.totalAccesses(), Prof.totalAccesses());
-  for (uint64_t A : {1u, 2u, 8u, 64u})
-    EXPECT_EQ(Bank.missesForAssoc(A), Prof.missesForAssoc(A)) << A;
+  // 64 ways: the bank keeps LRU rows; 65: exact per-set profilers.
+  for (unsigned Width : {64u, 65u}) {
+    SetDistanceBank Bank = profileProgramSets(P, 64, 1, Width, false);
+    ASSERT_EQ(Bank.totalAccesses(), Prof.totalAccesses());
+    for (uint64_t A : {1u, 2u, 8u, 64u})
+      EXPECT_EQ(Bank.missesForAssoc(A), Prof.missesForAssoc(A))
+          << A << " of " << Width;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -62,7 +62,9 @@ void usage() {
       "  --l2 BYTES,ASSOC,POL  add an L2 (pol: lru|fifo|plru|qlru)\n"
       "  --no-write-allocate   write misses bypass the L1\n"
       "  --scalars             include scalar accesses\n"
-      "  --backend B           warp|concrete|trace (default: warp)\n"
+      "  --backend B           warp|concrete|trace|stack-distance\n"
+      "                        (default: warp; stack-distance models\n"
+      "                        single-level write-allocate LRU only)\n"
       "  --no-warp             same as --backend concrete\n"
       "  --compare             run warping + concrete and verify + report\n"
       "  --json FILE           also write the results as JSON "
