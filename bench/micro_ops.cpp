@@ -4,10 +4,12 @@
 // Polyhedral Programs" (PLDI 2022).
 //
 // google-benchmark microbenchmarks of the hot components: concrete cache
-// accesses per policy, symbolic (tagged) accesses, warp state-key
-// hashing, Fourier-Motzkin minimization, and stack-distance updates
-// (the lone profiler and both per-set bank representations).
-// These quantify the constant factors behind the figure harnesses.
+// accesses per policy (one runtime-dispatched access() call, and the
+// batched loop the simulators run), symbolic (tagged) accesses on both
+// paths, warp state-key hashing, Fourier-Motzkin minimization, and
+// stack-distance updates (the lone profiler and both per-set bank
+// representations). These quantify the constant factors behind the
+// figure harnesses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +85,62 @@ void BM_SymbolicAccess(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_SymbolicAccess);
+
+/// One 1024-op chunk of streamTrace, every fourth op a write: the unit
+/// the batch walkers hand CacheHierarchy::accessBatch.
+std::vector<BatchedAccess> batchChunk() {
+  std::vector<BlockId> T = streamTrace(1024);
+  std::vector<BatchedAccess> Ops;
+  for (size_t I = 0; I < T.size(); ++I)
+    Ops.push_back(BatchedAccess::make(T[I], I % 4 == 3));
+  return Ops;
+}
+
+void BM_ConcreteBatch(benchmark::State &State) {
+  PolicyKind K = static_cast<PolicyKind>(State.range(0));
+  ConcreteHierarchy C(HierarchyConfig::singleLevel(microCache(K)));
+  std::vector<BatchedAccess> Ops = batchChunk();
+  BatchCounters Counts;
+  for (auto _ : State) {
+    C.accessBatch(Ops.data(), Ops.size(), Counts);
+    benchmark::DoNotOptimize(Counts.L1Misses);
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Ops.size()));
+}
+BENCHMARK(BM_ConcreteBatch)
+    ->Arg(static_cast<int>(PolicyKind::Lru))
+    ->Arg(static_cast<int>(PolicyKind::Fifo))
+    ->Arg(static_cast<int>(PolicyKind::Plru))
+    ->Arg(static_cast<int>(PolicyKind::QuadAgeLru));
+
+void BM_SymbolicBatch(benchmark::State &State) {
+  PolicyKind K = static_cast<PolicyKind>(State.range(0));
+  SymbolicHierarchy C(HierarchyConfig::singleLevel(microCache(K)));
+  std::vector<BatchedAccess> Ops = batchChunk();
+  // Two lanes (access nodes 3 and 4) of one depth-2 activation.
+  EpochTable Epochs(64);
+  const int32_t Nodes[] = {3, 4};
+  CacheLineTraits<SymLine>::TagCursor Tags;
+  Tags.Nodes = Nodes;
+  Tags.NumLanes = 2;
+  Tags.Epoch = Epochs.add(IterVec{0});
+  BatchCounters Counts;
+  for (auto _ : State) {
+    C.accessBatch(Ops.data(), Ops.size(), Counts, Tags);
+    Tags.X += static_cast<int64_t>(Ops.size() / 2);
+    benchmark::DoNotOptimize(Counts.L1Misses);
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Ops.size()));
+}
+BENCHMARK(BM_SymbolicBatch)
+    ->Arg(static_cast<int>(PolicyKind::Lru))
+    ->Arg(static_cast<int>(PolicyKind::Fifo))
+    ->Arg(static_cast<int>(PolicyKind::Plru))
+    ->Arg(static_cast<int>(PolicyKind::QuadAgeLru));
 
 void BM_StateKey(benchmark::State &State) {
   std::string Err;

@@ -107,7 +107,7 @@ public:
   /// tagged payload stores \p Tag in every line the access touches, and
   /// with a nonnull \p DepthHist counts an L1 hit at its pre-update way,
   /// like accessBatch.
-  HierarchyOutcome access(BlockId B, bool IsWrite, const TagT &Tag = TagT(),
+  HierarchyOutcome access(BlockId B, bool IsWrite, TagT Tag = TagT(),
                           uint64_t *DepthHist = nullptr);
 
   /// Performs \p N accesses in order, accumulating counter deltas into
@@ -129,8 +129,7 @@ private:
   /// miss in a two-level hierarchy (shared by access and accessBatch).
   /// \p O1 is the L1 outcome of the miss; fills the L2 fields of \p R.
   void lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
-                   const AccessOutcome &O1, const TagT &Tag,
-                   HierarchyOutcome &R);
+                   const AccessOutcome &O1, TagT Tag, HierarchyOutcome &R);
 
   /// Each (policy, associativity) instantiation stays its own function:
   /// GCC otherwise inlines all twelve hot loops into the dispatcher,
@@ -171,21 +170,18 @@ CacheHierarchy<LineT>::CacheHierarchy(const HierarchyConfig &Config,
 
 template <typename LineT>
 HierarchyOutcome
-CacheHierarchy<LineT>::access(BlockId B, bool IsWrite, const TagT &Tag,
+CacheHierarchy<LineT>::access(BlockId B, bool IsWrite, TagT Tag,
                               [[maybe_unused]] uint64_t *DepthHist) {
   HierarchyOutcome R;
   Cache &L1 = Levels.front();
   bool Alloc1 = !(IsWrite && L1.config().WriteAlloc == WriteAllocate::No);
-  AccessOutcome O1 = L1.access(B, Alloc1);
+  AccessOutcome O1 = L1.access(B, Alloc1, Tag);
   R.L1Hit = O1.Hit;
-  if (O1.Hit || O1.Inserted) {
+  if (O1.Hit || O1.Inserted)
     L1.orDirtyAt(O1.Set, O1.Way, IsWrite);
-    if constexpr (Traits::HasTag) {
-      L1.tagAt(O1.Set, O1.Way) = Tag;
-      if (DepthHist && O1.Hit)
-        ++DepthHist[O1.HitDepth];
-    }
-  }
+  if constexpr (Traits::HasTag)
+    if (DepthHist && O1.Hit)
+      ++DepthHist[O1.HitDepth];
 
   if (O1.Hit || Levels.size() < 2)
     return R;
@@ -195,8 +191,7 @@ CacheHierarchy<LineT>::access(BlockId B, bool IsWrite, const TagT &Tag,
 
 template <typename LineT>
 void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
-                                        const AccessOutcome &O1,
-                                        [[maybe_unused]] const TagT &Tag,
+                                        const AccessOutcome &O1, TagT Tag,
                                         HierarchyOutcome &R) {
   Cache &L1 = Levels.front();
   Cache &L2 = Levels[1];
@@ -208,13 +203,10 @@ void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
   case InclusionPolicy::Inclusive: {
     // The L2 sees the same block (paper Eq. (24)); inclusively, an L2
     // victim additionally back-invalidates its L1 copy.
-    AccessOutcome O2 = L2.access(B, Alloc2);
+    AccessOutcome O2 = L2.access(B, Alloc2, Tag);
     R.L2Hit = O2.Hit;
-    if (O2.Hit || O2.Inserted) {
+    if (O2.Hit || O2.Inserted)
       L2.orDirtyAt(O2.Set, O2.Way, IsWrite);
-      if constexpr (Traits::HasTag)
-        L2.tagAt(O2.Set, O2.Way) = Tag;
-    }
     if (Inclusion == InclusionPolicy::Inclusive && O2.Inserted &&
         O2.EvictedValid && L1.invalidate(O2.EvictedBlock))
       ++R.BackInvalidations;
@@ -248,14 +240,12 @@ void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
     if (InL2)
       L1.orDirtyAt(O1.Set, O1.Way, InL2->Dirty);
     if (O1.Inserted && O1.EvictedValid) {
-      AccessOutcome OV = L2.access(O1.EvictedBlock, /*Allocate=*/true);
+      AccessOutcome OV = L2.access(O1.EvictedBlock, /*Allocate=*/true,
+                                   L1.lastEvictedTag());
       if (OV.Inserted)
         L2.setDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
       else if (OV.Hit)
         L2.orDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
-      if constexpr (Traits::HasTag)
-        if (OV.Hit || OV.Inserted)
-          L2.tagAt(OV.Set, OV.Way) = L1.lastEvictedTag();
     }
     break;
   }
@@ -297,7 +287,7 @@ void CacheHierarchy<LineT>::accessBatchImpl(
       continue;
     }
     bool Alloc1 = !(IsWrite && NoWriteAlloc);
-    AccessOutcome O1 = L1.template accessAsNoMra<P, CtAssoc>(B, Alloc1);
+    AccessOutcome O1 = L1.template accessAsNoMra<P, CtAssoc>(B, Alloc1, Tag);
     bool Resident = P == PolicyKind::QuadAgeLru ? O1.Hit
                                                 : O1.Hit || O1.Inserted;
     LastB = Resident ? B : kInvalidBlock;
@@ -306,22 +296,16 @@ void CacheHierarchy<LineT>::accessBatchImpl(
     if (O1.Hit) {
       if (IsWrite)
         L1.orDirtyAt(O1.Set, O1.Way, true);
-      if constexpr (Traits::HasTag) {
-        L1.tagAt(O1.Set, O1.Way) = Tag;
+      if constexpr (Traits::HasTag)
         if (DepthHist)
           ++DepthHist[O1.HitDepth];
-      }
       continue;
     }
     ++C.L1Misses;
     if (Sink)
       (*Sink)(B, IsWrite);
-    if (O1.Inserted) {
-      if (IsWrite)
-        L1.orDirtyAt(O1.Set, O1.Way, true);
-      if constexpr (Traits::HasTag)
-        L1.tagAt(O1.Set, O1.Way) = Tag;
-    }
+    if (O1.Inserted && IsWrite)
+      L1.orDirtyAt(O1.Set, O1.Way, true);
     if (!TwoLevel)
       continue;
     HierarchyOutcome R;

@@ -12,7 +12,8 @@
 /// LRU and FIFO encode their state purely in the physical order of the
 /// ways (most-recent / last-in first), matching the paper's formalization
 /// where cache-line position equals recency rank; PLRU keeps per-set tree
-/// bits and Quad-age LRU keeps 2-bit ages, both with lines at fixed ways.
+/// bits and Quad-age LRU keeps one age byte (0..3) per way, both with
+/// lines at fixed ways.
 /// All primitives depend only on way indices and metadata — never on block
 /// identities — which is exactly the data-independence property
 /// (Property 1) that warping exploits.
@@ -22,7 +23,9 @@
 #ifndef WCS_CACHE_POLICY_H
 #define WCS_CACHE_POLICY_H
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace wcs {
 
@@ -69,30 +72,30 @@ struct QlruOps {
 
   /// Selects a victim among \p Assoc ways, aging in place as needed.
   static unsigned victimAging(uint8_t *Ages, unsigned Assoc);
+
+  /// victimAging at 8 ways, as one word-wide (SWAR) step over the eight
+  /// age bytes: ages never exceed EvictAge, so aging until some way
+  /// reaches it adds EvictAge minus the oldest age to every way at once,
+  /// and the victim is then the lowest way at EvictAge. Same victim,
+  /// same aged bytes as victimAging.
+  static unsigned victimAging8(uint8_t *Ages) {
+    constexpr uint64_t Ones = 0x0101010101010101ull;
+    uint64_t W;
+    std::memcpy(&W, Ages, sizeof(W));
+    uint64_t At3 = W & (W >> 1) & Ones; // Ways already at EvictAge.
+    unsigned Oldest =
+        (W & (Ones << 1)) != 0 ? 2u + (At3 != 0) : unsigned(W != 0);
+    W += (EvictAge - Oldest) * Ones; // No byte carries past EvictAge.
+    std::memcpy(Ages, &W, sizeof(W));
+    uint64_t AtEvict = W & (W >> 1) & Ones; // Never zero.
+    // Memory order is byte order: lowest bytes first on little-endian
+    // hosts, highest first on big-endian ones.
+    return static_cast<unsigned>(std::endian::native == std::endian::little
+                                     ? std::countr_zero(AtEvict)
+                                     : std::countl_zero(AtEvict)) /
+           8;
+  }
 };
-
-/// Moves element \p Way of \p Ways to the front, shifting [0, Way) down by
-/// one. Used to maintain the recency order of LRU sets.
-template <typename LineT>
-void rotateToFront(LineT *Ways, unsigned Way) {
-  if (Way == 0)
-    return;
-  LineT Tmp = Ways[Way];
-  for (unsigned I = Way; I > 0; --I)
-    Ways[I] = Ways[I - 1];
-  Ways[0] = Tmp;
-}
-
-/// Shifts all of [0, Assoc-1) down by one, freeing position 0; the caller
-/// overwrites position 0 with the newly inserted line. The previous last
-/// element (the LRU / first-in line) is returned by value.
-template <typename LineT>
-LineT shiftDownForInsert(LineT *Ways, unsigned Assoc) {
-  LineT Last = Ways[Assoc - 1];
-  for (unsigned I = Assoc - 1; I > 0; --I)
-    Ways[I] = Ways[I - 1];
-  return Last;
-}
 
 } // namespace wcs
 

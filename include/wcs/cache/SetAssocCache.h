@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 namespace wcs {
@@ -54,9 +55,10 @@ inline constexpr BlockId kInvalidBlock = -1;
 /// The primary template covers payloads that are nothing but
 /// (Block, Dirty) -- e.g. ConcreteLine -- and stores no tag array at all.
 /// Payload types with extra state (the symbolic line's tag) specialize
-/// this with HasTag = true, a Tag struct holding exactly that extra
-/// state, and a TagCursor that yields the tags of a batch's accesses in
-/// order (see CacheHierarchy::accessBatch).
+/// this with HasTag = true, a trivially copyable Tag struct holding
+/// exactly that extra state (tag rows shift with memmove), and a
+/// TagCursor that yields the tags of a batch's accesses in order (see
+/// CacheHierarchy::accessBatch).
 template <typename LineT>
 struct CacheLineTraits {
   static constexpr bool HasTag = false;
@@ -98,6 +100,9 @@ class SetAssocCache {
 public:
   using TagT = typename Traits::Tag;
 
+  static_assert(std::is_trivially_copyable_v<TagT>,
+                "tag rows shift with memmove");
+
   explicit SetAssocCache(const CacheConfig &Config)
       : Cfg(Config), Sets(Config.numSets()), Assoc(Config.Assoc),
         SetMask(Sets - 1), WordsPerSet((Assoc + 63) / 64),
@@ -132,20 +137,21 @@ public:
   const TagT &lastEvictedTag() const { return EvictedTag; }
 
   /// Accesses block \p B. On a miss with \p Allocate, the block is
-  /// inserted and the victim (if any) reported in the outcome. The caller
-  /// is responsible for updating the payload at (Set, Way) after the call
-  /// (e.g. refreshing the symbolic tag, setting the dirty bit). Dispatches
-  /// the replacement policy exactly once, at entry.
-  AccessOutcome access(BlockId B, bool Allocate) {
+  /// inserted and the victim (if any) reported in the outcome. A tagged
+  /// payload stores \p Tag in the line the access hits or fills, as
+  /// part of the row update; the caller still sets the dirty bit at
+  /// (Set, Way) after the call. Dispatches the replacement policy
+  /// exactly once, at entry.
+  AccessOutcome access(BlockId B, bool Allocate, TagT Tag = TagT()) {
     switch (Cfg.Policy) {
     case PolicyKind::Lru:
-      return accessImpl<PolicyKind::Lru>(B, Allocate);
+      return accessImpl<PolicyKind::Lru>(B, Allocate, Tag);
     case PolicyKind::Fifo:
-      return accessImpl<PolicyKind::Fifo>(B, Allocate);
+      return accessImpl<PolicyKind::Fifo>(B, Allocate, Tag);
     case PolicyKind::Plru:
-      return accessImpl<PolicyKind::Plru>(B, Allocate);
+      return accessImpl<PolicyKind::Plru>(B, Allocate, Tag);
     case PolicyKind::QuadAgeLru:
-      return accessImpl<PolicyKind::QuadAgeLru>(B, Allocate);
+      return accessImpl<PolicyKind::QuadAgeLru>(B, Allocate, Tag);
     }
     return AccessOutcome();
   }
@@ -157,22 +163,23 @@ public:
   /// instantiation (it must equal assoc()), which fully unrolls the hit
   /// scan into straight-line branchless code -- the win is largest for
   /// the fixed-way policies (PLRU/QLRU), whose resident lines sit at
-  /// uniformly distributed scan depths.
+  /// uniformly distributed scan depths -- and, at 8 ways, gives the
+  /// QLRU victim its word-wide kernel (see accessImpl).
   template <PolicyKind P, unsigned CtAssoc = 0>
-  AccessOutcome accessAs(BlockId B, bool Allocate) {
+  AccessOutcome accessAs(BlockId B, bool Allocate, TagT Tag = TagT()) {
     assert(Cfg.Policy == P && "accessAs policy mismatch");
     assert((CtAssoc == 0 || CtAssoc == Assoc) && "accessAs assoc mismatch");
-    return accessImpl<P, CtAssoc>(B, Allocate);
+    return accessImpl<P, CtAssoc>(B, Allocate, Tag);
   }
 
   /// accessAs() without the per-access MRA-set bookkeeping: batch loops
   /// call this and re-establish the invariant once per chunk with
   /// noteAccessedSet(last block's set). Identical cache state otherwise.
   template <PolicyKind P, unsigned CtAssoc = 0>
-  AccessOutcome accessAsNoMra(BlockId B, bool Allocate) {
+  AccessOutcome accessAsNoMra(BlockId B, bool Allocate, TagT Tag = TagT()) {
     assert(Cfg.Policy == P && "accessAs policy mismatch");
     assert((CtAssoc == 0 || CtAssoc == Assoc) && "accessAs assoc mismatch");
-    return accessImpl<P, CtAssoc, /*TrackMra=*/false>(B, Allocate);
+    return accessImpl<P, CtAssoc, /*TrackMra=*/false>(B, Allocate, Tag);
   }
 
   /// Restores the most-recently-accessed-set invariant after a batch of
@@ -211,7 +218,7 @@ public:
         dirtyGapClose(Ph, I);
         if constexpr (Traits::HasTag) {
           TagT *TR = tagRow(Ph);
-          std::move(TR + I + 1, TR + Assoc, TR + I);
+          std::memmove(TR + I, TR + I + 1, (Assoc - 1 - I) * sizeof(TagT));
           TR[Assoc - 1] = TagT();
         }
         break;
@@ -454,9 +461,15 @@ private:
   /// With a nonzero compile-time associativity the hit scan compares all
   /// ways branchlessly into a match mask (one ctz recovers the way); the
   /// runtime-assoc variant keeps the early-exit loop, which is what the
-  /// recency-ordered policies want when the way count is unknown.
+  /// recency-ordered policies want when the way count is unknown. At a
+  /// compile-time associativity of 8, the width of every QLRU L1 the
+  /// benchmarks run on the batch path, the QLRU victim is one word-wide
+  /// step over the age bytes (QlruOps::victimAging8); other widths keep
+  /// the aging loop. A tagged payload's tag rides the row update: stored
+  /// once, in the slot the access hits or fills.
   template <PolicyKind P, unsigned CtAssoc = 0, bool TrackMra = true>
-  AccessOutcome accessImpl(BlockId B, bool Allocate) {
+  AccessOutcome accessImpl(BlockId B, bool Allocate,
+                           [[maybe_unused]] TagT Tag) {
     assert(B >= 0 && "accessing an invalid block");
     const unsigned A = CtAssoc != 0 ? CtAssoc : Assoc;
     unsigned S = setOf(B);
@@ -489,25 +502,28 @@ private:
       R.Hit = true;
       R.HitDepth = I;
       if constexpr (P == PolicyKind::Lru) {
+        // A hit at way 0 changes no order.
         if (I != 0) {
           std::memmove(Row + 1, Row, I * sizeof(BlockId));
           Row[0] = B;
           dirtyRotateToFront(Ph, I);
           if constexpr (Traits::HasTag) {
             TagT *TR = tagRow(Ph);
-            std::rotate(TR, TR + I, TR + I + 1);
+            std::memmove(TR + 1, TR, I * sizeof(TagT));
           }
         }
+        if constexpr (Traits::HasTag)
+          tagRow(Ph)[0] = Tag;
         R.Way = 0;
+        return R;
       } else if constexpr (P == PolicyKind::Plru) {
         PlruOps::touch(PlruBits[Ph], A, I);
-        R.Way = I;
       } else if constexpr (P == PolicyKind::QuadAgeLru) {
         Ages[static_cast<size_t>(Ph) * A + I] = QlruOps::HitAge;
-        R.Way = I;
-      } else { // FIFO: a hit changes nothing.
-        R.Way = I;
-      }
+      } // FIFO: a hit changes no order or metadata.
+      if constexpr (Traits::HasTag)
+        tagRow(Ph)[I] = Tag;
+      R.Way = I;
       return R;
     }
     if (!Allocate)
@@ -520,8 +536,8 @@ private:
       dirtyShiftInsert(Ph);
       if constexpr (Traits::HasTag) {
         TagT *TR = tagRow(Ph);
-        std::rotate(TR, TR + A - 1, TR + A);
-        TR[0] = TagT();
+        std::memmove(TR + 1, TR, (A - 1) * sizeof(TagT));
+        TR[0] = Tag;
       }
       R.Way = 0;
     } else if constexpr (P == PolicyKind::Plru) {
@@ -530,16 +546,20 @@ private:
         Way = PlruOps::victim(PlruBits[Ph], A);
       recordVictim(Ph, Way, R);
       PlruOps::touch(PlruBits[Ph], A, Way);
-      fillSlot(Ph, Way, B);
+      fillSlot(Ph, Way, B, Tag);
       R.Way = Way;
     } else { // Quad-age LRU.
       uint8_t *Age = &Ages[static_cast<size_t>(Ph) * A];
       unsigned Way = firstInvalid(Row, A);
-      if (Way == A)
-        Way = QlruOps::victimAging(Age, A);
+      if (Way == A) {
+        if constexpr (CtAssoc == 8)
+          Way = QlruOps::victimAging8(Age);
+        else
+          Way = QlruOps::victimAging(Age, A);
+      }
       recordVictim(Ph, Way, R);
       Age[Way] = QlruOps::InsertAge;
-      fillSlot(Ph, Way, B);
+      fillSlot(Ph, Way, B, Tag);
       R.Way = Way;
     }
     return R;
@@ -552,12 +572,13 @@ private:
     return A;
   }
 
-  /// In-place fill (PLRU/QLRU): new line, clean, default tag.
-  void fillSlot(unsigned Ph, unsigned Way, BlockId B) {
+  /// In-place fill (PLRU/QLRU): new line, clean, tagged \p Tag.
+  void fillSlot(unsigned Ph, unsigned Way, BlockId B,
+                [[maybe_unused]] const TagT &Tag) {
     Blocks[static_cast<size_t>(Ph) * Assoc + Way] = B;
     dirtyAssign(Ph, Way, false);
     if constexpr (Traits::HasTag)
-      tagRow(Ph)[Way] = TagT();
+      tagRow(Ph)[Way] = Tag;
   }
 
   /// Captures the victim at (Ph, Way) into \p R and EvictedTag BEFORE

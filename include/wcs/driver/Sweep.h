@@ -139,9 +139,13 @@ struct SweepReport {
   /// passes (one warping depth-profile run per geometry) instead of
   /// the linear walk.
   bool PeriodicPass = false;
-  double PeriodicPassSeconds = 0.0;   ///< Sum of per-bank pass times.
-  uint64_t PeriodicWarps = 0;         ///< Warps across all passes.
-  uint64_t PeriodicWarpedAccesses = 0;///< Accesses skipped analytically.
+  /// Sum of per-bank pass times, discarded passes included (a bank
+  /// whose pass failed or whose result it rejected is conditioned by a
+  /// linear walk instead, timed in TracePassSeconds).
+  double PeriodicPassSeconds = 0.0;
+  uint64_t PeriodicWarps = 0; ///< Warps of the passes used.
+  /// Accesses the passes used skipped analytically.
+  uint64_t PeriodicWarpedAccesses = 0;
   size_t FilteredPoints = 0;      ///< Points answered via filtered streams.
   unsigned FilteredGroups = 0;    ///< Distinct L1 configs recorded.
   uint64_t FilteredRecords = 0;   ///< Logical records across all streams.

@@ -79,9 +79,11 @@ public:
   /// Two states that can match (for any delta) hash equally: per-line
   /// contributions use the tag's access node and inner iterators for
   /// subtree tags (stable across periodic re-touching) and the concrete
-  /// block otherwise; set traversal starts at the most-recently-accessed
-  /// set so rotated states collide. \p Epochs resolves the tags'
-  /// prefixes, here and in checkWarp/applyWarp.
+  /// block otherwise. The key sums independent per-slot hashes, each
+  /// salted by the slot's (set, way) position counted from the
+  /// most-recently-accessed set, so rotated states collide and no slot's
+  /// hash waits on another's. \p Epochs resolves the tags' prefixes,
+  /// here and in checkWarp/applyWarp.
   uint64_t stateKey(const SymbolicHierarchy &State, const EpochTable &Epochs,
                     const WarpScope &Scope) const;
 

@@ -7,16 +7,19 @@
 ///
 /// \file
 /// Seeded, env/flag-armed fault points for hardening tests. A fault
-/// point is a named site in the serving stack that can be made to fail
-/// with a configured probability:
+/// point is a named site in the serving stack or the sweep driver that
+/// can be made to fail with a configured probability:
 ///
-///   store.write     ResultStore::insert tears the append mid-line and
-///                   fails (crash-equivalent: the log grows a torn tail
-///                   that the next open truncates; the store refuses
-///                   further appends until reopened)
-///   socket.send     Protocol sendLine fails before writing
-///   socket.recv     Protocol LineReader::readLine fails
-///   scheduler.job   Scheduler job execution throws mid-compute
+///   store.write          ResultStore::insert tears the append mid-line
+///                        and fails (crash-equivalent: the log grows a
+///                        torn tail that the next open truncates; the
+///                        store refuses further appends until reopened)
+///   socket.send          Protocol sendLine fails before writing
+///   socket.recv          Protocol LineReader::readLine fails
+///   scheduler.job        Scheduler job execution throws mid-compute
+///   sweep.periodic-pass  runSweep discards a finished periodic pass as
+///                        if its bank had rejected the result, so the
+///                        bank falls back to the linear walk
 ///
 /// Arm with a spec string ("point:prob,point:prob,...") via arm() or
 /// the WCS_FAULT environment variable (seed: WCS_FAULT_SEED); draws are

@@ -8,11 +8,16 @@
 /// \file
 /// Deterministic 64-bit hashing used for symbolic cache-state keys and
 /// for content-addressing canonicalized sweep requests in the wcs-serve
-/// result store. The warping simulator hashes full symbolic cache
-/// states once per loop iteration probe, so the mixer is a cheap
-/// splitmix64-style function; the byte/string entry points reuse it
-/// word-at-a-time so store keys are deterministic across platforms and
-/// runs (no pointer or seed dependence).
+/// result store. The mixer is a cheap splitmix64-style function.
+///
+/// The warping simulator hashes the full symbolic cache state once per
+/// loop-iteration probe (WarpEngine::stateKey). It does not stream the
+/// state through HashStream: it sums independent hashCombine values,
+/// one per (set, way) slot, each seeded by the slot's position, so the
+/// per-slot mixes do not wait on each other. HashStream's order-
+/// sensitive chain serves the byte/string entry points, word at a time,
+/// so store keys are deterministic across platforms and runs (no
+/// pointer or seed dependence).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,6 +8,7 @@
 #include "wcs/driver/Sweep.h"
 
 #include "wcs/driver/Results.h"
+#include "wcs/support/FaultInjection.h"
 #include "wcs/support/JsonReader.h"
 #include "wcs/support/StringUtil.h"
 #include "wcs/support/Telemetry.h"
@@ -243,6 +244,10 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   // for itself -- long traces take the periodic passes.
   std::vector<PeriodicPassResult> PassResults;
   double PassProbeSeconds = 0.0;
+  // Periodic flavor only: banks whose pass was not used, and the seconds
+  // of the linear walk that conditioned them instead.
+  std::vector<uint8_t> Demoted;
+  double DemotedWalkSeconds = 0.0;
   if (!Banks.empty()) {
     telemetry::TimePoint P0 = telemetry::now();
     TraceOptions TO;
@@ -276,12 +281,12 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       // addTo would "succeed" and make every point on the bank report
       // zero misses as if nothing was ever accessed. Track failures and
       // demote those banks to the linear walk.
-      std::vector<uint8_t> PassFailed(Banks.size(), 0);
+      Demoted.assign(Banks.size(), 0);
       std::vector<std::function<void()>> Tasks;
       Tasks.reserve(Banks.size());
       for (size_t B = 0; B < Banks.size(); ++B)
-        Tasks.push_back([&Program, &Opts, &PassResults, &Plan,
-                         &PassFailed, B] {
+        Tasks.push_back([&Program, &Opts, &PassResults, &Plan, &Demoted,
+                         B] {
           telemetry::Span PassSpan("sweep.periodic-bank");
           PassSpan.arg("bank", static_cast<uint64_t>(B));
           const CacheConfig &C = Plan.Widest[B];
@@ -289,37 +294,46 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
             PassResults[B] = runPeriodicPass(Program, C.BlockBytes,
                                              C.numSets(), C.Assoc, Opts.Sim);
           } catch (...) {
-            PassFailed[B] = 1;
+            Demoted[B] = 1;
           }
         });
       Runner.runTasks(Tasks);
       // A bank may also reject a successful pass result (its bulk
       // counters would overflow). Either way the bank stays empty and
       // is conditioned by the linear pass below instead -- the same
-      // accesses, walked not scaled, so its points stay exact.
-      std::vector<SetDistanceBank *> Demoted;
+      // accesses, walked not scaled, so its points stay exact. Every
+      // pass's seconds were spent; only the used passes' warps count.
+      // The fault point discards a finished pass like a rejected result;
+      // it draws here, in bank order, so a seeded schedule replays.
+      std::vector<SetDistanceBank *> Walk;
       for (size_t B = 0; B < Banks.size(); ++B) {
-        if (PassFailed[B] || !PassResults[B].addTo(Banks[B]))
-          Demoted.push_back(&Banks[B]);
         Rep.PeriodicPassSeconds += PassResults[B].Stats.Seconds;
+        if (Demoted[B] || faultinject::shouldFail("sweep.periodic-pass") ||
+            !PassResults[B].addTo(Banks[B])) {
+          Demoted[B] = 1;
+          Walk.push_back(&Banks[B]);
+          continue;
+        }
+        if (Rep.TraceAccesses == 0)
+          Rep.TraceAccesses = PassResults[B].Histogram.Accesses;
         Rep.PeriodicWarps += PassResults[B].Stats.Warps;
         Rep.PeriodicWarpedAccesses +=
             PassResults[B].Stats.WarpedAccesses;
       }
-      Rep.TraceAccesses = PassResults.front().Histogram.Accesses;
-      if (!Demoted.empty()) {
+      if (!Walk.empty()) {
         telemetry::Span WalkSpan("sweep.stack-distance-pass");
         WalkSpan.arg("flavor", "demoted-linear");
-        WalkSpan.arg("banks", static_cast<uint64_t>(Demoted.size()));
+        WalkSpan.arg("banks", static_cast<uint64_t>(Walk.size()));
         telemetry::TimePoint L0 = telemetry::now();
         uint64_t Walked =
             generateTrace(Program, TO, [&](const TraceRecord &R) {
-              for (SetDistanceBank *B : Demoted)
+              for (SetDistanceBank *B : Walk)
                 B->accessAddr(R.Addr);
             });
         if (Rep.TraceAccesses == 0)
           Rep.TraceAccesses = Walked;
-        Rep.TracePassSeconds += telemetry::secondsSince(L0);
+        DemotedWalkSeconds = telemetry::secondsSince(L0);
+        Rep.TracePassSeconds += DemotedWalkSeconds;
       }
     } else {
       telemetry::Span WalkSpan("sweep.stack-distance-pass");
@@ -451,12 +465,17 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
 
   // Answer the fast-path points from the histograms. The pass cost is
   // attributed in equal shares over the points a pass answered (per
-  // bank under periodic passes, where each bank had its own run): it is
+  // bank under periodic passes, where each bank had its own run; the
+  // demoted walk over the points of the banks it conditioned): it is
   // the only cost these points have, and the shares sum back to the
   // true pass time.
   std::vector<size_t> BankPoints(Banks.size(), 0);
-  for (const FastPoint &F : Fast)
+  size_t WalkedPoints = 0;
+  for (const FastPoint &F : Fast) {
     ++BankPoints[F.Bank];
+    if (!Demoted.empty() && Demoted[F.Bank])
+      ++WalkedPoints;
+  }
   double EqualShare =
       Fast.empty() ? 0.0
                    : (Rep.TracePassSeconds + Rep.PeriodicPassSeconds) /
@@ -470,13 +489,20 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         Bank.missesForCache(P.Cache.Levels.front());
     if (Rep.PeriodicPass) {
       const SimStats &PassStats = PassResults[F.Bank].Stats;
-      P.Stats.SimulatedAccesses = PassStats.SimulatedAccesses;
-      P.Stats.WarpedAccesses = PassStats.WarpedAccesses;
-      P.Stats.Warps = PassStats.Warps;
-      P.Stats.FailedWarpChecks = PassStats.FailedWarpChecks;
       P.Stats.Seconds =
           PassStats.Seconds / static_cast<double>(BankPoints[F.Bank]) +
           PassProbeSeconds / static_cast<double>(Fast.size());
+      if (Demoted[F.Bank]) {
+        // Answered by the linear walk, whatever the discarded pass did.
+        P.Stats.SimulatedAccesses = Bank.totalAccesses();
+        P.Stats.Seconds +=
+            DemotedWalkSeconds / static_cast<double>(WalkedPoints);
+      } else {
+        P.Stats.SimulatedAccesses = PassStats.SimulatedAccesses;
+        P.Stats.WarpedAccesses = PassStats.WarpedAccesses;
+        P.Stats.Warps = PassStats.Warps;
+        P.Stats.FailedWarpChecks = PassStats.FailedWarpChecks;
+      }
     } else {
       P.Stats.SimulatedAccesses = Bank.totalAccesses();
       P.Stats.Seconds = EqualShare;

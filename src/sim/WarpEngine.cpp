@@ -57,19 +57,30 @@ uint64_t WarpEngine::stateKey(const SymbolicHierarchy &State,
   const unsigned D = Scope.Loop->Depth;
   const int First = Scope.Loop->FirstAccess;
   const int End = Scope.Loop->EndAccess;
-  HashStream H;
+  // The key is a sum of independent slot hashes, one per valid (set,
+  // way) slot and one per set's policy word, each salted by the slot's
+  // position relative to the MRA set. No slot waits on another's hash,
+  // so the probe is not one serial chain through every line, and equal
+  // MRA-relative contents give equal keys at any rotation.
+  constexpr uint64_t Odd = 0x9e3779b97f4a7c15ULL;
+  uint64_t Key = 0;
+  uint64_t SetPos = 0; // Position of the set across levels.
   for (unsigned Lv = 0; Lv < NumLevels; ++Lv) {
     const SymbolicCache &C = State.level(Lv);
     unsigned Sets = C.numSets(), Assoc = C.assoc(), Mra = C.mraSet();
-    for (unsigned I = 0; I < Sets; ++I) {
+    const bool HasPolicyWord = C.config().Policy == PolicyKind::Plru ||
+                               C.config().Policy == PolicyKind::QuadAgeLru;
+    for (unsigned I = 0; I < Sets; ++I, ++SetPos) {
       unsigned S = (Mra + I) & (Sets - 1);
-      H.add(C.policyWord(S));
+      // Way W's salt is Seed + 2W, plus 1 for subtree tags; the policy
+      // word takes the complement.
+      const uint64_t Seed = hashMix(SetPos);
+      if (HasPolicyWord)
+        Key += hashCombine(~Seed, C.policyWord(S));
       for (unsigned W = 0; W < Assoc; ++W) {
         BlockId Blk = C.blockAt(S, W);
-        if (Blk == kInvalidBlock) {
-          H.add(uint64_t{0});
+        if (Blk == kInvalidBlock)
           continue;
-        }
         // Subtree tags at the current prefix hash by (node, inner dims):
         // stable both across periodic re-touching (iteration advances
         // uniformly) and for frozen lines. Everything else hashes by its
@@ -77,24 +88,24 @@ uint64_t WarpEngine::stateKey(const SymbolicHierarchy &State,
         // its epoch prefix (all dims but the innermost) holds the D
         // scope dims; the inner dims are the rest of it, then X.
         const SymTag &T = C.tagAt(S, W);
+        uint64_t Salt = Seed + 2 * static_cast<uint64_t>(W);
         if (T.NodeId >= First && T.NodeId < End) {
           const IterVec &P = Epochs.prefix(T.Epoch);
           if (P.prefixEquals(Scope.Prefix, D)) {
-            H.add(uint64_t{1});
-            H.add(static_cast<uint64_t>(T.NodeId));
+            uint64_t V = static_cast<uint64_t>(T.NodeId);
             for (unsigned K = D + 1; K < P.size(); ++K)
-              H.add(P[K]);
+              V = V * Odd + static_cast<uint64_t>(P[K]);
             if (P.size() > D)
-              H.add(T.X);
+              V = V * Odd + static_cast<uint64_t>(T.X);
+            Key += hashCombine(Salt + 1, V);
             continue;
           }
         }
-        H.add(uint64_t{2});
-        H.add(static_cast<uint64_t>(Blk));
+        Key += hashCombine(Salt, static_cast<uint64_t>(Blk));
       }
     }
   }
-  return H.digest();
+  return Key;
 }
 
 //===----------------------------------------------------------------------===//

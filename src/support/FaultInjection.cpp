@@ -21,11 +21,12 @@ using wcs::jsonfield::failMsg;
 
 namespace {
 
-/// The closed set of sites wired through the serving stack. arm()
-/// rejects anything else so a misspelled point fails loudly instead of
-/// silently never firing.
+/// The closed set of sites wired through the serving stack and the
+/// sweep driver. arm() rejects anything else so a misspelled point fails
+/// loudly instead of silently never firing.
 const char *const KnownPoints[] = {"store.write", "socket.send",
-                                   "socket.recv", "scheduler.job"};
+                                   "socket.recv", "scheduler.job",
+                                   "sweep.periodic-pass"};
 
 struct Config {
   std::mutex Mu;
@@ -45,6 +46,13 @@ bool knownPoint(const std::string &Name) {
     if (Name == P)
       return true;
   return false;
+}
+
+std::string knownPointList() {
+  std::string Out;
+  for (const char *P : KnownPoints)
+    Out += (Out.empty() ? "" : ", ") + std::string(P);
+  return Out;
 }
 
 /// Draw I of a run seeded with S, as a uniform double in [0, 1). A
@@ -89,9 +97,8 @@ bool faultinject::arm(const std::string &Spec, uint64_t Seed,
                               "' is not point:probability");
     std::string Point = Entry.substr(0, Colon);
     if (!knownPoint(Point))
-      return failMsg(Err, "unknown fault point '" + Point +
-                              "' (known: store.write, socket.send, "
-                              "socket.recv, scheduler.job)");
+      return failMsg(Err, "unknown fault point '" + Point + "' (known: " +
+                              knownPointList() + ")");
     char *EndPtr = nullptr;
     std::string ProbStr = Entry.substr(Colon + 1);
     double Prob = std::strtod(ProbStr.c_str(), &EndPtr);

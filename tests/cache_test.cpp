@@ -5,13 +5,22 @@
 //
 // Hand-traced behavior of every replacement policy, the set mapping, the
 // logical set rotation used by warping, and the two-level hierarchy
-// semantics of paper Eq. (24).
+// semantics of paper Eq. (24). Then the compile-time-associativity
+// kernels against their runtime references: the word-wide 8-way QLRU
+// victim against QlruOps::victimAging, and every fixed-way access path
+// (plain and batched, concrete and symbolic payloads) against the
+// runtime access(), state compared after every step.
 //
 //===----------------------------------------------------------------------===//
 
 #include "wcs/cache/ConcreteCache.h"
+#include "wcs/sim/SymbolicCache.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <random>
+#include <string>
 
 using namespace wcs;
 
@@ -223,6 +232,203 @@ TEST(ConcreteHierarchy, NoWriteAllocateBypassesOnWriteMiss) {
   EXPECT_FALSE(HC.access(10, false).L1Hit) << "write miss did not allocate";
   EXPECT_TRUE(HC.access(10, false).L1Hit);
   EXPECT_TRUE(HC.access(10, true).L1Hit) << "write hits still hit";
+}
+
+
+//===----------------------------------------------------------------------===//
+// Compile-time-associativity kernels vs their runtime references
+//===----------------------------------------------------------------------===//
+
+/// Every 8-way age vector over {0..3}, 4^8 of them: the word-wide
+/// victim and the reference, run on copies, pick the same way and leave
+/// the same aged bytes.
+TEST(QlruVictim, WordWideEqualsAgingLoopOnEveryAgeVector) {
+  for (uint32_t Code = 0; Code < (1u << 16); ++Code) {
+    uint8_t Ref[8], Word[8];
+    for (unsigned W = 0; W < 8; ++W)
+      Ref[W] = static_cast<uint8_t>((Code >> (2 * W)) & 3);
+    std::memcpy(Word, Ref, 8);
+    unsigned RefWay = QlruOps::victimAging(Ref, 8);
+    ASSERT_EQ(QlruOps::victimAging8(Word), RefWay) << "ages code " << Code;
+    ASSERT_EQ(std::memcmp(Word, Ref, 8), 0) << "ages code " << Code;
+  }
+}
+
+template <typename LineT> struct TagMaker {
+  typename CacheLineTraits<LineT>::Tag operator()(std::mt19937 &) const {
+    return {};
+  }
+};
+template <> struct TagMaker<SymLine> {
+  SymTag operator()(std::mt19937 &Rng) const {
+    return SymTag{static_cast<int32_t>(Rng() % 5),
+                  static_cast<uint32_t>(Rng() % 3),
+                  static_cast<int64_t>(Rng() % 1000)};
+  }
+};
+
+/// Every observable line and set of \p A equals \p B's.
+template <typename LineT>
+void expectSameCacheState(const SetAssocCache<LineT> &A,
+                          const SetAssocCache<LineT> &B,
+                          const std::string &Where) {
+  for (unsigned S = 0; S < A.numSets(); ++S) {
+    ASSERT_EQ(A.policyWord(S), B.policyWord(S)) << Where << " set " << S;
+    for (unsigned W = 0; W < A.assoc(); ++W) {
+      ASSERT_EQ(A.blockAt(S, W), B.blockAt(S, W))
+          << Where << " set " << S << " way " << W;
+      ASSERT_EQ(A.dirtyAt(S, W), B.dirtyAt(S, W))
+          << Where << " set " << S << " way " << W;
+      if constexpr (CacheLineTraits<LineT>::HasTag) {
+        const SymTag &TA = A.tagAt(S, W), &TB = B.tagAt(S, W);
+        ASSERT_TRUE(TA.NodeId == TB.NodeId && TA.Epoch == TB.Epoch &&
+                    TA.X == TB.X)
+            << Where << " set " << S << " way " << W;
+      }
+    }
+  }
+}
+
+/// accessAs<P, Ways> against the runtime access() on twin caches, with
+/// tags (symbolic payload), dirty bits, non-allocating misses and
+/// invalidations mixed in.
+template <typename LineT, PolicyKind P, unsigned Ways>
+void expectFixedAccessMatchesRuntime() {
+  const unsigned Sets = 4;
+  CacheConfig Cfg = smallConfig(P, Ways, Sets);
+  SetAssocCache<LineT> Fixed(Cfg), Runtime(Cfg);
+  std::mt19937 Rng(Ways * 10 + static_cast<unsigned>(P));
+  const BlockId Span = 3 * Sets * Ways; // Hits at every depth, and misses.
+  for (unsigned Step = 0; Step < 4000; ++Step) {
+    std::string Where = std::string(policyName(P)) + " x" +
+                        std::to_string(Ways) + " step " +
+                        std::to_string(Step);
+    BlockId B = static_cast<BlockId>(Rng() % Span);
+    if (Rng() % 16 == 0) {
+      std::optional<LineT> RF = Fixed.invalidate(B);
+      std::optional<LineT> RR = Runtime.invalidate(B);
+      ASSERT_EQ(RF.has_value(), RR.has_value()) << Where;
+    } else {
+      bool Allocate = Rng() % 8 != 0; // A no-write-allocate write miss.
+      bool Write = Rng() % 3 == 0;
+      auto Tag = TagMaker<LineT>()(Rng);
+      AccessOutcome OF = Fixed.template accessAs<P, Ways>(B, Allocate, Tag);
+      AccessOutcome OR = Runtime.access(B, Allocate, Tag);
+      ASSERT_EQ(OF.Hit, OR.Hit) << Where;
+      ASSERT_EQ(OF.Inserted, OR.Inserted) << Where;
+      ASSERT_EQ(OF.Set, OR.Set) << Where;
+      ASSERT_EQ(OF.Way, OR.Way) << Where;
+      ASSERT_EQ(OF.HitDepth, OR.HitDepth) << Where;
+      ASSERT_EQ(OF.EvictedValid, OR.EvictedValid) << Where;
+      ASSERT_EQ(OF.EvictedDirty, OR.EvictedDirty) << Where;
+      ASSERT_EQ(OF.EvictedBlock, OR.EvictedBlock) << Where;
+      if constexpr (CacheLineTraits<LineT>::HasTag) {
+        if (OF.EvictedValid) {
+          ASSERT_EQ(Fixed.lastEvictedTag().X, Runtime.lastEvictedTag().X)
+              << Where;
+        }
+      }
+      if (Write && (OF.Hit || OF.Inserted)) {
+        Fixed.setDirtyAt(OF.Set, OF.Way, true);
+        Runtime.setDirtyAt(OR.Set, OR.Way, true);
+      }
+    }
+    expectSameCacheState(Fixed, Runtime, Where);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+}
+
+/// CacheHierarchy::accessBatch (whose L1 runs the fixed-way kernels at
+/// 4, 8 and 16 ways) against one runtime access() per op on a twin
+/// hierarchy: chunks of random length, write-allocate and not, with
+/// invalidations between chunks; tagged payloads also compare their
+/// depth histograms.
+template <typename LineT, PolicyKind P, unsigned Ways>
+void expectBatchMatchesRuntime(WriteAllocate WA) {
+  using Traits = CacheLineTraits<LineT>;
+  const unsigned Sets = 4;
+  CacheConfig Cfg = smallConfig(P, Ways, Sets);
+  Cfg.WriteAlloc = WA;
+  HierarchyConfig H = HierarchyConfig::singleLevel(Cfg);
+  CacheHierarchy<LineT> Batched(H), Stepped(H);
+  std::vector<uint64_t> HistB(Ways, 0), HistS(Ways, 0);
+  uint64_t *DepthB = Traits::HasTag ? HistB.data() : nullptr;
+  uint64_t *DepthS = Traits::HasTag ? HistS.data() : nullptr;
+  std::mt19937 Rng(Ways * 100 + static_cast<unsigned>(P));
+  const BlockId Span = 3 * Sets * Ways;
+  const int32_t Nodes[] = {0, 1, 2};
+  int64_t X = 0;
+  BatchCounters Counts;
+  uint64_t RefMisses = 0;
+  for (unsigned Chunk = 0; Chunk < 400; ++Chunk) {
+    std::string Where = std::string(policyName(P)) + " x" +
+                        std::to_string(Ways) +
+                        (WA == WriteAllocate::No ? " nwa" : "") +
+                        " chunk " + std::to_string(Chunk);
+    const unsigned Lanes = 1 + Rng() % 3;
+    const unsigned N = Lanes * (1 + Rng() % 6);
+    std::vector<BatchedAccess> Ops;
+    BlockId B = static_cast<BlockId>(Rng() % Span);
+    for (unsigned K = 0; K < N; ++K) {
+      // Repeats exercise the batch loop's same-block fast path.
+      if (Rng() % 3 != 0)
+        B = static_cast<BlockId>(Rng() % Span);
+      Ops.push_back(BatchedAccess::make(B, Rng() % 3 == 0));
+    }
+    typename Traits::TagCursor Tags;
+    if constexpr (Traits::HasTag) {
+      Tags.Nodes = Nodes;
+      Tags.NumLanes = Lanes;
+      Tags.Epoch = Chunk % 3;
+      Tags.X = X;
+    }
+    typename Traits::TagCursor RefTags = Tags;
+    Batched.accessBatch(Ops.data(), Ops.size(), Counts, Tags, nullptr,
+                        DepthB);
+    for (const BatchedAccess &Op : Ops)
+      if (!Stepped.access(Op.block(), Op.isWrite(), RefTags.next(), DepthS)
+               .L1Hit)
+        ++RefMisses;
+    X += N / Lanes;
+    ASSERT_EQ(Counts.L1Misses, RefMisses) << Where;
+    ASSERT_EQ(Batched.level(0).mraSet(), Stepped.level(0).mraSet()) << Where;
+    ASSERT_EQ(HistB, HistS) << Where;
+    expectSameCacheState(Batched.level(0), Stepped.level(0), Where);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    if (Rng() % 4 == 0) {
+      BlockId Victim = static_cast<BlockId>(Rng() % Span);
+      Batched.level(0).invalidate(Victim);
+      Stepped.level(0).invalidate(Victim);
+    }
+  }
+}
+
+template <typename LineT, PolicyKind P> void expectAllWidthsMatchRuntime() {
+  expectFixedAccessMatchesRuntime<LineT, P, 4>();
+  expectFixedAccessMatchesRuntime<LineT, P, 8>();
+  expectFixedAccessMatchesRuntime<LineT, P, 16>();
+  for (WriteAllocate WA : {WriteAllocate::Yes, WriteAllocate::No}) {
+    expectBatchMatchesRuntime<LineT, P, 4>(WA);
+    expectBatchMatchesRuntime<LineT, P, 8>(WA);
+    expectBatchMatchesRuntime<LineT, P, 16>(WA);
+  }
+}
+
+template <typename LineT> void expectAllPoliciesMatchRuntime() {
+  expectAllWidthsMatchRuntime<LineT, PolicyKind::Lru>();
+  expectAllWidthsMatchRuntime<LineT, PolicyKind::Fifo>();
+  expectAllWidthsMatchRuntime<LineT, PolicyKind::Plru>();
+  expectAllWidthsMatchRuntime<LineT, PolicyKind::QuadAgeLru>();
+}
+
+TEST(FixedAssoc, ConcreteAccessPathsMatchRuntimeAccess) {
+  expectAllPoliciesMatchRuntime<ConcreteLine>();
+}
+
+TEST(FixedAssoc, SymbolicAccessPathsMatchRuntimeAccess) {
+  expectAllPoliciesMatchRuntime<SymLine>();
 }
 
 } // namespace

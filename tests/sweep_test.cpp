@@ -15,8 +15,10 @@
 
 #include "RandomProgram.h"
 #include "wcs/driver/Sweep.h"
+#include "wcs/polybench/Polybench.h"
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/support/FaultInjection.h"
 #include "wcs/trace/StackDistance.h"
 
 #include <gtest/gtest.h>
@@ -193,6 +195,90 @@ TEST(Sweep, BankDegeneratesToFullyAssociativeProfiler) {
     for (uint64_t A : {1u, 2u, 8u, 64u})
       EXPECT_EQ(Bank.missesForAssoc(A), Prof.missesForAssoc(A))
           << A << " of " << Width;
+  }
+}
+
+TEST(Sweep, DiscardedPeriodicPassesReportTheLinearWalk) {
+  // With the sweep.periodic-pass fault armed at probability 1, every
+  // periodic pass runs and is then discarded, so every bank is
+  // conditioned by the demoted linear walk. Its points must stay exact
+  // and carry the walk's provenance -- not the discarded passes' warps
+  // -- and the report must count no warps of a pass it did not use.
+  std::string Err;
+  ScopProgram P = buildKernel("jacobi-1d", ProblemSize::Small, &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  std::vector<HierarchyConfig> Grid;
+  for (unsigned Assoc : {4u, 8u})
+    for (uint64_t Bytes : {4096u, 8192u})
+      Grid.push_back(HierarchyConfig::singleLevel(
+          CacheConfig{Bytes, Assoc, 64, PolicyKind::Lru, WriteAllocate::Yes}));
+  SweepOptions Periodic;
+  Periodic.WarpSweepMinAccesses = 0; // Always periodic.
+  SweepOptions Linear;
+  Linear.WarpSweep = false;
+
+  SweepReport Used = runSweep(P, Grid, Periodic);
+  SweepReport Ref = runSweep(P, Grid, Linear);
+  ASSERT_TRUE(Used.PeriodicPass);
+  ASSERT_GT(Used.PeriodicWarps, 0u) << "the passes must warp for the "
+                                       "discarded figures to show";
+
+  struct DisarmGuard {
+    ~DisarmGuard() { faultinject::disarm(); }
+  } Guard;
+  ASSERT_TRUE(faultinject::arm("sweep.periodic-pass:1.0", 0, &Err)) << Err;
+  SweepReport Rep = runSweep(P, Grid, Periodic);
+  EXPECT_EQ(faultinject::injectedCount("sweep.periodic-pass"),
+            static_cast<uint64_t>(Rep.NumBanks));
+  faultinject::disarm();
+
+  ASSERT_TRUE(Rep.allOk());
+  EXPECT_TRUE(Rep.PeriodicPass);
+  EXPECT_GT(Rep.PeriodicPassSeconds, 0.0) << "discarded passes still cost";
+  EXPECT_EQ(Rep.PeriodicWarps, 0u);
+  EXPECT_EQ(Rep.PeriodicWarpedAccesses, 0u);
+  EXPECT_EQ(Rep.TraceAccesses, Ref.TraceAccesses);
+  double PointSeconds = 0.0;
+  for (size_t I = 0; I < Grid.size(); ++I) {
+    const SimStats &S = Rep.Points[I].Stats;
+    EXPECT_EQ(S.Level[0].Misses, Ref.Points[I].Stats.Level[0].Misses)
+        << Grid[I].str();
+    EXPECT_EQ(S.Level[0].Accesses, Ref.Points[I].Stats.Level[0].Accesses);
+    EXPECT_EQ(S.SimulatedAccesses, S.Level[0].Accesses) << Grid[I].str();
+    EXPECT_EQ(S.WarpedAccesses, 0u);
+    EXPECT_EQ(S.Warps, 0u);
+    EXPECT_EQ(S.FailedWarpChecks, 0u);
+    PointSeconds += S.Seconds;
+  }
+  // The points' shares sum back to every second the method spent: the
+  // pre-walk, the discarded passes and the walk.
+  EXPECT_GT(Rep.TracePassSeconds, 0.0);
+  EXPECT_NEAR(PointSeconds, Rep.stackDistanceSeconds(),
+              1e-9 * Grid.size() + 1e-12);
+
+  // Below probability 1, with the passes on several threads, the same
+  // (spec, seed) discards the same banks on every run: the draws happen
+  // in bank order, not in the order the passes finish.
+  Periodic.Threads = 4;
+  std::vector<uint64_t> FirstWarps;
+  for (int Run = 0; Run < 3; ++Run) {
+    ASSERT_TRUE(faultinject::arm("sweep.periodic-pass:0.5", 3, &Err)) << Err;
+    SweepReport Half = runSweep(P, Grid, Periodic);
+    uint64_t Injected = faultinject::injectedCount("sweep.periodic-pass");
+    faultinject::disarm();
+    ASSERT_TRUE(Half.allOk());
+    EXPECT_GT(Injected, 0u) << "seed 3 must discard some bank";
+    EXPECT_LT(Injected, static_cast<uint64_t>(Half.NumBanks))
+        << "seed 3 must keep some bank";
+    std::vector<uint64_t> Warps;
+    for (size_t I = 0; I < Grid.size(); ++I) {
+      EXPECT_EQ(Half.Points[I].Stats.Level[0].Misses,
+                Ref.Points[I].Stats.Level[0].Misses);
+      Warps.push_back(Half.Points[I].Stats.Warps);
+    }
+    if (Run == 0)
+      FirstWarps = Warps;
+    EXPECT_EQ(Warps, FirstWarps) << "run " << Run;
   }
 }
 

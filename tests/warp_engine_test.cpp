@@ -119,6 +119,69 @@ TEST(WarpEngine, StateKeyIsInvariantUnderRotatingProgress) {
                          "(verification rejects them)";
 }
 
+TEST(WarpEngine, StateKeyIsPositionalAndRotationInvariant) {
+  // The key sums one salted hash per slot, salted by the slot's position
+  // relative to the MRA set: a set rotation of identical MRA-relative
+  // content keeps it, moving content between positions changes it, and
+  // so does a fixed line's block.
+  ScopProgram P = sweepProgram(8);
+  HierarchyConfig H = l1Only(8, 4, PolicyKind::Plru);
+  SimOptions O;
+  WarpEngine E(P, H, O);
+  EpochTable Epochs(64);
+  WarpScope S;
+  S.Loop = P.loops()[0];
+  S.Hi = 4095;
+  const int32_t Node = P.accesses()[0]->Id; // In the loop's subtree.
+  // Subtree lines (hashed by node) and fixed lines (NodeId -1: hashed
+  // by block) spread over every set.
+  SymbolicHierarchy Cache(H);
+  for (BlockId B = 0; B < 24; ++B)
+    Cache.access(B, B % 5 == 0,
+                 SymTag{B % 3 == 0 ? -1 : Node + static_cast<int32_t>(B % 2),
+                        0, B});
+  const uint64_t Key = E.stateKey(Cache, Epochs, S);
+  EXPECT_EQ(E.stateKey(SymbolicHierarchy(Cache), Epochs, S), Key);
+
+  for (int64_t Amount : {1, 3, 7, -2}) {
+    SymbolicHierarchy Rotated = Cache;
+    Rotated.level(0).rotateSets(Amount);
+    ASSERT_NE(Rotated.level(0).mraSet(), Cache.level(0).mraSet());
+    EXPECT_EQ(E.stateKey(Rotated, Epochs, S), Key)
+        << "rotation by " << Amount;
+  }
+
+  // Find a set whose first two ways hold different slot contents: one
+  // subtree line and one fixed line.
+  const SymbolicCache &L1 = Cache.level(0);
+  unsigned Set = L1.numSets();
+  for (unsigned Cand = 0; Cand < L1.numSets() && Set == L1.numSets(); ++Cand)
+    if ((L1.tagAt(Cand, 0).NodeId < 0) != (L1.tagAt(Cand, 1).NodeId < 0))
+      Set = Cand;
+  ASSERT_LT(Set, L1.numSets());
+  unsigned FixedWay = L1.tagAt(Set, 0).NodeId < 0 ? 0 : 1;
+
+  SymbolicHierarchy Swapped = Cache;
+  SymbolicCache &SC = Swapped.level(0);
+  BlockId B0 = SC.blockAt(Set, 0);
+  SC.setBlockAt(Set, 0, SC.blockAt(Set, 1));
+  SC.setBlockAt(Set, 1, B0);
+  std::swap(SC.tagAt(Set, 0), SC.tagAt(Set, 1));
+  EXPECT_NE(E.stateKey(Swapped, Epochs, S), Key) << "two ways swapped";
+
+  SymbolicHierarchy Moved = Cache;
+  Moved.level(0).setBlockAt(Set, FixedWay,
+                            Moved.level(0).blockAt(Set, FixedWay) + 64);
+  EXPECT_NE(E.stateKey(Moved, Epochs, S), Key) << "a fixed line's block";
+
+  // A subtree line's block is not part of its slot hash (its node is).
+  SymbolicHierarchy Shifted = Cache;
+  unsigned SubtreeWay = 1 - FixedWay;
+  Shifted.level(0).setBlockAt(Set, SubtreeWay,
+                              Shifted.level(0).blockAt(Set, SubtreeWay) + 64);
+  EXPECT_EQ(E.stateKey(Shifted, Epochs, S), Key);
+}
+
 TEST(WarpEngine, CheckWarpAcceptsTheRotatingMatch) {
   ScopProgram P = sweepProgram(8);
   HierarchyConfig H = l1Only(8, 2, PolicyKind::Lru);

@@ -87,7 +87,8 @@ void usage() {
       "  --max-entries N       with --compact: evict oldest-inserted\n"
       "                        entries beyond N (default 0 = keep all)\n"
       "fault injection (testing): set WCS_FAULT=point:prob,... (points:\n"
-      "store.write, socket.send, socket.recv, scheduler.job) and\n"
+      "store.write, socket.send, socket.recv, scheduler.job,\n"
+      "sweep.periodic-pass) and\n"
       "optionally WCS_FAULT_SEED=N to make the named operations fail\n"
       "with the given probabilities, deterministically per seed.\n");
 }
