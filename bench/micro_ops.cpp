@@ -6,7 +6,9 @@
 // google-benchmark microbenchmarks of the hot components: concrete cache
 // accesses per policy (one runtime-dispatched access() call, and the
 // batched loop the simulators run), symbolic (tagged) accesses on both
-// paths, warp state-key hashing, Fourier-Motzkin minimization, and
+// paths, whole batched walks of one innermost loop (with and without
+// repeated runs to skip), warp state-key hashing, Fourier-Motzkin
+// minimization, and
 // stack-distance updates (the lone profiler and both per-set bank
 // representations). These quantify the constant factors behind the
 // figure harnesses.
@@ -16,6 +18,8 @@
 #include "wcs/cache/ConcreteCache.h"
 #include "wcs/poly/FourierMotzkin.h"
 #include "wcs/polybench/Polybench.h"
+#include "wcs/scop/Builder.h"
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/SymbolicCache.h"
 #include "wcs/sim/WarpEngine.h"
 #include "wcs/trace/StackDistance.h"
@@ -141,6 +145,61 @@ BENCHMARK(BM_SymbolicBatch)
     ->Arg(static_cast<int>(PolicyKind::Fifo))
     ->Arg(static_cast<int>(PolicyKind::Plru))
     ->Arg(static_cast<int>(PolicyKind::QuadAgeLru));
+
+/// Two 1,024-iteration activations of one innermost loop through
+/// BatchWalker::walk: arguments (policy, shape, payload). Shape 0 has
+/// four unit-stride lanes, so every run of eight iterations is emitted
+/// as two simulated iterations and a repeat marker; shape 1 adds a lane
+/// that moves a whole 4 KiB row per iteration, so nothing is skipped.
+/// Payload 0 is concrete, 1 symbolic.
+void BM_BatchWalk(benchmark::State &State) {
+  PolicyKind K = static_cast<PolicyKind>(State.range(0));
+  bool RowLane = State.range(1) != 0;
+  ScopBuilder B("walk");
+  unsigned Arrays[4];
+  for (unsigned I = 0; I < 4; ++I)
+    Arrays[I] = B.addArray(std::string(1, "ABCD"[I]), 8, {1024});
+  unsigned M = B.addArray("M", 8, {1024, 512});
+  B.beginLoop("t", B.cst(0), B.cst(1));
+  B.beginLoop("j", B.cst(0), B.cst(1023));
+  for (unsigned I = 0; I < 3; ++I)
+    B.read(Arrays[I], {B.iter("j")});
+  B.write(Arrays[3], {B.iter("j")});
+  if (RowLane)
+    B.read(M, {B.iter("j"), B.iter("t")});
+  B.endLoop();
+  B.endLoop();
+  ScopProgram P = B.finish();
+  const LoopNode *L = P.loops()[1];
+  HierarchyConfig H = HierarchyConfig::singleLevel(microCache(K));
+  BatchWalker Walker(P, /*IncludeScalars=*/false,
+                     log2Exact(H.blockBytes()));
+  SimStats Stats;
+  auto Run = [&](auto &Cache, uint32_t Epoch) {
+    for (auto _ : State)
+      for (int64_t T = 0; T < 2; ++T) {
+        IterVec Iter{T};
+        Walker.walk(L, Iter, 0, 1023, Cache, Stats, Epoch);
+      }
+  };
+  if (State.range(2) == 0) {
+    ConcreteHierarchy C(H);
+    Run(C, 0);
+  } else {
+    SymbolicHierarchy C(H);
+    EpochTable Epochs(64);
+    Run(C, Epochs.add(IterVec{0}));
+  }
+  benchmark::DoNotOptimize(Stats.Level[0].Misses);
+  State.SetItemsProcessed(static_cast<int64_t>(Stats.SimulatedAccesses));
+}
+BENCHMARK(BM_BatchWalk)
+    ->ArgsProduct({{static_cast<int>(PolicyKind::Lru),
+                    static_cast<int>(PolicyKind::Fifo),
+                    static_cast<int>(PolicyKind::Plru),
+                    static_cast<int>(PolicyKind::QuadAgeLru)},
+                   {0, 1},
+                   {0, 1}});
 
 void BM_StateKey(benchmark::State &State) {
   std::string Err;

@@ -822,7 +822,9 @@ int main(int argc, char **argv) {
   // and metadata updates.
   if (HasSuite("hotloop")) {
     double ScalarSeconds = 0.0, BatchSeconds = 0.0;
-    uint64_t ScalarAccesses = 0, BatchAccesses = 0;
+    uint64_t ScalarAccesses = 0, BatchAccesses = 0, BatchSkipped = 0;
+    telemetry::Counter &Skipped =
+        telemetry::registry().counter("sim.skipped_accesses");
     std::vector<ResultEntry> HotEntries;
     const PolicyKind HotPolicies[] = {PolicyKind::Lru, PolicyKind::Fifo,
                                       PolicyKind::Plru,
@@ -836,7 +838,9 @@ int main(int argc, char **argv) {
         SimOptions ScalarOpts;
         ScalarOpts.BatchConcrete = false;
         SimStats A = ConcreteSimulator(*P, H, ScalarOpts).run();
+        uint64_t SkippedBefore = Skipped.value();
         SimStats B = ConcreteSimulator(*P, H).run();
+        BatchSkipped += Skipped.value() - SkippedBefore;
         requireEqualMisses(K.Name, A, B);
         ScalarSeconds += A.Seconds;
         BatchSeconds += B.Seconds;
@@ -861,9 +865,12 @@ int main(int argc, char **argv) {
     double BatchAps = BatchSeconds > 0 ? BatchAccesses / BatchSeconds : 0.0;
     double Speedup = ScalarAps > 0 ? BatchAps / ScalarAps : 0.0;
     std::printf("hotloop: %zu kernels x %zu policies, %.1fM -> %.1fM "
-                "accesses/s (%.2fx batched speedup)\n",
+                "accesses/s (%.2fx batched speedup, %.1f%% of batched "
+                "accesses skipped)\n",
                 Kernels.size(), std::size(HotPolicies), ScalarAps / 1e6,
-                BatchAps / 1e6, Speedup);
+                BatchAps / 1e6, Speedup,
+                BatchAccesses > 0 ? 100.0 * BatchSkipped / BatchAccesses
+                                  : 0.0);
     if (Jobs == 1 && Size <= ProblemSize::Medium && Speedup < 2.0) {
       std::fprintf(stderr,
                    "fatal: hotloop batched throughput %.2fx is below the "

@@ -19,6 +19,12 @@
 /// L1 hit depths for depth profiles, and migrates the victim's tag in
 /// exclusive hierarchies; untagged payloads compile none of that.
 ///
+/// The batch loop also skips: a repeat marker in a chunk stands for
+/// further applications of the iteration before it, and once one of them
+/// hits everywhere in the L1 the cache state is a fixed point, so the
+/// rest are counted as hits instead of simulated (see accessBatch for
+/// the lemma that makes this exact).
+///
 /// An optional writeback-propagation mode (concrete only) additionally
 /// sends dirty L1 victims to the L2, for the richer reference model used
 /// as "measured" ground truth in the accuracy experiments (Figs.
@@ -57,23 +63,42 @@ static_assert(sizeof(HierarchyOutcome) == 16, "returned in registers");
 /// hierarchy call per access.
 /// One word per access keeps a 1024-entry chunk at 8 KiB, small enough
 /// to stay L1-resident between the generating and the consuming loop.
+///
+/// A repeat marker is the one exception: two words, a header with the
+/// top bit set and the op count of the iteration right before it, then
+/// a count (below 2^63) of further applications of that iteration (see
+/// CacheHierarchy::accessBatch).
 struct BatchedAccess {
-  uint64_t Bits; ///< Block << 1 | IsWrite.
+  uint64_t Bits; ///< Block << 1 | IsWrite, or a repeat-marker word.
 
+  static constexpr uint64_t RepeatBit = 1ull << 63;
+
+  /// The top bit stays clear: only a negative block -- an access below
+  /// address zero, meaningless either way -- would set it.
   static BatchedAccess make(BlockId Block, bool IsWrite) {
-    return BatchedAccess{static_cast<uint64_t>(Block) << 1 |
-                         static_cast<uint64_t>(IsWrite)};
+    return BatchedAccess{(static_cast<uint64_t>(Block) << 1 |
+                          static_cast<uint64_t>(IsWrite)) &
+                         ~RepeatBit};
   }
+  /// The header of a repeat marker over the preceding \p IterOps ops.
+  static BatchedAccess repeatHeader(size_t IterOps) {
+    return BatchedAccess{RepeatBit | IterOps};
+  }
+  bool isRepeat() const { return (Bits & RepeatBit) != 0; }
+  size_t iterOps() const { return static_cast<size_t>(Bits & ~RepeatBit); }
   BlockId block() const { return static_cast<BlockId>(Bits >> 1); }
   bool isWrite() const { return (Bits & 1) != 0; }
 };
 
-/// Counter deltas of one accessBatch call.
+/// Counter deltas of one accessBatch call. Every increment that a
+/// repeat marker can scale is checked and throws
+/// std::overflow_error("counter overflow") instead of wrapping.
 struct BatchCounters {
-  uint64_t L1Accesses = 0;
+  uint64_t L1Accesses = 0; ///< Skipped accesses included.
   uint64_t L1Misses = 0;
   uint64_t L2Accesses = 0;
   uint64_t L2Misses = 0;
+  uint64_t SkippedAccesses = 0; ///< Counted as hits, not simulated.
 };
 
 /// Observer of the L1 miss stream: called once per L1 miss, in program
@@ -119,6 +144,29 @@ public:
   /// the miss-sink call. \p Tags yields the tag of each op in turn
   /// (tagged payloads only). \p DepthHist, when nonnull (tagged payloads
   /// only), counts every L1 hit at its pre-update way.
+  ///
+  /// A repeat marker (BatchedAccess::repeatHeader plus a count word)
+  /// stands for that many more applications of the iteration right
+  /// before it. They are applied until one application has no L1 miss;
+  /// the rest are counted as L1 hits (C.SkippedAccesses) without
+  /// touching the cache, which is exact by this lemma:
+  ///
+  ///   If every access of an op sequence S hits in the L1 from state s,
+  ///   then S hits everywhere again from S(s), and S(S(s)) = S(s) in
+  ///   blocks, recency order, dirty bits and PLRU/QLRU metadata.
+  ///
+  /// An all-hit S inserts and evicts nothing, so S(s) holds the blocks
+  /// of s and S hits again. LRU then orders S's blocks by their last
+  /// access in S ahead of the untouched ones, in their old order, from
+  /// any start; PLRU sets each tree bit on a hit way's path to what the
+  /// last touch through it wrote; QLRU sets each hit way's age to
+  /// HitAge; FIFO and the dirty bits' OR are idempotent. Only L1 misses
+  /// reach the L2, the miss sink, writebacks and back-invalidations, so
+  /// none of those sees a skipped repetition. What does change is the
+  /// symbolic tags: each line S touches takes the tag of the last access
+  /// to its block in the run's last iteration. With \p DepthHist, one
+  /// more application from the fixed point is simulated and its depths
+  /// count once per remaining repetition.
   void accessBatch(const BatchedAccess *Ops, size_t N, BatchCounters &C,
                    TagCursor Tags = TagCursor(),
                    const L1MissSink *Sink = nullptr,
@@ -130,6 +178,33 @@ private:
   /// \p O1 is the L1 outcome of the miss; fills the L2 fields of \p R.
   void lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
                    const AccessOutcome &O1, TagT Tag, HierarchyOutcome &R);
+
+  /// Chunk-invariant facts of the batch loop plus the previous access's
+  /// block -- when it is known resident -- and its slot.
+  struct BatchState {
+    Cache &L1;
+    bool NoWriteAlloc;
+    bool TwoLevel;
+    BlockId LastB = kInvalidBlock;
+    unsigned LastSet = 0, LastWay = 0;
+  };
+
+  /// One op of the batch loop. A hit's depth counts \p DepthWeight
+  /// times in \p DepthHist.
+  template <PolicyKind P, unsigned CtAssoc>
+  [[gnu::always_inline]] inline void
+  batchStep(BatchedAccess Op, TagT Tag, BatchState &S, BatchCounters &C,
+            const L1MissSink *Sink, uint64_t *DepthHist,
+            uint64_t DepthWeight);
+
+  /// Applies the \p IterOps ops at \p Iter \p Count more times, skipping
+  /// the repetitions after the first all-hit one (see accessBatch).
+  /// Returns the tag cursor past the run.
+  template <PolicyKind P, unsigned CtAssoc>
+  [[gnu::noinline]] TagCursor
+  repeatRun(const BatchedAccess *Iter, size_t IterOps, uint64_t Count,
+            BatchState S, BatchCounters &C, TagCursor Tags,
+            const L1MissSink *Sink, uint64_t *DepthHist);
 
   /// Each (policy, associativity) instantiation stays its own function:
   /// GCC otherwise inlines all twelve hot loops into the dispatcher,
@@ -254,14 +329,12 @@ void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
 
 template <typename LineT>
 template <PolicyKind P, unsigned CtAssoc>
-void CacheHierarchy<LineT>::accessBatchImpl(
-    const BatchedAccess *Ops, size_t N, BatchCounters &C,
-    [[maybe_unused]] TagCursor Tags, const L1MissSink *Sink,
-    [[maybe_unused]] uint64_t *DepthHist) {
-  Cache &L1 = Levels.front();
-  const bool NoWriteAlloc = L1.config().WriteAlloc == WriteAllocate::No;
-  const bool TwoLevel = Levels.size() >= 2;
-  C.L1Accesses += N;
+void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
+                                      [[maybe_unused]] TagT Tag,
+                                      BatchState &S, BatchCounters &C,
+                                      const L1MissSink *Sink,
+                                      [[maybe_unused]] uint64_t *DepthHist,
+                                      [[maybe_unused]] uint64_t DepthWeight) {
   // Consecutive accesses to one block are guaranteed hits whose policy
   // update is idempotent (LRU: already most recent; FIFO: no-op; PLRU:
   // touch of the same way; QLRU: re-zeroing a zero hit age) -- only the
@@ -270,52 +343,127 @@ void CacheHierarchy<LineT>::accessBatchImpl(
   // common, so they bypass the cache entirely. For QLRU the previous
   // access must itself have been a hit: a hit on a just-inserted line
   // ages it InsertAge -> HitAge, a real update.
-  BlockId LastB = kInvalidBlock;
-  unsigned LastSet = 0, LastWay = 0;
-  for (size_t K = 0; K < N; ++K) {
-    BlockId B = Ops[K].block();
-    bool IsWrite = Ops[K].isWrite();
-    [[maybe_unused]] TagT Tag = Tags.next();
-    if (B == LastB) {
-      if (IsWrite)
-        L1.orDirtyAt(LastSet, LastWay, true);
-      if constexpr (Traits::HasTag) {
-        L1.tagAt(LastSet, LastWay) = Tag;
-        if (DepthHist)
-          ++DepthHist[LastWay];
-      }
-      continue;
+  Cache &L1 = S.L1;
+  BlockId B = Op.block();
+  bool IsWrite = Op.isWrite();
+  if (B == S.LastB) {
+    if (IsWrite)
+      L1.orDirtyAt(S.LastSet, S.LastWay, true);
+    if constexpr (Traits::HasTag) {
+      L1.tagAt(S.LastSet, S.LastWay) = Tag;
+      if (DepthHist)
+        addCount(DepthHist[S.LastWay], DepthWeight);
     }
-    bool Alloc1 = !(IsWrite && NoWriteAlloc);
-    AccessOutcome O1 = L1.template accessAsNoMra<P, CtAssoc>(B, Alloc1, Tag);
-    bool Resident = P == PolicyKind::QuadAgeLru ? O1.Hit
-                                                : O1.Hit || O1.Inserted;
-    LastB = Resident ? B : kInvalidBlock;
-    LastSet = O1.Set;
-    LastWay = O1.Way;
-    if (O1.Hit) {
-      if (IsWrite)
-        L1.orDirtyAt(O1.Set, O1.Way, true);
-      if constexpr (Traits::HasTag)
-        if (DepthHist)
-          ++DepthHist[O1.HitDepth];
-      continue;
-    }
-    ++C.L1Misses;
-    if (Sink)
-      (*Sink)(B, IsWrite);
-    if (O1.Inserted && IsWrite)
-      L1.orDirtyAt(O1.Set, O1.Way, true);
-    if (!TwoLevel)
-      continue;
-    HierarchyOutcome R;
-    lowerLevels(B, IsWrite, Alloc1, O1, Tag, R);
-    ++C.L2Accesses;
-    if (!R.L2Hit)
-      ++C.L2Misses;
+    return;
   }
-  if (N != 0)
-    L1.noteAccessedSet(L1.setOf(Ops[N - 1].block()));
+  bool Alloc1 = !(IsWrite && S.NoWriteAlloc);
+  AccessOutcome O1 = L1.template accessAsNoMra<P, CtAssoc>(B, Alloc1, Tag);
+  bool Resident =
+      P == PolicyKind::QuadAgeLru ? O1.Hit : O1.Hit || O1.Inserted;
+  S.LastB = Resident ? B : kInvalidBlock;
+  S.LastSet = O1.Set;
+  S.LastWay = O1.Way;
+  if (O1.Hit) {
+    if (IsWrite)
+      L1.orDirtyAt(O1.Set, O1.Way, true);
+    if constexpr (Traits::HasTag)
+      if (DepthHist)
+        addCount(DepthHist[O1.HitDepth], DepthWeight);
+    return;
+  }
+  ++C.L1Misses;
+  if (Sink)
+    (*Sink)(B, IsWrite);
+  if (O1.Inserted && IsWrite)
+    L1.orDirtyAt(O1.Set, O1.Way, true);
+  if (!S.TwoLevel)
+    return;
+  HierarchyOutcome R;
+  lowerLevels(B, IsWrite, Alloc1, O1, Tag, R);
+  ++C.L2Accesses;
+  if (!R.L2Hit)
+    ++C.L2Misses;
+}
+
+template <typename LineT>
+template <PolicyKind P, unsigned CtAssoc>
+typename CacheHierarchy<LineT>::TagCursor
+CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
+                                 uint64_t Count, BatchState S,
+                                 BatchCounters &C, TagCursor Tags,
+                                 const L1MissSink *Sink,
+                                 uint64_t *DepthHist) {
+  // Until one application hits everywhere, each one is simulated; the
+  // state after that one is a fixed point (the lemma at accessBatch).
+  bool Fixed = false;
+  while (Count != 0 && !Fixed) {
+    uint64_t Misses = C.L1Misses;
+    for (size_t I = 0; I < IterOps; ++I)
+      batchStep<P, CtAssoc>(Iter[I], Tags.next(), S, C, Sink, DepthHist, 1);
+    addCount(C.L1Accesses, IterOps);
+    --Count;
+    Fixed = C.L1Misses == Misses;
+  }
+  if (Count == 0)
+    return Tags;
+  if (DepthHist) {
+    // Every application from the fixed point has the same depths: this
+    // one stands for itself and the Count - 1 skipped after it.
+    for (size_t I = 0; I < IterOps; ++I)
+      batchStep<P, CtAssoc>(Iter[I], Tags.next(), S, C, Sink, DepthHist,
+                            Count);
+    addCount(C.L1Accesses, IterOps);
+    if (--Count == 0)
+      return Tags;
+  }
+  uint64_t Skipped = mulCount(Count, IterOps);
+  addCount(C.L1Accesses, Skipped);
+  C.SkippedAccesses += Skipped;
+  if constexpr (Traits::HasTag) {
+    // Each touched line takes the tag of the last access to its block in
+    // the run's last iteration; program order makes later ops win.
+    Tags.skip(Count - 1);
+    for (size_t I = 0; I < IterOps; ++I) {
+      BlockId B = Iter[I].block();
+      S.L1.tagAt(S.L1.setOf(B), S.L1.wayOf(B)) = Tags.next();
+    }
+  }
+  return Tags;
+}
+
+template <typename LineT>
+template <PolicyKind P, unsigned CtAssoc>
+void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops,
+                                            size_t N, BatchCounters &C,
+                                            TagCursor Tags,
+                                            const L1MissSink *Sink,
+                                            uint64_t *DepthHist) {
+  Cache &L1 = Levels.front();
+  BatchState S{L1, L1.config().WriteAlloc == WriteAllocate::No,
+               Levels.size() >= 2};
+  addCount(C.L1Accesses, N);
+  const BatchedAccess *const End = Ops + N;
+  for (const BatchedAccess *Op = Ops; Op != End; ++Op) {
+    if (Op->isRepeat()) [[unlikely]] {
+      // The header and the count word are no accesses themselves.
+      size_t IterOps = Op->iterOps();
+      assert(IterOps != 0 && IterOps <= size_t(Op - Ops) && Op + 1 < End &&
+             "a repeat marker follows its iteration in the same chunk");
+      C.L1Accesses -= 2;
+      Tags = repeatRun<P, CtAssoc>(Op - IterOps, IterOps, Op[1].Bits, S, C,
+                                   Tags, Sink, DepthHist);
+      S.LastB = kInvalidBlock;
+      ++Op;
+      continue;
+    }
+    batchStep<P, CtAssoc>(*Op, Tags.next(), S, C, Sink, DepthHist, 1);
+  }
+  // The chunk's last access is its last op, or the last op of the
+  // iteration a trailing repeat marker repeats.
+  if (N != 0) {
+    size_t Last = N >= 3 && Ops[N - 2].isRepeat() ? N - 3 : N - 1;
+    L1.noteAccessedSet(L1.setOf(Ops[Last].block()));
+  }
 }
 
 template <typename LineT>

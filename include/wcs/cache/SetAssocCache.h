@@ -57,7 +57,8 @@ inline constexpr BlockId kInvalidBlock = -1;
 /// Payload types with extra state (the symbolic line's tag) specialize
 /// this with HasTag = true, a trivially copyable Tag struct holding
 /// exactly that extra state (tag rows shift with memmove), and a
-/// TagCursor that yields the tags of a batch's accesses in order (see
+/// TagCursor that yields the tags of a batch's accesses in order and
+/// skips whole iterations of a repeated run (see
 /// CacheHierarchy::accessBatch).
 template <typename LineT>
 struct CacheLineTraits {
@@ -65,6 +66,7 @@ struct CacheLineTraits {
   struct Tag {};
   struct TagCursor {
     Tag next() { return Tag(); }
+    void skip(uint64_t) {}
   };
   static void unpackTag(LineT &, const Tag &) {}
 };
@@ -187,12 +189,16 @@ public:
   void noteAccessedSet(unsigned LogicalSet) { MraSet = LogicalSet; }
 
   /// True if \p B is currently cached (no state change).
-  bool probe(BlockId B) const {
+  bool probe(BlockId B) const { return wayOf(B) != Assoc; }
+
+  /// The way holding \p B in its set, or assoc() when \p B is not
+  /// cached (no state change).
+  unsigned wayOf(BlockId B) const {
     const BlockId *Row = row(phys(setOf(B)));
-    for (unsigned I = 0; I < Assoc; ++I)
-      if (Row[I] == B)
-        return true;
-    return false;
+    unsigned I = 0;
+    while (I < Assoc && Row[I] != B)
+      ++I;
+    return I;
   }
 
   /// Invalidates \p B if present (back-invalidation in inclusive

@@ -21,6 +21,19 @@
 /// TagCursor of CacheLineTraits<SymLine>) while the op itself stays one
 /// word.
 ///
+/// Runs. When every lane moves less than one block per iteration, the
+/// walk splits the activation into runs: maximal stretches of
+/// iterations in which no lane changes block (a stride-0 lane never ends
+/// one). Every iteration of a run touches the same blocks in the same
+/// order, so a run of three or more is emitted as its first iteration
+/// plus one repeat marker, and accessBatch simulates repetitions only
+/// until one hits everywhere in the L1 and counts the rest as hits (the
+/// fixed-point lemma at CacheHierarchy::accessBatch). The accesses it
+/// skipped still count in SimulatedAccesses, and the walk adds them to
+/// the registry counter sim.skipped_accesses once per activation. A lane
+/// that moves a block or more per iteration makes every run one
+/// iteration long, so such activations take the plain walk.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SIM_BATCHWALK_H
@@ -30,7 +43,10 @@
 #include "wcs/scop/Program.h"
 #include "wcs/sim/SimStats.h"
 #include "wcs/support/IterVec.h"
+#include "wcs/support/MathUtil.h"
+#include "wcs/support/Telemetry.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace wcs {
@@ -42,7 +58,9 @@ public:
   BatchWalker(const ScopProgram &Program, bool IncludeScalars,
               unsigned BlockShift)
       : Program(Program), IncludeScalars(IncludeScalars),
-        BlockShift(BlockShift) {}
+        BlockShift(BlockShift), BlockBytes(uint64_t(1) << BlockShift),
+        SkippedCounter(
+            telemetry::registry().counter("sim.skipped_accesses")) {}
 
   /// True when \p L can take the batched walk: a single-disjunct domain
   /// (no holes) and every child an unguarded access -- the innermost-loop
@@ -60,9 +78,11 @@ public:
 
   /// Walks iterations [Lo, Hi] of the batchable loop \p L, whose
   /// enclosing iterators are \p Iter, through \p Cache and adds the
-  /// counters to \p Stats. A symbolic hierarchy tags every access with
-  /// \p Epoch, its lane's access node and its iteration; \p Sink and
-  /// \p DepthHist are accessBatch's observers.
+  /// counters to \p Stats, skipped repetitions of runs included. A
+  /// symbolic hierarchy tags every access with \p Epoch, its lane's
+  /// access node and its iteration; \p Sink and \p DepthHist are
+  /// accessBatch's observers. Throws std::overflow_error("counter
+  /// overflow") when a counter would pass 2^64 - 1.
   template <typename LineT>
   void walk(const LoopNode *L, IterVec &Iter, int64_t Lo, int64_t Hi,
             CacheHierarchy<LineT> &Cache, SimStats &Stats,
@@ -87,7 +107,7 @@ public:
         LaneNodes.push_back(A->Id);
     }
     Iter.pop();
-    if (Lanes.empty())
+    if (Lanes.empty() || Lo > Hi)
       return;
 
     using TagCursor = typename CacheHierarchy<LineT>::TagCursor;
@@ -100,38 +120,86 @@ public:
     };
 
     // Chunks are flushed at iteration boundaries, so accessBatch always
-    // sees whole iterations in program order. 1024 entries = 8 KiB keeps
-    // the buffer L1-resident between the two loops; raw-pointer writes
-    // keep the generating loop free of per-element size bookkeeping.
+    // sees whole iterations in program order (a repeat marker directly
+    // after the iteration it repeats). 1024 entries = 8 KiB keeps the
+    // buffer L1-resident between the two loops; raw-pointer writes keep
+    // the generating loop free of per-element size bookkeeping.
     constexpr size_t ChunkCap = 1024;
-    Buf.resize(ChunkCap + Lanes.size());
+    const size_t NumLanes = Lanes.size();
+    // Past the flush mark there is room for one more run: two
+    // iterations, or one and a two-word repeat marker.
+    Buf.resize(ChunkCap + 2 * NumLanes + 1);
     BatchedAccess *const Begin = Buf.data();
     BatchedAccess *const Flush = Begin + ChunkCap;
     BatchedAccess *Out = Begin;
     BatchCounters C;
     int64_t ChunkX = Lo; // Iteration of the chunk's first op.
-    for (int64_t X = Lo; X <= Hi; ++X) {
-      for (Lane &Ln : Lanes) {
+    auto FlushChunk = [&] {
+      Cache.accessBatch(Begin, static_cast<size_t>(Out - Begin), C,
+                        TagsFrom(ChunkX), Sink, DepthHist);
+      Out = Begin;
+    };
+    auto Emit = [&] {
+      for (const Lane &Ln : Lanes)
         *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
-        Ln.Addr += Ln.Stride;
+    };
+    if (!initRuns()) {
+      for (int64_t X = Lo; X <= Hi; ++X) {
+        for (Lane &Ln : Lanes) {
+          *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
+          Ln.Addr += Ln.Stride;
+        }
+        if (Out >= Flush) {
+          FlushChunk();
+          ChunkX = X + 1;
+        }
       }
-      if (Out >= Flush) {
-        Cache.accessBatch(Begin, static_cast<size_t>(Out - Begin), C,
-                          TagsFrom(ChunkX), Sink, DepthHist);
-        Out = Begin;
-        ChunkX = X + 1;
+    } else {
+      // Every lane moves less than a block per iteration: walk runs of
+      // iterations that touch the same blocks, and emit a run of three
+      // or more as its first iteration plus one repeat marker.
+      for (int64_t X = Lo;;) {
+        // Iterations in the run after its first: capped by the
+        // activation's end, and below 2^62 so the marker's count word
+        // stays below 2^63.
+        const uint64_t ToEnd =
+            static_cast<uint64_t>(Hi) - static_cast<uint64_t>(X);
+        uint64_t Rest = std::min<uint64_t>(ToEnd, uint64_t(1) << 62);
+        for (const Lane &Ln : Lanes)
+          Rest = std::min(Rest, Ln.Left - 1);
+        Emit();
+        if (Rest >= 2) {
+          *Out++ = BatchedAccess::repeatHeader(NumLanes);
+          *Out++ = BatchedAccess{Rest};
+        } else if (Rest == 1) {
+          Emit();
+        }
+        if (Rest == ToEnd)
+          break;
+        for (Lane &Ln : Lanes) {
+          Ln.Addr += static_cast<int64_t>(Rest + 1) * Ln.Stride;
+          Ln.Left -= Rest + 1;
+          if (Ln.Left == 0)
+            Ln.Left = itersInBlock(Ln.Addr, Ln.Stride);
+        }
+        X += static_cast<int64_t>(Rest + 1);
+        if (Out >= Flush) {
+          FlushChunk();
+          ChunkX = X;
+        }
       }
     }
     if (Out != Begin)
-      Cache.accessBatch(Begin, static_cast<size_t>(Out - Begin), C,
-                        TagsFrom(ChunkX), Sink, DepthHist);
-    Stats.SimulatedAccesses += C.L1Accesses;
-    Stats.Level[0].Accesses += C.L1Accesses;
-    Stats.Level[0].Misses += C.L1Misses;
+      FlushChunk();
+    addCount(Stats.SimulatedAccesses, C.L1Accesses);
+    addCount(Stats.Level[0].Accesses, C.L1Accesses);
+    addCount(Stats.Level[0].Misses, C.L1Misses);
     if (Stats.NumLevels > 1) {
-      Stats.Level[1].Accesses += C.L2Accesses;
-      Stats.Level[1].Misses += C.L2Misses;
+      addCount(Stats.Level[1].Accesses, C.L2Accesses);
+      addCount(Stats.Level[1].Misses, C.L2Misses);
     }
+    if (C.SkippedAccesses != 0)
+      SkippedCounter.add(C.SkippedAccesses);
   }
 
 private:
@@ -141,11 +209,40 @@ private:
     int64_t Addr;
     int64_t Stride;
     bool IsWrite;
+    /// Run walks only: iterations, from the current one, that the lane
+    /// stays in its current block.
+    uint64_t Left = 0;
   };
+
+  /// Iterations, from the one at \p Addr, that a lane of stride
+  /// \p Stride (less than a block in magnitude) stays in its block.
+  uint64_t itersInBlock(int64_t Addr, int64_t Stride) const {
+    if (Stride == 0)
+      return ~uint64_t(0);
+    uint64_t Off = static_cast<uint64_t>(Addr) & (BlockBytes - 1);
+    if (Stride > 0)
+      return (BlockBytes - Off + static_cast<uint64_t>(Stride) - 1) /
+             static_cast<uint64_t>(Stride);
+    return Off / static_cast<uint64_t>(-Stride) + 1;
+  }
+
+  /// True when every lane moves less than one block per iteration, the
+  /// condition for walking runs; then sets each lane's Left.
+  bool initRuns() {
+    for (const Lane &Ln : Lanes)
+      if (Ln.Stride <= -static_cast<int64_t>(BlockBytes) ||
+          Ln.Stride >= static_cast<int64_t>(BlockBytes))
+        return false;
+    for (Lane &Ln : Lanes)
+      Ln.Left = itersInBlock(Ln.Addr, Ln.Stride);
+    return true;
+  }
 
   const ScopProgram &Program;
   bool IncludeScalars;
   unsigned BlockShift;
+  uint64_t BlockBytes;
+  telemetry::Counter &SkippedCounter; ///< sim.skipped_accesses.
   std::vector<Lane> Lanes;        ///< Per-activation scratch.
   std::vector<int32_t> LaneNodes; ///< Access node id per lane (tagged).
   std::vector<BatchedAccess> Buf; ///< Chunk scratch, reused.

@@ -101,10 +101,14 @@ struct SimOptions {
   /// batches every such stretch it is not probing -- whole activations
   /// of loops that cannot probe or stopped probing, and the tail after
   /// WarpConfig::MaxProbeIters -- and refreshes the symbolic tags inside
-  /// the batch loop. Counters and warp decisions are bit-identical
-  /// either way (the equivalence and fuzz suites run both); off = the
-  /// per-access reference walk, kept as the bench baseline and escape
-  /// hatch.
+  /// the batch loop. Where every lane moves less than a block per
+  /// iteration, the batched walk also skips: repetitions of an iteration
+  /// that hits everywhere in the L1 are counted, not simulated
+  /// (BatchWalker, CacheHierarchy::accessBatch). Counters and warp
+  /// decisions are bit-identical either way (the equivalence and fuzz
+  /// suites run both); off = the per-access reference walk, which never
+  /// skips, kept as the test reference, the bench baseline and the
+  /// escape hatch.
   bool BatchConcrete = true;
 
   WarpConfig Warp;

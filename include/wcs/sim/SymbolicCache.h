@@ -91,6 +91,11 @@ struct CacheLineTraits<SymLine> {
       }
       return T;
     }
+    /// Moves past \p Iterations whole iterations of a repeated run;
+    /// called at an iteration boundary.
+    void skip(uint64_t Iterations) {
+      X = static_cast<int64_t>(static_cast<uint64_t>(X) + Iterations);
+    }
   };
   static void unpackTag(SymLine &L, const Tag &T) { L.Tag = T; }
 };

@@ -36,8 +36,14 @@
 /// probing learning or the profit guard disabled, or the tail after
 /// MaxProbeIters -- goes through the shared BatchWalker and the
 /// hierarchy's accessBatch, which refreshes each tag from the lane's
-/// node, the activation's epoch and the iteration. The state every probe
-/// sees, and so every warp decision, is the same either way.
+/// node, the activation's epoch and the iteration. There, as in the
+/// concrete simulator, a run of iterations that touch the same blocks
+/// is simulated only until one iteration hits everywhere; the rest are
+/// counted as hits, and each touched line takes the tag of the run's
+/// last iteration. Probed iterations are never skipped. The state every
+/// probe sees, and so every warp decision, is the same either way. The
+/// warp fast-forward scales counters with checked arithmetic: a count
+/// past 2^64 - 1 throws std::overflow_error("counter overflow").
 ///
 //===----------------------------------------------------------------------===//
 

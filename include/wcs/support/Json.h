@@ -15,9 +15,11 @@
 ///  - Objects keep *insertion* order and the writer emits keys in that
 ///    order, so serializing the same data always yields byte-identical
 ///    text (diffable results files, stable golden tests).
-///  - Integers are stored as int64_t exactly (counter values survive a
-///    round trip bit-for-bit; doubles would silently lose precision
-///    beyond 2^53). Doubles print with %.17g, enough to round-trip.
+///  - Integers are stored exactly, from INT64_MIN to UINT64_MAX: an
+///    int64 kind, plus an unsigned kind for (INT64_MAX, UINT64_MAX]
+///    (counter values survive a round trip bit-for-bit; doubles would
+///    silently lose precision beyond 2^53). Doubles print with %.17g,
+///    enough to round-trip.
 ///  - The parser reports line/column on malformed input and enforces a
 ///    nesting-depth limit instead of recursing unboundedly.
 ///
@@ -40,7 +42,9 @@ struct Member;
 /// object. Value is cheap to move; copying deep-copies the subtree.
 class Value {
 public:
-  enum class Kind { Null, Bool, Int, Double, String, Array, Object };
+  /// Int holds every integer in int64 range and UInt only those above
+  /// it, so each integer has exactly one representation.
+  enum class Kind { Null, Bool, Int, UInt, Double, String, Array, Object };
 
   Value() = default;
   Value(std::nullptr_t) {}
@@ -48,17 +52,14 @@ public:
   Value(int V) : K(Kind::Int), I(V) {}
   Value(int64_t V) : K(Kind::Int), I(V) {}
   Value(unsigned V) : K(Kind::Int), I(static_cast<int64_t>(V)) {}
-  /// JSON integers are modeled as int64; a uint64 above int64 max cannot
-  /// round-trip exactly, so it degrades to a double (nearest value)
-  /// instead of wrapping to a nonsense negative. Counter values in
-  /// practice stay far below 2^63.
+  /// Int when \p V fits in int64, UInt above that.
   Value(uint64_t V) {
-    if (V <= static_cast<uint64_t>(9223372036854775807LL)) {
+    if (V <= static_cast<uint64_t>(INT64_MAX)) {
       K = Kind::Int;
       I = static_cast<int64_t>(V);
     } else {
-      K = Kind::Double;
-      D = static_cast<double>(V);
+      K = Kind::UInt;
+      I = static_cast<int64_t>(V);
     }
   }
   Value(double V) : K(Kind::Double), D(V) {}
@@ -79,15 +80,22 @@ public:
   Kind kind() const { return K; }
   bool isNull() const { return K == Kind::Null; }
   bool isBool() const { return K == Kind::Bool; }
-  bool isNumber() const { return K == Kind::Int || K == Kind::Double; }
+  bool isNumber() const {
+    return K == Kind::Int || K == Kind::UInt || K == Kind::Double;
+  }
+  /// An integer in [0, UINT64_MAX]: what counters are written as.
+  bool isNonNegativeInt() const {
+    return (K == Kind::Int && I >= 0) || K == Kind::UInt;
+  }
   bool isString() const { return K == Kind::String; }
   bool isArray() const { return K == Kind::Array; }
   bool isObject() const { return K == Kind::Object; }
 
   /// Scalar getters; on a kind mismatch they return \p Def. Numeric
   /// kinds convert between each other, but only when the conversion is
-  /// representable: a double outside int64/uint64 range and a negative
-  /// value under asUInt yield \p Def instead of undefined behavior.
+  /// representable: a double outside int64/uint64 range, a UInt under
+  /// asInt and a negative value under asUInt yield \p Def instead of
+  /// undefined behavior.
   bool asBool(bool Def = false) const { return isBool() ? B : Def; }
   int64_t asInt(int64_t Def = 0) const;
   uint64_t asUInt(uint64_t Def = 0) const;
@@ -129,7 +137,7 @@ public:
 private:
   Kind K = Kind::Null;
   bool B = false;
-  int64_t I = 0;
+  int64_t I = 0; ///< Int, or the bits of a UInt.
   double D = 0.0;
   std::string S;
   std::vector<Value> Arr;

@@ -13,9 +13,10 @@
 ///  - needX(V, Key, Out, Err): fetch object member \p Key, demand kind
 ///    X, fail with the uniform "missing or mistyped member" diagnostic.
 ///    Counters and config fields are written as exact JSON integers, so
-///    the integer readers demand the Int kind outright: a fractional,
-///    out-of-range or (for unsigned fields) negative number is a
-///    malformed file and fails loudly instead of being truncated or
+///    the integer readers demand an integer kind outright -- needUInt
+///    any integer in [0, UINT64_MAX], needInt one in int64 range: a
+///    fractional, out-of-range or (for unsigned fields) negative number
+///    is a malformed file and fails loudly instead of being truncated or
 ///    wrapped into a plausible value.
 ///
 ///  - optX(V, Key, Out, Err): an absent member leaves \p Out at its
@@ -71,7 +72,7 @@ inline bool needUInt(const json::Value &V, const char *Key, uint64_t &Out,
   const json::Value *M;
   if (!needMember(V, Key, M, Err))
     return false;
-  if (M->kind() != json::Value::Kind::Int || M->asInt() < 0)
+  if (!M->isNonNegativeInt())
     return failMsg(Err, std::string("member '") + Key +
                             "' must be a non-negative integer");
   Out = M->asUInt();

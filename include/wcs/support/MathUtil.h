@@ -8,7 +8,10 @@
 /// \file
 /// Small exact integer helpers used throughout the polyhedral substrate.
 /// All routines operate on int64_t with __int128 intermediates so that
-/// overflow can be detected instead of silently wrapping.
+/// overflow can be detected instead of silently wrapping. The uint64
+/// event-counter helpers at the end (mulCount, addCount) throw instead:
+/// a simulator that scales counters -- a warp fast-forward, a skipped
+/// run of repeated iterations -- must never report a wrapped count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +21,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 
 namespace wcs {
 
@@ -86,6 +90,26 @@ inline unsigned log2Exact(uint64_t V) {
   while ((V >>= 1) != 0)
     ++L;
   return L;
+}
+
+/// Thrown by the counter helpers below; BatchRunner turns it into a
+/// failed job whose error reads "counter overflow".
+[[noreturn, gnu::cold, gnu::noinline]] inline void throwCounterOverflow() {
+  throw std::overflow_error("counter overflow");
+}
+
+/// A * B for uint64 event counts; throws on overflow.
+inline uint64_t mulCount(uint64_t A, uint64_t B) {
+  uint64_t P;
+  if (__builtin_mul_overflow(A, B, &P))
+    throwCounterOverflow();
+  return P;
+}
+
+/// Acc += V for uint64 event counts; throws on overflow.
+inline void addCount(uint64_t &Acc, uint64_t V) {
+  if (__builtin_add_overflow(Acc, V, &Acc))
+    throwCounterOverflow();
 }
 
 } // namespace wcs

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 using namespace wcs;
 using namespace wcs::jsonfield;
@@ -245,8 +246,11 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   std::vector<PeriodicPassResult> PassResults;
   double PassProbeSeconds = 0.0;
   // Periodic flavor only: banks whose pass was not used, and the seconds
-  // of the linear walk that conditioned them instead.
-  std::vector<uint8_t> Demoted;
+  // of the linear walk that conditioned them instead; and banks whose
+  // pass counted past 2^64 - 1, whose points fail with "counter
+  // overflow" -- a linear walk would count the same accesses one by one
+  // and overflow too.
+  std::vector<uint8_t> Demoted, Overflowed;
   double DemotedWalkSeconds = 0.0;
   if (!Banks.empty()) {
     telemetry::TimePoint P0 = telemetry::now();
@@ -282,17 +286,20 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       // zero misses as if nothing was ever accessed. Track failures and
       // demote those banks to the linear walk.
       Demoted.assign(Banks.size(), 0);
+      Overflowed.assign(Banks.size(), 0);
       std::vector<std::function<void()>> Tasks;
       Tasks.reserve(Banks.size());
       for (size_t B = 0; B < Banks.size(); ++B)
         Tasks.push_back([&Program, &Opts, &PassResults, &Plan, &Demoted,
-                         B] {
+                         &Overflowed, B] {
           telemetry::Span PassSpan("sweep.periodic-bank");
           PassSpan.arg("bank", static_cast<uint64_t>(B));
           const CacheConfig &C = Plan.Widest[B];
           try {
             PassResults[B] = runPeriodicPass(Program, C.BlockBytes,
                                              C.numSets(), C.Assoc, Opts.Sim);
+          } catch (const std::overflow_error &) {
+            Overflowed[B] = 1;
           } catch (...) {
             Demoted[B] = 1;
           }
@@ -308,6 +315,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       std::vector<SetDistanceBank *> Walk;
       for (size_t B = 0; B < Banks.size(); ++B) {
         Rep.PeriodicPassSeconds += PassResults[B].Stats.Seconds;
+        if (Overflowed[B])
+          continue;
         if (Demoted[B] || faultinject::shouldFail("sweep.periodic-pass") ||
             !PassResults[B].addTo(Banks[B])) {
           Demoted[B] = 1;
@@ -482,6 +491,11 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
                          static_cast<double>(Fast.size());
   for (const FastPoint &F : Fast) {
     SweepPoint &P = Rep.Points[F.Point];
+    if (!Overflowed.empty() && Overflowed[F.Bank]) {
+      P.Ok = false;
+      P.Error = "counter overflow";
+      continue;
+    }
     const SetDistanceBank &Bank = Banks[F.Bank];
     P.Stats.NumLevels = 1;
     P.Stats.Level[0].Accesses = Bank.totalAccesses();

@@ -250,15 +250,19 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
           continue;
         }
         // Fast-forward counters by N copies of the match window
-        // (Theorem 4, Eq. (19)).
+        // (Theorem 4, Eq. (19)), checked: a count past 2^64 fails the
+        // run instead of wrapping.
         CounterState Now = CounterState::capture(Stats);
         uint64_t N = static_cast<uint64_t>(Plan.N);
-        uint64_t DAcc1 = Now.L1Acc - It->Counters.L1Acc;
-        Stats.Level[0].Accesses += N * DAcc1;
-        Stats.Level[0].Misses += N * (Now.L1Miss - It->Counters.L1Miss);
-        Stats.Level[1].Accesses += N * (Now.L2Acc - It->Counters.L2Acc);
-        Stats.Level[1].Misses += N * (Now.L2Miss - It->Counters.L2Miss);
-        Stats.WarpedAccesses += N * DAcc1;
+        uint64_t Window = mulCount(N, Now.L1Acc - It->Counters.L1Acc);
+        addCount(Stats.Level[0].Accesses, Window);
+        addCount(Stats.Level[0].Misses,
+                 mulCount(N, Now.L1Miss - It->Counters.L1Miss));
+        addCount(Stats.Level[1].Accesses,
+                 mulCount(N, Now.L2Acc - It->Counters.L2Acc));
+        addCount(Stats.Level[1].Misses,
+                 mulCount(N, Now.L2Miss - It->Counters.L2Miss));
+        addCount(Stats.WarpedAccesses, Window);
         ++Stats.Warps;
         if (DepthProfile) {
           // The verified state bijection preserves per-set recency
@@ -269,7 +273,7 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
           // histogram delta like the counters above.
           const std::vector<uint64_t> &H0 = Act.SnapshotHists[It->Slot];
           for (size_t D = 0; D < DepthHist.size(); ++D)
-            DepthHist[D] += N * (DepthHist[D] - H0[D]);
+            addCount(DepthHist[D], mulCount(N, DepthHist[D] - H0[D]));
         }
         Engine.applyWarp(Cache, Epochs, Scope, Plan);
         X += Plan.N * Plan.Delta;

@@ -39,6 +39,8 @@ int64_t Value::asInt(int64_t Def) const {
 uint64_t Value::asUInt(uint64_t Def) const {
   if (K == Kind::Int)
     return I >= 0 ? static_cast<uint64_t>(I) : Def;
+  if (K == Kind::UInt)
+    return static_cast<uint64_t>(I);
   if (K == Kind::Double && D >= 0.0 && D < 18446744073709551616.0)
     return static_cast<uint64_t>(D);
   return Def;
@@ -49,6 +51,8 @@ double Value::asDouble(double Def) const {
     return D;
   if (K == Kind::Int)
     return static_cast<double>(I);
+  if (K == Kind::UInt)
+    return static_cast<double>(static_cast<uint64_t>(I));
   return Def;
 }
 
@@ -109,6 +113,7 @@ bool Value::operator==(const Value &O) const {
   case Kind::Bool:
     return B == O.B;
   case Kind::Int:
+  case Kind::UInt:
     return I == O.I;
   case Kind::Double:
     return D == O.D;
@@ -182,6 +187,13 @@ void Value::dumpTo(std::string &Out, unsigned Depth, bool Pretty) const {
   case Kind::Int: {
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(I));
+    Out += Buf;
+    break;
+  }
+  case Kind::UInt: {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%llu",
+                  static_cast<unsigned long long>(I));
     Out += Buf;
     break;
   }
@@ -554,7 +566,17 @@ private:
         Out = Value(static_cast<int64_t>(V));
         return true;
       }
-      // Fall through to double on int64 overflow.
+      // Above int64: exact up to UINT64_MAX (strtoull would negate a
+      // leading '-' instead of refusing it).
+      if (Token[0] != '-') {
+        errno = 0;
+        unsigned long long UV = std::strtoull(Token.c_str(), &End, 10);
+        if (errno != ERANGE && End && *End == '\0') {
+          Out = Value(static_cast<uint64_t>(UV));
+          return true;
+        }
+      }
+      // Fall through to double beyond the integer range.
     }
     char *End = nullptr;
     errno = 0;

@@ -439,7 +439,7 @@ bool wcs::fromJson(const json::Value &V, MetricsDoc &Out, std::string *Err) {
       !needArray(V, "spans", Ss, Err))
     return false;
   for (const auto &M : C->members()) {
-    if (M.Val.kind() != Value::Kind::Int || M.Val.asInt() < 0)
+    if (!M.Val.isNonNegativeInt())
       return failMsg(Err, "counter '" + M.Key +
                               "' must be a non-negative integer");
     D.Counters.emplace_back(M.Key, M.Val.asUInt());
@@ -464,7 +464,7 @@ bool wcs::fromJson(const json::Value &V, MetricsDoc &Out, std::string *Err) {
       H.Bounds.push_back(X.asDouble());
     }
     for (const Value &X : Cs->items()) {
-      if (X.kind() != Value::Kind::Int || X.asInt() < 0)
+      if (!X.isNonNegativeInt())
         return failMsg(Err, "histogram count must be a non-negative "
                             "integer");
       H.Counts.push_back(X.asUInt());

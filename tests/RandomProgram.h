@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 namespace wcs {
@@ -29,7 +30,12 @@ namespace testutil {
 /// Generates a random but well-formed SCoP: loop nests of depth 1-3 with
 /// constant or triangular bounds, in-bounds affine accesses (so that the
 /// block-aligned layout keeps arrays disjoint), occasional guards.
-inline ScopProgram generateProgram(std::mt19937 &Rng) {
+/// With \p LongRuns, about half the nests instead end in an innermost
+/// loop of 1,025 to 1,400 iterations, at depth 1 or 2, whose accesses
+/// ignore its iterator: every activation is then one run of repeated
+/// iterations longer than a 1,024-op batch chunk. The draws without it
+/// are unchanged.
+inline ScopProgram generateProgram(std::mt19937 &Rng, bool LongRuns = false) {
   auto Rand = [&](int Lo, int Hi) {
     return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
   };
@@ -52,11 +58,14 @@ inline ScopProgram generateProgram(std::mt19937 &Rng) {
   }
 
   // A random affine subscript over the current iterators, guaranteed to
-  // stay within [0, 2*MaxIter + 5].
+  // stay within [0, 2*MaxIter + 5]; inside a long loop, over the
+  // iterators around it only.
+  bool InLongLoop = false;
   auto Subscript = [&]() {
-    if (B.depth() == 0 || Rand(0, 4) == 0)
+    unsigned Usable = B.depth() - (InLongLoop ? 1 : 0);
+    if (Usable == 0 || Rand(0, 4) == 0)
       return B.cst(Rand(0, 3));
-    unsigned Lvl = Rand(0, static_cast<int>(B.depth()) - 1);
+    unsigned Lvl = Rand(0, static_cast<int>(Usable) - 1);
     int Coef = Rand(0, 3) == 0 ? 2 : 1;
     return B.iterAt(Lvl) * Coef + B.cst(Rand(0, 3));
   };
@@ -72,13 +81,18 @@ inline ScopProgram generateProgram(std::mt19937 &Rng) {
   unsigned NumNests = Rand(1, 2);
   for (unsigned Nest = 0; Nest < NumNests; ++Nest) {
     unsigned Depth = Rand(1, 3);
+    bool Long = LongRuns && Rand(0, 1) == 0;
+    if (Long)
+      Depth = std::min(Depth, 2u);
     for (unsigned D = 0; D < Depth; ++D) {
       AffineExpr Lo = B.cst(Rand(0, 2));
       // Occasionally triangular: lower bound = an outer iterator.
       if (D > 0 && Rand(0, 2) == 0)
         Lo = B.iterAt(Rand(0, static_cast<int>(B.depth()) - 1));
+      InLongLoop = Long && D + 1 == Depth;
       B.beginLoop("i" + std::to_string(Nest) + std::to_string(D),
-                  std::move(Lo), B.cst(MaxIter));
+                  std::move(Lo),
+                  B.cst(InLongLoop ? Rand(1025, 1400) : MaxIter));
       if (Rand(0, 3) == 0)
         EmitAccess(); // Access between loop levels.
     }
@@ -94,6 +108,7 @@ inline ScopProgram generateProgram(std::mt19937 &Rng) {
     }
     for (unsigned D = 0; D < Depth; ++D)
       B.endLoop();
+    InLongLoop = false;
   }
   std::string Err;
   ScopProgram P = B.finish(&Err);

@@ -12,6 +12,7 @@
 
 #include "RandomProgram.h"
 #include "wcs/driver/BatchRunner.h"
+#include "wcs/frontend/Frontend.h"
 #include "wcs/polybench/Polybench.h"
 #include "wcs/sim/ConcreteSimulator.h"
 
@@ -189,6 +190,56 @@ TEST(BatchRunner, ThrowingTasksAreCapturedAndRethrown) {
         << Threads << " threads";
     EXPECT_EQ(Ran.load(), 12u) << Threads << " threads";
   }
+}
+
+/// Runs \p Source with parameter N bound to \p N on \p Backend, over
+/// wcs-sim's default L1.
+BatchResult runSource(const char *Source, int64_t N, SimBackend Backend) {
+  ParseResult P = parseScop(Source, {{"N", N}}, "overflow");
+  EXPECT_TRUE(P.ok()) << P.message();
+  BatchJob J;
+  J.Program = &P.Program;
+  J.Cache = HierarchyConfig::singleLevel(
+      CacheConfig{4096, 8, 64, PolicyKind::Plru, WriteAllocate::Yes});
+  J.Backend = Backend;
+  return BatchRunner::runJob(J);
+}
+
+/// Counts past 2^64 fail the job with "counter overflow" instead of
+/// wrapping into a plausible result. Four writes per iteration for 2^62
+/// iterations make exactly 2^64 accesses: the concrete walk skips the
+/// repeats of the one all-hit iteration, and warping fast-forwards them,
+/// so both get there in milliseconds.
+TEST(BatchRunner, CounterOverflowFailsTheJob) {
+  const char *Repeat = R"(
+    param N;
+    double A[1];
+    for (i = 0; i < N; i++) {
+      A[0] = 0.0; A[0] = 0.0; A[0] = 0.0; A[0] = 0.0;
+    }
+  )";
+  for (SimBackend BE : {SimBackend::Concrete, SimBackend::Warping}) {
+    BatchResult R = runSource(Repeat, int64_t(1) << 62, BE);
+    EXPECT_FALSE(R.Ok) << backendName(BE);
+    EXPECT_EQ(R.Error, "counter overflow") << backendName(BE);
+    // One iteration fewer fits: 2^64 - 4 accesses, all but one hits.
+    R = runSource(Repeat, (int64_t(1) << 62) - 1, BE);
+    ASSERT_TRUE(R.Ok) << backendName(BE) << ": " << R.Error;
+    EXPECT_EQ(R.Stats.totalAccesses(), ~uint64_t(0) - 3) << backendName(BE);
+    EXPECT_EQ(R.Stats.Level[0].Misses, 1u) << backendName(BE);
+  }
+  // N^2 = 1.6e25 accesses: warping fast-forwards the outer loop by
+  // N * (accesses of one inner activation), which overflows.
+  BatchResult R = runSource(R"(
+    param N;
+    double A[N];
+    for (i = 0; i < N; i++)
+      for (j = 0; j < N; j++)
+        A[j] = 0.0;
+  )",
+                            4000000000000, SimBackend::Warping);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "counter overflow");
 }
 
 TEST(BatchRunner, ParseJobCountIsStrict) {

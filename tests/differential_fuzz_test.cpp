@@ -24,6 +24,7 @@
 #include "wcs/driver/Sweep.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/sim/WarpingSimulator.h"
+#include "wcs/support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -138,6 +139,68 @@ TEST(DifferentialFuzz, BatchedWarpingMatchesPerAccessWarping) {
                            Ctx + " vs concrete");
         }
   }
+}
+
+/// Runs longer than a 1,024-op chunk: a long innermost loop whose
+/// accesses ignore its iterator is one run, so the batched walk simulates
+/// two of its iterations and skips the rest. Both payloads, every
+/// inclusion policy, with and without warping of the loops around it,
+/// and the depth-profiled periodic pass must still agree bit for bit
+/// with the per-access walks.
+TEST(DifferentialFuzz, LongRunsMatchAcrossWalks) {
+  std::mt19937 Rng(0x5EED5);
+  const InclusionPolicy Inclusions[] = {
+      InclusionPolicy::NonInclusiveNonExclusive, InclusionPolicy::Inclusive,
+      InclusionPolicy::Exclusive};
+  telemetry::Counter &Skipped =
+      telemetry::registry().counter("sim.skipped_accesses");
+  const uint64_t SkippedBefore = Skipped.value();
+  const unsigned Iters = fuzzIters();
+  for (unsigned I = 0; I < Iters; ++I) {
+    ScopProgram P = generateProgram(Rng, /*LongRuns=*/true);
+    SimOptions Scalar;
+    Scalar.BatchConcrete = false;
+    SimOptions Batched;
+    Batched.Warp.MaxProbeIters = I % 2 == 0 ? 8 : 4096;
+    SimOptions PerAccess = Batched;
+    PerAccess.BatchConcrete = false;
+    for (PolicyKind K : kPolicies)
+      for (InclusionPolicy Incl : Inclusions) {
+        HierarchyConfig H =
+            randomHierarchy(Rng, K, Incl != Inclusions[0] || I % 2 == 1);
+        H.Inclusion = Incl;
+        std::string Ctx = "iter " + std::to_string(I) + " " + H.str() +
+                          " " + inclusionName(Incl);
+        SimStats Ref = ConcreteSimulator(P, H, Scalar).run();
+        expectStatsEqual(Ref, ConcreteSimulator(P, H).run(),
+                         Ctx + " concrete");
+        SimStats A = WarpingSimulator(P, H, PerAccess).run();
+        SimStats B = WarpingSimulator(P, H, Batched).run();
+        expectStatsEqual(Ref, B, Ctx + " warping");
+        EXPECT_EQ(A.SimulatedAccesses, B.SimulatedAccesses) << Ctx;
+        EXPECT_EQ(A.WarpedAccesses, B.WarpedAccesses) << Ctx;
+        EXPECT_EQ(A.Warps, B.Warps) << Ctx;
+        EXPECT_EQ(A.FailedWarpChecks, B.FailedWarpChecks) << Ctx;
+      }
+    // The periodic pass runs depth-profiled warping walks.
+    std::vector<HierarchyConfig> Grid;
+    for (unsigned Assoc : {2u, 8u})
+      Grid.push_back(HierarchyConfig::singleLevel(CacheConfig{
+          Assoc * 4 * 64, Assoc, 64, PolicyKind::Lru, WriteAllocate::Yes}));
+    SweepOptions Periodic;
+    Periodic.WarpSweep = true;
+    Periodic.WarpSweepMinAccesses = 0;
+    SweepReport Rep = runSweep(P, Grid, Periodic);
+    ASSERT_EQ(Rep.Points.size(), Grid.size());
+    for (size_t G = 0; G < Grid.size(); ++G) {
+      ASSERT_TRUE(Rep.Points[G].Ok) << Rep.Points[G].Error;
+      expectStatsEqual(ConcreteSimulator(P, Grid[G], Scalar).run(),
+                       Rep.Points[G].Stats,
+                       "iter " + std::to_string(I) + " periodic " +
+                           Grid[G].str());
+    }
+  }
+  EXPECT_GT(Skipped.value(), SkippedBefore) << "no run was skipped";
 }
 
 /// Warping, concrete and trace backends (plus stack-distance where it

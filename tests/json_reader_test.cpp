@@ -66,6 +66,18 @@ TEST(JsonReader, NeedUIntRejectsNegative) {
   EXPECT_EQ(I, -1);
 }
 
+TEST(JsonReader, IntegersAboveInt64AreUIntOnly) {
+  Value V = Value::object();
+  V.set("n", uint64_t(INT64_MAX) + 1);
+  uint64_t U = 0;
+  std::string Err;
+  EXPECT_TRUE(needUInt(V, "n", U, &Err)) << Err;
+  EXPECT_EQ(U, uint64_t(INT64_MAX) + 1);
+  int64_t I;
+  EXPECT_FALSE(needInt(V, "n", I, &Err));
+  EXPECT_NE(Err.find("must be an integer"), std::string::npos);
+}
+
 TEST(JsonReader, NeedU32RejectsOverflow) {
   Value V = Value::object();
   V.set("n", int64_t(1) << 33);

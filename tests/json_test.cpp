@@ -52,14 +52,43 @@ TEST(JsonValue, Scalars) {
   EXPECT_EQ(Value(-0.5).asUInt(9), 9u);
   EXPECT_EQ(Value(int64_t(-1)).asUInt(9), 9u);
   EXPECT_EQ(Value(18446744073709551615.0).asUInt(9), 9u); // Rounds to 2^64.
-  // uint64 values above int64 max cannot round-trip as JSON integers;
-  // they degrade to doubles instead of wrapping negative.
+  // uint64 values up to int64 max are Int; above it they are UInt,
+  // exact, and refused by asInt instead of wrapping negative.
   EXPECT_EQ(Value(uint64_t(123)).kind(), Value::Kind::Int);
   EXPECT_EQ(Value(uint64_t(9223372036854775807ull)).asInt(), // 2^63 - 1
             9223372036854775807LL);
   Value Big(uint64_t(1) << 63);
-  EXPECT_EQ(Big.kind(), Value::Kind::Double);
-  EXPECT_GT(Big.asDouble(), 0.0);
+  EXPECT_EQ(Big.kind(), Value::Kind::UInt);
+  EXPECT_TRUE(Big.isNumber());
+  EXPECT_TRUE(Big.isNonNegativeInt());
+  EXPECT_EQ(Big.asUInt(), uint64_t(1) << 63);
+  EXPECT_EQ(Big.asInt(-5), -5);
+  EXPECT_DOUBLE_EQ(Big.asDouble(), 9223372036854775808.0);
+  EXPECT_FALSE(Value(int64_t(-1)).isNonNegativeInt());
+  EXPECT_FALSE(Value(1.0).isNonNegativeInt());
+}
+
+/// Counters in [2^63, 2^64) round-trip exactly through dump and parse.
+TEST(JsonValue, UnsignedAboveInt64RoundTrips) {
+  const uint64_t Cases[] = {uint64_t(INT64_MAX) + 1,
+                            13835058055282163712ull, // 3 * 2^62
+                            std::numeric_limits<uint64_t>::max()};
+  for (uint64_t C : Cases) {
+    Value Doc = Value::object();
+    Doc.set("accesses", Value(C));
+    for (bool Pretty : {true, false}) {
+      std::string Text = Doc.dump(Pretty);
+      EXPECT_NE(Text.find(std::to_string(C)), std::string::npos) << Text;
+      Value Back = parseOk(Text);
+      EXPECT_TRUE(Back == Doc) << Text;
+      EXPECT_EQ(Back["accesses"].kind(), Value::Kind::UInt);
+      EXPECT_EQ(Back["accesses"].asUInt(), C);
+    }
+  }
+  // Past UINT64_MAX, and below INT64_MIN, integers still degrade to
+  // doubles; a negative never parses as unsigned.
+  EXPECT_EQ(parseOk("18446744073709551616").kind(), Value::Kind::Double);
+  EXPECT_EQ(parseOk("-9223372036854775809").kind(), Value::Kind::Double);
 }
 
 TEST(JsonValue, ObjectInsertionOrderAndReplace) {

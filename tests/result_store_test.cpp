@@ -131,6 +131,30 @@ TEST(ResultStore, PersistsAcrossReopen) {
   EXPECT_EQ(dumpPoint(Out), dumpPoint(P2));
 }
 
+TEST(ResultStore, CountsAboveInt64AreBitIdentical) {
+  // A count in [2^63, 2^64) survives an insert, a reopen and a lookup
+  // exactly: a store hit must equal the fresh run, low digits included.
+  TempFile F("uint64");
+  std::string Err;
+  SweepPoint P = makePoint(13835058055282163712ull, 1); // 3 * 2^62
+  P.Stats.SimulatedAccesses = P.Stats.Level[0].Accesses;
+  {
+    ResultStore S;
+    ASSERT_TRUE(S.open(F.path(), &Err)) << Err;
+    ASSERT_TRUE(S.insert("big", P, &Err)) << Err;
+    SweepPoint Out;
+    ASSERT_TRUE(S.lookup("big", Out));
+    EXPECT_EQ(Out.Stats.Level[0].Accesses, 13835058055282163712ull);
+  }
+  ResultStore S;
+  ASSERT_TRUE(S.open(F.path(), &Err)) << Err;
+  SweepPoint Out;
+  ASSERT_TRUE(S.lookup("big", Out));
+  EXPECT_EQ(Out.Stats.Level[0].Accesses, 13835058055282163712ull);
+  EXPECT_EQ(Out.Stats.SimulatedAccesses, 13835058055282163712ull);
+  EXPECT_EQ(dumpPoint(Out), dumpPoint(P));
+}
+
 TEST(ResultStore, StoreLineIsSelfChecking) {
   std::string Line = resultStoreLine("some-key", makePoint(5, 1));
   std::string Err;

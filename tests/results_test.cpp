@@ -76,6 +76,21 @@ TEST(ResultsJson, SimStatsRoundTrip) {
   expectStatsEq(reserialized(OneLevel), OneLevel);
 }
 
+TEST(ResultsJson, SimStatsAboveInt64RoundTripExactly) {
+  // Run skipping and warping reach counts in [2^63, 2^64) in
+  // milliseconds; they are written as exact integers, never as doubles.
+  SimStats S;
+  S.NumLevels = 1;
+  S.Level[0] = {13835058055282163712ull, 1};          // 3 * 2^62
+  S.SimulatedAccesses = 18446744073709551615ull;      // 2^64 - 1
+  S.WarpedAccesses = uint64_t(INT64_MAX) + 1;         // 2^63
+  S.Seconds = 0.25;
+  std::string Text = toJson(S).dump();
+  EXPECT_NE(Text.find("13835058055282163712"), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("e+19"), std::string::npos) << Text;
+  expectStatsEq(reserialized(S), S);
+}
+
 TEST(ResultsJson, SimStatsRejectsMalformed) {
   SimStats Out;
   std::string Err;

@@ -468,6 +468,38 @@ TEST(SweepGrid, ParsesFullAssocPoliciesAndBlock) {
   EXPECT_TRUE(Grid[0].Levels[0].isFullyAssociative());
 }
 
+/// N^2 = 1.6e25 accesses: the periodic pass's warp fast-forward
+/// overflows, and the bank's points fail with "counter overflow" at
+/// once -- neither wrapped counts marked ok nor a linear walk over more
+/// than 2^64 accesses. So does a warping job for a PLRU point.
+TEST(SweepOverflow, PeriodicPassOverflowFailsItsPoints) {
+  ScopBuilder B("overflow");
+  const int64_t N = 4000000000000;
+  unsigned A = B.addArray("A", 8, {N});
+  B.beginLoop("i", B.cst(0), B.cst(N - 1));
+  B.beginLoop("j", B.cst(0), B.cst(N - 1));
+  B.write(A, {B.iter("j")});
+  B.endLoop();
+  B.endLoop();
+  std::string Err;
+  ScopProgram P = B.finish(&Err);
+  ASSERT_EQ(Err, "");
+  std::vector<HierarchyConfig> Grid;
+  for (unsigned Assoc : {4u, 8u})
+    Grid.push_back(HierarchyConfig::singleLevel(CacheConfig{
+        Assoc * 8 * 64, Assoc, 64, PolicyKind::Lru, WriteAllocate::Yes}));
+  Grid.push_back(HierarchyConfig::singleLevel(
+      CacheConfig{4096, 8, 64, PolicyKind::Plru, WriteAllocate::Yes}));
+  SweepReport Rep = runSweep(P, Grid, SweepOptions());
+  ASSERT_EQ(Rep.Points.size(), Grid.size());
+  EXPECT_TRUE(Rep.PeriodicPass);
+  for (const SweepPoint &Pt : Rep.Points) {
+    EXPECT_FALSE(Pt.Ok) << Pt.Cache.str();
+    EXPECT_EQ(Pt.Error, "counter overflow") << Pt.Cache.str();
+  }
+  EXPECT_FALSE(Rep.allOk());
+}
+
 TEST(SweepGrid, RejectsMalformedSpecs) {
   SweepLevelGrid G;
   std::string Err;
