@@ -146,12 +146,13 @@ BENCHMARK(BM_SymbolicBatch)
     ->Arg(static_cast<int>(PolicyKind::Plru))
     ->Arg(static_cast<int>(PolicyKind::QuadAgeLru));
 
-/// Two 1,024-iteration activations of one innermost loop through
-/// BatchWalker::walk: arguments (policy, shape, payload). Shape 0 has
-/// four unit-stride lanes, so every run of eight iterations is emitted
-/// as two simulated iterations and a repeat marker; shape 1 adds a lane
-/// that moves a whole 4 KiB row per iteration, so nothing is skipped.
-/// Payload 0 is concrete, 1 symbolic.
+/// Two 1,024-iteration activations of one innermost loop, each one lanes
+/// event of the program-order walk (ScopWalk, HierarchyStepper):
+/// arguments (policy, shape, payload). Shape 0 has four unit-stride
+/// lanes, so every run of eight iterations is emitted as two simulated
+/// iterations and a repeat marker; shape 1 adds a lane that moves a
+/// whole 4 KiB row per iteration, so nothing is skipped. Payload 0 is
+/// concrete, 1 symbolic.
 void BM_BatchWalk(benchmark::State &State) {
   PolicyKind K = static_cast<PolicyKind>(State.range(0));
   bool RowLane = State.range(1) != 0;
@@ -170,17 +171,14 @@ void BM_BatchWalk(benchmark::State &State) {
   B.endLoop();
   B.endLoop();
   ScopProgram P = B.finish();
-  const LoopNode *L = P.loops()[1];
   HierarchyConfig H = HierarchyConfig::singleLevel(microCache(K));
-  BatchWalker Walker(P, /*IncludeScalars=*/false,
-                     log2Exact(H.blockBytes()));
   SimStats Stats;
   auto Run = [&](auto &Cache, uint32_t Epoch) {
+    HierarchyStepper Step(Cache, Stats, log2Exact(H.blockBytes()));
+    Step.Epochs.assign(2, Epoch); // Both loops' activations.
+    ScopWalk Walk(P, /*IncludeScalars=*/false, /*Batch=*/true, Step);
     for (auto _ : State)
-      for (int64_t T = 0; T < 2; ++T) {
-        IterVec Iter{T};
-        Walker.walk(L, Iter, 0, 1023, Cache, Stats, Epoch);
-      }
+      Walk.run();
   };
   if (State.range(2) == 0) {
     ConcreteHierarchy C(H);

@@ -73,8 +73,10 @@ struct BatchedAccess {
 
   static constexpr uint64_t RepeatBit = 1ull << 63;
 
-  /// The top bit stays clear: only a negative block -- an access below
-  /// address zero, meaningless either way -- would set it.
+  /// The top bit stays clear, so a block keeps its low 62 bits and
+  /// block() sign-extends them: every block in [-2^61, 2^61) round-trips,
+  /// which covers every block of 2 bytes or more at the addresses a
+  /// program may reach (within +-2^62, see ScopProgram::finalize).
   static BatchedAccess make(BlockId Block, bool IsWrite) {
     return BatchedAccess{(static_cast<uint64_t>(Block) << 1 |
                           static_cast<uint64_t>(IsWrite)) &
@@ -86,7 +88,7 @@ struct BatchedAccess {
   }
   bool isRepeat() const { return (Bits & RepeatBit) != 0; }
   size_t iterOps() const { return static_cast<size_t>(Bits & ~RepeatBit); }
-  BlockId block() const { return static_cast<BlockId>(Bits >> 1); }
+  BlockId block() const { return static_cast<BlockId>(Bits << 1) >> 2; }
   bool isWrite() const { return (Bits & 1) != 0; }
 };
 

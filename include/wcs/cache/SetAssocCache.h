@@ -46,10 +46,12 @@
 
 namespace wcs {
 
-/// Memory-block identifier (byte address / block size). Non-negative for
-/// real blocks; kInvalidBlock marks empty cache lines.
+/// Memory-block identifier (byte address / block size, rounded down:
+/// negative below address zero). kInvalidBlock marks empty cache lines;
+/// no address a program may reach (within +-2^62, see
+/// ScopProgram::finalize) has it as its block.
 using BlockId = int64_t;
-inline constexpr BlockId kInvalidBlock = -1;
+inline constexpr BlockId kInvalidBlock = INT64_MIN;
 
 /// Describes how a line payload maps onto the struct-of-arrays storage.
 /// The primary template covers payloads that are nothing but
@@ -476,7 +478,7 @@ private:
   template <PolicyKind P, unsigned CtAssoc = 0, bool TrackMra = true>
   AccessOutcome accessImpl(BlockId B, bool Allocate,
                            [[maybe_unused]] TagT Tag) {
-    assert(B >= 0 && "accessing an invalid block");
+    assert(B != kInvalidBlock && "accessing an invalid block");
     const unsigned A = CtAssoc != 0 ? CtAssoc : Assoc;
     unsigned S = setOf(B);
     if constexpr (TrackMra)

@@ -20,12 +20,13 @@
 ///    its points ask for: up to 64 ways it keeps LRU rows of that width
 ///    (a row scan per access), wider it keeps exact per-set profilers
 ///    (a tree walk per access). The pass itself comes in two flavors:
-///    for long traces (decided by a cheap counting pre-walk) each bank
-///    is produced by a warp-aware periodic pass (trace/PeriodicPass)
-///    that skips periodic trace phases analytically and is sublinear in
-///    trace length like warping itself; short traces, and sweeps with
-///    WarpSweep off, use ONE linear trace walk feeding all banks.
-///    Both flavors are bit-identical.
+///    for long traces (decided by a counting pre-walk, one step per
+///    loop activation) each bank is produced by a warp-aware periodic
+///    pass (trace/PeriodicPass) that skips periodic trace phases
+///    analytically and is sublinear in trace length like warping
+///    itself; short traces, and sweeps with WarpSweep off, use ONE
+///    linear walk feeding all banks from the program-order walk's lanes
+///    (feedBanks). Both flavors are bit-identical.
 ///
 ///  - Two-level NINE points are grouped by their L1 configuration: the
 ///    L1-miss-filtered access stream of each distinct L1 is recorded
@@ -119,10 +120,13 @@ struct SweepOptions {
   /// linear walk (the wcs-sim --no-warp-sweep escape hatch).
   bool WarpSweep = true;
   /// Trace length (in accesses) at which the periodic pass takes over
-  /// from the linear walk. Decided by a counting pre-walk that aborts
-  /// at the threshold, so the probe costs a few ms at most. Below it
-  /// the linear walk is already cheap and the per-bank warping runs
-  /// would not pay for themselves (a cache that never fills never
+  /// from the linear walk. Decided by a counting pre-walk
+  /// (countAccesses) that counts trip count x lanes per innermost
+  /// activation and stops at the threshold, so it takes one step per
+  /// loop activation rather than one per access: 0.06-1.43 ms per grid-a
+  /// request of the sweep-medium benchmark on a shared 4-core host.
+  /// Below it the linear walk is already cheap and the per-bank warping
+  /// runs would not pay for themselves (a cache that never fills never
   /// warps). 0 = periodic whenever WarpSweep is on.
   uint64_t WarpSweepMinAccesses = 2ull << 20;
 };

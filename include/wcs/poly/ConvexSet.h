@@ -8,8 +8,8 @@
 /// \file
 /// A convex integer set: the integer points satisfying a conjunction of
 /// affine constraints. Iteration domains of loop and access nodes (paper
-/// Sec. 3.2) are represented as these (or small unions of them, see
-/// IntegerSet.h).
+/// Sec. 3.2) are represented as these: the dialect has no disjunctive
+/// guards, so every domain is convex.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #define WCS_POLY_CONVEXSET_H
 
 #include "wcs/poly/AffineExpr.h"
-#include "wcs/poly/FourierMotzkin.h"
 #include "wcs/support/IterVec.h"
 
 #include <optional>
@@ -55,7 +54,6 @@ struct VarBounds {
   int64_t Hi; ///< Lo > Hi encodes an empty range.
 
   bool empty() const { return Lo > Hi; }
-  int64_t extent() const { return empty() ? 0 : Hi - Lo + 1; }
 };
 
 /// The integer points of `Z^NumDims` satisfying all constraints.
@@ -64,16 +62,10 @@ public:
   ConvexSet() = default;
   explicit ConvexSet(unsigned NumDims) : Dims(NumDims) {}
 
-  /// The universe set over \p NumDims dimensions.
-  static ConvexSet universe(unsigned NumDims) { return ConvexSet(NumDims); }
-
   unsigned numDims() const { return Dims; }
   const std::vector<Constraint> &constraints() const { return Cons; }
 
   void addConstraint(Constraint C);
-
-  /// Adds all constraints of \p Other (dimensions must match).
-  void intersectWith(const ConvexSet &Other);
 
   /// Returns this set with dimensions extended to \p NumDims (constraints
   /// are unchanged; the new trailing dimensions are unconstrained).
@@ -93,18 +85,6 @@ public:
   /// form a contiguous interval, so no per-point membership test is needed
   /// when iterating a loop domain.
   std::optional<VarBounds> lastDimBounds(const IterVec &Prefix) const;
-
-  /// Rational emptiness check (Infeasible implies integer-empty).
-  FMStatus emptyRational() const;
-
-  /// Builds a LinearSystem over numDims() variables with all constraints.
-  LinearSystem toSystem() const;
-
-  /// Appends the constraints into \p Sys, remapping this set's dimension
-  /// \p D to system variable `VarMap[D]`. The system may have extra
-  /// variables (e.g. the warp-count variable k in conflict systems).
-  void addToSystem(LinearSystem &Sys,
-                   const std::vector<unsigned> &VarMap) const;
 
   std::string str(const std::vector<std::string> &DimNames = {}) const;
 

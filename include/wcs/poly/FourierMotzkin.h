@@ -65,9 +65,6 @@ class LinearSystem {
 public:
   explicit LinearSystem(unsigned NumVars) : NumVars(NumVars) {}
 
-  unsigned numVars() const { return NumVars; }
-  unsigned numRows() const { return static_cast<unsigned>(Rows.size()); }
-
   /// Adds the inequality `Coeffs . x + Const >= 0`.
   void addGE(std::vector<int64_t> Coeffs, int64_t Const);
 

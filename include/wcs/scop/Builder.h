@@ -60,9 +60,6 @@ public:
   /// Opens a loop `for Name = Lo .. Hi` (inclusive bounds; expressions
   /// over the enclosing iterators).
   void beginLoop(std::string Name, AffineExpr Lo, AffineExpr Hi);
-  /// Adds an extra bound constraint to the innermost open loop (for
-  /// domains with multiple lower/upper bounds).
-  void addLoopConstraint(Constraint C);
   void endLoop();
 
   /// Opens a guard: statements until endGuard execute only where

@@ -21,10 +21,11 @@
 #ifndef WCS_SCOP_PROGRAM_H
 #define WCS_SCOP_PROGRAM_H
 
-#include "wcs/poly/IntegerSet.h"
+#include "wcs/poly/ConvexSet.h"
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,10 +41,11 @@ struct ArrayInfo {
 
   bool isScalar() const { return DimSizes.empty(); }
 
-  /// Total extent in bytes.
-  int64_t byteSize() const;
+  /// Total extent in bytes, or std::nullopt when it overflows int64.
+  std::optional<int64_t> byteSize() const;
 
-  /// Row-major element stride (in elements) of dimension \p Dim.
+  /// Row-major element stride (in elements) of dimension \p Dim; needs
+  /// a byteSize() that fits.
   int64_t elemStride(unsigned Dim) const;
 };
 
@@ -77,14 +79,14 @@ public:
   AccessKind AKind = AccessKind::Read;
   unsigned Depth = 0; ///< Number of enclosing loop dimensions.
   std::vector<AffineExpr> Subscripts; ///< One per array dimension.
-  IntegerSet Domain;                  ///< Over Depth dimensions.
+  ConvexSet Domain;                   ///< Over Depth dimensions.
 
   /// Linearized byte-address function over Depth dimensions; computed by
   /// ScopProgram::finalize once the layout is fixed.
   AffineExpr Address;
 
-  /// True if every disjunct of Domain equals the enclosing loop's domain
-  /// (the access is unguarded); set by finalize.
+  /// True if an if-guard restricts Domain below the enclosing loops'
+  /// domain; set by the builder, which knows the open guards.
   bool Guarded = false;
 
   bool isWrite() const { return AKind == AccessKind::Write; }
@@ -99,7 +101,7 @@ public:
   std::string IterName = "i";
   unsigned Depth = 0; ///< Nesting depth; the loop's own iterator is
                       ///< dimension Depth (domains have Depth+1 dims).
-  IntegerSet Domain;  ///< Over Depth+1 dimensions.
+  ConvexSet Domain;   ///< Over Depth+1 dimensions.
   std::vector<std::unique_ptr<Node>> Children;
 
   /// DFS access-id range [FirstAccess, EndAccess) of this subtree;
@@ -147,10 +149,14 @@ public:
   /// Name of this program (e.g. the kernel name); informational.
   std::string Name;
 
-  /// Assigns node ids, computes linearized address functions, marks
-  /// guarded accesses and validates the tree. Must be called after
-  /// construction and after the layout assigned array base addresses.
-  /// Returns an error message, or "" on success.
+  /// Assigns node ids, computes linearized address functions and
+  /// validates the tree. Must be called after construction and after
+  /// the layout assigned array base addresses. Refuses a program whose
+  /// iterator or address arithmetic can overflow: over the box hull of
+  /// the loop bounds, every iterator must stay in [-2^62, 2^62), every
+  /// address and address stride within the same range, and no bound,
+  /// guard or address evaluation may overflow int64. Returns an error
+  /// message naming the loop or the array, or "" on success.
   std::string finalize();
 
   /// Pretty-prints the tree (for debugging and examples).
@@ -170,8 +176,10 @@ private:
 
 /// Assigns base addresses to all arrays: each array is aligned to
 /// \p AlignBytes (default: page size, matching how allocators place large
-/// arrays); scalars are packed contiguously in a separate region.
-void assignLayout(ScopProgram &P, int64_t AlignBytes = 4096);
+/// arrays); scalars are packed contiguously in a separate region. Returns
+/// an error naming the array whose size or placement overflows int64,
+/// or "" on success.
+std::string assignLayout(ScopProgram &P, int64_t AlignBytes = 4096);
 
 } // namespace wcs
 

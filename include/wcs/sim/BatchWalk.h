@@ -1,4 +1,4 @@
-//===- wcs/sim/BatchWalk.h - Batched innermost-loop walk --------*- C++ -*-===//
+//===- wcs/sim/BatchWalk.h - The program-order SCoP walk --------*- C++ -*-===//
 //
 // Part of the wcs project, a reproduction of "Warping Cache Simulation of
 // Polyhedral Programs" (PLDI 2022).
@@ -6,14 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batched walk of one innermost-loop activation, shared by the
-/// concrete and the warping simulator. A batchable loop -- every child an
-/// unguarded access, a single-disjunct domain -- is lowered to one lane
-/// per included child: its running byte address and the constant stride
-/// its affine address takes along the loop iterator. Addresses are then
-/// generated by add/shift into chunks of 8-byte BatchedAccess words and
-/// handed to CacheHierarchy::accessBatch, instead of one tree-walk step
-/// and one hierarchy call per access.
+/// The one program-order walk of a SCoP tree, under every consumer: both
+/// simulators, the trace generator, the stack-distance passes and the
+/// sweep's counting pre-walk. ScopWalk owns loop bounds, the scalar
+/// filter, guards, the batchable test and lane setup. Its visitor is a
+/// template parameter (no virtual or std::function call per access or
+/// per chunk) and takes up to three events:
+///
+///  1. access(A, Iter, Addr): an included access outside a batchable
+///     loop, at iteration point Iter and byte address Addr.
+///  2. lanes(L, Lo, Hi, Lanes), optional: iterations [Lo, Hi] of a
+///     batchable loop -- every child an unguarded access, the
+///     innermost-loop shape of the PolyBench kernels -- as one lane per
+///     included child: its byte address at Lo and the constant stride
+///     its affine address takes along the loop iterator. The visitor
+///     may advance the lanes. A visitor without this event, or a walk
+///     built with Batch off, sees every access through event 1: the
+///     per-access reference walk.
+///  3. loopTop(Walk, L, Iter, Lo, Hi), optional: the top of each loop
+///     activation, with bounds [Lo, Hi]. The visitor may step iterations
+///     itself (Walk.iteration) and returns the first one left to the
+///     walk. Warping probes here: the paper's Algorithm 2 is
+///     Algorithm 1 plus this hook.
+///
+/// HierarchyStepper is the visitor body both simulators share over a
+/// CacheHierarchy: the per-access step and its counters, and the lanes
+/// event, which generates addresses by add/shift into chunks of 8-byte
+/// BatchedAccess words for CacheHierarchy::accessBatch.
 ///
 /// Chunks end at iteration boundaries, so a chunk is always whole
 /// iterations in lane order. That is what lets a symbolic hierarchy
@@ -22,16 +41,16 @@
 /// word.
 ///
 /// Runs. When every lane moves less than one block per iteration, the
-/// walk splits the activation into runs: maximal stretches of
+/// lanes event splits the activation into runs: maximal stretches of
 /// iterations in which no lane changes block (a stride-0 lane never ends
 /// one). Every iteration of a run touches the same blocks in the same
 /// order, so a run of three or more is emitted as its first iteration
 /// plus one repeat marker, and accessBatch simulates repetitions only
 /// until one hits everywhere in the L1 and counts the rest as hits (the
 /// fixed-point lemma at CacheHierarchy::accessBatch). The accesses it
-/// skipped still count in SimulatedAccesses, and the walk adds them to
-/// the registry counter sim.skipped_accesses once per activation. A lane
-/// that moves a block or more per iteration makes every run one
+/// skipped still count in SimulatedAccesses, and the stepper adds them
+/// to the registry counter sim.skipped_accesses once per activation. A
+/// lane that moves a block or more per iteration makes every run one
 /// iteration long, so such activations take the plain walk.
 ///
 //===----------------------------------------------------------------------===//
@@ -47,28 +66,57 @@
 #include "wcs/support/Telemetry.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 namespace wcs {
 
-/// Lane generator and chunk buffer of the batched walk, reused across
-/// activations.
-class BatchWalker {
-public:
-  BatchWalker(const ScopProgram &Program, bool IncludeScalars,
-              unsigned BlockShift)
-      : Program(Program), IncludeScalars(IncludeScalars),
-        BlockShift(BlockShift), BlockBytes(uint64_t(1) << BlockShift),
-        SkippedCounter(
-            telemetry::registry().counter("sim.skipped_accesses")) {}
+/// One included child access of a lanes event.
+struct WalkLane {
+  int64_t Addr;   ///< Byte address at the first iteration of the event.
+  int64_t Stride; ///< Bytes the address moves per iteration.
+  int32_t Node;   ///< AccessNode::Id.
+  bool IsWrite;
+};
 
-  /// True when \p L can take the batched walk: a single-disjunct domain
-  /// (no holes) and every child an unguarded access -- the innermost-loop
-  /// shape of the PolyBench kernels.
-  static bool batchable(const LoopNode *L) {
-    if (!L->Domain.isSingleDisjunct())
+/// The walk's scalar filter: true when the walk visits \p A. Scalars
+/// count only with \p IncludeScalars (the paper's tool counts array
+/// accesses only, Sec. 6.4).
+inline bool walkVisits(const ScopProgram &P, const AccessNode &A,
+                       bool IncludeScalars) {
+  return IncludeScalars || !P.array(A.ArrayId).isScalar();
+}
+
+/// The program-order walk of \p Program, reporting to a \p Visitor.
+template <typename Visitor> class ScopWalk {
+public:
+  /// With \p Batch off, every access is an access event.
+  ScopWalk(const ScopProgram &Program, bool IncludeScalars, bool Batch,
+           Visitor &V)
+      : Program(Program), IncludeScalars(IncludeScalars), Batch(Batch),
+        V(V) {}
+
+  void run() {
+    IterVec Iter;
+    for (const std::unique_ptr<Node> &R : Program.roots())
+      node(*R, Iter);
+  }
+
+  /// Walks the body of iteration \p X of \p L, whose enclosing
+  /// iterators are \p Iter: how a loopTop steps iterations itself.
+  void iteration(const LoopNode &L, IterVec &Iter, int64_t X) {
+    Iter.push(X);
+    for (const std::unique_ptr<Node> &C : L.Children)
+      node(*C, Iter);
+    Iter.pop();
+  }
+
+  /// True when the walk hands the iterations a loopTop of \p L leaves
+  /// to a lanes event.
+  bool batches(const LoopNode &L) const {
+    if (!HasLanes || !Batch)
       return false;
-    for (const std::unique_ptr<Node> &C : L->Children) {
+    for (const std::unique_ptr<Node> &C : L.Children) {
       const AccessNode *A = asAccess(C.get());
       if (!A || A->Guarded)
         return false;
@@ -76,46 +124,119 @@ public:
     return true;
   }
 
-  /// Walks iterations [Lo, Hi] of the batchable loop \p L, whose
-  /// enclosing iterators are \p Iter, through \p Cache and adds the
-  /// counters to \p Stats, skipped repetitions of runs included. A
-  /// symbolic hierarchy tags every access with \p Epoch, its lane's
-  /// access node and its iteration; \p Sink and \p DepthHist are
-  /// accessBatch's observers. Throws std::overflow_error("counter
-  /// overflow") when a counter would pass 2^64 - 1.
-  template <typename LineT>
-  void walk(const LoopNode *L, IterVec &Iter, int64_t Lo, int64_t Hi,
-            CacheHierarchy<LineT> &Cache, SimStats &Stats,
-            [[maybe_unused]] uint32_t Epoch = 0,
-            const L1MissSink *Sink = nullptr,
-            uint64_t *DepthHist = nullptr) {
-    // Per included child: start address at X = Lo, plus the constant
-    // stride its affine address takes along the innermost iterator. From
-    // there the whole activation is add/shift address generation.
-    constexpr bool Tagged = CacheLineTraits<LineT>::HasTag;
-    Lanes.clear();
-    LaneNodes.clear();
-    Iter.push(Lo);
-    for (const std::unique_ptr<Node> &C : L->Children) {
-      const AccessNode *A = asAccess(C.get());
-      if (!IncludeScalars && Program.array(A->ArrayId).isScalar())
-        continue;
-      int64_t Stride =
-          A->Address.numDims() > L->Depth ? A->Address.coeff(L->Depth) : 0;
-      Lanes.push_back(Lane{A->Address.eval(Iter), Stride, A->isWrite()});
-      if constexpr (Tagged)
-        LaneNodes.push_back(A->Id);
-    }
-    Iter.pop();
-    if (Lanes.empty() || Lo > Hi)
-      return;
+private:
+  static constexpr bool HasLanes =
+      requires(Visitor &V, const LoopNode &L, std::span<WalkLane> Lanes) {
+        V.lanes(L, int64_t(), int64_t(), Lanes);
+      };
 
+  void node(const Node &N, IterVec &Iter) {
+    if (const LoopNode *L = asLoop(&N)) {
+      loop(*L, Iter);
+      return;
+    }
+    const AccessNode &A = *asAccess(&N);
+    if (!walkVisits(Program, A, IncludeScalars) ||
+        (A.Guarded && !A.Domain.contains(Iter)))
+      return;
+    V.access(A, Iter, A.Address.eval(Iter));
+  }
+
+  void loop(const LoopNode &L, IterVec &Iter) {
+    std::optional<VarBounds> B = L.Domain.lastDimBounds(Iter);
+    assert(B && "loop domain must be bounded");
+    if (B->empty())
+      return;
+    int64_t X = B->Lo;
+    if constexpr (requires { V.loopTop(*this, L, Iter, X, X); })
+      X = V.loopTop(*this, L, Iter, B->Lo, B->Hi);
+    if (X > B->Hi)
+      return;
+    if constexpr (HasLanes) {
+      if (batches(L)) {
+        Lanes.clear();
+        Iter.push(X);
+        for (const std::unique_ptr<Node> &C : L.Children) {
+          const AccessNode &A = *asAccess(C.get());
+          if (!walkVisits(Program, A, IncludeScalars))
+            continue;
+          int64_t Stride =
+              A.Address.numDims() > L.Depth ? A.Address.coeff(L.Depth) : 0;
+          Lanes.push_back(
+              WalkLane{A.Address.eval(Iter), Stride, A.Id, A.isWrite()});
+        }
+        Iter.pop();
+        if (!Lanes.empty())
+          V.lanes(L, X, B->Hi, std::span<WalkLane>(Lanes));
+        return;
+      }
+    }
+    for (; X <= B->Hi; ++X)
+      iteration(L, Iter, X);
+  }
+
+  const ScopProgram &Program;
+  bool IncludeScalars;
+  bool Batch;
+  Visitor &V;
+  std::vector<WalkLane> Lanes; ///< Scratch of the lanes event.
+};
+
+/// The visitor body of both simulators: every access steps \p Cache
+/// and counts in \p Stats.
+template <typename LineT> class HierarchyStepper {
+  static constexpr bool Tagged = CacheLineTraits<LineT>::HasTag;
+  using TagT = typename CacheHierarchy<LineT>::TagT;
+
+public:
+  HierarchyStepper(CacheHierarchy<LineT> &Cache, SimStats &Stats,
+                   unsigned BlockShift)
+      : Cache(Cache), Stats(Stats), BlockShift(BlockShift),
+        BlockBytes(uint64_t(1) << BlockShift),
+        SkippedCounter(
+            telemetry::registry().counter("sim.skipped_accesses")) {}
+
+  /// The hierarchy's observers: \p Sink sees every L1 miss, and a tagged
+  /// payload counts each L1 hit at its depth in \p DepthHist.
+  const L1MissSink *Sink = nullptr;
+  uint64_t *DepthHist = nullptr;
+  /// Tagged payloads: the epoch of the open loop activation at each
+  /// nesting depth. Whoever opens an activation's epoch (the warping
+  /// simulator, at loopTop) stores it at the loop's depth; entries
+  /// deeper than the current activation are stale.
+  std::vector<uint32_t> Epochs;
+
+  void access(const AccessNode &A, const IterVec &Iter, int64_t Addr) {
+    BlockId B = Addr >> BlockShift;
+    TagT Tag{};
+    if constexpr (Tagged)
+      Tag = TagT{A.Id, A.Depth == 0 ? 0u : Epochs[A.Depth - 1],
+                 Iter.empty() ? 0 : Iter.back()};
+    HierarchyOutcome O = Cache.access(B, A.isWrite(), Tag, DepthHist);
+    if (Sink && !O.L1Hit)
+      (*Sink)(B, A.isWrite());
+    Stats.countAccess(O.L1Hit, O.L2Accessed, O.L2Hit);
+  }
+
+  /// Steps iterations [Lo, Hi] of \p L through accessBatch, skipped
+  /// repetitions of runs included. A symbolic hierarchy tags every
+  /// access with the activation's epoch, its lane's access node and its
+  /// iteration. Throws std::overflow_error("counter overflow") when a
+  /// counter would pass 2^64 - 1.
+  void lanes(const LoopNode &L, int64_t Lo, int64_t Hi,
+             std::span<WalkLane> Lanes) {
     using TagCursor = typename CacheHierarchy<LineT>::TagCursor;
+    if constexpr (Tagged) {
+      LaneNodes.clear();
+      for (const WalkLane &Ln : Lanes)
+        LaneNodes.push_back(Ln.Node);
+    }
     auto TagsFrom = [&](int64_t X) {
       TagCursor T;
       if constexpr (Tagged)
         T = TagCursor{LaneNodes.data(),
-                      static_cast<unsigned>(LaneNodes.size()), 0, Epoch, X};
+                      static_cast<unsigned>(LaneNodes.size()), 0,
+                      Epochs[L.Depth], X};
       return T;
     };
 
@@ -140,12 +261,12 @@ public:
       Out = Begin;
     };
     auto Emit = [&] {
-      for (const Lane &Ln : Lanes)
+      for (const WalkLane &Ln : Lanes)
         *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
     };
-    if (!initRuns()) {
+    if (!initRuns(Lanes)) {
       for (int64_t X = Lo; X <= Hi; ++X) {
-        for (Lane &Ln : Lanes) {
+        for (WalkLane &Ln : Lanes) {
           *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
           Ln.Addr += Ln.Stride;
         }
@@ -165,8 +286,8 @@ public:
         const uint64_t ToEnd =
             static_cast<uint64_t>(Hi) - static_cast<uint64_t>(X);
         uint64_t Rest = std::min<uint64_t>(ToEnd, uint64_t(1) << 62);
-        for (const Lane &Ln : Lanes)
-          Rest = std::min(Rest, Ln.Left - 1);
+        for (uint64_t N : Left)
+          Rest = std::min(Rest, N - 1);
         Emit();
         if (Rest >= 2) {
           *Out++ = BatchedAccess::repeatHeader(NumLanes);
@@ -176,11 +297,12 @@ public:
         }
         if (Rest == ToEnd)
           break;
-        for (Lane &Ln : Lanes) {
+        for (size_t I = 0; I < NumLanes; ++I) {
+          WalkLane &Ln = Lanes[I];
           Ln.Addr += static_cast<int64_t>(Rest + 1) * Ln.Stride;
-          Ln.Left -= Rest + 1;
-          if (Ln.Left == 0)
-            Ln.Left = itersInBlock(Ln.Addr, Ln.Stride);
+          Left[I] -= Rest + 1;
+          if (Left[I] == 0)
+            Left[I] = itersInBlock(Ln.Addr, Ln.Stride);
         }
         X += static_cast<int64_t>(Rest + 1);
         if (Out >= Flush) {
@@ -203,17 +325,6 @@ public:
   }
 
 private:
-  /// One batched child access: its running byte address and constant
-  /// innermost-loop stride.
-  struct Lane {
-    int64_t Addr;
-    int64_t Stride;
-    bool IsWrite;
-    /// Run walks only: iterations, from the current one, that the lane
-    /// stays in its current block.
-    uint64_t Left = 0;
-  };
-
   /// Iterations, from the one at \p Addr, that a lane of stride
   /// \p Stride (less than a block in magnitude) stays in its block.
   uint64_t itersInBlock(int64_t Addr, int64_t Stride) const {
@@ -227,23 +338,26 @@ private:
   }
 
   /// True when every lane moves less than one block per iteration, the
-  /// condition for walking runs; then sets each lane's Left.
-  bool initRuns() {
-    for (const Lane &Ln : Lanes)
+  /// condition for walking runs; then fills Left.
+  bool initRuns(std::span<const WalkLane> Lanes) {
+    for (const WalkLane &Ln : Lanes)
       if (Ln.Stride <= -static_cast<int64_t>(BlockBytes) ||
           Ln.Stride >= static_cast<int64_t>(BlockBytes))
         return false;
-    for (Lane &Ln : Lanes)
-      Ln.Left = itersInBlock(Ln.Addr, Ln.Stride);
+    Left.clear();
+    for (const WalkLane &Ln : Lanes)
+      Left.push_back(itersInBlock(Ln.Addr, Ln.Stride));
     return true;
   }
 
-  const ScopProgram &Program;
-  bool IncludeScalars;
+  CacheHierarchy<LineT> &Cache;
+  SimStats &Stats;
   unsigned BlockShift;
   uint64_t BlockBytes;
   telemetry::Counter &SkippedCounter; ///< sim.skipped_accesses.
-  std::vector<Lane> Lanes;        ///< Per-activation scratch.
+  /// Run walks: per lane, the iterations from the current one that it
+  /// stays in its block.
+  std::vector<uint64_t> Left;
   std::vector<int32_t> LaneNodes; ///< Access node id per lane (tagged).
   std::vector<BatchedAccess> Buf; ///< Chunk scratch, reused.
 };

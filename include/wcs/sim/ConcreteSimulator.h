@@ -7,10 +7,12 @@
 ///
 /// \file
 /// Non-warping cache simulation of polyhedral programs (paper
-/// Algorithm 1): walk the SCoP tree, enumerate every iteration point in
-/// lexicographic order, and update a concrete cache hierarchy per access.
-/// This is both the baseline that warping is measured against (Fig. 6)
-/// and the golden model the warping simulator is validated against.
+/// Algorithm 1): the program-order walk (ScopWalk) enumerates every
+/// iteration point in lexicographic order, and the shared
+/// HierarchyStepper updates a concrete cache hierarchy per access, or
+/// per chunk of a batchable loop's lanes (see BatchWalk.h). This is both
+/// the baseline that warping is measured against (Fig. 6) and the golden
+/// model the warping simulator is validated against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,17 +47,12 @@ public:
   void setMissTap(MissTap T) { MissTapFn = std::move(T); }
 
 private:
-  void simulateNode(const Node *N, IterVec &Iter);
-  void simulateLoop(const LoopNode *L, IterVec &Iter);
-  void simulateAccess(const AccessNode *A, const IterVec &Iter);
-
   const ScopProgram &Program;
   ConcreteHierarchy Cache;
   SimOptions Options;
   SimStats Stats;
   unsigned BlockShift;
   MissTap MissTapFn;
-  BatchWalker Walker; ///< The batched walk (BatchConcrete).
 };
 
 } // namespace wcs

@@ -93,20 +93,21 @@ struct SimOptions {
   /// array accesses only (Sec. 6.4), so the default is off.
   bool IncludeScalars = false;
 
-  /// Batched address generation, in both simulators. Innermost loops
-  /// whose bodies are plain (unguarded, single-disjunct) affine accesses
-  /// are lowered to stride-incremented address chunks (BatchWalker)
-  /// handed to CacheHierarchy::accessBatch, instead of one tree-walk
-  /// step and one hierarchy call per access. The warping simulator
-  /// batches every such stretch it is not probing -- whole activations
-  /// of loops that cannot probe or stopped probing, and the tail after
-  /// WarpConfig::MaxProbeIters -- and refreshes the symbolic tags inside
-  /// the batch loop. Where every lane moves less than a block per
-  /// iteration, the batched walk also skips: repetitions of an iteration
-  /// that hits everywhere in the L1 are counted, not simulated
-  /// (BatchWalker, CacheHierarchy::accessBatch). Counters and warp
-  /// decisions are bit-identical either way (the equivalence and fuzz
-  /// suites run both); off = the per-access reference walk, which never
+  /// Batched address generation, in both simulators. The program-order
+  /// walk (ScopWalk, sim/BatchWalk.h) hands every innermost loop whose
+  /// body is plain (unguarded) affine accesses to its lanes event, which
+  /// lowers it to stride-incremented address chunks handed to
+  /// CacheHierarchy::accessBatch, instead of one step and one hierarchy
+  /// call per access. The warping simulator batches every such stretch
+  /// it is not probing -- whole activations of loops that cannot probe
+  /// or stopped probing, and the tail after WarpConfig::MaxProbeIters --
+  /// and refreshes the symbolic tags inside the batch loop. Where every
+  /// lane moves less than a block per iteration, the batched walk also
+  /// skips: repetitions of an iteration that hits everywhere in the L1
+  /// are counted, not simulated (HierarchyStepper,
+  /// CacheHierarchy::accessBatch). Counters and warp decisions are
+  /// bit-identical either way (the equivalence and fuzz suites run
+  /// both); off = the walk's per-access reference mode, which never
   /// skips, kept as the test reference, the bench baseline and the
   /// escape hatch.
   bool BatchConcrete = true;

@@ -48,6 +48,15 @@ struct SimStats {
   /// Wall-clock seconds spent inside the simulation loop.
   double Seconds = 0.0;
 
+  /// Counts one simulated access by its outcome at each level.
+  void countAccess(bool L1Hit, bool L2Accessed, bool L2Hit) {
+    ++SimulatedAccesses;
+    ++Level[0].Accesses;
+    Level[0].Misses += !L1Hit;
+    Level[1].Accesses += L2Accessed;
+    Level[1].Misses += L2Accessed && !L2Hit;
+  }
+
   uint64_t totalAccesses() const { return Level[0].Accesses; }
   /// Share of accesses that had to be simulated explicitly (Fig. 6 top).
   double nonWarpedShare() const {

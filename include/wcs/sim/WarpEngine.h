@@ -72,7 +72,7 @@ public:
   /// functional-block-shift requirement for every access node under
   /// \p Loop: the LCM over nodes of B / gcd(B, |coef_d|). Any viable
   /// delta is a multiple of this unit, so the simulator skips cheaper.
-  /// Returns 0 if the loop can never warp (e.g. disjunctive domains).
+  /// Returns 0 if the loop can never warp below WarpConfig::MaxDelta.
   int64_t deltaUnit(const LoopNode *Loop) const;
 
   /// Rotation-invariant hash of the symbolic state relative to \p Scope.

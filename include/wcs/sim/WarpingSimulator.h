@@ -23,22 +23,25 @@
 /// warping stop probing (see WarpConfig), keeping non-warping kernels at
 /// ordinary-simulation cost.
 ///
-/// Stepping. Every loop activation opens one epoch of the simulator's
-/// EpochTable (its enclosing-iterator prefix), so a tag is 16 bytes
-/// (see SymbolicCache.h); an epoch collection runs, when due, as an
-/// activation opens, with the live hierarchy, the valid snapshots of the
-/// open activations and the open activations' own epochs as roots.
-/// Probe points are the tops of the first MaxProbeIters iterations of a
-/// loop that may probe, and there the walk steps one access at a time.
-/// Between probe points it rides the concrete simulator's batch: with
-/// SimOptions::BatchConcrete, a batchable innermost loop that is not
-/// probing -- a whole activation of a loop that cannot probe or whose
-/// probing learning or the profit guard disabled, or the tail after
-/// MaxProbeIters -- goes through the shared BatchWalker and the
-/// hierarchy's accessBatch, which refreshes each tag from the lane's
-/// node, the activation's epoch and the iteration. There, as in the
-/// concrete simulator, a run of iterations that touch the same blocks
-/// is simulated only until one iteration hits everywhere; the rest are
+/// Stepping. The simulator is a visitor of the program-order walk
+/// (ScopWalk, BatchWalk.h): the access and lanes events go to the
+/// HierarchyStepper it shares with the concrete simulator, and this
+/// class adds Algorithm 2 at every loop top. There each activation opens
+/// one epoch of the simulator's EpochTable (its enclosing-iterator
+/// prefix), so a tag is 16 bytes (see SymbolicCache.h); an epoch
+/// collection runs, when due, as an activation opens, with the live
+/// hierarchy, the valid snapshots of the open activations and the open
+/// activations' own epochs as roots. Probe points are the tops of the
+/// first MaxProbeIters iterations of a loop that may probe; the loop top
+/// steps those iterations itself, one access at a time, and leaves the
+/// rest to the walk. With SimOptions::BatchConcrete, the rest of a
+/// batchable innermost loop -- a whole activation of a loop that cannot
+/// probe or whose probing learning or the profit guard disabled, or the
+/// tail after MaxProbeIters -- is a lanes event, and the hierarchy's
+/// accessBatch refreshes each tag from the lane's node, the
+/// activation's epoch and the iteration. There, as in the concrete
+/// simulator, a run of iterations that touch the same blocks is
+/// simulated only until one iteration hits everywhere; the rest are
 /// counted as hits, and each touched line takes the tag of the run's
 /// last iteration. Probed iterations are never skipped. The state every
 /// probe sees, and so every warp decision, is the same either way. The
@@ -98,11 +101,21 @@ public:
   ~WarpingSimulator();
 
 private:
-  /// \p Epoch is the epoch of the innermost enclosing loop activation
-  /// (0 outside every loop).
-  void runNode(const Node *N, IterVec &Iter, uint32_t Epoch);
-  void runLoop(const LoopNode *L, IterVec &Iter);
-  void runAccess(const AccessNode *A, const IterVec &Iter, uint32_t Epoch);
+  /// The walk's visitor: the shared step, plus Algorithm 2 at every loop
+  /// top.
+  struct Visitor : HierarchyStepper<SymLine> {
+    WarpingSimulator &Sim;
+    int64_t loopTop(ScopWalk<Visitor> &Walk, const LoopNode &L,
+                    IterVec &Iter, int64_t Lo, int64_t Hi) {
+      return Sim.activation(Walk, L, Iter, Lo, Hi);
+    }
+  };
+
+  /// Algorithm 2 over one activation of \p L with bounds [\p Lo, \p Hi]:
+  /// opens its epoch, probes and warps at the tops of its first
+  /// iterations, and returns the first iteration left to the walk.
+  int64_t activation(ScopWalk<Visitor> &Walk, const LoopNode &L,
+                     IterVec &Iter, int64_t Lo, int64_t Hi);
 
   /// Per-nesting-depth activation scratch (hash map + snapshot storage),
   /// pooled across activations to avoid allocation churn in loops with
@@ -112,7 +125,7 @@ private:
 
   /// Opens the epoch of a loop activation whose enclosing iterators are
   /// \p Prefix, collecting unreferenced epochs first when due.
-  uint32_t openEpoch(const IterVec &Prefix);
+  void openEpoch(const IterVec &Prefix);
 
   const ScopProgram &Program;
   HierarchyConfig CacheCfg;
@@ -120,12 +133,11 @@ private:
   WarpEngine Engine;
   SimOptions Options;
   SimStats Stats;
-  unsigned BlockShift;
   EpochTable Epochs;
-  /// Epochs of the open loop activations, outermost first; entry D is
-  /// the activation whose pool is Pools[D].
-  std::vector<uint32_t> OpenEpochs;
-  BatchWalker Walker;
+  /// The walk's visitor. Its Epochs hold the epochs of the open loop
+  /// activations by depth; entry D is the activation whose pool is
+  /// Pools[D].
+  Visitor Step;
   /// Per-loop learning state: consecutive fully-probed activations with
   /// no warp; probing disabled once the threshold is reached.
   std::vector<unsigned> LoopFailures;

@@ -303,17 +303,26 @@ private:
   std::optional<ConcreteCache> CaptureRows;
 };
 
-/// Profiles every (array) access of \p Program; scalar accesses are
-/// excluded to match HayStack's accounting.
+/// The linear stack-distance pass: feeds every bank of \p Banks the
+/// accesses of \p Program (scalars only with \p IncludeScalars) in
+/// program order, from one walk whose batchable loops arrive as lanes
+/// (sim/BatchWalk.h). The walk generates block ids at the smallest bank
+/// block size, and each bank shifts them on to its own. Returns the
+/// accesses walked.
+uint64_t feedBanks(const ScopProgram &Program, bool IncludeScalars,
+                   const std::vector<SetDistanceBank *> &Banks);
+
+/// Profiles every access of \p Program through the linear pass; scalar
+/// accesses are excluded by default to match HayStack's accounting.
 StackDistanceProfiler profileProgram(const ScopProgram &Program,
                                      unsigned BlockBytes,
                                      bool IncludeScalars = false,
                                      double *Seconds = nullptr);
 
-/// One-config companion of the sweep fast path: profiles \p Program into
+/// One-config companion of the sweep fast path: feeds \p Program into
 /// a single bank of \p NumSets per-set histograms answering up to
 /// \p MaxAssoc ways (the stack-distance simulation backend of
-/// BatchRunner).
+/// BatchRunner), through feedBanks.
 SetDistanceBank profileProgramSets(const ScopProgram &Program,
                                    unsigned BlockBytes, unsigned NumSets,
                                    unsigned MaxAssoc,

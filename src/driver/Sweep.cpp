@@ -91,6 +91,25 @@ struct BankPlan {
   }
 };
 
+/// How a valid point is answered: the one partition rule behind
+/// runSweep and partitionSweepGroups.
+enum class PointPath {
+  Bank,      ///< Single-level write-allocate LRU: a stack-distance bank.
+  Filtered,  ///< Two-level NINE: the filtered stream of its L1.
+  Simulated, ///< Everything else: a simulation job.
+};
+
+PointPath pathOf(const HierarchyConfig &H) {
+  const CacheConfig &L1 = H.Levels.front();
+  if (H.numLevels() == 1 && L1.Policy == PolicyKind::Lru &&
+      L1.WriteAlloc == WriteAllocate::Yes)
+    return PointPath::Bank;
+  if (H.numLevels() == 2 &&
+      H.Inclusion == InclusionPolicy::NonInclusiveNonExclusive)
+    return PointPath::Filtered;
+  return PointPath::Simulated;
+}
+
 } // namespace
 
 bool SweepReport::allOk() const {
@@ -187,15 +206,14 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       continue;
     }
     const CacheConfig &L1 = H.Levels.front();
-    if (H.numLevels() == 1 && L1.Policy == PolicyKind::Lru &&
-        L1.WriteAlloc == WriteAllocate::Yes) {
+    PointPath Path = pathOf(H);
+    if (Path == PointPath::Bank) {
       P.Method = SweepMethod::StackDistance;
       P.Backend = SimBackend::StackDistance;
       Fast.push_back(FastPoint{I, Plan.add(L1)});
       continue;
     }
-    if (H.numLevels() == 2 &&
-        H.Inclusion == InclusionPolicy::NonInclusiveNonExclusive) {
+    if (Path == PointPath::Filtered) {
       std::string GKey = toJson(L1).dump(false);
       auto It = GroupIndex.find(GKey);
       if (It == GroupIndex.end()) {
@@ -238,41 +256,27 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   // The shared stack-distance pass(es). Two flavors, bit-identical:
   //  - periodic (warp-aware): one warping depth-profile run per bank
   //    geometry, sublinear on periodic traces (trace/PeriodicPass);
-  //  - linear: one trace walk feeding every bank.
-  // A counting pre-walk (aborted at the threshold, so it costs a few ms
-  // at most) picks the flavor: short traces walk linearly -- their pass
-  // is already cheap, and warping a cache that never fills cannot pay
-  // for itself -- long traces take the periodic passes.
+  //  - linear: one walk feeding every bank (feedBanks).
+  // A counting pre-walk (one step per loop activation, stopped at the
+  // threshold) picks the flavor: short traces walk linearly -- their
+  // pass is already cheap, and warping a cache that never fills cannot
+  // pay for itself -- long traces take the periodic passes.
   std::vector<PeriodicPassResult> PassResults;
   double PassProbeSeconds = 0.0;
-  // Periodic flavor only: banks whose pass was not used, and the seconds
-  // of the linear walk that conditioned them instead; and banks whose
-  // pass counted past 2^64 - 1, whose points fail with "counter
-  // overflow" -- a linear walk would count the same accesses one by one
-  // and overflow too.
+  // Periodic flavor only: banks whose pass was not used, conditioned by
+  // the linear walk instead; and banks whose pass counted past 2^64 - 1,
+  // whose points fail with "counter overflow" -- a linear walk would
+  // count the same accesses one by one and overflow too.
   std::vector<uint8_t> Demoted, Overflowed;
-  double DemotedWalkSeconds = 0.0;
+  std::vector<SetDistanceBank *> Walk; ///< Banks the linear walk feeds.
+  double WalkSeconds = 0.0;            ///< Seconds of that walk.
   if (!Banks.empty()) {
     telemetry::TimePoint P0 = telemetry::now();
-    TraceOptions TO;
-    TO.IncludeScalars = Opts.Sim.IncludeScalars;
-    bool Periodic = false;
-    if (Opts.WarpSweep) {
-      if (Opts.WarpSweepMinAccesses == 0) {
-        Periodic = true;
-      } else {
-        struct LongEnough {};
-        uint64_t Count = 0;
-        try {
-          generateTrace(Program, TO, [&](const TraceRecord &) {
-            if (++Count >= Opts.WarpSweepMinAccesses)
-              throw LongEnough{};
-          });
-        } catch (const LongEnough &) {
-        }
-        Periodic = Count >= Opts.WarpSweepMinAccesses;
-      }
-    }
+    const TraceOptions TO{Opts.Sim.IncludeScalars};
+    bool Periodic =
+        Opts.WarpSweep &&
+        countAccesses(Program, TO, Opts.WarpSweepMinAccesses) >=
+            Opts.WarpSweepMinAccesses;
     if (Periodic) {
       Rep.PeriodicPass = true;
       // The probe walk is pass cost too; count it so the attributed
@@ -312,7 +316,6 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       // pass's seconds were spent; only the used passes' warps count.
       // The fault point discards a finished pass like a rejected result;
       // it draws here, in bank order, so a seeded schedule replays.
-      std::vector<SetDistanceBank *> Walk;
       for (size_t B = 0; B < Banks.size(); ++B) {
         Rep.PeriodicPassSeconds += PassResults[B].Stats.Seconds;
         if (Overflowed[B])
@@ -329,31 +332,22 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         Rep.PeriodicWarpedAccesses +=
             PassResults[B].Stats.WarpedAccesses;
       }
-      if (!Walk.empty()) {
-        telemetry::Span WalkSpan("sweep.stack-distance-pass");
-        WalkSpan.arg("flavor", "demoted-linear");
-        WalkSpan.arg("banks", static_cast<uint64_t>(Walk.size()));
-        telemetry::TimePoint L0 = telemetry::now();
-        uint64_t Walked =
-            generateTrace(Program, TO, [&](const TraceRecord &R) {
-              for (SetDistanceBank *B : Walk)
-                B->accessAddr(R.Addr);
-            });
-        if (Rep.TraceAccesses == 0)
-          Rep.TraceAccesses = Walked;
-        DemotedWalkSeconds = telemetry::secondsSince(L0);
-        Rep.TracePassSeconds += DemotedWalkSeconds;
-      }
     } else {
+      for (SetDistanceBank &B : Banks)
+        Walk.push_back(&B);
+    }
+    if (!Walk.empty()) {
       telemetry::Span WalkSpan("sweep.stack-distance-pass");
-      WalkSpan.arg("flavor", "linear");
-      WalkSpan.arg("banks", static_cast<uint64_t>(Banks.size()));
-      Rep.TraceAccesses =
-          generateTrace(Program, TO, [&](const TraceRecord &R) {
-            for (SetDistanceBank &B : Banks)
-              B.accessAddr(R.Addr);
-          });
-      Rep.TracePassSeconds = telemetry::secondsSince(P0);
+      WalkSpan.arg("flavor", Periodic ? "demoted-linear" : "linear");
+      WalkSpan.arg("banks", static_cast<uint64_t>(Walk.size()));
+      telemetry::TimePoint L0 = telemetry::now();
+      uint64_t Walked = feedBanks(Program, TO.IncludeScalars, Walk);
+      if (Rep.TraceAccesses == 0)
+        Rep.TraceAccesses = Walked;
+      WalkSeconds = telemetry::secondsSince(L0);
+      // The linear flavor's pass cost includes the pre-walk.
+      Rep.TracePassSeconds +=
+          Periodic ? WalkSeconds : telemetry::secondsSince(P0);
     }
   }
 
@@ -510,7 +504,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         // Answered by the linear walk, whatever the discarded pass did.
         P.Stats.SimulatedAccesses = Bank.totalAccesses();
         P.Stats.Seconds +=
-            DemotedWalkSeconds / static_cast<double>(WalkedPoints);
+            WalkSeconds / static_cast<double>(WalkedPoints);
       } else {
         P.Stats.SimulatedAccesses = PassStats.SimulatedAccesses;
         P.Stats.WarpedAccesses = PassStats.WarpedAccesses;
@@ -556,9 +550,9 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
 
 std::vector<std::vector<size_t>>
 wcs::partitionSweepGroups(const std::vector<HierarchyConfig> &Configs) {
-  // Mirrors the three-way partition at the top of runSweep: the group
-  // key is the sharing resource a point consumes, so points that could
-  // share work in one combined call always land in one group.
+  // The partition of runSweep (pathOf): the group key is the sharing
+  // resource a point consumes, so points that could share work in one
+  // combined call always land in one group.
   std::vector<std::vector<size_t>> Groups;
   std::map<std::string, size_t> ByKey;
   auto groupFor = [&](std::string Key) -> std::vector<size_t> & {
@@ -571,17 +565,11 @@ wcs::partitionSweepGroups(const std::vector<HierarchyConfig> &Configs) {
   };
   for (size_t I = 0; I < Configs.size(); ++I) {
     const HierarchyConfig &H = Configs[I];
-    if (!H.validate().empty()) {
-      groupFor("sim:" + toJson(H).dump(false)).push_back(I);
-      continue;
-    }
-    const CacheConfig &L1 = H.Levels.front();
-    if (H.numLevels() == 1 && L1.Policy == PolicyKind::Lru &&
-        L1.WriteAlloc == WriteAllocate::Yes)
+    PointPath Path = H.validate().empty() ? pathOf(H) : PointPath::Simulated;
+    if (Path == PointPath::Bank)
       groupFor("sd").push_back(I);
-    else if (H.numLevels() == 2 &&
-             H.Inclusion == InclusionPolicy::NonInclusiveNonExclusive)
-      groupFor("fs:" + toJson(L1).dump(false)).push_back(I);
+    else if (Path == PointPath::Filtered)
+      groupFor("fs:" + toJson(H.Levels.front()).dump(false)).push_back(I);
     else
       groupFor("sim:" + toJson(H).dump(false)).push_back(I);
   }

@@ -22,12 +22,6 @@ void ConvexSet::addConstraint(Constraint C) {
   Cons.push_back(std::move(C));
 }
 
-void ConvexSet::intersectWith(const ConvexSet &Other) {
-  assert(Other.Dims == Dims && "dimension mismatch in intersection");
-  for (const Constraint &C : Other.Cons)
-    Cons.push_back(C);
-}
-
 ConvexSet ConvexSet::extendedTo(unsigned NumDims) const {
   assert(NumDims >= Dims && "cannot shrink a set");
   ConvexSet S(NumDims);
@@ -90,31 +84,6 @@ ConvexSet::lastDimBounds(const IterVec &Prefix) const {
   if (!HasLo || !HasHi)
     return std::nullopt;
   return VarBounds{Lo, Hi};
-}
-
-FMStatus ConvexSet::emptyRational() const { return toSystem().feasible(); }
-
-LinearSystem ConvexSet::toSystem() const {
-  LinearSystem Sys(Dims);
-  std::vector<unsigned> Identity(Dims);
-  for (unsigned I = 0; I < Dims; ++I)
-    Identity[I] = I;
-  addToSystem(Sys, Identity);
-  return Sys;
-}
-
-void ConvexSet::addToSystem(LinearSystem &Sys,
-                            const std::vector<unsigned> &VarMap) const {
-  assert(VarMap.size() >= Dims && "VarMap too short");
-  for (const Constraint &C : Cons) {
-    std::vector<int64_t> Row(Sys.numVars(), 0);
-    for (unsigned I = 0, N = C.Expr.numDims(); I < N; ++I)
-      Row[VarMap[I]] += C.Expr.coeff(I);
-    if (C.K == Constraint::Kind::EQ)
-      Sys.addEQ(Row, C.Expr.constantTerm());
-    else
-      Sys.addGE(std::move(Row), C.Expr.constantTerm());
-  }
 }
 
 std::string ConvexSet::str(const std::vector<std::string> &DimNames) const {

@@ -7,15 +7,17 @@
 
 #include "wcs/scop/Program.h"
 
+#include "wcs/support/MathUtil.h"
+
 #include <cassert>
 
 using namespace wcs;
 
-int64_t ArrayInfo::byteSize() const {
-  int64_t N = 1;
+std::optional<int64_t> ArrayInfo::byteSize() const {
+  std::optional<int64_t> N = ElemBytes;
   for (int64_t D : DimSizes)
-    N *= D;
-  return N * ElemBytes;
+    N = N ? checkedMul(*N, D) : N;
+  return N;
 }
 
 int64_t ArrayInfo::elemStride(unsigned Dim) const {

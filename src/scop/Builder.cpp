@@ -54,7 +54,7 @@ void ScopBuilder::beginLoop(std::string Name, AffineExpr Lo, AffineExpr Hi) {
   AffineExpr X = AffineExpr::dim(D + 1, D);
   Dom.addConstraint(Constraint::ge(X - Lo.extendedTo(D + 1)));
   Dom.addConstraint(Constraint::ge(Hi.extendedTo(D + 1) - X));
-  L->Domain = IntegerSet(Dom);
+  L->Domain = Dom;
 
   LoopNode *Raw = L.get();
   appendNode(std::move(L));
@@ -62,15 +62,6 @@ void ScopBuilder::beginLoop(std::string Name, AffineExpr Lo, AffineExpr Hi) {
   IterNames.push_back(std::move(Name));
   DomainStack.push_back(std::move(CurDomain));
   CurDomain = std::move(Dom);
-}
-
-void ScopBuilder::addLoopConstraint(Constraint C) {
-  assert(!OpenLoops.empty() && "no open loop");
-  Constraint Ext(C.Expr.extendedTo(depth()), C.K);
-  CurDomain.addConstraint(Ext);
-  LoopNode *L = OpenLoops.back();
-  IntegerSet NewDom(CurDomain);
-  L->Domain = std::move(NewDom);
 }
 
 void ScopBuilder::endLoop() {
@@ -104,7 +95,7 @@ void ScopBuilder::access(unsigned ArrayId, AccessKind K,
   A->AKind = K;
   A->Depth = depth();
   A->Subscripts = std::move(Subscripts);
-  A->Domain = IntegerSet(CurDomain);
+  A->Domain = CurDomain;
   A->Guarded = OpenGuards > 0;
   appendNode(std::move(A));
 }
@@ -119,8 +110,9 @@ void ScopBuilder::appendNode(std::unique_ptr<Node> N) {
 ScopProgram ScopBuilder::finish(std::string *Error, int64_t AlignBytes) {
   assert(OpenLoops.empty() && "finish with open loops");
   assert(OpenGuards == 0 && "finish with open guards");
-  assignLayout(P, AlignBytes);
-  std::string E = P.finalize();
+  std::string E = assignLayout(P, AlignBytes);
+  if (E.empty())
+    E = P.finalize();
   if (Error)
     *Error = E;
   return std::move(P);

@@ -24,26 +24,35 @@
 
 using namespace wcs;
 
-static int64_t alignUp(int64_t X, int64_t A) { return ceilDiv(X, A) * A; }
+static std::optional<int64_t> alignUp(std::optional<int64_t> X, int64_t A) {
+  return X ? checkedMul(ceilDiv(*X, A), A) : X;
+}
 
-void wcs::assignLayout(ScopProgram &P, int64_t AlignBytes) {
+std::string wcs::assignLayout(ScopProgram &P, int64_t AlignBytes) {
   assert(AlignBytes >= 64 && isPowerOf2(static_cast<uint64_t>(AlignBytes)) &&
          "alignment must be a power of two >= the cache block size");
   // Start away from address zero so that "block 0" is not special.
-  int64_t Next = AlignBytes;
+  std::optional<int64_t> Next = AlignBytes;
   // Arrays first, in declaration order.
   for (ArrayInfo &A : P.mutableArrays()) {
     if (A.isScalar())
       continue;
-    A.BaseAddr = alignUp(Next, AlignBytes);
-    Next = A.BaseAddr + A.byteSize();
+    std::optional<int64_t> Base = alignUp(Next, AlignBytes);
+    std::optional<int64_t> Size = A.byteSize();
+    Next = Base && Size ? checkedAdd(*Base, *Size) : std::nullopt;
+    if (!Next)
+      return "array '" + A.Name + "' does not fit in int64 addresses";
+    A.BaseAddr = *Base;
   }
   // Scalars packed together in one fresh region.
-  int64_t ScalarNext = alignUp(Next, AlignBytes);
+  std::optional<int64_t> ScalarNext = alignUp(Next, AlignBytes);
   for (ArrayInfo &A : P.mutableArrays()) {
     if (!A.isScalar())
       continue;
-    A.BaseAddr = ScalarNext;
-    ScalarNext += A.ElemBytes;
+    if (!ScalarNext)
+      return "scalar '" + A.Name + "' does not fit in int64 addresses";
+    A.BaseAddr = *ScalarNext;
+    ScalarNext = checkedAdd(*ScalarNext, A.ElemBytes);
   }
+  return "";
 }

@@ -8,6 +8,7 @@
 #include "wcs/sim/WarpEngine.h"
 
 #include "wcs/poly/FourierMotzkin.h"
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/support/Hashing.h"
 #include "wcs/support/MathUtil.h"
 
@@ -31,10 +32,8 @@ int64_t WarpEngine::deltaUnit(const LoopNode *Loop) const {
   int64_t Unit = 1;
   for (int Id = Loop->FirstAccess; Id < Loop->EndAccess; ++Id) {
     const AccessNode *A = Program.accesses()[Id];
-    if (!IncludeScalars && Program.array(A->ArrayId).isScalar())
+    if (!walkVisits(Program, *A, IncludeScalars))
       continue;
-    if (!A->Domain.isSingleDisjunct())
-      return 0; // collectShifts rejects such loops unconditionally.
     int64_t Coef = A->Address.numDims() > D ? A->Address.coeff(D) : 0;
     if (Coef == 0)
       continue;
@@ -118,10 +117,8 @@ bool WarpEngine::collectShifts(const WarpScope &Scope, int64_t Delta,
   const unsigned D = Scope.Loop->Depth;
   for (int Id = Scope.Loop->FirstAccess; Id < Scope.Loop->EndAccess; ++Id) {
     const AccessNode *A = Program.accesses()[Id];
-    if (!IncludeScalars && Program.array(A->ArrayId).isScalar())
+    if (!walkVisits(Program, *A, IncludeScalars))
       continue; // Performs no simulated access.
-    if (!A->Domain.isSingleDisjunct())
-      return false; // Conservative: disjunctive domains are not warped.
     int64_t CoefBytes = A->Address.numDims() > D ? A->Address.coeff(D) : 0;
     std::optional<int64_t> SBytes = checkedMul(CoefBytes, Delta);
     if (!SBytes || *SBytes % static_cast<int64_t>(BlockBytes) != 0)
@@ -145,7 +142,7 @@ WarpEngine::reduceDomain(const AccessNode *A, const IterVec &Prefix) const {
   const unsigned D = static_cast<unsigned>(Prefix.size());
   const unsigned M = A->Depth;
   std::vector<ReducedConstraint> Out;
-  for (const Constraint &C : A->Domain.onlyDisjunct().constraints()) {
+  for (const Constraint &C : A->Domain.constraints()) {
     ReducedConstraint R;
     R.IsEq = C.K == Constraint::Kind::EQ;
     R.C0 = C.Expr.constantTerm();

@@ -129,9 +129,8 @@ WarpingSimulator::WarpingSimulator(const ScopProgram &Program,
                                    SimOptions Options)
     : Program(Program), CacheCfg(CacheCfg), Cache(CacheCfg),
       Engine(Program, CacheCfg, Options), Options(Options),
-      BlockShift(log2Exact(CacheCfg.blockBytes())),
       Epochs(epochCollectFloor(CacheCfg)),
-      Walker(Program, Options.IncludeScalars, BlockShift),
+      Step{{Cache, Stats, log2Exact(CacheCfg.blockBytes())}, *this},
       LoopFailures(Program.loops().size(), 0),
       LoopDisabled(Program.loops().size(), 0),
       ProbeCost(Program.loops().size(), 0),
@@ -151,207 +150,160 @@ void WarpingSimulator::enableDepthProfile() {
          "way == per-set stack distance)");
   DepthProfile = true;
   DepthHist.assign(L1.Assoc, 0);
+  Step.DepthHist = DepthHist.data();
 }
 
 SimStats WarpingSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
-  IterVec Iter;
-  for (const std::unique_ptr<Node> &R : Program.roots())
-    runNode(R.get(), Iter, /*Epoch=*/0);
+  ScopWalk(Program, Options.IncludeScalars, Options.BatchConcrete, Step)
+      .run();
   Stats.Seconds = telemetry::secondsSince(Start);
   return Stats;
 }
 
-void WarpingSimulator::runNode(const Node *N, IterVec &Iter, uint32_t Epoch) {
-  if (const LoopNode *L = asLoop(N))
-    runLoop(L, Iter);
-  else
-    runAccess(asAccess(N), Iter, Epoch);
-}
-
-uint32_t WarpingSimulator::openEpoch(const IterVec &Prefix) {
+void WarpingSimulator::openEpoch(const IterVec &Prefix) {
+  // The activations open at depths above the new one's are its enclosing
+  // ones; deeper entries belong to closed activations.
+  std::vector<uint32_t> &Open = Step.Epochs;
+  Open.resize(Prefix.size());
   if (Epochs.wantsCollection()) {
     // Roots: the live hierarchy, the snapshots the open activations may
     // still compare against, and the open activations themselves. The
     // pool of the activation being opened was just reset: no live slots.
     Epochs.beginMark();
     Epochs.markTags(Cache);
-    for (size_t D = 0; D < OpenEpochs.size(); ++D)
+    for (size_t D = 0; D < Open.size(); ++D)
       for (size_t Slot = 0; Slot < Pools[D]->liveSlots(); ++Slot)
         Epochs.markTags(Pools[D]->Snapshots[Slot]);
-    for (uint32_t E : OpenEpochs)
+    for (uint32_t E : Open)
       Epochs.mark(E);
     Epochs.sweep();
   }
-  uint32_t E = Epochs.add(Prefix);
-  OpenEpochs.push_back(E);
-  return E;
+  Open.push_back(Epochs.add(Prefix));
 }
 
-void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
-  std::optional<VarBounds> B = L->Domain.lastDimBounds(Iter);
-  assert(B && "loop domain must be bounded");
-  if (B->empty())
-    return;
+int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
+                                     const LoopNode &L, IterVec &Iter,
+                                     int64_t Lo, int64_t Hi) {
   const WarpConfig &WC = Options.Warp;
-  bool NeedMembership = !L->Domain.isSingleDisjunct();
   // Viable match distances are multiples of the loop's delta unit
   // (computed once per loop node); a zero unit means the loop can never
   // satisfy the warping conditions, so probing is skipped entirely.
-  if (DeltaUnit[L->Id] == -1)
-    DeltaUnit[L->Id] = Engine.deltaUnit(L);
-  int64_t Unit = DeltaUnit[L->Id];
-  bool CanProbe = WC.Enable && !LoopDisabled[L->Id] && !NeedMembership &&
-                  L->EndAccess > L->FirstAccess && Unit > 0;
-  // Stretches that are not probing take the batched walk.
-  bool Batchable = Options.BatchConcrete && BatchWalker::batchable(L);
-
-  WarpScope Scope;
-  Scope.Loop = L;
-  Scope.Prefix = Iter;
-  Scope.Hi = B->Hi;
+  if (DeltaUnit[L.Id] == -1)
+    DeltaUnit[L.Id] = Engine.deltaUnit(&L);
+  int64_t Unit = DeltaUnit[L.Id];
+  bool CanProbe = WC.Enable && !LoopDisabled[L.Id] &&
+                  L.EndAccess > L.FirstAccess && Unit > 0;
 
   // Paper Algorithm 2 line 4: a fresh map per activation; warping is only
   // attempted while the enclosing iterators are unchanged. The backing
   // storage is pooled per nesting depth.
-  Activation &Act = activationAtDepth(L->Depth);
-  const uint32_t Epoch = openEpoch(Iter);
+  Activation &Act = activationAtDepth(L.Depth);
+  openEpoch(Iter);
+  if (!CanProbe)
+    return Lo;
+
+  const WarpScope Scope{&L, Iter, Hi};
   unsigned Probes = 0;
   bool WarpedAny = false;
-  bool EagerSnapshots = B->Hi - B->Lo + 1 <= WC.EagerSnapshotTripLimit;
+  bool EagerSnapshots = Hi - Lo < WC.EagerSnapshotTripLimit;
   uint64_t GainBefore = Stats.WarpedAccesses;
 
-  Iter.push(0);
-  int64_t X = B->Lo;
-  while (X <= B->Hi) {
-    if (Batchable && !(CanProbe && Probes < WC.MaxProbeIters))
-      break; // No probe point left: the rest is one batched stretch.
-    Iter.back() = X;
-    if (NeedMembership && !L->Domain.contains(Iter)) {
-      ++X;
-      continue; // Hole inside the hull of a disjunctive domain.
-    }
-    if (CanProbe && Probes < WC.MaxProbeIters) {
-      ++Probes;
-      uint64_t Key = Engine.stateKey(Cache, Epochs, Scope);
-      Bucket &Bk = Act.Map[Key];
-      bool Warped = false;
-      // Try stored snapshots, most recent (smallest delta) first.
-      for (auto It = Bk.Entries.rbegin(); It != Bk.Entries.rend(); ++It) {
-        if (!Act.valid(*It))
-          continue; // The ring recycled this snapshot.
-        int64_t Delta = X - It->X0;
-        if (Delta < 1 || Delta > WC.MaxDelta || Delta % Unit != 0)
-          continue;
-        WarpPlan Plan;
-        if (!Engine.checkWarp(Act.Snapshots[It->Slot], Cache, Epochs,
-                              Scope, It->X0, X, Plan)) {
-          ++Stats.FailedWarpChecks;
-          continue;
-        }
-        // Fast-forward counters by N copies of the match window
-        // (Theorem 4, Eq. (19)), checked: a count past 2^64 fails the
-        // run instead of wrapping.
-        CounterState Now = CounterState::capture(Stats);
-        uint64_t N = static_cast<uint64_t>(Plan.N);
-        uint64_t Window = mulCount(N, Now.L1Acc - It->Counters.L1Acc);
-        addCount(Stats.Level[0].Accesses, Window);
-        addCount(Stats.Level[0].Misses,
-                 mulCount(N, Now.L1Miss - It->Counters.L1Miss));
-        addCount(Stats.Level[1].Accesses,
-                 mulCount(N, Now.L2Acc - It->Counters.L2Acc));
-        addCount(Stats.Level[1].Misses,
-                 mulCount(N, Now.L2Miss - It->Counters.L2Miss));
-        addCount(Stats.WarpedAccesses, Window);
-        ++Stats.Warps;
-        if (DepthProfile) {
-          // The verified state bijection preserves per-set recency
-          // positions (rotations rename sets, block shifts rename
-          // lines; neither moves a line within its set's recency
-          // order), so the hit-depth sequence of every warped
-          // repetition equals the match window's: scale the window's
-          // histogram delta like the counters above.
-          const std::vector<uint64_t> &H0 = Act.SnapshotHists[It->Slot];
-          for (size_t D = 0; D < DepthHist.size(); ++D)
-            addCount(DepthHist[D], mulCount(N, DepthHist[D] - H0[D]));
-        }
-        Engine.applyWarp(Cache, Epochs, Scope, Plan);
-        X += Plan.N * Plan.Delta;
-        Warped = true;
-        WarpedAny = true;
-        break;
+  int64_t X = Lo;
+  while (X <= Hi && Probes < WC.MaxProbeIters) {
+    ++Probes;
+    uint64_t Key = Engine.stateKey(Cache, Epochs, Scope);
+    Bucket &Bk = Act.Map[Key];
+    bool Warped = false;
+    // Try stored snapshots, most recent (smallest delta) first.
+    for (auto It = Bk.Entries.rbegin(); It != Bk.Entries.rend(); ++It) {
+      if (!Act.valid(*It))
+        continue; // The ring recycled this snapshot.
+      int64_t Delta = X - It->X0;
+      if (Delta < 1 || Delta > WC.MaxDelta || Delta % Unit != 0)
+        continue;
+      WarpPlan Plan;
+      if (!Engine.checkWarp(Act.Snapshots[It->Slot], Cache, Epochs, Scope,
+                            It->X0, X, Plan)) {
+        ++Stats.FailedWarpChecks;
+        continue;
       }
-      if (Warped)
-        continue; // Re-enter at the fast-forwarded iteration.
-      // Store: marker on first occurrence, snapshot on the second (or
-      // immediately for short loops), with a minimum spacing between
-      // snapshots of the same bucket.
-      if (!EagerSnapshots && Bk.Entries.empty() &&
-          Bk.SeenWithoutSnapshot == 0) {
-        Bk.SeenWithoutSnapshot = 1;
-      } else if (X - Act.LastStoreX >= WC.MinSnapshotSpacing ||
-                 EagerSnapshots) {
-        // Drop entries whose ring slot was recycled, then store.
-        std::erase_if(Bk.Entries, [&](const StoredEntry &E) {
-          return !Act.valid(E);
-        });
-        if (Bk.Entries.size() < WC.MaxSnapshotsPerBucket)
-          Bk.Entries.push_back(
-              Act.store(Cache, WC.SnapshotRingSize, X,
-                        CounterState::capture(Stats),
-                        DepthProfile ? &DepthHist : nullptr));
+      // Fast-forward counters by N copies of the match window
+      // (Theorem 4, Eq. (19)), checked: a count past 2^64 fails the
+      // run instead of wrapping.
+      CounterState Now = CounterState::capture(Stats);
+      uint64_t N = static_cast<uint64_t>(Plan.N);
+      uint64_t Window = mulCount(N, Now.L1Acc - It->Counters.L1Acc);
+      addCount(Stats.Level[0].Accesses, Window);
+      addCount(Stats.Level[0].Misses,
+               mulCount(N, Now.L1Miss - It->Counters.L1Miss));
+      addCount(Stats.Level[1].Accesses,
+               mulCount(N, Now.L2Acc - It->Counters.L2Acc));
+      addCount(Stats.Level[1].Misses,
+               mulCount(N, Now.L2Miss - It->Counters.L2Miss));
+      addCount(Stats.WarpedAccesses, Window);
+      ++Stats.Warps;
+      if (DepthProfile) {
+        // The verified state bijection preserves per-set recency
+        // positions (rotations rename sets, block shifts rename lines;
+        // neither moves a line within its set's recency order), so the
+        // hit-depth sequence of every warped repetition equals the match
+        // window's: scale the window's histogram delta like the
+        // counters above.
+        const std::vector<uint64_t> &H0 = Act.SnapshotHists[It->Slot];
+        for (size_t D = 0; D < DepthHist.size(); ++D)
+          addCount(DepthHist[D], mulCount(N, DepthHist[D] - H0[D]));
       }
+      Engine.applyWarp(Cache, Epochs, Scope, Plan);
+      X += Plan.N * Plan.Delta;
+      Warped = true;
+      WarpedAny = true;
+      break;
     }
-    for (const std::unique_ptr<Node> &C : L->Children)
-      runNode(C.get(), Iter, Epoch);
+    if (Warped)
+      continue; // Re-enter at the fast-forwarded iteration.
+    // Store: marker on first occurrence, snapshot on the second (or
+    // immediately for short loops), with a minimum spacing between
+    // snapshots of the same bucket.
+    if (!EagerSnapshots && Bk.Entries.empty() &&
+        Bk.SeenWithoutSnapshot == 0) {
+      Bk.SeenWithoutSnapshot = 1;
+    } else if (X - Act.LastStoreX >= WC.MinSnapshotSpacing ||
+               EagerSnapshots) {
+      // Drop entries whose ring slot was recycled, then store.
+      std::erase_if(Bk.Entries,
+                    [&](const StoredEntry &E) { return !Act.valid(E); });
+      if (Bk.Entries.size() < WC.MaxSnapshotsPerBucket)
+        Bk.Entries.push_back(Act.store(Cache, WC.SnapshotRingSize, X,
+                                       CounterState::capture(Stats),
+                                       DepthProfile ? &DepthHist : nullptr));
+    }
+    Walk.iteration(L, Iter, X);
     ++X;
   }
-  Iter.pop();
-  if (X <= B->Hi)
-    Walker.walk(L, Iter, X, B->Hi, Cache, Stats, Epoch, /*Sink=*/nullptr,
-                DepthProfile ? DepthHist.data() : nullptr);
-  OpenEpochs.pop_back();
+  // No probe point left. The rest of a batchable loop is the walk's
+  // lanes event; any other loop is stepped to its end here, so the
+  // profit guard below counts the warps of its nested loops too.
+  if (!Walk.batches(L))
+    for (; X <= Hi; ++X)
+      Walk.iteration(L, Iter, X);
 
   // Learning: loops that probe a lot without ever warping stop probing.
-  if (CanProbe) {
-    if (WarpedAny)
-      LoopFailures[L->Id] = 0;
-    else if (Probes >= WC.MinProbesForLearning &&
-             ++LoopFailures[L->Id] >= WC.DisableAfterFailedActivations)
-      LoopDisabled[L->Id] = 1;
-    // Profit guard: warping must pay for its probing and snapshot cost
-    // (in access-equivalents; a probe hashes the whole state, a snapshot
-    // copies it).
-    if (WC.EnableProfitGuard) {
-      ProbeCost[L->Id] +=
-          Probes * (TotalLines / 8 + 1) +
-          Act.StoresThisActivation * TotalLines;
-      ProbeGain[L->Id] += Stats.WarpedAccesses - GainBefore;
-      if (++GuardedActivations[L->Id] >= WC.ProfitGuardActivations &&
-          ProbeGain[L->Id] < ProbeCost[L->Id])
-        LoopDisabled[L->Id] = 1;
-    }
+  if (WarpedAny)
+    LoopFailures[L.Id] = 0;
+  else if (Probes >= WC.MinProbesForLearning &&
+           ++LoopFailures[L.Id] >= WC.DisableAfterFailedActivations)
+    LoopDisabled[L.Id] = 1;
+  // Profit guard: warping must pay for its probing and snapshot cost
+  // (in access-equivalents; a probe hashes the whole state, a snapshot
+  // copies it).
+  if (WC.EnableProfitGuard) {
+    ProbeCost[L.Id] += Probes * (TotalLines / 8 + 1) +
+                       Act.StoresThisActivation * TotalLines;
+    ProbeGain[L.Id] += Stats.WarpedAccesses - GainBefore;
+    if (++GuardedActivations[L.Id] >= WC.ProfitGuardActivations &&
+        ProbeGain[L.Id] < ProbeCost[L.Id])
+      LoopDisabled[L.Id] = 1;
   }
-}
-
-void WarpingSimulator::runAccess(const AccessNode *A, const IterVec &Iter,
-                                 uint32_t Epoch) {
-  if (!Options.IncludeScalars && Program.array(A->ArrayId).isScalar())
-    return;
-  if (A->Guarded && !A->Domain.contains(Iter))
-    return;
-  BlockId B = A->Address.eval(Iter) >> BlockShift;
-  HierarchyOutcome O =
-      Cache.access(B, A->isWrite(),
-                   SymTag{A->Id, Epoch, Iter.empty() ? 0 : Iter.back()},
-                   DepthProfile ? DepthHist.data() : nullptr);
-  ++Stats.SimulatedAccesses;
-  ++Stats.Level[0].Accesses;
-  if (!O.L1Hit)
-    ++Stats.Level[0].Misses;
-  if (O.L2Accessed) {
-    ++Stats.Level[1].Accesses;
-    if (!O.L2Hit)
-      ++Stats.Level[1].Misses;
-  }
+  return X;
 }

@@ -7,9 +7,9 @@
 
 #include "wcs/trace/StackDistance.h"
 
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/support/MathUtil.h"
 #include "wcs/support/Telemetry.h"
-#include "wcs/trace/TraceGenerator.h"
 
 #include <cassert>
 
@@ -195,16 +195,75 @@ uint64_t SetDistanceBank::missesForCache(const CacheConfig &C) const {
   return missesForAssoc(C.Assoc);
 }
 
+namespace {
+
+/// Walks \p P with lanes and hands \p Feed the block ids, at \p Shift,
+/// in program-order chunks. Returns the accesses walked.
+template <typename FeedFn>
+uint64_t walkBlocks(const ScopProgram &P, bool IncludeScalars,
+                    unsigned Shift, FeedFn Feed) {
+  struct Blocks {
+    unsigned Shift;
+    FeedFn &Feed;
+    uint64_t Count = 0;
+    size_t N = 0;
+    BlockId Buf[1024] = {};
+
+    void push(int64_t Addr) {
+      Buf[N++] = Addr >> Shift;
+      if (N == std::size(Buf))
+        flush();
+    }
+    void flush() {
+      Feed(static_cast<const BlockId *>(Buf), N);
+      Count += N;
+      N = 0;
+    }
+    void access(const AccessNode &, const IterVec &, int64_t Addr) {
+      push(Addr);
+    }
+    void lanes(const LoopNode &, int64_t Lo, int64_t Hi,
+               std::span<WalkLane> Lanes) {
+      for (int64_t X = Lo; X <= Hi; ++X)
+        for (WalkLane &Ln : Lanes) {
+          push(Ln.Addr);
+          Ln.Addr += Ln.Stride;
+        }
+    }
+  } V{Shift, Feed};
+  ScopWalk(P, IncludeScalars, /*Batch=*/true, V).run();
+  V.flush();
+  return V.Count;
+}
+
+} // namespace
+
+uint64_t wcs::feedBanks(const ScopProgram &Program, bool IncludeScalars,
+                        const std::vector<SetDistanceBank *> &Banks) {
+  unsigned Shift = 63;
+  for (const SetDistanceBank *B : Banks)
+    Shift = std::min(Shift, log2Exact(B->blockBytes()));
+  return walkBlocks(Program, IncludeScalars, Shift,
+                    [&](const BlockId *Blocks, size_t N) {
+                      for (SetDistanceBank *B : Banks) {
+                        unsigned D = log2Exact(B->blockBytes()) - Shift;
+                        for (size_t I = 0; I < N; ++I)
+                          B->accessBlock(Blocks[I] >> D);
+                      }
+                    });
+}
+
 StackDistanceProfiler wcs::profileProgram(const ScopProgram &Program,
                                           unsigned BlockBytes,
                                           bool IncludeScalars,
                                           double *Seconds) {
   telemetry::TimePoint Start = telemetry::now();
   StackDistanceProfiler Prof(BlockBytes);
-  TraceOptions TO;
-  TO.IncludeScalars = IncludeScalars;
-  generateTrace(Program, TO,
-                [&](const TraceRecord &R) { Prof.accessAddr(R.Addr); });
+  walkBlocks(Program, IncludeScalars, log2Exact(BlockBytes),
+             [&](const BlockId *Blocks, size_t N) {
+               for (size_t I = 0; I < N; ++I)
+                 Prof.accessBlock(Blocks[I]);
+             });
   if (Seconds)
     *Seconds = telemetry::secondsSince(Start);
   return Prof;
@@ -217,10 +276,7 @@ SetDistanceBank wcs::profileProgramSets(const ScopProgram &Program,
                                         double *Seconds) {
   telemetry::TimePoint Start = telemetry::now();
   SetDistanceBank Bank(BlockBytes, NumSets, MaxAssoc);
-  TraceOptions TO;
-  TO.IncludeScalars = IncludeScalars;
-  generateTrace(Program, TO,
-                [&](const TraceRecord &R) { Bank.accessAddr(R.Addr); });
+  feedBanks(Program, IncludeScalars, {&Bank});
   if (Seconds)
     *Seconds = telemetry::secondsSince(Start);
   return Bank;

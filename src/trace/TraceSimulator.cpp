@@ -29,15 +29,7 @@ void TraceSimulator::access(const TraceRecord &R) {
   BlockId Last = (R.Addr + R.Size - 1) >> BlockShift;
   for (BlockId B = First; B <= Last; ++B) {
     HierarchyOutcome O = Cache.access(B, R.IsWrite);
-    ++Result.Stats.SimulatedAccesses;
-    ++Result.Stats.Level[0].Accesses;
-    if (!O.L1Hit)
-      ++Result.Stats.Level[0].Misses;
-    if (O.L2Accessed) {
-      ++Result.Stats.Level[1].Accesses;
-      if (!O.L2Hit)
-        ++Result.Stats.Level[1].Misses;
-    }
+    Result.Stats.countAccess(O.L1Hit, O.L2Accessed, O.L2Hit);
     Result.Writebacks += O.L2Writebacks;
     Result.WritebackMisses += O.L2WritebackMisses;
   }

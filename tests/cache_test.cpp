@@ -242,6 +242,22 @@ TEST(ConcreteHierarchy, NoWriteAllocateBypassesOnWriteMiss) {
 /// Every 8-way age vector over {0..3}, 4^8 of them: the word-wide
 /// victim and the reference, run on copies, pick the same way and leave
 /// the same aged bytes.
+/// A batched op keeps its block, negative ones included (accesses below
+/// address zero): the batched walk and the per-access step must agree
+/// on every block id.
+TEST(BatchedAccess, BlockRoundTripsNegativeBlocks) {
+  const BlockId Reach = BlockId(1) << 61;
+  for (BlockId B : {BlockId(0), BlockId(1), BlockId(-1), BlockId(-2),
+                    BlockId(-186), BlockId(-4096), Reach - 1, -Reach,
+                    -Reach + 1})
+    for (bool W : {false, true}) {
+      BatchedAccess Op = BatchedAccess::make(B, W);
+      EXPECT_EQ(Op.block(), B) << B;
+      EXPECT_EQ(Op.isWrite(), W) << B;
+      EXPECT_FALSE(Op.isRepeat()) << B;
+    }
+}
+
 TEST(QlruVictim, WordWideEqualsAgingLoopOnEveryAgeVector) {
   for (uint32_t Code = 0; Code < (1u << 16); ++Code) {
     uint8_t Ref[8], Word[8];

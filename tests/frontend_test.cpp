@@ -328,4 +328,45 @@ TEST(Frontend, DivisionByConstantInAffineContext) {
             std::string::npos);
 }
 
+/// Programs whose iterator, address or size arithmetic can overflow
+/// int64 are refused when they are built, with the loop or the array
+/// named; every walk and both simulators then stay in range.
+TEST(Frontend, Int64OverflowIsRefused) {
+  EXPECT_EQ(parseErr("double A[1];"
+                     "for (i = 9223372036854775806;"
+                     "     i <= 9223372036854775807; i++) A[0] = 0;"),
+            "loop 'i' iterates outside [-2^62, 2^62)");
+  EXPECT_EQ(parseErr("double A[16];"
+                     "for (i = -9223372036854775807;"
+                     "     i < -9223372036854775800; i++) A[i] = 0;"),
+            "loop 'i' iterates outside [-2^62, 2^62)");
+  EXPECT_EQ(parseErr("double A[16];"
+                     "for (i = 0; i < 4; i++) A[9223372036854775807*i] = 0;"),
+            "access to 'A' overflows int64 address arithmetic");
+  EXPECT_EQ(parseErr("double A[4611686018427387904][4];"
+                     "for (i = 0; i < 4; i++) A[i][0] = 0;"),
+            "array 'A' does not fit in int64 addresses");
+  EXPECT_EQ(parseErr("double A[16];"
+                     "for (i = 0; i < 4; i++) A[576460752303423488*i] = 0;"),
+            "access to 'A' leaves the address range [-2^62, 2^62)");
+  // Bounds are taken over the box hull of the enclosing loops.
+  EXPECT_EQ(parseErr("double A[16];"
+                     "for (j = 0; j < 2; j++)"
+                     "  for (i = 0; i <= 4611686018427387904*j; i++)"
+                     "    A[0] = 0;"),
+            "loop 'i' iterates outside [-2^62, 2^62)");
+  EXPECT_EQ(parseErr("double A[16];"
+                     "for (j = 0; j < 4; j++)"
+                     "  for (i = 0; i < 4611686018427387904*j; i++) A[0] = 0;"),
+            "loop 'i' has bounds that overflow int64");
+  // The limits themselves are accepted: a 2^62-iteration loop, and an
+  // out-of-bounds subscript that stays in the address range.
+  ScopProgram P = parseOk("param N; double A[1];"
+                          "for (i = 0; i < N; i++) A[0] = 0;",
+                          {{"N", int64_t(1) << 62}});
+  EXPECT_EQ(P.loops()[0]->Domain.lastDimBounds(IterVec{})->Hi,
+            (int64_t(1) << 62) - 1);
+  parseOk("double A[16]; for (i = 0; i < 4; i++) A[i+1000000] = 0;");
+}
+
 } // namespace

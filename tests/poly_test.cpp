@@ -8,7 +8,6 @@
 #include "wcs/poly/AffineExpr.h"
 #include "wcs/poly/ConvexSet.h"
 #include "wcs/poly/FourierMotzkin.h"
-#include "wcs/poly/IntegerSet.h"
 
 #include <gtest/gtest.h>
 
@@ -99,18 +98,18 @@ TEST(ConvexSet, UnboundedDomainReportsNullopt) {
   EXPECT_FALSE(S.lastDimBounds(IterVec{}).has_value());
 }
 
-TEST(ConvexSet, RationalEmptiness) {
-  ConvexSet S(2);
-  S.addConstraint(Constraint::ge(expr({1, 1}, -10))); // x + y >= 10
-  S.addConstraint(Constraint::ge(expr({-1, 0}, 3)));  // x <= 3
-  S.addConstraint(Constraint::ge(expr({0, -1}, 3)));  // y <= 3
-  EXPECT_EQ(S.emptyRational(), FMStatus::Infeasible);
+TEST(FourierMotzkin, RationalEmptiness) {
+  LinearSystem S(2);
+  S.addGE({1, 1}, -10); // x + y >= 10
+  S.addGE({-1, 0}, 3);  // x <= 3
+  S.addGE({0, -1}, 3);  // y <= 3
+  EXPECT_EQ(S.feasible(), FMStatus::Infeasible);
 
-  ConvexSet T(2);
-  T.addConstraint(Constraint::ge(expr({1, 1}, -6))); // x + y >= 6
-  T.addConstraint(Constraint::ge(expr({-1, 0}, 3))); // x <= 3
-  T.addConstraint(Constraint::ge(expr({0, -1}, 3))); // y <= 3
-  EXPECT_EQ(T.emptyRational(), FMStatus::Feasible);
+  LinearSystem T(2);
+  T.addGE({1, 1}, -6); // x + y >= 6
+  T.addGE({-1, 0}, 3); // x <= 3
+  T.addGE({0, -1}, 3); // y <= 3
+  EXPECT_EQ(T.feasible(), FMStatus::Feasible);
 }
 
 TEST(FourierMotzkin, MinimizeSimpleLP) {
@@ -166,26 +165,6 @@ TEST(Rational, NormalizationAndOrder) {
   EXPECT_LT(A, Rational(0, 1));
   EXPECT_LT(Rational(1, 3), Rational(1, 2));
   EXPECT_LE(Rational(2, 4), Rational(1, 2));
-}
-
-TEST(IntegerSet, UnionSemantics) {
-  ConvexSet A(1);
-  A.addConstraint(Constraint::ge(expr({1}, 0)));  // i >= 0
-  A.addConstraint(Constraint::ge(expr({-1}, 3))); // i <= 3
-  ConvexSet B(1);
-  B.addConstraint(Constraint::ge(expr({1}, -7)));  // i >= 7
-  B.addConstraint(Constraint::ge(expr({-1}, 9)));  // i <= 9
-
-  IntegerSet U(A);
-  U.addDisjunct(B);
-  EXPECT_TRUE(U.contains(IterVec{2}));
-  EXPECT_TRUE(U.contains(IterVec{8}));
-  EXPECT_FALSE(U.contains(IterVec{5}));
-
-  auto Bd = U.lastDimBounds(IterVec{});
-  ASSERT_TRUE(Bd.has_value());
-  EXPECT_EQ(Bd->Lo, 0);
-  EXPECT_EQ(Bd->Hi, 9) << "hull of both disjuncts";
 }
 
 } // namespace

@@ -95,8 +95,8 @@ TEST(ScopLayout, ArraysAreDisjointAndAligned) {
     EXPECT_EQ(Arrays[I].BaseAddr % 4096, 0) << "page alignment";
     for (size_t J = I + 1; J < Arrays.size(); ++J) {
       bool Disjoint =
-          Arrays[I].BaseAddr + Arrays[I].byteSize() <= Arrays[J].BaseAddr ||
-          Arrays[J].BaseAddr + Arrays[J].byteSize() <= Arrays[I].BaseAddr;
+          Arrays[I].BaseAddr + *Arrays[I].byteSize() <= Arrays[J].BaseAddr ||
+          Arrays[J].BaseAddr + *Arrays[J].byteSize() <= Arrays[I].BaseAddr;
       EXPECT_TRUE(Disjoint) << Arrays[I].Name << " overlaps "
                             << Arrays[J].Name;
     }
@@ -139,7 +139,7 @@ TEST(ScopBuilder, ScalarsAreZeroDimensional) {
   ScopProgram P = B.finish(&Err);
   ASSERT_EQ(Err, "");
   EXPECT_TRUE(P.array(S).isScalar());
-  EXPECT_EQ(P.array(S).byteSize(), 8);
+  EXPECT_EQ(*P.array(S).byteSize(), 8);
   const AccessNode *RS = P.accesses()[0];
   EXPECT_TRUE(RS->Subscripts.empty());
   EXPECT_EQ(RS->Address.eval(IterVec{7}), P.array(S).BaseAddr)

@@ -12,11 +12,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "RandomProgram.h"
+#include "wcs/frontend/Frontend.h"
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/sim/SymbolicCache.h"
 #include "wcs/sim/WarpingSimulator.h"
 #include "wcs/support/Telemetry.h"
+#include "wcs/trace/StackDistance.h"
+#include "wcs/trace/TraceSimulator.h"
 
 #include <gtest/gtest.h>
 
@@ -204,6 +207,56 @@ Skips expectWalksAgree(const ScopProgram &P, const HierarchyConfig &H) {
 void expectSkips(const Skips &S, bool Expected, const std::string &Ctx) {
   EXPECT_EQ(S.Concrete != 0, Expected) << Ctx << " concrete";
   EXPECT_EQ(S.Symbolic != 0, Expected) << Ctx << " symbolic";
+}
+
+/// Accesses below address zero: the per-access step and the batched walk
+/// must give a negative address one block id, so every backend and both
+/// walks of both simulators report the trace-driven misses. The second
+/// program touches block -1 (address -8), which must not pass for an
+/// empty cache line: 3 cold misses, not 2.
+TEST(NegativeAddresses, EveryBackendAndWalkAgree) {
+  struct Case {
+    const char *Source;
+    uint64_t Accesses, Misses;
+  };
+  const Case Cases[] = {{R"(
+    double A[16];
+    for (t = 0; t < 5; t++) {
+      A[0 - 2000] = 1;
+      for (i = 0; i < 64; i++)
+        A[i - 2000] = A[i - 2000] + 1;
+    }
+  )", 645, 8}, {R"(
+    double A[16]; double B[16];
+    for (t = 0; t < 4; t++)
+      for (i = 0; i < 16; i++)
+        A[0 - 513] = A[0 - 513] + B[i];
+  )", 192, 3}};
+  HierarchyConfig H =
+      HierarchyConfig::singleLevel(cacheOf(8, 2, PolicyKind::Lru));
+  for (const Case &C : Cases) {
+    ParseResult R = parseScop(C.Source);
+    ASSERT_TRUE(R.ok()) << R.message();
+    const ScopProgram &P = R.Program;
+    ASSERT_LT(P.accesses()[0]->Address.constantTerm(), 0);
+    TraceSimOptions TSO;
+    TSO.IncludeScalars = false;
+    TSO.PropagateWritebacks = false;
+    SimStats Ref = TraceSimulator(H, TSO).runOnProgram(P).Stats;
+    EXPECT_EQ(Ref.totalAccesses(), C.Accesses);
+    EXPECT_EQ(Ref.Level[0].Misses, C.Misses);
+    EXPECT_EQ(profileProgramSets(P, 64, 8, 2).missesForAssoc(2), C.Misses);
+    for (bool Batch : {true, false}) {
+      SimOptions O;
+      O.BatchConcrete = Batch;
+      std::string Ctx = Batch ? "batched" : "per-access";
+      for (const SimStats &S : {ConcreteSimulator(P, H, O).run(),
+                                WarpingSimulator(P, H, O).run()}) {
+        EXPECT_EQ(S.totalAccesses(), C.Accesses) << Ctx;
+        EXPECT_EQ(S.Level[0].Misses, C.Misses) << Ctx;
+      }
+    }
+  }
 }
 
 /// Every line of \p H as (block, dirty, tag), in logical order, plus the

@@ -5,7 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomProgram.h"
 #include "wcs/frontend/Frontend.h"
+#include "wcs/polybench/Polybench.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/trace/StackDistance.h"
 #include "wcs/trace/TraceGenerator.h"
@@ -48,6 +50,69 @@ TEST(TraceGenerator, ScalarExclusionMatchesSimulatorAccounting) {
   N = generateTrace(P, TO, [](const TraceRecord &) {});
   // Without scalars: A[i], A[i-1], B[i] write, B[i] read.
   EXPECT_EQ(N, 3u * 299u * 4u);
+}
+
+/// Banks of 16-, 64- and 256-byte blocks at widths 1, 8 and 64, plus one
+/// exact 65-way bank: the lane-fed walk generates blocks at the
+/// smallest block size, and each bank must shift them to its own.
+std::vector<SetDistanceBank> testBanks() {
+  std::vector<SetDistanceBank> Banks;
+  for (unsigned Block : {16u, 64u, 256u}) {
+    Banks.emplace_back(Block, 4, 1);
+    Banks.emplace_back(Block, 2, 8);
+    Banks.emplace_back(Block, 1, 64);
+  }
+  Banks.emplace_back(64, 2, 65);
+  return Banks;
+}
+
+/// Every consumer of the program-order walk sees the same accesses as
+/// generateTrace, the per-access reference: the lane-fed banks at every
+/// associativity they answer, and the per-activation count, capped or
+/// not.
+void expectConsumersAgree(const ScopProgram &P, bool Scalars,
+                          const std::string &Ctx) {
+  TraceOptions TO;
+  TO.IncludeScalars = Scalars;
+  std::vector<SetDistanceBank> Walked = testBanks(), Ref = testBanks();
+  std::vector<SetDistanceBank *> Feed;
+  for (SetDistanceBank &B : Walked)
+    Feed.push_back(&B);
+  uint64_t N = feedBanks(P, Scalars, Feed);
+  uint64_t Records = generateTrace(P, TO, [&](const TraceRecord &R) {
+    for (SetDistanceBank &B : Ref)
+      B.accessAddr(R.Addr);
+  });
+  ASSERT_EQ(N, Records) << Ctx;
+  for (size_t I = 0; I < Ref.size(); ++I) {
+    ASSERT_EQ(Walked[I].totalAccesses(), Ref[I].totalAccesses()) << Ctx;
+    unsigned Width = Ref[I].truncatedAtAssoc() ? Ref[I].truncatedAtAssoc()
+                                               : 65;
+    for (unsigned A = 1; A <= Width; ++A)
+      ASSERT_EQ(Walked[I].missesForAssoc(A), Ref[I].missesForAssoc(A))
+          << Ctx << " bank " << I << " assoc " << A;
+  }
+  EXPECT_EQ(countAccesses(P, TO), Records) << Ctx;
+  for (uint64_t Cap : {Records / 2, Records - 1, Records, Records + 1})
+    EXPECT_EQ(countAccesses(P, TO, Cap), std::min(Cap, Records))
+        << Ctx << " cap " << Cap;
+}
+
+TEST(TraceGenerator, EveryWalkConsumerSeesTheSameAccesses) {
+  std::mt19937 Rng(0x7A1C);
+  for (int Draw = 0; Draw < 50; ++Draw) {
+    ScopProgram P = testutil::generateProgram(Rng, /*LongRuns=*/Draw >= 40);
+    expectConsumersAgree(P, false, "draw " + std::to_string(Draw) + "\n" +
+                                       P.str());
+  }
+  std::string Err;
+  ScopProgram Durbin = buildKernel("durbin", ProblemSize::Mini, &Err);
+  ASSERT_EQ(Err, "");
+  ScopProgram Small = smallKernel();
+  for (bool Scalars : {false, true}) {
+    expectConsumersAgree(Durbin, Scalars, "durbin");
+    expectConsumersAgree(Small, Scalars, "small");
+  }
 }
 
 TEST(TraceSimulator, AgreesWithTreeSimulatorWithoutWritebacks) {

@@ -187,9 +187,7 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  StackDistanceProfiler Prof(64);
-  generateTrace(P, TO,
-                [&](const TraceRecord &R) { Prof.accessAddr(R.Addr); });
+  StackDistanceProfiler Prof = profileProgram(P, 64, TO.IncludeScalars);
 
   if (Mode == "--histogram") {
     std::printf("# %s: %llu accesses, %llu cold\n", P.Name.c_str(),
