@@ -7,8 +7,8 @@
 // accesses per policy (one runtime-dispatched access() call, and the
 // batched loop the simulators run), symbolic (tagged) accesses on both
 // paths, whole batched walks of one innermost loop (with and without
-// repeated runs to skip), warp state-key hashing, Fourier-Motzkin
-// minimization, and
+// repeated runs to skip), warp state keys (recomputed and incremental),
+// whole periodic passes, Fourier-Motzkin minimization, and
 // stack-distance updates (the lone profiler and both per-set bank
 // representations). These quantify the constant factors behind the
 // figure harnesses.
@@ -22,6 +22,7 @@
 #include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/SymbolicCache.h"
 #include "wcs/sim/WarpEngine.h"
+#include "wcs/trace/PeriodicPass.h"
 #include "wcs/trace/StackDistance.h"
 
 #include <benchmark/benchmark.h>
@@ -199,6 +200,11 @@ BENCHMARK(BM_BatchWalk)
                    {0, 1},
                    {0, 1}});
 
+/// The warp state key of a populated PLRU L1 (4 KiB, 8-way), for the
+/// i-loop of jacobi-2d. Argument 0 recomputes it from every line, as
+/// the test reference does; argument 1 keys incrementally after each
+/// iteration's accesses (one statement of the j-loop body, six
+/// accesses), as a probe does, so only the sets they touched rehash.
 void BM_StateKey(benchmark::State &State) {
   std::string Err;
   ScopProgram P = buildKernel("jacobi-2d", ProblemSize::Small, &Err);
@@ -223,11 +229,47 @@ void BM_StateKey(benchmark::State &State) {
   S.Loop = P.loops()[1]; // The i-loop.
   S.Prefix = IterVec{0};
   S.Hi = 40;
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Eng.stateKey(C, Epochs, S));
+  if (State.range(0) == 0) {
+    for (auto _ : State)
+      benchmark::DoNotOptimize(Eng.stateKey(C, Epochs, S));
+  } else {
+    KeyCache Keys;
+    const int64_t Y = 20; // Row 19's epoch.
+    int64_t J = 1;
+    for (auto _ : State) {
+      for (int Id = 0; Id < 6; ++Id) {
+        const AccessNode *N = P.accesses()[Id];
+        C.access(N->Address.eval(IterVec{0, Y, J}) >> 6, N->isWrite(),
+                 SymTag{N->Id, RowEpoch[Y - 1], J});
+      }
+      J = J % 38 + 1;
+      benchmark::DoNotOptimize(Eng.stateKey(C, Epochs, S, Keys, C.tick()));
+    }
+  }
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_StateKey);
+BENCHMARK(BM_StateKey)->Arg(0)->Arg(1);
+
+/// One whole periodic pass (trace/PeriodicPass: the depth-profiled
+/// warping walk of one 64-byte 16-way LRU bank) at SMALL: gramschmidt on
+/// 4 sets (argument 0), where most warp checks fail, and jacobi-2d on
+/// 1,024 sets (argument 1), where every probe keys and snapshots a
+/// 16,384-line state.
+void BM_PeriodicPass(benchmark::State &State) {
+  const bool Jacobi = State.range(0) == 1;
+  std::string Err;
+  ScopProgram P = buildKernel(Jacobi ? "jacobi-2d" : "gramschmidt",
+                              ProblemSize::Small, &Err);
+  const unsigned Sets = Jacobi ? 1024 : 4;
+  uint64_t Accesses = 0;
+  for (auto _ : State) {
+    PeriodicPassResult R = runPeriodicPass(P, 64, Sets, 16);
+    Accesses += R.Histogram.Accesses;
+    benchmark::DoNotOptimize(R.Histogram.Beyond);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(Accesses));
+}
+BENCHMARK(BM_PeriodicPass)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_FourierMotzkinMinimize(benchmark::State &State) {
   for (auto _ : State) {

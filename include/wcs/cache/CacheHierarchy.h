@@ -16,8 +16,9 @@
 /// the symbolic walk share one per-access path and one batch loop. A
 /// tagged payload (CacheLineTraits::HasTag) additionally refreshes the
 /// tag of every line an access touches (the paper's SymUpSet), counts
-/// L1 hit depths for depth profiles, and migrates the victim's tag in
-/// exclusive hierarchies; untagged payloads compile none of that.
+/// L1 hit depths for depth profiles, migrates the victim's tag in
+/// exclusive hierarchies, and stamps every set it changes (see
+/// SetAssocCache::tick); untagged payloads compile none of that.
 ///
 /// The batch loop also skips: a repeat marker in a chunk stands for
 /// further applications of the iteration before it, and once one of them
@@ -129,6 +130,31 @@ public:
 
   Cache &level(unsigned I) { return Levels[I]; }
   const Cache &level(unsigned I) const { return Levels[I]; }
+
+  /// Tagged payloads: ticks every level's modification clock
+  /// (SetAssocCache::tick). The levels tick together from one start, so
+  /// the returned value serves each of them.
+  uint64_t tick()
+    requires Traits::HasTag
+  {
+    uint64_t T = Levels.front().tick();
+    for (size_t L = 1; L < Levels.size(); ++L) {
+      [[maybe_unused]] uint64_t TL = Levels[L].tick();
+      assert(TL == T && "levels tick together");
+    }
+    return T;
+  }
+
+  /// Tagged payloads: SetAssocCache::copyChangedSets at every level.
+  /// Returns the number of sets copied.
+  size_t copyChangedSets(const CacheHierarchy &Live, uint64_t Since)
+    requires Traits::HasTag
+  {
+    size_t Copied = 0;
+    for (size_t L = 0; L < Levels.size(); ++L)
+      Copied += Levels[L].copyChangedSets(Live.Levels[L], Since);
+    return Copied;
+  }
 
   /// Performs one memory access (paper Eq. (24) extended to writes). A
   /// tagged payload stores \p Tag in every line the access touches, and
@@ -352,7 +378,7 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
     if (IsWrite)
       L1.orDirtyAt(S.LastSet, S.LastWay, true);
     if constexpr (Traits::HasTag) {
-      L1.tagAt(S.LastSet, S.LastWay) = Tag;
+      L1.setTagAt(S.LastSet, S.LastWay, Tag);
       if (DepthHist)
         addCount(DepthHist[S.LastWay], DepthWeight);
     }
@@ -427,7 +453,7 @@ CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
     Tags.skip(Count - 1);
     for (size_t I = 0; I < IterOps; ++I) {
       BlockId B = Iter[I].block();
-      S.L1.tagAt(S.L1.setOf(B), S.L1.wayOf(B)) = Tags.next();
+      S.L1.setTagAt(S.L1.setOf(B), S.L1.wayOf(B), Tags.next());
     }
   }
   return Tags;

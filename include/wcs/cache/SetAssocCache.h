@@ -24,7 +24,10 @@
 ///  - logical-to-physical set indirection, so that applying the set
 ///    rotation pi_rot^n of Theorem 4 is an O(1) base-offset update;
 ///  - the most-recently-accessed set is tracked, anchoring the
-///    rotation-invariant state hash of Algorithm 2.
+///    rotation-invariant state hash of Algorithm 2;
+///  - a tagged payload keeps a modification stamp per physical set, so
+///    a warp probe rehashes, and a snapshot copies, only the sets that
+///    changed since that probe's or snapshot's last look (see tick()).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,8 +122,10 @@ public:
                  : 0,
              QlruOps::EvictAge) {
     assert(Config.validate().empty() && "invalid cache configuration");
-    if constexpr (Traits::HasTag)
+    if constexpr (Traits::HasTag) {
       Tags.resize(static_cast<size_t>(Sets) * Assoc);
+      Stamps.resize(Sets, 0);
+    }
   }
 
   const CacheConfig &config() const { return Cfg; }
@@ -216,6 +221,7 @@ public:
       if (Row[I] != B)
         continue;
       LineT Removed = assembleLine(Ph, I);
+      stamp(Ph);
       switch (Cfg.Policy) {
       case PolicyKind::Lru:
       case PolicyKind::Fifo:
@@ -261,7 +267,9 @@ public:
     return Blocks[static_cast<size_t>(phys(Set)) * Assoc + Way];
   }
   void setBlockAt(unsigned Set, unsigned Way, BlockId B) {
-    Blocks[static_cast<size_t>(phys(Set)) * Assoc + Way] = B;
+    unsigned Ph = phys(Set);
+    Blocks[static_cast<size_t>(Ph) * Assoc + Way] = B;
+    stamp(Ph);
   }
 
   bool dirtyAt(unsigned Set, unsigned Way) const {
@@ -276,14 +284,17 @@ public:
   }
 
   /// The extra payload (beyond Block/Dirty) at (Set, Way); only
-  /// instantiable for payloads whose traits define a tag.
-  TagT &tagAt(unsigned Set, unsigned Way) {
-    static_assert(Traits::HasTag, "payload has no tag state");
-    return Tags[static_cast<size_t>(phys(Set)) * Assoc + Way];
-  }
+  /// instantiable for payloads whose traits define a tag. Writers go
+  /// through setTagAt, which stamps the set.
   const TagT &tagAt(unsigned Set, unsigned Way) const {
     static_assert(Traits::HasTag, "payload has no tag state");
     return Tags[static_cast<size_t>(phys(Set)) * Assoc + Way];
+  }
+  void setTagAt(unsigned Set, unsigned Way, const TagT &T) {
+    static_assert(Traits::HasTag, "payload has no tag state");
+    unsigned Ph = phys(Set);
+    Tags[static_cast<size_t>(Ph) * Assoc + Way] = T;
+    stamp(Ph);
   }
 
   uint32_t plruBits(unsigned Set) const { return PlruBits[phys(Set)]; }
@@ -343,6 +354,71 @@ public:
     return true;
   }
 
+  //===------------------------------------------------------------------===//
+  // Modification stamps (tagged payloads only: the concrete
+  // instantiation stores and compiles none of this). Every path that
+  // changes a set's lines or policy metadata -- a hit or fill (stamped
+  // on every access), invalidate, setBlockAt, setTagAt and reset --
+  // writes the clock into the set's stamp; dirty bits change only beside
+  // such a write to the same set. An observer calls tick() when it
+  // reads the cache and keeps the value: the sets changed since are
+  // those whose changedSince() holds. The rotation base and the MRA set
+  // are scalars outside the stamps.
+  //===------------------------------------------------------------------===//
+
+  /// Returns the clock and advances it, so every later change stamps
+  /// its set above the returned value.
+  uint64_t tick() { return Clock++; }
+
+  /// True when physical set \p Ph changed after the tick() that
+  /// returned \p Since.
+  bool changedSince(unsigned Ph, uint64_t Since) const {
+    return Stamps[Ph] > Since;
+  }
+
+  /// The physical set behind logical set \p LogicalSet.
+  unsigned physicalSet(unsigned LogicalSet) const {
+    return phys(LogicalSet);
+  }
+
+  /// Makes this cache equal to \p Live again, when it last equalled
+  /// \p Live at the tick() that returned \p Since (a full copy, or an
+  /// earlier call): copies the sets \p Live changed since then, plus
+  /// the rotation base, the MRA set and the last victim's tag. Returns
+  /// the number of sets copied.
+  size_t copyChangedSets(const SetAssocCache &Live, uint64_t Since) {
+    static_assert(Traits::HasTag, "only tagged payloads keep stamps");
+    assert(Sets == Live.Sets && Assoc == Live.Assoc &&
+           Cfg.Policy == Live.Cfg.Policy && "copying a foreign geometry");
+    // Copy maximal runs of changed sets, one bulk copy per array each:
+    // when most sets changed, that is as cheap as a whole copy.
+    size_t Copied = 0;
+    for (unsigned Lo = 0; Lo < Sets;) {
+      if (Live.Stamps[Lo] <= Since) {
+        ++Lo;
+        continue;
+      }
+      unsigned Hi = Lo + 1;
+      while (Hi < Sets && Live.Stamps[Hi] > Since)
+        ++Hi;
+      const size_t N = Hi - Lo;
+      const size_t Off = static_cast<size_t>(Lo) * Assoc;
+      std::copy_n(&Live.Blocks[Off], N * Assoc, &Blocks[Off]);
+      std::copy_n(&Live.Tags[Off], N * Assoc, &Tags[Off]);
+      const size_t DOff = static_cast<size_t>(Lo) * WordsPerSet;
+      std::copy_n(&Live.DirtyBits[DOff], N * WordsPerSet, &DirtyBits[DOff]);
+      std::copy_n(&Live.PlruBits[Lo], N, &PlruBits[Lo]);
+      if (!Ages.empty())
+        std::copy_n(&Live.Ages[Off], N * Assoc, &Ages[Off]);
+      Copied += N;
+      Lo = Hi;
+    }
+    Base = Live.Base;
+    MraSet = Live.MraSet;
+    EvictedTag = Live.EvictedTag;
+    return Copied;
+  }
+
   /// Applies the set rotation `s -> s + Amount (mod Sets)` to the whole
   /// cache state in O(1) (paper Theorem 4: warping rotates cache sets).
   /// Line payloads are NOT rewritten; the symbolic layer re-derives
@@ -360,8 +436,10 @@ public:
     std::fill(DirtyBits.begin(), DirtyBits.end(), 0ull);
     std::fill(PlruBits.begin(), PlruBits.end(), 0u);
     std::fill(Ages.begin(), Ages.end(), QlruOps::EvictAge);
-    if constexpr (Traits::HasTag)
+    if constexpr (Traits::HasTag) {
       std::fill(Tags.begin(), Tags.end(), TagT());
+      std::fill(Stamps.begin(), Stamps.end(), Clock);
+    }
     Base = 0;
     MraSet = 0;
   }
@@ -386,6 +464,12 @@ private:
   }
   TagT *tagRow(unsigned Ph) {
     return &Tags[static_cast<size_t>(Ph) * Assoc];
+  }
+
+  /// Marks physical set \p Ph changed (see tick()).
+  void stamp([[maybe_unused]] unsigned Ph) {
+    if constexpr (Traits::HasTag)
+      Stamps[Ph] = Clock;
   }
 
   //===------------------------------------------------------------------===//
@@ -484,6 +568,7 @@ private:
     if constexpr (TrackMra)
       MraSet = S;
     unsigned Ph = phys(S);
+    stamp(Ph); // Hits refresh the tag, fills replace a line.
     BlockId *Row = rowAt(Ph, A);
     AccessOutcome R;
     R.Set = S;
@@ -617,6 +702,10 @@ private:
   std::vector<uint32_t> PlruBits;
   std::vector<uint8_t> Ages;
   std::vector<TagT> Tags; ///< Sized only when Traits::HasTag.
+  /// Per physical set, the clock at its last change; sized only when
+  /// Traits::HasTag.
+  std::vector<uint64_t> Stamps;
+  uint64_t Clock = 1;
 };
 
 } // namespace wcs

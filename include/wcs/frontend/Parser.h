@@ -125,6 +125,10 @@ private:
   unsigned Nesting = 0; ///< Open NestingScopes.
   std::string Error;
   SrcLoc ErrorLoc;
+  /// Source of each loop (its `for`), access (its array name) and array
+  /// (its declared name), in the order the builder got them: the ids a
+  /// ScopBuilder::finish refusal names.
+  std::vector<SrcLoc> LoopLocs, AccessLocs, ArrayLocs;
 };
 
 } // namespace wcs

@@ -81,8 +81,12 @@ public:
   void writeScalar(unsigned ArrayId) { write(ArrayId, {}); }
 
   /// Closes construction: assigns the layout, finalizes and validates.
-  /// On failure, returns an empty program and sets \p Error.
-  ScopProgram finish(std::string *Error = nullptr, int64_t AlignBytes = 4096);
+  /// On failure, returns an empty program, sets \p Error and, when
+  /// nonnull, \p Refused to the entity the error names (loops and
+  /// accesses numbered in the order they were emitted, arrays in the
+  /// order they were declared).
+  ScopProgram finish(std::string *Error = nullptr, int64_t AlignBytes = 4096,
+                     ScopEntity *Refused = nullptr);
 
 private:
   void appendNode(std::unique_ptr<Node> N);

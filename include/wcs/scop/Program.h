@@ -126,6 +126,16 @@ inline const AccessNode *asAccess(const Node *N) {
   return asAccess(const_cast<Node *>(N));
 }
 
+/// The entity a refused program names: a loop by LoopNode::Id, an
+/// access by AccessNode::Id, or an array by its index in arrays(). Loop
+/// and access ids count in program order, the order a builder emits the
+/// nodes in, so a frontend can map them back to their source.
+struct ScopEntity {
+  enum class Kind { None, Loop, Access, Array };
+  Kind K = Kind::None;
+  int Id = -1;
+};
+
 /// A full static control part: arrays plus a sequence of trees.
 class ScopProgram {
 public:
@@ -156,8 +166,9 @@ public:
   /// the loop bounds, every iterator must stay in [-2^62, 2^62), every
   /// address and address stride within the same range, and no bound,
   /// guard or address evaluation may overflow int64. Returns an error
-  /// message naming the loop or the array, or "" on success.
-  std::string finalize();
+  /// message naming the loop or the array, or "" on success; on a
+  /// refusal, \p Refused (when nonnull) names the refused entity.
+  std::string finalize(ScopEntity *Refused = nullptr);
 
   /// Pretty-prints the tree (for debugging and examples).
   std::string str() const;
@@ -178,8 +189,10 @@ private:
 /// \p AlignBytes (default: page size, matching how allocators place large
 /// arrays); scalars are packed contiguously in a separate region. Returns
 /// an error naming the array whose size or placement overflows int64,
-/// or "" on success.
-std::string assignLayout(ScopProgram &P, int64_t AlignBytes = 4096);
+/// or "" on success; on a refusal, \p Refused (when nonnull) names that
+/// array.
+std::string assignLayout(ScopProgram &P, int64_t AlignBytes = 4096,
+                         ScopEntity *Refused = nullptr);
 
 } // namespace wcs
 

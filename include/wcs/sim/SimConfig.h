@@ -61,7 +61,12 @@ struct WarpConfig {
   /// Loops with at most this many iterations snapshot on the *first*
   /// occurrence of a key instead of the second. Short loops (outer time
   /// loops in particular) cannot afford to burn a whole state period on
-  /// the two-phase discipline, and their snapshot volume is tiny.
+  /// the two-phase discipline. Their snapshots are not few: at PolyBench
+  /// MEDIUM nearly every loop is this short, so nearly every probe
+  /// stores one (jacobi-2d's 1,024-set, 16-way periodic-pass bank stored
+  /// about 1,000 snapshots of 16,384 lines). A store into a recycled
+  /// ring slot therefore copies only the sets changed since that slot
+  /// was written (see WarpingSimulator.h).
   int64_t EagerSnapshotTripLimit = 128;
 
   /// Maximum match distance delta = x1 - x0 considered for warping.

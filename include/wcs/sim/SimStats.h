@@ -19,6 +19,50 @@
 
 namespace wcs {
 
+/// The outcome of one warp check (WarpEngine::checkWarp): a pass, or
+/// the first test it failed. The engine runs the tests in this order,
+/// so a check that would fail several counts under the first.
+enum class WarpCheck : uint8_t {
+  Pass,
+  Shift,   ///< No functional block shift for some access node.
+  Room,    ///< The warp bounds leave no room for one repetition (N < 1).
+  Unknown, ///< A Fourier-Motzkin bound overflowed.
+  State,   ///< Line pairs, policy words or the bijection differ.
+  Agree,   ///< The bijection disagrees with the warped blocks.
+};
+
+/// Failed warp checks by reason; they sum to SimStats::FailedWarpChecks.
+struct WarpCheckFailures {
+  uint64_t Shift = 0;
+  uint64_t State = 0;
+  uint64_t Room = 0;
+  uint64_t Unknown = 0;
+  uint64_t Agree = 0;
+
+  uint64_t total() const { return Shift + State + Room + Unknown + Agree; }
+  void count(WarpCheck R) {
+    switch (R) {
+    case WarpCheck::Pass:
+      break;
+    case WarpCheck::Shift:
+      ++Shift;
+      break;
+    case WarpCheck::Room:
+      ++Room;
+      break;
+    case WarpCheck::Unknown:
+      ++Unknown;
+      break;
+    case WarpCheck::State:
+      ++State;
+      break;
+    case WarpCheck::Agree:
+      ++Agree;
+      break;
+    }
+  }
+};
+
 /// Access/miss counters of one cache level.
 struct LevelStats {
   uint64_t Accesses = 0;
@@ -44,6 +88,8 @@ struct SimStats {
   /// Warp candidates that matched the state hash but failed verification
   /// or the applicability checks of IterationsToWarp.
   uint64_t FailedWarpChecks = 0;
+  /// FailedWarpChecks by reason.
+  WarpCheckFailures FailedBy;
 
   /// Wall-clock seconds spent inside the simulation loop.
   double Seconds = 0.0;

@@ -17,11 +17,25 @@
 /// advance analytically.
 ///
 /// Storage discipline: the first occurrence of a key records only a
-/// marker; a snapshot (full symbolic state copy) is taken on the second
-/// occurrence; later occurrences attempt warps against the stored
-/// snapshots. Loops whose activations repeatedly probe without ever
-/// warping stop probing (see WarpConfig), keeping non-warping kernels at
-/// ordinary-simulation cost.
+/// marker; a snapshot is taken on the second occurrence (on the first in
+/// short loops, see WarpConfig::EagerSnapshotTripLimit); later
+/// occurrences attempt warps against the stored snapshots. Loops whose
+/// activations repeatedly probe without ever warping stop probing (see
+/// WarpConfig), keeping non-warping kernels at ordinary-simulation cost.
+///
+/// Probes cost what changed. The symbolic hierarchy stamps every set it
+/// changes (SetAssocCache::tick), and each probe ticks it. The key
+/// rehashes only the sets stamped since the activation's previous probe
+/// and combines the cached set hashes with their MRA-relative positions
+/// (WarpEngine::stateKey, O(sets)); snapshots live in a pooled ring whose
+/// slots remember the tick of their last store, so storing into a
+/// written slot copies only the sets stamped since, plus the rotation
+/// base, the MRA set and the depth histogram. A check runs the cheap,
+/// state-independent warp bounds before the line pairs and stops at the
+/// first conflict that leaves no room for a repetition. Keys, snapshots
+/// and warp decisions are the same as with full hashing and copying;
+/// the registry counters sim.warp.key_sets_rehashed and
+/// sim.warp.snapshot_sets_copied count the sets each did touch.
 ///
 /// Stepping. The simulator is a visitor of the program-order walk
 /// (ScopWalk, BatchWalk.h): the access and lanes events go to the
@@ -60,6 +74,7 @@
 #include "wcs/sim/SymbolicCache.h"
 #include "wcs/sim/WarpEngine.h"
 
+#include <functional>
 #include <memory>
 
 namespace wcs {
@@ -97,6 +112,22 @@ public:
   /// small multiple of the distinct prefixes still referenced, not by
   /// the number of loop activations.
   size_t epochHighWater() const { return Epochs.highWater(); }
+
+  /// What a probe hook sees: the live state at a probe, the probing
+  /// activation's scope and the incremental key; Stored is the snapshot
+  /// this probe stored, or null.
+  struct ProbeView {
+    const SymbolicHierarchy &State;
+    const EpochTable &Epochs;
+    const WarpScope &Scope;
+    uint64_t Key;
+    const SymbolicHierarchy *Stored;
+  };
+
+  /// Calls \p Hook at every probe, once the key is computed, and again
+  /// after each snapshot store: how the tests check the incremental key
+  /// and snapshots against full recomputation. Call before run().
+  void setProbeHook(std::function<void(const ProbeView &)> Hook);
 
   ~WarpingSimulator();
 
@@ -153,6 +184,7 @@ private:
   /// Depth profiling (enableDepthProfile): hit counts by L1 stack depth.
   std::vector<uint64_t> DepthHist;
   bool DepthProfile = false;
+  std::function<void(const ProbeView &)> ProbeHook;
 };
 
 } // namespace wcs

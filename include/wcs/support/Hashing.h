@@ -10,14 +10,17 @@
 /// for content-addressing canonicalized sweep requests in the wcs-serve
 /// result store. The mixer is a cheap splitmix64-style function.
 ///
-/// The warping simulator hashes the full symbolic cache state once per
+/// The warping simulator keys the symbolic cache state at every
 /// loop-iteration probe (WarpEngine::stateKey). It does not stream the
-/// state through HashStream: it sums independent hashCombine values,
-/// one per (set, way) slot, each seeded by the slot's position, so the
-/// per-slot mixes do not wait on each other. HashStream's order-
-/// sensitive chain serves the byte/string entry points, word at a time,
-/// so store keys are deterministic across platforms and runs (no
-/// pointer or seed dependence).
+/// state through HashStream. Each set hashes to a sum of independent
+/// hashCombine values, one per valid way, seeded by the way, so the
+/// per-slot mixes do not wait on each other; the key sums the set
+/// hashes, each combined with a seed of the set's position from the
+/// most-recently-accessed set. A probing activation caches the set
+/// hashes and rehashes only the sets changed since its last probe.
+/// HashStream's order-sensitive chain serves the byte/string entry
+/// points, word at a time, so store keys are deterministic across
+/// platforms and runs (no pointer or seed dependence).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -41,6 +41,13 @@ Value wcs::toJson(const SimStats &S) {
   V.set("warped_accesses", S.WarpedAccesses);
   V.set("warps", S.Warps);
   V.set("failed_warp_checks", S.FailedWarpChecks);
+  Value Reasons = Value::object();
+  Reasons.set("shift", S.FailedBy.Shift);
+  Reasons.set("state", S.FailedBy.State);
+  Reasons.set("room", S.FailedBy.Room);
+  Reasons.set("unknown", S.FailedBy.Unknown);
+  Reasons.set("agree", S.FailedBy.Agree);
+  V.set("failed_check_reasons", std::move(Reasons));
   V.set("seconds", S.Seconds);
   return V;
 }
@@ -57,11 +64,23 @@ bool wcs::fromJson(const Value &V, SimStats &Out, std::string *Err) {
   for (size_t L = 0; L < Levels->size(); ++L)
     if (!fromJson(Levels->at(L), Out.Level[L], Err))
       return false;
-  return needUInt(V, "simulated_accesses", Out.SimulatedAccesses, Err) &&
-         needUInt(V, "warped_accesses", Out.WarpedAccesses, Err) &&
-         needUInt(V, "warps", Out.Warps, Err) &&
-         needUInt(V, "failed_warp_checks", Out.FailedWarpChecks, Err) &&
-         needDouble(V, "seconds", Out.Seconds, Err);
+  if (!needUInt(V, "simulated_accesses", Out.SimulatedAccesses, Err) ||
+      !needUInt(V, "warped_accesses", Out.WarpedAccesses, Err) ||
+      !needUInt(V, "warps", Out.Warps, Err) ||
+      !needUInt(V, "failed_warp_checks", Out.FailedWarpChecks, Err) ||
+      !needDouble(V, "seconds", Out.Seconds, Err))
+    return false;
+  // Optional: documents written before the reasons existed lack them.
+  if (const Value *Reasons = V.find("failed_check_reasons")) {
+    WarpCheckFailures &F = Out.FailedBy;
+    if (!needUInt(*Reasons, "shift", F.Shift, Err) ||
+        !needUInt(*Reasons, "state", F.State, Err) ||
+        !needUInt(*Reasons, "room", F.Room, Err) ||
+        !needUInt(*Reasons, "unknown", F.Unknown, Err) ||
+        !needUInt(*Reasons, "agree", F.Agree, Err))
+      return false;
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

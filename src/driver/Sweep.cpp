@@ -510,6 +510,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         P.Stats.WarpedAccesses = PassStats.WarpedAccesses;
         P.Stats.Warps = PassStats.Warps;
         P.Stats.FailedWarpChecks = PassStats.FailedWarpChecks;
+        P.Stats.FailedBy = PassStats.FailedBy;
       }
     } else {
       P.Stats.SimulatedAccesses = Bank.totalAccesses();

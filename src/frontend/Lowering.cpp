@@ -106,6 +106,7 @@ bool Parser::parseVarDecl(unsigned ElemBytes) {
       S.NumDims = static_cast<unsigned>(Dims.size());
       S.ArrayId = Builder.addArray(Name, ElemBytes, std::move(Dims));
     }
+    ArrayLocs.push_back(Loc);
     Syms[Name] = S;
     if (Tok.is(Token::Kind::Comma)) {
       bump();
@@ -288,6 +289,7 @@ bool Parser::parseFor() {
   }
 
   Builder.beginLoop(IterName, std::move(Lo), std::move(Hi));
+  LoopLocs.push_back(ForLoc);
 
   // Bind (possibly shadowing) the iterator symbol.
   std::optional<Symbol> Shadowed;
@@ -355,12 +357,15 @@ bool Parser::parseAssign() {
 
   // `x op= e` reads x first, then the right-hand side, then writes x
   // (matching the access order pet derives for the desugared form).
-  if (Compound)
+  if (Compound) {
     Builder.access(LHS.ArrayId, AccessKind::Read, Subs);
+    AccessLocs.push_back(Loc);
+  }
   if (!parseValueExpr())
     return false;
   if (!expect(Token::Kind::Semi, "after the assignment"))
     return false;
   Builder.access(LHS.ArrayId, AccessKind::Write, std::move(Subs));
+  AccessLocs.push_back(Loc);
   return true;
 }

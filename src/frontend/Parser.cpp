@@ -38,8 +38,27 @@ ParseResult Parser::run(int64_t AlignBytes) {
   bump();
   if (parseTopLevel()) {
     std::string FinishErr;
-    R.Program = Builder.finish(&FinishErr, AlignBytes);
+    ScopEntity Refused;
+    R.Program = Builder.finish(&FinishErr, AlignBytes, &Refused);
     R.Error = FinishErr;
+    // Report a refusal where its loop, access or array is written.
+    const std::vector<SrcLoc> *Locs = nullptr;
+    switch (Refused.K) {
+    case ScopEntity::Kind::Loop:
+      Locs = &LoopLocs;
+      break;
+    case ScopEntity::Kind::Access:
+      Locs = &AccessLocs;
+      break;
+    case ScopEntity::Kind::Array:
+      Locs = &ArrayLocs;
+      break;
+    case ScopEntity::Kind::None:
+      break;
+    }
+    if (Locs && Refused.Id >= 0 &&
+        static_cast<size_t>(Refused.Id) < Locs->size())
+      R.ErrorLoc = (*Locs)[static_cast<size_t>(Refused.Id)];
   } else {
     R.Error = Error;
     R.ErrorLoc = ErrorLoc;
@@ -405,12 +424,14 @@ bool Parser::parseValuePrimary() {
                            std::to_string(S->NumDims) + " subscripts, got " +
                            std::to_string(Subs.size()));
     Builder.read(S->ArrayId, std::move(Subs));
+    AccessLocs.push_back(Loc);
     return true;
   }
 
   switch (S->K) {
   case Symbol::Kind::Scalar:
     Builder.readScalar(S->ArrayId);
+    AccessLocs.push_back(Loc);
     return true;
   case Symbol::Kind::Param:
   case Symbol::Kind::Iterator:

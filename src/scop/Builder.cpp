@@ -107,12 +107,13 @@ void ScopBuilder::appendNode(std::unique_ptr<Node> N) {
     OpenLoops.back()->Children.push_back(std::move(N));
 }
 
-ScopProgram ScopBuilder::finish(std::string *Error, int64_t AlignBytes) {
+ScopProgram ScopBuilder::finish(std::string *Error, int64_t AlignBytes,
+                                ScopEntity *Refused) {
   assert(OpenLoops.empty() && "finish with open loops");
   assert(OpenGuards == 0 && "finish with open guards");
-  std::string E = assignLayout(P, AlignBytes);
+  std::string E = assignLayout(P, AlignBytes, Refused);
   if (E.empty())
-    E = P.finalize();
+    E = P.finalize(Refused);
   if (Error)
     *Error = E;
   return std::move(P);

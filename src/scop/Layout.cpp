@@ -28,29 +28,38 @@ static std::optional<int64_t> alignUp(std::optional<int64_t> X, int64_t A) {
   return X ? checkedMul(ceilDiv(*X, A), A) : X;
 }
 
-std::string wcs::assignLayout(ScopProgram &P, int64_t AlignBytes) {
+std::string wcs::assignLayout(ScopProgram &P, int64_t AlignBytes,
+                              ScopEntity *Refused) {
   assert(AlignBytes >= 64 && isPowerOf2(static_cast<uint64_t>(AlignBytes)) &&
          "alignment must be a power of two >= the cache block size");
+  std::vector<ArrayInfo> &Arrays = P.mutableArrays();
+  auto Refuse = [&](const ArrayInfo &A, const char *What) {
+    if (Refused)
+      *Refused = ScopEntity{ScopEntity::Kind::Array,
+                            static_cast<int>(&A - Arrays.data())};
+    return std::string(What) + " '" + A.Name +
+           "' does not fit in int64 addresses";
+  };
   // Start away from address zero so that "block 0" is not special.
   std::optional<int64_t> Next = AlignBytes;
   // Arrays first, in declaration order.
-  for (ArrayInfo &A : P.mutableArrays()) {
+  for (ArrayInfo &A : Arrays) {
     if (A.isScalar())
       continue;
     std::optional<int64_t> Base = alignUp(Next, AlignBytes);
     std::optional<int64_t> Size = A.byteSize();
     Next = Base && Size ? checkedAdd(*Base, *Size) : std::nullopt;
     if (!Next)
-      return "array '" + A.Name + "' does not fit in int64 addresses";
+      return Refuse(A, "array");
     A.BaseAddr = *Base;
   }
   // Scalars packed together in one fresh region.
   std::optional<int64_t> ScalarNext = alignUp(Next, AlignBytes);
-  for (ArrayInfo &A : P.mutableArrays()) {
+  for (ArrayInfo &A : Arrays) {
     if (!A.isScalar())
       continue;
     if (!ScalarNext)
-      return "scalar '" + A.Name + "' does not fit in int64 addresses";
+      return Refuse(A, "scalar");
     A.BaseAddr = *ScalarNext;
     ScalarNext = checkedAdd(*ScalarNext, A.ElemBytes);
   }

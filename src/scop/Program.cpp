@@ -66,6 +66,7 @@ struct Finalizer {
   std::vector<LoopNode *> Loops;
   unsigned MaxDepth = 0;
   std::string Error;
+  ScopEntity Refused; ///< What Error names.
   /// Box-hull ranges of the enclosing iterators, outermost first. The
   /// empty range {1, 0} of a loop that never runs bounds its body like
   /// [0, 1]: a stand-in for code that never runs.
@@ -87,7 +88,7 @@ struct Finalizer {
       std::optional<VarBounds> R = boundOver(C.Expr, Box, L.Depth);
       int64_t A = C.Expr.numDims() > L.Depth ? C.Expr.coeff(L.Depth) : 0;
       if (!R || R->Lo == INT64_MIN || A == INT64_MIN) {
-        Error = "loop '" + L.IterName + "' has bounds that overflow int64";
+        refuse(L, "loop '" + L.IterName + "' has bounds that overflow int64");
         return false;
       }
       // S*(A*x + R) >= 0 for some R in the range: S = 1, and for an
@@ -103,7 +104,7 @@ struct Finalizer {
       }
     }
     if (Lo <= Hi && (Lo < -Reach || Hi >= Reach)) {
-      Error = "loop '" + L.IterName + "' iterates outside [-2^62, 2^62)";
+      refuse(L, "loop '" + L.IterName + "' iterates outside [-2^62, 2^62)");
       return false;
     }
     Out = Lo <= Hi ? VarBounds{static_cast<int64_t>(Lo),
@@ -112,19 +113,28 @@ struct Finalizer {
     return true;
   }
 
+  void refuse(const LoopNode &L, std::string Msg) {
+    Error = std::move(Msg);
+    Refused = ScopEntity{ScopEntity::Kind::Loop, L.Id};
+  }
+  void refuse(const AccessNode &A, std::string Msg) {
+    Error = std::move(Msg);
+    Refused = ScopEntity{ScopEntity::Kind::Access, A.Id};
+  }
+
   void visit(Node *N, unsigned Depth) {
     if (!Error.empty())
       return;
     if (LoopNode *L = asLoop(N)) {
-      if (Depth + 1 > MaxLoopDepth) {
-        Error = "loop nest deeper than MaxLoopDepth";
-        return;
-      }
       L->Id = static_cast<int>(Loops.size());
       Loops.push_back(L);
       L->Depth = Depth;
+      if (Depth + 1 > MaxLoopDepth) {
+        refuse(*L, "loop nest deeper than MaxLoopDepth");
+        return;
+      }
       if (L->Domain.numDims() != Depth + 1) {
-        Error = "loop '" + L->IterName + "' domain has wrong arity";
+        refuse(*L, "loop '" + L->IterName + "' domain has wrong arity");
         return;
       }
       VarBounds Range;
@@ -145,17 +155,18 @@ struct Finalizer {
     Accesses.push_back(A);
     A->Depth = Depth;
     if (A->Domain.numDims() != Depth) {
-      Error = "access to array #" + std::to_string(A->ArrayId) +
-              " has a domain of wrong arity";
+      refuse(*A, "access to array #" + std::to_string(A->ArrayId) +
+                     " has a domain of wrong arity");
       return;
     }
     const ArrayInfo &Arr = P.array(A->ArrayId);
     if (A->Subscripts.size() != Arr.DimSizes.size()) {
-      Error = "access to '" + Arr.Name + "' has wrong subscript count";
+      refuse(*A, "access to '" + Arr.Name + "' has wrong subscript count");
       return;
     }
     if (Arr.BaseAddr < 0) {
-      Error = "array '" + Arr.Name + "' has no layout; call assignLayout()";
+      refuse(*A,
+             "array '" + Arr.Name + "' has no layout; call assignLayout()");
       return;
     }
     // Linearize: Address = Base + ElemBytes * sum_k Sub[k] * stride_k.
@@ -165,7 +176,7 @@ struct Finalizer {
     for (unsigned K = 0; K < A->Subscripts.size(); ++K)
       if (!addScaled(Addr, A->Subscripts[K].extendedTo(Depth),
                      Arr.elemStride(K) * Arr.ElemBytes)) {
-        Error = Where + " overflows int64 address arithmetic";
+        refuse(*A, Where + " overflows int64 address arithmetic");
         return;
       }
     A->Address = Addr;
@@ -176,12 +187,12 @@ struct Finalizer {
     for (unsigned I = 0; I < Depth; ++I)
       InReach &= Addr.coeff(I) >= -Reach && Addr.coeff(I) <= Reach;
     if (!InReach) {
-      Error = Where + " leaves the address range [-2^62, 2^62)";
+      refuse(*A, Where + " leaves the address range [-2^62, 2^62)");
       return;
     }
     for (const Constraint &C : A->Domain.constraints())
       if (!boundOver(C.Expr, Box, Depth)) {
-        Error = Where + " has a guard that overflows int64";
+        refuse(*A, Where + " has a guard that overflows int64");
         return;
       }
     // Note: A->Guarded is set by the builder / frontend, which knows
@@ -213,12 +224,15 @@ void printNode(std::ostringstream &OS, const ScopProgram &P, const Node *N,
 
 } // namespace
 
-std::string ScopProgram::finalize() {
+std::string ScopProgram::finalize(ScopEntity *Refused) {
   Finalizer F(*this);
   for (const std::unique_ptr<Node> &R : Roots)
     F.visit(R.get(), 0);
-  if (!F.Error.empty())
+  if (!F.Error.empty()) {
+    if (Refused)
+      *Refused = F.Refused;
     return F.Error;
+  }
   AllAccesses = std::move(F.Accesses);
   AllLoops = std::move(F.Loops);
   MaxDepth = F.MaxDepth;

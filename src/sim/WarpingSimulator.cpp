@@ -43,26 +43,33 @@ struct Bucket {
 
 } // namespace
 
-/// Pooled per-activation scratch: the state-key map plus reusable
-/// snapshot storage (copy-assignment into an existing SymbolicHierarchy
-/// reuses its buffers, so steady-state activations allocate nothing).
+/// Pooled per-activation scratch: the state-key map, the cached set
+/// hashes of the incremental key, and reusable snapshot storage. A ring
+/// slot keeps the tick at which it last equalled the live hierarchy, so
+/// a store into a written slot -- by this activation or an earlier one
+/// at the same depth -- copies only the sets stamped since.
 struct WarpingSimulator::Activation {
   std::unordered_map<uint64_t, Bucket> Map;
+  KeyCache Keys;
   std::vector<SymbolicHierarchy> Snapshots; ///< Ring storage.
   /// Depth-histogram copy per ring slot (depth-profiling runs only;
   /// copy-assignment reuses capacity like the snapshots themselves).
   std::vector<std::vector<uint64_t>> SnapshotHists;
-  std::vector<uint32_t> SlotGen;            ///< Generation per slot.
+  std::vector<uint32_t> SlotGen;  ///< Generation per slot.
+  std::vector<uint64_t> SlotTick; ///< Tick of each slot's last store.
   unsigned NextSlot = 0;
   uint64_t StoresThisActivation = 0;
   int64_t LastStoreX = INT64_MIN / 4;
+  uint64_t SetsCopied = 0; ///< Snapshot sets copied so far (telemetry).
 
   void reset() {
     Map.clear();
+    Keys.reset();
     NextSlot = 0;
     StoresThisActivation = 0;
     LastStoreX = INT64_MIN / 4;
-    // Generations persist across activations; entries die with the map.
+    // Generations and slot ticks persist across activations; entries
+    // die with the map.
   }
 
   bool valid(const StoredEntry &E) const {
@@ -75,19 +82,23 @@ struct WarpingSimulator::Activation {
         std::min<uint64_t>(StoresThisActivation, Snapshots.size()));
   }
 
-  /// Stores into the ring, overwriting (and thereby invalidating) the
-  /// oldest slot once the ring is full.
+  /// Stores \p State, at the tick \p Now, into the ring, overwriting
+  /// (and thereby invalidating) the oldest slot once the ring is full.
   StoredEntry store(const SymbolicHierarchy &State, unsigned RingSize,
                     int64_t X, const CounterState &Counters,
-                    const std::vector<uint64_t> *Hist) {
+                    const std::vector<uint64_t> *Hist, uint64_t Now) {
     unsigned Slot = NextSlot;
     NextSlot = (NextSlot + 1) % RingSize;
     if (Slot < Snapshots.size()) {
-      Snapshots[Slot] = State;
+      SetsCopied += Snapshots[Slot].copyChangedSets(State, SlotTick[Slot]);
     } else {
       Snapshots.resize(Slot + 1, State);
       SlotGen.resize(Slot + 1, 0);
+      SlotTick.resize(Slot + 1, 0);
+      for (unsigned L = 0; L < State.numLevels(); ++L)
+        SetsCopied += State.level(L).numSets();
     }
+    SlotTick[Slot] = Now;
     if (Hist) {
       if (SnapshotHists.size() <= Slot)
         SnapshotHists.resize(Slot + 1);
@@ -158,7 +169,20 @@ SimStats WarpingSimulator::run() {
   ScopWalk(Program, Options.IncludeScalars, Options.BatchConcrete, Step)
       .run();
   Stats.Seconds = telemetry::secondsSince(Start);
+  uint64_t Rehashed = 0, Copied = 0;
+  for (const std::unique_ptr<Activation> &A : Pools) {
+    Rehashed += A->Keys.Rehashed;
+    Copied += A->SetsCopied;
+  }
+  telemetry::Registry &Reg = telemetry::registry();
+  Reg.counter("sim.warp.key_sets_rehashed").add(Rehashed);
+  Reg.counter("sim.warp.snapshot_sets_copied").add(Copied);
   return Stats;
+}
+
+void WarpingSimulator::setProbeHook(
+    std::function<void(const ProbeView &)> Hook) {
+  ProbeHook = std::move(Hook);
 }
 
 void WarpingSimulator::openEpoch(const IterVec &Prefix) {
@@ -212,7 +236,10 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
   int64_t X = Lo;
   while (X <= Hi && Probes < WC.MaxProbeIters) {
     ++Probes;
-    uint64_t Key = Engine.stateKey(Cache, Epochs, Scope);
+    const uint64_t Now = Cache.tick();
+    uint64_t Key = Engine.stateKey(Cache, Epochs, Scope, Act.Keys, Now);
+    if (ProbeHook)
+      ProbeHook(ProbeView{Cache, Epochs, Scope, Key, nullptr});
     Bucket &Bk = Act.Map[Key];
     bool Warped = false;
     // Try stored snapshots, most recent (smallest delta) first.
@@ -223,9 +250,11 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
       if (Delta < 1 || Delta > WC.MaxDelta || Delta % Unit != 0)
         continue;
       WarpPlan Plan;
-      if (!Engine.checkWarp(Act.Snapshots[It->Slot], Cache, Epochs, Scope,
-                            It->X0, X, Plan)) {
+      if (WarpCheck R = Engine.checkWarp(Act.Snapshots[It->Slot], Cache,
+                                         Epochs, Scope, It->X0, X, Plan);
+          R != WarpCheck::Pass) {
         ++Stats.FailedWarpChecks;
+        Stats.FailedBy.count(R);
         continue;
       }
       // Fast-forward counters by N copies of the match window
@@ -273,10 +302,15 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
       // Drop entries whose ring slot was recycled, then store.
       std::erase_if(Bk.Entries,
                     [&](const StoredEntry &E) { return !Act.valid(E); });
-      if (Bk.Entries.size() < WC.MaxSnapshotsPerBucket)
+      if (Bk.Entries.size() < WC.MaxSnapshotsPerBucket) {
         Bk.Entries.push_back(Act.store(Cache, WC.SnapshotRingSize, X,
                                        CounterState::capture(Stats),
-                                       DepthProfile ? &DepthHist : nullptr));
+                                       DepthProfile ? &DepthHist : nullptr,
+                                       Now));
+        if (ProbeHook)
+          ProbeHook(ProbeView{Cache, Epochs, Scope, Key,
+                              &Act.Snapshots[Bk.Entries.back().Slot]});
+      }
     }
     Walk.iteration(L, Iter, X);
     ++X;

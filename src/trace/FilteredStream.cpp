@@ -8,11 +8,12 @@
 #include "wcs/trace/FilteredStream.h"
 
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/support/Hashing.h"
 #include "wcs/support/Telemetry.h"
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <cstdint>
 
 using namespace wcs;
 
@@ -39,6 +40,55 @@ constexpr uint64_t MinFoldRecords = 64;
 /// (FIFO insertion orders, for example, can cycle with a longer period
 /// than the stream's).
 constexpr unsigned MaxReplayStateChecks = 8;
+
+/// The last position of each record key seen by compressTail: a flat
+/// open-addressing table (linear probing, doubled at half load) sized by
+/// the distinct keys -- the blocks a miss stream touches -- rather than
+/// by the tail's length.
+class LastPositions {
+public:
+  static constexpr size_t None = SIZE_MAX;
+
+  /// Returns the position last stored for \p Key (None if none) and
+  /// stores \p Pos in its place.
+  size_t exchange(uint64_t Key, size_t Pos) {
+    if (2 * (Used + 1) > Slots.size())
+      grow();
+    Slot &S = find(Key);
+    size_t Prev = S.PosPlus1 - 1; // None for an empty slot.
+    if (S.PosPlus1 == 0) {
+      S.Key = Key;
+      ++Used;
+    }
+    S.PosPlus1 = Pos + 1;
+    return Prev;
+  }
+
+private:
+  struct Slot {
+    uint64_t Key = 0;
+    size_t PosPlus1 = 0; ///< 0 marks an empty slot.
+  };
+
+  Slot &find(uint64_t Key) {
+    const size_t Mask = Slots.size() - 1;
+    size_t I = static_cast<size_t>(hashMix(Key)) & Mask;
+    while (Slots[I].PosPlus1 != 0 && Slots[I].Key != Key)
+      I = (I + 1) & Mask;
+    return Slots[I];
+  }
+
+  void grow() {
+    std::vector<Slot> Old(Slots.empty() ? 64 : 2 * Slots.size());
+    Old.swap(Slots);
+    for (const Slot &S : Old)
+      if (S.PosPlus1 != 0)
+        find(S.Key) = S;
+  }
+
+  std::vector<Slot> Slots;
+  size_t Used = 0;
+};
 
 } // namespace
 
@@ -102,8 +152,7 @@ size_t FilteredStream::compressTail() {
   auto Key = [](const FilteredRecord &R) {
     return (static_cast<uint64_t>(R.Block) << 1) | (R.IsWrite ? 1u : 0u);
   };
-  std::unordered_map<uint64_t, size_t> LastPos;
-  LastPos.reserve(N);
+  LastPositions LastPos;
   struct RelSeg {
     size_t Off;
     uint64_t Len;
@@ -114,12 +163,11 @@ size_t FilteredStream::compressTail() {
   size_t I = 0, LitStart = 0;
   while (I < N) {
     size_t P = 0;
-    auto It = LastPos.find(Key(Rec(I)));
+    size_t Prev = LastPos.exchange(Key(Rec(I)), I);
     // The run template is [I - P, I); it must lie inside the pending
     // literal region, not in an already-emitted segment.
-    if (It != LastPos.end() && It->second >= LitStart)
-      P = I - It->second;
-    LastPos[Key(Rec(I))] = I;
+    if (Prev != LastPositions::None && Prev >= LitStart)
+      P = I - Prev;
     if (P != 0 && Budget != 0) {
       size_t Q = 0;
       while (I + Q < N && Budget != 0 && Rec(I + Q) == Rec(I + Q - P)) {
@@ -150,19 +198,22 @@ size_t FilteredStream::compressTail() {
   if (LitStart < N)
     Out.push_back(RelSeg{LitStart, N - LitStart, 1});
 
-  // Compact the stored tail: keep one template copy per segment.
-  std::vector<FilteredRecord> Kept;
+  // Compact the stored tail in place: keep one template copy per
+  // segment. Segments are in stream order and a kept copy is never
+  // longer than the span it stands for, so each one moves down (or
+  // stays) and never over a template still to be moved.
   Segments.pop_back();
+  size_t Kept = 0;
   for (const RelSeg &S : Out) {
-    Segments.push_back(
-        FilteredSegment{Base + Kept.size(), S.Len, S.Reps});
-    Kept.insert(Kept.end(), Records.begin() + Base + S.Off,
-                Records.begin() + Base + S.Off + S.Len);
+    Segments.push_back(FilteredSegment{Base + Kept, S.Len, S.Reps});
+    if (S.Off != Kept)
+      std::copy(Records.begin() + Base + S.Off,
+                Records.begin() + Base + S.Off + S.Len,
+                Records.begin() + Base + Kept);
+    Kept += S.Len;
   }
-  size_t FreedRecords = N - Kept.size();
-  Records.resize(Base);
-  Records.insert(Records.end(), Kept.begin(), Kept.end());
-  return FreedRecords + FreedByContinuation;
+  Records.resize(Base + Kept);
+  return N - Kept + FreedByContinuation;
 }
 
 FilteredStream FilteredStream::record(const ScopProgram &Program,

@@ -23,6 +23,7 @@
 #include "wcs/driver/BatchRunner.h"
 #include "wcs/driver/Sweep.h"
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/sim/WarpEngine.h"
 #include "wcs/sim/WarpingSimulator.h"
 #include "wcs/support/Telemetry.h"
 
@@ -58,6 +59,23 @@ unsigned fuzzIters() {
       return V;
   }
   return 20;
+}
+
+/// Warp diagnostics agree, and each run's failed checks split exactly
+/// into their reasons.
+void expectWarpDiagnosticsEqual(const SimStats &A, const SimStats &B,
+                                const std::string &Ctx) {
+  EXPECT_EQ(A.SimulatedAccesses, B.SimulatedAccesses) << Ctx;
+  EXPECT_EQ(A.WarpedAccesses, B.WarpedAccesses) << Ctx;
+  EXPECT_EQ(A.Warps, B.Warps) << Ctx;
+  EXPECT_EQ(A.FailedWarpChecks, B.FailedWarpChecks) << Ctx;
+  for (const SimStats *S : {&A, &B})
+    EXPECT_EQ(S->FailedBy.total(), S->FailedWarpChecks) << Ctx;
+  EXPECT_EQ(A.FailedBy.Shift, B.FailedBy.Shift) << Ctx;
+  EXPECT_EQ(A.FailedBy.State, B.FailedBy.State) << Ctx;
+  EXPECT_EQ(A.FailedBy.Room, B.FailedBy.Room) << Ctx;
+  EXPECT_EQ(A.FailedBy.Unknown, B.FailedBy.Unknown) << Ctx;
+  EXPECT_EQ(A.FailedBy.Agree, B.FailedBy.Agree) << Ctx;
 }
 
 void expectStatsEqual(const SimStats &A, const SimStats &B,
@@ -131,10 +149,7 @@ TEST(DifferentialFuzz, BatchedWarpingMatchesPerAccessWarping) {
           SimStats A = WarpingSimulator(P, H, PerAccess).run();
           SimStats B = WarpingSimulator(P, H, Batched).run();
           expectStatsEqual(A, B, Ctx);
-          EXPECT_EQ(A.SimulatedAccesses, B.SimulatedAccesses) << Ctx;
-          EXPECT_EQ(A.WarpedAccesses, B.WarpedAccesses) << Ctx;
-          EXPECT_EQ(A.Warps, B.Warps) << Ctx;
-          EXPECT_EQ(A.FailedWarpChecks, B.FailedWarpChecks) << Ctx;
+          expectWarpDiagnosticsEqual(A, B, Ctx);
           expectStatsEqual(ConcreteSimulator(P, H).run(), B,
                            Ctx + " vs concrete");
         }
@@ -177,10 +192,7 @@ TEST(DifferentialFuzz, LongRunsMatchAcrossWalks) {
         SimStats A = WarpingSimulator(P, H, PerAccess).run();
         SimStats B = WarpingSimulator(P, H, Batched).run();
         expectStatsEqual(Ref, B, Ctx + " warping");
-        EXPECT_EQ(A.SimulatedAccesses, B.SimulatedAccesses) << Ctx;
-        EXPECT_EQ(A.WarpedAccesses, B.WarpedAccesses) << Ctx;
-        EXPECT_EQ(A.Warps, B.Warps) << Ctx;
-        EXPECT_EQ(A.FailedWarpChecks, B.FailedWarpChecks) << Ctx;
+        expectWarpDiagnosticsEqual(A, B, Ctx);
       }
     // The periodic pass runs depth-profiled warping walks.
     std::vector<HierarchyConfig> Grid;
@@ -201,6 +213,122 @@ TEST(DifferentialFuzz, LongRunsMatchAcrossWalks) {
     }
   }
   EXPECT_GT(Skipped.value(), SkippedBefore) << "no run was skipped";
+}
+
+/// A time loop around a dense stream: its inner activations warp with
+/// set rotations, so later probes see rotated states.
+ScopProgram rotatingStream() {
+  ScopBuilder B("rotating-stream");
+  unsigned A = B.addArray("A", 8, {1024});
+  unsigned C = B.addArray("C", 8, {1024});
+  B.beginLoop("t", B.cst(0), B.cst(3));
+  B.beginLoop("i", B.cst(1), B.cst(1022));
+  B.read(A, {B.iter("i") - B.cst(1)});
+  B.read(A, {B.iter("i") + B.cst(1)});
+  B.write(C, {B.iter("i")});
+  B.endLoop();
+  B.endLoop();
+  return B.finish();
+}
+
+/// Probes cost what changed: the key rehashes only the sets stamped
+/// since the activation's previous probe, and a snapshot store copies
+/// only the sets stamped since its ring slot was last written. At every
+/// probe the incremental key must equal the key recomputed from every
+/// line, and every stored snapshot must equal the live state in all that
+/// checkWarp and the epoch collector read (blocks, tags, policy words,
+/// MRA set, rotation) and in its dirty bits -- over random programs
+/// (long runs included) and a rotating stream, all policies, one and two
+/// levels and every inclusion, with batched and per-access stepping,
+/// after warps and set rotations too.
+TEST(DifferentialFuzz, IncrementalProbesMatchFullRecompute) {
+  std::mt19937 Rng(0x1AC4E);
+  const InclusionPolicy Inclusions[] = {
+      InclusionPolicy::NonInclusiveNonExclusive, InclusionPolicy::Inclusive,
+      InclusionPolicy::Exclusive};
+  telemetry::Counter &Copied =
+      telemetry::registry().counter("sim.warp.snapshot_sets_copied");
+  telemetry::Counter &Rehashed =
+      telemetry::registry().counter("sim.warp.key_sets_rehashed");
+  const uint64_t RehashedBefore = Rehashed.value();
+  uint64_t Probes = 0, Stores = 0, RotatedProbes = 0;
+  uint64_t WarpedRuns = 0, PartialCopies = 0;
+  auto Check = [&](const ScopProgram &P, const HierarchyConfig &H,
+                   const SimOptions &O, const std::string &Ctx) {
+    WarpEngine Full(P, H, O);
+    WarpingSimulator Sim(P, H, O);
+    uint64_t Mismatches = 0, RunStores = 0;
+    Sim.setProbeHook([&](const WarpingSimulator::ProbeView &V) {
+      if (!V.Stored) {
+        ++Probes;
+        if (Full.stateKey(V.State, V.Epochs, V.Scope) != V.Key)
+          ++Mismatches;
+        for (unsigned L = 0; L < V.State.numLevels(); ++L)
+          RotatedProbes += V.State.level(L).physicalSet(0) != 0;
+        return;
+      }
+      ++RunStores;
+      for (unsigned L = 0; L < V.State.numLevels(); ++L) {
+        const SymbolicCache &A = V.State.level(L);
+        const SymbolicCache &B = V.Stored->level(L);
+        bool Same = A.mraSet() == B.mraSet() &&
+                    A.physicalSet(0) == B.physicalSet(0);
+        for (unsigned S = 0; S < A.numSets(); ++S) {
+          Same &= A.policyWord(S) == B.policyWord(S);
+          for (unsigned W = 0; W < A.assoc(); ++W) {
+            const SymTag &TA = A.tagAt(S, W), &TB = B.tagAt(S, W);
+            Same &= A.blockAt(S, W) == B.blockAt(S, W) &&
+                    A.dirtyAt(S, W) == B.dirtyAt(S, W) &&
+                    TA.NodeId == TB.NodeId && TA.Epoch == TB.Epoch &&
+                    TA.X == TB.X;
+          }
+        }
+        Mismatches += !Same;
+      }
+    });
+    const uint64_t CopiedBefore = Copied.value();
+    SimStats S = Sim.run();
+    EXPECT_EQ(Mismatches, 0u) << Ctx;
+    EXPECT_EQ(S.FailedBy.total(), S.FailedWarpChecks) << Ctx;
+    expectStatsEqual(ConcreteSimulator(P, H).run(), S, Ctx);
+    uint64_t Sets = 0;
+    for (const CacheConfig &C : H.Levels)
+      Sets += C.numSets();
+    Stores += RunStores;
+    WarpedRuns += S.Warps != 0;
+    PartialCopies += Copied.value() - CopiedBefore < RunStores * Sets;
+  };
+  const ScopProgram Stream = rotatingStream();
+  const unsigned Iters = fuzzIters();
+  for (unsigned I = 0; I <= Iters; ++I) {
+    ScopProgram Random;
+    if (I != Iters)
+      Random = generateProgram(Rng, /*LongRuns=*/I % 2 == 1);
+    const ScopProgram &P = I == Iters ? Stream : Random;
+    for (PolicyKind K : kPolicies)
+      for (bool TwoLevel : {false, true})
+        for (InclusionPolicy Incl : Inclusions) {
+          if (!TwoLevel && Incl != Inclusions[0])
+            continue;
+          HierarchyConfig H = randomHierarchy(Rng, K, TwoLevel);
+          H.Inclusion = Incl;
+          for (bool Batch : {true, false}) {
+            SimOptions O;
+            O.BatchConcrete = Batch;
+            O.Warp.MaxProbeIters = I % 3 == 0 ? 16 : 4096;
+            Check(P, H, O,
+                  "iter " + std::to_string(I) + " " + H.str() + " " +
+                      inclusionName(Incl) +
+                      (Batch ? " batched" : " per-access"));
+          }
+        }
+  }
+  EXPECT_GT(Probes, 0u);
+  EXPECT_GT(Stores, 0u);
+  EXPECT_GT(WarpedRuns, 0u) << "no run warped";
+  EXPECT_GT(RotatedProbes, 0u) << "no probe saw a rotated set base";
+  EXPECT_GT(PartialCopies, 0u) << "no snapshot store copied incrementally";
+  EXPECT_GT(Rehashed.value(), RehashedBefore);
 }
 
 /// Warping, concrete and trace backends (plus stack-distance where it

@@ -17,6 +17,7 @@
 
 #include "RandomProgram.h"
 #include "wcs/driver/Sweep.h"
+#include "wcs/polybench/Polybench.h"
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/trace/FilteredStream.h"
@@ -261,6 +262,39 @@ TEST(FilteredStreamRle, CompressesPeriodicStreamsExactly) {
   ConcreteSimulator Sim(P, HierarchyConfig::twoLevel(L1, L2));
   SimStats Ref = Sim.run();
   EXPECT_EQ(Bank.missesForCache(L2), Ref.Level[1].Misses);
+}
+
+/// The fold's candidates, pinned: stored records and segment counts of
+/// PolyBench miss streams that fold (FIFO gramschmidt, and correlation
+/// through a 1 KiB L1) and of one that does not (PLRU gramschmidt). A
+/// change to how compressTail finds or keeps its runs shows here even
+/// when the expanded stream stays the same.
+TEST(FilteredStreamRle, StorageIsPinned) {
+  struct Pin {
+    const char *Kernel;
+    uint64_t L1Bytes;
+    PolicyKind Policy;
+    uint64_t Size;
+    size_t Stored, Segments;
+  };
+  const Pin Pins[] = {
+      {"gramschmidt", 4096, PolicyKind::Fifo, 289917, 286711, 23},
+      {"gramschmidt", 4096, PolicyKind::Plru, 297747, 297747, 1},
+      {"correlation", 1024, PolicyKind::Lru, 145157, 142577, 57},
+      {"correlation", 1024, PolicyKind::Plru, 143530, 140993, 57},
+  };
+  for (const Pin &X : Pins) {
+    std::string Err;
+    ScopProgram P = buildKernel(X.Kernel, ProblemSize::Small, &Err);
+    ASSERT_EQ(Err, "") << X.Kernel;
+    CacheConfig L1{X.L1Bytes, 8, 64, X.Policy, WriteAllocate::Yes};
+    FilteredStream FS = FilteredStream::record(P, L1);
+    std::string Ctx = std::string(X.Kernel) + " " + L1.str();
+    ASSERT_FALSE(FS.truncated()) << Ctx;
+    EXPECT_EQ(FS.size(), X.Size) << Ctx;
+    EXPECT_EQ(FS.storedRecords(), X.Stored) << Ctx;
+    EXPECT_EQ(FS.segments().size(), X.Segments) << Ctx;
+  }
 }
 
 TEST(FilteredStreamRle, ForEachRecordExpandsInOrder) {

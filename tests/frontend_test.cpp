@@ -369,4 +369,34 @@ TEST(Frontend, Int64OverflowIsRefused) {
   parseOk("double A[16]; for (i = 0; i < 4; i++) A[i+1000000] = 0;");
 }
 
+/// A refusal at build time points at the entity it names: the access,
+/// the loop's `for`, or the array's declaration.
+TEST(Frontend, BuildRefusalsPointAtTheirSource) {
+  ParseResult Access = parseScop("double A[16];\n"
+                                 "for (i = 0; i < 4; i++)\n"
+                                 "  A[9223372036854775807*i] = 0;",
+                                 {}, "t");
+  ASSERT_FALSE(Access.ok());
+  EXPECT_EQ(Access.message(), "line 3, column 3: access to 'A' overflows "
+                              "int64 address arithmetic");
+
+  ParseResult Loop = parseScop("double A[1];\n"
+                               "for (j = 0; j < 2; j++)\n"
+                               "  for (i = 9223372036854775806;\n"
+                               "       i <= 9223372036854775807; i++)\n"
+                               "    A[0] = 0;",
+                               {}, "t");
+  ASSERT_FALSE(Loop.ok());
+  EXPECT_EQ(Loop.message(),
+            "line 3, column 3: loop 'i' iterates outside [-2^62, 2^62)");
+
+  ParseResult Array = parseScop("double B[4];\n"
+                                "double C[2], A[4611686018427387904][4];\n"
+                                "for (i = 0; i < 4; i++) A[i][0] = B[i];",
+                                {}, "t");
+  ASSERT_FALSE(Array.ok());
+  EXPECT_EQ(Array.message(), "line 2, column 14: array 'A' does not fit in "
+                             "int64 addresses");
+}
+
 } // namespace

@@ -13,6 +13,7 @@
 #include "wcs/polybench/Polybench.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/sim/WarpingSimulator.h"
+#include "wcs/trace/PeriodicPass.h"
 #include "wcs/trace/StackDistance.h"
 #include "wcs/trace/TraceGenerator.h"
 
@@ -198,6 +199,39 @@ TEST(PolybenchGolden, AccessCountsAreSizeIndependentOfCache) {
     C.Policy = K;
     ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
     EXPECT_EQ(Sim.run().totalAccesses(), Expected) << policyName(K);
+  }
+}
+
+/// The periodic pass's warp decisions, pinned like the scaled L1's: the
+/// depth-profiled warping walk of one 64-byte 16-way LRU bank of 4, 64
+/// and 1,024 sets, on a kernel whose passes warp (jacobi-2d) and one
+/// whose checks fail (gramschmidt at 4 sets). The histogram's accesses
+/// and its beyond-16 count pin what the pass answers.
+TEST(PolybenchGolden, PeriodicPassDecisionsArePinned) {
+  struct Pin {
+    const char *Kernel;
+    unsigned Sets;
+    uint64_t Warps, WarpedAccesses, FailedWarpChecks, Accesses, Beyond;
+  };
+  const Pin Pins[] = {
+      {"gramschmidt", 4, 0, 0, 198, 604275, 302809},
+      {"gramschmidt", 64, 0, 0, 0, 604275, 950},
+      {"gramschmidt", 1024, 0, 0, 0, 604275, 947},
+      {"jacobi-2d", 4, 5, 247296, 0, 253920, 11280},
+      {"jacobi-2d", 64, 1, 203136, 0, 253920, 576},
+      {"jacobi-2d", 1024, 1, 203136, 0, 253920, 576},
+  };
+  for (const Pin &X : Pins) {
+    std::string Err;
+    ScopProgram P = buildKernel(X.Kernel, ProblemSize::Small, &Err);
+    ASSERT_EQ(Err, "") << X.Kernel;
+    PeriodicPassResult R = runPeriodicPass(P, 64, X.Sets, 16);
+    std::string Ctx = std::string(X.Kernel) + "/" + std::to_string(X.Sets);
+    EXPECT_EQ(R.Stats.Warps, X.Warps) << Ctx;
+    EXPECT_EQ(R.Stats.WarpedAccesses, X.WarpedAccesses) << Ctx;
+    EXPECT_EQ(R.Stats.FailedWarpChecks, X.FailedWarpChecks) << Ctx;
+    EXPECT_EQ(R.Histogram.Accesses, X.Accesses) << Ctx;
+    EXPECT_EQ(R.Histogram.Beyond, X.Beyond) << Ctx;
   }
 }
 

@@ -41,6 +41,11 @@ void expectStatsEq(const SimStats &A, const SimStats &B) {
   EXPECT_EQ(A.WarpedAccesses, B.WarpedAccesses);
   EXPECT_EQ(A.Warps, B.Warps);
   EXPECT_EQ(A.FailedWarpChecks, B.FailedWarpChecks);
+  EXPECT_EQ(A.FailedBy.Shift, B.FailedBy.Shift);
+  EXPECT_EQ(A.FailedBy.State, B.FailedBy.State);
+  EXPECT_EQ(A.FailedBy.Room, B.FailedBy.Room);
+  EXPECT_EQ(A.FailedBy.Unknown, B.FailedBy.Unknown);
+  EXPECT_EQ(A.FailedBy.Agree, B.FailedBy.Agree);
   EXPECT_DOUBLE_EQ(A.Seconds, B.Seconds);
 }
 
@@ -61,6 +66,8 @@ SimStats sampleStats() {
   S.WarpedAccesses = 123456789012345ull - 1111;
   S.Warps = 77;
   S.FailedWarpChecks = 3;
+  S.FailedBy.Shift = 1;
+  S.FailedBy.Room = 2;
   S.Seconds = 0.0625; // Binary-exact, so EXPECT_DOUBLE_EQ is meaningful.
   return S;
 }
@@ -74,6 +81,31 @@ TEST(ResultsJson, SimStatsRoundTrip) {
   OneLevel.Level[0] = {42, 7};
   OneLevel.Seconds = 1.5;
   expectStatsEq(reserialized(OneLevel), OneLevel);
+}
+
+/// Failed checks by reason are written with the counters but optional on
+/// read: documents from before they existed read with every reason 0,
+/// and a present but malformed member is refused.
+TEST(ResultsJson, FailureReasonsAreOptionalOnRead) {
+  ASSERT_NE(toJson(sampleStats()).find("failed_check_reasons"), nullptr);
+  const std::string Old =
+      "{\"levels\":[{\"accesses\":10,\"misses\":2}],"
+      "\"simulated_accesses\":10,\"warped_accesses\":0,\"warps\":0,"
+      "\"failed_warp_checks\":3,\"seconds\":0.5";
+  Value V;
+  std::string Err;
+  SimStats Out;
+  ASSERT_TRUE(json::parse(Old + "}", V, &Err)) << Err;
+  ASSERT_TRUE(fromJson(V, Out, &Err)) << Err;
+  EXPECT_EQ(Out.FailedWarpChecks, 3u);
+  EXPECT_EQ(Out.FailedBy.total(), 0u);
+
+  ASSERT_TRUE(json::parse(Old + ",\"failed_check_reasons\":{\"shift\":-1,"
+                                "\"state\":0,\"room\":0,\"unknown\":0,"
+                                "\"agree\":0}}",
+                          V, &Err))
+      << Err;
+  EXPECT_FALSE(fromJson(V, Out, &Err));
 }
 
 TEST(ResultsJson, SimStatsAboveInt64RoundTripExactly) {

@@ -120,6 +120,7 @@ TEST_P(StreamEquivalence, RotatingWarpsAreExact) {
   EXPECT_EQ(W.totalAccesses(), R.totalAccesses());
   EXPECT_GE(W.Warps, 1u) << "dense streams must warp under "
                          << policyName(K);
+  EXPECT_EQ(W.FailedBy.total(), W.FailedWarpChecks) << policyName(K);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,6 +165,8 @@ void expectSameStats(const SimStats &A, const SimStats &B,
   EXPECT_EQ(A.WarpedAccesses, B.WarpedAccesses) << Ctx;
   EXPECT_EQ(A.Warps, B.Warps) << Ctx;
   EXPECT_EQ(A.FailedWarpChecks, B.FailedWarpChecks) << Ctx;
+  for (const SimStats *S : {&A, &B})
+    EXPECT_EQ(S->FailedBy.total(), S->FailedWarpChecks) << Ctx;
 }
 
 /// Accesses the batched walk skipped, per payload.

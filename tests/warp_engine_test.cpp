@@ -166,7 +166,9 @@ TEST(WarpEngine, StateKeyIsPositionalAndRotationInvariant) {
   BlockId B0 = SC.blockAt(Set, 0);
   SC.setBlockAt(Set, 0, SC.blockAt(Set, 1));
   SC.setBlockAt(Set, 1, B0);
-  std::swap(SC.tagAt(Set, 0), SC.tagAt(Set, 1));
+  SymTag T0 = SC.tagAt(Set, 0);
+  SC.setTagAt(Set, 0, SC.tagAt(Set, 1));
+  SC.setTagAt(Set, 1, T0);
   EXPECT_NE(E.stateKey(Swapped, Epochs, S), Key) << "two ways swapped";
 
   SymbolicHierarchy Moved = Cache;
@@ -198,7 +200,8 @@ TEST(WarpEngine, CheckWarpAcceptsTheRotatingMatch) {
   runSweep(P, Cache, 601, 609);       // State at x = 609: delta = 8.
 
   WarpPlan Plan;
-  ASSERT_TRUE(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan));
+  ASSERT_EQ(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan),
+            WarpCheck::Pass);
   EXPECT_EQ(Plan.Delta, 8);
   EXPECT_EQ(Plan.Rot[0], 1) << "8 iterations advance one 64-byte block "
                                "= one cache set";
@@ -223,7 +226,8 @@ TEST(WarpEngine, CheckWarpRejectsOffPeriodAndPerturbedStates) {
   // Off-period delta: the induced block mapping is not functional.
   runSweep(P, Cache, 601, 606);
   WarpPlan Plan;
-  EXPECT_FALSE(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 606, Plan))
+  EXPECT_EQ(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 606, Plan),
+            WarpCheck::Shift)
       << "delta = 5 is not a multiple of the block period";
 
   // Complete the period but perturb one line's block: pi would not be
@@ -232,10 +236,12 @@ TEST(WarpEngine, CheckWarpRejectsOffPeriodAndPerturbedStates) {
   SymbolicHierarchy Broken = Cache;
   // Same set, wrong block.
   Broken.level(0).setBlockAt(3, 0, Broken.level(0).blockAt(3, 0) + 8);
-  EXPECT_FALSE(E.checkWarp(Snapshot, Broken, Epochs, S, 601, 609, Plan));
+  EXPECT_EQ(E.checkWarp(Snapshot, Broken, Epochs, S, 601, 609, Plan),
+            WarpCheck::State);
 
   // Sanity: the unperturbed state still matches.
-  EXPECT_TRUE(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan));
+  EXPECT_EQ(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan),
+            WarpCheck::Pass);
 }
 
 TEST(WarpEngine, CheckWarpRespectsDomainBoundaries) {
@@ -280,7 +286,8 @@ TEST(WarpEngine, CheckWarpRespectsDomainBoundaries) {
     Step(X);
 
   WarpPlan Plan;
-  ASSERT_TRUE(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan));
+  ASSERT_EQ(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan),
+            WarpCheck::Pass);
   // FurthestByDomains: the guarded access disappears at i = 2000, so
   // the warp may cover iterations [609, 2000) at most.
   EXPECT_LE(609 + Plan.N * Plan.Delta, 2000);
@@ -304,7 +311,8 @@ TEST(WarpEngine, ApplyWarpRotatesAndReconcretizes) {
   SymbolicHierarchy Snapshot = Cache;
   runSweep(P, Cache, 601, 609);
   WarpPlan Plan;
-  ASSERT_TRUE(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan));
+  ASSERT_EQ(E.checkWarp(Snapshot, Cache, Epochs, S, 601, 609, Plan),
+            WarpCheck::Pass);
   E.applyWarp(Cache, Epochs, S, Plan);
 
   // Reference: simulate the same span explicitly.
@@ -397,7 +405,9 @@ TEST(WarpEngine, OuterDimensionWarpSplitsASharedEpoch) {
     for (unsigned Way = 0; Way < 2; ++Way)
       if (Old.blockAt(Set, Way) == A0) {
         ASSERT_NE(Old.tagAt(Set, Way).NodeId, ARead->Id);
-        Old.tagAt(Set, Way).NodeId = ARead->Id;
+        SymTag T = Old.tagAt(Set, Way);
+        T.NodeId = ARead->Id;
+        Old.setTagAt(Set, Way, T);
         FixedSet = Set;
         FixedWay = Way;
         Found = true;
@@ -405,7 +415,8 @@ TEST(WarpEngine, OuterDimensionWarpSplitsASharedEpoch) {
   ASSERT_TRUE(Found);
 
   WarpPlan Plan;
-  ASSERT_TRUE(E.checkWarp(Snapshot, Cache, Epochs, S, 50, 51, Plan));
+  ASSERT_EQ(E.checkWarp(Snapshot, Cache, Epochs, S, 50, 51, Plan),
+            WarpCheck::Pass);
   ASSERT_EQ(Plan.Rot[0], 0) << "the time loop does not move blocks";
   const SymbolicCache &Cur = Cache.level(0);
   const uint32_t Shared = Cur.tagAt(FixedSet, FixedWay).Epoch;

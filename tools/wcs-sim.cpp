@@ -139,6 +139,15 @@ void printStats(const char *Tag, const SimStats &S) {
               static_cast<unsigned long long>(S.WarpedAccesses),
               100.0 * S.nonWarpedShare(),
               static_cast<unsigned long long>(S.Warps));
+  if (S.FailedWarpChecks != 0)
+    std::printf("  failed checks %llu  (shift %llu, state %llu, room %llu, "
+                "unknown %llu, agree %llu)\n",
+                static_cast<unsigned long long>(S.FailedWarpChecks),
+                static_cast<unsigned long long>(S.FailedBy.Shift),
+                static_cast<unsigned long long>(S.FailedBy.State),
+                static_cast<unsigned long long>(S.FailedBy.Room),
+                static_cast<unsigned long long>(S.FailedBy.Unknown),
+                static_cast<unsigned long long>(S.FailedBy.Agree));
   std::printf("  time          %.4f s\n", S.Seconds);
 }
 
