@@ -8,13 +8,18 @@
 /// \file
 /// The machine-readable face of the simulator: JSON serialization of the
 /// simulation counters (SimStats), configurations (CacheConfig,
-/// HierarchyConfig, WarpConfig, SimOptions) and batch outcomes
-/// (BatchResult), plus the schema-versioned results-file container that
-/// wcs-sim --json and wcs-bench write and wcs-report diffs. Every
-/// toJson emits keys in a fixed order, so a given run always serializes
-/// to byte-identical text; every fromJson validates kinds and rejects
-/// unknown enum spellings so a results file survives a round trip
-/// exactly or fails loudly.
+/// HierarchyConfig, SimOptions) and batch outcomes (BatchResult), plus
+/// the schema-versioned results-file container that wcs-sim --json and
+/// wcs-bench write and wcs-report diffs. Every toJson emits keys in a
+/// fixed order, so a given run always serializes to byte-identical
+/// text; every fromJson validates kinds and rejects unknown enum
+/// spellings so a results file survives a round trip exactly or fails
+/// loudly.
+///
+/// SimOptions serializes as {include_scalars}, the one option that
+/// changes a counter. The warping search bounds (WarpConfig) and the
+/// batching switch only change how a point is computed, so they stay
+/// in-process; readers skip the "warp" object older files carry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +47,6 @@ json::Value toJson(const LevelStats &S);
 json::Value toJson(const SimStats &S);
 json::Value toJson(const CacheConfig &C);
 json::Value toJson(const HierarchyConfig &H);
-json::Value toJson(const WarpConfig &W);
 json::Value toJson(const SimOptions &O);
 json::Value toJson(const BatchResult &R);
 
@@ -53,7 +57,6 @@ bool fromJson(const json::Value &V, LevelStats &Out, std::string *Err);
 bool fromJson(const json::Value &V, SimStats &Out, std::string *Err);
 bool fromJson(const json::Value &V, CacheConfig &Out, std::string *Err);
 bool fromJson(const json::Value &V, HierarchyConfig &Out, std::string *Err);
-bool fromJson(const json::Value &V, WarpConfig &Out, std::string *Err);
 bool fromJson(const json::Value &V, SimOptions &Out, std::string *Err);
 bool fromJson(const json::Value &V, BatchResult &Out, std::string *Err);
 

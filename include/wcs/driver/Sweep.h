@@ -24,9 +24,10 @@
 ///    loop activation) each bank is produced by a warp-aware periodic
 ///    pass (trace/PeriodicPass) that skips periodic trace phases
 ///    analytically and is sublinear in trace length like warping
-///    itself; short traces, and sweeps with WarpSweep off, use ONE
-///    linear walk feeding all banks from the program-order walk's lanes
-///    (feedBanks). Both flavors are bit-identical.
+///    itself; short traces, and sweeps whose WarpSweepMinAccesses is
+///    UINT64_MAX, use ONE linear walk feeding all banks from the
+///    program-order walk's lanes (feedBanks). Both flavors are
+///    bit-identical.
 ///
 ///  - Two-level NINE points are grouped by their L1 configuration: the
 ///    L1-miss-filtered access stream of each distinct L1 is recorded
@@ -46,8 +47,9 @@
 ///    warping backend by default.
 ///
 /// Results carry per-point provenance (method, backend, attributed wall
-/// time) and serialize as a schema-versioned "wcs-sweep" document,
-/// reusing the Json/Results plumbing of the wcs-results files.
+/// time), and a SweepReport serializes as a schema-versioned
+/// "wcs-sweep" document, reusing the Json/Results plumbing of the
+/// wcs-results files.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +100,11 @@ struct SweepPoint {
   SimStats Stats;
 };
 
+/// How to run a sweep. Sim.IncludeScalars and Backend change counters;
+/// everything else is a per-run knob that only changes how this process
+/// computes them (the warping search bounds in Sim.Warp, Threads, the
+/// stream cap and the pass-flavor threshold), so sweep requests never
+/// serialize, hash or key it (see SweepRequest).
 struct SweepOptions {
   SimOptions Sim;
   /// Worker threads for the simulated partition, the filtered-stream
@@ -106,34 +113,44 @@ struct SweepOptions {
   /// Backend for points no fast path can answer.
   SimBackend Backend = SimBackend::Warping;
   /// Cap on the STORED records of one L1-miss-filtered stream (memory
-  /// guard: a record is 16 bytes). Streams are run-length encoded, so
+  /// guard: a record is 8 bytes). Streams are run-length encoded, so
   /// periodic streams stay far below their logical length; a recording
   /// that would exceed the cap even compressed is aborted and its grid
   /// points fall back to full simulation with method "simulated".
-  /// 0 = unlimited. The default bounds a stream at 1 GiB.
+  /// 0 = unlimited. The default bounds a stream at 512 MiB.
   uint64_t MaxFilteredRecords = 1ull << 26;
-  /// Warp-aware sweeping: produce the single-level LRU banks by
-  /// per-geometry periodic passes (trace/PeriodicPass) when the trace
-  /// is long, instead of the linear shared walk. Results are
-  /// bit-identical either way; this only moves the crossover at which
-  /// the sweep beats independent warping runs. false = always the
-  /// linear walk (the wcs-sim --no-warp-sweep escape hatch).
-  bool WarpSweep = true;
-  /// Trace length (in accesses) at which the periodic pass takes over
-  /// from the linear walk. Decided by a counting pre-walk
-  /// (countAccesses) that counts trip count x lanes per innermost
-  /// activation and stops at the threshold, so it takes one step per
-  /// loop activation rather than one per access: 0.06-1.43 ms per grid-a
-  /// request of the sweep-medium benchmark on a shared 4-core host.
-  /// Below it the linear walk is already cheap and the per-bank warping
-  /// runs would not pay for themselves (a cache that never fills never
-  /// warps). 0 = periodic whenever WarpSweep is on.
+  /// Warp-aware sweeping: the trace length (in accesses) at which the
+  /// single-level LRU banks come from per-geometry periodic passes
+  /// (trace/PeriodicPass) instead of the linear shared walk. Results
+  /// are bit-identical either way; this only moves the crossover at
+  /// which the sweep beats independent warping runs. A counting
+  /// pre-walk (countAccesses) decides: it counts trip count x lanes per
+  /// innermost activation and stops at the threshold, so it takes one
+  /// step per loop activation rather than one per access (0.06-1.43 ms
+  /// per grid-a request of the sweep-medium benchmark on a shared
+  /// 4-core host). Below the threshold the linear walk is already cheap
+  /// and the per-bank warping runs would not pay for themselves (a
+  /// cache that never fills never warps). 0 = always periodic;
+  /// UINT64_MAX = always the linear walk, without the pre-walk (the
+  /// wcs-sim --no-warp-sweep escape hatch).
   uint64_t WarpSweepMinAccesses = 2ull << 20;
 };
 
-/// Everything runSweep returns: per-point results in input order plus
-/// the shared-pass and partition figures.
+/// Everything runSweep returns -- per-point results in input order plus
+/// the shared-pass and partition figures -- and, with its three labels,
+/// the "wcs-sweep" document that tools write and wcs-serve answers
+/// with. The document carries the labels, Threads, the points and the
+/// figures its serializer names; NumBanks, StackDistancePoints,
+/// FilteredPoints, ReplayJobs and WallSeconds are in-process figures
+/// that a read leaves at 0. The periodic-pass and per-method-seconds
+/// figures joined the v1 schema after its first release: always
+/// written, optional on read (defaulting to 0/false/empty, which is
+/// what pre-periodic sweeps genuinely had), so older v1 files keep
+/// parsing.
 struct SweepReport {
+  std::string Tool;     ///< Producing tool ("wcs-sim", "wcs-serve").
+  std::string Program;  ///< Swept program (kernel name or file).
+  std::string SizeName; ///< Problem-size label, empty when inapplicable.
   std::vector<SweepPoint> Points; ///< Indexed by input config order.
   double TracePassSeconds = 0.0;  ///< Cost of the linear shared pass.
   uint64_t TraceAccesses = 0;     ///< Accesses in the shared pass(es).
@@ -212,9 +229,9 @@ partitionSweepGroups(const std::vector<HierarchyConfig> &Configs);
 /// \p Into: additive figures (pass seconds, job counts, record
 /// counts...) sum, TraceAccesses takes the max (same program, same
 /// trace -- summing would double-count), PeriodicPass ORs, DemotedL1s
-/// appends. Points and Threads are left untouched: the caller owns
-/// point placement. Used to reassemble one SweepReport from per-group
-/// sub-sweeps (see partitionSweepGroups).
+/// appends. Labels, Points and Threads are left untouched: the caller
+/// owns point placement. Used to reassemble one SweepReport from
+/// per-group sub-sweeps (see partitionSweepGroups).
 void mergeSweepReports(SweepReport &Into, const SweepReport &From);
 
 //===----------------------------------------------------------------------===//
@@ -226,53 +243,22 @@ void mergeSweepReports(SweepReport &Into, const SweepReport &From);
 inline constexpr const char SweepSchemaName[] = "wcs-sweep";
 inline constexpr int64_t SweepSchemaVersion = 1;
 
-/// A whole sweep file: producer metadata, shared-pass figures, points.
-/// The periodic-pass and per-method-seconds figures joined the v1
-/// schema after its first release: always written, optional on read
-/// (defaulting to 0/false/empty, which is what pre-periodic sweeps
-/// genuinely had), so older v1 files keep parsing.
-struct SweepDoc {
-  std::string Tool;     ///< Producing tool ("wcs-sim").
-  std::string Program;  ///< Swept program (kernel name or file).
-  std::string SizeName; ///< Problem-size label, empty when inapplicable.
-  unsigned Threads = 1;
-  double TracePassSeconds = 0.0;
-  uint64_t TraceAccesses = 0;
-  bool PeriodicPass = false;          ///< Warp-aware pass produced the banks.
-  double PeriodicPassSeconds = 0.0;   ///< Sum of per-bank pass times.
-  uint64_t PeriodicWarps = 0;
-  uint64_t PeriodicWarpedAccesses = 0;
-  unsigned FilteredGroups = 0;  ///< Distinct L1 streams recorded.
-  uint64_t FilteredRecords = 0; ///< Logical records across all streams.
-  uint64_t FilteredStoredRecords = 0; ///< Stored after RLE compression.
-  double RecordSeconds = 0.0;   ///< Stream recording + bank feeding.
-  double ReplaySeconds = 0.0;   ///< Stream-replay job times.
-  double SimulatedSeconds = 0.0;///< Full-simulation job times.
-  std::vector<std::string> DemotedL1s; ///< Cap-demoted L1 groups.
-  size_t SimulatedJobs = 0;
-  size_t DedupedPoints = 0;
-  std::vector<SweepPoint> Points;
-};
-
-/// One-line per-method breakdown of a sweep document -- point counts
-/// and attributed seconds per method, periodic-pass provenance -- used
-/// verbatim by wcs-sim (on a freshly packaged report) and by
-/// wcs-report's single-file rendering, so the live run and the
-/// artifact rendering can never drift apart.
-std::string methodBreakdownLine(const SweepDoc &D);
+/// One-line per-method breakdown of a sweep -- point counts and
+/// attributed seconds per method, periodic-pass provenance -- used
+/// verbatim by wcs-sim (on the live report) and by wcs-report's
+/// single-file rendering, so the live run and the artifact rendering
+/// can never drift apart.
+std::string methodBreakdownLine(const SweepReport &D);
 
 json::Value toJson(const SweepPoint &P);
 bool fromJson(const json::Value &V, SweepPoint &Out, std::string *Err);
-json::Value toJson(const SweepDoc &D);
-bool fromJson(const json::Value &V, SweepDoc &Out, std::string *Err);
+json::Value toJson(const SweepReport &D);
+bool fromJson(const json::Value &V, SweepReport &Out, std::string *Err);
 
-bool writeSweepFile(const std::string &Path, const SweepDoc &D,
+bool writeSweepFile(const std::string &Path, const SweepReport &D,
                     std::string *Err);
-bool readSweepFile(const std::string &Path, SweepDoc &Out, std::string *Err);
-
-/// Packages a sweep report as a document.
-SweepDoc makeSweepDoc(std::string Tool, std::string Program,
-                      std::string SizeName, const SweepReport &Report);
+bool readSweepFile(const std::string &Path, SweepReport &Out,
+                   std::string *Err);
 
 } // namespace wcs
 

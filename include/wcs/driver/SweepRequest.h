@@ -47,10 +47,14 @@ inline constexpr const char ResponseSchemaName[] = "wcs-response";
 inline constexpr int64_t ResponseSchemaVersion = 1;
 
 /// One sweep, fully specified: program x grid x options. Every field
-/// that affects a single counter is in here and serialized; fields
-/// that only affect execution (worker threads) are per-run knobs on
-/// SweepOptions and deliberately NOT part of the document, so the same
-/// request hashes identically no matter where it runs.
+/// that affects a single counter is in here and serialized: the
+/// program, the grid, SimOptions::IncludeScalars and the backend.
+/// Fields that only tune how this process computes a point are per-run
+/// knobs and deliberately NOT part of the document: SweepOptions'
+/// Threads, MaxFilteredRecords and WarpSweepMinAccesses, and the
+/// engine's WarpConfig. The same request therefore hashes and keys
+/// identically no matter where or how it runs, and a daemon runs every
+/// request it parses at the knobs' defaults.
 struct SweepRequest {
   /// Program, variant A: a registry reference -- PolyBench kernel name
   /// plus problem size. Used when Kernel is non-empty.
@@ -70,8 +74,8 @@ struct SweepRequest {
   SweepLevelGrid L2;
   InclusionPolicy Inclusion = InclusionPolicy::NonInclusiveNonExclusive;
 
-  /// How to simulate (SimOptions, backend, warp-sweep knobs). Threads
-  /// is ignored by the serializers, see above.
+  /// How to simulate. Only Sim.IncludeScalars and Backend are
+  /// serialized; the per-run knobs apply in-process only, see above.
   SweepOptions Options;
 
   /// Serving deadline in seconds (0 = none). Enforced by the wcs-serve
@@ -85,7 +89,7 @@ struct SweepRequest {
   /// runSweepRequest path ignores it.
   double DeadlineSeconds = 0.0;
 
-  /// Label for the SweepDoc Program / SizeName fields: the kernel name
+  /// Label for the SweepReport Program / SizeName fields: the kernel name
   /// (variant A) or SourceName (variant B); the size name, or "" for
   /// inline source.
   std::string programLabel() const;
@@ -132,7 +136,8 @@ bool runSweepRequest(const SweepRequest &Req, unsigned Threads,
                      std::string *Err);
 
 /// The canonical content identity of one grid point of \p Req: a
-/// compact JSON dump of {program, options, cache}. Grid and request
+/// compact JSON dump of {program, options, cache}, with options as
+/// serialized ({sim: {include_scalars}, backend}). Grid and request
 /// identity are deliberately absent, so any two requests that evaluate
 /// the same program under the same options at the same hierarchy
 /// config produce the same key -- that is what lets overlapping grids
@@ -171,7 +176,7 @@ struct SweepResponse {
   /// queue depth and measured per-point compute time. Serialized as
   /// "retry_after_seconds" only when > 0; optional on read.
   double RetryAfterSeconds = 0.0;
-  SweepDoc Sweep;
+  SweepReport Sweep;
 };
 
 json::Value toJson(const SweepResponse &R);

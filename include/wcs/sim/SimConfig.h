@@ -11,6 +11,13 @@
 /// forfeits warping opportunities, never correctness (validated by the
 /// warping == non-warping equivalence suite).
 ///
+/// Only IncludeScalars changes a counter, so only it is serialized (in
+/// wcs-request and wcs-results documents). The bounds and BatchConcrete
+/// are in-process knobs: the tests' stress settings and the wcs-bench
+/// ablation rows set them, and the rows' tags name them. A caller that
+/// sets them owns their sanity; SnapshotRingSize, for one, must be
+/// nonzero.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SIM_SIMCONFIG_H
@@ -20,7 +27,8 @@
 
 namespace wcs {
 
-/// Bounds of the warping search (Algorithm 2).
+/// Bounds of the warping search (Algorithm 2). In-process only; never
+/// serialized (see the file comment).
 struct WarpConfig {
   bool Enable = true;
 

@@ -58,16 +58,24 @@
 
 namespace wcs {
 
-/// One record of an L1-miss-filtered stream: the block the L2 sees and
-/// whether the originating access was a write (which decides the L2's
-/// allocate-on-miss behavior under no-write-allocate).
+/// One record of an L1-miss-filtered stream, in one word: the block the
+/// L2 sees and whether the originating access was a write (which decides
+/// the L2's allocate-on-miss behavior under no-write-allocate), packed
+/// as Block << 1 | IsWrite like BatchedAccess. Every block a program
+/// may reach (within +-2^62, see ScopProgram::finalize) round-trips.
 struct FilteredRecord {
-  BlockId Block;
-  bool IsWrite;
+  uint64_t Bits = 0;
+
+  FilteredRecord() = default;
+  FilteredRecord(BlockId Block, bool IsWrite)
+      : Bits(static_cast<uint64_t>(Block) << 1 |
+             static_cast<uint64_t>(IsWrite)) {}
+  BlockId block() const { return static_cast<BlockId>(Bits) >> 1; }
+  bool isWrite() const { return (Bits & 1) != 0; }
 };
 
 inline bool operator==(const FilteredRecord &A, const FilteredRecord &B) {
-  return A.Block == B.Block && A.IsWrite == B.IsWrite;
+  return A.Bits == B.Bits;
 }
 
 /// One segment of a run-length-encoded stream: the stored records

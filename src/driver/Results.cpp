@@ -140,55 +140,14 @@ bool wcs::fromJson(const Value &V, HierarchyConfig &Out, std::string *Err) {
   return true;
 }
 
-Value wcs::toJson(const WarpConfig &W) {
-  Value V = Value::object();
-  V.set("enable", W.Enable);
-  V.set("max_probe_iters", W.MaxProbeIters);
-  V.set("snapshot_ring_size", W.SnapshotRingSize);
-  V.set("max_snapshots_per_bucket", W.MaxSnapshotsPerBucket);
-  V.set("min_snapshot_spacing", W.MinSnapshotSpacing);
-  V.set("max_delta_for_coupled_domains", W.MaxDeltaForCoupledDomains);
-  V.set("eager_snapshot_trip_limit", W.EagerSnapshotTripLimit);
-  V.set("max_delta", W.MaxDelta);
-  V.set("disable_after_failed_activations", W.DisableAfterFailedActivations);
-  V.set("min_probes_for_learning", W.MinProbesForLearning);
-  V.set("enable_profit_guard", W.EnableProfitGuard);
-  V.set("profit_guard_activations", W.ProfitGuardActivations);
-  return V;
-}
-
-bool wcs::fromJson(const Value &V, WarpConfig &Out, std::string *Err) {
-  return needBool(V, "enable", Out.Enable, Err) &&
-         needU32(V, "max_probe_iters", Out.MaxProbeIters, Err) &&
-         needU32(V, "snapshot_ring_size", Out.SnapshotRingSize, Err) &&
-         needU32(V, "max_snapshots_per_bucket", Out.MaxSnapshotsPerBucket,
-                 Err) &&
-         needInt(V, "min_snapshot_spacing", Out.MinSnapshotSpacing, Err) &&
-         needInt(V, "max_delta_for_coupled_domains",
-                 Out.MaxDeltaForCoupledDomains, Err) &&
-         needInt(V, "eager_snapshot_trip_limit", Out.EagerSnapshotTripLimit,
-                 Err) &&
-         needInt(V, "max_delta", Out.MaxDelta, Err) &&
-         needU32(V, "disable_after_failed_activations",
-                 Out.DisableAfterFailedActivations, Err) &&
-         needU32(V, "min_probes_for_learning", Out.MinProbesForLearning,
-                 Err) &&
-         needBool(V, "enable_profit_guard", Out.EnableProfitGuard, Err) &&
-         needU32(V, "profit_guard_activations", Out.ProfitGuardActivations,
-                 Err);
-}
-
 Value wcs::toJson(const SimOptions &O) {
   Value V = Value::object();
   V.set("include_scalars", O.IncludeScalars);
-  V.set("warp", toJson(O.Warp));
   return V;
 }
 
 bool wcs::fromJson(const Value &V, SimOptions &Out, std::string *Err) {
-  const Value *Warp;
-  return needBool(V, "include_scalars", Out.IncludeScalars, Err) &&
-         needMember(V, "warp", Warp, Err) && fromJson(*Warp, Out.Warp, Err);
+  return needBool(V, "include_scalars", Out.IncludeScalars, Err);
 }
 
 //===----------------------------------------------------------------------===//

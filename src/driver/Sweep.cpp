@@ -260,7 +260,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   // A counting pre-walk (one step per loop activation, stopped at the
   // threshold) picks the flavor: short traces walk linearly -- their
   // pass is already cheap, and warping a cache that never fills cannot
-  // pay for itself -- long traces take the periodic passes.
+  // pay for itself -- long traces take the periodic passes. A threshold
+  // of UINT64_MAX always walks linearly, without the pre-walk.
   std::vector<PeriodicPassResult> PassResults;
   double PassProbeSeconds = 0.0;
   // Periodic flavor only: banks whose pass was not used, conditioned by
@@ -274,7 +275,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     telemetry::TimePoint P0 = telemetry::now();
     const TraceOptions TO{Opts.Sim.IncludeScalars};
     bool Periodic =
-        Opts.WarpSweep &&
+        Opts.WarpSweepMinAccesses != UINT64_MAX &&
         countAccesses(Program, TO, Opts.WarpSweepMinAccesses) >=
             Opts.WarpSweepMinAccesses;
     if (Periodic) {
@@ -601,7 +602,7 @@ void wcs::mergeSweepReports(SweepReport &Into, const SweepReport &From) {
   Into.WallSeconds += From.WallSeconds;
 }
 
-std::string wcs::methodBreakdownLine(const SweepDoc &D) {
+std::string wcs::methodBreakdownLine(const SweepReport &D) {
   size_t ByMethod[4] = {0, 0, 0, 0};
   for (const SweepPoint &P : D.Points)
     if (P.Ok)
@@ -662,7 +663,7 @@ bool wcs::fromJson(const Value &V, SweepPoint &Out, std::string *Err) {
   return true;
 }
 
-Value wcs::toJson(const SweepDoc &D) {
+Value wcs::toJson(const SweepReport &D) {
   Value V = Value::object();
   V.set("schema", SweepSchemaName);
   V.set("schema_version", SweepSchemaVersion);
@@ -695,47 +696,34 @@ Value wcs::toJson(const SweepDoc &D) {
   return V;
 }
 
-bool wcs::fromJson(const Value &V, SweepDoc &Out, std::string *Err) {
+bool wcs::fromJson(const Value &V, SweepReport &Out, std::string *Err) {
   if (!needSchema(V, SweepSchemaName, SweepSchemaVersion, Err))
     return false;
+  // Figures the document does not carry, and the optional ones absent
+  // from pre-engine and pre-periodic v1 files, read as 0/false/empty.
+  SweepReport R;
   uint64_t SimJobs, Deduped;
   const Value *Points;
-  // Defaults for the optional fields (absent in pre-engine and
-  // pre-periodic v1 files).
-  Out.FilteredGroups = 0;
-  Out.FilteredRecords = 0;
-  Out.FilteredStoredRecords = 0;
-  Out.RecordSeconds = 0.0;
-  Out.PeriodicPass = false;
-  Out.PeriodicPassSeconds = 0.0;
-  Out.PeriodicWarps = 0;
-  Out.PeriodicWarpedAccesses = 0;
-  Out.ReplaySeconds = 0.0;
-  Out.SimulatedSeconds = 0.0;
-  Out.DemotedL1s.clear();
-  if (!needString(V, "tool", Out.Tool, Err) ||
-      !needString(V, "program", Out.Program, Err) ||
-      !needString(V, "size", Out.SizeName, Err) ||
-      !needU32(V, "threads", Out.Threads, Err) ||
-      !needDouble(V, "trace_pass_seconds", Out.TracePassSeconds, Err) ||
-      !needUInt(V, "trace_accesses", Out.TraceAccesses, Err) ||
+  if (!needString(V, "tool", R.Tool, Err) ||
+      !needString(V, "program", R.Program, Err) ||
+      !needString(V, "size", R.SizeName, Err) ||
+      !needU32(V, "threads", R.Threads, Err) ||
+      !needDouble(V, "trace_pass_seconds", R.TracePassSeconds, Err) ||
+      !needUInt(V, "trace_accesses", R.TraceAccesses, Err) ||
       // The filtered-stream and periodic-pass figures joined the v1
       // schema after its first release: optional on read (defaulting
       // to 0/false, which is what older sweeps genuinely had), always
       // written.
-      !optBool(V, "periodic_pass", Out.PeriodicPass, Err) ||
-      !optDouble(V, "periodic_pass_seconds", Out.PeriodicPassSeconds,
-                 Err) ||
-      !optUInt(V, "periodic_warps", Out.PeriodicWarps, Err) ||
-      !optUInt(V, "periodic_warped_accesses",
-               Out.PeriodicWarpedAccesses, Err) ||
-      !optU32(V, "filtered_groups", Out.FilteredGroups, Err) ||
-      !optUInt(V, "filtered_records", Out.FilteredRecords, Err) ||
-      !optUInt(V, "filtered_stored_records", Out.FilteredStoredRecords,
-               Err) ||
-      !optDouble(V, "record_seconds", Out.RecordSeconds, Err) ||
-      !optDouble(V, "replay_seconds", Out.ReplaySeconds, Err) ||
-      !optDouble(V, "simulated_seconds", Out.SimulatedSeconds, Err) ||
+      !optBool(V, "periodic_pass", R.PeriodicPass, Err) ||
+      !optDouble(V, "periodic_pass_seconds", R.PeriodicPassSeconds, Err) ||
+      !optUInt(V, "periodic_warps", R.PeriodicWarps, Err) ||
+      !optUInt(V, "periodic_warped_accesses", R.PeriodicWarpedAccesses, Err) ||
+      !optU32(V, "filtered_groups", R.FilteredGroups, Err) ||
+      !optUInt(V, "filtered_records", R.FilteredRecords, Err) ||
+      !optUInt(V, "filtered_stored_records", R.FilteredStoredRecords, Err) ||
+      !optDouble(V, "record_seconds", R.RecordSeconds, Err) ||
+      !optDouble(V, "replay_seconds", R.ReplaySeconds, Err) ||
+      !optDouble(V, "simulated_seconds", R.SimulatedSeconds, Err) ||
       !needUInt(V, "simulated_jobs", SimJobs, Err) ||
       !needUInt(V, "deduped_points", Deduped, Err) ||
       !needArray(V, "points", Points, Err))
@@ -747,13 +735,12 @@ bool wcs::fromJson(const Value &V, SweepDoc &Out, std::string *Err) {
       if (!Demoted->at(N).isString())
         return failMsg(Err,
                        "member 'demoted_l1_groups' must hold strings");
-      Out.DemotedL1s.push_back(Demoted->at(N).asString());
+      R.DemotedL1s.push_back(Demoted->at(N).asString());
     }
   }
-  Out.SimulatedJobs = static_cast<size_t>(SimJobs);
-  Out.DedupedPoints = static_cast<size_t>(Deduped);
-  Out.Points.clear();
-  Out.Points.reserve(Points->size());
+  R.SimulatedJobs = static_cast<size_t>(SimJobs);
+  R.DedupedPoints = static_cast<size_t>(Deduped);
+  R.Points.reserve(Points->size());
   for (size_t N = 0; N < Points->size(); ++N) {
     SweepPoint P;
     if (!fromJson(Points->at(N), P, Err)) {
@@ -764,17 +751,18 @@ bool wcs::fromJson(const Value &V, SweepDoc &Out, std::string *Err) {
       }
       return false;
     }
-    Out.Points.push_back(std::move(P));
+    R.Points.push_back(std::move(P));
   }
+  Out = std::move(R);
   return true;
 }
 
-bool wcs::writeSweepFile(const std::string &Path, const SweepDoc &D,
+bool wcs::writeSweepFile(const std::string &Path, const SweepReport &D,
                          std::string *Err) {
   return json::writeFile(Path, toJson(D), Err);
 }
 
-bool wcs::readSweepFile(const std::string &Path, SweepDoc &Out,
+bool wcs::readSweepFile(const std::string &Path, SweepReport &Out,
                         std::string *Err) {
   Value V;
   if (!json::readFile(Path, V, Err))
@@ -786,30 +774,4 @@ bool wcs::readSweepFile(const std::string &Path, SweepDoc &Out,
     return false;
   }
   return true;
-}
-
-SweepDoc wcs::makeSweepDoc(std::string Tool, std::string Program,
-                           std::string SizeName, const SweepReport &Report) {
-  SweepDoc D;
-  D.Tool = std::move(Tool);
-  D.Program = std::move(Program);
-  D.SizeName = std::move(SizeName);
-  D.Threads = Report.Threads;
-  D.TracePassSeconds = Report.TracePassSeconds;
-  D.TraceAccesses = Report.TraceAccesses;
-  D.PeriodicPass = Report.PeriodicPass;
-  D.PeriodicPassSeconds = Report.PeriodicPassSeconds;
-  D.PeriodicWarps = Report.PeriodicWarps;
-  D.PeriodicWarpedAccesses = Report.PeriodicWarpedAccesses;
-  D.FilteredGroups = Report.FilteredGroups;
-  D.FilteredRecords = Report.FilteredRecords;
-  D.FilteredStoredRecords = Report.FilteredStoredRecords;
-  D.RecordSeconds = Report.RecordSeconds;
-  D.ReplaySeconds = Report.ReplaySeconds;
-  D.SimulatedSeconds = Report.SimulatedSeconds;
-  D.DemotedL1s = Report.DemotedL1s;
-  D.SimulatedJobs = Report.SimulatedJobs;
-  D.DedupedPoints = Report.DedupedPoints;
-  D.Points = Report.Points;
-  return D;
 }

@@ -135,13 +135,14 @@ Value programToJson(const SweepRequest &R) {
   return P;
 }
 
+/// Only what changes a point's counters: the per-run knobs of
+/// SweepOptions (threads, stream cap, pass-flavor threshold) and the
+/// engine's search bounds are never written, and the members older
+/// documents carry for them are skipped on read.
 Value optionsToJson(const SweepOptions &O) {
   Value V = Value::object();
   V.set("sim", toJson(O.Sim));
   V.set("backend", backendName(O.Backend));
-  V.set("max_filtered_records", O.MaxFilteredRecords);
-  V.set("warp_sweep", O.WarpSweep);
-  V.set("warp_sweep_min_accesses", O.WarpSweepMinAccesses);
   return V;
 }
 
@@ -149,11 +150,7 @@ bool optionsFromJson(const Value &V, SweepOptions &Out, std::string *Err) {
   const Value *Sim;
   std::string Backend;
   if (!needMember(V, "sim", Sim, Err) || !fromJson(*Sim, Out.Sim, Err) ||
-      !needString(V, "backend", Backend, Err) ||
-      !needUInt(V, "max_filtered_records", Out.MaxFilteredRecords, Err) ||
-      !needBool(V, "warp_sweep", Out.WarpSweep, Err) ||
-      !needUInt(V, "warp_sweep_min_accesses", Out.WarpSweepMinAccesses,
-                Err))
+      !needString(V, "backend", Backend, Err))
     return false;
   if (!parseBackendName(Backend, Out.Backend))
     return failMsg(Err, "unknown backend '" + Backend + "'");

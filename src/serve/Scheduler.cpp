@@ -493,12 +493,13 @@ SweepResponse Scheduler::serve(
     }
     Resp.Error = "deadline exceeded";
   }
-  SweepReport Merged = std::move(RS.Merged);
-  Merged.Points = std::move(RS.Points);
+  Resp.Sweep = std::move(RS.Merged);
+  Resp.Sweep.Points = std::move(RS.Points);
   L.unlock();
   Resp.Ok = true;
-  Resp.Sweep = makeSweepDoc("wcs-serve", Req.programLabel(),
-                            Req.sizeLabel(), Merged);
+  Resp.Sweep.Tool = "wcs-serve";
+  Resp.Sweep.Program = Req.programLabel();
+  Resp.Sweep.SizeName = Req.sizeLabel();
   return Resp;
 }
 

@@ -22,6 +22,7 @@
 #include <mutex>
 #include <thread>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -170,27 +171,16 @@ void serveConnection(int Fd, ServerState &S) {
     return;
   }
 
-  // A watcher thread blocks on the (otherwise idle) read side of the
-  // socket: EOF there means the client is gone, which cancels the
-  // request even while no progress line is due. The progress callback
-  // doubles as a second disconnect detector -- a failed send (EPIPE)
-  // also cancels.
-  std::atomic<bool> Gone{false};
-  std::thread Watch([Fd, &Gone] {
-    char Buf[256];
-    for (;;) {
-      ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-      if (N > 0)
-        continue; // Protocol violation (nothing follows the request
-                  // line); ignore rather than misread it as an EOF.
-      if (N < 0 && (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK))
-        continue; // EAGAIN: just the connection's SO_RCVTIMEO ticking
-                  // on an idle-but-live socket, NOT a disconnect.
-      break; // EOF or error: the peer is gone, or we are done with it.
-    }
-    Gone.store(true);
-  });
+  // The client is gone once the read side reports a hangup (or an
+  // error): polled, without waiting, whenever the scheduler asks --
+  // between events and every 20 ms while nothing is due. Bytes after
+  // the request line are a protocol violation, not a hangup; they are
+  // left unread. A failed send also cancels (see Send).
+  auto ClientGone = [Fd] {
+    pollfd P{Fd, POLLRDHUP, 0};
+    return ::poll(&P, 1, 0) > 0 &&
+           (P.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+  };
 
   // After one failed write the connection is dead to the server: it
   // writes nothing more, so a client that is in fact still there sees
@@ -204,17 +194,14 @@ void serveConnection(int Fd, ServerState &S) {
   Scheduler::RequestTelemetry Tel;
   Resp = S.Sched->serve(
       Req, [&Send](const ProgressEvent &E) { return Send(toJson(E)); },
-      [&Gone, &S] { return Gone.load() || S.DrainExpired.load(); }, &Tel);
+      [&ClientGone, &S] { return ClientGone() || S.DrainExpired.load(); },
+      &Tel);
   // A request cut short by the drain timeout was cancelled by the
   // server, not the client; say so.
   if (!Resp.Ok && S.DrainExpired.load() &&
       Resp.Error == "cancelled: client disconnected")
     Resp.Error = "cancelled: server shutting down (drain timeout)";
   Send(toJson(Resp));
-  // Wake the watcher (its recv returns 0 once the read side shuts) and
-  // reap it before the fd closes.
-  ::shutdown(Fd, SHUT_RDWR);
-  Watch.join();
 
   logRequest(S, Req, Resp, Tel);
   std::fprintf(stderr,

@@ -149,9 +149,6 @@ size_t FilteredStream::compressTail() {
   // candidate costs time, never exactness. The comparison budget keeps
   // the scan O(N) even on adversarial streams -- when it runs out, the
   // remainder simply stays literal.
-  auto Key = [](const FilteredRecord &R) {
-    return (static_cast<uint64_t>(R.Block) << 1) | (R.IsWrite ? 1u : 0u);
-  };
   LastPositions LastPos;
   struct RelSeg {
     size_t Off;
@@ -163,7 +160,7 @@ size_t FilteredStream::compressTail() {
   size_t I = 0, LitStart = 0;
   while (I < N) {
     size_t P = 0;
-    size_t Prev = LastPos.exchange(Key(Rec(I)), I);
+    size_t Prev = LastPos.exchange(Rec(I).Bits, I);
     // The run template is [I - P, I); it must lie inside the pending
     // literal region, not in an already-emitted segment.
     if (Prev != LastPositions::None && Prev >= LitStart)
@@ -287,7 +284,7 @@ void FilteredStream::feed(SetDistanceBank &Bank) const {
   for (const FilteredSegment &S : Segments)
     Bank.accessRepeated(S.Reps, [&] {
       for (uint64_t I = 0; I < S.Len; ++I)
-        Bank.accessBlock(Records[S.Offset + I].Block);
+        Bank.accessBlock(Records[S.Offset + I].block());
     });
 }
 
@@ -307,8 +304,8 @@ SimStats FilteredStream::replay(const CacheConfig &L2) const {
   auto WalkOnce = [&](const FilteredSegment &Seg) {
     for (uint64_t I = 0; I < Seg.Len; ++I) {
       const FilteredRecord &R = Records[Seg.Offset + I];
-      bool Alloc = !(R.IsWrite && L2.WriteAlloc == WriteAllocate::No);
-      AccessOutcome O = Cache.access(R.Block, Alloc);
+      bool Alloc = !(R.isWrite() && L2.WriteAlloc == WriteAllocate::No);
+      AccessOutcome O = Cache.access(R.block(), Alloc);
       if (!O.Hit)
         ++Misses;
     }

@@ -200,7 +200,6 @@ TEST(DifferentialFuzz, LongRunsMatchAcrossWalks) {
       Grid.push_back(HierarchyConfig::singleLevel(CacheConfig{
           Assoc * 4 * 64, Assoc, 64, PolicyKind::Lru, WriteAllocate::Yes}));
     SweepOptions Periodic;
-    Periodic.WarpSweep = true;
     Periodic.WarpSweepMinAccesses = 0;
     SweepReport Rep = runSweep(P, Grid, Periodic);
     ASSERT_EQ(Rep.Points.size(), Grid.size());
@@ -401,10 +400,9 @@ TEST(DifferentialFuzz, SweepFlavorsBitIdentical) {
 
     SweepOptions Auto;
     SweepOptions Periodic;
-    Periodic.WarpSweep = true;
     Periodic.WarpSweepMinAccesses = 0; // Always take the periodic pass.
     SweepOptions Linear;
-    Linear.WarpSweep = false;
+    Linear.WarpSweepMinAccesses = UINT64_MAX; // Never take it.
     const SweepReport Reports[] = {runSweep(P, Grid, Auto),
                                    runSweep(P, Grid, Periodic),
                                    runSweep(P, Grid, Linear)};

@@ -519,17 +519,19 @@ TEST(SweepFiltered, DocRoundTripsFilteredProvenance) {
   SweepOptions SO;
   SweepReport Rep = runSweep(P, Grid, SO);
   ASSERT_TRUE(Rep.allOk());
-  SweepDoc Doc = makeSweepDoc("wcs-sim", "random", "SMALL", Rep);
+  Rep.Tool = "wcs-sim";
+  Rep.Program = "random";
+  Rep.SizeName = "SMALL";
 
-  std::string Text = toJson(Doc).dump();
+  std::string Text = toJson(Rep).dump();
   json::Value Parsed;
   std::string Err;
   ASSERT_TRUE(json::parse(Text, Parsed, &Err)) << Err;
-  SweepDoc Back;
+  SweepReport Back;
   ASSERT_TRUE(fromJson(Parsed, Back, &Err)) << Err;
 
   EXPECT_EQ(Back.FilteredGroups, 1u);
-  EXPECT_EQ(Back.FilteredRecords, Doc.FilteredRecords);
+  EXPECT_EQ(Back.FilteredRecords, Rep.FilteredRecords);
   ASSERT_EQ(Back.Points.size(), 2u);
   EXPECT_EQ(Back.Points[0].Method, SweepMethod::FilteredStream);
   EXPECT_EQ(Back.Points[0].Backend, SimBackend::StackDistance);
@@ -555,7 +557,7 @@ TEST(SweepFiltered, ReadsPreEngineV1Documents) {
   V.set("simulated_jobs", static_cast<uint64_t>(0));
   V.set("deduped_points", static_cast<uint64_t>(0));
   V.set("points", json::Value::array());
-  SweepDoc Out;
+  SweepReport Out;
   Out.FilteredGroups = 7; // Must be reset, not left stale.
   std::string Err;
   ASSERT_TRUE(fromJson(V, Out, &Err)) << Err;

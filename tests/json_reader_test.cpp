@@ -141,7 +141,7 @@ Value validResults() {
 }
 
 Value validSweep() {
-  SweepDoc D;
+  SweepReport D;
   D.Tool = "test";
   D.Program = "gemm";
   return toJson(D);
@@ -217,8 +217,8 @@ TEST(SchemaRejection, ResultsDoc) {
   expectRejection<ResultsDoc>(validResults(), "wcs-results");
 }
 
-TEST(SchemaRejection, SweepDoc) {
-  expectRejection<SweepDoc>(validSweep(), "wcs-sweep");
+TEST(SchemaRejection, SweepReport) {
+  expectRejection<SweepReport>(validSweep(), "wcs-sweep");
 }
 
 TEST(SchemaRejection, SweepRequest) {
@@ -244,7 +244,7 @@ TEST(SchemaRejection, CrossTypeConfusion) {
   std::string Err;
   EXPECT_FALSE(fromJson(validSweep(), Req, &Err));
   EXPECT_NE(Err.find("not a wcs-request"), std::string::npos) << Err;
-  SweepDoc Doc;
+  SweepReport Doc;
   EXPECT_FALSE(fromJson(validRequest(), Doc, &Err));
   EXPECT_NE(Err.find("not a wcs-sweep"), std::string::npos) << Err;
   StatusDoc St;

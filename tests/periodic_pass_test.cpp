@@ -150,10 +150,9 @@ TEST(PeriodicPass, SweepFlavorsAreBitIdentical) {
     Grid.push_back(HierarchyConfig::singleLevel(SA));
 
     SweepOptions Periodic;
-    Periodic.WarpSweep = true;
     Periodic.WarpSweepMinAccesses = 0; // Force the periodic flavor.
     SweepOptions Linear;
-    Linear.WarpSweep = false;
+    Linear.WarpSweepMinAccesses = UINT64_MAX; // Force the linear flavor.
 
     SweepReport RP = runSweep(P, Grid, Periodic);
     SweepReport RL = runSweep(P, Grid, Linear);
@@ -180,7 +179,7 @@ TEST(PeriodicPass, CountingPrewalkPicksTheFlavor) {
   ScopProgram P = periodicSweepProgram(4, 16);
   CacheConfig C{1024, 16, 64, PolicyKind::Lru, WriteAllocate::Yes};
   std::vector<HierarchyConfig> Grid = {HierarchyConfig::singleLevel(C)};
-  SweepOptions Default; // WarpSweep on, threshold at its default.
+  SweepOptions Default; // Threshold at its default.
   SweepReport RD = runSweep(P, Grid, Default);
   ASSERT_TRUE(RD.allOk());
   EXPECT_FALSE(RD.PeriodicPass) << "tiny trace must use the linear pass";

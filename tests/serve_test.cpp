@@ -7,7 +7,8 @@
 //
 // The wcs-serve semantic surface, driven two ways: a one-client
 // Scheduler in process (store hit/miss partitioning, method "store"
-// relabeling, progress events, malformed-request handling) and end to
+// relabeling, progress events, malformed-request handling, legacy
+// engine-tuning members that must never reach the engine) and end to
 // end through the Unix-domain socket (runServer on a thread, the
 // submitSweepRequest client, control shutdown). Both must agree bit for
 // bit with runSweepRequest, the in-process path `wcs-sim --sweep` runs,
@@ -45,6 +46,24 @@ const char *TestSource = R"(
   for (int i = 1; i < 511; i++)
     B[i] = A[i-1] + A[i+1];
 )";
+
+// A request's options as documents wrote them before the engine-tuning
+// members left wcs-request: all 17 leaves, at their defaults but for
+// four hostile values.
+const char *HostileLegacyOptions = R"({
+  "sim": {"include_scalars": false,
+          "warp": {"enable": true, "max_probe_iters": 4294967295,
+                   "snapshot_ring_size": 0, "max_snapshots_per_bucket": 2,
+                   "min_snapshot_spacing": 16,
+                   "max_delta_for_coupled_domains": 32,
+                   "eager_snapshot_trip_limit": 128, "max_delta": 512,
+                   "disable_after_failed_activations": 4,
+                   "min_probes_for_learning": 32,
+                   "enable_profit_guard": true,
+                   "profit_guard_activations": 8}},
+  "backend": "warping", "max_filtered_records": 0, "warp_sweep": false,
+  "warp_sweep_min_accesses": 2097152
+})";
 
 SweepRequest smallRequest() {
   SweepRequest R;
@@ -205,6 +224,48 @@ TEST(Serve, MalformedRequestIsAnOkFalseResponse) {
   EXPECT_FALSE(Resp.Error.empty());
   EXPECT_EQ(Resp.RequestHash, requestHash(Bad)); // Still attributed.
   EXPECT_EQ(Store.numEntries(), 0u); // Nothing was stored.
+}
+
+// Members that older request documents carried for the engine's search
+// bounds and the sweep's per-run knobs are ignored: a daemon that fed
+// these values to the engine would divide by a zero-sized snapshot ring
+// (SIGFPE) on the first warping point. The hostile request is served
+// first, on a cold store, so every point is computed from it.
+TEST(Serve, LegacyTuningMembersCannotReachTheEngine) {
+  SweepRequest Clean;
+  Clean.Kernel = "jacobi-1d";
+  Clean.Size = ProblemSize::Small;
+  Clean.L1.SizesBytes = {8192};
+  Clean.L1.Assocs = {8};
+  Clean.L1.Policies = {PolicyKind::Plru, PolicyKind::Fifo, PolicyKind::Lru};
+
+  json::Value Opts;
+  std::string Err;
+  ASSERT_TRUE(json::parse(HostileLegacyOptions, Opts, &Err)) << Err;
+  json::Value Doc = toJson(Clean);
+  Doc.set("options", std::move(Opts));
+  SweepRequest Hostile;
+  ASSERT_TRUE(fromJson(Doc, Hostile, &Err)) << Err;
+
+  ResultStore Store;
+  ASSERT_TRUE(Store.open("", &Err)) << Err;
+  Scheduler Sched(Store, 2);
+  SweepResponse Resp = Sched.serve(Hostile, nullptr);
+  ASSERT_TRUE(Resp.Ok) << Resp.Error;
+  EXPECT_EQ(Resp.RequestHash, requestHash(Clean));
+  EXPECT_EQ(Resp.StoreMisses, 3u);
+  std::vector<SweepPoint> Ref = referencePoints(Clean);
+  ASSERT_EQ(Resp.Sweep.Points.size(), Ref.size());
+  for (size_t I = 0; I < Ref.size(); ++I) {
+    ASSERT_TRUE(Resp.Sweep.Points[I].Ok) << Resp.Sweep.Points[I].Error;
+    EXPECT_EQ(counters(Resp.Sweep.Points[I]), counters(Ref[I]))
+        << "point " << I;
+  }
+
+  // The clean request is the same request: answered from the store.
+  SweepResponse Again = Sched.serve(Clean, nullptr);
+  ASSERT_TRUE(Again.Ok) << Again.Error;
+  EXPECT_EQ(Again.StoreHits, 3u);
 }
 
 TEST(Serve, FailedPointsAreNeverStored) {
@@ -602,6 +663,66 @@ TEST(ServeSocket, FailedWriteEndsTheConnectionAndTheClientRetries) {
     P.Method = Direct[I].Method; // Store hits from the first attempts.
     EXPECT_EQ(counters(P), counters(Direct[I])) << "point " << I;
   }
+
+  ASSERT_TRUE(requestShutdown(Socket, &Err)) << Err;
+  Server.join();
+}
+
+// A client that closes its socket while its request computes, with no
+// progress line due, is noticed by the connection thread's poll between
+// scheduler waits: the request's queued jobs are dropped at once, and
+// the daemon goes on serving.
+TEST(ServeSocket, ClosedClientIsCancelledWithinASecond) {
+  std::string Socket = tempPath("hangup", ".sock");
+  ServerOptions SO;
+  SO.SocketPath = Socket;
+  SO.Threads = 1; // One job runs, the others queue behind it.
+  TestServer Server;
+  Server.start(SO);
+  ASSERT_EQ(Server.Err, "");
+
+  // Twelve simulated points, one job each (4M accesses per job).
+  SweepRequest Slow;
+  Slow.Kernel = "gemm";
+  Slow.Size = ProblemSize::Medium;
+  Slow.L1.SizesBytes = {4096, 8192, 16384, 32768};
+  Slow.L1.Assocs = {2, 4, 8};
+  Slow.L1.Policies = {PolicyKind::Fifo};
+  Slow.Options.Backend = SimBackend::Concrete;
+
+  std::string Err;
+  int Fd = connectUnix(Socket, &Err);
+  ASSERT_GE(Fd, 0) << Err;
+  ASSERT_TRUE(sendLine(Fd, toJson(Slow).dump(false), &Err)) << Err;
+  // Wait until the worker runs one of the request's jobs with at least
+  // three more queued behind it, so some are still queued when the
+  // hangup is noticed.
+  StatusDoc St;
+  for (int I = 0; I < 2000; ++I) {
+    ASSERT_TRUE(requestStatus(Socket, St, &Err)) << Err;
+    if (St.ActiveRequests == 1 && St.QueuedJobs >= 3 && St.QueuedJobs < 12)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(St.ActiveRequests, 1u);
+  ASSERT_GE(St.QueuedJobs, 3u);
+  ASSERT_EQ(St.CancelledJobs, 0u);
+
+  closeFd(Fd);
+  auto Closed = std::chrono::steady_clock::now();
+  while (St.CancelledJobs == 0 &&
+         std::chrono::steady_clock::now() - Closed < std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(requestStatus(Socket, St, &Err)) << Err;
+  }
+  EXPECT_GT(St.CancelledJobs, 0u) << "queued jobs outlived their client";
+  EXPECT_EQ(St.QueuedJobs, 0u);
+
+  SweepResponse Resp;
+  ASSERT_TRUE(submitSweepRequest(Socket, smallRequest(), Resp, nullptr,
+                                 &Err))
+      << Err;
+  ASSERT_TRUE(Resp.Ok) << Resp.Error;
 
   ASSERT_TRUE(requestShutdown(Socket, &Err)) << Err;
   Server.join();

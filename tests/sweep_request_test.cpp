@@ -7,7 +7,9 @@
 //
 // The one-request-type API behind every sweep: JSON round-trips of both
 // program variants, validation rejections, the per-run-knob exclusion
-// (Threads must not change a request's identity), the grid-exclusion
+// (threads, stream cap, pass-flavor threshold and the warping search
+// bounds must not change a request's identity, and the members older
+// documents carry for them are ignored), the grid-exclusion
 // property of sweepPointKey (overlapping grids share point keys), and
 // the CLI-equivalence contract -- running a request through
 // runSweepRequest yields the same counters as the underlying runSweep.
@@ -50,7 +52,6 @@ SweepRequest kernelRequest() {
   R.L2.Assocs = {8};
   R.Inclusion = InclusionPolicy::Inclusive;
   R.Options.Backend = SimBackend::Concrete;
-  R.Options.WarpSweep = false;
   return R;
 }
 
@@ -68,7 +69,6 @@ TEST(SweepRequest, KernelVariantRoundTrips) {
   EXPECT_EQ(Back.L1, R.L1); // SweepLevelGrid operator==.
   EXPECT_EQ(Back.L2, R.L2);
   EXPECT_EQ(Back.Options.Backend, SimBackend::Concrete);
-  EXPECT_FALSE(Back.Options.WarpSweep);
   // Serialization is a fixed point: re-dumping the parsed request
   // reproduces the document byte for byte.
   EXPECT_EQ(dump(Back), dump(R));
@@ -100,19 +100,80 @@ TEST(SweepRequest, ParamOrderDoesNotChangeIdentity) {
   EXPECT_EQ(requestHash(A), requestHash(B));
 }
 
-TEST(SweepRequest, ThreadsAreAPerRunKnobNotRequestIdentity) {
+TEST(SweepRequest, PerRunKnobsAreNotRequestIdentity) {
   SweepRequest A = sourceRequest();
   SweepRequest B = sourceRequest();
-  A.Options.Threads = 1;
   B.Options.Threads = 16;
-  // Same document, same hash: where a request runs and how wide must
-  // never change what it means (or its store keys).
+  B.Options.MaxFilteredRecords = 1;
+  B.Options.WarpSweepMinAccesses = UINT64_MAX;
+  B.Options.Sim.BatchConcrete = false;
+  B.Options.Sim.Warp.Enable = false;
+  B.Options.Sim.Warp.SnapshotRingSize = 0;
+  B.Options.Sim.Warp.MaxDelta = 8;
+  // Same document, same hash: where a request runs, how wide, and how
+  // hard the engine searches must never change what it means (or its
+  // store keys).
   EXPECT_EQ(dump(A), dump(B));
   EXPECT_EQ(requestHash(A), requestHash(B));
 
   HierarchyConfig H = HierarchyConfig::singleLevel(
       CacheConfig{1024, 2, 64, PolicyKind::Lru, WriteAllocate::Yes});
   EXPECT_EQ(sweepPointKey(A, H), sweepPointKey(B, H));
+
+  // The document's options hold exactly what changes a counter.
+  json::Value Doc = toJson(B);
+  const json::Value *Opts = Doc.find("options");
+  ASSERT_NE(Opts, nullptr);
+  EXPECT_EQ(Opts->dump(false),
+            R"({"sim":{"include_scalars":false},"backend":"warping"})");
+}
+
+// Documents written before the engine-tuning members left the request
+// carry 17 option leaves. They still parse -- to the same identity as
+// the trimmed document, whatever the old members hold -- and the parsed
+// request runs at the per-run defaults. These are kernelRequest()'s
+// options with every old member at a hostile value.
+const char *LegacyOptions = R"({
+  "sim": {"include_scalars": false,
+          "warp": {"enable": false, "max_probe_iters": 4294967295,
+                   "snapshot_ring_size": 0, "max_snapshots_per_bucket": 0,
+                   "min_snapshot_spacing": -1,
+                   "max_delta_for_coupled_domains": -1,
+                   "eager_snapshot_trip_limit": -1, "max_delta": 0,
+                   "disable_after_failed_activations": 0,
+                   "min_probes_for_learning": 0,
+                   "enable_profit_guard": false,
+                   "profit_guard_activations": 0}},
+  "backend": "concrete", "max_filtered_records": 0, "warp_sweep": false,
+  "warp_sweep_min_accesses": 0
+})";
+
+TEST(SweepRequest, LegacyTuningMembersAreIgnored) {
+  SweepRequest R = kernelRequest();
+  json::Value Opts;
+  std::string Err;
+  ASSERT_TRUE(json::parse(LegacyOptions, Opts, &Err)) << Err;
+  json::Value Doc = toJson(R);
+  Doc.set("options", std::move(Opts));
+
+  SweepRequest Back;
+  ASSERT_TRUE(fromJson(Doc, Back, &Err)) << Err;
+  EXPECT_EQ(dump(Back), dump(R));
+  EXPECT_EQ(requestHash(Back), requestHash(R));
+  HierarchyConfig H = HierarchyConfig::twoLevel(
+      CacheConfig{4096, 8, 64, PolicyKind::Plru, WriteAllocate::Yes},
+      CacheConfig{32768, 8, 64, PolicyKind::Plru, WriteAllocate::Yes},
+      InclusionPolicy::Inclusive);
+  EXPECT_EQ(sweepPointKey(Back, H), sweepPointKey(R, H));
+
+  const SweepOptions Defaults;
+  EXPECT_EQ(Back.Options.MaxFilteredRecords, Defaults.MaxFilteredRecords);
+  EXPECT_EQ(Back.Options.WarpSweepMinAccesses, Defaults.WarpSweepMinAccesses);
+  EXPECT_TRUE(Back.Options.Sim.Warp.Enable);
+  EXPECT_EQ(Back.Options.Sim.Warp.SnapshotRingSize,
+            Defaults.Sim.Warp.SnapshotRingSize);
+  EXPECT_EQ(Back.Options.Sim.Warp.MaxProbeIters,
+            Defaults.Sim.Warp.MaxProbeIters);
 }
 
 TEST(SweepRequest, PointKeysIgnoreTheGridButNotTheProgram) {

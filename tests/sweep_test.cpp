@@ -215,7 +215,7 @@ TEST(Sweep, DiscardedPeriodicPassesReportTheLinearWalk) {
   SweepOptions Periodic;
   Periodic.WarpSweepMinAccesses = 0; // Always periodic.
   SweepOptions Linear;
-  Linear.WarpSweep = false;
+  Linear.WarpSweepMinAccesses = UINT64_MAX; // Always linear.
 
   SweepReport Used = runSweep(P, Grid, Periodic);
   SweepReport Ref = runSweep(P, Grid, Linear);
@@ -532,7 +532,7 @@ TEST(SweepGrid, ExpansionRejectsInvalidPoints) {
 // The wcs-sweep document
 //===----------------------------------------------------------------------===//
 
-TEST(SweepDoc, RoundTripsExactly) {
+TEST(SweepReportJson, RoundTripsExactly) {
   std::mt19937 Rng(5);
   ScopProgram P = generateProgram(Rng);
   CacheConfig Lru{2048, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
@@ -545,20 +545,22 @@ TEST(SweepDoc, RoundTripsExactly) {
   SweepOptions SO;
   SweepReport Rep = runSweep(P, Grid, SO);
   ASSERT_TRUE(Rep.allOk());
-  SweepDoc Doc = makeSweepDoc("wcs-sim", "random", "SMALL", Rep);
+  Rep.Tool = "wcs-sim";
+  Rep.Program = "random";
+  Rep.SizeName = "SMALL";
 
-  json::Value V = toJson(Doc);
+  json::Value V = toJson(Rep);
   std::string Text = V.dump();
   json::Value Parsed;
   std::string Err;
   ASSERT_TRUE(json::parse(Text, Parsed, &Err)) << Err;
-  SweepDoc Back;
+  SweepReport Back;
   ASSERT_TRUE(fromJson(Parsed, Back, &Err)) << Err;
 
   EXPECT_EQ(Back.Tool, "wcs-sim");
   EXPECT_EQ(Back.Program, "random");
   EXPECT_EQ(Back.SizeName, "SMALL");
-  EXPECT_EQ(Back.TraceAccesses, Doc.TraceAccesses);
+  EXPECT_EQ(Back.TraceAccesses, Rep.TraceAccesses);
   ASSERT_EQ(Back.Points.size(), 2u);
   EXPECT_EQ(Back.Points[0].Method, SweepMethod::StackDistance);
   EXPECT_EQ(Back.Points[0].Backend, SimBackend::StackDistance);
@@ -575,7 +577,7 @@ TEST(SweepDoc, RoundTripsExactly) {
 /// Periodic-pass provenance and cap-demoted groups survive the round
 /// trip (and the demotion is visible in the report, which is what the
 /// wcs-sim warning and the wcs-report "demoted" lines render).
-TEST(SweepDoc, RoundTripsPeriodicAndDemotedProvenance) {
+TEST(SweepReportJson, RoundTripsPeriodicAndDemotedProvenance) {
   // A program with plenty of L1 misses, so a 1-record stream cap is
   // guaranteed to overrun and demote the group.
   ScopBuilder B("missy");
@@ -602,26 +604,25 @@ TEST(SweepDoc, RoundTripsPeriodicAndDemotedProvenance) {
   ASSERT_EQ(Rep.DemotedL1s.size(), 1u);
   EXPECT_EQ(Rep.DemotedL1s[0], Lru.str());
 
-  SweepDoc Doc = makeSweepDoc("wcs-sim", "random", "SMALL", Rep);
-  std::string Text = toJson(Doc).dump();
+  std::string Text = toJson(Rep).dump();
   json::Value Parsed;
   std::string Err;
   ASSERT_TRUE(json::parse(Text, Parsed, &Err)) << Err;
-  SweepDoc Back;
+  SweepReport Back;
   ASSERT_TRUE(fromJson(Parsed, Back, &Err)) << Err;
   EXPECT_TRUE(Back.PeriodicPass);
-  EXPECT_EQ(Back.PeriodicWarps, Doc.PeriodicWarps);
-  EXPECT_EQ(Back.PeriodicPassSeconds, Doc.PeriodicPassSeconds);
-  EXPECT_EQ(Back.FilteredStoredRecords, Doc.FilteredStoredRecords);
+  EXPECT_EQ(Back.PeriodicWarps, Rep.PeriodicWarps);
+  EXPECT_EQ(Back.PeriodicPassSeconds, Rep.PeriodicPassSeconds);
+  EXPECT_EQ(Back.FilteredStoredRecords, Rep.FilteredStoredRecords);
   ASSERT_EQ(Back.DemotedL1s.size(), 1u);
   EXPECT_EQ(Back.DemotedL1s[0], Lru.str());
   EXPECT_EQ(toJson(Back).dump(), Text);
 }
 
-TEST(SweepDoc, RejectsWrongSchemaAndVersion) {
-  SweepDoc D;
+TEST(SweepReportJson, RejectsWrongSchemaAndVersion) {
+  SweepReport D;
   json::Value V = toJson(D);
-  SweepDoc Out;
+  SweepReport Out;
   std::string Err;
 
   json::Value Wrong = V;

@@ -168,7 +168,7 @@ std::string levelDesc(const CacheConfig &C, bool IsAxis) {
 /// per-level miss counts. The axis is the level with the most distinct
 /// capacities among the document's points (computed per level-count
 /// class, so mixed single/two-level documents render sensibly).
-int renderSweep(const SweepDoc &Doc, const std::string &Path) {
+int renderSweep(const SweepReport &Doc, const std::string &Path) {
   std::printf("sweep    %s  (%s%s%s, %zu points, %u threads)\n",
               Path.c_str(), Doc.Tool.c_str(),
               Doc.Program.empty() ? "" : " ", Doc.Program.c_str(),
@@ -494,7 +494,7 @@ int main(int argc, char **argv) {
       }
       return renderMetrics(MD, BasePath);
     }
-    SweepDoc Doc;
+    SweepReport Doc;
     if (!fromJson(V, Doc, &Err)) {
       std::fprintf(stderr,
                    "error: %s: %s\n(single-file mode renders wcs-sweep "

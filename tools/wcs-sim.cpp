@@ -75,11 +75,12 @@ void usage() {
       "                        stack-distance passes; the rest simulate)\n"
       "  --no-warp-sweep       force the linear shared trace pass (by\n"
       "                        default long traces use warp-aware\n"
-      "                        periodic passes; results are identical)\n"
+      "                        periodic passes; results are identical;\n"
+      "                        per run, like --jobs: never in a request)\n"
       "  --warp-sweep-threshold N\n"
       "                        trace length (accesses) at which the\n"
       "                        periodic pass takes over (default 2M;\n"
-      "                        0 = always periodic)\n"
+      "                        0 = always periodic; per run)\n"
       "  --sweep-l1 GRID       L1 grid: SIZES[,assoc=A,..][,policy=P,..]"
       "[,block=N]\n"
       "                        SIZES: capacities (8K) and/or ranges "
@@ -103,7 +104,7 @@ void usage() {
       "  --max-filtered-records N\n"
       "                        cap the stored records of one L1-miss\n"
       "                        stream (0 = unlimited; capped groups\n"
-      "                        fall back to full simulation)\n"
+      "                        fall back to full simulation; per run)\n"
       "  --jobs N              simulate on N worker threads "
       "(default 1; 0 = all cores)\n"
       "  --trace-json FILE     record spans (passes, recordings, jobs)\n"
@@ -159,11 +160,8 @@ int main(int argc, char **argv) {
   std::map<std::string, int64_t> Params;
   CacheConfig L1{4096, 8, 64, PolicyKind::Plru, WriteAllocate::Yes};
   CacheConfig L2;
-  bool Sweep = false, WarpSweep = true;
-  uint64_t MaxFilteredRecords = 0;
-  bool MaxFilteredRecordsSet = false;
-  uint64_t WarpSweepThreshold = 0;
-  bool WarpSweepThresholdSet = false;
+  bool Sweep = false, NoWarpSweep = false;
+  SweepOptions SweepOpts; // Its per-run knobs never reach a request.
   std::string SweepL1Spec = "8K:256K:x2,assoc=8", SweepL2Spec,
       SweepJsonPath, EmitRequestPath;
   double DeadlineSeconds = 0.0;
@@ -241,28 +239,26 @@ int main(int argc, char **argv) {
       Sweep = true;
     } else if (A == "--max-filtered-records") {
       const char *N = Next();
-      if (!parseUInt64(N, MaxFilteredRecords, UINT64_MAX)) {
+      if (!parseUInt64(N, SweepOpts.MaxFilteredRecords, UINT64_MAX)) {
         std::fprintf(stderr,
                      "error: --max-filtered-records expects a "
                      "non-negative record count, got '%s'\n",
                      N);
         return 2;
       }
-      MaxFilteredRecordsSet = true;
       Sweep = true;
     } else if (A == "--no-warp-sweep") {
-      WarpSweep = false;
+      NoWarpSweep = true;
       Sweep = true;
     } else if (A == "--warp-sweep-threshold") {
       const char *N = Next();
-      if (!parseUInt64(N, WarpSweepThreshold, UINT64_MAX)) {
+      if (!parseUInt64(N, SweepOpts.WarpSweepMinAccesses, UINT64_MAX)) {
         std::fprintf(stderr,
                      "error: --warp-sweep-threshold expects a "
                      "non-negative access count, got '%s'\n",
                      N);
         return 2;
       }
-      WarpSweepThresholdSet = true;
       Sweep = true;
     } else if (A == "--size") {
       if (!parseProblemSize(Next(), Size)) {
@@ -373,14 +369,12 @@ int main(int argc, char **argv) {
       return 2;
     }
     Req.HasL2 = !SweepL2Spec.empty();
+    Req.Options = SweepOpts;
     Req.Options.Sim = Opts;
-    Req.Options.WarpSweep = WarpSweep;
-    if (WarpSweepThresholdSet)
-      Req.Options.WarpSweepMinAccesses = WarpSweepThreshold;
     if (BackendSet)
       Req.Options.Backend = Backend;
-    if (MaxFilteredRecordsSet)
-      Req.Options.MaxFilteredRecords = MaxFilteredRecords;
+    if (NoWarpSweep)
+      Req.Options.WarpSweepMinAccesses = UINT64_MAX;
     // Meaningful when the request reaches a daemon (--emit-request +
     // wcs-serve --client); the in-process sweep below ignores it.
     Req.DeadlineSeconds = DeadlineSeconds;
@@ -443,21 +437,21 @@ int main(int argc, char **argv) {
     }
     std::fprintf(stderr, "sweep    %s\n", Rep.summary().c_str());
     // Per-method breakdown: where the sweep's time actually went, so
-    // speedup claims are auditable straight from the run. Rendered
-    // from the packaged document by the same formatter wcs-report
-    // uses, so run output and artifact rendering cannot drift.
-    SweepDoc Doc = makeSweepDoc("wcs-sim", Req.programLabel(),
-                                Req.sizeLabel(), Rep);
-    std::fprintf(stderr, "methods  %s\n",
-                 methodBreakdownLine(Doc).c_str());
+    // speedup claims are auditable straight from the run. Rendered by
+    // the same formatter wcs-report uses on the written document, so
+    // run output and artifact rendering cannot drift.
+    std::fprintf(stderr, "methods  %s\n", methodBreakdownLine(Rep).c_str());
 
     if (!SweepJsonPath.empty()) {
-      if (!writeSweepFile(SweepJsonPath, Doc, &Err)) {
+      Rep.Tool = "wcs-sim";
+      Rep.Program = Req.programLabel();
+      Rep.SizeName = Req.sizeLabel();
+      if (!writeSweepFile(SweepJsonPath, Rep, &Err)) {
         std::fprintf(stderr, "error: %s\n", Err.c_str());
         return 1;
       }
       std::fprintf(stderr, "results  wrote %zu points to %s\n",
-                   Doc.Points.size(), SweepJsonPath.c_str());
+                   Rep.Points.size(), SweepJsonPath.c_str());
     }
     return Rep.allOk() ? 0 : 1;
   }

@@ -170,9 +170,9 @@ int main(int argc, char **argv) {
     while ((1u << Shift) < FilterL1.BlockBytes)
       ++Shift;
     FS.forEachRecord([&](const FilteredRecord &R) {
-      std::printf("%d %llx\n", R.IsWrite ? 1 : 0,
+      std::printf("%d %llx\n", R.isWrite() ? 1 : 0,
                   static_cast<unsigned long long>(
-                      static_cast<uint64_t>(R.Block) << Shift));
+                      static_cast<uint64_t>(R.block()) << Shift));
     });
     return 0;
   }
