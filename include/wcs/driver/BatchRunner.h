@@ -141,12 +141,14 @@ public:
   /// slot and returning true) or the pool is being retired (returning
   /// false, which ends that worker). The scheduling POLICY therefore
   /// lives entirely in the caller's Next -- the wcs-serve scheduler
-  /// uses it for fair round-robin across requests -- while this class
-  /// keeps owning the threads. Tasks must not throw (there is no batch
-  /// to attribute a failure to; callers catch inside the task).
-  /// run()/runTasks() remain usable on a separate BatchRunner while a
-  /// pool runs, but not on this one.
-  void startPool(std::function<bool(std::function<void()> &)> Next);
+  /// uses it for fair round-robin across requests, the daemon's
+  /// connection pool blocks in accept() -- while this class keeps
+  /// owning the threads. Worker T is named "<NamePrefix>-T" in traces.
+  /// Tasks must not throw (there is no batch to attribute a failure
+  /// to; callers catch inside the task). run()/runTasks() remain usable
+  /// on a separate BatchRunner while a pool runs, but not on this one.
+  void startPool(std::function<bool(std::function<void()> &)> Next,
+                 const std::string &NamePrefix = "worker");
 
   /// Joins every pool worker. The caller must first make Next return
   /// false for all workers (e.g. flip a stop flag and wake them), or

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// The machine-readable face of the simulator: JSON serialization of the
-/// simulation counters (SimStats), configurations (CacheConfig,
-/// HierarchyConfig, SimOptions) and batch outcomes (BatchResult), plus
-/// the schema-versioned results-file container that wcs-sim --json and
+/// simulation counters (SimStats) and configurations (CacheConfig,
+/// HierarchyConfig, SimOptions), plus the schema-versioned results-file
+/// container (one ResultEntry per outcome) that wcs-sim --json and
 /// wcs-bench write and wcs-report diffs. Every toJson emits keys in a
 /// fixed order, so a given run always serializes to byte-identical
 /// text; every fromJson validates kinds and rejects unknown enum
@@ -48,7 +48,6 @@ json::Value toJson(const SimStats &S);
 json::Value toJson(const CacheConfig &C);
 json::Value toJson(const HierarchyConfig &H);
 json::Value toJson(const SimOptions &O);
-json::Value toJson(const BatchResult &R);
 
 /// Each fromJson parses the corresponding toJson output. On malformed
 /// input it returns false and, when \p Err is non-null, stores a
@@ -58,7 +57,6 @@ bool fromJson(const json::Value &V, SimStats &Out, std::string *Err);
 bool fromJson(const json::Value &V, CacheConfig &Out, std::string *Err);
 bool fromJson(const json::Value &V, HierarchyConfig &Out, std::string *Err);
 bool fromJson(const json::Value &V, SimOptions &Out, std::string *Err);
-bool fromJson(const json::Value &V, BatchResult &Out, std::string *Err);
 
 /// One simulation outcome in a results file: a batch result plus the
 /// context (backend, cache hierarchy, simulation options) needed to

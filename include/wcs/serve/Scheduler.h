@@ -36,6 +36,18 @@
 /// the scheduler is what guarantees a single writer no matter how many
 /// requests race on the same key.
 ///
+/// Lock order: while Mu is held, the only other locks taken are the
+/// fault-injection schedule's and the telemetry registry's (the first
+/// may take the second, never the reverse). Mu is never held across
+/// OnProgress or IsCancelled, so it never nests with the server's
+/// ServerState::Mu or LogMu. The workers' and each request's condition
+/// variables wait on Mu.
+///
+/// status() reads the registry counters the daemon's --metrics file
+/// carries, relative to their values at construction. The registry is
+/// process-wide: two schedulers alive at once in one process would
+/// share these counts.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SERVE_SCHEDULER_H
@@ -116,7 +128,7 @@ public:
   /// connection and uptime fields.
   StatusDoc status() const;
 
-  unsigned threads() const { return PoolThreads; }
+  unsigned threads() const { return Runner.threads(); }
 
   /// Test hook: invoked on the worker thread as it starts a job (after
   /// dequeue, before any work, without the scheduler lock), with the
@@ -172,6 +184,17 @@ private:
     SweepReport Merged; ///< Accumulated per-job pass/partition figures.
     double QueueWaitSeconds = 0.0; ///< Summed as workers dequeue.
     double ComputeSeconds = 0.0;   ///< Summed as jobs complete.
+    uint64_t PointsComputed = 0;   ///< Owned points whose job ran.
+  };
+
+  /// A registry counter read relative to its value at construction.
+  struct Tally {
+    explicit Tally(const char *Name)
+        : C(telemetry::registry().counter(Name)), Base(C.value()) {}
+    void add(uint64_t N = 1) { C.add(N); }
+    uint64_t sinceStart() const { return C.value() - Base; }
+    telemetry::Counter &C;
+    const uint64_t Base;
   };
 
   bool nextJob(std::function<void()> &Task);
@@ -184,7 +207,6 @@ private:
 
   ResultStore &Store;
   BatchRunner Runner;
-  unsigned PoolThreads = 1;
 
   mutable std::mutex Mu;
   std::condition_variable WorkCv; ///< Wakes idle workers.
@@ -199,11 +221,18 @@ private:
   /// cancellation.
   uint64_t QueuedPoints = 0;
   uint64_t MaxQueuedPoints = 0; ///< 0 = unbounded.
-  /// Total job compute seconds ever; with Counters.PointsComputed this
-  /// gives the measured per-point cost behind retry_after_seconds.
+  /// Total job compute seconds ever; with Computed this gives the
+  /// measured per-point cost behind retry_after_seconds.
   double ComputeSecondsTotal = 0.0;
   bool Stopping = false;
-  StatusDoc Counters; ///< Cumulative fields only; status() fills the rest.
+  /// Added under Mu, so requests_served = Received - NumActive exactly.
+  Tally Received{"serve.requests"};
+  Tally Computed{"scheduler.points_computed"};
+  Tally StoreHits{"serve.store_hits"};
+  Tally InFlightHits{"serve.inflight_hits"};
+  Tally JobsCancelled{"scheduler.jobs_cancelled"};
+  Tally DeadlinesExpired{"serve.deadline_expired"};
+  Tally ShedRequests{"serve.shed"};
 
   std::function<void(uint64_t, size_t)> Observer;
 };

@@ -16,6 +16,8 @@
 ///                        store refuses further appends until reopened)
 ///   socket.send          Protocol sendLine fails before writing
 ///   socket.recv          Protocol LineReader::readLine fails
+///   server.accept        a wcs-serve connection thread's accept()
+///                        fails, which stops the daemon with an error
 ///   scheduler.job        Scheduler job execution throws mid-compute
 ///   sweep.periodic-pass  runSweep discards a finished periodic pass as
 ///                        if its bank had rejected the result, so the

@@ -197,13 +197,14 @@ bool wcs::parseJobCount(const char *Text, unsigned &Out) {
 }
 
 void BatchRunner::startPool(
-    std::function<bool(std::function<void()> &)> Next) {
+    std::function<bool(std::function<void()> &)> Next,
+    const std::string &NamePrefix) {
   stopPool();
   PoolNext = std::move(Next);
   Pool.reserve(NumThreads);
   for (unsigned T = 0; T < NumThreads; ++T)
-    Pool.emplace_back([this, T] {
-      telemetry::setThreadName("worker-" + std::to_string(T));
+    Pool.emplace_back([this, Name = NamePrefix + "-" + std::to_string(T)] {
+      telemetry::setThreadName(Name);
       std::function<void()> Task;
       while (PoolNext(Task)) {
         Task();

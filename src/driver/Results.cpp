@@ -151,32 +151,8 @@ bool wcs::fromJson(const Value &V, SimOptions &Out, std::string *Err) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batch results and the results file
+// The results file
 //===----------------------------------------------------------------------===//
-
-Value wcs::toJson(const BatchResult &R) {
-  Value V = Value::object();
-  V.set("job_index", static_cast<uint64_t>(R.JobIndex));
-  V.set("tag", R.Tag);
-  V.set("ok", R.Ok);
-  V.set("error", R.Error);
-  V.set("stats", toJson(R.Stats));
-  return V;
-}
-
-bool wcs::fromJson(const Value &V, BatchResult &Out, std::string *Err) {
-  uint64_t Index;
-  const Value *Stats;
-  if (!needUInt(V, "job_index", Index, Err) ||
-      !needString(V, "tag", Out.Tag, Err) ||
-      !needBool(V, "ok", Out.Ok, Err) ||
-      !needString(V, "error", Out.Error, Err) ||
-      !needMember(V, "stats", Stats, Err) ||
-      !fromJson(*Stats, Out.Stats, Err))
-    return false;
-  Out.JobIndex = static_cast<size_t>(Index);
-  return true;
-}
 
 Value wcs::toJson(const ResultEntry &E) {
   Value V = Value::object();

@@ -36,7 +36,6 @@ ProgressEvent makeEvent(uint64_t Serial, size_t Total, size_t I,
 Scheduler::Scheduler(ResultStore &Store, unsigned Threads,
                      uint64_t MaxQueuedPoints)
     : Store(Store), Runner(Threads), MaxQueuedPoints(MaxQueuedPoints) {
-  PoolThreads = Runner.threads();
   Runner.startPool(
       [this](std::function<void()> &Task) { return nextJob(Task); });
 }
@@ -119,15 +118,14 @@ void Scheduler::runJob(Job &J) {
   }
 
   double Compute = telemetry::secondsSince(C0);
-  telemetry::registry()
-      .counter("scheduler.points_computed")
-      .add(J.PointIdx.size());
 
   telemetry::Span PublishSpan("scheduler.publish");
   PublishSpan.arg("points", static_cast<uint64_t>(J.PointIdx.size()));
   std::lock_guard<std::mutex> L(Mu);
   RS->ComputeSeconds += Compute;
+  RS->PointsComputed += J.PointIdx.size();
   ComputeSecondsTotal += Compute;
+  Computed.add(J.PointIdx.size());
   mergeSweepReports(RS->Merged, Rep);
   for (size_t G = 0; G < J.PointIdx.size(); ++G) {
     size_t I = J.PointIdx[G];
@@ -143,7 +141,6 @@ void Scheduler::runJob(Job &J) {
       std::fprintf(stderr, "wcs-serve: store insert failed: %s\n",
                    StoreErr.c_str());
     }
-    ++Counters.PointsComputed;
     RS->Points[I] = P;
     RS->Ready.push_back(makeEvent(RS->Serial, RS->Total, I, P));
     // Hand the result to every subscriber, then retire the in-flight
@@ -214,8 +211,7 @@ void Scheduler::cancelLocked(RequestState &RS, const char *Reason) {
       RS.Points[I].Error = Reason;
     }
     QueuedPoints -= J.PointIdx.size();
-    ++Counters.CancelledJobs;
-    telemetry::registry().counter("scheduler.jobs_cancelled").add();
+    JobsCancelled.add();
     --RS.JobsOutstanding;
   }
   RS.Queue.swap(Keep);
@@ -234,7 +230,6 @@ SweepResponse Scheduler::serve(
   SweepResponse Resp;
   Resp.RequestHash = requestHash(Req);
   ReqSpan.arg("hash", Resp.RequestHash);
-  telemetry::registry().counter("serve.requests").add();
 
   PreparedSweep Prep;
   std::string Err;
@@ -243,7 +238,7 @@ SweepResponse Scheduler::serve(
     if (!prepareSweep(Req, Prep, &Err)) {
       Resp.Error = Err;
       std::lock_guard<std::mutex> L(Mu);
-      ++Counters.RequestsServed;
+      Received.add(); // Answered at once: never active.
       Resp.StoreEntries = Store.numEntries();
       if (Tel)
         Tel->WallSeconds = telemetry::secondsSince(W0);
@@ -272,6 +267,7 @@ SweepResponse Scheduler::serve(
     telemetry::Span AdmitSpan("serve.admission");
     std::lock_guard<std::mutex> L(Mu);
     RS.Serial = ++LastSerial;
+    Received.add();
     ++NumActive;
     // Pass 1: resolve store hits and count the points this request
     // would have to compute itself (subscriptions ride on another
@@ -301,19 +297,16 @@ SweepResponse Scheduler::serve(
       // without bound. The hint scales with the backlog's measured
       // per-point compute cost; a fresh daemon guesses conservatively.
       Shed = true;
-      ++Counters.ShedRequests;
-      ++Counters.RequestsServed;
+      ShedRequests.add();
       --NumActive;
-      telemetry::registry().counter("serve.shed").add();
       Resp.StoreHits = 0; // Nothing was answered, hits included.
       Resp.Error = "overloaded";
       Resp.StoreEntries = Store.numEntries();
+      uint64_t Points = Computed.sinceStart();
       double AvgPointSeconds =
-          Counters.PointsComputed != 0
-              ? ComputeSecondsTotal / double(Counters.PointsComputed)
-              : 0.05;
+          Points != 0 ? ComputeSecondsTotal / double(Points) : 0.05;
       double Est = double(QueuedPoints) * AvgPointSeconds /
-                   double(PoolThreads != 0 ? PoolThreads : 1);
+                   double(Runner.threads());
       Resp.RetryAfterSeconds = std::min(10.0, std::max(0.05, Est));
       AdmitSpan.arg("shed", uint64_t(1));
     }
@@ -338,7 +331,6 @@ SweepResponse Scheduler::serve(
         InFlight.emplace(RS.Keys[I], std::make_unique<PointState>());
         Owned.push_back(I);
       }
-      Resp.StoreMisses = Owned.size();
     }
     if (!Owned.empty()) {
       std::vector<HierarchyConfig> OwnedCfgs;
@@ -366,7 +358,7 @@ SweepResponse Scheduler::serve(
           .counter("scheduler.jobs_enqueued")
           .add(RS.Queue.size());
     }
-    RS.Merged.Threads = PoolThreads;
+    RS.Merged.Threads = Runner.threads();
     AdmitSpan.arg("store_hits", Resp.StoreHits);
     AdmitSpan.arg("inflight_hits", Resp.InFlightHits);
     AdmitSpan.arg("jobs", static_cast<uint64_t>(RS.Queue.size()));
@@ -417,8 +409,7 @@ SweepResponse Scheduler::serve(
         telemetry::now() >= RS.Deadline) {
       RS.DeadlineExpired = true;
       cancelLocked(RS, "deadline exceeded");
-      ++Counters.DeadlineExpired;
-      telemetry::registry().counter("serve.deadline_expired").add();
+      DeadlinesExpired.add();
     }
     if (!RS.Ready.empty()) {
       std::vector<ProgressEvent> Batch;
@@ -453,16 +444,14 @@ SweepResponse Scheduler::serve(
     }
   }
 
-  ++Counters.RequestsServed;
-  Counters.StoreHits += Resp.StoreHits;
-  Counters.InFlightHits += Resp.InFlightHits;
   --NumActive;
+  Resp.StoreMisses = RS.PointsComputed;
   Resp.StoreEntries = Store.numEntries();
+  StoreHits.add(Resp.StoreHits);
+  InFlightHits.add(Resp.InFlightHits);
 
   telemetry::Registry &Reg = telemetry::registry();
-  Reg.counter("serve.store_hits").add(Resp.StoreHits);
   Reg.counter("serve.store_misses").add(Resp.StoreMisses);
-  Reg.counter("serve.inflight_hits").add(Resp.InFlightHits);
   Reg.gauge("store.entries").set(static_cast<double>(Resp.StoreEntries));
   double Wall = telemetry::secondsSince(W0);
   Reg.histogram("serve.request_seconds", telemetry::defaultLatencyBounds())
@@ -505,7 +494,14 @@ SweepResponse Scheduler::serve(
 
 StatusDoc Scheduler::status() const {
   std::lock_guard<std::mutex> L(Mu);
-  StatusDoc S = Counters;
+  StatusDoc S;
+  S.RequestsServed = Received.sinceStart() - NumActive;
+  S.PointsComputed = Computed.sinceStart();
+  S.StoreHits = StoreHits.sinceStart();
+  S.InFlightHits = InFlightHits.sinceStart();
+  S.CancelledJobs = JobsCancelled.sinceStart();
+  S.DeadlineExpired = DeadlinesExpired.sinceStart();
+  S.ShedRequests = ShedRequests.sinceStart();
   S.ActiveRequests = NumActive;
   S.QueuedJobs = 0;
   for (const RequestState *RS : RoundRobin)

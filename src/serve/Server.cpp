@@ -7,7 +7,9 @@
 
 #include "wcs/serve/Server.h"
 
+#include "wcs/driver/BatchRunner.h"
 #include "wcs/serve/Scheduler.h"
+#include "wcs/support/FaultInjection.h"
 #include "wcs/support/JsonReader.h"
 
 #include <atomic>
@@ -17,10 +19,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <list>
-#include <memory>
 #include <mutex>
-#include <thread>
+#include <system_error>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -30,53 +30,45 @@ using namespace wcs;
 using json::Value;
 
 //===----------------------------------------------------------------------===//
-// The accept loop
+// The connection pool
 //===----------------------------------------------------------------------===//
+//
+// runServer starts MaxConnections connection threads once; each loops
+// accept(), serve that connection, close it. Lock order: ServerState::Mu
+// and LogMu are never held together, nor across a call into the
+// Scheduler, so neither nests with Scheduler::Mu (see Scheduler.h).
+// ServerState::Cv waits on ServerState::Mu.
 
 namespace {
 
-/// Everything the connection threads share with the accept loop.
+/// Everything the connection threads share with runServer.
 struct ServerState {
+  const ServerOptions *Opts = nullptr;
   Scheduler *Sched = nullptr;
-  unsigned MaxConnections = 0; ///< 0 = unlimited.
   int ListenFd = -1;
   telemetry::TimePoint Start; ///< For uptime_seconds.
 
   std::mutex Mu;
-  std::condition_variable Cv; ///< Capacity freed / shutdown requested.
-  unsigned Active = 0;
+  std::condition_variable Cv; ///< A connection ended / shutdown begun.
+  unsigned Active = 0;        ///< Connections being served.
   bool ShuttingDown = false;
+  std::string Error; ///< Why the daemon stopped, when it was a failure.
   /// Set when the drain timeout expires: every in-flight request's
   /// IsCancelled turns true, so they wind down like disconnects.
   std::atomic<bool> DrainExpired{false};
 
   /// The --log sink: one compact JSON object per request, its own lock
-  /// so a slow disk never blocks the accept loop.
+  /// so a slow disk never blocks the connection count.
   std::mutex LogMu;
   std::FILE *Log = nullptr;
-
-  struct ConnSlot {
-    std::thread T;
-    std::atomic<bool> Done{false};
-  };
-  std::list<std::unique_ptr<ConnSlot>> Conns;
 };
 
-/// SIGTERM/SIGINT -> graceful drain. Handlers may run on any thread,
-/// so everything here is async-signal-safe: set a flag, then
-/// ::shutdown() the listening socket -- that wakes a blocked accept()
-/// no matter which thread owns it. The accept loop translates the flag
-/// into the same ShuttingDown path the wcs-control shutdown command
-/// takes.
-std::atomic<int> SignalListenFd{-1};
+/// SIGTERM/SIGINT -> graceful drain. Handlers may run on any thread, so
+/// this one only sets a flag (async-signal-safe); runServer polls it and
+/// takes the same drain path as the wcs-control shutdown command.
 std::atomic<bool> SignalStop{false};
 
-void onShutdownSignal(int) {
-  SignalStop.store(true);
-  int Fd = SignalListenFd.load();
-  if (Fd >= 0)
-    ::shutdown(Fd, SHUT_RDWR);
-}
+void onShutdownSignal(int) { SignalStop.store(true); }
 
 /// Appends the request's JSON-lines log record (under LogMu; fflush so
 /// a crash or kill -9 loses at most the line being written).
@@ -104,6 +96,17 @@ void logRequest(ServerState &S, const SweepRequest &Req,
   std::lock_guard<std::mutex> L(S.LogMu);
   std::fprintf(S.Log, "%s\n", Line.c_str());
   std::fflush(S.Log);
+}
+
+/// The wcs-status document: the scheduler's counters plus this
+/// daemon's connections and uptime.
+StatusDoc statusOf(ServerState &S) {
+  StatusDoc D = S.Sched->status();
+  D.MaxConnections = S.Opts->MaxConnections;
+  D.UptimeSeconds = telemetry::secondsSince(S.Start);
+  std::lock_guard<std::mutex> L(S.Mu);
+  D.ActiveConnections = S.Active;
+  return D;
 }
 
 /// Serves one accepted connection on its own thread: one line in, the
@@ -137,29 +140,18 @@ void serveConnection(int Fd, ServerState &S) {
     if (Cmd == "status") {
       // The status answer is its own versioned document, not a control
       // ack: clients validate it through fromJson like every other
-      // wire document.
-      StatusDoc D = S.Sched->status();
-      {
-        std::lock_guard<std::mutex> L(S.Mu);
-        // This connection is one of the active ones.
-        D.ActiveConnections = S.Active;
-      }
-      D.MaxConnections = S.MaxConnections;
-      D.UptimeSeconds = telemetry::secondsSince(S.Start);
-      sendLine(Fd, toJson(D).dump(false), nullptr);
+      // wire document. This connection counts as an active one.
+      sendLine(Fd, toJson(statusOf(S)).dump(false), nullptr);
       return;
     }
     bool Shutdown = Cmd == "shutdown";
     Ack.set("ok", Shutdown);
     sendLine(Fd, Ack.dump(false), nullptr);
     if (Shutdown) {
-      {
-        std::lock_guard<std::mutex> L(S.Mu);
-        S.ShuttingDown = true;
-      }
+      // runServer wakes, shuts the listener down and drains.
+      std::lock_guard<std::mutex> L(S.Mu);
+      S.ShuttingDown = true;
       S.Cv.notify_all();
-      // Unblock the accept loop; a shut-down listener fails accept.
-      ::shutdown(S.ListenFd, SHUT_RDWR);
     }
     return;
   }
@@ -214,17 +206,43 @@ void serveConnection(int Fd, ServerState &S) {
                static_cast<unsigned long long>(Resp.StoreEntries));
 }
 
-/// Joins and forgets every finished connection thread. Called with
-/// S.Mu held.
-void reapLocked(ServerState &S) {
-  for (auto It = S.Conns.begin(); It != S.Conns.end();) {
-    if ((*It)->Done.load()) {
-      (*It)->T.join();
-      It = S.Conns.erase(It);
-    } else {
-      ++It;
-    }
+/// The connection pool's Next: blocks in accept() and makes serving
+/// the accepted connection the calling thread's task. Returns false,
+/// retiring the thread, once shutdown has begun; an accept failure
+/// begins it and becomes the daemon's error.
+bool nextConnection(ServerState &S, std::function<void()> &Task) {
+  int Fd = -1;
+  std::string Failure;
+  do {
+    if (faultinject::shouldFail("server.accept"))
+      Failure = "injected fault (server.accept)";
+    else if ((Fd = ::accept(S.ListenFd, nullptr, nullptr)) < 0 &&
+             errno != EINTR)
+      Failure = std::strerror(errno);
+  } while (Fd < 0 && Failure.empty() && !SignalStop.load());
+  std::lock_guard<std::mutex> L(S.Mu);
+  // A shut-down listener fails every accept(), and a connection that
+  // slips in during shutdown is closed unanswered.
+  if (S.ShuttingDown || SignalStop.load()) {
+    closeFd(Fd);
+    return false;
   }
+  if (Fd < 0) {
+    S.Error = "accept failed: " + Failure;
+    S.ShuttingDown = true;
+    S.Cv.notify_all();
+    return false;
+  }
+  ++S.Active;
+  Task = [&S, Fd] {
+    setSocketTimeout(Fd, S.Opts->IoTimeoutSeconds, nullptr);
+    serveConnection(Fd, S);
+    closeFd(Fd);
+    std::lock_guard<std::mutex> L(S.Mu);
+    --S.Active;
+    S.Cv.notify_all();
+  };
+  return true;
 }
 
 } // namespace
@@ -232,6 +250,13 @@ void reapLocked(ServerState &S) {
 bool wcs::runServer(const ServerOptions &Opts,
                     const std::function<void()> &OnReady,
                     std::string *Err) {
+  if (Opts.MaxConnections < 1 || Opts.MaxConnections > MaxConnectionsCap) {
+    if (Err)
+      *Err = "max connections must be between 1 and " +
+             std::to_string(MaxConnectionsCap) + ", got " +
+             std::to_string(Opts.MaxConnections);
+    return false;
+  }
   ResultStore Store;
   if (!Store.open(Opts.StorePath, Err))
     return false;
@@ -247,8 +272,8 @@ bool wcs::runServer(const ServerOptions &Opts,
   // insert -- from any connection -- goes through its lock.
   Scheduler Sched(Store, Opts.Threads, Opts.MaxQueuedPoints);
   ServerState St;
+  St.Opts = &Opts;
   St.Sched = &Sched;
-  St.MaxConnections = Opts.MaxConnections;
   St.ListenFd = Listen;
   St.Start = telemetry::now();
   if (!Opts.LogPath.empty()) {
@@ -269,107 +294,59 @@ bool wcs::runServer(const ServerOptions &Opts,
   bool SignalsInstalled = false;
   if (Opts.HandleSignals) {
     SignalStop.store(false);
-    SignalListenFd.store(Listen);
     struct sigaction SA;
     std::memset(&SA, 0, sizeof(SA));
     SA.sa_handler = onShutdownSignal;
     sigemptyset(&SA.sa_mask);
-    SA.sa_flags = 0; // No SA_RESTART: a blocked accept() must wake.
     ::sigaction(SIGTERM, &SA, &OldTerm);
     ::sigaction(SIGINT, &SA, &OldInt);
     SignalsInstalled = true;
   }
 
-  std::fprintf(stderr,
-               "wcs-serve: listening on %s (%zu stored entries, %u "
-               "workers, %u connections max)\n",
-               Opts.SocketPath.c_str(), Store.numEntries(),
-               Sched.threads(), Opts.MaxConnections);
-  if (OnReady)
-    OnReady();
-
-  telemetry::setThreadName("accept");
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> L(St.Mu);
-      // Timed wait, not wait(): a signal handler cannot safely notify
-      // a condition variable, so SignalStop is polled while parked at
-      // max capacity.
-      while (!(St.ShuttingDown || SignalStop.load() ||
-               St.MaxConnections == 0 || St.Active < St.MaxConnections))
-        St.Cv.wait_for(L, std::chrono::milliseconds(100));
-      reapLocked(St);
-      if (SignalStop.load())
-        St.ShuttingDown = true;
-      if (St.ShuttingDown)
-        break;
-    }
-    int Fd = ::accept(Listen, nullptr, nullptr);
-    if (Fd < 0) {
-      if (SignalStop.load()) {
-        std::fprintf(stderr,
-                     "wcs-serve: received shutdown signal, draining\n");
-        std::lock_guard<std::mutex> L(St.Mu);
-        St.ShuttingDown = true;
-        break;
-      }
-      if (errno == EINTR)
-        continue;
-      std::lock_guard<std::mutex> L(St.Mu);
-      if (St.ShuttingDown)
-        break;
-      if (Err)
-        *Err = "accept failed";
-      // Fall through to the drain below so in-flight requests finish.
-      St.ShuttingDown = true;
-      break;
-    }
-    setSocketTimeout(Fd, Opts.IoTimeoutSeconds, nullptr);
+  BatchRunner Conns(Opts.MaxConnections);
+  try {
+    Conns.startPool(
+        [&St](std::function<void()> &T) { return nextConnection(St, T); },
+        "conn");
+    // Logged once every thread runs; scripts wait for this line.
+    std::fprintf(stderr,
+                 "wcs-serve: listening on %s (%zu stored entries, %u "
+                 "workers, %u connections max)\n",
+                 Opts.SocketPath.c_str(), Store.numEntries(),
+                 Sched.threads(), Opts.MaxConnections);
+    if (OnReady)
+      OnReady();
+  } catch (const std::system_error &E) {
+    // The threads that did start leave through the shutdown below.
     std::lock_guard<std::mutex> L(St.Mu);
-    if (St.ShuttingDown || SignalStop.load()) {
-      closeFd(Fd);
-      St.ShuttingDown = true;
-      break;
-    }
-    ++St.Active;
-    auto Slot = std::make_unique<ServerState::ConnSlot>();
-    ServerState::ConnSlot *SP = Slot.get();
-    St.Conns.push_back(std::move(Slot));
-    SP->T = std::thread([Fd, SP, &St] {
-      telemetry::setThreadName("conn-" + std::to_string(Fd));
-      serveConnection(Fd, St);
-      closeFd(Fd);
-      {
-        std::lock_guard<std::mutex> CL(St.Mu);
-        --St.Active;
-        SP->Done.store(true);
-      }
-      St.Cv.notify_all();
-    });
+    St.Error = std::string("cannot start connection threads: ") + E.what();
+    St.ShuttingDown = true;
   }
 
-  // Drain: every connection thread finishes its request (the shutdown
-  // ack'ed connection included) before the scheduler and store go away.
-  // Under a drain timeout, requests still running past the budget are
+  {
+    std::unique_lock<std::mutex> L(St.Mu);
+    // Timed wait, not wait(): a signal handler cannot safely notify a
+    // condition variable, so SignalStop is polled.
+    while (!St.ShuttingDown && !SignalStop.load())
+      St.Cv.wait_for(L, std::chrono::milliseconds(100));
+    St.ShuttingDown = true;
+  }
+  if (SignalStop.load())
+    std::fprintf(stderr, "wcs-serve: received shutdown signal, draining\n");
+  // Every accept() on a shut-down listener fails, so each connection
+  // thread retires once the connection it serves (if any) ends.
+  ::shutdown(Listen, SHUT_RDWR);
+
+  // Drain: every connection finishes its request (the shutdown ack'ed
+  // connection included) before the scheduler and store go away. Under
+  // a drain timeout, requests still running past the budget are
   // cancelled (DrainExpired flows into their IsCancelled within one
   // scheduler poll tick), after which the joins below complete fast.
   telemetry::TimePoint DrainStart = telemetry::now();
   if (Opts.DrainTimeoutSeconds > 0) {
+    auto Budget = std::chrono::duration<double>(Opts.DrainTimeoutSeconds);
     std::unique_lock<std::mutex> L(St.Mu);
-    telemetry::TimePoint Deadline =
-        DrainStart + std::chrono::duration_cast<
-                         telemetry::TimePoint::duration>(
-                         std::chrono::duration<double>(
-                             Opts.DrainTimeoutSeconds));
-    auto AllDone = [&St] {
-      for (const auto &C : St.Conns)
-        if (!C->Done.load())
-          return false;
-      return true;
-    };
-    while (!AllDone() && telemetry::now() < Deadline)
-      St.Cv.wait_for(L, std::chrono::milliseconds(50));
-    if (!AllDone()) {
+    if (!St.Cv.wait_for(L, Budget, [&St] { return St.Active == 0; })) {
       St.DrainExpired.store(true);
       std::fprintf(stderr,
                    "wcs-serve: drain timeout (%.1fs) expired, "
@@ -377,38 +354,24 @@ bool wcs::runServer(const ServerOptions &Opts,
                    Opts.DrainTimeoutSeconds);
     }
   }
-  for (;;) {
-    std::unique_ptr<ServerState::ConnSlot> Slot;
-    {
-      std::lock_guard<std::mutex> L(St.Mu);
-      if (St.Conns.empty())
-        break;
-      Slot = std::move(St.Conns.front());
-      St.Conns.pop_front();
-    }
-    Slot->T.join();
-  }
+  Conns.stopPool();
   telemetry::registry()
       .gauge("serve.drain_seconds")
       .set(telemetry::secondsSince(DrainStart));
   if (SignalsInstalled) {
     ::sigaction(SIGTERM, &OldTerm, nullptr);
     ::sigaction(SIGINT, &OldInt, nullptr);
-    SignalListenFd.store(-1);
   }
   closeFd(Listen);
   ::unlink(Opts.SocketPath.c_str());
   if (St.Log)
     std::fclose(St.Log);
-  StatusDoc Final = Sched.status();
-  std::fprintf(stderr,
-               "wcs-serve: shut down (%llu requests: %llu store hits, "
-               "%llu in-flight hits, %llu points computed, %llu jobs "
-               "cancelled)\n",
-               static_cast<unsigned long long>(Final.RequestsServed),
-               static_cast<unsigned long long>(Final.StoreHits),
-               static_cast<unsigned long long>(Final.InFlightHits),
-               static_cast<unsigned long long>(Final.PointsComputed),
-               static_cast<unsigned long long>(Final.CancelledJobs));
+  std::fprintf(stderr, "wcs-serve: shut down, final status %s\n",
+               toJson(statusOf(St)).dump(false).c_str());
+  if (!St.Error.empty()) {
+    if (Err)
+      *Err = St.Error;
+    return false;
+  }
   return true;
 }

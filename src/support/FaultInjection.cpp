@@ -24,9 +24,9 @@ namespace {
 /// The closed set of sites wired through the serving stack and the
 /// sweep driver. arm() rejects anything else so a misspelled point fails
 /// loudly instead of silently never firing.
-const char *const KnownPoints[] = {"store.write", "socket.send",
-                                   "socket.recv", "scheduler.job",
-                                   "sweep.periodic-pass"};
+const char *const KnownPoints[] = {"store.write",   "socket.send",
+                                   "socket.recv",   "server.accept",
+                                   "scheduler.job", "sweep.periodic-pass"};
 
 struct Config {
   std::mutex Mu;

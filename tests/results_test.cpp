@@ -252,21 +252,6 @@ TEST(ResultsJson, EntryWithTheOldWarpObjectParses) {
   EXPECT_EQ(toJson(Out).dump(), toJson(E).dump());
 }
 
-TEST(ResultsJson, BatchResultRoundTrip) {
-  BatchResult R;
-  R.JobIndex = 17;
-  R.Tag = "gemm/\"quoted\"/new\nline\ttab\\slash";
-  R.Ok = false;
-  R.Error = "invalid config: \"bad\"";
-  R.Stats = sampleStats();
-  BatchResult Out = reserialized(R);
-  EXPECT_EQ(Out.JobIndex, R.JobIndex);
-  EXPECT_EQ(Out.Tag, R.Tag); // Escaping survives the round trip.
-  EXPECT_EQ(Out.Ok, R.Ok);
-  EXPECT_EQ(Out.Error, R.Error);
-  expectStatsEq(Out.Stats, R.Stats);
-}
-
 TEST(ResultsJson, EntrySamplesRoundTripAndStayOptional) {
   ResultEntry E;
   E.Tag = "bench/gemm";

@@ -526,6 +526,63 @@ TEST(Scheduler, DeadlineExpiredMidComputeReturnsPartialResults) {
             1u);
 }
 
+/// Serves three FIFO points (one job each) on a one-worker scheduler
+/// that holds the first job until the two queued behind it are dropped:
+/// by the client going away when \p Disconnect, else by the request's
+/// deadline. \p Computed receives what scheduler.points_computed
+/// counted for the request.
+SweepResponse cutAfterFirstJob(bool Disconnect, uint64_t &Computed) {
+  ResultStore Store;
+  std::string Err;
+  EXPECT_TRUE(Store.open("", &Err)) << Err;
+  telemetry::Counter &Points =
+      telemetry::registry().counter("scheduler.points_computed");
+  uint64_t Before = Points.value();
+  Scheduler Sched(Store, 1);
+  Gate Release;
+  std::atomic<unsigned> Started{0};
+  Sched.setJobObserver([&](uint64_t, size_t) {
+    if (Started.fetch_add(1) == 0)
+      Release.wait();
+  });
+
+  SweepRequest Req = fifoRequest({1024, 2048, 4096});
+  if (!Disconnect)
+    Req.DeadlineSeconds = 0.2;
+  std::atomic<bool> Gone{false};
+  SweepResponse Resp;
+  std::thread A([&] {
+    Resp = Sched.serve(Req, nullptr, [&] { return Gone.load(); });
+  });
+  EXPECT_TRUE(waitFor([&] { return Started.load() == 1; }));
+  Gone.store(Disconnect);
+  EXPECT_TRUE(waitFor([&] { return Sched.status().CancelledJobs == 2; }));
+  Release.open();
+  A.join();
+  Computed = Points.value() - Before;
+  return Resp;
+}
+
+// store_misses counts the points a request computed, not the points it
+// owned at admission: a client gone while one of its three jobs runs is
+// charged that one point.
+TEST(Scheduler, DisconnectChargesOnlyComputedPointsAsMisses) {
+  uint64_t Computed = 0;
+  SweepResponse Resp = cutAfterFirstJob(/*Disconnect=*/true, Computed);
+  EXPECT_FALSE(Resp.Ok);
+  EXPECT_EQ(Computed, 1u);
+  EXPECT_EQ(Resp.StoreMisses, Computed);
+}
+
+TEST(Scheduler, DeadlineChargesOnlyComputedPointsAsMisses) {
+  uint64_t Computed = 0;
+  SweepResponse Resp = cutAfterFirstJob(/*Disconnect=*/false, Computed);
+  ASSERT_TRUE(Resp.Ok) << Resp.Error;
+  EXPECT_EQ(Resp.Error, "deadline exceeded");
+  EXPECT_EQ(Computed, 1u);
+  EXPECT_EQ(Resp.StoreMisses, Computed);
+}
+
 // A hostile inline source -- 100,000 nested parentheses in a subscript,
 // about 200 KB on the wire -- is refused at parse time with a located
 // diagnostic, and the scheduler goes on serving the next request.

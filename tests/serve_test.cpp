@@ -10,9 +10,10 @@
 // relabeling, progress events, malformed-request handling, legacy
 // engine-tuning members that must never reach the engine) and end to
 // end through the Unix-domain socket (runServer on a thread, the
-// submitSweepRequest client, control shutdown). Both must agree bit for
-// bit with runSweepRequest, the in-process path `wcs-sim --sweep` runs,
-// and with what the store holds.
+// submitSweepRequest client, control shutdown, the fixed thread budget
+// and its connection cap). Both must agree bit for bit with
+// runSweepRequest, the in-process path `wcs-sim --sweep` runs, and with
+// what the store holds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -778,6 +780,295 @@ TEST(ServeSocket, ShutdownDrainsInFlightRequests) {
   for (const auto &G : M.Gauges)
     SawDrainGauge |= G.first == "serve.drain_seconds";
   EXPECT_TRUE(SawDrainGauge);
+}
+
+//===----------------------------------------------------------------------===//
+// The fixed thread budget
+//===----------------------------------------------------------------------===//
+
+/// The threads of this process: the entries of /proc/self/task.
+size_t threadCount() {
+  size_t N = 0;
+  for ([[maybe_unused]] const auto &E :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
+}
+
+/// Spins until \p Pred holds or ~5s pass.
+template <typename PredT> bool waitFor(PredT Pred) {
+  for (int I = 0; I < 2500; ++I) {
+    if (Pred())
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return Pred();
+}
+
+// The daemon starts its connection threads and scheduler workers once:
+// requests from more clients than connection threads, a status query,
+// a refused request and connections held open create no thread.
+TEST(ServeSocket, ThreadsStartOnce) {
+  std::string Socket = tempPath("threads", ".sock");
+  ServerOptions SO;
+  SO.SocketPath = Socket;
+  SO.Threads = 2;
+  SO.MaxConnections = 3;
+  TestServer Server;
+  Server.start(SO);
+  ASSERT_EQ(Server.Err, "");
+  size_t Ready = threadCount();
+
+  std::vector<SweepRequest> Reqs(3, smallRequest());
+  Reqs[1].L1.SizesBytes = {2048, 4096};
+  Reqs[2].L1.SizesBytes = {1024, 4096};
+  std::atomic<unsigned> Answered{0};
+  std::vector<std::thread> Clients;
+  for (unsigned C = 0; C < 4; ++C)
+    Clients.emplace_back([&, C] {
+      for (unsigned I = 0; I < 5; ++I) {
+        SweepResponse Resp;
+        std::string E;
+        if (submitSweepRequest(Socket, Reqs[(C + I) % Reqs.size()], Resp,
+                               nullptr, &E) &&
+            Resp.Ok)
+          ++Answered;
+      }
+    });
+  for (std::thread &T : Clients)
+    T.join();
+  EXPECT_EQ(Answered.load(), 20u);
+
+  std::string Err;
+  SweepRequest Bad = smallRequest();
+  Bad.Source = "int A[4];\nA[(] = 0;\n";
+  SweepResponse Refused;
+  ASSERT_TRUE(submitSweepRequest(Socket, Bad, Refused, nullptr, &Err))
+      << Err;
+  EXPECT_FALSE(Refused.Ok);
+
+  // Two connections held open occupy two connection threads; the
+  // status query takes the third.
+  int Held[2];
+  for (int &Fd : Held) {
+    Fd = connectUnix(Socket, &Err);
+    ASSERT_GE(Fd, 0) << Err;
+  }
+  StatusDoc St;
+  EXPECT_TRUE(waitFor([&] {
+    return requestStatus(Socket, St, &Err) && St.ActiveConnections == 3;
+  })) << Err;
+  EXPECT_EQ(St.RequestsServed, 21u);
+  EXPECT_EQ(St.MaxConnections, 3u);
+  // The joined clients' threads leave /proc/self/task shortly after
+  // their join returns (as may threads of earlier tests, so "no more
+  // than when ready").
+  EXPECT_TRUE(waitFor([&] { return threadCount() <= Ready; }))
+      << threadCount() << " threads, " << Ready << " when ready";
+
+  for (int Fd : Held)
+    closeFd(Fd);
+  ASSERT_TRUE(requestShutdown(Socket, &Err)) << Err;
+  Server.join();
+}
+
+// An out-of-range connection cap is refused before the socket is bound
+// or any thread starts.
+TEST(ServeSocket, ConnectionCapOutOfRangeIsRefusedBeforeAnythingStarts) {
+  std::string Socket = tempPath("cap", ".sock");
+  std::remove(Socket.c_str());
+  size_t Before = threadCount();
+  for (unsigned Cap : {0u, MaxConnectionsCap + 1}) {
+    ServerOptions SO;
+    SO.SocketPath = Socket;
+    SO.Threads = 2;
+    SO.MaxConnections = Cap;
+    bool Ready = false;
+    std::string Err;
+    EXPECT_FALSE(runServer(SO, [&] { Ready = true; }, &Err)) << Cap;
+    EXPECT_FALSE(Ready);
+    EXPECT_NE(Err.find("between 1 and 1024, got " + std::to_string(Cap)),
+              std::string::npos)
+        << Err;
+    EXPECT_FALSE(std::filesystem::exists(Socket));
+    EXPECT_LE(threadCount(), Before);
+  }
+}
+
+// A failed accept() stops the daemon with an error: it drains, removes
+// its socket and returns false with the failure's text.
+TEST(ServeSocket, AcceptFailureStopsTheDaemonWithAnError) {
+  struct DisarmGuard {
+    ~DisarmGuard() { faultinject::disarm(); }
+  } Guard;
+  std::string Socket = tempPath("acceptfault", ".sock");
+  ServerOptions SO;
+  SO.SocketPath = Socket;
+  SO.Threads = 2;
+  SO.MaxConnections = 1; // One thread draws every server.accept.
+
+  // Only server.accept draws from the schedule: pick a seed whose first
+  // accept succeeds and whose second fails.
+  const char *Spec = "server.accept:0.5";
+  std::string Err;
+  uint64_t Seed = 0;
+  for (;; ++Seed) {
+    ASSERT_TRUE(faultinject::arm(Spec, Seed, &Err)) << Err;
+    bool First = faultinject::shouldFail("server.accept");
+    if (!First && faultinject::shouldFail("server.accept"))
+      break;
+  }
+  ASSERT_TRUE(faultinject::arm(Spec, Seed, &Err)) << Err;
+
+  TestServer Server;
+  Server.start(SO);
+  SweepResponse Resp;
+  ASSERT_TRUE(submitSweepRequest(Socket, smallRequest(), Resp, nullptr,
+                                 &Err))
+      << Err;
+  EXPECT_TRUE(Resp.Ok) << Resp.Error;
+  Server.join();
+  EXPECT_EQ(Server.Err, "accept failed: injected fault (server.accept)");
+  EXPECT_EQ(faultinject::injectedCount("server.accept"), 1u);
+  EXPECT_FALSE(std::filesystem::exists(Socket));
+}
+
+// Status counts come from the process-wide registry, read relative to
+// each daemon's start: two daemons run one after another in one
+// process each report only their own requests and points.
+TEST(ServeSocket, TwoDaemonsInOneProcessCountOnlyTheirOwnEvents) {
+  std::string Socket = tempPath("twice", ".sock");
+  ServerOptions SO;
+  SO.SocketPath = Socket;
+  SO.Threads = 2;
+  std::string Err;
+  for (unsigned Requests : {2u, 1u}) {
+    TestServer Server;
+    Server.start(SO);
+    ASSERT_EQ(Server.Err, "");
+    for (unsigned I = 0; I < Requests; ++I) {
+      SweepResponse Resp;
+      ASSERT_TRUE(submitSweepRequest(Socket, smallRequest(), Resp, nullptr,
+                                     &Err))
+          << Err;
+      ASSERT_TRUE(Resp.Ok) << Resp.Error;
+    }
+    StatusDoc St;
+    ASSERT_TRUE(requestStatus(Socket, St, &Err)) << Err;
+    EXPECT_EQ(St.RequestsServed, Requests);
+    EXPECT_EQ(St.PointsComputed, 4u); // Each daemon's store starts empty.
+    EXPECT_EQ(St.StoreHits, 4u * (Requests - 1));
+    EXPECT_EQ(St.InFlightHits + St.CancelledJobs + St.ShedRequests +
+                  St.DeadlineExpired,
+              0u);
+    ASSERT_TRUE(requestShutdown(Socket, &Err)) << Err;
+    Server.join();
+  }
+}
+
+// Six clients on overlapping MINI grids share two connection threads
+// while a poller queries status, and the daemon is shut down while they
+// are still sending. Every answer that arrives is bit-identical to
+// runSweepRequest; a client cut off by the shutdown gets no answer,
+// never a wrong one. Under TSan this checks the lock order that
+// Server.cpp and Scheduler.h state.
+TEST(ServeSocket, MoreClientsThanConnectionThreadsShutDownWhileBusy) {
+  std::string Socket = tempPath("crowd", ".sock");
+  ServerOptions SO;
+  SO.SocketPath = Socket;
+  SO.Threads = 2;
+  SO.MaxConnections = 2;
+
+  std::vector<SweepRequest> Reqs;
+  std::vector<std::vector<SweepPoint>> Want;
+  for (const char *Kernel : {"gemm", "jacobi-2d"})
+    for (std::vector<uint64_t> Sizes :
+         {std::vector<uint64_t>{1024, 2048}, {2048, 4096}, {1024, 4096}}) {
+      SweepRequest R;
+      R.Kernel = Kernel;
+      R.Size = ProblemSize::Mini;
+      R.L1.SizesBytes = Sizes;
+      R.L1.Assocs = {4};
+      R.L1.Policies = {PolicyKind::Lru, PolicyKind::Fifo};
+      Reqs.push_back(R);
+      Want.push_back(referencePoints(R));
+    }
+
+  TestServer Server;
+  Server.start(SO);
+  ASSERT_EQ(Server.Err, "");
+
+  const unsigned NumClients = 6, PerClient = 8;
+  std::mutex Mu;
+  std::condition_variable Cv;
+  unsigned Answered = 0, Finished = 0;
+  std::vector<std::string> Wrong;
+  auto Report = [&](std::string Why) {
+    std::lock_guard<std::mutex> L(Mu);
+    if (!Why.empty())
+      Wrong.push_back(std::move(Why));
+  };
+  std::vector<std::thread> Clients;
+  for (unsigned C = 0; C < NumClients; ++C)
+    Clients.emplace_back([&, C] {
+      for (unsigned I = 0; I < PerClient; ++I) {
+        size_t Idx = (C + I) % Reqs.size();
+        SweepResponse Resp;
+        std::string E;
+        // Cut off by the shutdown: no answer, which is not a wrong one.
+        if (!submitSweepRequest(Socket, Reqs[Idx], Resp, nullptr, &E))
+          break;
+        if (!Resp.Ok || Resp.Sweep.Points.size() != Want[Idx].size()) {
+          Report("request " + std::to_string(Idx) + ": " + Resp.Error);
+          break;
+        }
+        for (size_t P = 0; P < Want[Idx].size(); ++P) {
+          SweepPoint Got = Resp.Sweep.Points[P];
+          Got.Method = Want[Idx][P].Method; // Store and in-flight hits.
+          if (counters(Got) != counters(Want[Idx][P]))
+            Report("request " + std::to_string(Idx) + " point " +
+                   std::to_string(P) + " diverged");
+        }
+        std::lock_guard<std::mutex> L(Mu);
+        ++Answered;
+        Cv.notify_all();
+      }
+      std::lock_guard<std::mutex> L(Mu);
+      ++Finished;
+      Cv.notify_all();
+    });
+  std::atomic<bool> StopPolling{false};
+  std::thread Poller([&] {
+    uint64_t LastServed = 0;
+    StatusDoc St;
+    std::string E;
+    while (!StopPolling.load() && requestStatus(Socket, St, &E)) {
+      if (St.MaxConnections != 2 || St.ActiveConnections > 2 ||
+          St.RequestsServed < LastServed)
+        Report("inconsistent status: " + toJson(St).dump(false));
+      LastServed = St.RequestsServed;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  {
+    std::unique_lock<std::mutex> L(Mu);
+    Cv.wait(L, [&] {
+      return Answered >= NumClients || Finished == NumClients;
+    });
+  }
+  std::string Err;
+  EXPECT_TRUE(requestShutdown(Socket, &Err)) << Err;
+  Server.join();
+  for (std::thread &T : Clients)
+    T.join();
+  StopPolling.store(true);
+  Poller.join();
+
+  EXPECT_EQ(Server.Err, "");
+  EXPECT_GE(Answered, NumClients);
+  for (const std::string &Why : Wrong)
+    ADD_FAILURE() << Why;
 }
 
 } // namespace

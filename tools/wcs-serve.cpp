@@ -46,9 +46,9 @@ void usage() {
       "                        (default: in-memory only)\n"
       "  --jobs N              scheduler worker threads shared by all\n"
       "                        connections (default 0 = all cores)\n"
-      "  --max-connections N   connections served at once; further clients\n"
-      "                        wait in the listen backlog (default 8,\n"
-      "                        0 = unlimited)\n"
+      "  --max-connections N   connections served at once, 1 to 1024, by\n"
+      "                        N threads started with the --jobs workers;\n"
+      "                        others wait in the backlog (default 8)\n"
       "  --io-timeout S        disconnect a client that stalls a socket\n"
       "                        read/write for S seconds (default 30,\n"
       "                        0 = never)\n"
@@ -87,8 +87,8 @@ void usage() {
       "  --max-entries N       with --compact: evict oldest-inserted\n"
       "                        entries beyond N (default 0 = keep all)\n"
       "fault injection (testing): set WCS_FAULT=point:prob,... (points:\n"
-      "store.write, socket.send, socket.recv, scheduler.job,\n"
-      "sweep.periodic-pass) and\n"
+      "store.write, socket.send, socket.recv, server.accept,\n"
+      "scheduler.job, sweep.periodic-pass) and\n"
       "optionally WCS_FAULT_SEED=N to make the named operations fail\n"
       "with the given probabilities, deterministically per seed.\n");
 }
@@ -246,11 +246,12 @@ int main(int argc, char **argv) {
       }
     } else if (A == "--max-connections") {
       const char *N = Next();
-      if (!parseJobCount(N, MaxConnections)) {
+      if (!parseJobCount(N, MaxConnections) || MaxConnections == 0 ||
+          MaxConnections > MaxConnectionsCap) {
         std::fprintf(stderr,
-                     "error: --max-connections expects a non-negative "
-                     "number, got '%s'\n",
-                     N);
+                     "error: --max-connections expects a number from 1 "
+                     "to %u, got '%s'\n",
+                     MaxConnectionsCap, N);
         return 2;
       }
     } else if (A == "--io-timeout") {
