@@ -15,10 +15,16 @@
 /// (sim/SymbolicCache.h) are the two instantiations, so the concrete and
 /// the symbolic walk share one per-access path and one batch loop. A
 /// tagged payload (CacheLineTraits::HasTag) additionally refreshes the
-/// tag of every line an access touches (the paper's SymUpSet), counts
-/// L1 hit depths for depth profiles, migrates the victim's tag in
-/// exclusive hierarchies, and stamps every set it changes (see
-/// SetAssocCache::tick); untagged payloads compile none of that.
+/// tag of every line an access touches (the paper's SymUpSet), migrates
+/// the victim's tag in exclusive hierarchies, and stamps every set it
+/// changes (see SetAssocCache::tick); untagged payloads compile none of
+/// that.
+///
+/// Either payload counts L1 hit depths (pre-update ways) when asked to:
+/// under LRU a hit's is its per-set stack distance, which the warping
+/// depth profile (symbolic) and the stack-distance bank rows (concrete)
+/// count. The batch loop picks a depth-counting instantiation once per
+/// call, so a run without a histogram steps no depth code.
 ///
 /// The batch loop also skips: a repeat marker in a chunk stands for
 /// further applications of the iteration before it, and once one of them
@@ -61,7 +67,9 @@ static_assert(sizeof(HierarchyOutcome) == 16, "returned in registers");
 /// One element of a batched address stream: a block plus its access
 /// direction, in program order. The polyhedral iterator fills arrays of
 /// these (one innermost-loop chunk at a time) instead of making one
-/// hierarchy call per access.
+/// hierarchy call per access, and a filtered stream stores its records
+/// in this encoding (trace/FilteredStream), so a replay hands them to
+/// accessBatch as they are.
 /// One word per access keeps a 1024-entry chunk at 8 KiB, small enough
 /// to stay L1-resident between the generating and the consuming loop.
 ///
@@ -91,6 +99,8 @@ struct BatchedAccess {
   size_t iterOps() const { return static_cast<size_t>(Bits & ~RepeatBit); }
   BlockId block() const { return static_cast<BlockId>(Bits << 1) >> 2; }
   bool isWrite() const { return (Bits & 1) != 0; }
+
+  friend bool operator==(BatchedAccess, BatchedAccess) = default;
 };
 
 /// Counter deltas of one accessBatch call. Every increment that a
@@ -157,9 +167,9 @@ public:
   }
 
   /// Performs one memory access (paper Eq. (24) extended to writes). A
-  /// tagged payload stores \p Tag in every line the access touches, and
-  /// with a nonnull \p DepthHist counts an L1 hit at its pre-update way,
-  /// like accessBatch.
+  /// tagged payload stores \p Tag in every line the access touches. With
+  /// a nonnull \p DepthHist, an L1 hit counts at its pre-update way, like
+  /// accessBatch.
   HierarchyOutcome access(BlockId B, bool IsWrite, TagT Tag = TagT(),
                           uint64_t *DepthHist = nullptr);
 
@@ -170,8 +180,8 @@ public:
   /// L1-hit fast path never leaves the loop; only L1 misses take the
   /// (runtime-dispatched) lower-level leg and, when \p Sink is nonnull,
   /// the miss-sink call. \p Tags yields the tag of each op in turn
-  /// (tagged payloads only). \p DepthHist, when nonnull (tagged payloads
-  /// only), counts every L1 hit at its pre-update way.
+  /// (tagged payloads only). \p DepthHist, when nonnull, counts every L1
+  /// hit at its pre-update way (under LRU, its per-set stack distance).
   ///
   /// A repeat marker (BatchedAccess::repeatHeader plus a count word)
   /// stands for that many more applications of the iteration right
@@ -217,9 +227,9 @@ private:
     unsigned LastSet = 0, LastWay = 0;
   };
 
-  /// One op of the batch loop. A hit's depth counts \p DepthWeight
-  /// times in \p DepthHist.
-  template <PolicyKind P, unsigned CtAssoc>
+  /// One op of the batch loop. With \p Depths, a hit's depth counts
+  /// \p DepthWeight times in \p DepthHist.
+  template <PolicyKind P, unsigned CtAssoc, bool Depths>
   [[gnu::always_inline]] inline void
   batchStep(BatchedAccess Op, TagT Tag, BatchState &S, BatchCounters &C,
             const L1MissSink *Sink, uint64_t *DepthHist,
@@ -228,23 +238,28 @@ private:
   /// Applies the \p IterOps ops at \p Iter \p Count more times, skipping
   /// the repetitions after the first all-hit one (see accessBatch).
   /// Returns the tag cursor past the run.
-  template <PolicyKind P, unsigned CtAssoc>
+  template <PolicyKind P, unsigned CtAssoc, bool Depths>
   [[gnu::noinline]] TagCursor
   repeatRun(const BatchedAccess *Iter, size_t IterOps, uint64_t Count,
             BatchState S, BatchCounters &C, TagCursor Tags,
             const L1MissSink *Sink, uint64_t *DepthHist);
 
-  /// Each (policy, associativity) instantiation stays its own function:
-  /// GCC otherwise inlines all twelve hot loops into the dispatcher,
-  /// which measured slower.
-  template <PolicyKind P, unsigned CtAssoc>
+  /// Each (policy, associativity, depth counting) instantiation stays
+  /// its own function: GCC otherwise inlines all the hot loops into the
+  /// dispatcher, which measured slower.
+  template <PolicyKind P, unsigned CtAssoc, bool Depths>
   [[gnu::noinline]] void accessBatchImpl(const BatchedAccess *Ops, size_t N,
                                          BatchCounters &C, TagCursor Tags,
                                          const L1MissSink *Sink,
                                          uint64_t *DepthHist);
+  /// First dispatch stage, once per call: the L1 replacement policy.
+  template <bool Depths>
+  void accessBatchFor(const BatchedAccess *Ops, size_t N, BatchCounters &C,
+                      TagCursor Tags, const L1MissSink *Sink,
+                      uint64_t *DepthHist);
   /// Second dispatch stage: picks the compile-time associativity
   /// instantiation matching the L1 (0 = the runtime-assoc fallback).
-  template <PolicyKind P>
+  template <PolicyKind P, bool Depths>
   void accessBatchAs(const BatchedAccess *Ops, size_t N, BatchCounters &C,
                      TagCursor Tags, const L1MissSink *Sink,
                      uint64_t *DepthHist);
@@ -282,9 +297,8 @@ CacheHierarchy<LineT>::access(BlockId B, bool IsWrite, TagT Tag,
   R.L1Hit = O1.Hit;
   if (O1.Hit || O1.Inserted)
     L1.orDirtyAt(O1.Set, O1.Way, IsWrite);
-  if constexpr (Traits::HasTag)
-    if (DepthHist && O1.Hit)
-      ++DepthHist[O1.HitDepth];
+  if (DepthHist && O1.Hit)
+    ++DepthHist[O1.HitDepth];
 
   if (O1.Hit || Levels.size() < 2)
     return R;
@@ -356,7 +370,7 @@ void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
 }
 
 template <typename LineT>
-template <PolicyKind P, unsigned CtAssoc>
+template <PolicyKind P, unsigned CtAssoc, bool Depths>
 void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
                                       [[maybe_unused]] TagT Tag,
                                       BatchState &S, BatchCounters &C,
@@ -377,11 +391,10 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
   if (B == S.LastB) {
     if (IsWrite)
       L1.orDirtyAt(S.LastSet, S.LastWay, true);
-    if constexpr (Traits::HasTag) {
+    if constexpr (Traits::HasTag)
       L1.setTagAt(S.LastSet, S.LastWay, Tag);
-      if (DepthHist)
-        addCount(DepthHist[S.LastWay], DepthWeight);
-    }
+    if constexpr (Depths)
+      addCount(DepthHist[S.LastWay], DepthWeight);
     return;
   }
   bool Alloc1 = !(IsWrite && S.NoWriteAlloc);
@@ -394,9 +407,8 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
   if (O1.Hit) {
     if (IsWrite)
       L1.orDirtyAt(O1.Set, O1.Way, true);
-    if constexpr (Traits::HasTag)
-      if (DepthHist)
-        addCount(DepthHist[O1.HitDepth], DepthWeight);
+    if constexpr (Depths)
+      addCount(DepthHist[O1.HitDepth], DepthWeight);
     return;
   }
   ++C.L1Misses;
@@ -414,7 +426,7 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
 }
 
 template <typename LineT>
-template <PolicyKind P, unsigned CtAssoc>
+template <PolicyKind P, unsigned CtAssoc, bool Depths>
 typename CacheHierarchy<LineT>::TagCursor
 CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
                                  uint64_t Count, BatchState S,
@@ -427,19 +439,20 @@ CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
   while (Count != 0 && !Fixed) {
     uint64_t Misses = C.L1Misses;
     for (size_t I = 0; I < IterOps; ++I)
-      batchStep<P, CtAssoc>(Iter[I], Tags.next(), S, C, Sink, DepthHist, 1);
+      batchStep<P, CtAssoc, Depths>(Iter[I], Tags.next(), S, C, Sink,
+                                    DepthHist, 1);
     addCount(C.L1Accesses, IterOps);
     --Count;
     Fixed = C.L1Misses == Misses;
   }
   if (Count == 0)
     return Tags;
-  if (DepthHist) {
+  if constexpr (Depths) {
     // Every application from the fixed point has the same depths: this
     // one stands for itself and the Count - 1 skipped after it.
     for (size_t I = 0; I < IterOps; ++I)
-      batchStep<P, CtAssoc>(Iter[I], Tags.next(), S, C, Sink, DepthHist,
-                            Count);
+      batchStep<P, CtAssoc, Depths>(Iter[I], Tags.next(), S, C, Sink,
+                                    DepthHist, Count);
     addCount(C.L1Accesses, IterOps);
     if (--Count == 0)
       return Tags;
@@ -460,7 +473,7 @@ CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
 }
 
 template <typename LineT>
-template <PolicyKind P, unsigned CtAssoc>
+template <PolicyKind P, unsigned CtAssoc, bool Depths>
 void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops,
                                             size_t N, BatchCounters &C,
                                             TagCursor Tags,
@@ -478,13 +491,14 @@ void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops,
       assert(IterOps != 0 && IterOps <= size_t(Op - Ops) && Op + 1 < End &&
              "a repeat marker follows its iteration in the same chunk");
       C.L1Accesses -= 2;
-      Tags = repeatRun<P, CtAssoc>(Op - IterOps, IterOps, Op[1].Bits, S, C,
-                                   Tags, Sink, DepthHist);
+      Tags = repeatRun<P, CtAssoc, Depths>(Op - IterOps, IterOps, Op[1].Bits,
+                                           S, C, Tags, Sink, DepthHist);
       S.LastB = kInvalidBlock;
       ++Op;
       continue;
     }
-    batchStep<P, CtAssoc>(*Op, Tags.next(), S, C, Sink, DepthHist, 1);
+    batchStep<P, CtAssoc, Depths>(*Op, Tags.next(), S, C, Sink, DepthHist,
+                                  1);
   }
   // The chunk's last access is its last op, or the last op of the
   // iteration a trailing repeat marker repeats.
@@ -495,23 +509,49 @@ void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops,
 }
 
 template <typename LineT>
-template <PolicyKind P>
+template <PolicyKind P, bool Depths>
 void CacheHierarchy<LineT>::accessBatchAs(const BatchedAccess *Ops, size_t N,
                                           BatchCounters &C, TagCursor Tags,
                                           const L1MissSink *Sink,
                                           uint64_t *DepthHist) {
   switch (Levels.front().assoc()) {
   case 4:
-    accessBatchImpl<P, 4>(Ops, N, C, Tags, Sink, DepthHist);
+    accessBatchImpl<P, 4, Depths>(Ops, N, C, Tags, Sink, DepthHist);
     break;
   case 8:
-    accessBatchImpl<P, 8>(Ops, N, C, Tags, Sink, DepthHist);
+    accessBatchImpl<P, 8, Depths>(Ops, N, C, Tags, Sink, DepthHist);
     break;
   case 16:
-    accessBatchImpl<P, 16>(Ops, N, C, Tags, Sink, DepthHist);
+    accessBatchImpl<P, 16, Depths>(Ops, N, C, Tags, Sink, DepthHist);
     break;
   default:
-    accessBatchImpl<P, 0>(Ops, N, C, Tags, Sink, DepthHist);
+    accessBatchImpl<P, 0, Depths>(Ops, N, C, Tags, Sink, DepthHist);
+    break;
+  }
+}
+
+template <typename LineT>
+template <bool Depths>
+void CacheHierarchy<LineT>::accessBatchFor(const BatchedAccess *Ops,
+                                           size_t N, BatchCounters &C,
+                                           TagCursor Tags,
+                                           const L1MissSink *Sink,
+                                           uint64_t *DepthHist) {
+  switch (Levels.front().config().Policy) {
+  case PolicyKind::Lru:
+    accessBatchAs<PolicyKind::Lru, Depths>(Ops, N, C, Tags, Sink, DepthHist);
+    break;
+  case PolicyKind::Fifo:
+    accessBatchAs<PolicyKind::Fifo, Depths>(Ops, N, C, Tags, Sink,
+                                            DepthHist);
+    break;
+  case PolicyKind::Plru:
+    accessBatchAs<PolicyKind::Plru, Depths>(Ops, N, C, Tags, Sink,
+                                            DepthHist);
+    break;
+  case PolicyKind::QuadAgeLru:
+    accessBatchAs<PolicyKind::QuadAgeLru, Depths>(Ops, N, C, Tags, Sink,
+                                                  DepthHist);
     break;
   }
 }
@@ -521,21 +561,10 @@ void CacheHierarchy<LineT>::accessBatch(const BatchedAccess *Ops, size_t N,
                                         BatchCounters &C, TagCursor Tags,
                                         const L1MissSink *Sink,
                                         uint64_t *DepthHist) {
-  switch (Levels.front().config().Policy) {
-  case PolicyKind::Lru:
-    accessBatchAs<PolicyKind::Lru>(Ops, N, C, Tags, Sink, DepthHist);
-    break;
-  case PolicyKind::Fifo:
-    accessBatchAs<PolicyKind::Fifo>(Ops, N, C, Tags, Sink, DepthHist);
-    break;
-  case PolicyKind::Plru:
-    accessBatchAs<PolicyKind::Plru>(Ops, N, C, Tags, Sink, DepthHist);
-    break;
-  case PolicyKind::QuadAgeLru:
-    accessBatchAs<PolicyKind::QuadAgeLru>(Ops, N, C, Tags, Sink,
-                                          DepthHist);
-    break;
-  }
+  if (DepthHist)
+    accessBatchFor<true>(Ops, N, C, Tags, Sink, DepthHist);
+  else
+    accessBatchFor<false>(Ops, N, C, Tags, Sink, nullptr);
 }
 
 } // namespace wcs

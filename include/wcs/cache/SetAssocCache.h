@@ -324,14 +324,16 @@ public:
     return 0;
   }
 
-  /// Exact logical-state equality: line contents in logical (set, way)
-  /// order plus the replacement metadata that decides future victims.
-  /// The internal rotation base and the MRA anchor are representation
-  /// details with no effect on future hit/miss behavior, so they are
-  /// deliberately NOT compared. Used by the periodic replay fast path of
+  /// Replacement-state equality: line contents in logical (set, way)
+  /// order plus the replacement metadata that decides future victims --
+  /// everything that decides the hits and misses of any later access
+  /// sequence. Dirty bits decide only writebacks, and the internal
+  /// rotation base and the MRA anchor are representation details, so
+  /// none of them is compared. Used by the periodic replay fast path of
   /// trace/FilteredStream to prove that one more period repetition maps
-  /// the cache onto itself (and may then be applied analytically).
-  bool stateEquals(const SetAssocCache &O) const {
+  /// the cache onto itself (and may then be applied analytically), and
+  /// by the stack-distance bank rows to verify a period capture.
+  bool sameReplacementState(const SetAssocCache &O) const {
     if (Sets != O.Sets || Assoc != O.Assoc || Cfg.Policy != O.Cfg.Policy)
       return false;
     for (unsigned S = 0; S < Sets; ++S) {
@@ -339,9 +341,6 @@ public:
       const BlockId *RA = row(Ph), *RB = O.row(OPh);
       if (std::memcmp(RA, RB, Assoc * sizeof(BlockId)) != 0)
         return false;
-      for (unsigned W = 0; W < Assoc; ++W)
-        if (dirtyBit(Ph, W) != O.dirtyBit(OPh, W))
-          return false;
       if (Cfg.Policy == PolicyKind::QuadAgeLru &&
           std::memcmp(&Ages[static_cast<size_t>(Ph) * Assoc],
                       &O.Ages[static_cast<size_t>(OPh) * Assoc],

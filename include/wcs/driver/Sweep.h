@@ -18,16 +18,25 @@
 ///    further work. K LRU capacity points cost one shared pass instead
 ///    of K simulations. Each bank is built for the widest associativity
 ///    its points ask for: up to 64 ways it keeps LRU rows of that width
-///    (a row scan per access), wider it keeps exact per-set profilers
-///    (a tree walk per access). The pass itself comes in two flavors:
-///    for long traces (decided by a counting pre-walk, one step per
-///    loop activation) each bank is produced by a warp-aware periodic
-///    pass (trace/PeriodicPass) that skips periodic trace phases
-///    analytically and is sublinear in trace length like warping
-///    itself; short traces, and sweeps whose WarpSweepMinAccesses is
-///    UINT64_MAX, use ONE linear walk feeding all banks from the
-///    program-order walk's lanes (feedBanks). Both flavors are
-///    bit-identical.
+///    (a row scan per access, on the simulators' batch kernel), wider it
+///    keeps exact per-set profilers (a tree walk per access). Each bank
+///    pays for one pass, of one of two bit-identical flavors, chosen
+///    per bank:
+///      - a warp-aware periodic pass (trace/PeriodicPass), which skips
+///        periodic trace phases analytically and is sublinear in trace
+///        length like warping itself, but pays only where the cache
+///        state recurs;
+///      - the linear walk (feedBanks), which feeds its banks the
+///        program-order walk's chunks, runs as repeat markers. The banks
+///        it feeds are split into one group per worker, and each group
+///        is one task that walks the program once.
+///    A counting pre-walk (one step per loop activation) measures the
+///    trace. Short traces, and sweeps whose WarpSweepMinAccesses is
+///    UINT64_MAX, walk every bank linearly. Longer traces start one
+///    periodic pass per bank under a warp pilot: a pass that has
+///    stepped 1/WarpPilotFraction of the trace without one warp is
+///    abandoned, and its bank joins the linear walk. A threshold of 0
+///    runs every periodic pass to its end.
 ///
 ///  - Two-level NINE points are grouped by their L1 configuration: the
 ///    L1-miss-filtered access stream of each distinct L1 is recorded
@@ -100,6 +109,12 @@ struct SweepPoint {
   SimStats Stats;
 };
 
+/// The warp pilot of the sweep's periodic flavor: a bank's periodic pass
+/// that has stepped 1/WarpPilotFraction of the trace's accesses without
+/// a single warp is abandoned, and the bank is fed by the linear walk.
+/// A pass that is kept runs and decides exactly as without a pilot.
+inline constexpr uint64_t WarpPilotFraction = 8;
+
 /// How to run a sweep. Sim.IncludeScalars and Backend change counters;
 /// everything else is a per-run knob that only changes how this process
 /// computes them (the warping search bounds in Sim.Warp, Threads, the
@@ -108,7 +123,8 @@ struct SweepPoint {
 struct SweepOptions {
   SimOptions Sim;
   /// Worker threads for the simulated partition, the filtered-stream
-  /// recordings and the periodic passes (0 = all cores).
+  /// recordings, the periodic passes and the linear walks (0 = all
+  /// cores).
   unsigned Threads = 1;
   /// Backend for points no fast path can answer.
   SimBackend Backend = SimBackend::Warping;
@@ -120,19 +136,20 @@ struct SweepOptions {
   /// 0 = unlimited. The default bounds a stream at 512 MiB.
   uint64_t MaxFilteredRecords = 1ull << 26;
   /// Warp-aware sweeping: the trace length (in accesses) at which the
-  /// single-level LRU banks come from per-geometry periodic passes
-  /// (trace/PeriodicPass) instead of the linear shared walk. Results
-  /// are bit-identical either way; this only moves the crossover at
-  /// which the sweep beats independent warping runs. A counting
-  /// pre-walk (countAccesses) decides: it counts trip count x lanes per
-  /// innermost activation and stops at the threshold, so it takes one
-  /// step per loop activation rather than one per access (0.06-1.43 ms
-  /// per grid-a request of the sweep-medium benchmark on a shared
-  /// 4-core host). Below the threshold the linear walk is already cheap
-  /// and the per-bank warping runs would not pay for themselves (a
-  /// cache that never fills never warps). 0 = always periodic;
-  /// UINT64_MAX = always the linear walk, without the pre-walk (the
-  /// wcs-sim --no-warp-sweep escape hatch).
+  /// single-level LRU banks start per-geometry periodic passes
+  /// (trace/PeriodicPass) under the warp pilot (WarpPilotFraction)
+  /// instead of taking the linear walk. Results are bit-identical either
+  /// way; this only moves cost. A counting pre-walk (countAccesses)
+  /// measures the whole trace: it counts trip count x lanes per
+  /// innermost activation, so it takes one step per loop activation
+  /// rather than one per access (0.06-1.43 ms per grid-a request of the
+  /// sweep-medium benchmark on a shared 4-core host). Below the
+  /// threshold the linear walk is already cheap and the per-bank
+  /// warping runs would not pay for themselves (a cache that never
+  /// fills never warps). 0 = always periodic, every pass run to its end
+  /// (no pilot); 1 = a pilot-run periodic pass for every bank of any
+  /// trace; UINT64_MAX = always the linear walk, without the pre-walk
+  /// (the wcs-sim --no-warp-sweep escape hatch).
   uint64_t WarpSweepMinAccesses = 2ull << 20;
 };
 
@@ -141,8 +158,8 @@ struct SweepOptions {
 /// the "wcs-sweep" document that tools write and wcs-serve answers
 /// with. The document carries the labels, Threads, the points and the
 /// figures its serializer names; NumBanks, StackDistancePoints,
-/// FilteredPoints, ReplayJobs and WallSeconds are in-process figures
-/// that a read leaves at 0. The periodic-pass and per-method-seconds
+/// PeriodicAbandoned, FilteredPoints, ReplayJobs and WallSeconds are
+/// in-process figures that a read leaves at 0. The periodic-pass and per-method-seconds
 /// figures joined the v1 schema after its first release: always
 /// written, optional on read (defaulting to 0/false/empty, which is
 /// what pre-periodic sweeps genuinely had), so older v1 files keep
@@ -152,18 +169,23 @@ struct SweepReport {
   std::string Program;  ///< Swept program (kernel name or file).
   std::string SizeName; ///< Problem-size label, empty when inapplicable.
   std::vector<SweepPoint> Points; ///< Indexed by input config order.
-  double TracePassSeconds = 0.0;  ///< Cost of the linear shared pass.
+  /// Cost of the linear shared pass: its walks' seconds summed (plus the
+  /// pre-walk when every bank walked linearly).
+  double TracePassSeconds = 0.0;
   uint64_t TraceAccesses = 0;     ///< Accesses in the shared pass(es).
   unsigned NumBanks = 0;          ///< Distinct (block, sets) geometries.
   size_t StackDistancePoints = 0; ///< Points answered analytically.
-  /// Warp-aware sweeping: true when the banks came from periodic
-  /// passes (one warping depth-profile run per geometry) instead of
-  /// the linear walk.
+  /// Warp-aware sweeping: true when the banks started periodic passes
+  /// (one warping depth-profile run per geometry) instead of the linear
+  /// walk.
   bool PeriodicPass = false;
-  /// Sum of per-bank pass times, discarded passes included (a bank
-  /// whose pass failed or whose result it rejected is conditioned by a
-  /// linear walk instead, timed in TracePassSeconds).
+  /// Sum of per-bank pass times and the pre-walk, discarded passes
+  /// included (a bank whose pass was abandoned, failed or had its result
+  /// rejected is conditioned by a linear walk instead, timed in
+  /// TracePassSeconds).
   double PeriodicPassSeconds = 0.0;
+  /// Periodic passes the warp pilot abandoned.
+  unsigned PeriodicAbandoned = 0;
   uint64_t PeriodicWarps = 0; ///< Warps of the passes used.
   /// Accesses the passes used skipped analytically.
   uint64_t PeriodicWarpedAccesses = 0;

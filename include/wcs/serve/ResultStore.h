@@ -49,8 +49,7 @@ public:
   bool open(const std::string &Path, std::string *Err);
 
   /// Looks up one canonical point key. A hit copies the stored point
-  /// into \p Out exactly as inserted (stats, provenance, seconds) and
-  /// counts toward hits(); a miss counts toward misses().
+  /// into \p Out exactly as inserted (stats, provenance, seconds).
   bool lookup(const std::string &Key, SweepPoint &Out);
 
   /// Inserts (or supersedes) the result for \p Key: appends one line
@@ -72,8 +71,6 @@ public:
   bool compact(size_t MaxEntries, std::string *Err);
 
   size_t numEntries() const { return Index.size(); }
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
   /// Bytes dropped by torn-tail recovery at open() (0 = clean load).
   uint64_t recoveredBytes() const { return RecoveredBytes; }
   /// True after a failed append: the log refuses further writes until
@@ -94,8 +91,6 @@ private:
   std::vector<Entry> Entries; ///< Live entries, unordered; see Index.
   std::unordered_map<std::string, size_t> Index; ///< Key -> Entries idx.
   uint64_t NextSeq = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
   uint64_t RecoveredBytes = 0;
   bool TailDirty = false; ///< A failed append poisoned the log tail.
 };

@@ -29,10 +29,13 @@
 ///     walk. Warping probes here: the paper's Algorithm 2 is
 ///     Algorithm 1 plus this hook.
 ///
-/// HierarchyStepper is the visitor body both simulators share over a
-/// CacheHierarchy: the per-access step and its counters, and the lanes
-/// event, which generates addresses by add/shift into chunks of 8-byte
-/// BatchedAccess words for CacheHierarchy::accessBatch.
+/// ChunkWriter is the one chunk generator of the lanes event: it
+/// generates addresses by add/shift into chunks of 8-byte BatchedAccess
+/// words for CacheHierarchy::accessBatch. HierarchyStepper, the visitor
+/// body both simulators share over a CacheHierarchy (the per-access step
+/// and its counters, and the lanes event), steps its hierarchy with the
+/// chunks; the linear stack-distance pass (trace/StackDistance) steps
+/// every bank with them.
 ///
 /// Chunks end at iteration boundaries, so a chunk is always whole
 /// iterations in lane order. That is what lets a symbolic hierarchy
@@ -41,7 +44,7 @@
 /// word.
 ///
 /// Runs. When every lane moves less than one block per iteration, the
-/// lanes event splits the activation into runs: maximal stretches of
+/// generator splits the activation into runs: maximal stretches of
 /// iterations in which no lane changes block (a stride-0 lane never ends
 /// one). Every iteration of a run touches the same blocks in the same
 /// order, so a run of three or more is emitted as its first iteration
@@ -51,7 +54,9 @@
 /// skipped still count in SimulatedAccesses, and the stepper adds them
 /// to the registry counter sim.skipped_accesses once per activation. A
 /// lane that moves a block or more per iteration makes every run one
-/// iteration long, so such activations take the plain walk.
+/// iteration long, so such activations take the plain walk. A run at
+/// one block size is a run at every larger one too, so a consumer of a
+/// coarser block may shift the ops of a chunk and keep its markers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -182,6 +187,149 @@ private:
   std::vector<WalkLane> Lanes; ///< Scratch of the lanes event.
 };
 
+/// The run-aware chunk generator of the lanes event (see the file
+/// comment). It writes the ops of a lanes event into one buffer and hands
+/// each chunk of about ChunkCap ops to a flush callback
+/// Flush(const BatchedAccess *Ops, size_t N, int64_t X), where X is the
+/// iteration of the chunk's first op when the chunk began in a lanes
+/// event. Ops pushed outside a lanes event wait in the same buffer, so a
+/// consumer that flushes only when a chunk fills gets full chunks across
+/// short activations.
+class ChunkWriter {
+public:
+  /// 1024 entries = 8 KiB keeps the buffer L1-resident between the
+  /// generating and the consuming loop.
+  static constexpr size_t ChunkCap = 1024;
+
+  explicit ChunkWriter(unsigned BlockShift)
+      : BlockShift(BlockShift), BlockBytes(uint64_t(1) << BlockShift) {}
+
+  /// Appends one op; flushes the chunk once it is full.
+  template <typename FlushFn> void push(BatchedAccess Op, FlushFn &&Flush) {
+    if (Buf.size() < ChunkCap)
+      Buf.resize(ChunkCap);
+    Buf[Pending++] = Op;
+    if (Pending == ChunkCap)
+      flush(Flush);
+  }
+
+  /// Appends iterations [Lo, Hi] of \p Lanes, advancing the lanes;
+  /// flushes at the first iteration boundary past each ChunkCap ops.
+  template <typename FlushFn>
+  void lanes(int64_t Lo, int64_t Hi, std::span<WalkLane> Lanes,
+             FlushFn &&Flush) {
+    const size_t NumLanes = Lanes.size();
+    // Past the flush mark there is room for one more run: two
+    // iterations, or one and a two-word repeat marker.
+    if (Buf.size() < ChunkCap + 2 * NumLanes + 1)
+      Buf.resize(ChunkCap + 2 * NumLanes + 1);
+    // Raw-pointer writes keep the generating loop free of per-element
+    // size bookkeeping.
+    BatchedAccess *const Begin = Buf.data();
+    BatchedAccess *const FlushAt = Begin + ChunkCap;
+    BatchedAccess *Out = Begin + Pending;
+    if (Pending == 0)
+      ChunkX = Lo;
+    auto FlushChunk = [&](int64_t NextX) {
+      Flush(static_cast<const BatchedAccess *>(Begin),
+            static_cast<size_t>(Out - Begin), ChunkX);
+      Out = Begin;
+      ChunkX = NextX;
+    };
+    auto Emit = [&] {
+      for (const WalkLane &Ln : Lanes)
+        *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
+    };
+    if (!initRuns(Lanes)) {
+      for (int64_t X = Lo; X <= Hi; ++X) {
+        for (WalkLane &Ln : Lanes) {
+          *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
+          Ln.Addr += Ln.Stride;
+        }
+        if (Out >= FlushAt)
+          FlushChunk(X + 1);
+      }
+    } else {
+      // Every lane moves less than a block per iteration: walk runs of
+      // iterations that touch the same blocks, and emit a run of three
+      // or more as its first iteration plus one repeat marker.
+      for (int64_t X = Lo;;) {
+        // Iterations in the run after its first: capped by the
+        // activation's end, and below 2^62 so the marker's count word
+        // stays below 2^63.
+        const uint64_t ToEnd =
+            static_cast<uint64_t>(Hi) - static_cast<uint64_t>(X);
+        uint64_t Rest = std::min<uint64_t>(ToEnd, uint64_t(1) << 62);
+        for (uint64_t N : Left)
+          Rest = std::min(Rest, N - 1);
+        Emit();
+        if (Rest >= 2) {
+          *Out++ = BatchedAccess::repeatHeader(NumLanes);
+          *Out++ = BatchedAccess{Rest};
+        } else if (Rest == 1) {
+          Emit();
+        }
+        if (Rest == ToEnd)
+          break;
+        for (size_t I = 0; I < NumLanes; ++I) {
+          WalkLane &Ln = Lanes[I];
+          Ln.Addr += static_cast<int64_t>(Rest + 1) * Ln.Stride;
+          Left[I] -= Rest + 1;
+          if (Left[I] == 0)
+            Left[I] = itersInBlock(Ln.Addr, Ln.Stride);
+        }
+        X += static_cast<int64_t>(Rest + 1);
+        if (Out >= FlushAt)
+          FlushChunk(X);
+      }
+    }
+    Pending = static_cast<size_t>(Out - Begin);
+  }
+
+  /// Hands the pending ops, if any, to \p Flush.
+  template <typename FlushFn> void flush(FlushFn &&Flush) {
+    if (Pending != 0)
+      Flush(static_cast<const BatchedAccess *>(Buf.data()), Pending,
+            ChunkX);
+    Pending = 0;
+  }
+
+private:
+  /// Iterations, from the one at \p Addr, that a lane of stride
+  /// \p Stride (less than a block in magnitude) stays in its block.
+  uint64_t itersInBlock(int64_t Addr, int64_t Stride) const {
+    if (Stride == 0)
+      return ~uint64_t(0);
+    uint64_t Off = static_cast<uint64_t>(Addr) & (BlockBytes - 1);
+    if (Stride > 0)
+      return (BlockBytes - Off + static_cast<uint64_t>(Stride) - 1) /
+             static_cast<uint64_t>(Stride);
+    return Off / static_cast<uint64_t>(-Stride) + 1;
+  }
+
+  /// True when every lane moves less than one block per iteration, the
+  /// condition for walking runs; then fills Left.
+  bool initRuns(std::span<const WalkLane> Lanes) {
+    for (const WalkLane &Ln : Lanes)
+      if (Ln.Stride <= -static_cast<int64_t>(BlockBytes) ||
+          Ln.Stride >= static_cast<int64_t>(BlockBytes))
+        return false;
+    Left.clear();
+    for (const WalkLane &Ln : Lanes)
+      Left.push_back(itersInBlock(Ln.Addr, Ln.Stride));
+    return true;
+  }
+
+  unsigned BlockShift;
+  uint64_t BlockBytes;
+  std::vector<BatchedAccess> Buf; ///< Chunk scratch, reused.
+  size_t Pending = 0;             ///< Ops in Buf not yet flushed.
+  int64_t ChunkX = 0;             ///< Iteration of the chunk's first op.
+  /// Run walks: per lane, the iterations from the current one that it
+  /// stays in its block.
+  std::vector<uint64_t> Left;
+};
+
 /// The visitor body of both simulators: every access steps \p Cache
 /// and counts in \p Stats.
 template <typename LineT> class HierarchyStepper {
@@ -192,12 +340,12 @@ public:
   HierarchyStepper(CacheHierarchy<LineT> &Cache, SimStats &Stats,
                    unsigned BlockShift)
       : Cache(Cache), Stats(Stats), BlockShift(BlockShift),
-        BlockBytes(uint64_t(1) << BlockShift),
+        Chunks(BlockShift),
         SkippedCounter(
             telemetry::registry().counter("sim.skipped_accesses")) {}
 
-  /// The hierarchy's observers: \p Sink sees every L1 miss, and a tagged
-  /// payload counts each L1 hit at its depth in \p DepthHist.
+  /// The hierarchy's observers: \p Sink sees every L1 miss, and an LRU
+  /// L1 counts each hit at its depth in \p DepthHist.
   const L1MissSink *Sink = nullptr;
   uint64_t *DepthHist = nullptr;
   /// Tagged payloads: the epoch of the open loop activation at each
@@ -240,79 +388,16 @@ public:
       return T;
     };
 
-    // Chunks are flushed at iteration boundaries, so accessBatch always
+    // The writer flushes at iteration boundaries, so accessBatch always
     // sees whole iterations in program order (a repeat marker directly
-    // after the iteration it repeats). 1024 entries = 8 KiB keeps the
-    // buffer L1-resident between the two loops; raw-pointer writes keep
-    // the generating loop free of per-element size bookkeeping.
-    constexpr size_t ChunkCap = 1024;
-    const size_t NumLanes = Lanes.size();
-    // Past the flush mark there is room for one more run: two
-    // iterations, or one and a two-word repeat marker.
-    Buf.resize(ChunkCap + 2 * NumLanes + 1);
-    BatchedAccess *const Begin = Buf.data();
-    BatchedAccess *const Flush = Begin + ChunkCap;
-    BatchedAccess *Out = Begin;
+    // after the iteration it repeats), and the lanes event ends with an
+    // empty buffer.
     BatchCounters C;
-    int64_t ChunkX = Lo; // Iteration of the chunk's first op.
-    auto FlushChunk = [&] {
-      Cache.accessBatch(Begin, static_cast<size_t>(Out - Begin), C,
-                        TagsFrom(ChunkX), Sink, DepthHist);
-      Out = Begin;
+    auto Flush = [&](const BatchedAccess *Ops, size_t N, int64_t X) {
+      Cache.accessBatch(Ops, N, C, TagsFrom(X), Sink, DepthHist);
     };
-    auto Emit = [&] {
-      for (const WalkLane &Ln : Lanes)
-        *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
-    };
-    if (!initRuns(Lanes)) {
-      for (int64_t X = Lo; X <= Hi; ++X) {
-        for (WalkLane &Ln : Lanes) {
-          *Out++ = BatchedAccess::make(Ln.Addr >> BlockShift, Ln.IsWrite);
-          Ln.Addr += Ln.Stride;
-        }
-        if (Out >= Flush) {
-          FlushChunk();
-          ChunkX = X + 1;
-        }
-      }
-    } else {
-      // Every lane moves less than a block per iteration: walk runs of
-      // iterations that touch the same blocks, and emit a run of three
-      // or more as its first iteration plus one repeat marker.
-      for (int64_t X = Lo;;) {
-        // Iterations in the run after its first: capped by the
-        // activation's end, and below 2^62 so the marker's count word
-        // stays below 2^63.
-        const uint64_t ToEnd =
-            static_cast<uint64_t>(Hi) - static_cast<uint64_t>(X);
-        uint64_t Rest = std::min<uint64_t>(ToEnd, uint64_t(1) << 62);
-        for (uint64_t N : Left)
-          Rest = std::min(Rest, N - 1);
-        Emit();
-        if (Rest >= 2) {
-          *Out++ = BatchedAccess::repeatHeader(NumLanes);
-          *Out++ = BatchedAccess{Rest};
-        } else if (Rest == 1) {
-          Emit();
-        }
-        if (Rest == ToEnd)
-          break;
-        for (size_t I = 0; I < NumLanes; ++I) {
-          WalkLane &Ln = Lanes[I];
-          Ln.Addr += static_cast<int64_t>(Rest + 1) * Ln.Stride;
-          Left[I] -= Rest + 1;
-          if (Left[I] == 0)
-            Left[I] = itersInBlock(Ln.Addr, Ln.Stride);
-        }
-        X += static_cast<int64_t>(Rest + 1);
-        if (Out >= Flush) {
-          FlushChunk();
-          ChunkX = X;
-        }
-      }
-    }
-    if (Out != Begin)
-      FlushChunk();
+    Chunks.lanes(Lo, Hi, Lanes, Flush);
+    Chunks.flush(Flush);
     addCount(Stats.SimulatedAccesses, C.L1Accesses);
     addCount(Stats.Level[0].Accesses, C.L1Accesses);
     addCount(Stats.Level[0].Misses, C.L1Misses);
@@ -325,41 +410,12 @@ public:
   }
 
 private:
-  /// Iterations, from the one at \p Addr, that a lane of stride
-  /// \p Stride (less than a block in magnitude) stays in its block.
-  uint64_t itersInBlock(int64_t Addr, int64_t Stride) const {
-    if (Stride == 0)
-      return ~uint64_t(0);
-    uint64_t Off = static_cast<uint64_t>(Addr) & (BlockBytes - 1);
-    if (Stride > 0)
-      return (BlockBytes - Off + static_cast<uint64_t>(Stride) - 1) /
-             static_cast<uint64_t>(Stride);
-    return Off / static_cast<uint64_t>(-Stride) + 1;
-  }
-
-  /// True when every lane moves less than one block per iteration, the
-  /// condition for walking runs; then fills Left.
-  bool initRuns(std::span<const WalkLane> Lanes) {
-    for (const WalkLane &Ln : Lanes)
-      if (Ln.Stride <= -static_cast<int64_t>(BlockBytes) ||
-          Ln.Stride >= static_cast<int64_t>(BlockBytes))
-        return false;
-    Left.clear();
-    for (const WalkLane &Ln : Lanes)
-      Left.push_back(itersInBlock(Ln.Addr, Ln.Stride));
-    return true;
-  }
-
   CacheHierarchy<LineT> &Cache;
   SimStats &Stats;
   unsigned BlockShift;
-  uint64_t BlockBytes;
+  ChunkWriter Chunks;
   telemetry::Counter &SkippedCounter; ///< sim.skipped_accesses.
-  /// Run walks: per lane, the iterations from the current one that it
-  /// stays in its block.
-  std::vector<uint64_t> Left;
   std::vector<int32_t> LaneNodes; ///< Access node id per lane (tagged).
-  std::vector<BatchedAccess> Buf; ///< Chunk scratch, reused.
 };
 
 } // namespace wcs

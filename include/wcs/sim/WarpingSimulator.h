@@ -108,6 +108,17 @@ public:
   /// after a run() with enableDepthProfile().
   const std::vector<uint64_t> &depthHist() const { return DepthHist; }
 
+  /// Warp pilot: run() stops at the first loop-activation top at which
+  /// \p Accesses or more accesses were stepped without a single warp,
+  /// and abandoned() then holds; its stats count what was stepped. The
+  /// check is one compare per activation and lifts at the first warp,
+  /// so a run that warps in time runs and decides exactly as without a
+  /// pilot. Call before run().
+  void setWarpPilot(uint64_t Accesses) { PilotLimit = Accesses; }
+
+  /// True when the warp pilot stopped run().
+  bool abandoned() const { return Abandoned; }
+
   /// The most entries the epoch table held during run(): bounded by a
   /// small multiple of the distinct prefixes still referenced, not by
   /// the number of loop activations.
@@ -184,6 +195,10 @@ private:
   /// Depth profiling (enableDepthProfile): hit counts by L1 stack depth.
   std::vector<uint64_t> DepthHist;
   bool DepthProfile = false;
+  /// Warp pilot (setWarpPilot): the stepped accesses at which a run
+  /// without a warp stops; UINT64_MAX once lifted or never set.
+  uint64_t PilotLimit = UINT64_MAX;
+  bool Abandoned = false;
   std::function<void(const ProbeView &)> ProbeHook;
 };
 

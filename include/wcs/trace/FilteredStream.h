@@ -28,13 +28,21 @@
 ///  - replay(): drives the records through a concrete L2 of any policy
 ///    and write-miss mode, reproducing the two-level NINE counters bit
 ///    for bit. Repeated segments walk until the L2 state maps onto
-///    itself across one repetition (an exact state comparison), then
-///    apply the remaining repetitions analytically; if the state never
-///    recurs, every repetition is walked -- the sound fallback.
+///    itself across one repetition (an exact comparison of lines and
+///    replacement metadata), then apply the remaining repetitions
+///    analytically; if the state never recurs, every repetition is
+///    walked -- the sound fallback.
 ///  - feed(): conditions a per-set stack-distance bank on the stream.
 ///    Repeated segments walk twice (the second repetition under a
 ///    period capture) and enter the bank's bulk update
 ///    (SetDistanceBank::addPeriodicContribution) for the rest.
+///
+/// Both hand stored segments to the batch kernel the simulators use
+/// (CacheHierarchy::accessBatch, via SetDistanceBank::accessBatch for
+/// feed): records are stored in its one-word BatchedAccess encoding, so
+/// no record is converted on the way. A record's write bit decides only
+/// whether a no-write-allocate L2 allocates; the dirty bits it sets
+/// decide no hit or miss, so no recurrence test compares them.
 ///
 /// Inclusive and exclusive hierarchies couple the L1 to the L2
 /// (back-invalidation, victim caching), so their L1 streams depend on
@@ -60,23 +68,11 @@ namespace wcs {
 
 /// One record of an L1-miss-filtered stream, in one word: the block the
 /// L2 sees and whether the originating access was a write (which decides
-/// the L2's allocate-on-miss behavior under no-write-allocate), packed
-/// as Block << 1 | IsWrite like BatchedAccess. Every block a program
-/// may reach (within +-2^62, see ScopProgram::finalize) round-trips.
-struct FilteredRecord {
-  uint64_t Bits = 0;
-
-  FilteredRecord() = default;
-  FilteredRecord(BlockId Block, bool IsWrite)
-      : Bits(static_cast<uint64_t>(Block) << 1 |
-             static_cast<uint64_t>(IsWrite)) {}
-  BlockId block() const { return static_cast<BlockId>(Bits) >> 1; }
-  bool isWrite() const { return (Bits & 1) != 0; }
-};
-
-inline bool operator==(const FilteredRecord &A, const FilteredRecord &B) {
-  return A.Bits == B.Bits;
-}
+/// the L2's allocate-on-miss behavior under no-write-allocate), as a
+/// BatchedAccess built by BatchedAccess::make. make keeps the top bit
+/// clear, so no record -- a negative block's included -- reads as a
+/// repeat marker, and every block a program may reach round-trips.
+using FilteredRecord = BatchedAccess;
 
 /// One segment of a run-length-encoded stream: the stored records
 /// [Offset, Offset + Len) replayed Reps times back to back. Reps == 1
@@ -99,7 +95,10 @@ public:
   /// is first period-compressed, and only when that cannot free room
   /// does recording abort with a truncated() result -- unusable for
   /// answering grid points, so callers must fall back to full
-  /// simulation.
+  /// simulation. The record storage is reserved up front from an upper
+  /// bound (the trace's accesses, counted one step per loop activation,
+  /// capped by \p MaxRecords), so it never grows by copying; reserved
+  /// pages no record reaches stay untouched.
   static FilteredStream record(const ScopProgram &Program,
                                const CacheConfig &L1,
                                const SimOptions &Opts = SimOptions(),
@@ -175,7 +174,7 @@ public:
 
 private:
   /// Appends one record to the trailing literal segment.
-  void appendRecord(const FilteredRecord &R);
+  void appendRecord(FilteredRecord R);
   /// Period-compresses the trailing literal segment in place. Returns
   /// the number of stored records freed.
   size_t compressTail();

@@ -38,6 +38,12 @@
 /// bulk entry point (SetDistanceBank::addPeriodicContribution), marking
 /// the bank truncated at the profiled associativity.
 ///
+/// A warp pilot may cut the pass short: the pass pays only where the
+/// cache state recurs, so a caller that can condition the bank another
+/// way (the sweep's linear walk) gives up a pass that has stepped a set
+/// number of accesses without one warp (WarpingSimulator::
+/// setWarpPilot), and the result reports the abandonment and its cost.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_TRACE_PERIODICPASS_H
@@ -47,6 +53,9 @@
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
 #include "wcs/trace/StackDistance.h"
+
+#include <cassert>
+#include <cstdint>
 
 namespace wcs {
 
@@ -62,6 +71,9 @@ struct PeriodicPassResult {
   /// Counters of the underlying warping run; Stats.Seconds is the pass
   /// cost, Stats.WarpedAccesses / Warps its periodicity diagnostics.
   SimStats Stats;
+  /// The warp pilot stopped the pass: Stats count the accesses it
+  /// stepped, and Histogram is empty -- it must not condition a bank.
+  bool Abandoned = false;
 
   /// Misses of the profiled geometry at \p Assoc ways
   /// (requires Assoc <= MaxAssoc).
@@ -73,6 +85,7 @@ struct PeriodicPassResult {
   /// because its scaled counters would overflow; the caller must then
   /// condition the bank through the linear pass instead.
   [[nodiscard]] bool addTo(SetDistanceBank &Bank) const {
+    assert(!Abandoned && "an abandoned pass holds no histogram");
     return Bank.addPeriodicContribution(Histogram, 1, MaxAssoc);
   }
 };
@@ -80,11 +93,14 @@ struct PeriodicPassResult {
 /// Runs the periodic pass for geometry (\p BlockBytes, \p NumSets),
 /// answering write-allocate LRU points of every associativity up to
 /// \p MaxAssoc. \p NumSets must be a power of two and \p MaxAssoc within
-/// the LRU associativity limit (4096).
+/// the LRU associativity limit (4096). The pass is abandoned once it has
+/// stepped \p PilotAccesses accesses without a warp (checked at loop
+/// activation tops); UINT64_MAX runs it to the end.
 PeriodicPassResult runPeriodicPass(const ScopProgram &Program,
                                    unsigned BlockBytes, unsigned NumSets,
                                    unsigned MaxAssoc,
-                                   const SimOptions &Opts = SimOptions());
+                                   const SimOptions &Opts = SimOptions(),
+                                   uint64_t PilotAccesses = UINT64_MAX);
 
 } // namespace wcs
 

@@ -34,6 +34,17 @@
 /// by the absence of cold accesses, the rows by mapping onto themselves
 /// across the captured repetition.
 ///
+/// Banks step chunks of BatchedAccess ops (SetDistanceBank::accessBatch):
+/// the rows are a single-level write-allocate LRU ConcreteHierarchy
+/// stepped by the batch kernel both simulators use, counting hit depths
+/// into the bank's histogram, and a repeat marker of the program-order
+/// walk reaches them as one iteration plus a count (the kernel simulates
+/// repetitions up to the first all-hit one and counts the depths of the
+/// rest); the exact profilers take a marker's repetitions through
+/// accessRepeated. The linear pass (feedBanks) feeds every bank the
+/// chunks of one walk (sim/BatchWalk.h's ChunkWriter), and the filtered
+/// stream hands its stored records over as they are.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_TRACE_STACKDISTANCE_H
@@ -42,6 +53,7 @@
 #include "wcs/cache/ConcreteCache.h"
 #include "wcs/scop/Program.h"
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -128,10 +140,11 @@ private:
 ///  - Truncated (width <= MaxTruncatedAssoc): one write-allocate LRU
 ///    cache of exactly that width (per set, the top of the Mattson
 ///    stack -- Mattson's inclusion property says nothing below it can
-///    ever hit). A hit's pre-update way is its per-set stack distance,
-///    so the bank counts hits by way and keeps one always-miss count;
-///    truncatedAtAssoc() reports the width and matches() refuses wider
-///    points. An access is a row scan plus a short memmove.
+///    ever hit), stepped as a single-level ConcreteHierarchy. A hit's
+///    pre-update way is its per-set stack distance, so the bank counts
+///    hits by way and keeps one always-miss count; truncatedAtAssoc()
+///    reports the width and matches() refuses wider points. An access
+///    is a row scan plus a short memmove.
 ///  - Exact (wider): one Fenwick-tree profiler per set, which answers
 ///    every associativity but pays a tree walk and a hash lookup per
 ///    access, and grows with the trace. Beyond 64 ways the row scan
@@ -155,28 +168,18 @@ public:
   unsigned numSets() const { return NumSets; }
   unsigned blockBytes() const { return 1u << BlockShift; }
 
-  void accessAddr(int64_t Addr) { accessBlock(Addr >> BlockShift); }
+  /// Records the \p N ops at \p Ops, whose blocks are at this bank's
+  /// block size, in order; a repeat marker stands for further
+  /// applications of the iteration before it (BatchedAccess). The bank
+  /// is write-allocate: a write differs from a read only in the dirty
+  /// bit, which no count reads. Throws std::overflow_error("counter
+  /// overflow") when a count would pass 2^64 - 1.
+  void accessBatch(const BatchedAccess *Ops, size_t N);
 
-  /// Records an access that is already at block granularity (e.g. a
-  /// record of an L1-miss-filtered stream; the block size of the
-  /// producing L1 must equal this bank's).
-  void accessBlock(BlockId B) {
-    ++Total;
-    int64_t D;
-    if (Rows) {
-      AccessOutcome O = Rows->accessAs<PolicyKind::Lru>(B, true);
-      D = O.Hit ? static_cast<int64_t>(O.HitDepth) : -1;
-      if (O.Hit)
-        ++RowHist[O.HitDepth];
-      else
-        ++RowMisses;
-    } else {
-      D = Profilers[static_cast<size_t>(static_cast<uint64_t>(B) & SetMask)]
-              .accessBlock(B);
-    }
-    if (Capturing)
-      captureDistance(D);
-  }
+  /// The per-access reference of accessBatch: records one access at
+  /// block granularity (the tests' reference walk).
+  void accessBlock(BlockId B);
+  void accessAddr(int64_t Addr) { accessBlock(Addr >> BlockShift); }
 
   uint64_t totalAccesses() const { return Total; }
 
@@ -199,11 +202,13 @@ public:
   // capture verifies.
 
   /// Records \p Reps back-to-back repetitions of the block sequence
-  /// that one call of \p WalkOnce feeds through accessBlock: walks the
-  /// first, captures the second, and applies the rest in bulk when the
-  /// capture verifies and the bulk update fits; otherwise walks every
-  /// repetition. Bit-identical to walking all of them either way.
+  /// that one call of \p WalkOnce feeds through accessBatch or
+  /// accessBlock: walks the first, captures the second, and applies the
+  /// rest in bulk when the capture verifies and the bulk update fits;
+  /// otherwise walks every repetition. Bit-identical to walking all of
+  /// them either way. The walked sequence holds no repeat marker.
   template <typename Fn> void accessRepeated(uint64_t Reps, Fn &&WalkOnce) {
+    assert(!Capturing && "repeated sequences do not nest");
     if (Reps > 2) {
       // Repetition 1 enters from whatever state the prefix left;
       // repetition 2 is the stationary one whose increments every later
@@ -258,9 +263,10 @@ public:
   uint64_t missesForCache(const CacheConfig &C) const;
 
 private:
-  /// Starts capturing the histogram increments of subsequent
-  /// accessBlock calls (one candidate period of a periodic stream). A
-  /// truncated bank also snapshots its rows, to verify the capture.
+  /// Starts capturing the histogram increments of subsequent accesses
+  /// (one candidate period of a periodic stream). A truncated bank
+  /// snapshots its rows and counts, and takes the increments as the
+  /// difference at the end; an exact bank mirrors each access.
   void beginPeriodCapture();
 
   /// Stops capturing. Returns the increments since beginPeriodCapture
@@ -269,13 +275,13 @@ private:
   /// touched a new block (a repetition of an identical block sequence
   /// cannot). A truncated bank cannot tell a cold miss from a deep one,
   /// so it instead rejects a capture after which its rows differ from
-  /// the rows before it (SetAssocCache::stateEquals, as the filtered
-  /// stream's replay verifies a recurrence).
+  /// the rows before it (SetAssocCache::sameReplacementState, as the
+  /// filtered stream's replay verifies a recurrence).
   std::optional<DistanceHistogram> endPeriodCapture();
 
-  /// Mirrors one walked access (stack distance \p D, -1 when it missed
-  /// the rows or was cold) into the open capture.
-  void captureDistance(int64_t D);
+  /// One access of an exact bank: its set's profiler, and the open
+  /// capture.
+  void exactAccess(BlockId B);
 
   unsigned BlockShift;
   unsigned NumSets;
@@ -286,7 +292,7 @@ private:
   /// Truncated representation: the LRU rows, hits by pre-update way,
   /// and the accesses that missed the rows (cold or deeper than the
   /// width). Rows is empty for an exact bank.
-  std::optional<ConcreteCache> Rows;
+  std::optional<ConcreteHierarchy> Rows;
   std::vector<uint64_t> RowHist;
   uint64_t RowMisses = 0;
   /// Analytic contributions from addPeriodicContribution, kept apart
@@ -296,6 +302,8 @@ private:
   uint64_t BulkAlwaysMiss = 0; ///< Beyond-truncation + cold fragments.
   unsigned TruncAssoc = 0;     ///< 0 = exact at every associativity.
   bool Capturing = false;
+  /// Exact banks: the mirrored increments of the open capture. Truncated
+  /// banks: the histogram, misses and total when the capture began.
   DistanceHistogram Capture;
   /// Exact banks: a capture that touched a new block (unverifiable).
   bool CaptureSawCold = false;
@@ -306,9 +314,11 @@ private:
 /// The linear stack-distance pass: feeds every bank of \p Banks the
 /// accesses of \p Program (scalars only with \p IncludeScalars) in
 /// program order, from one walk whose batchable loops arrive as lanes
-/// (sim/BatchWalk.h). The walk generates block ids at the smallest bank
-/// block size, and each bank shifts them on to its own. Returns the
-/// accesses walked.
+/// (sim/BatchWalk.h). The walk writes chunks of ops, runs as repeat
+/// markers, at the smallest bank block size; every bank of that size
+/// steps each chunk as it is, and the banks of each larger size step
+/// one copy shifted to theirs. Returns the accesses walked. Banks fed
+/// by concurrent calls must be disjoint.
 uint64_t feedBanks(const ScopProgram &Program, bool IncludeScalars,
                    const std::vector<SetDistanceBank *> &Banks);
 

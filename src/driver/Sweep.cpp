@@ -17,6 +17,7 @@
 #include "wcs/trace/StackDistance.h"
 #include "wcs/trace/TraceGenerator.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -120,13 +121,14 @@ bool SweepReport::allOk() const {
 }
 
 std::string SweepReport::summary() const {
-  char Pass[128];
+  char Pass[160];
   if (PeriodicPass)
     std::snprintf(Pass, sizeof(Pass),
-                  "%u periodic warp passes (%llu warps, %.3f s)",
-                  NumBanks,
+                  "%u periodic warp passes (%u abandoned, %llu warps, "
+                  "%.3f s; linear walk %.3f s)",
+                  NumBanks, PeriodicAbandoned,
                   static_cast<unsigned long long>(PeriodicWarps),
-                  PeriodicPassSeconds);
+                  PeriodicPassSeconds, TracePassSeconds);
   else
     std::snprintf(Pass, sizeof(Pass),
                   "one stack-distance pass (%u banks, %.3f s)", NumBanks,
@@ -248,20 +250,25 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   Rep.NumBanks = static_cast<unsigned>(Banks.size());
   Rep.StackDistancePoints = Fast.size();
 
-  // One runner serves the periodic passes, the stream recordings and
-  // the simulated partition (all independent work items).
+  // One runner serves the bank passes, the stream recordings and the
+  // simulated partition (all independent work items).
   BatchRunner Runner(Opts.Threads);
   Rep.Threads = Runner.threads();
 
-  // The shared stack-distance pass(es). Two flavors, bit-identical:
+  // The shared stack-distance pass: every bank pays for one pass, of one
+  // of two bit-identical flavors:
   //  - periodic (warp-aware): one warping depth-profile run per bank
   //    geometry, sublinear on periodic traces (trace/PeriodicPass);
-  //  - linear: one walk feeding every bank (feedBanks).
-  // A counting pre-walk (one step per loop activation, stopped at the
-  // threshold) picks the flavor: short traces walk linearly -- their
-  // pass is already cheap, and warping a cache that never fills cannot
-  // pay for itself -- long traces take the periodic passes. A threshold
-  // of UINT64_MAX always walks linearly, without the pre-walk.
+  //  - linear: walks of the program feeding the banks (feedBanks), one
+  //    per worker, each over its own group of banks.
+  // A counting pre-walk (one step per loop activation) measures the
+  // trace. Traces shorter than the threshold walk linearly -- their pass
+  // is already cheap, and warping a cache that never fills cannot pay
+  // for itself. Longer traces start a periodic pass per bank under a
+  // warp pilot: a pass that has stepped 1/WarpPilotFraction of the trace
+  // without a warp is abandoned, and its bank joins the linear walk. A
+  // threshold of 0 runs every periodic pass to its end; UINT64_MAX
+  // always walks linearly, without the pre-walk.
   std::vector<PeriodicPassResult> PassResults;
   double PassProbeSeconds = 0.0;
   // Periodic flavor only: banks whose pass was not used, conditioned by
@@ -270,20 +277,23 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   // count the same accesses one by one and overflow too.
   std::vector<uint8_t> Demoted, Overflowed;
   std::vector<SetDistanceBank *> Walk; ///< Banks the linear walk feeds.
-  double WalkSeconds = 0.0;            ///< Seconds of that walk.
+  double WalkSeconds = 0.0;            ///< Its tasks' seconds, summed.
   if (!Banks.empty()) {
     telemetry::TimePoint P0 = telemetry::now();
     const TraceOptions TO{Opts.Sim.IncludeScalars};
-    bool Periodic =
-        Opts.WarpSweepMinAccesses != UINT64_MAX &&
-        countAccesses(Program, TO, Opts.WarpSweepMinAccesses) >=
-            Opts.WarpSweepMinAccesses;
+    const uint64_t Threshold = Opts.WarpSweepMinAccesses;
+    const uint64_t TraceLen =
+        Threshold == UINT64_MAX ? 0 : countAccesses(Program, TO);
+    const bool Periodic = Threshold != UINT64_MAX && TraceLen >= Threshold;
+    // The pre-walk is pass cost too; count it so the attributed shares
+    // still sum to the real cost of the method.
+    const double ProbeSeconds = telemetry::secondsSince(P0);
     if (Periodic) {
       Rep.PeriodicPass = true;
-      // The probe walk is pass cost too; count it so the attributed
-      // shares still sum to the real cost of the method.
-      PassProbeSeconds = telemetry::secondsSince(P0);
+      PassProbeSeconds = ProbeSeconds;
       Rep.PeriodicPassSeconds += PassProbeSeconds;
+      const uint64_t Pilot =
+          Threshold == 0 ? UINT64_MAX : TraceLen / WarpPilotFraction;
       PassResults.resize(Banks.size());
       // A pass that throws (e.g. bad_alloc) must not poison its bank: a
       // default-constructed PassResult holds an EMPTY histogram whose
@@ -296,32 +306,43 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       Tasks.reserve(Banks.size());
       for (size_t B = 0; B < Banks.size(); ++B)
         Tasks.push_back([&Program, &Opts, &PassResults, &Plan, &Demoted,
-                         &Overflowed, B] {
+                         &Overflowed, Pilot, B] {
           telemetry::Span PassSpan("sweep.periodic-bank");
           PassSpan.arg("bank", static_cast<uint64_t>(B));
           const CacheConfig &C = Plan.Widest[B];
+          telemetry::TimePoint S0 = telemetry::now();
           try {
-            PassResults[B] = runPeriodicPass(Program, C.BlockBytes,
-                                             C.numSets(), C.Assoc, Opts.Sim);
+            PassResults[B] =
+                runPeriodicPass(Program, C.BlockBytes, C.numSets(), C.Assoc,
+                                Opts.Sim, Pilot);
           } catch (const std::overflow_error &) {
             Overflowed[B] = 1;
           } catch (...) {
             Demoted[B] = 1;
           }
+          // The pass's cost, whatever its outcome.
+          PassResults[B].Stats.Seconds = telemetry::secondsSince(S0);
+          PassSpan.arg("abandoned",
+                       static_cast<uint64_t>(PassResults[B].Abandoned));
+          PassSpan.arg("accesses", PassResults[B].Stats.SimulatedAccesses);
         });
       Runner.runTasks(Tasks);
       // A bank may also reject a successful pass result (its bulk
       // counters would overflow). Either way the bank stays empty and
       // is conditioned by the linear pass below instead -- the same
       // accesses, walked not scaled, so its points stay exact. Every
-      // pass's seconds were spent; only the used passes' warps count.
-      // The fault point discards a finished pass like a rejected result;
-      // it draws here, in bank order, so a seeded schedule replays.
+      // pass's seconds were spent, abandoned and failed ones included;
+      // only the used passes' warps count. The fault point discards a
+      // finished pass like a rejected result; it draws here, in bank
+      // order, so a seeded schedule replays.
       for (size_t B = 0; B < Banks.size(); ++B) {
         Rep.PeriodicPassSeconds += PassResults[B].Stats.Seconds;
         if (Overflowed[B])
           continue;
-        if (Demoted[B] || faultinject::shouldFail("sweep.periodic-pass") ||
+        if (PassResults[B].Abandoned)
+          ++Rep.PeriodicAbandoned;
+        if (Demoted[B] || PassResults[B].Abandoned ||
+            faultinject::shouldFail("sweep.periodic-pass") ||
             !PassResults[B].addTo(Banks[B])) {
           Demoted[B] = 1;
           Walk.push_back(&Banks[B]);
@@ -334,21 +355,38 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
             PassResults[B].Stats.WarpedAccesses;
       }
     } else {
+      Rep.TracePassSeconds += ProbeSeconds;
       for (SetDistanceBank &B : Banks)
         Walk.push_back(&B);
     }
     if (!Walk.empty()) {
-      telemetry::Span WalkSpan("sweep.stack-distance-pass");
-      WalkSpan.arg("flavor", Periodic ? "demoted-linear" : "linear");
-      WalkSpan.arg("banks", static_cast<uint64_t>(Walk.size()));
-      telemetry::TimePoint L0 = telemetry::now();
-      uint64_t Walked = feedBanks(Program, TO.IncludeScalars, Walk);
+      // One walk per worker, each feeding its own group of banks: the
+      // groups are disjoint, so the tasks share nothing they write.
+      const size_t NumWalks =
+          std::min<size_t>(Runner.threads(), Walk.size());
+      std::vector<std::vector<SetDistanceBank *>> WalkGroups(NumWalks);
+      for (size_t I = 0; I < Walk.size(); ++I)
+        WalkGroups[I % NumWalks].push_back(Walk[I]);
+      std::vector<double> TaskSeconds(NumWalks, 0.0);
+      std::vector<uint64_t> Walked(NumWalks, 0);
+      std::vector<std::function<void()>> Tasks;
+      Tasks.reserve(NumWalks);
+      for (size_t G = 0; G < NumWalks; ++G)
+        Tasks.push_back([&Program, &TO, &WalkGroups, &TaskSeconds, &Walked,
+                         Periodic, G] {
+          telemetry::Span WalkSpan("sweep.stack-distance-pass");
+          WalkSpan.arg("flavor", Periodic ? "demoted-linear" : "linear");
+          WalkSpan.arg("banks", static_cast<uint64_t>(WalkGroups[G].size()));
+          telemetry::TimePoint L0 = telemetry::now();
+          Walked[G] = feedBanks(Program, TO.IncludeScalars, WalkGroups[G]);
+          TaskSeconds[G] = telemetry::secondsSince(L0);
+        });
+      Runner.runTasks(Tasks);
+      for (double S : TaskSeconds)
+        WalkSeconds += S;
+      Rep.TracePassSeconds += WalkSeconds;
       if (Rep.TraceAccesses == 0)
-        Rep.TraceAccesses = Walked;
-      WalkSeconds = telemetry::secondsSince(L0);
-      // The linear flavor's pass cost includes the pre-walk.
-      Rep.TracePassSeconds +=
-          Periodic ? WalkSeconds : telemetry::secondsSince(P0);
+        Rep.TraceAccesses = Walked.front();
     }
   }
 
@@ -585,6 +623,7 @@ void wcs::mergeSweepReports(SweepReport &Into, const SweepReport &From) {
   Into.StackDistancePoints += From.StackDistancePoints;
   Into.PeriodicPass = Into.PeriodicPass || From.PeriodicPass;
   Into.PeriodicPassSeconds += From.PeriodicPassSeconds;
+  Into.PeriodicAbandoned += From.PeriodicAbandoned;
   Into.PeriodicWarps += From.PeriodicWarps;
   Into.PeriodicWarpedAccesses += From.PeriodicWarpedAccesses;
   Into.FilteredPoints += From.FilteredPoints;

@@ -55,7 +55,7 @@ bool ResultStore::open(const std::string &OpenPath, std::string *Err) {
   Entries.clear();
   Index.clear();
   NextSeq = 0;
-  Hits = Misses = RecoveredBytes = 0;
+  RecoveredBytes = 0;
   TailDirty = false;
   if (Path.empty())
     return true;
@@ -122,11 +122,8 @@ bool ResultStore::open(const std::string &OpenPath, std::string *Err) {
 
 bool ResultStore::lookup(const std::string &Key, SweepPoint &Out) {
   auto It = Index.find(Key);
-  if (It == Index.end()) {
-    ++Misses;
+  if (It == Index.end())
     return false;
-  }
-  ++Hits;
   Out = Entries[It->second].Point;
   return true;
 }

@@ -41,6 +41,9 @@ struct Bucket {
   std::vector<StoredEntry> Entries;
 };
 
+/// Thrown at an activation top when the warp pilot gives up on the run.
+struct PilotStop {};
+
 } // namespace
 
 /// Pooled per-activation scratch: the state-key map, the cached set
@@ -166,8 +169,12 @@ void WarpingSimulator::enableDepthProfile() {
 
 SimStats WarpingSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
-  ScopWalk(Program, Options.IncludeScalars, Options.BatchConcrete, Step)
-      .run();
+  try {
+    ScopWalk(Program, Options.IncludeScalars, Options.BatchConcrete, Step)
+        .run();
+  } catch (const PilotStop &) {
+    Abandoned = true;
+  }
   Stats.Seconds = telemetry::secondsSince(Start);
   uint64_t Rehashed = 0, Copied = 0;
   for (const std::unique_ptr<Activation> &A : Pools) {
@@ -209,6 +216,13 @@ void WarpingSimulator::openEpoch(const IterVec &Prefix) {
 int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
                                      const LoopNode &L, IterVec &Iter,
                                      int64_t Lo, int64_t Hi) {
+  // The warp pilot (setWarpPilot): no warp by the limit stops the run,
+  // the first warp lifts the limit.
+  if (Stats.Level[0].Accesses >= PilotLimit) {
+    if (Stats.Warps == 0)
+      throw PilotStop{};
+    PilotLimit = UINT64_MAX;
+  }
   const WarpConfig &WC = Options.Warp;
   // Viable match distances are multiples of the loop's delta unit
   // (computed once per loop node); a zero unit means the loop can never

@@ -10,6 +10,7 @@
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/support/Hashing.h"
 #include "wcs/support/Telemetry.h"
+#include "wcs/trace/TraceGenerator.h"
 
 #include <algorithm>
 #include <cassert>
@@ -40,6 +41,11 @@ constexpr uint64_t MinFoldRecords = 64;
 /// (FIFO insertion orders, for example, can cycle with a longer period
 /// than the stream's).
 constexpr unsigned MaxReplayStateChecks = 8;
+
+/// The most records reserved before recording: the default stream cap of
+/// the sweep (512 MiB). An uncapped recording of a longer trace grows
+/// past it by doubling.
+constexpr uint64_t MaxReservedRecords = uint64_t(1) << 26;
 
 /// The last position of each record key seen by compressTail: a flat
 /// open-addressing table (linear probing, doubled at half load) sized by
@@ -92,7 +98,7 @@ private:
 
 } // namespace
 
-void FilteredStream::appendRecord(const FilteredRecord &R) {
+void FilteredStream::appendRecord(FilteredRecord R) {
   if (Segments.empty() || Segments.back().Reps != 1 ||
       Segments.back().Offset + Segments.back().Len != Records.size())
     Segments.push_back(FilteredSegment{Records.size(), 0, 1});
@@ -140,9 +146,7 @@ size_t FilteredStream::compressTail() {
   const size_t N = Records.size() - Base;
   if (N < MinFoldRecords)
     return FreedByContinuation;
-  auto Rec = [&](size_t I) -> const FilteredRecord & {
-    return Records[Base + I];
-  };
+  auto Rec = [&](size_t I) { return Records[Base + I]; };
   // Candidate periods come from the previous occurrence of the current
   // record (for the miss streams of loop nests, one period back); every
   // candidate run is then verified by verbatim comparison, so a wrong
@@ -220,6 +224,12 @@ FilteredStream FilteredStream::record(const ScopProgram &Program,
   FilteredStream FS;
   FS.L1 = L1;
   telemetry::TimePoint T0 = telemetry::now();
+  // A stream holds at most one record per access, and at most MaxRecords.
+  const uint64_t Cap = MaxRecords != 0
+                           ? std::min(MaxRecords, MaxReservedRecords)
+                           : MaxReservedRecords;
+  FS.Records.reserve(static_cast<size_t>(
+      countAccesses(Program, TraceOptions{Opts.IncludeScalars}, Cap)));
   ConcreteSimulator Sim(Program, HierarchyConfig::singleLevel(L1), Opts);
   // A miss tap (not a full tap) keeps the recording run on the batched
   // concrete hot loop: hits never surface, and misses are exactly what
@@ -234,7 +244,7 @@ FilteredStream FilteredStream::record(const ScopProgram &Program,
       if (Freed < MaxRecords / 4 || FS.Records.size() >= MaxRecords)
         throw RecordCapExceeded{};
     }
-    FS.appendRecord(FilteredRecord{B, IsWrite});
+    FS.appendRecord(FilteredRecord::make(B, IsWrite));
   });
   try {
     SimStats S = Sim.run();
@@ -283,8 +293,7 @@ void FilteredStream::feed(SetDistanceBank &Bank) const {
   // second repetition verifies (see SetDistanceBank::accessRepeated).
   for (const FilteredSegment &S : Segments)
     Bank.accessRepeated(S.Reps, [&] {
-      for (uint64_t I = 0; I < S.Len; ++I)
-        Bank.accessBlock(Records[S.Offset + I].block());
+      Bank.accessBatch(&Records[S.Offset], static_cast<size_t>(S.Len));
     });
 }
 
@@ -297,18 +306,14 @@ SimStats FilteredStream::replay(const CacheConfig &L2) const {
   S.NumLevels = 2;
   S.Level[0] = L1Stats;
   S.Level[1].Accesses = Expanded;
-  ConcreteCache Cache(L2);
-  uint64_t Misses = 0, Walked = 0;
-  // Mirror of ConcreteHierarchy's NINE L2 leg: the L2 sees the same
-  // block, allocating unless a write miss under no-write-allocate.
+  // The NINE L2 leg of ConcreteHierarchy: the L2 sees the same block,
+  // allocating unless a write miss under no-write-allocate -- a
+  // single-level hierarchy of the L2, stepped by the batch kernel.
+  ConcreteHierarchy Cache(HierarchyConfig::singleLevel(L2));
+  BatchCounters C;
+  uint64_t Analytic = 0, Walked = 0;
   auto WalkOnce = [&](const FilteredSegment &Seg) {
-    for (uint64_t I = 0; I < Seg.Len; ++I) {
-      const FilteredRecord &R = Records[Seg.Offset + I];
-      bool Alloc = !(R.isWrite() && L2.WriteAlloc == WriteAllocate::No);
-      AccessOutcome O = Cache.access(R.block(), Alloc);
-      if (!O.Hit)
-        ++Misses;
-    }
+    Cache.accessBatch(&Records[Seg.Offset], static_cast<size_t>(Seg.Len), C);
     Walked += Seg.Len;
   };
   for (const FilteredSegment &Seg : Segments) {
@@ -325,14 +330,14 @@ SimStats FilteredStream::replay(const CacheConfig &L2) const {
     WalkOnce(Seg);
     ++Done;
     unsigned Checks = 0;
-    ConcreteCache Prev = Cache;
+    ConcreteCache Prev = Cache.level(0);
     while (Done < Seg.Reps) {
-      uint64_t M0 = Misses;
+      uint64_t M0 = C.L1Misses;
       WalkOnce(Seg);
       ++Done;
-      uint64_t PerRep = Misses - M0;
-      if (Cache.stateEquals(Prev)) {
-        Misses += PerRep * (Seg.Reps - Done);
+      uint64_t PerRep = C.L1Misses - M0;
+      if (Cache.level(0).sameReplacementState(Prev)) {
+        Analytic += PerRep * (Seg.Reps - Done);
         break;
       }
       if (++Checks >= MaxReplayStateChecks) {
@@ -342,9 +347,10 @@ SimStats FilteredStream::replay(const CacheConfig &L2) const {
         }
         break;
       }
-      Prev = Cache;
+      Prev = Cache.level(0);
     }
   }
+  const uint64_t Misses = C.L1Misses + Analytic;
   S.Level[1].Misses = Misses;
   // Records actually walked; repetitions answered from a recurred state
   // are analytic work, like warped accesses elsewhere.

@@ -24,7 +24,8 @@ uint64_t PeriodicPassResult::missesForAssoc(uint64_t Assoc) const {
 PeriodicPassResult wcs::runPeriodicPass(const ScopProgram &Program,
                                         unsigned BlockBytes,
                                         unsigned NumSets, unsigned MaxAssoc,
-                                        const SimOptions &Opts) {
+                                        const SimOptions &Opts,
+                                        uint64_t PilotAccesses) {
   CacheConfig C;
   C.SizeBytes =
       static_cast<uint64_t>(BlockBytes) * NumSets * MaxAssoc;
@@ -36,10 +37,14 @@ PeriodicPassResult wcs::runPeriodicPass(const ScopProgram &Program,
 
   WarpingSimulator Sim(Program, HierarchyConfig::singleLevel(C), Opts);
   Sim.enableDepthProfile();
+  Sim.setWarpPilot(PilotAccesses);
 
   PeriodicPassResult R;
   R.MaxAssoc = MaxAssoc;
   R.Stats = Sim.run();
+  R.Abandoned = Sim.abandoned();
+  if (R.Abandoned)
+    return R;
   R.Histogram.Hist = Sim.depthHist();
   // Trim trailing zero bins so bulk updates touch only populated depths.
   while (!R.Histogram.Hist.empty() && R.Histogram.Hist.back() == 0)

@@ -11,6 +11,7 @@
 #include "wcs/support/MathUtil.h"
 #include "wcs/support/Telemetry.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace wcs;
@@ -87,10 +88,10 @@ SetDistanceBank::SetDistanceBank(unsigned BlockBytes, unsigned NumSets,
          "set count must be a power of two (modulo placement)");
   assert(MaxAssoc != 0 && "a bank must answer at least one way");
   if (MaxAssoc <= MaxTruncatedAssoc) {
-    Rows.emplace(CacheConfig{static_cast<uint64_t>(BlockBytes) * NumSets *
-                                 MaxAssoc,
-                             MaxAssoc, BlockBytes, PolicyKind::Lru,
-                             WriteAllocate::Yes});
+    Rows.emplace(HierarchyConfig::singleLevel(
+        CacheConfig{static_cast<uint64_t>(BlockBytes) * NumSets * MaxAssoc,
+                    MaxAssoc, BlockBytes, PolicyKind::Lru,
+                    WriteAllocate::Yes}));
     RowHist.assign(MaxAssoc, 0);
     TruncAssoc = MaxAssoc;
     return;
@@ -102,14 +103,57 @@ SetDistanceBank::SetDistanceBank(unsigned BlockBytes, unsigned NumSets,
     Profilers.emplace_back(BlockBytes, NumSets > 1 ? 64 : 1024);
 }
 
-void SetDistanceBank::captureDistance(int64_t D) {
+void SetDistanceBank::accessBatch(const BatchedAccess *Ops, size_t N) {
+  if (Rows) {
+    BatchCounters C;
+    Rows->accessBatch(Ops, N, C, {}, nullptr, RowHist.data());
+    addCount(Total, C.L1Accesses);
+    RowMisses += C.L1Misses;
+    return;
+  }
+  for (size_t I = 0; I < N; ++I) {
+    if (!Ops[I].isRepeat()) {
+      exactAccess(Ops[I].block());
+      continue;
+    }
+    // The marker's iteration was walked once, right before it. A run may
+    // stand for more accesses than a walk could ever count: check the
+    // total first, so such a run fails as a counter overflow instead of
+    // walking should its bulk update not fit.
+    const size_t IterOps = Ops[I].iterOps();
+    const BatchedAccess *Iter = Ops + I - IterOps;
+    const uint64_t Reps = Ops[I + 1].Bits;
+    uint64_t After = Total;
+    addCount(After, mulCount(Reps, IterOps));
+    accessRepeated(Reps, [&] {
+      for (size_t J = 0; J < IterOps; ++J)
+        exactAccess(Iter[J].block());
+    });
+    ++I;
+  }
+}
+
+void SetDistanceBank::accessBlock(BlockId B) {
+  if (!Rows) {
+    exactAccess(B);
+    return;
+  }
+  ++Total;
+  if (!Rows->access(B, false, {}, RowHist.data()).L1Hit)
+    ++RowMisses;
+}
+
+void SetDistanceBank::exactAccess(BlockId B) {
+  ++Total;
+  int64_t D =
+      Profilers[static_cast<size_t>(static_cast<uint64_t>(B) & SetMask)]
+          .accessBlock(B);
+  if (!Capturing)
+    return;
   ++Capture.Accesses;
   if (D < 0) {
     ++Capture.Beyond;
-    // Only an exact bank knows a miss is cold; a truncated bank's
-    // misses may be deep re-touches, verified through its rows instead.
-    if (!Rows)
-      CaptureSawCold = true;
+    CaptureSawCold = true;
     return;
   }
   uint64_t UD = static_cast<uint64_t>(D);
@@ -119,20 +163,35 @@ void SetDistanceBank::captureDistance(int64_t D) {
 }
 
 void SetDistanceBank::beginPeriodCapture() {
-  Capture = DistanceHistogram();
-  CaptureSawCold = false;
-  if (Rows)
-    CaptureRows = Rows; // Copy-assignment reuses the snapshot's storage.
   Capturing = true;
+  CaptureSawCold = false;
+  if (!Rows) {
+    Capture = DistanceHistogram();
+    return;
+  }
+  // Copy-assignment reuses the snapshots' storage.
+  CaptureRows = Rows->level(0);
+  Capture.Hist = RowHist;
+  Capture.Beyond = RowMisses;
+  Capture.Accesses = Total;
 }
 
 std::optional<DistanceHistogram> SetDistanceBank::endPeriodCapture() {
   Capturing = false;
-  bool Stationary =
-      Rows ? Rows->stateEquals(*CaptureRows) : !CaptureSawCold;
-  if (!Stationary)
+  if (!Rows) {
+    if (CaptureSawCold)
+      return std::nullopt;
+    return std::move(Capture);
+  }
+  if (!Rows->level(0).sameReplacementState(*CaptureRows))
     return std::nullopt;
-  return std::move(Capture);
+  DistanceHistogram H;
+  H.Hist.resize(RowHist.size());
+  for (size_t D = 0; D < RowHist.size(); ++D)
+    H.Hist[D] = RowHist[D] - Capture.Hist[D];
+  H.Beyond = RowMisses - Capture.Beyond;
+  H.Accesses = Total - Capture.Accesses;
+  return H;
 }
 
 bool SetDistanceBank::addPeriodicContribution(const DistanceHistogram &H,
@@ -198,7 +257,8 @@ uint64_t SetDistanceBank::missesForCache(const CacheConfig &C) const {
 namespace {
 
 /// Walks \p P with lanes and hands \p Feed the block ids, at \p Shift,
-/// in program-order chunks. Returns the accesses walked.
+/// in program-order chunks (the exact profiler's walk). Returns the
+/// accesses walked.
 template <typename FeedFn>
 uint64_t walkBlocks(const ScopProgram &P, bool IncludeScalars,
                     unsigned Shift, FeedFn Feed) {
@@ -236,6 +296,76 @@ uint64_t walkBlocks(const ScopProgram &P, bool IncludeScalars,
   return V.Count;
 }
 
+/// The linear pass's visitor: the walk's ops go through one ChunkWriter
+/// at the walk's block size, and each full chunk steps every bank --
+/// as it is, or shifted to the bank's larger block size.
+class BankFeeder {
+public:
+  BankFeeder(unsigned Shift, const std::vector<SetDistanceBank *> &Banks)
+      : Shift(Shift), Chunks(Shift) {
+    for (SetDistanceBank *B : Banks) {
+      unsigned D = log2Exact(B->blockBytes()) - Shift;
+      auto It = std::find_if(Sizes.begin(), Sizes.end(),
+                             [&](const SizeGroup &G) { return G.Shift == D; });
+      if (It == Sizes.end())
+        It = Sizes.insert(Sizes.end(), SizeGroup{D, {}});
+      It->Banks.push_back(B);
+    }
+  }
+
+  uint64_t accesses() const { return Count; }
+
+  void access(const AccessNode &A, const IterVec &, int64_t Addr) {
+    addCount(Count, 1);
+    Chunks.push(BatchedAccess::make(Addr >> Shift, A.isWrite()), *this);
+  }
+  void lanes(const LoopNode &, int64_t Lo, int64_t Hi,
+             std::span<WalkLane> Lanes) {
+    addCount(Count, mulCount(static_cast<uint64_t>(Hi - Lo) + 1,
+                             Lanes.size()));
+    Chunks.lanes(Lo, Hi, Lanes, *this);
+  }
+  void finish() { Chunks.flush(*this); }
+
+  /// The chunk callback of the writer.
+  void operator()(const BatchedAccess *Ops, size_t N, int64_t) {
+    for (SizeGroup &G : Sizes) {
+      const BatchedAccess *In = Ops;
+      if (G.Shift != 0) {
+        // Runs at the walk's block size are runs at the bank's too, so
+        // the markers stay; a marker's count word is no op.
+        Shifted.resize(N);
+        for (size_t I = 0; I < N; ++I) {
+          if (Ops[I].isRepeat()) {
+            Shifted[I] = Ops[I];
+            Shifted[I + 1] = Ops[I + 1];
+            ++I;
+            continue;
+          }
+          Shifted[I] = BatchedAccess::make(Ops[I].block() >> G.Shift,
+                                           Ops[I].isWrite());
+        }
+        In = Shifted.data();
+      }
+      for (SetDistanceBank *B : G.Banks)
+        B->accessBatch(In, N);
+    }
+  }
+
+private:
+  /// The banks of one block size, \p Shift bits above the walk's.
+  struct SizeGroup {
+    unsigned Shift;
+    std::vector<SetDistanceBank *> Banks;
+  };
+
+  unsigned Shift;
+  ChunkWriter Chunks;
+  std::vector<SizeGroup> Sizes;
+  std::vector<BatchedAccess> Shifted; ///< One shifted chunk, reused.
+  uint64_t Count = 0;
+};
+
 } // namespace
 
 uint64_t wcs::feedBanks(const ScopProgram &Program, bool IncludeScalars,
@@ -243,14 +373,10 @@ uint64_t wcs::feedBanks(const ScopProgram &Program, bool IncludeScalars,
   unsigned Shift = 63;
   for (const SetDistanceBank *B : Banks)
     Shift = std::min(Shift, log2Exact(B->blockBytes()));
-  return walkBlocks(Program, IncludeScalars, Shift,
-                    [&](const BlockId *Blocks, size_t N) {
-                      for (SetDistanceBank *B : Banks) {
-                        unsigned D = log2Exact(B->blockBytes()) - Shift;
-                        for (size_t I = 0; I < N; ++I)
-                          B->accessBlock(Blocks[I] >> D);
-                      }
-                    });
+  BankFeeder V(Shift, Banks);
+  ScopWalk(Program, IncludeScalars, /*Batch=*/true, V).run();
+  V.finish();
+  return V.accesses();
 }
 
 StackDistanceProfiler wcs::profileProgram(const ScopProgram &Program,

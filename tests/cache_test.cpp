@@ -358,8 +358,8 @@ void expectFixedAccessMatchesRuntime() {
 /// CacheHierarchy::accessBatch (whose L1 runs the fixed-way kernels at
 /// 4, 8 and 16 ways) against one runtime access() per op on a twin
 /// hierarchy: chunks of random length, write-allocate and not, with
-/// invalidations between chunks; tagged payloads also compare their
-/// depth histograms.
+/// invalidations between chunks; every other chunk counts hit depths, on
+/// both payloads, and the depth histograms must match too.
 template <typename LineT, PolicyKind P, unsigned Ways>
 void expectBatchMatchesRuntime(WriteAllocate WA) {
   using Traits = CacheLineTraits<LineT>;
@@ -369,8 +369,6 @@ void expectBatchMatchesRuntime(WriteAllocate WA) {
   HierarchyConfig H = HierarchyConfig::singleLevel(Cfg);
   CacheHierarchy<LineT> Batched(H), Stepped(H);
   std::vector<uint64_t> HistB(Ways, 0), HistS(Ways, 0);
-  uint64_t *DepthB = Traits::HasTag ? HistB.data() : nullptr;
-  uint64_t *DepthS = Traits::HasTag ? HistS.data() : nullptr;
   std::mt19937 Rng(Ways * 100 + static_cast<unsigned>(P));
   const BlockId Span = 3 * Sets * Ways;
   const int32_t Nodes[] = {0, 1, 2};
@@ -400,6 +398,8 @@ void expectBatchMatchesRuntime(WriteAllocate WA) {
       Tags.X = X;
     }
     typename Traits::TagCursor RefTags = Tags;
+    uint64_t *DepthB = Chunk % 2 == 0 ? HistB.data() : nullptr;
+    uint64_t *DepthS = Chunk % 2 == 0 ? HistS.data() : nullptr;
     Batched.accessBatch(Ops.data(), Ops.size(), Counts, Tags, nullptr,
                         DepthB);
     for (const BatchedAccess &Op : Ops)

@@ -17,6 +17,7 @@
 
 #include "RandomProgram.h"
 #include "wcs/driver/Sweep.h"
+#include "wcs/frontend/Frontend.h"
 #include "wcs/polybench/Polybench.h"
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
@@ -309,7 +310,7 @@ TEST(FilteredStreamRle, ForEachRecordExpandsInOrder) {
   generateTrace(P, TraceOptions(), [&](const TraceRecord &T) {
     BlockId B = T.Addr >> 6; // 64-byte blocks.
     if (!Cache.access(B, T.IsWrite).L1Hit)
-      Ref.push_back(FilteredRecord{B, T.IsWrite});
+      Ref.push_back(FilteredRecord::make(B, T.IsWrite));
   });
   ASSERT_EQ(Compressed.size(), Ref.size());
   size_t I = 0;
@@ -481,6 +482,52 @@ TEST(SweepFiltered, TruncatedRecordingFallsBackToSimulation) {
 /// Mixed grids keep every partition honest: single-level LRU points
 /// stay on the shared pass, NINE two-level points go filtered, the rest
 /// simulates.
+/// Accesses below address zero have negative blocks, and a record's
+/// word must still never read as a repeat marker: a folded, negative
+/// miss stream feeds LRU-row and exact banks and replays through every
+/// L2 policy, write-allocate or not, exactly as a two-level concrete
+/// simulation -- directly and through the sweep.
+TEST(SweepFiltered, NegativeAddressStreamsMatchConcrete) {
+  ParseResult R = parseScop(R"(
+    double A[16];
+    for (t = 0; t < 8; t++)
+      for (i = 0; i < 600; i++)
+        A[i - 40000] = A[i - 40000] + A[2 * i - 30000];
+  )");
+  ASSERT_TRUE(R.ok()) << R.message();
+  const ScopProgram &P = R.Program;
+  std::vector<HierarchyConfig> Grid;
+  for (PolicyKind L1Pol : {PolicyKind::Lru, PolicyKind::Plru}) {
+    CacheConfig L1{1024, 2, 64, L1Pol, WriteAllocate::Yes};
+    FilteredStream FS = FilteredStream::record(P, L1);
+    ASSERT_TRUE(FS.compressed()) << L1.str();
+    FS.forEachRecord([](const FilteredRecord &Rec) {
+      ASSERT_FALSE(Rec.isRepeat());
+      ASSERT_LT(Rec.block(), 0);
+    });
+    for (PolicyKind L2Pol : AllPolicies)
+      for (WriteAllocate L2Alloc : {WriteAllocate::Yes, WriteAllocate::No}) {
+        CacheConfig L2{8192, 8, 64, L2Pol, L2Alloc};
+        HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
+        expectStatsMatchConcrete(P, H, FS.replay(L2), "replay");
+        Grid.push_back(H);
+      }
+    for (unsigned Assoc : {8u, 96u}) {
+      CacheConfig L2{uint64_t(Assoc) * 16 * 64, Assoc, 64, PolicyKind::Lru,
+                     WriteAllocate::Yes};
+      SetDistanceBank Bank(64, 16, Assoc);
+      FS.feed(Bank);
+      ConcreteSimulator Sim(P, HierarchyConfig::twoLevel(L1, L2));
+      EXPECT_EQ(Bank.missesForCache(L2), Sim.run().Level[1].Misses)
+          << L2.str();
+      Grid.push_back(HierarchyConfig::twoLevel(L1, L2));
+    }
+  }
+  SweepOptions SO;
+  SO.Threads = 2;
+  expectSweepMatchesConcrete(P, Grid, SO);
+}
+
 TEST(SweepFiltered, MixedGridPartitions) {
   std::mt19937 Rng(23);
   ScopProgram P = generateProgram(Rng);

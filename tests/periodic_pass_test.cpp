@@ -15,10 +15,12 @@
 
 #include "RandomProgram.h"
 #include "wcs/driver/Sweep.h"
+#include "wcs/polybench/Polybench.h"
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/trace/PeriodicPass.h"
 #include "wcs/trace/StackDistance.h"
+#include "wcs/trace/TraceGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,40 @@ TEST(PeriodicPass, TruncatedBankAnswersOnlyWithinDepth) {
                      WriteAllocate::Yes};
   EXPECT_TRUE(Bank.matches(Within));
   EXPECT_FALSE(Bank.matches(Beyond));
+}
+
+/// The warp pilot: a pass that warps within its budget runs and decides
+/// exactly as without a pilot; one that steps its budget without a warp
+/// is abandoned at the next activation top, its stats counting what it
+/// stepped and its histogram empty.
+TEST(PeriodicPass, WarpPilotKeepsWarpingPassesAndAbandonsTheRest) {
+  ScopProgram P = periodicSweepProgram(/*Steps=*/40, /*Blocks=*/64);
+  PeriodicPassResult Free = runPeriodicPass(P, 64, 1, 128);
+  ASSERT_GT(Free.Stats.Warps, 0u);
+  const uint64_t Trace = Free.Stats.Level[0].Accesses;
+  PeriodicPassResult Kept =
+      runPeriodicPass(P, 64, 1, 128, SimOptions(), Trace / 8);
+  EXPECT_FALSE(Kept.Abandoned);
+  EXPECT_EQ(Kept.Stats.Warps, Free.Stats.Warps);
+  EXPECT_EQ(Kept.Stats.WarpedAccesses, Free.Stats.WarpedAccesses);
+  EXPECT_EQ(Kept.Stats.SimulatedAccesses, Free.Stats.SimulatedAccesses);
+  EXPECT_EQ(Kept.Histogram.Hist, Free.Histogram.Hist);
+  EXPECT_EQ(Kept.Histogram.Beyond, Free.Histogram.Beyond);
+
+  // gemm at SMALL never warps on 4 sets of 16 ways.
+  std::string Err;
+  ScopProgram Gemm = buildKernel("gemm", ProblemSize::Small, &Err);
+  ASSERT_EQ(Err, "");
+  const uint64_t GemmTrace = countAccesses(Gemm, TraceOptions());
+  PeriodicPassResult Gone =
+      runPeriodicPass(Gemm, 64, 4, 16, SimOptions(), GemmTrace / 8);
+  EXPECT_TRUE(Gone.Abandoned);
+  EXPECT_EQ(Gone.Stats.Warps, 0u);
+  EXPECT_GE(Gone.Stats.SimulatedAccesses, GemmTrace / 8);
+  EXPECT_LT(Gone.Stats.SimulatedAccesses, GemmTrace / 4);
+  EXPECT_EQ(Gone.Stats.Level[0].Accesses, Gone.Stats.SimulatedAccesses);
+  EXPECT_TRUE(Gone.Histogram.Hist.empty());
+  EXPECT_GT(Gone.Stats.Seconds, 0.0);
 }
 
 //===----------------------------------------------------------------------===//

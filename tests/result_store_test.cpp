@@ -85,16 +85,17 @@ TEST(ResultStore, InMemoryHitMissAccounting) {
   ASSERT_TRUE(S.open("", &Err)) << Err;
 
   SweepPoint Out;
+  const std::string Untouched = dumpPoint(Out);
   EXPECT_FALSE(S.lookup("k1", Out));
-  EXPECT_EQ(S.misses(), 1u);
-  EXPECT_EQ(S.hits(), 0u);
+  EXPECT_EQ(dumpPoint(Out), Untouched) << "a miss leaves Out untouched";
 
   SweepPoint P = makePoint(1000, 77);
   ASSERT_TRUE(S.insert("k1", P, &Err)) << Err;
   EXPECT_EQ(S.numEntries(), 1u);
   ASSERT_TRUE(S.lookup("k1", Out));
-  EXPECT_EQ(S.hits(), 1u);
   // The hit is the inserted point, verbatim.
+  EXPECT_EQ(dumpPoint(Out), dumpPoint(P));
+  EXPECT_FALSE(S.lookup("k2", Out)) << "other keys still miss";
   EXPECT_EQ(dumpPoint(Out), dumpPoint(P));
 }
 

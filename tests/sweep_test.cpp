@@ -282,6 +282,114 @@ TEST(Sweep, DiscardedPeriodicPassesReportTheLinearWalk) {
   }
 }
 
+/// The linear walk runs as one task per worker, each feeding its own
+/// group of banks: every bank must see the whole trace once, whatever
+/// the group count. Banks of 16-, 64- and 256-byte blocks, LRU rows and
+/// exact profilers, through 1, 2 and 3 workers.
+TEST(Sweep, LinearWalkSplitAcrossWorkersMatchesConcrete) {
+  std::mt19937 Rng(2023);
+  std::vector<HierarchyConfig> Grid;
+  for (unsigned Block : {16u, 64u, 256u})
+    for (unsigned Assoc : {2u, 8u, 96u})
+      Grid.push_back(HierarchyConfig::singleLevel(
+          CacheConfig{uint64_t(Block) * Assoc * 4, Assoc, Block,
+                      PolicyKind::Lru, WriteAllocate::Yes}));
+  for (int Trial = 0; Trial < 3; ++Trial) {
+    ScopProgram P = generateProgram(Rng, /*LongRuns=*/Trial != 0);
+    for (unsigned Threads : {1u, 2u, 3u})
+      expectSweepMatchesConcrete(P, Grid, Threads);
+  }
+}
+
+/// The 16-way ladder of 4 to 1,024 sets at 64-byte blocks.
+std::vector<HierarchyConfig> pilotLadder() {
+  std::vector<HierarchyConfig> Grid;
+  for (uint64_t Bytes = 4096; Bytes <= (1u << 20); Bytes *= 2)
+    Grid.push_back(HierarchyConfig::singleLevel(
+        CacheConfig{Bytes, 16, 64, PolicyKind::Lru, WriteAllocate::Yes}));
+  return Grid;
+}
+
+/// The warp pilot's choice per bank, at threshold 1 (every bank starts a
+/// periodic pass, and every pass is under the pilot): the set counts of
+/// the banks whose pass was kept. Kept passes warped; abandoned banks
+/// were fed by the linear walk, and every point matches it.
+TEST(SweepPilot, PerBankChoiceIsPinned) {
+  const struct {
+    const char *Kernel;
+    std::vector<unsigned> Kept;
+  } Cases[] = {{"gemm", {}},
+               {"gramschmidt", {}},
+               {"jacobi-2d", {4, 8, 16, 32}},
+               {"heat-3d", {4, 8, 16}}};
+  const std::vector<HierarchyConfig> Grid = pilotLadder();
+  for (const auto &C : Cases) {
+    std::string Err;
+    ScopProgram P = buildKernel(C.Kernel, ProblemSize::Small, &Err);
+    ASSERT_TRUE(Err.empty()) << Err;
+    SweepOptions Pilot;
+    Pilot.WarpSweepMinAccesses = 1;
+    Pilot.Threads = 2;
+    SweepOptions Linear;
+    Linear.WarpSweepMinAccesses = UINT64_MAX;
+    SweepReport Rep = runSweep(P, Grid, Pilot);
+    SweepReport Ref = runSweep(P, Grid, Linear);
+    ASSERT_TRUE(Rep.allOk()) << C.Kernel;
+    ASSERT_TRUE(Rep.PeriodicPass) << C.Kernel;
+    std::vector<unsigned> Kept;
+    for (size_t I = 0; I < Grid.size(); ++I) {
+      const SimStats &S = Rep.Points[I].Stats;
+      EXPECT_EQ(S.Level[0].Misses, Ref.Points[I].Stats.Level[0].Misses)
+          << C.Kernel << " " << Grid[I].str();
+      if (S.Warps > 0)
+        Kept.push_back(Grid[I].Levels[0].numSets());
+      else
+        EXPECT_EQ(S.SimulatedAccesses, S.Level[0].Accesses)
+            << C.Kernel << " " << Grid[I].str() << ": an abandoned bank's "
+            << "points carry the linear walk's provenance";
+    }
+    EXPECT_EQ(Kept, C.Kept) << C.Kernel;
+    EXPECT_EQ(Rep.PeriodicAbandoned, Grid.size() - C.Kept.size())
+        << C.Kernel;
+  }
+}
+
+/// With pilots abandoned and the linear walk split across workers, the
+/// points' seconds still sum to the method's: the pre-walk, every pass
+/// (abandoned ones included) and every walk task.
+TEST(SweepPilot, PointSecondsSumToThePassesAndTheSplitWalk) {
+  std::string Err;
+  ScopProgram P = buildKernel("jacobi-2d", ProblemSize::Small, &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  const std::vector<HierarchyConfig> Grid = pilotLadder();
+  SweepOptions Pilot;
+  Pilot.WarpSweepMinAccesses = 1;
+  Pilot.Threads = 3;
+  SweepReport Rep = runSweep(P, Grid, Pilot);
+  ASSERT_TRUE(Rep.allOk());
+  ASSERT_GT(Rep.PeriodicAbandoned, 2u) << "the walk must split three ways";
+  ASSERT_LT(Rep.PeriodicAbandoned, Grid.size()) << "some pass must be kept";
+  EXPECT_GT(Rep.TracePassSeconds, 0.0);
+  EXPECT_GT(Rep.PeriodicPassSeconds, 0.0);
+  double PointSeconds = 0.0;
+  for (const SweepPoint &Pt : Rep.Points)
+    PointSeconds += Pt.Stats.Seconds;
+  EXPECT_NEAR(PointSeconds, Rep.stackDistanceSeconds(),
+              1e-9 * Grid.size() + 1e-12);
+  EXPECT_NE(Rep.summary().find(
+                std::to_string(Rep.PeriodicAbandoned) + " abandoned"),
+            std::string::npos)
+      << Rep.summary();
+
+  // Threshold 0 forces every pass to its end: nothing is abandoned.
+  Pilot.WarpSweepMinAccesses = 0;
+  SweepReport Forced = runSweep(P, Grid, Pilot);
+  EXPECT_EQ(Forced.PeriodicAbandoned, 0u);
+  for (size_t I = 0; I < Grid.size(); ++I)
+    EXPECT_EQ(Forced.Points[I].Stats.Level[0].Misses,
+              Rep.Points[I].Stats.Level[0].Misses);
+}
+
 //===----------------------------------------------------------------------===//
 // Sub-sweep partitioning (the scheduler's job seams)
 //===----------------------------------------------------------------------===//

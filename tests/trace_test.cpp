@@ -52,45 +52,54 @@ TEST(TraceGenerator, ScalarExclusionMatchesSimulatorAccounting) {
   EXPECT_EQ(N, 3u * 299u * 4u);
 }
 
-/// Banks of 16-, 64- and 256-byte blocks at widths 1, 8 and 64, plus one
-/// exact 65-way bank: the lane-fed walk generates blocks at the
-/// smallest block size, and each bank must shift them to its own.
+/// Banks of 16-, 64- and 256-byte blocks: LRU rows at widths 1, 8 and
+/// 64, and exact 65-way profilers. The walk writes its chunks at the
+/// smallest block size, and each bank must step them shifted to its own.
 std::vector<SetDistanceBank> testBanks() {
   std::vector<SetDistanceBank> Banks;
   for (unsigned Block : {16u, 64u, 256u}) {
     Banks.emplace_back(Block, 4, 1);
     Banks.emplace_back(Block, 2, 8);
     Banks.emplace_back(Block, 1, 64);
+    Banks.emplace_back(Block, 2, 65);
   }
-  Banks.emplace_back(64, 2, 65);
   return Banks;
 }
 
 /// Every consumer of the program-order walk sees the same accesses as
-/// generateTrace, the per-access reference: the lane-fed banks at every
-/// associativity they answer, and the per-activation count, capped or
-/// not.
+/// generateTrace, the per-access reference: the banks fed by the
+/// batched, marker-carrying linear pass at every associativity they
+/// answer -- split into 1, 2 and 3 walk groups like the sweep's linear
+/// walk (bank I in group I mod the group count, so every group mixes
+/// block sizes and both representations) -- and the per-activation
+/// count, capped or not.
 void expectConsumersAgree(const ScopProgram &P, bool Scalars,
                           const std::string &Ctx) {
   TraceOptions TO;
   TO.IncludeScalars = Scalars;
-  std::vector<SetDistanceBank> Walked = testBanks(), Ref = testBanks();
-  std::vector<SetDistanceBank *> Feed;
-  for (SetDistanceBank &B : Walked)
-    Feed.push_back(&B);
-  uint64_t N = feedBanks(P, Scalars, Feed);
+  std::vector<SetDistanceBank> Ref = testBanks();
   uint64_t Records = generateTrace(P, TO, [&](const TraceRecord &R) {
     for (SetDistanceBank &B : Ref)
       B.accessAddr(R.Addr);
   });
-  ASSERT_EQ(N, Records) << Ctx;
-  for (size_t I = 0; I < Ref.size(); ++I) {
-    ASSERT_EQ(Walked[I].totalAccesses(), Ref[I].totalAccesses()) << Ctx;
-    unsigned Width = Ref[I].truncatedAtAssoc() ? Ref[I].truncatedAtAssoc()
-                                               : 65;
-    for (unsigned A = 1; A <= Width; ++A)
-      ASSERT_EQ(Walked[I].missesForAssoc(A), Ref[I].missesForAssoc(A))
-          << Ctx << " bank " << I << " assoc " << A;
+  for (size_t NumGroups : {1u, 2u, 3u}) {
+    std::vector<SetDistanceBank> Walked = testBanks();
+    std::vector<std::vector<SetDistanceBank *>> Groups(NumGroups);
+    for (size_t I = 0; I < Walked.size(); ++I)
+      Groups[I % NumGroups].push_back(&Walked[I]);
+    for (const std::vector<SetDistanceBank *> &G : Groups)
+      ASSERT_EQ(feedBanks(P, Scalars, G), Records) << Ctx;
+    for (size_t I = 0; I < Ref.size(); ++I) {
+      const std::string Where = Ctx + " groups " +
+                                std::to_string(NumGroups) + " bank " +
+                                std::to_string(I);
+      ASSERT_EQ(Walked[I].totalAccesses(), Ref[I].totalAccesses()) << Where;
+      unsigned Width = Ref[I].truncatedAtAssoc() ? Ref[I].truncatedAtAssoc()
+                                                 : 65;
+      for (unsigned A = 1; A <= Width; ++A)
+        ASSERT_EQ(Walked[I].missesForAssoc(A), Ref[I].missesForAssoc(A))
+            << Where << " assoc " << A;
+    }
   }
   EXPECT_EQ(countAccesses(P, TO), Records) << Ctx;
   for (uint64_t Cap : {Records / 2, Records - 1, Records, Records + 1})
