@@ -52,9 +52,11 @@
 //
 // Every verified pair (warping/concrete, stack-distance/warping,
 // concrete/trace) must produce identical miss counters before the file
-// is written, so a results file never contains an unsound speedup. Warps
-// and warped accesses are deterministic counters too, so a change in how
-// much the ablation rows warp shows up as counter drift in wcs-report.
+// is written, so a results file never contains an unsound speedup.
+// wcs-report's drift gate compares each entry's per-level accesses and
+// misses only. Warps and warped accesses are deterministic too, but a
+// change in how much an entry (an ablation row, say) warps is printed as
+// "N entries changed warp decisions (not gated)", never gated.
 // The sweep suites additionally verify that every fast-path miss count
 // equals its independently simulated twin, and abort unless the sweep
 // beats the independent runs it replaces in aggregate: >= 3x for the

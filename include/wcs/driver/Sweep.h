@@ -103,9 +103,11 @@ struct SweepPoint {
   SimBackend Backend = SimBackend::Warping;
   bool Ok = false;
   std::string Error;
-  /// Counters; Stats.Seconds is the wall time attributed to this point
-  /// (its job's time, or an equal share of the shared trace pass for
-  /// stack-distance points).
+  /// Counters; Stats.Seconds is the wall time attributed to this point:
+  /// its job's time, or, for a stack-distance point, equal shares of its
+  /// bank's periodic pass, the pre-walk and, if its bank was walked, the
+  /// linear walk. The stack-distance points' seconds, failed points
+  /// included, sum to SweepReport::stackDistanceSeconds().
   SimStats Stats;
 };
 

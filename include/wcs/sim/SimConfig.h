@@ -57,15 +57,6 @@ struct WarpConfig {
   /// stretches the ring's reach and avoids copying near-duplicates.
   int64_t MinSnapshotSpacing = 16;
 
-  /// Match distances above this cap are rejected outright when any
-  /// access node's domain couples the warped iterator with inner
-  /// dimensions (triangular bounds): the coupled FurthestByDomains path
-  /// solves Fourier-Motzkin systems per residue class, so large deltas
-  /// would make *failed* checks expensive. Rotating matches with large
-  /// deltas only arise for uncoupled (rectangular) domains, which use
-  /// the closed-form fast path.
-  int64_t MaxDeltaForCoupledDomains = 32;
-
   /// Loops with at most this many iterations snapshot on the *first*
   /// occurrence of a key instead of the second. Short loops (outer time
   /// loops in particular) cannot afford to burn a whole state period on
@@ -84,20 +75,15 @@ struct WarpConfig {
   /// (elements per block) * (a few way-placement cycles).
   int64_t MaxDelta = 512;
 
-  /// A loop node stops probing after this many consecutive activations
-  /// that probed at least MinProbesForLearning iterations without a
-  /// single successful warp (keeps non-warping kernels near 1x cost).
-  unsigned DisableAfterFailedActivations = 4;
-  unsigned MinProbesForLearning = 32;
-
-  /// Profit guard: after ProfitGuardActivations activations of a loop
-  /// node, probing is disabled if the accesses saved by warping stay
-  /// below the (access-equivalent) cost of probing and snapshotting.
-  /// Loops that warp but with poor return (e.g. short inner loops whose
-  /// pattern period is a large fraction of their trip count) then fall
-  /// back to plain symbolic simulation.
+  /// Profit guard, the one rule that stops a loop node's probing: after
+  /// each of its activations, once the accesses its warps saved fall
+  /// below the access-equivalent cost of its probes and snapshot stores
+  /// so far, the node probes no more. A loop that never warps thus
+  /// probes in its first activation only, and one that warps with poor
+  /// return (a short inner loop whose pattern period is a large fraction
+  /// of its trip count, say) falls back to plain symbolic simulation.
+  /// Off, every activation probes.
   bool EnableProfitGuard = true;
-  unsigned ProfitGuardActivations = 8;
 };
 
 /// Options shared by all simulators.

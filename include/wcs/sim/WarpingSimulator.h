@@ -19,9 +19,11 @@
 /// Storage discipline: the first occurrence of a key records only a
 /// marker; a snapshot is taken on the second occurrence (on the first in
 /// short loops, see WarpConfig::EagerSnapshotTripLimit); later
-/// occurrences attempt warps against the stored snapshots. Loops whose
-/// activations repeatedly probe without ever warping stop probing (see
-/// WarpConfig), keeping non-warping kernels at ordinary-simulation cost.
+/// occurrences attempt warps against the stored snapshots. One rule,
+/// the profit guard (WarpConfig::EnableProfitGuard), stops a loop's
+/// probing: after each activation, once the accesses the loop's warps
+/// saved fall below what its probes and stores cost, keeping kernels
+/// that never warp near ordinary-simulation cost.
 ///
 /// Probes cost what changed. The symbolic hierarchy stamps every set it
 /// changes (SetAssocCache::tick), and each probe ticks it. The key
@@ -50,8 +52,8 @@
 /// steps those iterations itself, one access at a time, and leaves the
 /// rest to the walk. With SimOptions::BatchConcrete, the rest of a
 /// batchable innermost loop -- a whole activation of a loop that cannot
-/// probe or whose probing learning or the profit guard disabled, or the
-/// tail after MaxProbeIters -- is a lanes event, and the hierarchy's
+/// probe or whose probing the profit guard stopped, or the tail after
+/// MaxProbeIters -- is a lanes event, and the hierarchy's
 /// accessBatch refreshes each tag from the lane's node, the
 /// activation's epoch and the iteration. There, as in the concrete
 /// simulator, a run of iterations that touch the same blocks is
@@ -180,14 +182,12 @@ private:
   /// activations by depth; entry D is the activation whose pool is
   /// Pools[D].
   Visitor Step;
-  /// Per-loop learning state: consecutive fully-probed activations with
-  /// no warp; probing disabled once the threshold is reached.
-  std::vector<unsigned> LoopFailures;
+  /// Profit guard per loop node: probing is off once the accesses its
+  /// warps saved (ProbeGain) fall below its probe and store cost, both in
+  /// access equivalents.
   std::vector<uint8_t> LoopDisabled;
-  /// Profit-guard accounting (in access-equivalents) per loop node.
   std::vector<uint64_t> ProbeCost;
   std::vector<uint64_t> ProbeGain;
-  std::vector<unsigned> GuardedActivations;
   /// Per-loop viable-delta unit (-1 = not yet computed; 0 = never warps).
   std::vector<int64_t> DeltaUnit;
   uint64_t TotalLines = 0;

@@ -269,13 +269,16 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   // without a warp is abandoned, and its bank joins the linear walk. A
   // threshold of 0 runs every periodic pass to its end; UINT64_MAX
   // always walks linearly, without the pre-walk.
-  std::vector<PeriodicPassResult> PassResults;
-  double PassProbeSeconds = 0.0;
-  // Periodic flavor only: banks whose pass was not used, conditioned by
-  // the linear walk instead; and banks whose pass counted past 2^64 - 1,
-  // whose points fail with "counter overflow" -- a linear walk would
-  // count the same accesses one by one and overflow too.
-  std::vector<uint8_t> Demoted, Overflowed;
+  //
+  // Per bank: its periodic pass (none in the linear flavor, so its
+  // seconds stay 0); whether the linear walk conditions it (every bank in
+  // the linear flavor, the banks whose pass was not used in the periodic
+  // one); and whether its pass counted past 2^64 - 1, which fails its
+  // points with "counter overflow" -- a linear walk would count the same
+  // accesses one by one and overflow too.
+  std::vector<PeriodicPassResult> PassResults(Banks.size());
+  std::vector<uint8_t> Walked(Banks.size(), 0), Overflowed(Banks.size(), 0);
+  double PreWalkSeconds = 0.0;         ///< The counting pre-walk's cost.
   std::vector<SetDistanceBank *> Walk; ///< Banks the linear walk feeds.
   double WalkSeconds = 0.0;            ///< Its tasks' seconds, summed.
   if (!Banks.empty()) {
@@ -287,25 +290,21 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     const bool Periodic = Threshold != UINT64_MAX && TraceLen >= Threshold;
     // The pre-walk is pass cost too; count it so the attributed shares
     // still sum to the real cost of the method.
-    const double ProbeSeconds = telemetry::secondsSince(P0);
+    PreWalkSeconds = telemetry::secondsSince(P0);
     if (Periodic) {
       Rep.PeriodicPass = true;
-      PassProbeSeconds = ProbeSeconds;
-      Rep.PeriodicPassSeconds += PassProbeSeconds;
+      Rep.PeriodicPassSeconds += PreWalkSeconds;
       const uint64_t Pilot =
           Threshold == 0 ? UINT64_MAX : TraceLen / WarpPilotFraction;
-      PassResults.resize(Banks.size());
       // A pass that throws (e.g. bad_alloc) must not poison its bank: a
       // default-constructed PassResult holds an EMPTY histogram whose
       // addTo would "succeed" and make every point on the bank report
       // zero misses as if nothing was ever accessed. Track failures and
       // demote those banks to the linear walk.
-      Demoted.assign(Banks.size(), 0);
-      Overflowed.assign(Banks.size(), 0);
       std::vector<std::function<void()>> Tasks;
       Tasks.reserve(Banks.size());
       for (size_t B = 0; B < Banks.size(); ++B)
-        Tasks.push_back([&Program, &Opts, &PassResults, &Plan, &Demoted,
+        Tasks.push_back([&Program, &Opts, &PassResults, &Plan, &Walked,
                          &Overflowed, Pilot, B] {
           telemetry::Span PassSpan("sweep.periodic-bank");
           PassSpan.arg("bank", static_cast<uint64_t>(B));
@@ -318,7 +317,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
           } catch (const std::overflow_error &) {
             Overflowed[B] = 1;
           } catch (...) {
-            Demoted[B] = 1;
+            Walked[B] = 1;
           }
           // The pass's cost, whatever its outcome.
           PassResults[B].Stats.Seconds = telemetry::secondsSince(S0);
@@ -341,10 +340,10 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
           continue;
         if (PassResults[B].Abandoned)
           ++Rep.PeriodicAbandoned;
-        if (Demoted[B] || PassResults[B].Abandoned ||
+        if (Walked[B] || PassResults[B].Abandoned ||
             faultinject::shouldFail("sweep.periodic-pass") ||
             !PassResults[B].addTo(Banks[B])) {
-          Demoted[B] = 1;
+          Walked[B] = 1;
           Walk.push_back(&Banks[B]);
           continue;
         }
@@ -355,7 +354,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
             PassResults[B].Stats.WarpedAccesses;
       }
     } else {
-      Rep.TracePassSeconds += ProbeSeconds;
+      Rep.TracePassSeconds += PreWalkSeconds;
+      Walked.assign(Banks.size(), 1);
       for (SetDistanceBank &B : Banks)
         Walk.push_back(&B);
     }
@@ -368,17 +368,18 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       for (size_t I = 0; I < Walk.size(); ++I)
         WalkGroups[I % NumWalks].push_back(Walk[I]);
       std::vector<double> TaskSeconds(NumWalks, 0.0);
-      std::vector<uint64_t> Walked(NumWalks, 0);
+      std::vector<uint64_t> WalkAccesses(NumWalks, 0);
       std::vector<std::function<void()>> Tasks;
       Tasks.reserve(NumWalks);
       for (size_t G = 0; G < NumWalks; ++G)
-        Tasks.push_back([&Program, &TO, &WalkGroups, &TaskSeconds, &Walked,
-                         Periodic, G] {
+        Tasks.push_back([&Program, &TO, &WalkGroups, &TaskSeconds,
+                         &WalkAccesses, Periodic, G] {
           telemetry::Span WalkSpan("sweep.stack-distance-pass");
           WalkSpan.arg("flavor", Periodic ? "demoted-linear" : "linear");
           WalkSpan.arg("banks", static_cast<uint64_t>(WalkGroups[G].size()));
           telemetry::TimePoint L0 = telemetry::now();
-          Walked[G] = feedBanks(Program, TO.IncludeScalars, WalkGroups[G]);
+          WalkAccesses[G] =
+              feedBanks(Program, TO.IncludeScalars, WalkGroups[G]);
           TaskSeconds[G] = telemetry::secondsSince(L0);
         });
       Runner.runTasks(Tasks);
@@ -386,7 +387,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         WalkSeconds += S;
       Rep.TracePassSeconds += WalkSeconds;
       if (Rep.TraceAccesses == 0)
-        Rep.TraceAccesses = Walked.front();
+        Rep.TraceAccesses = WalkAccesses.front();
     }
   }
 
@@ -505,26 +506,28 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     }
   }
 
-  // Answer the fast-path points from the histograms. The pass cost is
-  // attributed in equal shares over the points a pass answered (per
-  // bank under periodic passes, where each bank had its own run; the
-  // demoted walk over the points of the banks it conditioned): it is
-  // the only cost these points have, and the shares sum back to the
-  // true pass time.
+  // Answer the fast-path points from the histograms. A point's seconds
+  // are three equal shares: of its bank's pass over the bank's points,
+  // of the pre-walk over every fast point, and, if the linear walk
+  // conditioned its bank, of the walk over the walked points (the
+  // linear flavor has no pass and walks every bank). They are the only
+  // costs these points have, and the shares of every point, failed ones
+  // included, sum back to stackDistanceSeconds().
   std::vector<size_t> BankPoints(Banks.size(), 0);
   size_t WalkedPoints = 0;
   for (const FastPoint &F : Fast) {
     ++BankPoints[F.Bank];
-    if (!Demoted.empty() && Demoted[F.Bank])
-      ++WalkedPoints;
+    WalkedPoints += Walked[F.Bank];
   }
-  double EqualShare =
-      Fast.empty() ? 0.0
-                   : (Rep.TracePassSeconds + Rep.PeriodicPassSeconds) /
-                         static_cast<double>(Fast.size());
   for (const FastPoint &F : Fast) {
     SweepPoint &P = Rep.Points[F.Point];
-    if (!Overflowed.empty() && Overflowed[F.Bank]) {
+    const SimStats &PassStats = PassResults[F.Bank].Stats;
+    P.Stats.Seconds =
+        PassStats.Seconds / static_cast<double>(BankPoints[F.Bank]) +
+        PreWalkSeconds / static_cast<double>(Fast.size());
+    if (Walked[F.Bank])
+      P.Stats.Seconds += WalkSeconds / static_cast<double>(WalkedPoints);
+    if (Overflowed[F.Bank]) {
       P.Ok = false;
       P.Error = "counter overflow";
       continue;
@@ -534,26 +537,15 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     P.Stats.Level[0].Accesses = Bank.totalAccesses();
     P.Stats.Level[0].Misses =
         Bank.missesForCache(P.Cache.Levels.front());
-    if (Rep.PeriodicPass) {
-      const SimStats &PassStats = PassResults[F.Bank].Stats;
-      P.Stats.Seconds =
-          PassStats.Seconds / static_cast<double>(BankPoints[F.Bank]) +
-          PassProbeSeconds / static_cast<double>(Fast.size());
-      if (Demoted[F.Bank]) {
-        // Answered by the linear walk, whatever the discarded pass did.
-        P.Stats.SimulatedAccesses = Bank.totalAccesses();
-        P.Stats.Seconds +=
-            WalkSeconds / static_cast<double>(WalkedPoints);
-      } else {
-        P.Stats.SimulatedAccesses = PassStats.SimulatedAccesses;
-        P.Stats.WarpedAccesses = PassStats.WarpedAccesses;
-        P.Stats.Warps = PassStats.Warps;
-        P.Stats.FailedWarpChecks = PassStats.FailedWarpChecks;
-        P.Stats.FailedBy = PassStats.FailedBy;
-      }
-    } else {
+    if (Walked[F.Bank]) {
+      // Answered by the linear walk, whatever a discarded pass did.
       P.Stats.SimulatedAccesses = Bank.totalAccesses();
-      P.Stats.Seconds = EqualShare;
+    } else {
+      P.Stats.SimulatedAccesses = PassStats.SimulatedAccesses;
+      P.Stats.WarpedAccesses = PassStats.WarpedAccesses;
+      P.Stats.Warps = PassStats.Warps;
+      P.Stats.FailedWarpChecks = PassStats.FailedWarpChecks;
+      P.Stats.FailedBy = PassStats.FailedBy;
     }
     P.Ok = true;
   }

@@ -240,11 +240,6 @@ WarpCheck WarpEngine::warpBound(const WarpScope &Scope, int64_t X0,
     for (const ReducedConstraint &R : RC)
       IsCoupled |= couplesInner(R.Cy, R.Cx);
     if (IsCoupled) {
-      // Large deltas would make the coupled systems expensive, so they
-      // are rejected (they do not occur for genuine warps of coupled
-      // domains): an immediate conflict.
-      if (Delta > WC.MaxDeltaForCoupledDomains)
-        return WarpCheck::Room;
       Coupled.emplace_back(&NS, std::move(RC));
       continue;
     }

@@ -145,11 +145,9 @@ WarpingSimulator::WarpingSimulator(const ScopProgram &Program,
       Engine(Program, CacheCfg, Options), Options(Options),
       Epochs(epochCollectFloor(CacheCfg)),
       Step{{Cache, Stats, log2Exact(CacheCfg.blockBytes())}, *this},
-      LoopFailures(Program.loops().size(), 0),
       LoopDisabled(Program.loops().size(), 0),
       ProbeCost(Program.loops().size(), 0),
       ProbeGain(Program.loops().size(), 0),
-      GuardedActivations(Program.loops().size(), 0),
       DeltaUnit(Program.loops().size(), -1) {
   Stats.NumLevels = CacheCfg.numLevels();
   for (const CacheConfig &C : CacheCfg.Levels)
@@ -243,7 +241,6 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
 
   const WarpScope Scope{&L, Iter, Hi};
   unsigned Probes = 0;
-  bool WarpedAny = false;
   bool EagerSnapshots = Hi - Lo < WC.EagerSnapshotTripLimit;
   uint64_t GainBefore = Stats.WarpedAccesses;
 
@@ -300,7 +297,6 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
       Engine.applyWarp(Cache, Epochs, Scope, Plan);
       X += Plan.N * Plan.Delta;
       Warped = true;
-      WarpedAny = true;
       break;
     }
     if (Warped)
@@ -336,21 +332,18 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
     for (; X <= Hi; ++X)
       Walk.iteration(L, Iter, X);
 
-  // Learning: loops that probe a lot without ever warping stop probing.
-  if (WarpedAny)
-    LoopFailures[L.Id] = 0;
-  else if (Probes >= WC.MinProbesForLearning &&
-           ++LoopFailures[L.Id] >= WC.DisableAfterFailedActivations)
-    LoopDisabled[L.Id] = 1;
-  // Profit guard: warping must pay for its probing and snapshot cost
-  // (in access-equivalents; a probe hashes the whole state, a snapshot
-  // copies it).
+  // Profit guard: a loop stops probing as soon as the accesses its warps
+  // saved fall below what its probes and stores cost. The cost is a
+  // fixed access-equivalent estimate, TotalLines / 8 + 1 per probe and
+  // TotalLines per store, dating from when a probe hashed and a store
+  // copied the whole state. Both now touch only the sets changed since;
+  // the constants are kept as they are, not retuned to that. Counts, not
+  // measured seconds, so warp decisions are the same on every run.
   if (WC.EnableProfitGuard) {
     ProbeCost[L.Id] += Probes * (TotalLines / 8 + 1) +
                        Act.StoresThisActivation * TotalLines;
     ProbeGain[L.Id] += Stats.WarpedAccesses - GainBefore;
-    if (++GuardedActivations[L.Id] >= WC.ProfitGuardActivations &&
-        ProbeGain[L.Id] < ProbeCost[L.Id])
+    if (ProbeGain[L.Id] < ProbeCost[L.Id])
       LoopDisabled[L.Id] = 1;
   }
   return X;

@@ -116,8 +116,8 @@ TEST(DifferentialFuzz, BatchedConcreteMatchesScalarAllPolicies) {
 /// from lane, epoch and iteration) must leave every probe the same state
 /// as per-access stepping, so the warp diagnostics -- not just the
 /// counters -- must agree. Random warp bounds make probing stop early
-/// (short probe windows, eager learning and profit guard), so batched
-/// tails and disabled loops interleave with probes of enclosing loops.
+/// (short probe windows, the profit guard on or off), so batched tails
+/// and disabled loops interleave with probes of enclosing loops.
 TEST(DifferentialFuzz, BatchedWarpingMatchesPerAccessWarping) {
   std::mt19937 Rng(0xFACADE);
   auto Pick = [&](std::initializer_list<unsigned> Vs) {
@@ -132,9 +132,7 @@ TEST(DifferentialFuzz, BatchedWarpingMatchesPerAccessWarping) {
     ScopProgram P = generateProgram(Rng);
     SimOptions Batched;
     Batched.Warp.MaxProbeIters = Pick({2, 5, 4096});
-    Batched.Warp.MinProbesForLearning = Pick({1, 32});
-    Batched.Warp.DisableAfterFailedActivations = Pick({1, 4});
-    Batched.Warp.ProfitGuardActivations = Pick({1, 8});
+    Batched.Warp.EnableProfitGuard = Pick({0, 1}) != 0;
     SimOptions PerAccess = Batched;
     PerAccess.BatchConcrete = false;
     for (PolicyKind K : kPolicies)

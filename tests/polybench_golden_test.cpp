@@ -77,15 +77,15 @@ TEST(PolybenchGolden, WarpDecisionsArePinned) {
       {"jacobi-2d", PolicyKind::Lru, 5, 247296, 0, 6624},
       {"jacobi-2d", PolicyKind::Fifo, 5, 246192, 0, 7728},
       {"jacobi-2d", PolicyKind::Plru, 13, 154560, 93, 99360},
-      {"jacobi-2d", PolicyKind::QuadAgeLru, 1, 203136, 15, 50784},
+      {"jacobi-2d", PolicyKind::QuadAgeLru, 1, 203136, 7, 50784},
       {"heat-3d", PolicyKind::Lru, 13, 471856, 0, 11088},
-      {"heat-3d", PolicyKind::Fifo, 13, 470624, 0, 12320},
+      {"heat-3d", PolicyKind::Fifo, 7, 466928, 0, 16016},
       {"heat-3d", PolicyKind::Plru, 5, 431200, 3, 51744},
       {"heat-3d", PolicyKind::QuadAgeLru, 5, 463540, 0, 19404},
-      {"deriche", PolicyKind::Lru, 22, 217656, 4, 12744},
-      {"deriche", PolicyKind::Fifo, 22, 217296, 4, 13104},
-      {"deriche", PolicyKind::Plru, 20, 98560, 119, 131840},
-      {"deriche", PolicyKind::QuadAgeLru, 13, 132224, 127, 98176},
+      {"deriche", PolicyKind::Lru, 8, 214569, 4, 15831},
+      {"deriche", PolicyKind::Fifo, 8, 214209, 4, 16191},
+      {"deriche", PolicyKind::Plru, 6, 96992, 119, 133408},
+      {"deriche", PolicyKind::QuadAgeLru, 6, 131328, 127, 99072},
       {"gemm", PolicyKind::Lru, 0, 0, 0, 363600},
       {"gemm", PolicyKind::Fifo, 0, 0, 0, 363600},
       {"gemm", PolicyKind::Plru, 0, 0, 0, 363600},
@@ -214,7 +214,7 @@ TEST(PolybenchGolden, PeriodicPassDecisionsArePinned) {
     uint64_t Warps, WarpedAccesses, FailedWarpChecks, Accesses, Beyond;
   };
   const Pin Pins[] = {
-      {"gramschmidt", 4, 0, 0, 198, 604275, 302809},
+      {"gramschmidt", 4, 0, 0, 61, 604275, 302809},
       {"gramschmidt", 64, 0, 0, 0, 604275, 950},
       {"gramschmidt", 1024, 0, 0, 0, 604275, 947},
       {"jacobi-2d", 4, 5, 247296, 0, 253920, 11280},

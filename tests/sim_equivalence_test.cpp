@@ -47,8 +47,7 @@ TEST_P(RandomProgramEquivalence, WarpingEqualsConcrete) {
     HierarchyConfig H = randomHierarchy(Rng, G.Policy, G.TwoLevel);
     // Aggressive warping bounds to exercise the machinery on small loops.
     SimOptions O;
-    O.Warp.MinProbesForLearning = 1000000; // Never disable probing.
-    O.Warp.EnableProfitGuard = false;
+    O.Warp.EnableProfitGuard = false; // Never stop probing.
 
     ConcreteSimulator Ref(P, H);
     WarpingSimulator Warp(P, H, O);

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace wcs;
 
 namespace {
@@ -281,6 +283,64 @@ TEST(WarpingSim, ScalarInclusionStaysExact) {
     else
       EXPECT_EQ(R.totalAccesses(), 800u);
   }
+}
+
+/// A stencil whose time loop never warps: each t shifts A by 24 bytes,
+/// so a match distance must be a multiple of 8 time steps, more than
+/// the loop has. Every activation of the inner loop therefore runs.
+ScopProgram shiftedStencil() {
+  ParseResult PR = parseScop(R"(
+    double A[1024]; double B[1000];
+    for (t = 0; t < 6; t++)
+      for (i = 1; i < 999; i++)
+        B[i] = A[3*t + i - 1] + A[3*t + i + 1];
+  )");
+  EXPECT_TRUE(PR.ok()) << PR.message();
+  return std::move(PR.Program);
+}
+
+/// The activations (by enclosing iterators) in which the inner loop of
+/// shiftedStencil() probed, with warps counted in \p Warps.
+std::set<int64_t> probingActivations(const HierarchyConfig &H,
+                                     bool ProfitGuard, uint64_t &Warps) {
+  ScopProgram P = shiftedStencil();
+  SimOptions O;
+  O.Warp.EnableProfitGuard = ProfitGuard;
+  WarpingSimulator Sim(P, H, O);
+  std::set<int64_t> Probed;
+  Sim.setProbeHook([&](const WarpingSimulator::ProbeView &V) {
+    if (V.Scope.Loop->Depth == 1)
+      Probed.insert(V.Scope.Prefix[0]);
+  });
+  SimStats S = Sim.run();
+  EXPECT_EQ(S.Level[0].Misses,
+            ConcreteSimulator(P, H).run().Level[0].Misses);
+  Warps = S.Warps;
+  return Probed;
+}
+
+/// One rule stops probing: the profit guard, checked after every
+/// activation. A loop that cannot warp (the 256 KiB cache never fills,
+/// so no state recurs) stops after its first activation; off, the guard
+/// stops nothing; a loop whose warps pay (a 2 KiB cache) keeps probing.
+TEST(WarpingSim, ProfitGuardStopsProbingByOneRule) {
+  const std::set<int64_t> First = {0}, Every = {0, 1, 2, 3, 4, 5};
+  uint64_t Warps = 0;
+  HierarchyConfig Huge = tinyFullyAssoc(4096, PolicyKind::Lru);
+  EXPECT_EQ(probingActivations(Huge, true, Warps), First);
+  EXPECT_EQ(Warps, 0u);
+  EXPECT_EQ(probingActivations(Huge, false, Warps), Every);
+  EXPECT_EQ(Warps, 0u);
+
+  CacheConfig Small;
+  Small.BlockBytes = 64;
+  Small.Assoc = 4;
+  Small.SizeBytes = 8 * 4 * 64;
+  Small.Policy = PolicyKind::Lru;
+  EXPECT_EQ(probingActivations(HierarchyConfig::singleLevel(Small), true,
+                               Warps),
+            Every);
+  EXPECT_GE(Warps, 6u) << "the inner loop must warp in every activation";
 }
 
 } // namespace

@@ -57,6 +57,16 @@ void expectSweepMatchesConcrete(const ScopProgram &P,
   }
 }
 
+/// The seconds the fast-path (stack-distance) points of \p Rep carry,
+/// failed ones included.
+double fastPointSeconds(const SweepReport &Rep) {
+  double S = 0.0;
+  for (const SweepPoint &Pt : Rep.Points)
+    if (Pt.Method == SweepMethod::StackDistance)
+      S += Pt.Stats.Seconds;
+  return S;
+}
+
 /// The headline property: random programs x random geometries x all
 /// four policies, fast path and simulated partition alike.
 TEST(Sweep, MatchesConcretePerConfigAllPolicies) {
@@ -356,7 +366,10 @@ TEST(SweepPilot, PerBankChoiceIsPinned) {
 
 /// With pilots abandoned and the linear walk split across workers, the
 /// points' seconds still sum to the method's: the pre-walk, every pass
-/// (abandoned ones included) and every walk task.
+/// (abandoned ones included) and every walk task. The linear flavor
+/// prices its points by the same rule, as no pass and every bank walked,
+/// with the pre-walk (a trace below the threshold) or without it
+/// (threshold UINT64_MAX).
 TEST(SweepPilot, PointSecondsSumToThePassesAndTheSplitWalk) {
   std::string Err;
   ScopProgram P = buildKernel("jacobi-2d", ProblemSize::Small, &Err);
@@ -388,6 +401,18 @@ TEST(SweepPilot, PointSecondsSumToThePassesAndTheSplitWalk) {
   for (size_t I = 0; I < Grid.size(); ++I)
     EXPECT_EQ(Forced.Points[I].Stats.Level[0].Misses,
               Rep.Points[I].Stats.Level[0].Misses);
+
+  for (uint64_t Threshold : {UINT64_MAX - 1, UINT64_MAX}) {
+    Pilot.WarpSweepMinAccesses = Threshold;
+    SweepReport Linear = runSweep(P, Grid, Pilot);
+    ASSERT_TRUE(Linear.allOk());
+    EXPECT_FALSE(Linear.PeriodicPass);
+    EXPECT_GT(Linear.TracePassSeconds, 0.0);
+    EXPECT_EQ(Linear.PeriodicPassSeconds, 0.0);
+    EXPECT_NEAR(fastPointSeconds(Linear), Linear.stackDistanceSeconds(),
+                1e-9 * Grid.size() + 1e-12)
+        << Threshold;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -606,6 +631,9 @@ TEST(SweepOverflow, PeriodicPassOverflowFailsItsPoints) {
     EXPECT_EQ(Pt.Error, "counter overflow") << Pt.Cache.str();
   }
   EXPECT_FALSE(Rep.allOk());
+  // The failed points still carry the pass and pre-walk they cost.
+  EXPECT_GT(Rep.PeriodicPassSeconds, 0.0);
+  EXPECT_NEAR(fastPointSeconds(Rep), Rep.stackDistanceSeconds(), 1e-12);
 }
 
 TEST(SweepGrid, RejectsMalformedSpecs) {

@@ -4,8 +4,8 @@
 // Polyhedral Programs" (PLDI 2022).
 //
 // Every engineering bound of the warping search must be soundness-
-// neutral: whatever the probe window, snapshot budget, delta cap or
-// learning thresholds, miss counts must equal non-warping simulation.
+// neutral: whatever the probe window, snapshot budget or match-distance
+// cap, miss counts must equal non-warping simulation.
 // This suite sweeps extreme configurations over a workload mix that
 // exercises rotating matches, identity (time-loop) matches, guards and
 // triangular domains.
@@ -103,17 +103,6 @@ std::vector<StressCase> stressCases() {
     WarpConfig W;
     W.EagerSnapshotTripLimit = 0; // Never eager.
     Cases.push_back({"never_eager", W});
-  }
-  {
-    WarpConfig W;
-    W.DisableAfterFailedActivations = 1;
-    W.MinProbesForLearning = 1;
-    Cases.push_back({"trigger_happy_learning", W});
-  }
-  {
-    WarpConfig W;
-    W.ProfitGuardActivations = 1;
-    Cases.push_back({"instant_profit_guard", W});
   }
   {
     WarpConfig W;

@@ -26,7 +26,10 @@
 // --check trips on any counter drift, on entries that disappeared or
 // failed, and on geomean time ratio above the threshold. Entries only
 // present in the current file are informational (new kernels are not a
-// regression).
+// regression), and so are warp decisions: entries whose warps or warped
+// accesses differ from the baseline are counted and printed, never
+// gated, since a change to the warping search moves them by design
+// while the accesses and misses must stay put.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +60,8 @@ void usage() {
       "       wcs-report SWEEP.json\n"
       "  --check          gate: exit 1 on any miss/access drift, on\n"
       "                   missing or failed entries, or on time regression\n"
+      "                   (entries whose warps or warped accesses changed\n"
+      "                   are counted, not gated)\n"
       "  --threshold X    time gate: fail when geomean(current/baseline)\n"
       "                   wall-time ratio exceeds X (default 1.25); when\n"
       "                   either file carries per-rep samples (wcs-bench\n"
@@ -536,6 +541,7 @@ int main(int argc, char **argv) {
               "miss-delta", "base[s]", "cur[s]", "speedup");
 
   size_t Compared = 0, Drifted = 0, Missing = 0, Failed = 0;
+  size_t WarpsChanged = 0; ///< Counted, not gated.
   GeoMean RatioMean;
   // Log-space variance of the geomean ratio, accumulated from each
   // pair's standard errors (first-order: Var[log(c/b)] ~ (se_c/c)^2 +
@@ -558,6 +564,9 @@ int main(int argc, char **argv) {
     bool Equal = countersEqual(B.Stats, C->Stats);
     if (!Equal)
       ++Drifted;
+    if (B.Stats.Warps != C->Stats.Warps ||
+        B.Stats.WarpedAccesses != C->Stats.WarpedAccesses)
+      ++WarpsChanged;
     int64_t MissDelta = static_cast<int64_t>(totalMisses(C->Stats)) -
                         static_cast<int64_t>(totalMisses(B.Stats));
     // Every compared entry feeds the time gate: degenerate timings are
@@ -605,6 +614,8 @@ int main(int argc, char **argv) {
   std::printf("\ncompared %zu entries: %zu counter drift(s), %zu missing, "
               "%zu failed, %zu new\n",
               Compared, Drifted, Missing, Failed, Extra);
+  std::printf("%zu entries changed warp decisions (not gated)\n",
+              WarpsChanged);
   std::printf("geomean time ratio current/baseline: %.3f "
               "(speedup %.2fx; gate threshold %.2f%s)\n",
               GeoRatio, GeoRatio > 0 ? 1.0 / GeoRatio : 0.0, Threshold,
