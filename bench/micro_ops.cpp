@@ -9,9 +9,9 @@
 // paths, whole batched walks of one innermost loop (with and without
 // repeated runs to skip), warp state keys (recomputed and incremental),
 // whole periodic passes, Fourier-Motzkin minimization, and
-// stack-distance updates (the lone profiler and both per-set bank
-// representations). These quantify the constant factors behind the
-// figure harnesses.
+// stack-distance updates (the fully associative profile, a one-set
+// bank, and both per-set bank representations). These quantify the
+// constant factors behind the figure harnesses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <climits>
 #include <random>
 
 using namespace wcs;
@@ -287,9 +288,11 @@ void BM_FourierMotzkinMinimize(benchmark::State &State) {
 }
 BENCHMARK(BM_FourierMotzkinMinimize);
 
+/// One access of the fully associative profile: a one-set bank of
+/// unbounded width (an exact tracker).
 void BM_StackDistance(benchmark::State &State) {
   std::vector<BlockId> T = streamTrace(1 << 16);
-  StackDistanceProfiler Prof;
+  SetDistanceBank Prof(64, 1, UINT_MAX);
   size_t I = 0;
   for (auto _ : State) {
     Prof.accessBlock(T[I]);
@@ -299,10 +302,10 @@ void BM_StackDistance(benchmark::State &State) {
 }
 BENCHMARK(BM_StackDistance);
 
-/// One access of a 64-set bank that answers up to 16 ways, in each
+/// One access of a 64-set bank that answers 16 ways, in each
 /// representation: the bank width is the argument, 16 keeps LRU rows and
-/// MaxTruncatedAssoc + 1 keeps the exact per-set profilers (the per-access
-/// gap behind the 64-way rule).
+/// MaxRowAssoc + 1 keeps the exact per-set trackers (the per-access gap
+/// behind the 64-way rule).
 void BM_SetDistanceBank(benchmark::State &State) {
   std::vector<BlockId> T = streamTrace(1 << 16);
   SetDistanceBank Bank(64, 64, static_cast<unsigned>(State.range(0)));
@@ -312,12 +315,11 @@ void BM_SetDistanceBank(benchmark::State &State) {
     I = (I + 1) & ((1 << 16) - 1);
   }
   benchmark::DoNotOptimize(Bank.missesForAssoc(16));
-  State.SetLabel(Bank.truncatedAtAssoc() != 0 ? "lru-rows" : "exact");
+  State.SetLabel(Bank.maxAssoc() <= SetDistanceBank::MaxRowAssoc ? "lru-rows"
+                                                                  : "exact");
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_SetDistanceBank)
-    ->Arg(16)
-    ->Arg(SetDistanceBank::MaxTruncatedAssoc + 1);
+BENCHMARK(BM_SetDistanceBank)->Arg(16)->Arg(SetDistanceBank::MaxRowAssoc + 1);
 
 } // namespace
 

@@ -51,9 +51,11 @@ int main(int argc, char **argv) {
   }
 
   // HayStack's model: a fully-associative LRU cache of the same capacity,
-  // derived from the exact stack-distance histogram in one pass.
-  StackDistanceProfiler Prof = profileProgram(P, Base.BlockBytes);
-  uint64_t FA = Prof.missesForCache(Base);
+  // derived from the exact stack-distance histogram of a one-set bank in
+  // one pass.
+  SetDistanceBank Prof =
+      profileProgramSets(P, Base.BlockBytes, 1, Base.numLines());
+  uint64_t FA = Prof.missesForAssoc(Base.numLines());
   std::printf("%-16s %12llu %11.2f%% %13.3fx\n", "FA-LRU (model)",
               static_cast<unsigned long long>(FA),
               100.0 * static_cast<double>(FA) / Prof.totalAccesses(),

@@ -61,6 +61,16 @@ struct CacheConfig {
   /// True for a fully-associative geometry (a single set).
   bool isFullyAssociative() const { return numSets() == 1; }
 
+  /// True when the stack-distance model answers this cache: under LRU
+  /// with write-allocate every access moves its block to the top of its
+  /// set's recency stack, so a hit's depth is its per-set stack distance
+  /// and one histogram gives the misses of every associativity. (A
+  /// non-allocating write miss leaves the stack untouched in hardware
+  /// but not in the histogram.)
+  bool answeredByStackDistance() const {
+    return Policy == PolicyKind::Lru && WriteAlloc == WriteAllocate::Yes;
+  }
+
   /// Validates size/associativity/block-size consistency; returns an error
   /// message or the empty string.
   std::string validate() const;

@@ -59,6 +59,14 @@ bool parseBackendName(const std::string &Name, SimBackend &Out);
 /// leaving \p Out untouched.
 bool parseJobCount(const char *Text, unsigned &Out);
 
+/// Refuses \p Program on \p BlockBytes-byte blocks when its walk visits
+/// an array (scalars only with \p IncludeScalars) whose element size does
+/// not divide the block size: such an element may straddle two blocks,
+/// and every backend counts an access once, at the block of its address.
+/// Returns a diagnostic naming the array, or "".
+std::string validateBlockSize(const ScopProgram &Program, unsigned BlockBytes,
+                              bool IncludeScalars);
+
 /// One unit of batch work: simulate \p Program on \p Cache with \p Backend.
 struct BatchJob {
   /// Non-owning; the program must outlive BatchRunner::run(). Programs are

@@ -19,7 +19,7 @@
 ///    of K simulations. Each bank is built for the widest associativity
 ///    its points ask for: up to 64 ways it keeps LRU rows of that width
 ///    (a row scan per access, on the simulators' batch kernel), wider it
-///    keeps exact per-set profilers (a tree walk per access). Each bank
+///    keeps exact per-set trackers (a tree walk per access). Each bank
 ///    pays for one pass, of one of two bit-identical flavors, chosen
 ///    per bank:
 ///      - a warp-aware periodic pass (trace/PeriodicPass), which skips

@@ -187,10 +187,10 @@ private:
 
 /// Assigns base addresses to all arrays: each array is aligned to
 /// \p AlignBytes (default: page size, matching how allocators place large
-/// arrays); scalars are packed contiguously in a separate region. Returns
-/// an error naming the array whose size or placement overflows int64,
-/// or "" on success; on a refusal, \p Refused (when nonnull) names that
-/// array.
+/// arrays); scalars are packed in a separate region, each aligned to its
+/// size. Returns an error naming the array whose size or placement
+/// overflows int64, or "" on success; on a refusal, \p Refused (when
+/// nonnull) names that array.
 std::string assignLayout(ScopProgram &P, int64_t AlignBytes = 4096,
                          ScopEntity *Refused = nullptr);
 

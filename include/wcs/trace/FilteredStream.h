@@ -32,7 +32,10 @@
 ///    replacement metadata), then apply the remaining repetitions
 ///    analytically; if the state never recurs, every repetition is
 ///    walked -- the sound fallback.
-///  - feed(): conditions a per-set stack-distance bank on the stream.
+///  - feed(): conditions a per-set stack-distance bank on the stream;
+///    the bank answers the L2s the stack-distance model answers
+///    (CacheConfig::answeredByStackDistance: every filtered access then
+///    allocates, so such an L2 is a per-set LRU stack over the stream).
 ///    Repeated segments walk twice (the second repetition under a
 ///    period capture) and enter the bank's bulk update
 ///    (SetDistanceBank::addPeriodicContribution) for the rest.
@@ -145,15 +148,6 @@ public:
   /// truncated). On false, \p Why (if given) names the reason.
   bool answersHierarchy(const HierarchyConfig &H,
                         std::string *Why = nullptr) const;
-
-  /// True when an L2 with config \p L2 is answerable analytically from
-  /// a stack-distance bank conditioned on the stream (LRU,
-  /// write-allocate: every filtered access then allocates, so the L2 is
-  /// a pure per-set LRU stack over the stream).
-  static bool l2IsAnalytic(const CacheConfig &L2) {
-    return L2.Policy == PolicyKind::Lru &&
-           L2.WriteAlloc == WriteAllocate::Yes;
-  }
 
   /// Conditions \p Bank on the (expanded) stream. The bank's block size
   /// must equal the L1's: levels of a hierarchy share one block size,

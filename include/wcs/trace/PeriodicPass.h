@@ -18,9 +18,9 @@
 ///     associativity runs with depth profiling enabled
 ///     (WarpingSimulator::enableDepthProfile): under LRU, a hit's
 ///     pre-update way is its per-set stack distance, so the run yields
-///     the Mattson histogram truncated at that associativity -- and, by
-///     the inclusion property, the exact miss count of EVERY
-///     associativity up to it.
+///     the hits of the Mattson histogram below that associativity plus
+///     one count of the rest -- and, by the inclusion property, the
+///     exact miss count of EVERY associativity up to it.
 ///
 ///   - Periodic segments of the access stream are detected and verified
 ///     by the warping machinery itself (rotation-invariant state keys,
@@ -34,9 +34,9 @@
 ///     non-periodic programs the run degrades to an ordinary concrete
 ///     walk and the result is still exact, just not faster).
 ///
-/// The resulting DistanceHistogram enters a SetDistanceBank through the
-/// bulk entry point (SetDistanceBank::addPeriodicContribution), marking
-/// the bank truncated at the profiled associativity.
+/// The resulting DistanceHistogram enters a SetDistanceBank of the
+/// profiled width through the bulk entry point
+/// (SetDistanceBank::addPeriodicContribution).
 ///
 /// A warp pilot may cut the pass short: the pass pays only where the
 /// cache state recurs, so a caller that can condition the bank another
@@ -61,12 +61,12 @@ namespace wcs {
 
 /// Outcome of one warp-aware periodic pass.
 struct PeriodicPassResult {
-  /// The Mattson histogram of the profiled geometry, truncated at
-  /// MaxAssoc: Hist[d] counts hits at per-set stack distance d
-  /// (d < MaxAssoc), Beyond counts everything else (colds and
-  /// distances >= MaxAssoc -- exactly the profiled cache's misses).
+  /// The Mattson histogram of the profiled geometry at width MaxAssoc:
+  /// Hist[d] counts hits at per-set stack distance d (d < MaxAssoc),
+  /// Beyond counts everything else (colds and distances >= MaxAssoc --
+  /// exactly the profiled cache's misses).
   DistanceHistogram Histogram;
-  /// Associativity the histogram is truncated at (the profiled ways).
+  /// The profiled ways: the width of the banks the pass conditions.
   unsigned MaxAssoc = 0;
   /// Counters of the underlying warping run; Stats.Seconds is the pass
   /// cost, Stats.WarpedAccesses / Warps its periodicity diagnostics.
@@ -75,18 +75,15 @@ struct PeriodicPassResult {
   /// stepped, and Histogram is empty -- it must not condition a bank.
   bool Abandoned = false;
 
-  /// Misses of the profiled geometry at \p Assoc ways
-  /// (requires Assoc <= MaxAssoc).
-  uint64_t missesForAssoc(uint64_t Assoc) const;
-
-  /// Conditions \p Bank (of the same geometry) on the pass result: one
-  /// bulk update, truncating the bank at MaxAssoc. Returns false --
-  /// leaving the bank untouched -- when the bank rejects the update
-  /// because its scaled counters would overflow; the caller must then
-  /// condition the bank through the linear pass instead.
+  /// Conditions \p Bank (of the same geometry, MaxAssoc wide) on the
+  /// pass result: one bulk update. Returns false -- leaving the bank
+  /// untouched -- when the bank rejects the update because its counters
+  /// would overflow; the caller must then condition the bank through the
+  /// linear pass instead.
   [[nodiscard]] bool addTo(SetDistanceBank &Bank) const {
     assert(!Abandoned && "an abandoned pass holds no histogram");
-    return Bank.addPeriodicContribution(Histogram, 1, MaxAssoc);
+    assert(Bank.maxAssoc() == MaxAssoc && "the bank has the pass's width");
+    return Bank.addPeriodicContribution(Histogram, 1);
   }
 };
 

@@ -42,7 +42,9 @@ class TraceSimulator {
 public:
   TraceSimulator(const HierarchyConfig &Cache, TraceSimOptions Options);
 
-  /// Feeds one record.
+  /// Feeds one record: one access, to the block of its address, as the
+  /// symbolic simulators count it (BatchRunner refuses programs whose
+  /// elements could straddle a block; see validateBlockSize).
   void access(const TraceRecord &R);
 
   /// Runs the full trace of \p Program, materialized in 1<<20-record
@@ -58,7 +60,6 @@ private:
   TraceSimOptions Options;
   TraceSimResult Result;
   unsigned BlockShift;
-  unsigned BlockBytes;
 };
 
 } // namespace wcs

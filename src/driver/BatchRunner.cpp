@@ -7,6 +7,7 @@
 
 #include "wcs/driver/BatchRunner.h"
 
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/sim/WarpingSimulator.h"
 #include "wcs/support/StringUtil.h"
@@ -101,6 +102,21 @@ BatchRunner::BatchRunner(unsigned NumThreads) : NumThreads(NumThreads) {
   }
 }
 
+std::string wcs::validateBlockSize(const ScopProgram &Program,
+                                   unsigned BlockBytes,
+                                   bool IncludeScalars) {
+  for (const AccessNode *A : Program.accesses()) {
+    const ArrayInfo &Arr = Program.array(A->ArrayId);
+    if (walkVisits(Program, *A, IncludeScalars) && Arr.ElemBytes != 0 &&
+        BlockBytes % Arr.ElemBytes != 0)
+      return "elements of '" + Arr.Name + "' (" +
+             std::to_string(Arr.ElemBytes) + " B) straddle " +
+             std::to_string(BlockBytes) +
+             " B blocks: the element size must divide the block size";
+  }
+  return "";
+}
+
 BatchResult BatchRunner::runJob(const BatchJob &Job, size_t JobIndex) {
   telemetry::Span JobSpan("batch.job");
   JobSpan.arg("tag", Job.Tag);
@@ -114,6 +130,9 @@ BatchResult BatchRunner::runJob(const BatchJob &Job, size_t JobIndex) {
     return R;
   }
   std::string CfgErr = Job.Cache.validate();
+  if (CfgErr.empty() && Job.Program)
+    CfgErr = validateBlockSize(*Job.Program, Job.Cache.blockBytes(),
+                               Job.Options.IncludeScalars);
   if (!CfgErr.empty()) {
     R.Error = CfgErr;
     return R;
@@ -147,7 +166,9 @@ BatchResult BatchRunner::runJob(const BatchJob &Job, size_t JobIndex) {
     }
     case SimBackend::Trace: {
       // Writeback propagation off: hit/miss counts then agree with the
-      // symbolic backends, keeping the three backends interchangeable.
+      // symbolic backends. Every backend counts an access once, at the
+      // block of its address: validateBlockSize above refused the
+      // programs whose elements could straddle two blocks.
       TraceSimOptions TO;
       TO.IncludeScalars = Job.Options.IncludeScalars;
       TO.PropagateWritebacks = false;
@@ -157,8 +178,7 @@ BatchResult BatchRunner::runJob(const BatchJob &Job, size_t JobIndex) {
     }
     case SimBackend::StackDistance: {
       const CacheConfig &C = Job.Cache.Levels.front();
-      if (Job.Cache.numLevels() != 1 || C.Policy != PolicyKind::Lru ||
-          C.WriteAlloc != WriteAllocate::Yes) {
+      if (Job.Cache.numLevels() != 1 || !C.answeredByStackDistance()) {
         R.Error = "the stack-distance backend models single-level "
                   "write-allocate LRU only";
         return R;

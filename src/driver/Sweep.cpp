@@ -102,8 +102,7 @@ enum class PointPath {
 
 PointPath pathOf(const HierarchyConfig &H) {
   const CacheConfig &L1 = H.Levels.front();
-  if (H.numLevels() == 1 && L1.Policy == PolicyKind::Lru &&
-      L1.WriteAlloc == WriteAllocate::Yes)
+  if (H.numLevels() == 1 && L1.answeredByStackDistance())
     return PointPath::Bank;
   if (H.numLevels() == 2 &&
       H.Inclusion == InclusionPolicy::NonInclusiveNonExclusive)
@@ -168,6 +167,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   //    through deduplicated BatchRunner jobs;
   //  - everything else: a simulation job, deduplicated by exact
   //    configuration.
+  // An invalid point, or one whose blocks an element of the program
+  // could straddle (validateBlockSize), fails with its diagnostic.
   BankPlan Plan;
   struct FastPoint {
     size_t Point;
@@ -203,6 +204,9 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     SweepPoint &P = Rep.Points[I];
     P.Cache = H;
     std::string CfgErr = H.validate();
+    if (CfgErr.empty())
+      CfgErr = validateBlockSize(Program, H.blockBytes(),
+                                 Opts.Sim.IncludeScalars);
     if (!CfgErr.empty()) {
       P.Error = CfgErr;
       continue;
@@ -227,7 +231,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       G.Members.push_back(I);
       P.Method = SweepMethod::FilteredStream;
       const CacheConfig &L2 = H.Levels[1];
-      if (FilteredStream::l2IsAnalytic(L2)) {
+      if (L2.answeredByStackDistance()) {
         P.Backend = SimBackend::StackDistance;
         G.Analytic.push_back(AnalyticPoint{I, G.Plan.add(L2)});
       } else {

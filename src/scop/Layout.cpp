@@ -9,10 +9,11 @@
 /// Memory-layout assignment. Arrays are laid out sequentially, each
 /// aligned to a configurable boundary (page-sized by default, mirroring
 /// how allocators place large arrays); scalars are packed together in a
-/// dedicated region. Alignment to at least the cache-block size
-/// guarantees that distinct arrays never share a memory block, which the
-/// warping access-mapping construction relies on (distinct arrays can
-/// then carry independent block shifts).
+/// dedicated region, each aligned to its size, so that no scalar
+/// straddles a block whose size its own size divides. Alignment to at
+/// least the cache-block size guarantees that distinct arrays never
+/// share a memory block, which the warping access-mapping construction
+/// relies on (distinct arrays can then carry independent block shifts).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 
 #include "wcs/support/MathUtil.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace wcs;
@@ -53,11 +55,13 @@ std::string wcs::assignLayout(ScopProgram &P, int64_t AlignBytes,
       return Refuse(A, "array");
     A.BaseAddr = *Base;
   }
-  // Scalars packed together in one fresh region.
+  // Scalars packed together in one fresh region, each at a multiple of
+  // its size.
   std::optional<int64_t> ScalarNext = alignUp(Next, AlignBytes);
   for (ArrayInfo &A : Arrays) {
     if (!A.isScalar())
       continue;
+    ScalarNext = alignUp(ScalarNext, std::max(A.ElemBytes, 1u));
     if (!ScalarNext)
       return Refuse(A, "scalar");
     A.BaseAddr = *ScalarNext;

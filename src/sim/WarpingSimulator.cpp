@@ -156,8 +156,7 @@ WarpingSimulator::WarpingSimulator(const ScopProgram &Program,
 
 void WarpingSimulator::enableDepthProfile() {
   const CacheConfig &L1 = CacheCfg.Levels.front();
-  assert(CacheCfg.numLevels() == 1 && L1.Policy == PolicyKind::Lru &&
-         L1.WriteAlloc == WriteAllocate::Yes &&
+  assert(CacheCfg.numLevels() == 1 && L1.answeredByStackDistance() &&
          "depth profiling needs single-level write-allocate LRU (hit "
          "way == per-set stack distance)");
   DepthProfile = true;

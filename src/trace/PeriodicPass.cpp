@@ -13,14 +13,6 @@
 
 using namespace wcs;
 
-uint64_t PeriodicPassResult::missesForAssoc(uint64_t Assoc) const {
-  assert(Assoc <= MaxAssoc && "histogram is truncated below Assoc");
-  uint64_t M = Histogram.Beyond;
-  for (uint64_t D = Assoc; D < Histogram.Hist.size(); ++D)
-    M += Histogram.Hist[D];
-  return M;
-}
-
 PeriodicPassResult wcs::runPeriodicPass(const ScopProgram &Program,
                                         unsigned BlockBytes,
                                         unsigned NumSets, unsigned MaxAssoc,

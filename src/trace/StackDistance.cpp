@@ -16,9 +16,7 @@
 
 using namespace wcs;
 
-StackDistanceProfiler::StackDistanceProfiler(unsigned BlockBytes,
-                                             size_t InitialTreeCapacity)
-    : BlockShift(log2Exact(BlockBytes)) {
+StackDistanceProfiler::StackDistanceProfiler(size_t InitialTreeCapacity) {
   // The growth step in bitAdd doubles and seeds the new root with the
   // tree total, which is only correct when the size is a power of two.
   size_t Cap = 2;
@@ -55,60 +53,45 @@ int64_t StackDistanceProfiler::accessBlock(BlockId B) {
   ++Time; // 1-based timestamps.
   int64_t Dist = -1;
   auto It = LastAccess.find(B);
-  if (It == LastAccess.end()) {
-    ++Colds;
-  } else {
+  if (It != LastAccess.end()) {
     // Distinct blocks touched strictly between the previous access to B
     // and now = number of "last access" markers in (last, now).
-    uint64_t D = static_cast<uint64_t>(bitPrefix(Time - 1) -
-                                       bitPrefix(It->second));
-    if (Hist.size() <= D)
-      Hist.resize(D + 1, 0);
-    ++Hist[D];
+    Dist = bitPrefix(Time - 1) - bitPrefix(It->second);
     bitAdd(It->second, -1);
-    Dist = static_cast<int64_t>(D);
   }
   bitAdd(Time, +1);
   LastAccess[B] = Time;
   return Dist;
 }
 
-uint64_t StackDistanceProfiler::missesForAssoc(uint64_t Assoc) const {
-  uint64_t M = Colds;
-  for (uint64_t D = Assoc; D < Hist.size(); ++D)
-    M += Hist[D];
-  return M;
-}
-
 SetDistanceBank::SetDistanceBank(unsigned BlockBytes, unsigned NumSets,
                                  unsigned MaxAssoc)
     : BlockShift(log2Exact(BlockBytes)), NumSets(NumSets),
-      SetMask(NumSets - 1) {
+      SetMask(NumSets - 1), Width(MaxAssoc) {
   assert(NumSets != 0 && (NumSets & (NumSets - 1)) == 0 &&
          "set count must be a power of two (modulo placement)");
   assert(MaxAssoc != 0 && "a bank must answer at least one way");
-  if (MaxAssoc <= MaxTruncatedAssoc) {
+  if (MaxAssoc <= MaxRowAssoc) {
     Rows.emplace(HierarchyConfig::singleLevel(
         CacheConfig{static_cast<uint64_t>(BlockBytes) * NumSets * MaxAssoc,
                     MaxAssoc, BlockBytes, PolicyKind::Lru,
                     WriteAllocate::Yes}));
-    RowHist.assign(MaxAssoc, 0);
-    TruncAssoc = MaxAssoc;
+    Hist.assign(MaxAssoc, 0);
     return;
   }
   // Small initial trees: a bank with thousands of sets would otherwise
   // pay 8 KiB per set before the first access.
   Profilers.reserve(NumSets);
   for (unsigned S = 0; S < NumSets; ++S)
-    Profilers.emplace_back(BlockBytes, NumSets > 1 ? 64 : 1024);
+    Profilers.emplace_back(NumSets > 1 ? 64 : 1024);
 }
 
 void SetDistanceBank::accessBatch(const BatchedAccess *Ops, size_t N) {
   if (Rows) {
     BatchCounters C;
-    Rows->accessBatch(Ops, N, C, {}, nullptr, RowHist.data());
+    Rows->accessBatch(Ops, N, C, {}, nullptr, Hist.data());
     addCount(Total, C.L1Accesses);
-    RowMisses += C.L1Misses;
+    AlwaysMiss += C.L1Misses;
     return;
   }
   for (size_t I = 0; I < N; ++I) {
@@ -139,8 +122,22 @@ void SetDistanceBank::accessBlock(BlockId B) {
     return;
   }
   ++Total;
-  if (!Rows->access(B, false, {}, RowHist.data()).L1Hit)
-    ++RowMisses;
+  if (!Rows->access(B, false, {}, Hist.data()).L1Hit)
+    ++AlwaysMiss;
+}
+
+/// Counts one access at stack distance \p D (negative when cold) into
+/// \p H and \p Beyond, at width \p Width.
+static void countDistance(int64_t D, unsigned Width,
+                          std::vector<uint64_t> &H, uint64_t &Beyond) {
+  if (D < 0 || static_cast<uint64_t>(D) >= Width) {
+    ++Beyond;
+    return;
+  }
+  size_t UD = static_cast<size_t>(D);
+  if (H.size() <= UD)
+    H.resize(UD + 1, 0);
+  ++H[UD];
 }
 
 void SetDistanceBank::exactAccess(BlockId B) {
@@ -148,18 +145,12 @@ void SetDistanceBank::exactAccess(BlockId B) {
   int64_t D =
       Profilers[static_cast<size_t>(static_cast<uint64_t>(B) & SetMask)]
           .accessBlock(B);
+  countDistance(D, Width, Hist, AlwaysMiss);
   if (!Capturing)
     return;
   ++Capture.Accesses;
-  if (D < 0) {
-    ++Capture.Beyond;
-    CaptureSawCold = true;
-    return;
-  }
-  uint64_t UD = static_cast<uint64_t>(D);
-  if (Capture.Hist.size() <= UD)
-    Capture.Hist.resize(UD + 1, 0);
-  ++Capture.Hist[UD];
+  CaptureSawCold |= D < 0;
+  countDistance(D, Width, Capture.Hist, Capture.Beyond);
 }
 
 void SetDistanceBank::beginPeriodCapture() {
@@ -171,8 +162,8 @@ void SetDistanceBank::beginPeriodCapture() {
   }
   // Copy-assignment reuses the snapshots' storage.
   CaptureRows = Rows->level(0);
-  Capture.Hist = RowHist;
-  Capture.Beyond = RowMisses;
+  Capture.Hist = Hist;
+  Capture.Beyond = AlwaysMiss;
   Capture.Accesses = Total;
 }
 
@@ -186,67 +177,55 @@ std::optional<DistanceHistogram> SetDistanceBank::endPeriodCapture() {
   if (!Rows->level(0).sameReplacementState(*CaptureRows))
     return std::nullopt;
   DistanceHistogram H;
-  H.Hist.resize(RowHist.size());
-  for (size_t D = 0; D < RowHist.size(); ++D)
-    H.Hist[D] = RowHist[D] - Capture.Hist[D];
-  H.Beyond = RowMisses - Capture.Beyond;
+  H.Hist.resize(Hist.size());
+  for (size_t D = 0; D < Hist.size(); ++D)
+    H.Hist[D] = Hist[D] - Capture.Hist[D];
+  H.Beyond = AlwaysMiss - Capture.Beyond;
   H.Accesses = Total - Capture.Accesses;
   return H;
 }
 
 bool SetDistanceBank::addPeriodicContribution(const DistanceHistogram &H,
-                                              uint64_t Reps,
-                                              unsigned TruncatedAtAssoc) {
+                                              uint64_t Reps) {
   assert(!Capturing && "cannot bulk-update while capturing a period");
+  assert(H.Hist.size() <= Width && "fragment observed beyond the width");
   // Validate every scaled accumulation before applying any of them, so
   // a rejected update leaves the bank exactly as it was (the caller
   // falls back to walking the repetitions against this same bank).
   uint64_t Scaled, Accum;
   for (size_t D = 0; D < H.Hist.size(); ++D) {
-    uint64_t Cur = D < BulkHist.size() ? BulkHist[D] : 0;
+    uint64_t Cur = D < Hist.size() ? Hist[D] : 0;
     if (__builtin_mul_overflow(H.Hist[D], Reps, &Scaled) ||
         __builtin_add_overflow(Cur, Scaled, &Accum))
       return false;
   }
-  // Colds and beyond-truncation distances both miss at every
-  // associativity the bank may answer afterwards.
   if (__builtin_mul_overflow(H.Beyond, Reps, &Scaled) ||
-      __builtin_add_overflow(BulkAlwaysMiss, Scaled, &Accum))
+      __builtin_add_overflow(AlwaysMiss, Scaled, &Accum))
     return false;
   if (__builtin_mul_overflow(H.Accesses, Reps, &Scaled) ||
       __builtin_add_overflow(Total, Scaled, &Accum))
     return false;
 
-  if (BulkHist.size() < H.Hist.size())
-    BulkHist.resize(H.Hist.size(), 0);
+  if (Hist.size() < H.Hist.size())
+    Hist.resize(H.Hist.size(), 0);
   for (size_t D = 0; D < H.Hist.size(); ++D)
-    BulkHist[D] += H.Hist[D] * Reps;
-  BulkAlwaysMiss += H.Beyond * Reps;
+    Hist[D] += H.Hist[D] * Reps;
+  AlwaysMiss += H.Beyond * Reps;
   Total += H.Accesses * Reps;
-  if (TruncatedAtAssoc != 0 &&
-      (TruncAssoc == 0 || TruncatedAtAssoc < TruncAssoc))
-    TruncAssoc = TruncatedAtAssoc;
   return true;
 }
 
 uint64_t SetDistanceBank::missesForAssoc(uint64_t Assoc) const {
-  assert((TruncAssoc == 0 || Assoc <= TruncAssoc) &&
-         "bank is truncated below the requested associativity");
-  uint64_t M = BulkAlwaysMiss + RowMisses;
-  for (uint64_t D = Assoc; D < BulkHist.size(); ++D)
-    M += BulkHist[D];
-  for (uint64_t D = Assoc; D < RowHist.size(); ++D)
-    M += RowHist[D];
-  for (const StackDistanceProfiler &P : Profilers)
-    M += P.missesForAssoc(Assoc);
+  assert(Assoc <= Width && "the bank answers no wider associativity");
+  uint64_t M = AlwaysMiss;
+  for (uint64_t D = Assoc; D < Hist.size(); ++D)
+    M += Hist[D];
   return M;
 }
 
 bool SetDistanceBank::matches(const CacheConfig &C) const {
-  return C.Policy == PolicyKind::Lru &&
-         C.WriteAlloc == WriteAllocate::Yes &&
-         C.BlockBytes == blockBytes() && C.numSets() == numSets() &&
-         (TruncAssoc == 0 || C.Assoc <= TruncAssoc);
+  return C.answeredByStackDistance() && C.BlockBytes == blockBytes() &&
+         C.numSets() == numSets() && C.Assoc <= Width;
 }
 
 uint64_t SetDistanceBank::missesForCache(const CacheConfig &C) const {
@@ -255,46 +234,6 @@ uint64_t SetDistanceBank::missesForCache(const CacheConfig &C) const {
 }
 
 namespace {
-
-/// Walks \p P with lanes and hands \p Feed the block ids, at \p Shift,
-/// in program-order chunks (the exact profiler's walk). Returns the
-/// accesses walked.
-template <typename FeedFn>
-uint64_t walkBlocks(const ScopProgram &P, bool IncludeScalars,
-                    unsigned Shift, FeedFn Feed) {
-  struct Blocks {
-    unsigned Shift;
-    FeedFn &Feed;
-    uint64_t Count = 0;
-    size_t N = 0;
-    BlockId Buf[1024] = {};
-
-    void push(int64_t Addr) {
-      Buf[N++] = Addr >> Shift;
-      if (N == std::size(Buf))
-        flush();
-    }
-    void flush() {
-      Feed(static_cast<const BlockId *>(Buf), N);
-      Count += N;
-      N = 0;
-    }
-    void access(const AccessNode &, const IterVec &, int64_t Addr) {
-      push(Addr);
-    }
-    void lanes(const LoopNode &, int64_t Lo, int64_t Hi,
-               std::span<WalkLane> Lanes) {
-      for (int64_t X = Lo; X <= Hi; ++X)
-        for (WalkLane &Ln : Lanes) {
-          push(Ln.Addr);
-          Ln.Addr += Ln.Stride;
-        }
-    }
-  } V{Shift, Feed};
-  ScopWalk(P, IncludeScalars, /*Batch=*/true, V).run();
-  V.flush();
-  return V.Count;
-}
 
 /// The linear pass's visitor: the walk's ops go through one ChunkWriter
 /// at the walk's block size, and each full chunk steps every bank --
@@ -377,22 +316,6 @@ uint64_t wcs::feedBanks(const ScopProgram &Program, bool IncludeScalars,
   ScopWalk(Program, IncludeScalars, /*Batch=*/true, V).run();
   V.finish();
   return V.accesses();
-}
-
-StackDistanceProfiler wcs::profileProgram(const ScopProgram &Program,
-                                          unsigned BlockBytes,
-                                          bool IncludeScalars,
-                                          double *Seconds) {
-  telemetry::TimePoint Start = telemetry::now();
-  StackDistanceProfiler Prof(BlockBytes);
-  walkBlocks(Program, IncludeScalars, log2Exact(BlockBytes),
-             [&](const BlockId *Blocks, size_t N) {
-               for (size_t I = 0; I < N; ++I)
-                 Prof.accessBlock(Blocks[I]);
-             });
-  if (Seconds)
-    *Seconds = telemetry::secondsSince(Start);
-  return Prof;
 }
 
 SetDistanceBank wcs::profileProgramSets(const ScopProgram &Program,

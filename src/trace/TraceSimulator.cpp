@@ -17,22 +17,15 @@ using namespace wcs;
 TraceSimulator::TraceSimulator(const HierarchyConfig &CacheCfg,
                                TraceSimOptions Options)
     : Cache(CacheCfg, Options.PropagateWritebacks), Options(Options),
-      BlockShift(log2Exact(CacheCfg.blockBytes())),
-      BlockBytes(CacheCfg.blockBytes()) {
+      BlockShift(log2Exact(CacheCfg.blockBytes())) {
   Result.Stats.NumLevels = CacheCfg.numLevels();
 }
 
 void TraceSimulator::access(const TraceRecord &R) {
-  // An access may straddle a block boundary; real trace simulators split
-  // it into one access per touched block.
-  BlockId First = R.Addr >> BlockShift;
-  BlockId Last = (R.Addr + R.Size - 1) >> BlockShift;
-  for (BlockId B = First; B <= Last; ++B) {
-    HierarchyOutcome O = Cache.access(B, R.IsWrite);
-    Result.Stats.countAccess(O.L1Hit, O.L2Accessed, O.L2Hit);
-    Result.Writebacks += O.L2Writebacks;
-    Result.WritebackMisses += O.L2WritebackMisses;
-  }
+  HierarchyOutcome O = Cache.access(R.Addr >> BlockShift, R.IsWrite);
+  Result.Stats.countAccess(O.L1Hit, O.L2Accessed, O.L2Hit);
+  Result.Writebacks += O.L2Writebacks;
+  Result.WritebackMisses += O.L2WritebackMisses;
 }
 
 TraceSimResult TraceSimulator::runOnProgram(const ScopProgram &Program) {

@@ -172,6 +172,43 @@ TEST(BatchRunner, InvalidJobsFailIndividually) {
   EXPECT_NE(Rep.Results[2].Error, "");
 }
 
+/// An element that does not divide the block size could straddle two
+/// blocks, which the trace backend would count twice: every backend
+/// refuses the pair, naming the array. A scalar counts only when the
+/// walk visits scalars.
+TEST(BatchRunner, ElementsStraddlingBlocksAreRefused) {
+  ParseResult PR = parseScop(R"(
+    double d; float A[64];
+    for (i = 0; i < 64; i++)
+      A[i] = d;
+  )");
+  ASSERT_TRUE(PR.ok()) << PR.message();
+  const CacheConfig Block4{64, 4, 4, PolicyKind::Lru, WriteAllocate::Yes};
+  const CacheConfig Block8{128, 4, 8, PolicyKind::Lru, WriteAllocate::Yes};
+  for (SimBackend B : {SimBackend::Warping, SimBackend::Concrete,
+                       SimBackend::Trace, SimBackend::StackDistance})
+    for (bool Scalars : {false, true}) {
+      SCOPED_TRACE(std::string(backendName(B)) +
+                   (Scalars ? " with scalars" : ""));
+      BatchJob J;
+      J.Program = &PR.Program;
+      J.Backend = B;
+      J.Options.IncludeScalars = Scalars;
+      J.Cache = HierarchyConfig::singleLevel(Block4);
+      BatchResult R = BatchRunner::runJob(J);
+      EXPECT_EQ(R.Ok, !Scalars) << R.Error;
+      if (Scalars) {
+        EXPECT_NE(R.Error.find("'d' (8 B) straddle 4 B blocks"),
+                  std::string::npos)
+            << R.Error;
+      }
+      J.Cache = HierarchyConfig::singleLevel(Block8);
+      R = BatchRunner::runJob(J);
+      EXPECT_TRUE(R.Ok) << R.Error;
+      EXPECT_EQ(R.Stats.totalAccesses(), Scalars ? 128u : 64u);
+    }
+}
+
 TEST(BatchRunner, ThrowingTasksAreCapturedAndRethrown) {
   // A task that throws must neither terminate the process (an exception
   // escaping a worker thread would) nor starve the remaining tasks; the

@@ -45,8 +45,8 @@ constexpr PolicyKind kPolicies[] = {PolicyKind::Lru, PolicyKind::Fifo,
 /// A fully-associative 128-way (8 KiB) write-allocate LRU point. Random
 /// hierarchies draw LRU points of at most 16 ways, which stack-distance
 /// banks answer from LRU rows; this one is wider than
-/// SetDistanceBank::MaxTruncatedAssoc, so the exact per-set profilers
-/// stay fuzzed as well.
+/// SetDistanceBank::MaxRowAssoc, so the exact per-set trackers stay
+/// fuzzed as well.
 const CacheConfig kWideLru{128 * 64, 128, 64, PolicyKind::Lru,
                            WriteAllocate::Yes};
 
@@ -390,7 +390,7 @@ TEST(DifferentialFuzz, SweepFlavorsBitIdentical) {
       Grid.push_back(randomHierarchy(Rng, K, /*TwoLevel=*/(I % 2) == 0));
     // A few single-level LRU capacity points keep the stack-distance
     // fast path in every run, on banks of both representations: LRU
-    // rows (4 sets) and exact profilers (the 128-way point).
+    // rows (4 sets) and exact trackers (the 128-way point).
     for (unsigned Assoc : {1u, 4u})
       Grid.push_back(HierarchyConfig::singleLevel(CacheConfig{
           Assoc * 4 * 64, Assoc, 64, PolicyKind::Lru, WriteAllocate::Yes}));

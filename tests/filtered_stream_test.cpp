@@ -134,7 +134,7 @@ TEST(FilteredStream, ConditionedBankMatchesConcreteLruL2) {
   CacheConfig L1{512, 2, 64, PolicyKind::Lru, WriteAllocate::Yes};
   FilteredStream FS = FilteredStream::record(P, L1);
   // Both bank representations: LRU rows 8 ways wide, and exact.
-  for (unsigned Width : {8u, SetDistanceBank::MaxTruncatedAssoc + 1}) {
+  for (unsigned Width : {8u, SetDistanceBank::MaxRowAssoc + 1}) {
     for (unsigned L2Sets : {1u, 4u, 16u}) {
       SetDistanceBank Bank(64, L2Sets, Width);
       FS.feed(Bank);

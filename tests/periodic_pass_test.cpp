@@ -48,9 +48,9 @@ ScopProgram periodicSweepProgram(int Steps, int Blocks) {
   return P;
 }
 
-/// Requires the periodic pass and the linear pass to agree at EVERY
-/// associativity up to the truncation depth, and both to agree with the
-/// bulk-updated bank the sweep driver builds.
+/// Requires the bank the periodic pass conditions -- the one the sweep
+/// driver builds -- to agree with the linear pass's bank of the same
+/// width, histogram for histogram and at EVERY associativity up to it.
 void expectPassesAgree(const ScopProgram &P, unsigned BlockBytes,
                        unsigned NumSets, unsigned MaxAssoc) {
   SetDistanceBank Linear =
@@ -60,14 +60,13 @@ void expectPassesAgree(const ScopProgram &P, unsigned BlockBytes,
   SetDistanceBank Warp(BlockBytes, NumSets, MaxAssoc);
   ASSERT_TRUE(R.addTo(Warp));
   EXPECT_EQ(Warp.totalAccesses(), Linear.totalAccesses()) << P.str();
-  EXPECT_EQ(Warp.truncatedAtAssoc(), MaxAssoc);
-  for (uint64_t Assoc = 1; Assoc <= MaxAssoc; Assoc *= 2) {
+  EXPECT_EQ(Warp.histogram(), Linear.histogram()) << P.str();
+  EXPECT_EQ(Warp.alwaysMisses(), Linear.alwaysMisses()) << P.str();
+  for (uint64_t Assoc = 1; Assoc <= MaxAssoc; Assoc *= 2)
     EXPECT_EQ(Warp.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc))
         << "assoc " << Assoc << " sets " << NumSets << " block "
         << BlockBytes << "\n"
         << P.str();
-    EXPECT_EQ(R.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc));
-  }
 }
 
 TEST(PeriodicPass, MatchesLinearPassOnRandomPrograms) {
@@ -105,28 +104,32 @@ TEST(PeriodicPass, AgreesWithConcreteSimulatorSpotChecks) {
   ScopProgram P = periodicSweepProgram(/*Steps=*/12, /*Blocks=*/96);
   unsigned MaxAssoc = 256;
   PeriodicPassResult R = runPeriodicPass(P, 64, 1, MaxAssoc);
+  SetDistanceBank Bank(64, 1, MaxAssoc);
+  ASSERT_TRUE(R.addTo(Bank));
   for (unsigned Assoc : {16u, 64u, 256u}) {
     CacheConfig C{static_cast<uint64_t>(Assoc) * 64, Assoc, 64,
                   PolicyKind::Lru, WriteAllocate::Yes};
     ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
     SimStats Ref = Sim.run();
-    EXPECT_EQ(R.missesForAssoc(Assoc), Ref.Level[0].Misses)
-        << C.str();
+    EXPECT_EQ(Bank.missesForCache(C), Ref.Level[0].Misses) << C.str();
   }
 }
 
-TEST(PeriodicPass, TruncatedBankAnswersOnlyWithinDepth) {
+TEST(PeriodicPass, BankOfThePassWidthAnswersOnlyWithinIt) {
   ScopProgram P = periodicSweepProgram(/*Steps=*/4, /*Blocks=*/16);
   PeriodicPassResult R = runPeriodicPass(P, 64, 1, 8);
-  SetDistanceBank Bank(64, 1, SetDistanceBank::MaxTruncatedAssoc + 1);
-  EXPECT_EQ(Bank.truncatedAtAssoc(), 0u); // Exact before the update.
+  SetDistanceBank Bank(64, 1, 8);
   ASSERT_TRUE(R.addTo(Bank));
-  EXPECT_EQ(Bank.truncatedAtAssoc(), 8u);
+  EXPECT_EQ(Bank.maxAssoc(), 8u);
   CacheConfig Within{8 * 64, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
   CacheConfig Beyond{16 * 64, 16, 64, PolicyKind::Lru,
                      WriteAllocate::Yes};
   EXPECT_TRUE(Bank.matches(Within));
   EXPECT_FALSE(Bank.matches(Beyond));
+  // 16 blocks cycled through 8 ways: each misses once in each of the 4
+  // sweeps, and its other 7 accesses hit at distance 0.
+  EXPECT_EQ(Bank.missesForCache(Within), 4u * 16u);
+  EXPECT_EQ(Bank.histogram()[0], 4u * 16u * 7u);
 }
 
 /// The warp pilot: a pass that warps within its budget runs and decides

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
 
 using namespace wcs;
@@ -140,7 +141,7 @@ TEST(PolybenchGolden, GemmFullyAssociativeLruByStackDistance) {
   std::string Err;
   ScopProgram P = buildKernel("gemm", ProblemSize::Mini, &Err);
   ASSERT_EQ(Err, "");
-  StackDistanceProfiler Prof = profileProgram(P, 64);
+  SetDistanceBank Prof = profileProgramSets(P, 64, 1, UINT_MAX);
   for (unsigned Lines : {4u, 16u, 64u, 256u}) {
     CacheConfig C;
     C.BlockBytes = 64;

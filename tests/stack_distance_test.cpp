@@ -3,22 +3,25 @@
 // Part of the wcs project, a reproduction of "Warping Cache Simulation of
 // Polyhedral Programs" (PLDI 2022).
 //
-// Validates the stack-distance profiler (the HayStack-style LRU model)
+// Validates the stack-distance banks (the HayStack-style LRU model)
 // against ground truth from two directions: hand-computed distances on
 // tiny traces, and seeded property tests cross-checking the derived LRU
 // miss counts against ConcreteSimulator over randomized programs and
-// associativities. The per-set banks are checked in both of their
-// representations (LRU rows up to 64 ways, exact profilers beyond).
+// associativities. The fully associative profile is a one-set bank, and
+// the banks are checked in both of their representations (LRU rows up
+// to 64 ways, exact trackers beyond).
 //
 //===----------------------------------------------------------------------===//
 
 #include "RandomProgram.h"
+#include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/trace/StackDistance.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <numeric>
 #include <random>
 #include <string>
@@ -28,47 +31,66 @@ using testutil::generateProgram;
 
 namespace {
 
+/// A bank width that keeps the exact per-set trackers.
+constexpr unsigned Exact = SetDistanceBank::MaxRowAssoc + 1;
+
+/// The widths of the one-set banks the fully associative checks run on:
+/// the widest LRU rows and an unbounded exact tracker.
+constexpr unsigned OneSetWidths[] = {SetDistanceBank::MaxRowAssoc, UINT_MAX};
+
 TEST(StackDistance, HandComputedTinyTrace) {
-  // Block trace a b c a c b with 64-byte blocks:
+  // Block trace a b c a c b:
   //   a,b,c cold; then a at distance 2, c at distance 1, b at distance 2.
-  StackDistanceProfiler Prof(64);
-  for (int64_t Block : {0, 1, 2, 0, 2, 1})
-    Prof.accessAddr(Block * 64);
+  for (unsigned Width : OneSetWidths) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    SetDistanceBank Prof(64, 1, Width);
+    for (BlockId Block : {0, 1, 2, 0, 2, 1})
+      Prof.accessBlock(Block);
 
-  EXPECT_EQ(Prof.totalAccesses(), 6u);
-  EXPECT_EQ(Prof.coldAccesses(), 3u);
-  ASSERT_GE(Prof.histogram().size(), 3u);
-  EXPECT_EQ(Prof.histogram()[1], 1u);
-  EXPECT_EQ(Prof.histogram()[2], 2u);
+    EXPECT_EQ(Prof.totalAccesses(), 6u);
+    EXPECT_EQ(Prof.alwaysMisses(), 3u);
+    ASSERT_GE(Prof.histogram().size(), 3u);
+    EXPECT_EQ(Prof.histogram()[0], 0u);
+    EXPECT_EQ(Prof.histogram()[1], 1u);
+    EXPECT_EQ(Prof.histogram()[2], 2u);
 
-  // 1 line: only the repeat at distance 0 would hit; everything misses.
-  EXPECT_EQ(Prof.missesForAssoc(1), 6u);
-  // 2 lines: the distance-1 access hits.
-  EXPECT_EQ(Prof.missesForAssoc(2), 5u);
-  // 3+ lines: only the colds miss.
-  EXPECT_EQ(Prof.missesForAssoc(3), 3u);
-  EXPECT_EQ(Prof.missesForAssoc(64), 3u);
+    // 1 line: only the repeat at distance 0 would hit; everything misses.
+    EXPECT_EQ(Prof.missesForAssoc(1), 6u);
+    // 2 lines: the distance-1 access hits.
+    EXPECT_EQ(Prof.missesForAssoc(2), 5u);
+    // 3+ lines: only the colds miss.
+    EXPECT_EQ(Prof.missesForAssoc(3), 3u);
+    EXPECT_EQ(Prof.missesForAssoc(64), 3u);
+  }
 }
 
 TEST(StackDistance, SameBlockHitsAtAnyCapacity) {
-  StackDistanceProfiler Prof(64);
-  for (int I = 0; I < 5; ++I)
-    Prof.accessAddr(8 * I); // All within block 0.
-  EXPECT_EQ(Prof.coldAccesses(), 1u);
-  EXPECT_EQ(Prof.missesForAssoc(1), 1u);
+  // Five 8-byte elements, all within one 64-byte block.
+  ScopBuilder B("same-block");
+  unsigned A = B.addArray("A", 8, {5});
+  B.beginLoop("i", B.cst(0), B.cst(4));
+  B.read(A, {B.iterAt(0)});
+  B.endLoop();
+  std::string Err;
+  ScopProgram P = B.finish(&Err);
+  ASSERT_EQ(Err, "");
+  for (unsigned Width : OneSetWidths) {
+    SetDistanceBank Prof = profileProgramSets(P, 64, 1, Width);
+    EXPECT_EQ(Prof.totalAccesses(), 5u);
+    EXPECT_EQ(Prof.alwaysMisses(), 1u) << Width;
+    EXPECT_EQ(Prof.missesForAssoc(1), 1u) << Width;
+  }
 }
 
 TEST(StackDistance, HistogramAccountsForEveryAccess) {
   std::mt19937 Rng(2022);
   ScopProgram P = generateProgram(Rng);
-  StackDistanceProfiler Prof = profileProgram(P, 64, /*IncludeScalars=*/false);
+  SetDistanceBank Prof =
+      profileProgramSets(P, 64, 1, UINT_MAX, /*IncludeScalars=*/false);
   uint64_t Finite = std::accumulate(Prof.histogram().begin(),
                                     Prof.histogram().end(), uint64_t{0});
-  EXPECT_EQ(Finite + Prof.coldAccesses(), Prof.totalAccesses());
+  EXPECT_EQ(Finite + Prof.alwaysMisses(), Prof.totalAccesses());
 }
-
-/// A bank width that keeps the exact per-set profilers.
-constexpr unsigned Exact = SetDistanceBank::MaxTruncatedAssoc + 1;
 
 TEST(StackDistance, PeriodCaptureAndBulkUpdateMatchLinearWalk) {
   // Stream: prefix, then period P repeated 5 times, then a suffix that
@@ -105,7 +127,10 @@ TEST(StackDistance, PeriodCaptureAndBulkUpdateMatchLinearWalk) {
     Walk(Bulk, Suffix);
 
     EXPECT_EQ(Bulk.totalAccesses(), Linear.totalAccesses());
-    EXPECT_EQ(Bulk.truncatedAtAssoc(), Width == Exact ? 0u : Width);
+    if (Width == Exact) {
+      EXPECT_EQ(Bulk.histogram(), Linear.histogram());
+      EXPECT_EQ(Bulk.alwaysMisses(), Linear.alwaysMisses());
+    }
     for (uint64_t Assoc = 1; Assoc <= 16; ++Assoc)
       EXPECT_EQ(Bulk.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc))
           << "assoc " << Assoc;
@@ -129,6 +154,8 @@ TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
   const uint64_t Total = Bank.totalAccesses();
   const uint64_t M1 = Bank.missesForAssoc(1);
   const uint64_t M2 = Bank.missesForAssoc(2);
+  const std::vector<uint64_t> Hist = Bank.histogram();
+  const uint64_t Always = Bank.alwaysMisses();
 
   // Histogram scaling overflows: 3 * (2^64 / 2) > 2^64 - 1.
   DistanceHistogram H;
@@ -153,7 +180,8 @@ TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
   EXPECT_EQ(Bank.totalAccesses(), Total);
   EXPECT_EQ(Bank.missesForAssoc(1), M1);
   EXPECT_EQ(Bank.missesForAssoc(2), M2);
-  EXPECT_EQ(Bank.truncatedAtAssoc(), 0u);
+  EXPECT_EQ(Bank.histogram(), Hist);
+  EXPECT_EQ(Bank.alwaysMisses(), Always);
 
   // The rejected fragment still enters fine at a sane repetition count
   // and lands exactly where an untouched bank would put it.
@@ -163,9 +191,9 @@ TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
   EXPECT_EQ(Bank.missesForAssoc(2), M2);
 }
 
-TEST(StackDistance, TruncatedCaptureVerifiesRowsNotColdness) {
+TEST(StackDistance, RowCaptureVerifiesRowsNotColdness) {
   // A 2-way bank over the period {0, 1, 2}: every access misses (at
-  // distance 2), which a truncated bank cannot tell from a cold miss --
+  // distance 2), which LRU rows cannot tell from a cold miss --
   // but its rows map onto themselves across a repetition, so the
   // capture verifies and the bulk update stays exact.
   SetDistanceBank Bank(64, 1, 2), Linear(64, 1, Exact);
@@ -189,8 +217,8 @@ TEST(StackDistance, TruncatedCaptureVerifiesRowsNotColdness) {
 TEST(StackDistance, UnverifiedCaptureFallsBackToWalking) {
   // accessRepeated is how FilteredStream::feed consumes a repeated
   // segment. Feed it "repetitions" that each touch one new block: the
-  // exact bank sees a cold access in the captured one, the truncated
-  // bank sees its rows change. Both reject the capture, walk every
+  // exact bank sees a cold access in the captured one, the row bank sees
+  // its rows change. Both reject the capture, walk every
   // repetition, and still match the exact bank walked access by access.
   const uint64_t Reps = 5;
   SetDistanceBank Linear(64, 4, Exact);
@@ -214,34 +242,37 @@ TEST(StackDistance, UnverifiedCaptureFallsBackToWalking) {
   }
 }
 
-TEST(StackDistance, TruncatedContributionLimitsMatches) {
-  for (unsigned Width : {16u, Exact}) {
+TEST(StackDistance, BankAnswersWithinItsWidth) {
+  // A bank refuses points wider than its construction width, and keeps
+  // answering within that width after bulk updates.
+  CacheConfig Within{4 * 64, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  CacheConfig Beyond{8 * 64, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  for (unsigned Width : {4u, Exact}) {
     SCOPED_TRACE("width " + std::to_string(Width));
     SetDistanceBank Bank(64, 1, Width);
+    EXPECT_EQ(Bank.maxAssoc(), Width);
+    EXPECT_TRUE(Bank.matches(Within));
+    EXPECT_EQ(Bank.matches(Beyond), Width >= 8);
     DistanceHistogram H;
     H.Hist = {4, 2};
     H.Beyond = 3;
     H.Accesses = 9;
-    ASSERT_TRUE(Bank.addPeriodicContribution(H, 2, /*TruncatedAtAssoc=*/4));
-    EXPECT_EQ(Bank.truncatedAtAssoc(), 4u);
-    EXPECT_EQ(Bank.totalAccesses(), 18u);
-    // missesForAssoc(1) = (2 + 3) * 2; missesForAssoc(2+) = 3 * 2.
-    EXPECT_EQ(Bank.missesForAssoc(1), 10u);
-    EXPECT_EQ(Bank.missesForAssoc(2), 6u);
-    EXPECT_EQ(Bank.missesForAssoc(4), 6u);
-    CacheConfig Within{4 * 64, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
-    CacheConfig Beyond{8 * 64, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
+    ASSERT_TRUE(Bank.addPeriodicContribution(H, 2));
+    ASSERT_TRUE(Bank.addPeriodicContribution(H, 1));
+    EXPECT_EQ(Bank.maxAssoc(), Width);
+    EXPECT_EQ(Bank.totalAccesses(), 27u);
+    EXPECT_EQ(Bank.alwaysMisses(), 9u);
+    // missesForAssoc(1) = (2 + 3) * 3; missesForAssoc(2+) = 3 * 3.
+    EXPECT_EQ(Bank.missesForAssoc(1), 15u);
+    EXPECT_EQ(Bank.missesForAssoc(2), 9u);
+    EXPECT_EQ(Bank.missesForAssoc(4), 9u);
+    EXPECT_EQ(Bank.missesForCache(Within), 9u);
     EXPECT_TRUE(Bank.matches(Within));
-    EXPECT_FALSE(Bank.matches(Beyond));
-    // A tighter later truncation wins; a looser one must not widen it.
-    ASSERT_TRUE(Bank.addPeriodicContribution(H, 1, /*TruncatedAtAssoc=*/8));
-    EXPECT_EQ(Bank.truncatedAtAssoc(), 4u);
-    ASSERT_TRUE(Bank.addPeriodicContribution(H, 1, /*TruncatedAtAssoc=*/2));
-    EXPECT_EQ(Bank.truncatedAtAssoc(), 2u);
+    EXPECT_EQ(Bank.matches(Beyond), Width >= 8);
   }
 }
 
-TEST(StackDistance, SixtyFourWaysTruncateAndSixtyFiveStayExact) {
+TEST(StackDistance, SixtyFourWaysKeepRowsAndSixtyFiveAreExact) {
   SetDistanceBank Rows(64, 4, 64), Fenwick(64, 4, 65);
   for (const SetDistanceBank *B : {&Rows, &Fenwick}) {
     EXPECT_EQ(B->numSets(), 4u);
@@ -249,27 +280,33 @@ TEST(StackDistance, SixtyFourWaysTruncateAndSixtyFiveStayExact) {
   }
   CacheConfig Ways64{4 * 64 * 64, 64, 64, PolicyKind::Lru,
                      WriteAllocate::Yes};
+  CacheConfig Ways65{4 * 65 * 64, 65, 64, PolicyKind::Lru,
+                     WriteAllocate::Yes};
   CacheConfig Ways128{4 * 128 * 64, 128, 64, PolicyKind::Lru,
                       WriteAllocate::Yes};
-  EXPECT_EQ(Rows.truncatedAtAssoc(), 64u);
+  // The rows are a 64-way LRU cache: a hit's way indexes the histogram.
+  EXPECT_EQ(Rows.histogram().size(), 64u);
   EXPECT_TRUE(Rows.matches(Ways64));
+  EXPECT_FALSE(Rows.matches(Ways65));
   EXPECT_FALSE(Rows.matches(Ways128));
-  EXPECT_EQ(Fenwick.truncatedAtAssoc(), 0u);
+  // The exact trackers grow the histogram on demand, up to the width.
+  EXPECT_TRUE(Fenwick.histogram().empty());
   EXPECT_TRUE(Fenwick.matches(Ways64));
-  EXPECT_TRUE(Fenwick.matches(Ways128));
+  EXPECT_TRUE(Fenwick.matches(Ways65));
+  EXPECT_FALSE(Fenwick.matches(Ways128));
 }
 
 /// The two representations against each other and against concrete
 /// simulation: on random programs, a bank of every width answers every
 /// associativity up to that width exactly like the exact bank and like
 /// ConcreteSimulator on the same geometry.
-TEST(StackDistance, TruncatedEqualsExactEqualsConcrete) {
+TEST(StackDistance, RowsEqualExactEqualsConcrete) {
   std::mt19937 Rng(1515);
   for (int Trial = 0; Trial < 4; ++Trial) {
     ScopProgram P = generateProgram(Rng);
     for (unsigned Sets : {1u, 4u, 64u}) {
       SetDistanceBank ExactBank = profileProgramSets(P, 64, Sets, Exact);
-      std::vector<uint64_t> Concrete(SetDistanceBank::MaxTruncatedAssoc + 1);
+      std::vector<uint64_t> Concrete(SetDistanceBank::MaxRowAssoc + 1);
       for (unsigned Assoc = 1; Assoc < Concrete.size(); ++Assoc) {
         CacheConfig C{static_cast<uint64_t>(Sets) * Assoc * 64, Assoc, 64,
                       PolicyKind::Lru, WriteAllocate::Yes};
@@ -297,52 +334,60 @@ TEST(StackDistance, TruncatedEqualsExactEqualsConcrete) {
 TEST(StackDistance, MissesMonotoneInAssociativity) {
   std::mt19937 Rng(31337);
   ScopProgram P = generateProgram(Rng);
-  StackDistanceProfiler Prof = profileProgram(P, 64, false);
-  for (uint64_t A = 1; A < 64; ++A)
-    EXPECT_GE(Prof.missesForAssoc(A), Prof.missesForAssoc(A + 1)) << A;
+  for (unsigned Width : OneSetWidths) {
+    SetDistanceBank Prof = profileProgramSets(P, 64, 1, Width, false);
+    for (uint64_t A = 1; A < 64; ++A)
+      EXPECT_GE(Prof.missesForAssoc(A), Prof.missesForAssoc(A + 1))
+          << A << " of " << Width;
+  }
 }
 
-/// The profiler's derived miss count must equal concrete simulation of a
-/// fully-associative LRU cache, access for access (Mattson's inclusion
-/// property made executable).
+/// The fully associative profile's derived miss count must equal
+/// concrete simulation of a fully-associative LRU cache, access for
+/// access (Mattson's inclusion property made executable).
 TEST(StackDistance, MatchesConcreteFullyAssociativeLru) {
   std::mt19937 Rng(424242);
   for (int Trial = 0; Trial < 10; ++Trial) {
     ScopProgram P = generateProgram(Rng);
-    StackDistanceProfiler Prof = profileProgram(P, 64, false);
-    for (unsigned Lines : {1u, 2u, 4u, 8u, 32u}) {
-      CacheConfig C;
-      C.BlockBytes = 64;
-      C.Assoc = Lines; // One set: fully associative.
-      C.SizeBytes = static_cast<uint64_t>(Lines) * 64;
-      C.Policy = PolicyKind::Lru;
-      ASSERT_EQ(C.validate(), "");
+    for (unsigned Width : OneSetWidths) {
+      SetDistanceBank Prof = profileProgramSets(P, 64, 1, Width, false);
+      for (unsigned Lines : {1u, 2u, 4u, 8u, 32u}) {
+        CacheConfig C;
+        C.BlockBytes = 64;
+        C.Assoc = Lines; // One set: fully associative.
+        C.SizeBytes = static_cast<uint64_t>(Lines) * 64;
+        C.Policy = PolicyKind::Lru;
+        ASSERT_EQ(C.validate(), "");
 
-      ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
-      SimStats S = Sim.run();
-      ASSERT_EQ(S.totalAccesses(), Prof.totalAccesses())
-          << "trial " << Trial << " lines " << Lines;
-      EXPECT_EQ(Prof.missesForCache(C), S.Level[0].Misses)
-          << "trial " << Trial << " lines " << Lines << "\n"
-          << P.str();
+        ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
+        SimStats S = Sim.run();
+        ASSERT_EQ(S.totalAccesses(), Prof.totalAccesses())
+            << "trial " << Trial << " lines " << Lines;
+        EXPECT_EQ(Prof.missesForCache(C), S.Level[0].Misses)
+            << "trial " << Trial << " width " << Width << " lines "
+            << Lines << "\n"
+            << P.str();
+      }
     }
   }
 }
 
-/// Same cross-check at a different block size (the profiler's only
-/// geometry parameter).
+/// Same cross-check at a different block size.
 TEST(StackDistance, MatchesConcreteAtSmallBlockSize) {
   std::mt19937 Rng(55);
   ScopProgram P = generateProgram(Rng);
-  StackDistanceProfiler Prof = profileProgram(P, 16, false);
-  for (unsigned Lines : {2u, 8u}) {
-    CacheConfig C;
-    C.BlockBytes = 16;
-    C.Assoc = Lines;
-    C.SizeBytes = static_cast<uint64_t>(Lines) * 16;
-    C.Policy = PolicyKind::Lru;
-    ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
-    EXPECT_EQ(Prof.missesForCache(C), Sim.run().Level[0].Misses) << Lines;
+  for (unsigned Width : OneSetWidths) {
+    SetDistanceBank Prof = profileProgramSets(P, 16, 1, Width, false);
+    for (unsigned Lines : {2u, 8u}) {
+      CacheConfig C;
+      C.BlockBytes = 16;
+      C.Assoc = Lines;
+      C.SizeBytes = static_cast<uint64_t>(Lines) * 16;
+      C.Policy = PolicyKind::Lru;
+      ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
+      EXPECT_EQ(Prof.missesForCache(C), Sim.run().Level[0].Misses)
+          << Lines << " of " << Width;
+    }
   }
 }
 

@@ -20,9 +20,11 @@
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/support/FaultInjection.h"
 #include "wcs/trace/StackDistance.h"
+#include "wcs/trace/TraceGenerator.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <random>
 
 using namespace wcs;
@@ -195,10 +197,15 @@ TEST(Sweep, ErroredJobsSurfaceAsFailedPointsNotZeroMisses) {
 }
 
 TEST(Sweep, BankDegeneratesToFullyAssociativeProfiler) {
+  // The fully associative profile is a one-set bank of unbounded width;
+  // its reference here takes the trace one access at a time.
   std::mt19937 Rng(11);
   ScopProgram P = generateProgram(Rng);
-  StackDistanceProfiler Prof = profileProgram(P, 64, false);
-  // 64 ways: the bank keeps LRU rows; 65: exact per-set profilers.
+  SetDistanceBank Prof(64, 1, UINT_MAX);
+  generateTrace(P, TraceOptions(), [&](const TraceRecord &R) {
+    Prof.accessBlock(R.Addr >> 6);
+  });
+  // 64 ways: the bank keeps LRU rows; 65: exact per-set trackers.
   for (unsigned Width : {64u, 65u}) {
     SetDistanceBank Bank = profileProgramSets(P, 64, 1, Width, false);
     ASSERT_EQ(Bank.totalAccesses(), Prof.totalAccesses());
@@ -206,6 +213,39 @@ TEST(Sweep, BankDegeneratesToFullyAssociativeProfiler) {
       EXPECT_EQ(Bank.missesForAssoc(A), Prof.missesForAssoc(A))
           << A << " of " << Width;
   }
+  SetDistanceBank Unbounded = profileProgramSets(P, 64, 1, UINT_MAX, false);
+  EXPECT_EQ(Unbounded.histogram(), Prof.histogram());
+  EXPECT_EQ(Unbounded.alwaysMisses(), Prof.alwaysMisses());
+}
+
+/// Points on blocks smaller than gemm's 8-byte elements fail with the
+/// refusal instead of being answered (each element would straddle two
+/// blocks), whichever path they would take; the other points answer.
+TEST(Sweep, StraddlingElementsFailTheirPoints) {
+  std::string Err;
+  ScopProgram P = buildKernel("gemm", ProblemSize::Mini, &Err);
+  ASSERT_EQ(Err, "");
+  const CacheConfig Fifo4{256, 8, 4, PolicyKind::Fifo, WriteAllocate::Yes};
+  const CacheConfig Lru4{256, 8, 4, PolicyKind::Lru, WriteAllocate::Yes};
+  const CacheConfig Lru64{4096, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  std::vector<HierarchyConfig> Grid = {
+      HierarchyConfig::singleLevel(Fifo4),
+      HierarchyConfig::singleLevel(Lru4),
+      HierarchyConfig::twoLevel(Lru4, CacheConfig{1024, 8, 4, PolicyKind::Lru,
+                                                  WriteAllocate::Yes}),
+      HierarchyConfig::singleLevel(Lru64)};
+  SweepReport Rep = runSweep(P, Grid, SweepOptions());
+  ASSERT_EQ(Rep.Points.size(), Grid.size());
+  for (size_t I = 0; I + 1 < Grid.size(); ++I) {
+    EXPECT_FALSE(Rep.Points[I].Ok) << Grid[I].str();
+    EXPECT_NE(Rep.Points[I].Error.find("straddle 4 B blocks"),
+              std::string::npos)
+        << Rep.Points[I].Error;
+  }
+  EXPECT_TRUE(Rep.Points.back().Ok) << Rep.Points.back().Error;
+  EXPECT_EQ(Rep.StackDistancePoints, 1u);
+  EXPECT_EQ(Rep.FilteredPoints, 0u);
+  EXPECT_EQ(Rep.SimulatedJobs, 0u);
 }
 
 TEST(Sweep, DiscardedPeriodicPassesReportTheLinearWalk) {
@@ -295,7 +335,7 @@ TEST(Sweep, DiscardedPeriodicPassesReportTheLinearWalk) {
 /// The linear walk runs as one task per worker, each feeding its own
 /// group of banks: every bank must see the whole trace once, whatever
 /// the group count. Banks of 16-, 64- and 256-byte blocks, LRU rows and
-/// exact profilers, through 1, 2 and 3 workers.
+/// exact trackers, through 1, 2 and 3 workers.
 TEST(Sweep, LinearWalkSplitAcrossWorkersMatchesConcrete) {
   std::mt19937 Rng(2023);
   std::vector<HierarchyConfig> Grid;

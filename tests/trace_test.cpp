@@ -9,12 +9,15 @@
 #include "wcs/frontend/Frontend.h"
 #include "wcs/polybench/Polybench.h"
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/support/MathUtil.h"
 #include "wcs/trace/StackDistance.h"
 #include "wcs/trace/TraceGenerator.h"
 #include "wcs/trace/TraceSimulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <random>
 
 using namespace wcs;
@@ -53,8 +56,9 @@ TEST(TraceGenerator, ScalarExclusionMatchesSimulatorAccounting) {
 }
 
 /// Banks of 16-, 64- and 256-byte blocks: LRU rows at widths 1, 8 and
-/// 64, and exact 65-way profilers. The walk writes its chunks at the
-/// smallest block size, and each bank must step them shifted to its own.
+/// 64, exact 65-way trackers, and the fully associative profile (one
+/// set, unbounded width). The walk writes its chunks at the smallest
+/// block size, and each bank must step them shifted to its own.
 std::vector<SetDistanceBank> testBanks() {
   std::vector<SetDistanceBank> Banks;
   for (unsigned Block : {16u, 64u, 256u}) {
@@ -62,17 +66,18 @@ std::vector<SetDistanceBank> testBanks() {
     Banks.emplace_back(Block, 2, 8);
     Banks.emplace_back(Block, 1, 64);
     Banks.emplace_back(Block, 2, 65);
+    Banks.emplace_back(Block, 1, UINT_MAX);
   }
   return Banks;
 }
 
 /// Every consumer of the program-order walk sees the same accesses as
 /// generateTrace, the per-access reference: the banks fed by the
-/// batched, marker-carrying linear pass at every associativity they
-/// answer -- split into 1, 2 and 3 walk groups like the sweep's linear
-/// walk (bank I in group I mod the group count, so every group mixes
-/// block sizes and both representations) -- and the per-activation
-/// count, capped or not.
+/// batched, marker-carrying linear pass, histogram bucket for bucket
+/// and always-miss count -- split into 1, 2 and 3 walk groups like the
+/// sweep's linear walk (bank I in group I mod the group count, so every
+/// group mixes block sizes and both representations) -- and the
+/// per-activation count, capped or not.
 void expectConsumersAgree(const ScopProgram &P, bool Scalars,
                           const std::string &Ctx) {
   TraceOptions TO;
@@ -80,7 +85,7 @@ void expectConsumersAgree(const ScopProgram &P, bool Scalars,
   std::vector<SetDistanceBank> Ref = testBanks();
   uint64_t Records = generateTrace(P, TO, [&](const TraceRecord &R) {
     for (SetDistanceBank &B : Ref)
-      B.accessAddr(R.Addr);
+      B.accessBlock(R.Addr >> log2Exact(B.blockBytes()));
   });
   for (size_t NumGroups : {1u, 2u, 3u}) {
     std::vector<SetDistanceBank> Walked = testBanks();
@@ -94,11 +99,8 @@ void expectConsumersAgree(const ScopProgram &P, bool Scalars,
                                 std::to_string(NumGroups) + " bank " +
                                 std::to_string(I);
       ASSERT_EQ(Walked[I].totalAccesses(), Ref[I].totalAccesses()) << Where;
-      unsigned Width = Ref[I].truncatedAtAssoc() ? Ref[I].truncatedAtAssoc()
-                                                 : 65;
-      for (unsigned A = 1; A <= Width; ++A)
-        ASSERT_EQ(Walked[I].missesForAssoc(A), Ref[I].missesForAssoc(A))
-            << Where << " assoc " << A;
+      ASSERT_EQ(Walked[I].histogram(), Ref[I].histogram()) << Where;
+      ASSERT_EQ(Walked[I].alwaysMisses(), Ref[I].alwaysMisses()) << Where;
     }
   }
   EXPECT_EQ(countAccesses(P, TO), Records) << Ctx;
@@ -124,8 +126,21 @@ TEST(TraceGenerator, EveryWalkConsumerSeesTheSameAccesses) {
   }
 }
 
+/// Fifteen int scalars ahead of a double one: packed back to back, the
+/// double would sit at bytes 60-67 of a 64-byte block.
+ScopProgram mixedScalarKernel() {
+  std::string Src;
+  for (int I = 0; I < 15; ++I)
+    Src += "int s" + std::to_string(I) + ";\n";
+  Src += "double d; double A[64];\n"
+         "for (i = 0; i < 64; i++)\n"
+         "  A[i] = d + s0;\n";
+  ParseResult R = parseScop(Src);
+  EXPECT_TRUE(R.ok()) << R.message();
+  return std::move(R.Program);
+}
+
 TEST(TraceSimulator, AgreesWithTreeSimulatorWithoutWritebacks) {
-  ScopProgram P = smallKernel();
   CacheConfig L1;
   L1.Assoc = 2;
   L1.BlockBytes = 64;
@@ -135,19 +150,30 @@ TEST(TraceSimulator, AgreesWithTreeSimulatorWithoutWritebacks) {
   L2.SizeBytes *= 4;
   HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
 
-  TraceSimOptions TSO;
-  TSO.IncludeScalars = false;
-  TSO.PropagateWritebacks = false;
-  TraceSimulator TS(H, TSO);
-  TraceSimResult TR = TS.runOnProgram(P);
+  struct Input {
+    const char *Name;
+    ScopProgram Program;
+    bool Scalars;
+  } Inputs[] = {{"small", smallKernel(), false},
+                {"mixed scalars", mixedScalarKernel(), true}};
+  for (const Input &In : Inputs) {
+    SCOPED_TRACE(In.Name);
+    TraceSimOptions TSO;
+    TSO.IncludeScalars = In.Scalars;
+    TSO.PropagateWritebacks = false;
+    TraceSimulator TS(H, TSO);
+    TraceSimResult TR = TS.runOnProgram(In.Program);
 
-  ConcreteSimulator Ref(P, H);
-  SimStats R = Ref.run();
-  EXPECT_EQ(TR.Stats.totalAccesses(), R.totalAccesses());
-  EXPECT_EQ(TR.Stats.Level[0].Misses, R.Level[0].Misses);
-  EXPECT_EQ(TR.Stats.Level[1].Accesses, R.Level[1].Accesses);
-  EXPECT_EQ(TR.Stats.Level[1].Misses, R.Level[1].Misses);
-  EXPECT_EQ(TR.Writebacks, 0u);
+    SimOptions SO;
+    SO.IncludeScalars = In.Scalars;
+    ConcreteSimulator Ref(In.Program, H, SO);
+    SimStats R = Ref.run();
+    EXPECT_EQ(TR.Stats.totalAccesses(), R.totalAccesses());
+    EXPECT_EQ(TR.Stats.Level[0].Misses, R.Level[0].Misses);
+    EXPECT_EQ(TR.Stats.Level[1].Accesses, R.Level[1].Accesses);
+    EXPECT_EQ(TR.Stats.Level[1].Misses, R.Level[1].Misses);
+    EXPECT_EQ(TR.Writebacks, 0u);
+  }
 }
 
 TEST(TraceSimulator, AgreesWithTreeSimulatorAcrossChunkBoundaries) {
@@ -213,7 +239,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(StackDistance, MatchesBruteForceLruStack) {
-  // Reference: explicit LRU stack simulation over random block traces.
+  // Reference: explicit LRU stack simulation over random block traces,
+  // against the fully associative profile (a one-set bank of unbounded
+  // width).
   std::mt19937 Rng(7);
   for (int Trial = 0; Trial < 10; ++Trial) {
     std::vector<BlockId> Trace;
@@ -221,7 +249,7 @@ TEST(StackDistance, MatchesBruteForceLruStack) {
     for (int I = 0; I < 600; ++I)
       Trace.push_back(Blocks(Rng));
 
-    StackDistanceProfiler Prof;
+    SetDistanceBank Prof(64, 1, UINT_MAX);
     std::vector<BlockId> Stack; // Front = most recent.
     std::vector<uint64_t> RefHist;
     uint64_t RefColds = 0;
@@ -239,7 +267,7 @@ TEST(StackDistance, MatchesBruteForceLruStack) {
       Stack.insert(Stack.begin(), B);
       Prof.accessBlock(B);
     }
-    EXPECT_EQ(Prof.coldAccesses(), RefColds);
+    EXPECT_EQ(Prof.alwaysMisses(), RefColds);
     ASSERT_EQ(Prof.histogram().size(), RefHist.size());
     for (size_t D = 0; D < RefHist.size(); ++D)
       EXPECT_EQ(Prof.histogram()[D], RefHist[D]) << "distance " << D;
@@ -248,7 +276,7 @@ TEST(StackDistance, MatchesBruteForceLruStack) {
 
 TEST(StackDistance, MissesMatchFullyAssociativeLruSimulation) {
   ScopProgram P = smallKernel();
-  StackDistanceProfiler Prof = profileProgram(P, 64);
+  SetDistanceBank Prof = profileProgramSets(P, 64, 1, UINT_MAX);
   for (unsigned Lines : {1u, 2u, 4u, 8u, 16u}) {
     CacheConfig C;
     C.Assoc = Lines;
@@ -264,14 +292,14 @@ TEST(StackDistance, MissesMatchFullyAssociativeLruSimulation) {
 
 TEST(StackDistance, StackHistogramIsMonotoneInCacheSize) {
   ScopProgram P = smallKernel();
-  StackDistanceProfiler Prof = profileProgram(P, 64);
+  SetDistanceBank Prof = profileProgramSets(P, 64, 1, UINT_MAX);
   uint64_t Prev = UINT64_MAX;
   for (unsigned K = 1; K <= 64; K *= 2) {
     uint64_t M = Prof.missesForAssoc(K);
     EXPECT_LE(M, Prev) << "LRU inclusion property";
     Prev = M;
   }
-  EXPECT_GE(Prof.missesForAssoc(1u << 20), Prof.coldAccesses());
+  EXPECT_GE(Prof.missesForAssoc(1u << 20), Prof.alwaysMisses());
 }
 
 } // namespace

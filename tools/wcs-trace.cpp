@@ -28,6 +28,7 @@
 #include "wcs/trace/StackDistance.h"
 #include "wcs/trace/TraceGenerator.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -187,12 +188,15 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  StackDistanceProfiler Prof = profileProgram(P, 64, TO.IncludeScalars);
+  // The fully associative profile: one set of 64 B lines, so wide that
+  // only cold accesses miss at every width it answers.
+  SetDistanceBank Prof =
+      profileProgramSets(P, 64, 1, UINT_MAX, TO.IncludeScalars);
 
   if (Mode == "--histogram") {
     std::printf("# %s: %llu accesses, %llu cold\n", P.Name.c_str(),
                 static_cast<unsigned long long>(Prof.totalAccesses()),
-                static_cast<unsigned long long>(Prof.coldAccesses()));
+                static_cast<unsigned long long>(Prof.alwaysMisses()));
     std::printf("# distance  count\n");
     for (size_t D = 0; D < Prof.histogram().size(); ++D)
       if (Prof.histogram()[D] != 0)
@@ -219,7 +223,7 @@ int main(int argc, char **argv) {
     std::printf("  %10s %12llu %9.3f%%\n", SizeBuf,
                 static_cast<unsigned long long>(M),
                 Total ? 100.0 * static_cast<double>(M) / Total : 0.0);
-    if (M == Prof.coldAccesses())
+    if (M == Prof.alwaysMisses())
       break; // Larger caches cannot do better.
   }
   return 0;
