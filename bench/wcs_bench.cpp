@@ -519,8 +519,7 @@ int main(int argc, char **argv) {
   // substitute is trace-driven with scalars but has no PLRU, so it runs
   // the all-LRU twin. The warping (exact PLRU, arrays only) and HayStack
   // (fully-associative LRU) columns are the fig06 PLRU and fig08 runs: a
-  // NINE L1 does not depend on its L2, and the trace backend leaves
-  // write-backs out, which only ever add L2 traffic.
+  // NINE L1 does not depend on its L2.
   if (HasSuite("fig11")) {
     HierarchyConfig Measured = HierarchyConfig::twoLevel(
         CacheConfig::scaledL1(), CacheConfig::scaledL2());

@@ -5,14 +5,12 @@
 //
 // Explores a two-level non-inclusive non-exclusive hierarchy (paper
 // Sec. 2.3) on a stencil kernel: per-level miss counts from the warping
-// simulator, the effect of no-write-allocate L1s, and the extra L2
-// traffic caused by dirty write-backs (trace-simulator reference model).
+// simulator and the effect of a no-write-allocate L1.
 //
 //===----------------------------------------------------------------------===//
 
 #include "wcs/polybench/Polybench.h"
 #include "wcs/sim/WarpingSimulator.h"
-#include "wcs/trace/TraceSimulator.h"
 
 #include <cstdio>
 
@@ -52,25 +50,10 @@ int main(int argc, char **argv) {
   HN.Levels[0].WriteAlloc = WriteAllocate::No;
   WarpingSimulator WarpN(P, HN);
   SimStats WN = WarpN.run();
-  std::printf("with a no-write-allocate L1: %llu L1 misses (%+.2f%%)\n\n",
+  std::printf("with a no-write-allocate L1: %llu L1 misses (%+.2f%%)\n",
               static_cast<unsigned long long>(WN.Level[0].Misses),
               100.0 * (static_cast<double>(WN.Level[0].Misses) /
                            W.Level[0].Misses -
                        1.0));
-
-  // Reference trace simulation with dirty write-backs propagated to L2
-  // and scalar accesses included (the "measured" model of Fig. 11).
-  TraceSimOptions TSO;
-  TraceSimulator TS(H, TSO);
-  TraceSimResult TR = TS.runOnProgram(P);
-  std::printf("reference trace model (scalars + write-backs):\n");
-  std::printf("  L1: %llu accesses, %llu misses\n",
-              static_cast<unsigned long long>(TR.Stats.Level[0].Accesses),
-              static_cast<unsigned long long>(TR.Stats.Level[0].Misses));
-  std::printf("  L2: %llu demand accesses + %llu write-backs "
-              "(%llu write-back misses)\n",
-              static_cast<unsigned long long>(TR.Stats.Level[1].Accesses),
-              static_cast<unsigned long long>(TR.Writebacks),
-              static_cast<unsigned long long>(TR.WritebackMisses));
   return 0;
 }

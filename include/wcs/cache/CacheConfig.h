@@ -32,7 +32,7 @@ enum class PolicyKind {
 };
 
 /// Write-miss policy. Write-back vs write-through affects traffic, not
-/// hit/miss classification, and is modeled in the trace simulator.
+/// hit/miss classification, and is not modeled.
 enum class WriteAllocate {
   Yes, ///< Write misses allocate the block (paper's default).
   No,  ///< Write misses bypass the cache.

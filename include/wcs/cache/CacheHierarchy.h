@@ -32,11 +32,9 @@
 /// rest are counted as hits instead of simulated (see accessBatch for
 /// the lemma that makes this exact).
 ///
-/// An optional writeback-propagation mode (concrete only) additionally
-/// sends dirty L1 victims to the L2, for the richer reference model used
-/// as "measured" ground truth in the accuracy experiments (Figs.
-/// 11/13/14); the formal model used for warping does not propagate
-/// victims, exactly as in the paper.
+/// As in the paper, the model decides hits and misses by allocation
+/// alone and counts no write-back traffic: a write differs from a read
+/// only at a no-write-allocate level, whose write misses bypass it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,18 +49,16 @@
 
 namespace wcs {
 
-/// Result of one hierarchy access. Sixteen bytes, so it returns in
-/// registers on the per-access paths.
+/// Result of one hierarchy access. Eight bytes, so it returns in a
+/// register on the per-access paths.
 struct HierarchyOutcome {
   bool L1Hit = false;
   bool L2Accessed = false; ///< Only in two-level configurations.
   bool L2Hit = false;
-  unsigned L2Writebacks = 0;      ///< Victim writes issued to the L2.
-  unsigned L2WritebackMisses = 0; ///< Of those, how many missed in L2.
   unsigned BackInvalidations = 0; ///< Inclusive mode: L1 lines removed
                                   ///< because their L2 copy was evicted.
 };
-static_assert(sizeof(HierarchyOutcome) == 16, "returned in registers");
+static_assert(sizeof(HierarchyOutcome) == 8, "returned in a register");
 
 /// One element of a batched address stream: a block plus its access
 /// direction, in program order. The polyhedral iterator fills arrays of
@@ -133,8 +129,7 @@ public:
   using TagT = typename Cache::TagT;
   using TagCursor = typename Traits::TagCursor;
 
-  explicit CacheHierarchy(const HierarchyConfig &Config,
-                          bool PropagateWritebacks = false);
+  explicit CacheHierarchy(const HierarchyConfig &Config);
 
   unsigned numLevels() const { return static_cast<unsigned>(Levels.size()); }
 
@@ -191,20 +186,20 @@ public:
   ///
   ///   If every access of an op sequence S hits in the L1 from state s,
   ///   then S hits everywhere again from S(s), and S(S(s)) = S(s) in
-  ///   blocks, recency order, dirty bits and PLRU/QLRU metadata.
+  ///   blocks, recency order and PLRU/QLRU metadata.
   ///
   /// An all-hit S inserts and evicts nothing, so S(s) holds the blocks
   /// of s and S hits again. LRU then orders S's blocks by their last
   /// access in S ahead of the untouched ones, in their old order, from
   /// any start; PLRU sets each tree bit on a hit way's path to what the
   /// last touch through it wrote; QLRU sets each hit way's age to
-  /// HitAge; FIFO and the dirty bits' OR are idempotent. Only L1 misses
-  /// reach the L2, the miss sink, writebacks and back-invalidations, so
-  /// none of those sees a skipped repetition. What does change is the
-  /// symbolic tags: each line S touches takes the tag of the last access
-  /// to its block in the run's last iteration. With \p DepthHist, one
-  /// more application from the fixed point is simulated and its depths
-  /// count once per remaining repetition.
+  /// HitAge; a FIFO hit changes nothing. Only L1 misses reach the L2,
+  /// the miss sink and back-invalidations, so none of those sees a
+  /// skipped repetition. What does change is the symbolic tags: each
+  /// line S touches takes the tag of the last access to its block in the
+  /// run's last iteration. With \p DepthHist, one more application from
+  /// the fixed point is simulated and its depths count once per
+  /// remaining repetition.
   void accessBatch(const BatchedAccess *Ops, size_t N, BatchCounters &C,
                    TagCursor Tags = TagCursor(),
                    const L1MissSink *Sink = nullptr,
@@ -265,7 +260,6 @@ private:
                      uint64_t *DepthHist);
 
   InclusionPolicy Inclusion;
-  bool Writebacks;
   std::vector<Cache> Levels;
 };
 
@@ -276,12 +270,9 @@ private:
 //===----------------------------------------------------------------------===//
 
 template <typename LineT>
-CacheHierarchy<LineT>::CacheHierarchy(const HierarchyConfig &Config,
-                                      bool PropagateWritebacks)
-    : Inclusion(Config.Inclusion), Writebacks(PropagateWritebacks) {
+CacheHierarchy<LineT>::CacheHierarchy(const HierarchyConfig &Config)
+    : Inclusion(Config.Inclusion) {
   assert(Config.validate().empty() && "invalid hierarchy configuration");
-  assert(!(Traits::HasTag && PropagateWritebacks) &&
-         "the symbolic model propagates no writebacks");
   for (const CacheConfig &C : Config.Levels)
     Levels.emplace_back(C);
 }
@@ -295,8 +286,6 @@ CacheHierarchy<LineT>::access(BlockId B, bool IsWrite, TagT Tag,
   bool Alloc1 = !(IsWrite && L1.config().WriteAlloc == WriteAllocate::No);
   AccessOutcome O1 = L1.access(B, Alloc1, Tag);
   R.L1Hit = O1.Hit;
-  if (O1.Hit || O1.Inserted)
-    L1.orDirtyAt(O1.Set, O1.Way, IsWrite);
   if (DepthHist && O1.Hit)
     ++DepthHist[O1.HitDepth];
 
@@ -322,23 +311,9 @@ void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
     // victim additionally back-invalidates its L1 copy.
     AccessOutcome O2 = L2.access(B, Alloc2, Tag);
     R.L2Hit = O2.Hit;
-    if (O2.Hit || O2.Inserted)
-      L2.orDirtyAt(O2.Set, O2.Way, IsWrite);
     if (Inclusion == InclusionPolicy::Inclusive && O2.Inserted &&
         O2.EvictedValid && L1.invalidate(O2.EvictedBlock))
       ++R.BackInvalidations;
-    // Optional richer model: a dirty L1 victim is written back to the L2.
-    if (Writebacks && O1.Inserted && O1.EvictedDirty) {
-      AccessOutcome WB = L2.access(O1.EvictedBlock, /*Allocate=*/true);
-      if (WB.Hit || WB.Inserted)
-        L2.setDirtyAt(WB.Set, WB.Way, true);
-      if (Inclusion == InclusionPolicy::Inclusive && WB.Inserted &&
-          WB.EvictedValid && L1.invalidate(WB.EvictedBlock))
-        ++R.BackInvalidations;
-      ++R.L2Writebacks;
-      if (!WB.Hit)
-        ++R.L2WritebackMisses;
-    }
     break;
   }
   case InclusionPolicy::Exclusive: {
@@ -352,18 +327,9 @@ void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
     // re-tagged the L1 slot already. The L1 victim becomes an L2
     // resident *keeping its own tag*, so the warping bijection checks
     // continue to see its installing access instance.
-    std::optional<LineT> InL2 = L2.invalidate(B);
-    R.L2Hit = InL2.has_value();
-    if (InL2)
-      L1.orDirtyAt(O1.Set, O1.Way, InL2->Dirty);
-    if (O1.Inserted && O1.EvictedValid) {
-      AccessOutcome OV = L2.access(O1.EvictedBlock, /*Allocate=*/true,
-                                   L1.lastEvictedTag());
-      if (OV.Inserted)
-        L2.setDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
-      else if (OV.Hit)
-        L2.orDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
-    }
+    R.L2Hit = L2.invalidate(B);
+    if (O1.Inserted && O1.EvictedValid)
+      L2.access(O1.EvictedBlock, /*Allocate=*/true, L1.lastEvictedTag());
     break;
   }
   }
@@ -379,18 +345,16 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
                                       [[maybe_unused]] uint64_t DepthWeight) {
   // Consecutive accesses to one block are guaranteed hits whose policy
   // update is idempotent (LRU: already most recent; FIFO: no-op; PLRU:
-  // touch of the same way; QLRU: re-zeroing a zero hit age) -- only the
-  // dirty OR of a write, and a tagged payload's tag refresh, still
-  // matter. Sub-block strides and stride-0 operands make such runs
-  // common, so they bypass the cache entirely. For QLRU the previous
-  // access must itself have been a hit: a hit on a just-inserted line
-  // ages it InsertAge -> HitAge, a real update.
+  // touch of the same way; QLRU: re-zeroing a zero hit age) -- only a
+  // tagged payload's tag refresh still matters. Sub-block strides and
+  // stride-0 operands make such runs common, so they bypass the cache
+  // entirely. For QLRU the previous access must itself have been a hit:
+  // a hit on a just-inserted line ages it InsertAge -> HitAge, a real
+  // update.
   Cache &L1 = S.L1;
   BlockId B = Op.block();
   bool IsWrite = Op.isWrite();
   if (B == S.LastB) {
-    if (IsWrite)
-      L1.orDirtyAt(S.LastSet, S.LastWay, true);
     if constexpr (Traits::HasTag)
       L1.setTagAt(S.LastSet, S.LastWay, Tag);
     if constexpr (Depths)
@@ -405,8 +369,6 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
   S.LastSet = O1.Set;
   S.LastWay = O1.Way;
   if (O1.Hit) {
-    if (IsWrite)
-      L1.orDirtyAt(O1.Set, O1.Way, true);
     if constexpr (Depths)
       addCount(DepthHist[O1.HitDepth], DepthWeight);
     return;
@@ -414,8 +376,6 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
   ++C.L1Misses;
   if (Sink)
     (*Sink)(B, IsWrite);
-  if (O1.Inserted && IsWrite)
-    L1.orDirtyAt(O1.Set, O1.Way, true);
   if (!S.TwoLevel)
     return;
   HierarchyOutcome R;

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Concrete (non-symbolic) caches and hierarchies: the line payload is a
-/// block plus a dirty bit, and the hierarchy is CacheHierarchy over it
-/// (see CacheHierarchy.h for the Eq. (24) semantics, the inclusion
-/// policies and the writeback-propagation mode).
+/// Concrete (non-symbolic) caches and hierarchies: the line payload is
+/// the block alone, and the hierarchy is CacheHierarchy over it (see
+/// CacheHierarchy.h for the Eq. (24) semantics and the inclusion
+/// policies).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +20,9 @@
 
 namespace wcs {
 
-/// Line payload of a concrete cache: the block plus a dirty bit.
+/// Line payload of a concrete cache: the block.
 struct ConcreteLine {
   BlockId Block = kInvalidBlock;
-  bool Dirty = false;
 };
 
 using ConcreteCache = SetAssocCache<ConcreteLine>;

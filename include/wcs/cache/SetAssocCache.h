@@ -7,16 +7,19 @@
 ///
 /// \file
 /// A set-associative cache over an arbitrary line payload, shared by the
-/// concrete simulator (payload: block + dirty bit) and the symbolic warping
-/// simulator (payload: block + symbolic tag).
+/// concrete simulator (payload: the block) and the symbolic warping
+/// simulator (payload: block + symbolic tag). A line holds only what
+/// decides a hit or a miss: no model here counts write-back traffic, so
+/// there is no dirty state, and a write reaches the cache only as the
+/// Allocate flag of a no-write-allocate miss.
 ///
 /// The hot-loop layout is struct-of-arrays: one cache-line-aligned BlockId
-/// array (what the per-access scan reads), one dirty bitset, and the policy
-/// metadata words -- instead of a vector of interleaved line structs. Any
-/// payload beyond (Block, Dirty) lives in a separate tag array described by
-/// a CacheLineTraits specialization, so the concrete cache's scan touches
+/// array (what the per-access scan reads) and the policy metadata words
+/// -- instead of a vector of interleaved line structs. Any payload beyond
+/// the block lives in a separate tag array described by a
+/// CacheLineTraits specialization, so the concrete cache's scan touches
 /// nothing but 8-byte block ids. The replacement policy is dispatched once
-/// per access() call -- or once per batch via accessAs<P>() -- into a
+/// per access() call -- or once per batch via accessAsNoMra<P>() -- into a
 /// per-policy accessImpl instantiation; there is no per-access dispatch
 /// inside the hit/fill handling.
 ///
@@ -43,7 +46,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -57,8 +59,8 @@ using BlockId = int64_t;
 inline constexpr BlockId kInvalidBlock = INT64_MIN;
 
 /// Describes how a line payload maps onto the struct-of-arrays storage.
-/// The primary template covers payloads that are nothing but
-/// (Block, Dirty) -- e.g. ConcreteLine -- and stores no tag array at all.
+/// The primary template covers payloads that are nothing but a Block --
+/// ConcreteLine -- and stores no tag array at all.
 /// Payload types with extra state (the symbolic line's tag) specialize
 /// this with HasTag = true, a trivially copyable Tag struct holding
 /// exactly that extra state (tag rows shift with memmove), and a
@@ -88,18 +90,17 @@ struct AccessOutcome {
   /// count); the depth-profiling passes of trace/PeriodicPass read it.
   unsigned HitDepth = 0;
   bool EvictedValid = false;
-  bool EvictedDirty = false;
   BlockId EvictedBlock = kInvalidBlock;
 };
 
 /// Set-associative cache with pluggable line payload.
 ///
-/// \tparam LineT must provide members `BlockId Block` and `bool Dirty`,
-/// be cheaply copyable, and default-construct to an invalid line
+/// \tparam LineT must provide a member `BlockId Block`, be cheaply
+/// copyable, and default-construct to an invalid line
 /// (`Block == kInvalidBlock`). Extra payload members require a
 /// CacheLineTraits specialization (see above); LineT itself is only ever
-/// assembled on demand (lineAt, lastEvicted, invalidate) -- the stored
-/// state is pure struct-of-arrays.
+/// assembled on demand (lineAt) -- the stored state is pure
+/// struct-of-arrays.
 template <typename LineT>
 class SetAssocCache {
   using Traits = CacheLineTraits<LineT>;
@@ -112,10 +113,8 @@ public:
 
   explicit SetAssocCache(const CacheConfig &Config)
       : Cfg(Config), Sets(Config.numSets()), Assoc(Config.Assoc),
-        SetMask(Sets - 1), WordsPerSet((Assoc + 63) / 64),
-        WayMask(Assoc >= 64 ? ~0ull : (1ull << Assoc) - 1),
+        SetMask(Sets - 1),
         Blocks(static_cast<size_t>(Sets) * Assoc, kInvalidBlock),
-        DirtyBits(static_cast<size_t>(Sets) * WordsPerSet, 0),
         PlruBits(Sets, 0),
         Ages(Config.Policy == PolicyKind::QuadAgeLru
                  ? static_cast<size_t>(Sets) * Assoc
@@ -148,9 +147,8 @@ public:
   /// Accesses block \p B. On a miss with \p Allocate, the block is
   /// inserted and the victim (if any) reported in the outcome. A tagged
   /// payload stores \p Tag in the line the access hits or fills, as
-  /// part of the row update; the caller still sets the dirty bit at
-  /// (Set, Way) after the call. Dispatches the replacement policy
-  /// exactly once, at entry.
+  /// part of the row update. Dispatches the replacement policy exactly
+  /// once, at entry.
   AccessOutcome access(BlockId B, bool Allocate, TagT Tag = TagT()) {
     switch (Cfg.Policy) {
     case PolicyKind::Lru:
@@ -173,21 +171,15 @@ public:
   /// scan into straight-line branchless code -- the win is largest for
   /// the fixed-way policies (PLRU/QLRU), whose resident lines sit at
   /// uniformly distributed scan depths -- and, at 8 ways, gives the
-  /// QLRU victim its word-wide kernel (see accessImpl).
-  template <PolicyKind P, unsigned CtAssoc = 0>
-  AccessOutcome accessAs(BlockId B, bool Allocate, TagT Tag = TagT()) {
-    assert(Cfg.Policy == P && "accessAs policy mismatch");
-    assert((CtAssoc == 0 || CtAssoc == Assoc) && "accessAs assoc mismatch");
-    return accessImpl<P, CtAssoc>(B, Allocate, Tag);
-  }
-
-  /// accessAs() without the per-access MRA-set bookkeeping: batch loops
-  /// call this and re-establish the invariant once per chunk with
-  /// noteAccessedSet(last block's set). Identical cache state otherwise.
+  /// QLRU victim its word-wide kernel (see accessImpl). The MRA set is
+  /// not tracked per access: batch loops re-establish it once per chunk
+  /// with noteAccessedSet(last block's set). Identical cache state
+  /// otherwise.
   template <PolicyKind P, unsigned CtAssoc = 0>
   AccessOutcome accessAsNoMra(BlockId B, bool Allocate, TagT Tag = TagT()) {
-    assert(Cfg.Policy == P && "accessAs policy mismatch");
-    assert((CtAssoc == 0 || CtAssoc == Assoc) && "accessAs assoc mismatch");
+    assert(Cfg.Policy == P && "accessAsNoMra policy mismatch");
+    assert((CtAssoc == 0 || CtAssoc == Assoc) &&
+           "accessAsNoMra assoc mismatch");
     return accessImpl<P, CtAssoc, /*TrackMra=*/false>(B, Allocate, Tag);
   }
 
@@ -210,17 +202,16 @@ public:
 
   /// Invalidates \p B if present (back-invalidation in inclusive
   /// hierarchies, or the L2->L1 promotion of exclusive hierarchies).
-  /// Returns the removed line, or std::nullopt. Under LRU/FIFO the
-  /// remaining lines keep their relative order (the freed slot sinks to
-  /// the back); PLRU/QLRU metadata for the slot is reset.
-  std::optional<LineT> invalidate(BlockId B) {
+  /// Returns whether a line was removed. Under LRU/FIFO the remaining
+  /// lines keep their relative order (the freed slot sinks to the back);
+  /// PLRU/QLRU metadata for the slot is reset.
+  bool invalidate(BlockId B) {
     unsigned S = setOf(B);
     unsigned Ph = phys(S);
     BlockId *Row = row(Ph);
     for (unsigned I = 0; I < Assoc; ++I) {
       if (Row[I] != B)
         continue;
-      LineT Removed = assembleLine(Ph, I);
       stamp(Ph);
       switch (Cfg.Policy) {
       case PolicyKind::Lru:
@@ -229,7 +220,6 @@ public:
         std::memmove(Row + I, Row + I + 1,
                      (Assoc - 1 - I) * sizeof(BlockId));
         Row[Assoc - 1] = kInvalidBlock;
-        dirtyGapClose(Ph, I);
         if constexpr (Traits::HasTag) {
           TagT *TR = tagRow(Ph);
           std::memmove(TR + I, TR + I + 1, (Assoc - 1 - I) * sizeof(TagT));
@@ -241,14 +231,13 @@ public:
         [[fallthrough]];
       case PolicyKind::Plru:
         Row[I] = kInvalidBlock;
-        dirtyAssign(Ph, I, false);
         if constexpr (Traits::HasTag)
           tagRow(Ph)[I] = TagT();
         break;
       }
-      return Removed;
+      return true;
     }
-    return std::nullopt;
+    return false;
   }
 
   //===------------------------------------------------------------------===//
@@ -272,18 +261,7 @@ public:
     stamp(Ph);
   }
 
-  bool dirtyAt(unsigned Set, unsigned Way) const {
-    return dirtyBit(phys(Set), Way);
-  }
-  void setDirtyAt(unsigned Set, unsigned Way, bool V) {
-    dirtyAssign(phys(Set), Way, V);
-  }
-  void orDirtyAt(unsigned Set, unsigned Way, bool V) {
-    if (V)
-      dirtyAssign(phys(Set), Way, true);
-  }
-
-  /// The extra payload (beyond Block/Dirty) at (Set, Way); only
+  /// The extra payload (beyond the block) at (Set, Way); only
   /// instantiable for payloads whose traits define a tag. Writers go
   /// through setTagAt, which stamps the set.
   const TagT &tagAt(unsigned Set, unsigned Way) const {
@@ -327,12 +305,12 @@ public:
   /// Replacement-state equality: line contents in logical (set, way)
   /// order plus the replacement metadata that decides future victims --
   /// everything that decides the hits and misses of any later access
-  /// sequence. Dirty bits decide only writebacks, and the internal
-  /// rotation base and the MRA anchor are representation details, so
-  /// none of them is compared. Used by the periodic replay fast path of
-  /// trace/FilteredStream to prove that one more period repetition maps
-  /// the cache onto itself (and may then be applied analytically), and
-  /// by the stack-distance bank rows to verify a period capture.
+  /// sequence. The internal rotation base and the MRA anchor are
+  /// representation details, so neither is compared. Used by the
+  /// periodic replay fast path of trace/FilteredStream to prove that one
+  /// more period repetition maps the cache onto itself (and may then be
+  /// applied analytically), and by the stack-distance bank rows to
+  /// verify a period capture.
   bool sameReplacementState(const SetAssocCache &O) const {
     if (Sets != O.Sets || Assoc != O.Assoc || Cfg.Policy != O.Cfg.Policy)
       return false;
@@ -358,9 +336,8 @@ public:
   // instantiation stores and compiles none of this). Every path that
   // changes a set's lines or policy metadata -- a hit or fill (stamped
   // on every access), invalidate, setBlockAt, setTagAt and reset --
-  // writes the clock into the set's stamp; dirty bits change only beside
-  // such a write to the same set. An observer calls tick() when it
-  // reads the cache and keeps the value: the sets changed since are
+  // writes the clock into the set's stamp. An observer calls tick() when
+  // it reads the cache and keeps the value: the sets changed since are
   // those whose changedSince() holds. The rotation base and the MRA set
   // are scalars outside the stamps.
   //===------------------------------------------------------------------===//
@@ -404,8 +381,6 @@ public:
       const size_t Off = static_cast<size_t>(Lo) * Assoc;
       std::copy_n(&Live.Blocks[Off], N * Assoc, &Blocks[Off]);
       std::copy_n(&Live.Tags[Off], N * Assoc, &Tags[Off]);
-      const size_t DOff = static_cast<size_t>(Lo) * WordsPerSet;
-      std::copy_n(&Live.DirtyBits[DOff], N * WordsPerSet, &DirtyBits[DOff]);
       std::copy_n(&Live.PlruBits[Lo], N, &PlruBits[Lo]);
       if (!Ages.empty())
         std::copy_n(&Live.Ages[Off], N * Assoc, &Ages[Off]);
@@ -432,7 +407,6 @@ public:
   /// Resets to the empty cache.
   void reset() {
     std::fill(Blocks.begin(), Blocks.end(), kInvalidBlock);
-    std::fill(DirtyBits.begin(), DirtyBits.end(), 0ull);
     std::fill(PlruBits.begin(), PlruBits.end(), 0u);
     std::fill(Ages.begin(), Ages.end(), QlruOps::EvictAge);
     if constexpr (Traits::HasTag) {
@@ -471,77 +445,9 @@ private:
       Stamps[Ph] = Clock;
   }
 
-  //===------------------------------------------------------------------===//
-  // Dirty bitset: WordsPerSet 64-bit words per physical set, so a set's
-  // window never straddles another set's. Assoc <= 64 (every policy but
-  // LRU, and most LRU configs) is a single-word fast path; the multi-word
-  // fallback (fully-associative LRU up to 4096 ways) moves bits
-  // individually -- the block-id memmove dominates there anyway.
-  //===------------------------------------------------------------------===//
-
-  bool dirtyBit(unsigned Ph, unsigned W) const {
-    return (DirtyBits[static_cast<size_t>(Ph) * WordsPerSet + (W >> 6)] >>
-            (W & 63)) &
-           1;
-  }
-  void dirtyAssign(unsigned Ph, unsigned W, bool V) {
-    uint64_t &Word =
-        DirtyBits[static_cast<size_t>(Ph) * WordsPerSet + (W >> 6)];
-    uint64_t M = 1ull << (W & 63);
-    Word = V ? (Word | M) : (Word & ~M);
-  }
-
-  /// LRU hit at way \p I: dirty bits [0, I) shift up one, bit I moves to
-  /// the front (mirrors the block-id rotate-to-front).
-  void dirtyRotateToFront(unsigned Ph, unsigned I) {
-    if (WordsPerSet == 1) {
-      uint64_t &Word = DirtyBits[Ph];
-      uint64_t V = Word;
-      uint64_t HitBit = (V >> I) & 1;
-      uint64_t Low = V & ((1ull << I) - 1);
-      // (2ull << I) wraps to 0 at I == 63, masking off every bit -- which
-      // is exactly right: there are no bits above 63.
-      Word = (V & ~((2ull << I) - 1)) | (Low << 1) | HitBit;
-      return;
-    }
-    bool HitBit = dirtyBit(Ph, I);
-    for (unsigned J = I; J > 0; --J)
-      dirtyAssign(Ph, J, dirtyBit(Ph, J - 1));
-    dirtyAssign(Ph, 0, HitBit);
-  }
-
-  /// LRU/FIFO fill: every bit shifts up one (the last drops out with the
-  /// victim), the new front line starts clean.
-  void dirtyShiftInsert(unsigned Ph) {
-    if (WordsPerSet == 1) {
-      uint64_t &Word = DirtyBits[Ph];
-      Word = (Word << 1) & WayMask;
-      return;
-    }
-    for (unsigned J = Assoc - 1; J > 0; --J)
-      dirtyAssign(Ph, J, dirtyBit(Ph, J - 1));
-    dirtyAssign(Ph, 0, false);
-  }
-
-  /// LRU/FIFO invalidate at way \p I: bits above close the gap.
-  void dirtyGapClose(unsigned Ph, unsigned I) {
-    if (WordsPerSet == 1) {
-      uint64_t &Word = DirtyBits[Ph];
-      uint64_t V = Word;
-      uint64_t Low = V & ((1ull << I) - 1);
-      uint64_t High = I + 1 >= 64 ? 0 : (V >> (I + 1)) << I;
-      Word = Low | High;
-      return;
-    }
-    for (unsigned J = I; J + 1 < Assoc; ++J)
-      dirtyAssign(Ph, J, dirtyBit(Ph, J + 1));
-    dirtyAssign(Ph, Assoc - 1, false);
-  }
-
   LineT assembleLine(unsigned Ph, unsigned W) const {
     LineT L;
     L.Block = Blocks[static_cast<size_t>(Ph) * Assoc + W];
-    L.Dirty = dirtyBit(Ph, W);
     if constexpr (Traits::HasTag)
       Traits::unpackTag(L, Tags[static_cast<size_t>(Ph) * Assoc + W]);
     return L;
@@ -598,7 +504,6 @@ private:
         if (I != 0) {
           std::memmove(Row + 1, Row, I * sizeof(BlockId));
           Row[0] = B;
-          dirtyRotateToFront(Ph, I);
           if constexpr (Traits::HasTag) {
             TagT *TR = tagRow(Ph);
             std::memmove(TR + 1, TR, I * sizeof(TagT));
@@ -625,7 +530,6 @@ private:
       recordVictim(Ph, A - 1, R);
       std::memmove(Row + 1, Row, (A - 1) * sizeof(BlockId));
       Row[0] = B;
-      dirtyShiftInsert(Ph);
       if constexpr (Traits::HasTag) {
         TagT *TR = tagRow(Ph);
         std::memmove(TR + 1, TR, (A - 1) * sizeof(TagT));
@@ -664,11 +568,10 @@ private:
     return A;
   }
 
-  /// In-place fill (PLRU/QLRU): new line, clean, tagged \p Tag.
+  /// In-place fill (PLRU/QLRU): new line, tagged \p Tag.
   void fillSlot(unsigned Ph, unsigned Way, BlockId B,
                 [[maybe_unused]] const TagT &Tag) {
     Blocks[static_cast<size_t>(Ph) * Assoc + Way] = B;
-    dirtyAssign(Ph, Way, false);
     if constexpr (Traits::HasTag)
       tagRow(Ph)[Way] = Tag;
   }
@@ -679,7 +582,6 @@ private:
     BlockId VB = Blocks[static_cast<size_t>(Ph) * Assoc + Way];
     R.EvictedValid = VB != kInvalidBlock;
     R.EvictedBlock = VB;
-    R.EvictedDirty = R.EvictedValid && dirtyBit(Ph, Way);
     if constexpr (Traits::HasTag)
       if (R.EvictedValid)
         EvictedTag = Tags[static_cast<size_t>(Ph) * Assoc + Way];
@@ -689,15 +591,12 @@ private:
   unsigned Sets;
   unsigned Assoc;
   uint64_t SetMask;
-  unsigned WordsPerSet; ///< Dirty-bitset words per set.
-  uint64_t WayMask;     ///< Low Assoc bits set (single-word sets only).
-  unsigned Base = 0;    ///< Logical-to-physical set rotation offset.
-  unsigned MraSet = 0;  ///< Most-recently-accessed logical set.
-  TagT EvictedTag;      ///< Tag of the most recent victim.
-  /// Struct-of-arrays state, hot to cold: block ids (the scan), dirty
-  /// bits, policy metadata, then any cold tag payload.
+  unsigned Base = 0;   ///< Logical-to-physical set rotation offset.
+  unsigned MraSet = 0; ///< Most-recently-accessed logical set.
+  TagT EvictedTag;     ///< Tag of the most recent victim.
+  /// Struct-of-arrays state, hot to cold: block ids (the scan), policy
+  /// metadata, then any cold tag payload.
   std::vector<BlockId, AlignedAllocator<BlockId, 64>> Blocks;
-  std::vector<uint64_t, AlignedAllocator<uint64_t, 64>> DirtyBits;
   std::vector<uint32_t> PlruBits;
   std::vector<uint8_t> Ages;
   std::vector<TagT> Tags; ///< Sized only when Traits::HasTag.

@@ -62,11 +62,10 @@ static_assert(sizeof(SymTag) == 16, "symbolic tags are 16 bytes");
 /// A symbolic cache line: concrete block + installing access instance.
 struct SymLine {
   BlockId Block = kInvalidBlock;
-  bool Dirty = false;
   SymTag Tag;
 };
 
-/// The symbolic payload beyond (Block, Dirty) lives in the cache's tag
+/// The symbolic payload beyond the block lives in the cache's tag
 /// array: the struct-of-arrays layout keeps the per-access block-id scan
 /// free of the tags.
 template <>

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A minimal over-aligning allocator so the hot struct-of-arrays cache
-/// state (block ids, dirty bitsets) starts on a cache-line boundary:
+/// state (its block ids) starts on a cache-line boundary:
 /// per-set windows then span the fewest possible lines and never share a
 /// line with unrelated vector bookkeeping.
 ///

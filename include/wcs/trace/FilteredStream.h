@@ -44,8 +44,7 @@
 /// (CacheHierarchy::accessBatch, via SetDistanceBank::accessBatch for
 /// feed): records are stored in its one-word BatchedAccess encoding, so
 /// no record is converted on the way. A record's write bit decides only
-/// whether a no-write-allocate L2 allocates; the dirty bits it sets
-/// decide no hit or miss, so no recurrence test compares them.
+/// whether a no-write-allocate L2 allocates.
 ///
 /// Inclusive and exclusive hierarchies couple the L1 to the L2
 /// (back-invalidation, victim caching), so their L1 streams depend on

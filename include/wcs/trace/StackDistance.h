@@ -154,9 +154,9 @@ public:
   /// Records the \p N ops at \p Ops, whose blocks are at this bank's
   /// block size, in order; a repeat marker stands for further
   /// applications of the iteration before it (BatchedAccess). The bank
-  /// is write-allocate: a write differs from a read only in the dirty
-  /// bit, which no count reads. Throws std::overflow_error("counter
-  /// overflow") when a count would pass 2^64 - 1.
+  /// is write-allocate, so a write steps exactly like a read. Throws
+  /// std::overflow_error("counter overflow") when a count would pass
+  /// 2^64 - 1.
   void accessBatch(const BatchedAccess *Ops, size_t N);
 
   /// The per-access reference of accessBatch: records one access at

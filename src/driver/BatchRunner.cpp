@@ -164,18 +164,13 @@ BatchResult BatchRunner::runJob(const BatchJob &Job, size_t JobIndex) {
       R.Stats = Sim.run();
       break;
     }
-    case SimBackend::Trace: {
-      // Writeback propagation off: hit/miss counts then agree with the
-      // symbolic backends. Every backend counts an access once, at the
-      // block of its address: validateBlockSize above refused the
-      // programs whose elements could straddle two blocks.
-      TraceSimOptions TO;
-      TO.IncludeScalars = Job.Options.IncludeScalars;
-      TO.PropagateWritebacks = false;
-      TraceSimulator Sim(Job.Cache, TO);
-      R.Stats = Sim.runOnProgram(*Job.Program).Stats;
+    case SimBackend::Trace:
+      // Every backend counts an access once, at the block of its
+      // address: validateBlockSize above refused the programs whose
+      // elements could straddle two blocks.
+      R.Stats = simulateTrace(*Job.Program, Job.Cache,
+                              TraceOptions{Job.Options.IncludeScalars});
       break;
-    }
     case SimBackend::StackDistance: {
       const CacheConfig &C = Job.Cache.Levels.front();
       if (Job.Cache.numLevels() != 1 || !C.answeredByStackDistance()) {

@@ -18,6 +18,7 @@
 #include "wcs/trace/TraceGenerator.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -110,6 +111,17 @@ PointPath pathOf(const HierarchyConfig &H) {
   return PointPath::Simulated;
 }
 
+/// The points each SweepMethod answered, indexed by the method; failed
+/// points count under none.
+std::array<size_t, 4>
+okPointsByMethod(const std::vector<SweepPoint> &Points) {
+  std::array<size_t, 4> N{};
+  for (const SweepPoint &P : Points)
+    if (P.Ok)
+      ++N[static_cast<unsigned>(P.Method)];
+  return N;
+}
+
 } // namespace
 
 bool SweepReport::allOk() const {
@@ -132,17 +144,23 @@ std::string SweepReport::summary() const {
     std::snprintf(Pass, sizeof(Pass),
                   "one stack-distance pass (%u banks, %.3f s)", NumBanks,
                   TracePassSeconds);
+  const std::array<size_t, 4> ByMethod = okPointsByMethod(Points);
+  size_t Failed = Points.size();
+  for (size_t N : ByMethod)
+    Failed -= N;
   char Buf[512];
   std::snprintf(
       Buf, sizeof(Buf),
       "%zu points: %zu from %s, "
       "%zu from %u filtered L1 streams (%llu records, %llu stored, "
-      "%.3f s), %zu fully simulated; %zu jobs (%zu replays, %zu deduped) "
-      "on %u threads; %.3f s total",
-      Points.size(), StackDistancePoints, Pass, FilteredPoints,
+      "%.3f s), %zu fully simulated, %zu failed; %zu jobs (%zu replays, "
+      "%zu deduped) on %u threads; %.3f s total",
+      Points.size(),
+      ByMethod[static_cast<unsigned>(SweepMethod::StackDistance)], Pass,
+      ByMethod[static_cast<unsigned>(SweepMethod::FilteredStream)],
       FilteredGroups, static_cast<unsigned long long>(FilteredRecords),
-      static_cast<unsigned long long>(FilteredStoredRecords),
-      RecordSeconds, Points.size() - StackDistancePoints - FilteredPoints,
+      static_cast<unsigned long long>(FilteredStoredRecords), RecordSeconds,
+      ByMethod[static_cast<unsigned>(SweepMethod::Simulated)], Failed,
       SimulatedJobs, ReplayJobs, DedupedPoints, Threads, WallSeconds);
   return Buf;
 }
@@ -638,10 +656,7 @@ void wcs::mergeSweepReports(SweepReport &Into, const SweepReport &From) {
 }
 
 std::string wcs::methodBreakdownLine(const SweepReport &D) {
-  size_t ByMethod[4] = {0, 0, 0, 0};
-  for (const SweepPoint &P : D.Points)
-    if (P.Ok)
-      ++ByMethod[static_cast<unsigned>(P.Method)];
+  const std::array<size_t, 4> ByMethod = okPointsByMethod(D.Points);
   char Buf[448];
   int N = std::snprintf(
       Buf, sizeof(Buf),

@@ -7,6 +7,7 @@
 
 #include "wcs/trace/TraceSimulator.h"
 
+#include "wcs/cache/ConcreteCache.h"
 #include "wcs/support/MathUtil.h"
 #include "wcs/support/Telemetry.h"
 
@@ -14,24 +15,14 @@
 
 using namespace wcs;
 
-TraceSimulator::TraceSimulator(const HierarchyConfig &CacheCfg,
-                               TraceSimOptions Options)
-    : Cache(CacheCfg, Options.PropagateWritebacks), Options(Options),
-      BlockShift(log2Exact(CacheCfg.blockBytes())) {
-  Result.Stats.NumLevels = CacheCfg.numLevels();
-}
-
-void TraceSimulator::access(const TraceRecord &R) {
-  HierarchyOutcome O = Cache.access(R.Addr >> BlockShift, R.IsWrite);
-  Result.Stats.countAccess(O.L1Hit, O.L2Accessed, O.L2Hit);
-  Result.Writebacks += O.L2Writebacks;
-  Result.WritebackMisses += O.L2WritebackMisses;
-}
-
-TraceSimResult TraceSimulator::runOnProgram(const ScopProgram &Program) {
+SimStats wcs::simulateTrace(const ScopProgram &Program,
+                            const HierarchyConfig &Cache,
+                            const TraceOptions &Options) {
+  ConcreteHierarchy H(Cache);
+  const unsigned BlockShift = log2Exact(Cache.blockBytes());
+  SimStats Stats;
+  Stats.NumLevels = Cache.numLevels();
   telemetry::TimePoint Start = telemetry::now();
-  TraceOptions TO;
-  TO.IncludeScalars = Options.IncludeScalars;
   // The trace is materialized into a buffer that is drained whenever it
   // fills, so the baseline pays for trace transport like a real
   // trace-driven pipeline (Dinero IV fed by QEMU in appendix B).
@@ -39,16 +30,18 @@ TraceSimResult TraceSimulator::runOnProgram(const ScopProgram &Program) {
   std::vector<TraceRecord> Chunk;
   Chunk.reserve(ChunkRecords);
   auto Drain = [&] {
-    for (const TraceRecord &R : Chunk)
-      access(R);
+    for (const TraceRecord &R : Chunk) {
+      HierarchyOutcome O = H.access(R.Addr >> BlockShift, R.IsWrite);
+      Stats.countAccess(O.L1Hit, O.L2Accessed, O.L2Hit);
+    }
     Chunk.clear();
   };
-  generateTrace(Program, TO, [&](const TraceRecord &R) {
+  generateTrace(Program, Options, [&](const TraceRecord &R) {
     Chunk.push_back(R);
     if (Chunk.size() == ChunkRecords)
       Drain();
   });
   Drain();
-  Result.Stats.Seconds = telemetry::secondsSince(Start);
-  return Result;
+  Stats.Seconds = telemetry::secondsSince(Start);
+  return Stats;
 }

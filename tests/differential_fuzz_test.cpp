@@ -234,10 +234,10 @@ ScopProgram rotatingStream() {
 /// probe the incremental key must equal the key recomputed from every
 /// line, and every stored snapshot must equal the live state in all that
 /// checkWarp and the epoch collector read (blocks, tags, policy words,
-/// MRA set, rotation) and in its dirty bits -- over random programs
-/// (long runs included) and a rotating stream, all policies, one and two
-/// levels and every inclusion, with batched and per-access stepping,
-/// after warps and set rotations too.
+/// MRA set, rotation) -- over random programs (long runs included) and
+/// a rotating stream, all policies, one and two levels and every
+/// inclusion, with batched and per-access stepping, after warps and set
+/// rotations too.
 TEST(DifferentialFuzz, IncrementalProbesMatchFullRecompute) {
   std::mt19937 Rng(0x1AC4E);
   const InclusionPolicy Inclusions[] = {
@@ -275,7 +275,6 @@ TEST(DifferentialFuzz, IncrementalProbesMatchFullRecompute) {
           for (unsigned W = 0; W < A.assoc(); ++W) {
             const SymTag &TA = A.tagAt(S, W), &TB = B.tagAt(S, W);
             Same &= A.blockAt(S, W) == B.blockAt(S, W) &&
-                    A.dirtyAt(S, W) == B.dirtyAt(S, W) &&
                     TA.NodeId == TB.NodeId && TA.Epoch == TB.Epoch &&
                     TA.X == TB.X;
           }

@@ -241,10 +241,8 @@ TEST(NegativeAddresses, EveryBackendAndWalkAgree) {
     ASSERT_TRUE(R.ok()) << R.message();
     const ScopProgram &P = R.Program;
     ASSERT_LT(P.accesses()[0]->Address.constantTerm(), 0);
-    TraceSimOptions TSO;
-    TSO.IncludeScalars = false;
-    TSO.PropagateWritebacks = false;
-    SimStats Ref = TraceSimulator(H, TSO).runOnProgram(P).Stats;
+    SimStats Ref =
+        simulateTrace(P, H, TraceOptions{/*IncludeScalars=*/false});
     EXPECT_EQ(Ref.totalAccesses(), C.Accesses);
     EXPECT_EQ(Ref.Level[0].Misses, C.Misses);
     EXPECT_EQ(profileProgramSets(P, 64, 8, 2).missesForAssoc(2), C.Misses);
@@ -261,7 +259,7 @@ TEST(NegativeAddresses, EveryBackendAndWalkAgree) {
   }
 }
 
-/// Every line of \p H as (block, dirty, tag), in logical order, plus the
+/// Every line of \p H as (block, tag), in logical order, plus the
 /// per-set policy words: everything a later access or a warp check can
 /// observe.
 std::vector<int64_t> stateOf(const SymbolicHierarchy &H) {
@@ -272,8 +270,8 @@ std::vector<int64_t> stateOf(const SymbolicHierarchy &H) {
       V.push_back(static_cast<int64_t>(C.policyWord(Set)));
       for (unsigned W = 0; W < C.assoc(); ++W) {
         SymLine Ln = C.lineAt(Set, W);
-        V.insert(V.end(), {Ln.Block, Ln.Dirty, Ln.Tag.NodeId,
-                           Ln.Tag.Epoch, Ln.Tag.X});
+        V.insert(V.end(),
+                 {Ln.Block, Ln.Tag.NodeId, Ln.Tag.Epoch, Ln.Tag.X});
       }
     }
     V.push_back(C.mraSet());

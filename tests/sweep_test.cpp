@@ -221,6 +221,7 @@ TEST(Sweep, BankDegeneratesToFullyAssociativeProfiler) {
 /// Points on blocks smaller than gemm's 8-byte elements fail with the
 /// refusal instead of being answered (each element would straddle two
 /// blocks), whichever path they would take; the other points answer.
+/// The summary counts the failed points apart from the answered ones.
 TEST(Sweep, StraddlingElementsFailTheirPoints) {
   std::string Err;
   ScopProgram P = buildKernel("gemm", ProblemSize::Mini, &Err);
@@ -246,6 +247,17 @@ TEST(Sweep, StraddlingElementsFailTheirPoints) {
   EXPECT_EQ(Rep.StackDistancePoints, 1u);
   EXPECT_EQ(Rep.FilteredPoints, 0u);
   EXPECT_EQ(Rep.SimulatedJobs, 0u);
+  EXPECT_EQ(Rep.summary().rfind("4 points: 1 from ", 0), 0u) << Rep.summary();
+  EXPECT_NE(Rep.summary().find(", 0 fully simulated, 3 failed; 0 jobs"),
+            std::string::npos)
+      << Rep.summary();
+
+  // The two points of `wcs-sim --sweep-l1
+  // '256,assoc=8,policy=fifo,lru,block=4'`: none is simulated.
+  SweepReport Cli = runSweep(P, {Grid[0], Grid[1]}, SweepOptions());
+  EXPECT_NE(Cli.summary().find(", 0 fully simulated, 2 failed; 0 jobs"),
+            std::string::npos)
+      << Cli.summary();
 }
 
 TEST(Sweep, DiscardedPeriodicPassesReportTheLinearWalk) {

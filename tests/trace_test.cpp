@@ -140,7 +140,7 @@ ScopProgram mixedScalarKernel() {
   return std::move(R.Program);
 }
 
-TEST(TraceSimulator, AgreesWithTreeSimulatorWithoutWritebacks) {
+TEST(TraceSimulator, AgreesWithTreeSimulator) {
   CacheConfig L1;
   L1.Assoc = 2;
   L1.BlockBytes = 64;
@@ -158,27 +158,22 @@ TEST(TraceSimulator, AgreesWithTreeSimulatorWithoutWritebacks) {
                 {"mixed scalars", mixedScalarKernel(), true}};
   for (const Input &In : Inputs) {
     SCOPED_TRACE(In.Name);
-    TraceSimOptions TSO;
-    TSO.IncludeScalars = In.Scalars;
-    TSO.PropagateWritebacks = false;
-    TraceSimulator TS(H, TSO);
-    TraceSimResult TR = TS.runOnProgram(In.Program);
+    SimStats T = simulateTrace(In.Program, H, TraceOptions{In.Scalars});
 
     SimOptions SO;
     SO.IncludeScalars = In.Scalars;
     ConcreteSimulator Ref(In.Program, H, SO);
     SimStats R = Ref.run();
-    EXPECT_EQ(TR.Stats.totalAccesses(), R.totalAccesses());
-    EXPECT_EQ(TR.Stats.Level[0].Misses, R.Level[0].Misses);
-    EXPECT_EQ(TR.Stats.Level[1].Accesses, R.Level[1].Accesses);
-    EXPECT_EQ(TR.Stats.Level[1].Misses, R.Level[1].Misses);
-    EXPECT_EQ(TR.Writebacks, 0u);
+    EXPECT_EQ(T.totalAccesses(), R.totalAccesses());
+    EXPECT_EQ(T.Level[0].Misses, R.Level[0].Misses);
+    EXPECT_EQ(T.Level[1].Accesses, R.Level[1].Accesses);
+    EXPECT_EQ(T.Level[1].Misses, R.Level[1].Misses);
   }
 }
 
 TEST(TraceSimulator, AgreesWithTreeSimulatorAcrossChunkBoundaries) {
   // 2 x 249999 x 3 = 1,499,994 accesses: more than one 1<<20-record
-  // trace chunk, so runOnProgram drains once at the cap and once more
+  // trace chunk, so simulateTrace drains once at the cap and once more
   // for the final partial chunk.
   ParseResult PR = parseScop(R"(
     param N = 250000;
@@ -193,50 +188,14 @@ TEST(TraceSimulator, AgreesWithTreeSimulatorAcrossChunkBoundaries) {
   CacheConfig L2{65536, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
   HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
 
-  TraceSimOptions TSO;
-  TSO.PropagateWritebacks = false;
-  TraceSimResult TR = TraceSimulator(H, TSO).runOnProgram(P);
+  SimStats T = simulateTrace(P, H, TraceOptions{/*IncludeScalars=*/true});
   SimStats R = ConcreteSimulator(P, H).run();
   ASSERT_EQ(R.totalAccesses(), 1499994u);
-  EXPECT_EQ(TR.Stats.totalAccesses(), R.totalAccesses());
-  EXPECT_EQ(TR.Stats.Level[0].Misses, R.Level[0].Misses);
-  EXPECT_EQ(TR.Stats.Level[1].Accesses, R.Level[1].Accesses);
-  EXPECT_EQ(TR.Stats.Level[1].Misses, R.Level[1].Misses);
+  EXPECT_EQ(T.totalAccesses(), R.totalAccesses());
+  EXPECT_EQ(T.Level[0].Misses, R.Level[0].Misses);
+  EXPECT_EQ(T.Level[1].Accesses, R.Level[1].Accesses);
+  EXPECT_EQ(T.Level[1].Misses, R.Level[1].Misses);
 }
-
-// Leaving write-backs out never changes what the L1 does, whatever its
-// policy: wcs-bench's fig11 reference (PLRU L1) relies on it.
-class WritebackL1Policy : public ::testing::TestWithParam<PolicyKind> {};
-
-TEST_P(WritebackL1Policy, WritebacksOnlyAddL2Traffic) {
-  ScopProgram P = smallKernel();
-  CacheConfig L1;
-  L1.Assoc = 4;
-  L1.BlockBytes = 64;
-  L1.SizeBytes = 2 * 4 * 64;
-  L1.Policy = GetParam();
-  CacheConfig L2 = L1;
-  L2.SizeBytes *= 8;
-  HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
-
-  TraceSimOptions A;
-  A.PropagateWritebacks = true;
-  TraceSimOptions B = A;
-  B.PropagateWritebacks = false;
-  TraceSimulator SA(H, A), SB(H, B);
-  TraceSimResult RA = SA.runOnProgram(P), RB = SB.runOnProgram(P);
-  EXPECT_EQ(RA.Stats.Level[0].Misses, RB.Stats.Level[0].Misses)
-      << "write-backs never change L1 behavior";
-  EXPECT_GT(RA.Writebacks, 0u) << "dirty victims must occur here";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    TraceSimulator, WritebackL1Policy,
-    ::testing::Values(PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Plru,
-                      PolicyKind::QuadAgeLru),
-    [](const ::testing::TestParamInfo<PolicyKind> &I) {
-      return std::string(policyName(I.param));
-    });
 
 TEST(StackDistance, MatchesBruteForceLruStack) {
   // Reference: explicit LRU stack simulation over random block traces,
