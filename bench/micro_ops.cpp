@@ -128,7 +128,7 @@ void BM_SymbolicBatch(benchmark::State &State) {
   // Two lanes (access nodes 3 and 4) of one depth-2 activation.
   EpochTable Epochs(64);
   const int32_t Nodes[] = {3, 4};
-  CacheLineTraits<SymLine>::TagCursor Tags;
+  SymTag::Cursor Tags;
   Tags.Nodes = Nodes;
   Tags.NumLanes = 2;
   Tags.Epoch = Epochs.add(IterVec{0});
@@ -150,11 +150,11 @@ BENCHMARK(BM_SymbolicBatch)
 
 /// Two 1,024-iteration activations of one innermost loop, each one lanes
 /// event of the program-order walk (ScopWalk, HierarchyStepper):
-/// arguments (policy, shape, payload). Shape 0 has four unit-stride
+/// arguments (policy, shape, tags). Shape 0 has four unit-stride
 /// lanes, so every run of eight iterations is emitted as two simulated
 /// iterations and a repeat marker; shape 1 adds a lane that moves a
-/// whole 4 KiB row per iteration, so nothing is skipped. Payload 0 is
-/// concrete, 1 symbolic.
+/// whole 4 KiB row per iteration, so nothing is skipped. Tags 0 is the
+/// concrete hierarchy (NoTag), 1 the symbolic one (SymTag).
 void BM_BatchWalk(benchmark::State &State) {
   PolicyKind K = static_cast<PolicyKind>(State.range(0));
   bool RowLane = State.range(1) != 0;

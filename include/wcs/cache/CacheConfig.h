@@ -87,8 +87,8 @@ struct CacheConfig {
   static CacheConfig testSystemL2();
   /// Laptop-scaled variants preserving associativity and policy while
   /// restoring the paper's working-set/cache ratio at the scaled
-  /// PolyBench problem sizes (see EXPERIMENTS.md): 4 KiB L1 (8 sets) and
-  /// 32 KiB L2 (32 sets).
+  /// PolyBench problem sizes (see "Reproducing the paper's figures" in
+  /// README.md): 4 KiB L1 (8 sets) and 32 KiB L2 (32 sets).
   static CacheConfig scaledL1();
   static CacheConfig scaledL2();
 };

@@ -6,25 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one/two-level cache hierarchy of the paper's Eq. (24), over any
-/// line payload: the L2 is accessed exactly when the L1 misses, with the
-/// same block. All three inclusion policies are supported (NINE;
+/// The one/two-level cache hierarchy of the paper's Eq. (24), over a
+/// line tag type: the L2 is accessed exactly when the L1 misses, with
+/// the same block. All three inclusion policies are supported (NINE;
 /// inclusive with back-invalidation; exclusive with victim caching).
 ///
-/// ConcreteHierarchy (ConcreteCache.h) and SymbolicHierarchy
-/// (sim/SymbolicCache.h) are the two instantiations, so the concrete and
-/// the symbolic walk share one per-access path and one batch loop. A
-/// tagged payload (CacheLineTraits::HasTag) additionally refreshes the
-/// tag of every line an access touches (the paper's SymUpSet), migrates
-/// the victim's tag in exclusive hierarchies, and stamps every set it
-/// changes (see SetAssocCache::tick); untagged payloads compile none of
-/// that.
+/// ConcreteHierarchy (NoTag, ConcreteCache.h) and SymbolicHierarchy
+/// (SymTag, sim/SymbolicCache.h) are the two instantiations, so the
+/// concrete and the symbolic walk share one per-access path and one
+/// batch loop. A tagged hierarchy (SetAssocCache::HasTag) additionally
+/// refreshes the tag of every line an access touches (the paper's
+/// SymUpSet), migrates the victim's tag in exclusive hierarchies, and
+/// stamps every set it changes (see SetAssocCache::tick); the NoTag
+/// instantiation compiles none of that.
 ///
-/// Either payload counts L1 hit depths (pre-update ways) when asked to:
-/// under LRU a hit's is its per-set stack distance, which the warping
-/// depth profile (symbolic) and the stack-distance bank rows (concrete)
-/// count. The batch loop picks a depth-counting instantiation once per
-/// call, so a run without a histogram steps no depth code.
+/// Either instantiation counts L1 hit depths (pre-update ways) when
+/// asked to: under LRU a hit's is its per-set stack distance, which the
+/// warping depth profile (symbolic) and the stack-distance bank rows
+/// (concrete) count. The batch loop picks a depth-counting instantiation
+/// once per call, so a run without a histogram steps no depth code.
 ///
 /// The batch loop also skips: a repeat marker in a chunk stands for
 /// further applications of the iteration before it, and once one of them
@@ -118,16 +118,13 @@ struct BatchCounters {
 /// of accessBatch mid-chunk.
 using L1MissSink = std::function<void(BlockId, bool IsWrite)>;
 
-/// A one- or two-level hierarchy over line payload \p LineT.
+/// A one- or two-level hierarchy whose lines carry a tag of type \p TagT.
 /// Copyable: warp snapshots are whole-object copies.
-template <typename LineT>
+template <typename TagT>
 class CacheHierarchy {
-  using Traits = CacheLineTraits<LineT>;
-
 public:
-  using Cache = SetAssocCache<LineT>;
-  using TagT = typename Cache::TagT;
-  using TagCursor = typename Traits::TagCursor;
+  using Cache = SetAssocCache<TagT>;
+  using TagCursor = typename TagT::Cursor;
 
   explicit CacheHierarchy(const HierarchyConfig &Config);
 
@@ -136,11 +133,11 @@ public:
   Cache &level(unsigned I) { return Levels[I]; }
   const Cache &level(unsigned I) const { return Levels[I]; }
 
-  /// Tagged payloads: ticks every level's modification clock
+  /// Tagged hierarchies: ticks every level's modification clock
   /// (SetAssocCache::tick). The levels tick together from one start, so
   /// the returned value serves each of them.
   uint64_t tick()
-    requires Traits::HasTag
+    requires Cache::HasTag
   {
     uint64_t T = Levels.front().tick();
     for (size_t L = 1; L < Levels.size(); ++L) {
@@ -150,10 +147,10 @@ public:
     return T;
   }
 
-  /// Tagged payloads: SetAssocCache::copyChangedSets at every level.
+  /// Tagged hierarchies: SetAssocCache::copyChangedSets at every level.
   /// Returns the number of sets copied.
   size_t copyChangedSets(const CacheHierarchy &Live, uint64_t Since)
-    requires Traits::HasTag
+    requires Cache::HasTag
   {
     size_t Copied = 0;
     for (size_t L = 0; L < Levels.size(); ++L)
@@ -162,9 +159,9 @@ public:
   }
 
   /// Performs one memory access (paper Eq. (24) extended to writes). A
-  /// tagged payload stores \p Tag in every line the access touches. With
-  /// a nonnull \p DepthHist, an L1 hit counts at its pre-update way, like
-  /// accessBatch.
+  /// tagged hierarchy stores \p Tag in every line the access touches.
+  /// With a nonnull \p DepthHist, an L1 hit counts at its pre-update way,
+  /// like accessBatch.
   HierarchyOutcome access(BlockId B, bool IsWrite, TagT Tag = TagT(),
                           uint64_t *DepthHist = nullptr);
 
@@ -175,7 +172,7 @@ public:
   /// L1-hit fast path never leaves the loop; only L1 misses take the
   /// (runtime-dispatched) lower-level leg and, when \p Sink is nonnull,
   /// the miss-sink call. \p Tags yields the tag of each op in turn
-  /// (tagged payloads only). \p DepthHist, when nonnull, counts every L1
+  /// (tagged hierarchies only). \p DepthHist, when nonnull, counts every L1
   /// hit at its pre-update way (under LRU, its per-set stack distance).
   ///
   /// A repeat marker (BatchedAccess::repeatHeader plus a count word)
@@ -265,22 +262,22 @@ private:
 
 //===----------------------------------------------------------------------===//
 // Implementation. ConcreteCache.cpp and SymbolicCache.cpp instantiate it
-// explicitly for the two payloads; their headers declare the
+// explicitly for the two tag types; their headers declare the
 // instantiations extern.
 //===----------------------------------------------------------------------===//
 
-template <typename LineT>
-CacheHierarchy<LineT>::CacheHierarchy(const HierarchyConfig &Config)
+template <typename TagT>
+CacheHierarchy<TagT>::CacheHierarchy(const HierarchyConfig &Config)
     : Inclusion(Config.Inclusion) {
   assert(Config.validate().empty() && "invalid hierarchy configuration");
   for (const CacheConfig &C : Config.Levels)
     Levels.emplace_back(C);
 }
 
-template <typename LineT>
+template <typename TagT>
 HierarchyOutcome
-CacheHierarchy<LineT>::access(BlockId B, bool IsWrite, TagT Tag,
-                              [[maybe_unused]] uint64_t *DepthHist) {
+CacheHierarchy<TagT>::access(BlockId B, bool IsWrite, TagT Tag,
+                             [[maybe_unused]] uint64_t *DepthHist) {
   HierarchyOutcome R;
   Cache &L1 = Levels.front();
   bool Alloc1 = !(IsWrite && L1.config().WriteAlloc == WriteAllocate::No);
@@ -295,10 +292,10 @@ CacheHierarchy<LineT>::access(BlockId B, bool IsWrite, TagT Tag,
   return R;
 }
 
-template <typename LineT>
-void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
-                                        const AccessOutcome &O1, TagT Tag,
-                                        HierarchyOutcome &R) {
+template <typename TagT>
+void CacheHierarchy<TagT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
+                                       const AccessOutcome &O1, TagT Tag,
+                                       HierarchyOutcome &R) {
   Cache &L1 = Levels.front();
   Cache &L2 = Levels[1];
   bool Alloc2 = !(IsWrite && L2.config().WriteAlloc == WriteAllocate::No);
@@ -335,18 +332,18 @@ void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
   }
 }
 
-template <typename LineT>
+template <typename TagT>
 template <PolicyKind P, unsigned CtAssoc, bool Depths>
-void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
-                                      [[maybe_unused]] TagT Tag,
-                                      BatchState &S, BatchCounters &C,
-                                      const L1MissSink *Sink,
-                                      [[maybe_unused]] uint64_t *DepthHist,
-                                      [[maybe_unused]] uint64_t DepthWeight) {
+void CacheHierarchy<TagT>::batchStep(BatchedAccess Op,
+                                     [[maybe_unused]] TagT Tag,
+                                     BatchState &S, BatchCounters &C,
+                                     const L1MissSink *Sink,
+                                     [[maybe_unused]] uint64_t *DepthHist,
+                                     [[maybe_unused]] uint64_t DepthWeight) {
   // Consecutive accesses to one block are guaranteed hits whose policy
   // update is idempotent (LRU: already most recent; FIFO: no-op; PLRU:
   // touch of the same way; QLRU: re-zeroing a zero hit age) -- only a
-  // tagged payload's tag refresh still matters. Sub-block strides and
+  // tagged hierarchy's tag refresh still matters. Sub-block strides and
   // stride-0 operands make such runs common, so they bypass the cache
   // entirely. For QLRU the previous access must itself have been a hit:
   // a hit on a just-inserted line ages it InsertAge -> HitAge, a real
@@ -355,7 +352,7 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
   BlockId B = Op.block();
   bool IsWrite = Op.isWrite();
   if (B == S.LastB) {
-    if constexpr (Traits::HasTag)
+    if constexpr (Cache::HasTag)
       L1.setTagAt(S.LastSet, S.LastWay, Tag);
     if constexpr (Depths)
       addCount(DepthHist[S.LastWay], DepthWeight);
@@ -385,14 +382,14 @@ void CacheHierarchy<LineT>::batchStep(BatchedAccess Op,
     ++C.L2Misses;
 }
 
-template <typename LineT>
+template <typename TagT>
 template <PolicyKind P, unsigned CtAssoc, bool Depths>
-typename CacheHierarchy<LineT>::TagCursor
-CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
-                                 uint64_t Count, BatchState S,
-                                 BatchCounters &C, TagCursor Tags,
-                                 const L1MissSink *Sink,
-                                 uint64_t *DepthHist) {
+typename CacheHierarchy<TagT>::TagCursor
+CacheHierarchy<TagT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
+                                uint64_t Count, BatchState S,
+                                BatchCounters &C, TagCursor Tags,
+                                const L1MissSink *Sink,
+                                uint64_t *DepthHist) {
   // Until one application hits everywhere, each one is simulated; the
   // state after that one is a fixed point (the lemma at accessBatch).
   bool Fixed = false;
@@ -420,7 +417,7 @@ CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
   uint64_t Skipped = mulCount(Count, IterOps);
   addCount(C.L1Accesses, Skipped);
   C.SkippedAccesses += Skipped;
-  if constexpr (Traits::HasTag) {
+  if constexpr (Cache::HasTag) {
     // Each touched line takes the tag of the last access to its block in
     // the run's last iteration; program order makes later ops win.
     Tags.skip(Count - 1);
@@ -432,13 +429,13 @@ CacheHierarchy<LineT>::repeatRun(const BatchedAccess *Iter, size_t IterOps,
   return Tags;
 }
 
-template <typename LineT>
+template <typename TagT>
 template <PolicyKind P, unsigned CtAssoc, bool Depths>
-void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops,
-                                            size_t N, BatchCounters &C,
-                                            TagCursor Tags,
-                                            const L1MissSink *Sink,
-                                            uint64_t *DepthHist) {
+void CacheHierarchy<TagT>::accessBatchImpl(const BatchedAccess *Ops,
+                                           size_t N, BatchCounters &C,
+                                           TagCursor Tags,
+                                           const L1MissSink *Sink,
+                                           uint64_t *DepthHist) {
   Cache &L1 = Levels.front();
   BatchState S{L1, L1.config().WriteAlloc == WriteAllocate::No,
                Levels.size() >= 2};
@@ -468,12 +465,12 @@ void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops,
   }
 }
 
-template <typename LineT>
+template <typename TagT>
 template <PolicyKind P, bool Depths>
-void CacheHierarchy<LineT>::accessBatchAs(const BatchedAccess *Ops, size_t N,
-                                          BatchCounters &C, TagCursor Tags,
-                                          const L1MissSink *Sink,
-                                          uint64_t *DepthHist) {
+void CacheHierarchy<TagT>::accessBatchAs(const BatchedAccess *Ops, size_t N,
+                                         BatchCounters &C, TagCursor Tags,
+                                         const L1MissSink *Sink,
+                                         uint64_t *DepthHist) {
   switch (Levels.front().assoc()) {
   case 4:
     accessBatchImpl<P, 4, Depths>(Ops, N, C, Tags, Sink, DepthHist);
@@ -490,13 +487,13 @@ void CacheHierarchy<LineT>::accessBatchAs(const BatchedAccess *Ops, size_t N,
   }
 }
 
-template <typename LineT>
+template <typename TagT>
 template <bool Depths>
-void CacheHierarchy<LineT>::accessBatchFor(const BatchedAccess *Ops,
-                                           size_t N, BatchCounters &C,
-                                           TagCursor Tags,
-                                           const L1MissSink *Sink,
-                                           uint64_t *DepthHist) {
+void CacheHierarchy<TagT>::accessBatchFor(const BatchedAccess *Ops,
+                                          size_t N, BatchCounters &C,
+                                          TagCursor Tags,
+                                          const L1MissSink *Sink,
+                                          uint64_t *DepthHist) {
   switch (Levels.front().config().Policy) {
   case PolicyKind::Lru:
     accessBatchAs<PolicyKind::Lru, Depths>(Ops, N, C, Tags, Sink, DepthHist);
@@ -516,11 +513,11 @@ void CacheHierarchy<LineT>::accessBatchFor(const BatchedAccess *Ops,
   }
 }
 
-template <typename LineT>
-void CacheHierarchy<LineT>::accessBatch(const BatchedAccess *Ops, size_t N,
-                                        BatchCounters &C, TagCursor Tags,
-                                        const L1MissSink *Sink,
-                                        uint64_t *DepthHist) {
+template <typename TagT>
+void CacheHierarchy<TagT>::accessBatch(const BatchedAccess *Ops, size_t N,
+                                       BatchCounters &C, TagCursor Tags,
+                                       const L1MissSink *Sink,
+                                       uint64_t *DepthHist) {
   if (DepthHist)
     accessBatchFor<true>(Ops, N, C, Tags, Sink, DepthHist);
   else

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Concrete (non-symbolic) caches and hierarchies: the line payload is
-/// the block alone, and the hierarchy is CacheHierarchy over it (see
+/// Concrete (non-symbolic) caches and hierarchies: a line is its block
+/// alone (NoTag), and the hierarchy is CacheHierarchy over it (see
 /// CacheHierarchy.h for the Eq. (24) semantics and the inclusion
 /// policies).
 ///
@@ -20,18 +20,13 @@
 
 namespace wcs {
 
-/// Line payload of a concrete cache: the block.
-struct ConcreteLine {
-  BlockId Block = kInvalidBlock;
-};
-
-using ConcreteCache = SetAssocCache<ConcreteLine>;
+using ConcreteCache = SetAssocCache<NoTag>;
 
 /// A one- or two-level concrete cache hierarchy supporting all three
 /// inclusion policies.
-using ConcreteHierarchy = CacheHierarchy<ConcreteLine>;
+using ConcreteHierarchy = CacheHierarchy<NoTag>;
 
-extern template class CacheHierarchy<ConcreteLine>;
+extern template class CacheHierarchy<NoTag>;
 
 } // namespace wcs
 

@@ -6,29 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A set-associative cache over an arbitrary line payload, shared by the
-/// concrete simulator (payload: the block) and the symbolic warping
-/// simulator (payload: block + symbolic tag). A line holds only what
-/// decides a hit or a miss: no model here counts write-back traffic, so
-/// there is no dirty state, and a write reaches the cache only as the
-/// Allocate flag of a no-write-allocate miss.
+/// A set-associative cache over a line tag type, shared by the concrete
+/// simulator (NoTag: a line is its block) and the symbolic warping
+/// simulator (SymTag: block + the access instance that last touched
+/// it). A line holds only what decides a hit or a miss: no model here
+/// counts write-back traffic, so there is no dirty state, and a write
+/// reaches the cache only as the Allocate flag of a no-write-allocate
+/// miss.
 ///
 /// The hot-loop layout is struct-of-arrays: one cache-line-aligned BlockId
 /// array (what the per-access scan reads) and the policy metadata words
-/// -- instead of a vector of interleaved line structs. Any payload beyond
-/// the block lives in a separate tag array described by a
-/// CacheLineTraits specialization, so the concrete cache's scan touches
-/// nothing but 8-byte block ids. The replacement policy is dispatched once
-/// per access() call -- or once per batch via accessAsNoMra<P>() -- into a
-/// per-policy accessImpl instantiation; there is no per-access dispatch
-/// inside the hit/fill handling.
+/// -- instead of a vector of interleaved line structs. A tag lives in a
+/// separate tag array, and NoTag stores none, so the concrete cache's
+/// scan touches nothing but 8-byte block ids. The replacement policy is
+/// dispatched once per access() call -- or once per batch via
+/// accessAsNoMra<P>() -- into a per-policy accessImpl instantiation;
+/// there is no per-access dispatch inside the hit/fill handling.
 ///
 /// Two features exist specifically for warping (paper Sec. 5):
 ///  - logical-to-physical set indirection, so that applying the set
 ///    rotation pi_rot^n of Theorem 4 is an O(1) base-offset update;
 ///  - the most-recently-accessed set is tracked, anchoring the
 ///    rotation-invariant state hash of Algorithm 2;
-///  - a tagged payload keeps a modification stamp per physical set, so
+///  - a tagged cache keeps a modification stamp per physical set, so
 ///    a warp probe rehashes, and a snapshot copies, only the sets that
 ///    changed since that probe's or snapshot's last look (see tick()).
 ///
@@ -58,24 +58,14 @@ namespace wcs {
 using BlockId = int64_t;
 inline constexpr BlockId kInvalidBlock = INT64_MIN;
 
-/// Describes how a line payload maps onto the struct-of-arrays storage.
-/// The primary template covers payloads that are nothing but a Block --
-/// ConcreteLine -- and stores no tag array at all.
-/// Payload types with extra state (the symbolic line's tag) specialize
-/// this with HasTag = true, a trivially copyable Tag struct holding
-/// exactly that extra state (tag rows shift with memmove), and a
-/// TagCursor that yields the tags of a batch's accesses in order and
-/// skips whole iterations of a repeated run (see
-/// CacheHierarchy::accessBatch).
-template <typename LineT>
-struct CacheLineTraits {
-  static constexpr bool HasTag = false;
-  struct Tag {};
-  struct TagCursor {
-    Tag next() { return Tag(); }
+/// The tag of a concrete cache line: none. A cache over NoTag stores no
+/// tag array and no modification stamps.
+struct NoTag {
+  /// The tags of a batch (see CacheHierarchy::accessBatch): none.
+  struct Cursor {
+    NoTag next() { return NoTag(); }
     void skip(uint64_t) {}
   };
-  static void unpackTag(LineT &, const Tag &) {}
 };
 
 /// Outcome of a single cache access.
@@ -93,20 +83,16 @@ struct AccessOutcome {
   BlockId EvictedBlock = kInvalidBlock;
 };
 
-/// Set-associative cache with pluggable line payload.
+/// Set-associative cache whose lines carry a tag of type \p TagT.
 ///
-/// \tparam LineT must provide a member `BlockId Block`, be cheaply
-/// copyable, and default-construct to an invalid line
-/// (`Block == kInvalidBlock`). Extra payload members require a
-/// CacheLineTraits specialization (see above); LineT itself is only ever
-/// assembled on demand (lineAt) -- the stored state is pure
-/// struct-of-arrays.
-template <typename LineT>
+/// \tparam TagT is NoTag, or a trivially copyable struct naming what a
+/// line holds beyond its block (tag rows shift with memmove) plus a
+/// Cursor that yields the tags of a batch's accesses in order and skips
+/// whole iterations of a repeated run (see CacheHierarchy::accessBatch).
+template <typename TagT>
 class SetAssocCache {
-  using Traits = CacheLineTraits<LineT>;
-
 public:
-  using TagT = typename Traits::Tag;
+  static constexpr bool HasTag = !std::is_same_v<TagT, NoTag>;
 
   static_assert(std::is_trivially_copyable_v<TagT>,
                 "tag rows shift with memmove");
@@ -121,7 +107,7 @@ public:
                  : 0,
              QlruOps::EvictAge) {
     assert(Config.validate().empty() && "invalid cache configuration");
-    if constexpr (Traits::HasTag) {
+    if constexpr (HasTag) {
       Tags.resize(static_cast<size_t>(Sets) * Assoc);
       Stamps.resize(Sets, 0);
     }
@@ -146,9 +132,9 @@ public:
 
   /// Accesses block \p B. On a miss with \p Allocate, the block is
   /// inserted and the victim (if any) reported in the outcome. A tagged
-  /// payload stores \p Tag in the line the access hits or fills, as
-  /// part of the row update. Dispatches the replacement policy exactly
-  /// once, at entry.
+  /// cache stores \p Tag in the line the access hits or fills, as part
+  /// of the row update. Dispatches the replacement policy exactly once,
+  /// at entry.
   AccessOutcome access(BlockId B, bool Allocate, TagT Tag = TagT()) {
     switch (Cfg.Policy) {
     case PolicyKind::Lru:
@@ -220,7 +206,7 @@ public:
         std::memmove(Row + I, Row + I + 1,
                      (Assoc - 1 - I) * sizeof(BlockId));
         Row[Assoc - 1] = kInvalidBlock;
-        if constexpr (Traits::HasTag) {
+        if constexpr (HasTag) {
           TagT *TR = tagRow(Ph);
           std::memmove(TR + I, TR + I + 1, (Assoc - 1 - I) * sizeof(TagT));
           TR[Assoc - 1] = TagT();
@@ -231,7 +217,7 @@ public:
         [[fallthrough]];
       case PolicyKind::Plru:
         Row[I] = kInvalidBlock;
-        if constexpr (Traits::HasTag)
+        if constexpr (HasTag)
           tagRow(Ph)[I] = TagT();
         break;
       }
@@ -242,15 +228,9 @@ public:
 
   //===------------------------------------------------------------------===//
   // Per-line accessors (logical set index). The stored state is
-  // struct-of-arrays, so there is no reference-to-whole-line accessor;
-  // readers assemble a value with lineAt and writers touch the exact
-  // component they mean.
+  // struct-of-arrays, so readers and writers touch the exact component
+  // they mean.
   //===------------------------------------------------------------------===//
-
-  /// The assembled payload at (Set, Way), by value.
-  LineT lineAt(unsigned Set, unsigned Way) const {
-    return assembleLine(phys(Set), Way);
-  }
 
   BlockId blockAt(unsigned Set, unsigned Way) const {
     return Blocks[static_cast<size_t>(phys(Set)) * Assoc + Way];
@@ -261,24 +241,17 @@ public:
     stamp(Ph);
   }
 
-  /// The extra payload (beyond the block) at (Set, Way); only
-  /// instantiable for payloads whose traits define a tag. Writers go
-  /// through setTagAt, which stamps the set.
+  /// The tag at (Set, Way); tagged caches only. Writers go through
+  /// setTagAt, which stamps the set.
   const TagT &tagAt(unsigned Set, unsigned Way) const {
-    static_assert(Traits::HasTag, "payload has no tag state");
+    static_assert(HasTag, "the cache stores no tags");
     return Tags[static_cast<size_t>(phys(Set)) * Assoc + Way];
   }
   void setTagAt(unsigned Set, unsigned Way, const TagT &T) {
-    static_assert(Traits::HasTag, "payload has no tag state");
+    static_assert(HasTag, "the cache stores no tags");
     unsigned Ph = phys(Set);
     Tags[static_cast<size_t>(Ph) * Assoc + Way] = T;
     stamp(Ph);
-  }
-
-  uint32_t plruBits(unsigned Set) const { return PlruBits[phys(Set)]; }
-  uint8_t age(unsigned Set, unsigned Way) const {
-    assert(!Ages.empty() && "ages only exist under Quad-age LRU");
-    return Ages[static_cast<size_t>(phys(Set)) * Assoc + Way];
   }
 
   /// Per-set policy metadata as a single word, for hashing and state
@@ -332,14 +305,14 @@ public:
   }
 
   //===------------------------------------------------------------------===//
-  // Modification stamps (tagged payloads only: the concrete
-  // instantiation stores and compiles none of this). Every path that
-  // changes a set's lines or policy metadata -- a hit or fill (stamped
-  // on every access), invalidate, setBlockAt, setTagAt and reset --
-  // writes the clock into the set's stamp. An observer calls tick() when
-  // it reads the cache and keeps the value: the sets changed since are
-  // those whose changedSince() holds. The rotation base and the MRA set
-  // are scalars outside the stamps.
+  // Modification stamps (tagged caches only: the NoTag instantiation
+  // stores and compiles none of this). Every path that changes a set's
+  // lines or policy metadata -- a hit or fill (stamped on every access),
+  // invalidate, setBlockAt and setTagAt -- writes the clock into the
+  // set's stamp. An observer calls tick() when it reads the cache and
+  // keeps the value: the sets changed since are those whose
+  // changedSince() holds. The rotation base and the MRA set are scalars
+  // outside the stamps.
   //===------------------------------------------------------------------===//
 
   /// Returns the clock and advances it, so every later change stamps
@@ -363,7 +336,7 @@ public:
   /// the rotation base, the MRA set and the last victim's tag. Returns
   /// the number of sets copied.
   size_t copyChangedSets(const SetAssocCache &Live, uint64_t Since) {
-    static_assert(Traits::HasTag, "only tagged payloads keep stamps");
+    static_assert(HasTag, "only tagged caches keep stamps");
     assert(Sets == Live.Sets && Assoc == Live.Assoc &&
            Cfg.Policy == Live.Cfg.Policy && "copying a foreign geometry");
     // Copy maximal runs of changed sets, one bulk copy per array each:
@@ -395,26 +368,13 @@ public:
 
   /// Applies the set rotation `s -> s + Amount (mod Sets)` to the whole
   /// cache state in O(1) (paper Theorem 4: warping rotates cache sets).
-  /// Line payloads are NOT rewritten; the symbolic layer re-derives
-  /// concrete blocks from tags after a warp.
+  /// Lines are NOT rewritten; the symbolic layer re-derives concrete
+  /// blocks from tags after a warp.
   void rotateSets(int64_t Amount) {
     Base = static_cast<unsigned>(
         static_cast<uint64_t>(Base + floorMod(-Amount, Sets)) & SetMask);
     MraSet = static_cast<unsigned>(
         static_cast<uint64_t>(MraSet + floorMod(Amount, Sets)) & SetMask);
-  }
-
-  /// Resets to the empty cache.
-  void reset() {
-    std::fill(Blocks.begin(), Blocks.end(), kInvalidBlock);
-    std::fill(PlruBits.begin(), PlruBits.end(), 0u);
-    std::fill(Ages.begin(), Ages.end(), QlruOps::EvictAge);
-    if constexpr (Traits::HasTag) {
-      std::fill(Tags.begin(), Tags.end(), TagT());
-      std::fill(Stamps.begin(), Stamps.end(), Clock);
-    }
-    Base = 0;
-    MraSet = 0;
   }
 
 private:
@@ -441,16 +401,8 @@ private:
 
   /// Marks physical set \p Ph changed (see tick()).
   void stamp([[maybe_unused]] unsigned Ph) {
-    if constexpr (Traits::HasTag)
+    if constexpr (HasTag)
       Stamps[Ph] = Clock;
-  }
-
-  LineT assembleLine(unsigned Ph, unsigned W) const {
-    LineT L;
-    L.Block = Blocks[static_cast<size_t>(Ph) * Assoc + W];
-    if constexpr (Traits::HasTag)
-      Traits::unpackTag(L, Tags[static_cast<size_t>(Ph) * Assoc + W]);
-    return L;
   }
 
   /// One fully specialized access path per policy; `if constexpr` keeps
@@ -462,7 +414,7 @@ private:
   /// compile-time associativity of 8, the width of every QLRU L1 the
   /// benchmarks run on the batch path, the QLRU victim is one word-wide
   /// step over the age bytes (QlruOps::victimAging8); other widths keep
-  /// the aging loop. A tagged payload's tag rides the row update: stored
+  /// the aging loop. A tagged cache's tag rides the row update: stored
   /// once, in the slot the access hits or fills.
   template <PolicyKind P, unsigned CtAssoc = 0, bool TrackMra = true>
   AccessOutcome accessImpl(BlockId B, bool Allocate,
@@ -504,12 +456,12 @@ private:
         if (I != 0) {
           std::memmove(Row + 1, Row, I * sizeof(BlockId));
           Row[0] = B;
-          if constexpr (Traits::HasTag) {
+          if constexpr (HasTag) {
             TagT *TR = tagRow(Ph);
             std::memmove(TR + 1, TR, I * sizeof(TagT));
           }
         }
-        if constexpr (Traits::HasTag)
+        if constexpr (HasTag)
           tagRow(Ph)[0] = Tag;
         R.Way = 0;
         return R;
@@ -518,7 +470,7 @@ private:
       } else if constexpr (P == PolicyKind::QuadAgeLru) {
         Ages[static_cast<size_t>(Ph) * A + I] = QlruOps::HitAge;
       } // FIFO: a hit changes no order or metadata.
-      if constexpr (Traits::HasTag)
+      if constexpr (HasTag)
         tagRow(Ph)[I] = Tag;
       R.Way = I;
       return R;
@@ -530,7 +482,7 @@ private:
       recordVictim(Ph, A - 1, R);
       std::memmove(Row + 1, Row, (A - 1) * sizeof(BlockId));
       Row[0] = B;
-      if constexpr (Traits::HasTag) {
+      if constexpr (HasTag) {
         TagT *TR = tagRow(Ph);
         std::memmove(TR + 1, TR, (A - 1) * sizeof(TagT));
         TR[0] = Tag;
@@ -572,7 +524,7 @@ private:
   void fillSlot(unsigned Ph, unsigned Way, BlockId B,
                 [[maybe_unused]] const TagT &Tag) {
     Blocks[static_cast<size_t>(Ph) * Assoc + Way] = B;
-    if constexpr (Traits::HasTag)
+    if constexpr (HasTag)
       tagRow(Ph)[Way] = Tag;
   }
 
@@ -582,7 +534,7 @@ private:
     BlockId VB = Blocks[static_cast<size_t>(Ph) * Assoc + Way];
     R.EvictedValid = VB != kInvalidBlock;
     R.EvictedBlock = VB;
-    if constexpr (Traits::HasTag)
+    if constexpr (HasTag)
       if (R.EvictedValid)
         EvictedTag = Tags[static_cast<size_t>(Ph) * Assoc + Way];
   }
@@ -595,13 +547,13 @@ private:
   unsigned MraSet = 0; ///< Most-recently-accessed logical set.
   TagT EvictedTag;     ///< Tag of the most recent victim.
   /// Struct-of-arrays state, hot to cold: block ids (the scan), policy
-  /// metadata, then any cold tag payload.
+  /// metadata, then any cold tags.
   std::vector<BlockId, AlignedAllocator<BlockId, 64>> Blocks;
   std::vector<uint32_t> PlruBits;
   std::vector<uint8_t> Ages;
-  std::vector<TagT> Tags; ///< Sized only when Traits::HasTag.
+  std::vector<TagT> Tags; ///< Sized only when HasTag.
   /// Per physical set, the clock at its last change; sized only when
-  /// Traits::HasTag.
+  /// HasTag.
   std::vector<uint64_t> Stamps;
   uint64_t Clock = 1;
 };

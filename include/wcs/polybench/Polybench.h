@@ -9,8 +9,9 @@
 /// The 30 PolyBench 4.2.1 kernels (the paper's benchmark suite, Sec. 6.1)
 /// re-derived from the reference C sources and expressed in the wcs
 /// frontend dialect, with problem-size tables scaled for laptop-sized
-/// experiments (see EXPERIMENTS.md: cache sizes and problem sizes are
-/// scaled together to preserve the working-set/cache-size regime).
+/// experiments (see "Reproducing the paper's figures" in README.md:
+/// cache sizes and problem sizes are scaled together to preserve the
+/// working-set/cache-size regime).
 ///
 /// Deviations from the C sources are documented per kernel in
 /// Kernels.cpp; they never change the array access pattern except where

@@ -39,9 +39,8 @@
 ///
 /// Chunks end at iteration boundaries, so a chunk is always whole
 /// iterations in lane order. That is what lets a symbolic hierarchy
-/// derive every access's tag from its position in the chunk (the
-/// TagCursor of CacheLineTraits<SymLine>) while the op itself stays one
-/// word.
+/// derive every access's tag from its position in the chunk
+/// (SymTag::Cursor) while the op itself stays one word.
 ///
 /// Runs. When every lane moves less than one block per iteration, the
 /// generator splits the activation into runs: maximal stretches of
@@ -71,6 +70,7 @@
 #include "wcs/support/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <span>
 #include <vector>
 
@@ -194,7 +194,8 @@ private:
 /// iteration of the chunk's first op when the chunk began in a lanes
 /// event. Ops pushed outside a lanes event wait in the same buffer, so a
 /// consumer that flushes only when a chunk fills gets full chunks across
-/// short activations.
+/// short activations. Every push and lanes call returns with fewer than
+/// ChunkCap ops pending: the room the next call writes into.
 class ChunkWriter {
 public:
   /// 1024 entries = 8 KiB keeps the buffer L1-resident between the
@@ -214,7 +215,8 @@ public:
   }
 
   /// Appends iterations [Lo, Hi] of \p Lanes, advancing the lanes;
-  /// flushes at the first iteration boundary past each ChunkCap ops.
+  /// flushes at the first iteration boundary past each ChunkCap ops,
+  /// the activation's end included.
   template <typename FlushFn>
   void lanes(int64_t Lo, int64_t Hi, std::span<WalkLane> Lanes,
              FlushFn &&Flush) {
@@ -269,6 +271,10 @@ public:
         } else if (Rest == 1) {
           Emit();
         }
+        // Check after the activation's last run too: a consumer that
+        // keeps ops across lanes events writes the next one from here.
+        if (Out >= FlushAt)
+          FlushChunk(X + static_cast<int64_t>(Rest + 1));
         if (Rest == ToEnd)
           break;
         for (size_t I = 0; I < NumLanes; ++I) {
@@ -279,11 +285,10 @@ public:
             Left[I] = itersInBlock(Ln.Addr, Ln.Stride);
         }
         X += static_cast<int64_t>(Rest + 1);
-        if (Out >= FlushAt)
-          FlushChunk(X);
       }
     }
     Pending = static_cast<size_t>(Out - Begin);
+    assert(Pending < ChunkCap && "lanes leaves its chunk below the mark");
   }
 
   /// Hands the pending ops, if any, to \p Flush.
@@ -332,12 +337,11 @@ private:
 
 /// The visitor body of both simulators: every access steps \p Cache
 /// and counts in \p Stats.
-template <typename LineT> class HierarchyStepper {
-  static constexpr bool Tagged = CacheLineTraits<LineT>::HasTag;
-  using TagT = typename CacheHierarchy<LineT>::TagT;
+template <typename TagT> class HierarchyStepper {
+  static constexpr bool Tagged = SetAssocCache<TagT>::HasTag;
 
 public:
-  HierarchyStepper(CacheHierarchy<LineT> &Cache, SimStats &Stats,
+  HierarchyStepper(CacheHierarchy<TagT> &Cache, SimStats &Stats,
                    unsigned BlockShift)
       : Cache(Cache), Stats(Stats), BlockShift(BlockShift),
         Chunks(BlockShift),
@@ -348,7 +352,7 @@ public:
   /// L1 counts each hit at its depth in \p DepthHist.
   const L1MissSink *Sink = nullptr;
   uint64_t *DepthHist = nullptr;
-  /// Tagged payloads: the epoch of the open loop activation at each
+  /// Tagged hierarchies: the epoch of the open loop activation at each
   /// nesting depth. Whoever opens an activation's epoch (the warping
   /// simulator, at loopTop) stores it at the loop's depth; entries
   /// deeper than the current activation are stale.
@@ -373,7 +377,7 @@ public:
   /// counter would pass 2^64 - 1.
   void lanes(const LoopNode &L, int64_t Lo, int64_t Hi,
              std::span<WalkLane> Lanes) {
-    using TagCursor = typename CacheHierarchy<LineT>::TagCursor;
+    using TagCursor = typename TagT::Cursor;
     if constexpr (Tagged) {
       LaneNodes.clear();
       for (const WalkLane &Ln : Lanes)
@@ -410,7 +414,7 @@ public:
   }
 
 private:
-  CacheHierarchy<LineT> &Cache;
+  CacheHierarchy<TagT> &Cache;
   SimStats &Stats;
   unsigned BlockShift;
   ChunkWriter Chunks;

@@ -34,8 +34,8 @@
 /// line count), so the table's size follows the number of distinct
 /// prefixes still referenced, never the number of activations.
 ///
-/// SymbolicHierarchy is CacheHierarchy over symbolic lines: the same
-/// Eq. (24) composition, per-access path and batch loop as the concrete
+/// SymbolicHierarchy is CacheHierarchy over SymTag: the same Eq. (24)
+/// composition, per-access path and batch loop as the concrete
 /// hierarchy, with the tag refresh compiled in.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,31 +51,18 @@
 
 namespace wcs {
 
-/// The installing access instance of a symbolic line.
+/// The installing access instance of a symbolic line. The cache keeps
+/// it in a tag array beside the block ids, so the per-access block-id
+/// scan stays free of tags.
 struct SymTag {
   int32_t NodeId = -1; ///< AccessNode::Id of the last touch; -1 if none.
   uint32_t Epoch = 0;  ///< EpochTable index of the enclosing prefix.
   int64_t X = 0;       ///< Innermost iterator value (0 at depth 0).
-};
-static_assert(sizeof(SymTag) == 16, "symbolic tags are 16 bytes");
 
-/// A symbolic cache line: concrete block + installing access instance.
-struct SymLine {
-  BlockId Block = kInvalidBlock;
-  SymTag Tag;
-};
-
-/// The symbolic payload beyond the block lives in the cache's tag
-/// array: the struct-of-arrays layout keeps the per-access block-id scan
-/// free of the tags.
-template <>
-struct CacheLineTraits<SymLine> {
-  static constexpr bool HasTag = true;
-  using Tag = SymTag;
   /// The tags of one batch. Its ops are whole iterations of one loop
   /// activation in lane order, so op K is lane K % NumLanes at iteration
   /// X + K / NumLanes, and every op shares the activation's epoch.
-  struct TagCursor {
+  struct Cursor {
     const int32_t *Nodes = nullptr; ///< Access node id per lane.
     unsigned NumLanes = 0;
     unsigned Lane = 0;
@@ -96,16 +83,16 @@ struct CacheLineTraits<SymLine> {
       X = static_cast<int64_t>(static_cast<uint64_t>(X) + Iterations);
     }
   };
-  static void unpackTag(SymLine &L, const Tag &T) { L.Tag = T; }
 };
+static_assert(sizeof(SymTag) == 16, "symbolic tags are 16 bytes");
 
-using SymbolicCache = SetAssocCache<SymLine>;
+using SymbolicCache = SetAssocCache<SymTag>;
 
 /// One- or two-level symbolic hierarchy with Eq. (24) semantics.
 /// Copyable: warp snapshots are whole-object copies.
-using SymbolicHierarchy = CacheHierarchy<SymLine>;
+using SymbolicHierarchy = CacheHierarchy<SymTag>;
 
-extern template class CacheHierarchy<SymLine>;
+extern template class CacheHierarchy<SymTag>;
 
 /// The enclosing-iterator prefixes behind SymTag::Epoch (see the file
 /// comment). Epoch 0 is the empty prefix -- the epoch of accesses outside

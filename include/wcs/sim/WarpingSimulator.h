@@ -147,7 +147,7 @@ public:
 private:
   /// The walk's visitor: the shared step, plus Algorithm 2 at every loop
   /// top.
-  struct Visitor : HierarchyStepper<SymLine> {
+  struct Visitor : HierarchyStepper<SymTag> {
     WarpingSimulator &Sim;
     int64_t loopTop(ScopWalk<Visitor> &Walk, const LoopNode &L,
                     IterVec &Iter, int64_t Lo, int64_t Hi) {

@@ -33,19 +33,15 @@ struct TraceRecord {
   bool IsWrite;
 };
 
-/// Options of trace generation.
-struct TraceOptions {
-  bool IncludeScalars = false; ///< Emit scalar accesses (Dinero sees them).
-};
-
 /// Streams the full access trace of \p Program into \p Sink, in execution
-/// order. Returns the number of records emitted.
-uint64_t generateTrace(const ScopProgram &Program, const TraceOptions &Opts,
+/// order, scalar accesses only with \p IncludeScalars (Dinero sees
+/// them). Returns the number of records emitted.
+uint64_t generateTrace(const ScopProgram &Program, bool IncludeScalars,
                        const std::function<void(const TraceRecord &)> &Sink);
 
 /// The number of records generateTrace emits, or \p Cap when that is
 /// not smaller: the walk stops as the count reaches it.
-uint64_t countAccesses(const ScopProgram &Program, const TraceOptions &Opts,
+uint64_t countAccesses(const ScopProgram &Program, bool IncludeScalars,
                        uint64_t Cap = UINT64_MAX);
 
 } // namespace wcs

@@ -23,15 +23,16 @@
 
 namespace wcs {
 
-/// Runs the full trace of \p Program through a concrete \p Cache,
-/// materialized in 1<<20-record chunks (paying for trace transport, like
-/// a real trace-driven pipeline), and returns the counters. Each record
+/// Runs the full trace of \p Program (scalar accesses only with
+/// \p IncludeScalars) through a concrete \p Cache, materialized in
+/// 1<<20-record chunks (paying for trace transport, like a real
+/// trace-driven pipeline), and returns the counters. Each record
 /// is one access, to the block of its address, as the symbolic
 /// simulators count it (BatchRunner refuses programs whose elements
 /// could straddle a block; see validateBlockSize). Timing covers
 /// generation plus consumption.
 SimStats simulateTrace(const ScopProgram &Program, const HierarchyConfig &Cache,
-                       const TraceOptions &Options);
+                       bool IncludeScalars);
 
 } // namespace wcs
 

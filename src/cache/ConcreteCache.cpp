@@ -7,4 +7,4 @@
 
 #include "wcs/cache/ConcreteCache.h"
 
-template class wcs::CacheHierarchy<wcs::ConcreteLine>;
+template class wcs::CacheHierarchy<wcs::NoTag>;

@@ -168,8 +168,8 @@ BatchResult BatchRunner::runJob(const BatchJob &Job, size_t JobIndex) {
       // Every backend counts an access once, at the block of its
       // address: validateBlockSize above refused the programs whose
       // elements could straddle two blocks.
-      R.Stats = simulateTrace(*Job.Program, Job.Cache,
-                              TraceOptions{Job.Options.IncludeScalars});
+      R.Stats =
+          simulateTrace(*Job.Program, Job.Cache, Job.Options.IncludeScalars);
       break;
     case SimBackend::StackDistance: {
       const CacheConfig &C = Job.Cache.Levels.front();

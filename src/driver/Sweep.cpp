@@ -305,10 +305,10 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   double WalkSeconds = 0.0;            ///< Its tasks' seconds, summed.
   if (!Banks.empty()) {
     telemetry::TimePoint P0 = telemetry::now();
-    const TraceOptions TO{Opts.Sim.IncludeScalars};
+    const bool Scalars = Opts.Sim.IncludeScalars;
     const uint64_t Threshold = Opts.WarpSweepMinAccesses;
     const uint64_t TraceLen =
-        Threshold == UINT64_MAX ? 0 : countAccesses(Program, TO);
+        Threshold == UINT64_MAX ? 0 : countAccesses(Program, Scalars);
     const bool Periodic = Threshold != UINT64_MAX && TraceLen >= Threshold;
     // The pre-walk is pass cost too; count it so the attributed shares
     // still sum to the real cost of the method.
@@ -394,14 +394,13 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       std::vector<std::function<void()>> Tasks;
       Tasks.reserve(NumWalks);
       for (size_t G = 0; G < NumWalks; ++G)
-        Tasks.push_back([&Program, &TO, &WalkGroups, &TaskSeconds,
+        Tasks.push_back([&Program, Scalars, &WalkGroups, &TaskSeconds,
                          &WalkAccesses, Periodic, G] {
           telemetry::Span WalkSpan("sweep.stack-distance-pass");
           WalkSpan.arg("flavor", Periodic ? "demoted-linear" : "linear");
           WalkSpan.arg("banks", static_cast<uint64_t>(WalkGroups[G].size()));
           telemetry::TimePoint L0 = telemetry::now();
-          WalkAccesses[G] =
-              feedBanks(Program, TO.IncludeScalars, WalkGroups[G]);
+          WalkAccesses[G] = feedBanks(Program, Scalars, WalkGroups[G]);
           TaskSeconds[G] = telemetry::secondsSince(L0);
         });
       Runner.runTasks(Tasks);

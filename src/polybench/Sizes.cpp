@@ -7,7 +7,8 @@
 // are scaled down (roughly 1/5 in linear dimension at LARGE) so that
 // non-warping baselines finish in seconds on a laptop. The paper's L/XL
 // experiments correspond to our Large/ExtraLarge; cache sizes are scaled
-// alongside in the benchmark configurations (EXPERIMENTS.md).
+// alongside in the benchmark configurations (see "Reproducing the
+// paper's figures" in README.md).
 //
 //===----------------------------------------------------------------------===//
 

@@ -359,10 +359,10 @@ bool wcs::submitSweepRequest(
 
 namespace {
 
-/// One control round trip: send {"cmd":\p Cmd}, read the ack line into
-/// \p Ack (may be null when the caller only needs the handshake).
+/// One control round trip: sends {"cmd": \p Cmd} and parses the reply
+/// line into \p Reply.
 bool controlRoundTrip(const std::string &SocketPath, const char *Cmd,
-                      Value *Ack, std::string *Err) {
+                      Value &Reply, std::string *Err) {
   int Fd = connectUnix(SocketPath, Err);
   if (Fd < 0)
     return false;
@@ -376,54 +376,34 @@ bool controlRoundTrip(const std::string &SocketPath, const char *Cmd,
   }
   LineReader Reader(Fd);
   std::string Line;
-  bool Acked = Reader.readLine(Line, Err);
+  bool Answered = Reader.readLine(Line, Err);
   closeFd(Fd);
-  if (!Acked)
-    return failMsg(Err, std::string("daemon closed without acking ") +
+  if (!Answered)
+    return failMsg(Err, std::string("daemon closed without answering ") +
                             Cmd);
-  if (!Ack)
-    return true;
   std::string ParseErr;
-  if (!json::parse(Line, *Ack, &ParseErr))
-    return failMsg(Err, "malformed ack from daemon: " + ParseErr);
-  bool Ok = false;
-  if (!needBool(*Ack, "ok", Ok, Err))
-    return false;
-  if (!Ok)
-    return failMsg(Err, std::string("daemon refused ") + Cmd);
+  if (!json::parse(Line, Reply, &ParseErr))
+    return failMsg(Err, std::string("malformed ") + Cmd +
+                            " reply from daemon: " + ParseErr);
   return true;
 }
 
 } // namespace
 
 bool wcs::requestShutdown(const std::string &SocketPath, std::string *Err) {
-  return controlRoundTrip(SocketPath, "shutdown", nullptr, Err);
+  Value Ack;
+  bool Ok = false;
+  if (!controlRoundTrip(SocketPath, "shutdown", Ack, Err) ||
+      !needBool(Ack, "ok", Ok, Err))
+    return false;
+  return Ok || failMsg(Err, "daemon refused shutdown");
 }
 
 bool wcs::requestStatus(const std::string &SocketPath, StatusDoc &Out,
                         std::string *Err) {
-  // Not controlRoundTrip: the status answer is a wcs-status document,
-  // not a wcs-control ack, so it carries a schema instead of "ok".
-  int Fd = connectUnix(SocketPath, Err);
-  if (Fd < 0)
-    return false;
-  Value V = Value::object();
-  V.set("schema", ControlSchemaName);
-  V.set("schema_version", ServeProtocolVersion);
-  V.set("cmd", "status");
-  if (!sendLine(Fd, V.dump(false), Err)) {
-    closeFd(Fd);
-    return false;
-  }
-  LineReader Reader(Fd);
-  std::string Line;
-  bool Acked = Reader.readLine(Line, Err);
-  closeFd(Fd);
-  if (!Acked)
-    return failMsg(Err, "daemon closed without answering status");
-  Value Ack;
-  std::string ParseErr;
-  if (!json::parse(Line, Ack, &ParseErr))
-    return failMsg(Err, "malformed status from daemon: " + ParseErr);
-  return fromJson(Ack, Out, Err);
+  // The status answer is a wcs-status document, not a wcs-control ack,
+  // so it carries a schema instead of "ok".
+  Value Reply;
+  return controlRoundTrip(SocketPath, "status", Reply, Err) &&
+         fromJson(Reply, Out, Err);
 }

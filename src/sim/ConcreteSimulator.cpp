@@ -34,7 +34,7 @@ ConcreteSimulator::ConcreteSimulator(const ScopProgram &Program,
 
 SimStats ConcreteSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
-  HierarchyStepper<ConcreteLine> Step(Cache, Stats, BlockShift);
+  HierarchyStepper<NoTag> Step(Cache, Stats, BlockShift);
   if (MissTapFn)
     Step.Sink = &MissTapFn;
   ScopWalk(Program, Options.IncludeScalars, Options.BatchConcrete, Step)

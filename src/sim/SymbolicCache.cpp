@@ -12,7 +12,7 @@
 
 using namespace wcs;
 
-template class wcs::CacheHierarchy<SymLine>;
+template class wcs::CacheHierarchy<SymTag>;
 
 EpochTable::EpochTable(size_t MinCollectSize)
     : Prefixes(1), Marked(1, 0), MinLimit(std::max<size_t>(MinCollectSize, 2)),

@@ -228,8 +228,8 @@ FilteredStream FilteredStream::record(const ScopProgram &Program,
   const uint64_t Cap = MaxRecords != 0
                            ? std::min(MaxRecords, MaxReservedRecords)
                            : MaxReservedRecords;
-  FS.Records.reserve(static_cast<size_t>(
-      countAccesses(Program, TraceOptions{Opts.IncludeScalars}, Cap)));
+  FS.Records.reserve(
+      static_cast<size_t>(countAccesses(Program, Opts.IncludeScalars, Cap)));
   ConcreteSimulator Sim(Program, HierarchyConfig::singleLevel(L1), Opts);
   // A miss tap (not a full tap) keeps the recording run on the batched
   // concrete hot loop: hits never surface, and misses are exactly what

@@ -12,7 +12,7 @@
 using namespace wcs;
 
 uint64_t
-wcs::generateTrace(const ScopProgram &Program, const TraceOptions &Opts,
+wcs::generateTrace(const ScopProgram &Program, bool IncludeScalars,
                    const std::function<void(const TraceRecord &)> &Sink) {
   // No lanes event: the walk reports every access on its own.
   struct Records {
@@ -25,7 +25,7 @@ wcs::generateTrace(const ScopProgram &Program, const TraceOptions &Opts,
       ++Count;
     }
   } V{Program, Sink};
-  ScopWalk(Program, Opts.IncludeScalars, /*Batch=*/false, V).run();
+  ScopWalk(Program, IncludeScalars, /*Batch=*/false, V).run();
   return V.Count;
 }
 
@@ -55,11 +55,11 @@ struct AccessCounter {
 
 } // namespace
 
-uint64_t wcs::countAccesses(const ScopProgram &Program,
-                            const TraceOptions &Opts, uint64_t Cap) {
+uint64_t wcs::countAccesses(const ScopProgram &Program, bool IncludeScalars,
+                            uint64_t Cap) {
   AccessCounter V{Cap};
   try {
-    ScopWalk(Program, Opts.IncludeScalars, /*Batch=*/true, V).run();
+    ScopWalk(Program, IncludeScalars, /*Batch=*/true, V).run();
   } catch (const AccessCounter::Capped &) {
     return Cap;
   }

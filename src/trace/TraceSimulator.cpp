@@ -17,7 +17,7 @@ using namespace wcs;
 
 SimStats wcs::simulateTrace(const ScopProgram &Program,
                             const HierarchyConfig &Cache,
-                            const TraceOptions &Options) {
+                            bool IncludeScalars) {
   ConcreteHierarchy H(Cache);
   const unsigned BlockShift = log2Exact(Cache.blockBytes());
   SimStats Stats;
@@ -36,7 +36,7 @@ SimStats wcs::simulateTrace(const ScopProgram &Program,
     }
     Chunk.clear();
   };
-  generateTrace(Program, Options, [&](const TraceRecord &R) {
+  generateTrace(Program, IncludeScalars, [&](const TraceRecord &R) {
     Chunk.push_back(R);
     if (Chunk.size() == ChunkRecords)
       Drain();

@@ -27,15 +27,29 @@
 namespace wcs {
 namespace testutil {
 
-/// Generates a random but well-formed SCoP: loop nests of depth 1-3 with
-/// constant or triangular bounds, in-bounds affine accesses (so that the
-/// block-aligned layout keeps arrays disjoint), occasional guards.
-/// With \p LongRuns, about half the nests instead end in an innermost
-/// loop of 1,025 to 1,400 iterations, at depth 1 or 2, whose accesses
-/// ignore its iterator: every activation is then one run of repeated
-/// iterations longer than a 1,024-op batch chunk. The draws without it
-/// are unchanged.
-inline ScopProgram generateProgram(std::mt19937 &Rng, bool LongRuns = false) {
+/// The loop shapes generateProgram draws.
+enum class ProgramShape {
+  /// Loop nests of depth 1-3 with constant or triangular bounds.
+  Plain,
+  /// About half the nests instead end in an innermost loop of 1,025 to
+  /// 1,400 iterations, at depth 1 or 2, whose accesses ignore its
+  /// iterator: every activation is then one run of repeated iterations
+  /// longer than a 1,024-op batch chunk.
+  LongRuns,
+  /// The Plain program plus one nest: an outer loop of 100 to 400
+  /// iterations around 1-3 innermost loops of 1-4 iterations, with
+  /// sibling accesses before, between and after them. The inner
+  /// accesses move 0 or 1 element per iteration, so most activations
+  /// are one or two runs, and a batch chunk fills across many of them:
+  /// some activation ends past a chunk's flush mark.
+  ShortActivations,
+};
+
+/// Generates a random but well-formed SCoP of \p Shape: in-bounds affine
+/// accesses (so that the block-aligned layout keeps arrays disjoint),
+/// occasional guards.
+inline ScopProgram generateProgram(std::mt19937 &Rng,
+                                   ProgramShape Shape = ProgramShape::Plain) {
   auto Rand = [&](int Lo, int Hi) {
     return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
   };
@@ -81,7 +95,7 @@ inline ScopProgram generateProgram(std::mt19937 &Rng, bool LongRuns = false) {
   unsigned NumNests = Rand(1, 2);
   for (unsigned Nest = 0; Nest < NumNests; ++Nest) {
     unsigned Depth = Rand(1, 3);
-    bool Long = LongRuns && Rand(0, 1) == 0;
+    bool Long = Shape == ProgramShape::LongRuns && Rand(0, 1) == 0;
     if (Long)
       Depth = std::min(Depth, 2u);
     for (unsigned D = 0; D < Depth; ++D) {
@@ -109,6 +123,36 @@ inline ScopProgram generateProgram(std::mt19937 &Rng, bool LongRuns = false) {
     for (unsigned D = 0; D < Depth; ++D)
       B.endLoop();
     InLongLoop = false;
+  }
+
+  if (Shape == ProgramShape::ShortActivations) {
+    // Rows of 8 elements, one per outer iteration, so no access leaves
+    // its array.
+    const int Outer = Rand(100, 400);
+    std::vector<unsigned> Rows;
+    for (int I = Rand(1, 2); I > 0; --I)
+      Rows.push_back(B.addArray("R" + std::to_string(I), Rand(0, 1) ? 8 : 4,
+                                {Outer, 8}));
+    auto RowAccess = [&](AffineExpr Col) {
+      B.access(Rows[Rand(0, static_cast<int>(Rows.size()) - 1)],
+               Rand(0, 2) == 0 ? AccessKind::Write : AccessKind::Read,
+               {B.iterAt(0), std::move(Col)});
+    };
+    auto Siblings = [&] {
+      for (int S = Rand(0, 2); S > 0; --S)
+        RowAccess(B.cst(Rand(0, 7)));
+    };
+    B.beginLoop("o", B.cst(0), B.cst(Outer - 1));
+    for (int L = Rand(1, 3); L > 0; --L) {
+      Siblings();
+      B.beginLoop("j" + std::to_string(L), B.cst(0), B.cst(Rand(0, 3)));
+      for (int A = Rand(1, 3); A > 0; --A)
+        RowAccess(Rand(0, 3) == 0 ? B.cst(Rand(0, 7))
+                                  : B.iterAt(1) + B.cst(Rand(0, 4)));
+      B.endLoop();
+    }
+    Siblings();
+    B.endLoop();
   }
   std::string Err;
   ScopProgram P = B.finish(&Err);

@@ -8,7 +8,7 @@
 // semantics of paper Eq. (24). Then the compile-time-associativity
 // kernels against their runtime references: the word-wide 8-way QLRU
 // victim against QlruOps::victimAging, and every fixed-way access path
-// (plain and batched, concrete and symbolic payloads) against the
+// (plain and batched, concrete and symbolic caches) against the
 // runtime access(), state compared after every step. Last, the
 // invariant that lets a line carry no dirty state: under write-allocate
 // a write steps exactly like a read.
@@ -255,24 +255,22 @@ TEST(QlruVictim, WordWideEqualsAgingLoopOnEveryAgeVector) {
   }
 }
 
-template <typename LineT> struct TagMaker {
-  typename CacheLineTraits<LineT>::Tag operator()(std::mt19937 &) const {
-    return {};
-  }
-};
-template <> struct TagMaker<SymLine> {
-  SymTag operator()(std::mt19937 &Rng) const {
+/// A random tag, or NoTag.
+template <typename TagT>
+TagT randomTag(std::mt19937 &Rng) {
+  if constexpr (SetAssocCache<TagT>::HasTag)
     return SymTag{static_cast<int32_t>(Rng() % 5),
                   static_cast<uint32_t>(Rng() % 3),
                   static_cast<int64_t>(Rng() % 1000)};
-  }
-};
+  else
+    return NoTag();
+}
 
 /// Where \p A and \p B first differ in an observable line or set
 /// (policy word, block, tag), or "" when they are equal.
-template <typename LineT>
-std::string stateDifference(const SetAssocCache<LineT> &A,
-                            const SetAssocCache<LineT> &B) {
+template <typename TagT>
+std::string stateDifference(const SetAssocCache<TagT> &A,
+                            const SetAssocCache<TagT> &B) {
   for (unsigned S = 0; S < A.numSets(); ++S) {
     const std::string Set = "set " + std::to_string(S);
     if (A.policyWord(S) != B.policyWord(S))
@@ -281,7 +279,7 @@ std::string stateDifference(const SetAssocCache<LineT> &A,
       const std::string Way = Set + " way " + std::to_string(W);
       if (A.blockAt(S, W) != B.blockAt(S, W))
         return Way + " block";
-      if constexpr (CacheLineTraits<LineT>::HasTag) {
+      if constexpr (SetAssocCache<TagT>::HasTag) {
         const SymTag &TA = A.tagAt(S, W), &TB = B.tagAt(S, W);
         if (TA.NodeId != TB.NodeId || TA.Epoch != TB.Epoch || TA.X != TB.X)
           return Way + " tag";
@@ -293,12 +291,12 @@ std::string stateDifference(const SetAssocCache<LineT> &A,
 
 /// accessAsNoMra<P, Ways> plus noteAccessedSet -- what the batch loop
 /// runs -- against the runtime access() on twin caches, with tags
-/// (symbolic payload), non-allocating misses and invalidations mixed in.
-template <typename LineT, PolicyKind P, unsigned Ways>
+/// (symbolic caches), non-allocating misses and invalidations mixed in.
+template <typename TagT, PolicyKind P, unsigned Ways>
 void expectFixedAccessMatchesRuntime() {
   const unsigned Sets = 4;
   CacheConfig Cfg = smallConfig(P, Ways, Sets);
-  SetAssocCache<LineT> Fixed(Cfg), Runtime(Cfg);
+  SetAssocCache<TagT> Fixed(Cfg), Runtime(Cfg);
   std::mt19937 Rng(Ways * 10 + static_cast<unsigned>(P));
   const BlockId Span = 3 * Sets * Ways; // Hits at every depth, and misses.
   for (unsigned Step = 0; Step < 4000; ++Step) {
@@ -312,7 +310,7 @@ void expectFixedAccessMatchesRuntime() {
       ASSERT_EQ(RF, RR) << Where;
     } else {
       bool Allocate = Rng() % 8 != 0; // A no-write-allocate write miss.
-      auto Tag = TagMaker<LineT>()(Rng);
+      TagT Tag = randomTag<TagT>(Rng);
       AccessOutcome OF =
           Fixed.template accessAsNoMra<P, Ways>(B, Allocate, Tag);
       Fixed.noteAccessedSet(OF.Set);
@@ -324,7 +322,7 @@ void expectFixedAccessMatchesRuntime() {
       ASSERT_EQ(OF.HitDepth, OR.HitDepth) << Where;
       ASSERT_EQ(OF.EvictedValid, OR.EvictedValid) << Where;
       ASSERT_EQ(OF.EvictedBlock, OR.EvictedBlock) << Where;
-      if constexpr (CacheLineTraits<LineT>::HasTag) {
+      if constexpr (SetAssocCache<TagT>::HasTag) {
         if (OF.EvictedValid) {
           ASSERT_EQ(Fixed.lastEvictedTag().X, Runtime.lastEvictedTag().X)
               << Where;
@@ -340,15 +338,14 @@ void expectFixedAccessMatchesRuntime() {
 /// 4, 8 and 16 ways) against one runtime access() per op on a twin
 /// hierarchy: chunks of random length, write-allocate and not, with
 /// invalidations between chunks; every other chunk counts hit depths, on
-/// both payloads, and the depth histograms must match too.
-template <typename LineT, PolicyKind P, unsigned Ways>
+/// both tag types, and the depth histograms must match too.
+template <typename TagT, PolicyKind P, unsigned Ways>
 void expectBatchMatchesRuntime(WriteAllocate WA) {
-  using Traits = CacheLineTraits<LineT>;
   const unsigned Sets = 4;
   CacheConfig Cfg = smallConfig(P, Ways, Sets);
   Cfg.WriteAlloc = WA;
   HierarchyConfig H = HierarchyConfig::singleLevel(Cfg);
-  CacheHierarchy<LineT> Batched(H), Stepped(H);
+  CacheHierarchy<TagT> Batched(H), Stepped(H);
   std::vector<uint64_t> HistB(Ways, 0), HistS(Ways, 0);
   std::mt19937 Rng(Ways * 100 + static_cast<unsigned>(P));
   const BlockId Span = 3 * Sets * Ways;
@@ -371,14 +368,14 @@ void expectBatchMatchesRuntime(WriteAllocate WA) {
         B = static_cast<BlockId>(Rng() % Span);
       Ops.push_back(BatchedAccess::make(B, Rng() % 3 == 0));
     }
-    typename Traits::TagCursor Tags;
-    if constexpr (Traits::HasTag) {
+    typename TagT::Cursor Tags;
+    if constexpr (SetAssocCache<TagT>::HasTag) {
       Tags.Nodes = Nodes;
       Tags.NumLanes = Lanes;
       Tags.Epoch = Chunk % 3;
       Tags.X = X;
     }
-    typename Traits::TagCursor RefTags = Tags;
+    typename TagT::Cursor RefTags = Tags;
     uint64_t *DepthB = Chunk % 2 == 0 ? HistB.data() : nullptr;
     uint64_t *DepthS = Chunk % 2 == 0 ? HistS.data() : nullptr;
     Batched.accessBatch(Ops.data(), Ops.size(), Counts, Tags, nullptr,
@@ -401,30 +398,30 @@ void expectBatchMatchesRuntime(WriteAllocate WA) {
   }
 }
 
-template <typename LineT, PolicyKind P> void expectAllWidthsMatchRuntime() {
-  expectFixedAccessMatchesRuntime<LineT, P, 4>();
-  expectFixedAccessMatchesRuntime<LineT, P, 8>();
-  expectFixedAccessMatchesRuntime<LineT, P, 16>();
+template <typename TagT, PolicyKind P> void expectAllWidthsMatchRuntime() {
+  expectFixedAccessMatchesRuntime<TagT, P, 4>();
+  expectFixedAccessMatchesRuntime<TagT, P, 8>();
+  expectFixedAccessMatchesRuntime<TagT, P, 16>();
   for (WriteAllocate WA : {WriteAllocate::Yes, WriteAllocate::No}) {
-    expectBatchMatchesRuntime<LineT, P, 4>(WA);
-    expectBatchMatchesRuntime<LineT, P, 8>(WA);
-    expectBatchMatchesRuntime<LineT, P, 16>(WA);
+    expectBatchMatchesRuntime<TagT, P, 4>(WA);
+    expectBatchMatchesRuntime<TagT, P, 8>(WA);
+    expectBatchMatchesRuntime<TagT, P, 16>(WA);
   }
 }
 
-template <typename LineT> void expectAllPoliciesMatchRuntime() {
-  expectAllWidthsMatchRuntime<LineT, PolicyKind::Lru>();
-  expectAllWidthsMatchRuntime<LineT, PolicyKind::Fifo>();
-  expectAllWidthsMatchRuntime<LineT, PolicyKind::Plru>();
-  expectAllWidthsMatchRuntime<LineT, PolicyKind::QuadAgeLru>();
+template <typename TagT> void expectAllPoliciesMatchRuntime() {
+  expectAllWidthsMatchRuntime<TagT, PolicyKind::Lru>();
+  expectAllWidthsMatchRuntime<TagT, PolicyKind::Fifo>();
+  expectAllWidthsMatchRuntime<TagT, PolicyKind::Plru>();
+  expectAllWidthsMatchRuntime<TagT, PolicyKind::QuadAgeLru>();
 }
 
 TEST(FixedAssoc, ConcreteAccessPathsMatchRuntimeAccess) {
-  expectAllPoliciesMatchRuntime<ConcreteLine>();
+  expectAllPoliciesMatchRuntime<NoTag>();
 }
 
 TEST(FixedAssoc, SymbolicAccessPathsMatchRuntimeAccess) {
-  expectAllPoliciesMatchRuntime<SymLine>();
+  expectAllPoliciesMatchRuntime<SymTag>();
 }
 
 //===----------------------------------------------------------------------===//
@@ -438,11 +435,10 @@ TEST(FixedAssoc, SymbolicAccessPathsMatchRuntimeAccess) {
 /// (spelled out for access()). Returns where the twins first differ --
 /// in a per-access outcome, in a batch's counters or L1 miss blocks, or
 /// at the end in a level's lines -- or "" when they never do.
-template <typename LineT>
+template <typename TagT>
 std::string writeReadDifference(const HierarchyConfig &H, bool Batched,
                                 unsigned Seed) {
-  using Traits = CacheLineTraits<LineT>;
-  CacheHierarchy<LineT> Writes(H), Reads(H);
+  CacheHierarchy<TagT> Writes(H), Reads(H);
   std::mt19937 Rng(Seed);
   const BlockId Span = 48; // L2 hits and misses, L1 hits at every depth.
   const int32_t Nodes[] = {0, 1, 2};
@@ -459,8 +455,8 @@ std::string writeReadDifference(const HierarchyConfig &H, bool Batched,
       R.push_back(BatchedAccess::make(B, false));
     }
     const uint64_t Repeats = Rng() % 3 == 0 ? 1 + Rng() % 4 : 0;
-    typename Traits::TagCursor Tags;
-    if constexpr (Traits::HasTag) {
+    typename TagT::Cursor Tags;
+    if constexpr (SetAssocCache<TagT>::HasTag) {
       Tags.Nodes = Nodes;
       Tags.NumLanes = Lanes;
       Tags.X = X;
@@ -491,7 +487,7 @@ std::string writeReadDifference(const HierarchyConfig &H, bool Batched,
         W.push_back(OpW);
         R.push_back(OpR);
       }
-    typename Traits::TagCursor ReadTags = Tags;
+    typename TagT::Cursor ReadTags = Tags;
     for (size_t K = 0; K < W.size(); ++K) {
       HierarchyOutcome OW =
           Writes.access(W[K].block(), W[K].isWrite(), Tags.next());
@@ -513,7 +509,7 @@ std::string writeReadDifference(const HierarchyConfig &H, bool Batched,
 /// policy, one and two levels, every inclusion, a runtime-assoc and a
 /// fixed-assoc L1, through access() and accessBatch. A no-write-allocate
 /// L1 is the control: there writes must make a difference.
-template <typename LineT>
+template <typename TagT>
 void expectWritesStepLikeReads() {
   std::vector<HierarchyConfig> Hierarchies;
   for (PolicyKind K : {PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Plru,
@@ -533,19 +529,19 @@ void expectWritesStepLikeReads() {
     for (bool Batched : {false, true}) {
       const std::string Where = H.str() + (Batched ? " batched" : " stepped");
       ++Seed;
-      EXPECT_EQ(writeReadDifference<LineT>(H, Batched, Seed), "") << Where;
-      EXPECT_NE(writeReadDifference<LineT>(NoWriteAlloc, Batched, Seed), "")
+      EXPECT_EQ(writeReadDifference<TagT>(H, Batched, Seed), "") << Where;
+      EXPECT_NE(writeReadDifference<TagT>(NoWriteAlloc, Batched, Seed), "")
           << Where << " with a no-write-allocate L1";
     }
   }
 }
 
 TEST(WriteAllocate, ConcreteWritesStepLikeReads) {
-  expectWritesStepLikeReads<ConcreteLine>();
+  expectWritesStepLikeReads<NoTag>();
 }
 
 TEST(WriteAllocate, SymbolicWritesStepLikeReads) {
-  expectWritesStepLikeReads<SymLine>();
+  expectWritesStepLikeReads<SymTag>();
 }
 
 } // namespace

@@ -34,6 +34,7 @@
 
 using namespace wcs;
 using testutil::generateProgram;
+using testutil::ProgramShape;
 using testutil::randomHierarchy;
 
 namespace {
@@ -156,7 +157,7 @@ TEST(DifferentialFuzz, BatchedWarpingMatchesPerAccessWarping) {
 
 /// Runs longer than a 1,024-op chunk: a long innermost loop whose
 /// accesses ignore its iterator is one run, so the batched walk simulates
-/// two of its iterations and skips the rest. Both payloads, every
+/// two of its iterations and skips the rest. Both simulators, every
 /// inclusion policy, with and without warping of the loops around it,
 /// and the depth-profiled periodic pass must still agree bit for bit
 /// with the per-access walks.
@@ -170,7 +171,7 @@ TEST(DifferentialFuzz, LongRunsMatchAcrossWalks) {
   const uint64_t SkippedBefore = Skipped.value();
   const unsigned Iters = fuzzIters();
   for (unsigned I = 0; I < Iters; ++I) {
-    ScopProgram P = generateProgram(Rng, /*LongRuns=*/true);
+    ScopProgram P = generateProgram(Rng, ProgramShape::LongRuns);
     SimOptions Scalar;
     Scalar.BatchConcrete = false;
     SimOptions Batched;
@@ -299,7 +300,8 @@ TEST(DifferentialFuzz, IncrementalProbesMatchFullRecompute) {
   for (unsigned I = 0; I <= Iters; ++I) {
     ScopProgram Random;
     if (I != Iters)
-      Random = generateProgram(Rng, /*LongRuns=*/I % 2 == 1);
+      Random = generateProgram(Rng, I % 2 == 1 ? ProgramShape::LongRuns
+                                                : ProgramShape::Plain);
     const ScopProgram &P = I == Iters ? Stream : Random;
     for (PolicyKind K : kPolicies)
       for (bool TwoLevel : {false, true})

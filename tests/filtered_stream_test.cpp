@@ -307,7 +307,7 @@ TEST(FilteredStreamRle, ForEachRecordExpandsInOrder) {
   // through the same L1, one access at a time.
   std::vector<FilteredRecord> Ref;
   ConcreteHierarchy Cache(HierarchyConfig::singleLevel(L1));
-  generateTrace(P, TraceOptions(), [&](const TraceRecord &T) {
+  generateTrace(P, /*IncludeScalars=*/false, [&](const TraceRecord &T) {
     BlockId B = T.Addr >> 6; // 64-byte blocks.
     if (!Cache.access(B, T.IsWrite).L1Hit)
       Ref.push_back(FilteredRecord::make(B, T.IsWrite));

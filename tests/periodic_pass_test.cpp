@@ -154,7 +154,7 @@ TEST(PeriodicPass, WarpPilotKeepsWarpingPassesAndAbandonsTheRest) {
   std::string Err;
   ScopProgram Gemm = buildKernel("gemm", ProblemSize::Small, &Err);
   ASSERT_EQ(Err, "");
-  const uint64_t GemmTrace = countAccesses(Gemm, TraceOptions());
+  const uint64_t GemmTrace = countAccesses(Gemm, /*IncludeScalars=*/false);
   PeriodicPassResult Gone =
       runPeriodicPass(Gemm, 64, 4, 16, SimOptions(), GemmTrace / 8);
   EXPECT_TRUE(Gone.Abandoned);

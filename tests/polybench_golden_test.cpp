@@ -29,8 +29,7 @@ namespace {
 /// Distinct blocks a program touches (= cold misses in any big cache).
 uint64_t distinctBlocks(const ScopProgram &P) {
   std::set<BlockId> Blocks;
-  TraceOptions TO;
-  generateTrace(P, TO, [&](const TraceRecord &R) {
+  generateTrace(P, /*IncludeScalars=*/false, [&](const TraceRecord &R) {
     Blocks.insert(R.Addr >> 6);
   });
   return Blocks.size();

@@ -136,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
 //===----------------------------------------------------------------------===//
 // Run skipping. The batched walk counts the repeats of an all-hit
 // iteration instead of simulating them (CacheHierarchy::accessBatch).
-// Each case compares it with the per-access walk for both payloads, and
+// Each case compares it with the per-access walk for both simulators, and
 // pins through the sim.skipped_accesses counter whether it skipped.
 //===----------------------------------------------------------------------===//
 
@@ -168,14 +168,14 @@ void expectSameStats(const SimStats &A, const SimStats &B,
     EXPECT_EQ(S->FailedBy.total(), S->FailedWarpChecks) << Ctx;
 }
 
-/// Accesses the batched walk skipped, per payload.
+/// Accesses the batched walk skipped, per simulator.
 struct Skips {
   uint64_t Concrete = 0;
   uint64_t Symbolic = 0;
 };
 
 /// Runs \p P on \p H through the batched and the per-access walk of
-/// both simulators and expects identical results. The symbolic payload
+/// both simulators and expects identical results. The warping simulator
 /// runs with warping off, so every activation is one batched walk, and
 /// with warping on and a short probe window, so batched tails follow
 /// probed iterations and the warp decisions must agree too.
@@ -241,8 +241,7 @@ TEST(NegativeAddresses, EveryBackendAndWalkAgree) {
     ASSERT_TRUE(R.ok()) << R.message();
     const ScopProgram &P = R.Program;
     ASSERT_LT(P.accesses()[0]->Address.constantTerm(), 0);
-    SimStats Ref =
-        simulateTrace(P, H, TraceOptions{/*IncludeScalars=*/false});
+    SimStats Ref = simulateTrace(P, H, /*IncludeScalars=*/false);
     EXPECT_EQ(Ref.totalAccesses(), C.Accesses);
     EXPECT_EQ(Ref.Level[0].Misses, C.Misses);
     EXPECT_EQ(profileProgramSets(P, 64, 8, 2).missesForAssoc(2), C.Misses);
@@ -269,9 +268,8 @@ std::vector<int64_t> stateOf(const SymbolicHierarchy &H) {
     for (unsigned Set = 0; Set < C.numSets(); ++Set) {
       V.push_back(static_cast<int64_t>(C.policyWord(Set)));
       for (unsigned W = 0; W < C.assoc(); ++W) {
-        SymLine Ln = C.lineAt(Set, W);
-        V.insert(V.end(),
-                 {Ln.Block, Ln.Tag.NodeId, Ln.Tag.Epoch, Ln.Tag.X});
+        const SymTag &T = C.tagAt(Set, W);
+        V.insert(V.end(), {C.blockAt(Set, W), T.NodeId, T.Epoch, T.X});
       }
     }
     V.push_back(C.mraSet());
@@ -307,7 +305,7 @@ TEST(RunSkipping, MarkerEqualsUnrolledIterations) {
       Warm.push_back(BatchedAccess::make(Rand(0, 15), Rand(0, 3) == 0));
     BatchCounters Ignored;
     Marked.accessBatch(Warm.data(), Warm.size(), Ignored,
-                       CacheLineTraits<SymLine>::TagCursor{Nodes, 1, 0, 1, 0});
+                       SymTag::Cursor{Nodes, 1, 0, 1, 0});
     SymbolicHierarchy Unrolled = Marked;
 
     unsigned Lanes = static_cast<unsigned>(Rand(1, 5));
@@ -320,7 +318,7 @@ TEST(RunSkipping, MarkerEqualsUnrolledIterations) {
     A.push_back(BatchedAccess{Count});
     for (uint64_t R = 0; R <= Count; ++R)
       B.insert(B.end(), Iter.begin(), Iter.end());
-    CacheLineTraits<SymLine>::TagCursor Tags{Nodes, Lanes, 0, 1, 100};
+    SymTag::Cursor Tags{Nodes, Lanes, 0, 1, 100};
     BatchCounters CA, CB;
     Marked.accessBatch(A.data(), A.size(), CA, Tags);
     Unrolled.accessBatch(B.data(), B.size(), CB, Tags);

@@ -29,6 +29,7 @@
 
 using namespace wcs;
 using testutil::generateProgram;
+using testutil::ProgramShape;
 
 namespace {
 
@@ -202,7 +203,7 @@ TEST(Sweep, BankDegeneratesToFullyAssociativeProfiler) {
   std::mt19937 Rng(11);
   ScopProgram P = generateProgram(Rng);
   SetDistanceBank Prof(64, 1, UINT_MAX);
-  generateTrace(P, TraceOptions(), [&](const TraceRecord &R) {
+  generateTrace(P, /*IncludeScalars=*/false, [&](const TraceRecord &R) {
     Prof.accessBlock(R.Addr >> 6);
   });
   // 64 ways: the bank keeps LRU rows; 65: exact per-set trackers.
@@ -357,7 +358,8 @@ TEST(Sweep, LinearWalkSplitAcrossWorkersMatchesConcrete) {
           CacheConfig{uint64_t(Block) * Assoc * 4, Assoc, Block,
                       PolicyKind::Lru, WriteAllocate::Yes}));
   for (int Trial = 0; Trial < 3; ++Trial) {
-    ScopProgram P = generateProgram(Rng, /*LongRuns=*/Trial != 0);
+    ScopProgram P = generateProgram(
+        Rng, Trial != 0 ? ProgramShape::LongRuns : ProgramShape::Plain);
     for (unsigned Threads : {1u, 2u, 3u})
       expectSweepMatchesConcrete(P, Grid, Threads);
   }

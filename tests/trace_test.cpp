@@ -40,17 +40,14 @@ ScopProgram smallKernel() {
 
 TEST(TraceGenerator, ScalarExclusionMatchesSimulatorAccounting) {
   ScopProgram P = smallKernel();
-  TraceOptions TO;
-  TO.IncludeScalars = true;
   uint64_t Emitted = 0;
-  uint64_t N =
-      generateTrace(P, TO, [&](const TraceRecord &) { ++Emitted; });
+  uint64_t N = generateTrace(P, /*IncludeScalars=*/true,
+                             [&](const TraceRecord &) { ++Emitted; });
   EXPECT_EQ(N, Emitted);
   // B[i] = A[i] + A[i-1] is 2 reads + 1 write; s += B[i] is read s,
   // read B[i], write s.
   EXPECT_EQ(N, 3u * 299u * 6u);
-  TO.IncludeScalars = false;
-  N = generateTrace(P, TO, [](const TraceRecord &) {});
+  N = generateTrace(P, /*IncludeScalars=*/false, [](const TraceRecord &) {});
   // Without scalars: A[i], A[i-1], B[i] write, B[i] read.
   EXPECT_EQ(N, 3u * 299u * 4u);
 }
@@ -80,10 +77,8 @@ std::vector<SetDistanceBank> testBanks() {
 /// per-activation count, capped or not.
 void expectConsumersAgree(const ScopProgram &P, bool Scalars,
                           const std::string &Ctx) {
-  TraceOptions TO;
-  TO.IncludeScalars = Scalars;
   std::vector<SetDistanceBank> Ref = testBanks();
-  uint64_t Records = generateTrace(P, TO, [&](const TraceRecord &R) {
+  uint64_t Records = generateTrace(P, Scalars, [&](const TraceRecord &R) {
     for (SetDistanceBank &B : Ref)
       B.accessBlock(R.Addr >> log2Exact(B.blockBytes()));
   });
@@ -103,16 +98,20 @@ void expectConsumersAgree(const ScopProgram &P, bool Scalars,
       ASSERT_EQ(Walked[I].alwaysMisses(), Ref[I].alwaysMisses()) << Where;
     }
   }
-  EXPECT_EQ(countAccesses(P, TO), Records) << Ctx;
+  EXPECT_EQ(countAccesses(P, Scalars), Records) << Ctx;
   for (uint64_t Cap : {Records / 2, Records - 1, Records, Records + 1})
-    EXPECT_EQ(countAccesses(P, TO, Cap), std::min(Cap, Records))
+    EXPECT_EQ(countAccesses(P, Scalars, Cap), std::min(Cap, Records))
         << Ctx << " cap " << Cap;
 }
 
 TEST(TraceGenerator, EveryWalkConsumerSeesTheSameAccesses) {
+  using testutil::ProgramShape;
   std::mt19937 Rng(0x7A1C);
-  for (int Draw = 0; Draw < 50; ++Draw) {
-    ScopProgram P = testutil::generateProgram(Rng, /*LongRuns=*/Draw >= 40);
+  for (int Draw = 0; Draw < 60; ++Draw) {
+    ProgramShape Shape = Draw < 40   ? ProgramShape::Plain
+                         : Draw < 50 ? ProgramShape::LongRuns
+                                     : ProgramShape::ShortActivations;
+    ScopProgram P = testutil::generateProgram(Rng, Shape);
     expectConsumersAgree(P, false, "draw " + std::to_string(Draw) + "\n" +
                                        P.str());
   }
@@ -124,6 +123,19 @@ TEST(TraceGenerator, EveryWalkConsumerSeesTheSameAccesses) {
     expectConsumersAgree(Durbin, Scalars, "durbin");
     expectConsumersAgree(Small, Scalars, "small");
   }
+  // 2,000 activations of two-iteration loops between sibling accesses:
+  // one-run activations that fill the linear walk's chunks, so many of
+  // them end past a chunk's flush mark.
+  ParseResult Short = parseScop(R"(
+    param N; double A[N][2]; double B[N][2]; double C[N];
+    for (i = 0; i < N; i++) {
+      for (j = 0; j < 2; j++) A[i][j] = 0.0;
+      for (j = 0; j < 2; j++) B[i][j] = 0.0;
+      C[i] = 0.0;
+    }
+  )", {{"N", 2000}});
+  ASSERT_TRUE(Short.ok()) << Short.message();
+  expectConsumersAgree(Short.Program, false, "short activations");
 }
 
 /// Fifteen int scalars ahead of a double one: packed back to back, the
@@ -158,7 +170,7 @@ TEST(TraceSimulator, AgreesWithTreeSimulator) {
                 {"mixed scalars", mixedScalarKernel(), true}};
   for (const Input &In : Inputs) {
     SCOPED_TRACE(In.Name);
-    SimStats T = simulateTrace(In.Program, H, TraceOptions{In.Scalars});
+    SimStats T = simulateTrace(In.Program, H, In.Scalars);
 
     SimOptions SO;
     SO.IncludeScalars = In.Scalars;
@@ -188,7 +200,7 @@ TEST(TraceSimulator, AgreesWithTreeSimulatorAcrossChunkBoundaries) {
   CacheConfig L2{65536, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
   HierarchyConfig H = HierarchyConfig::twoLevel(L1, L2);
 
-  SimStats T = simulateTrace(P, H, TraceOptions{/*IncludeScalars=*/true});
+  SimStats T = simulateTrace(P, H, /*IncludeScalars=*/true);
   SimStats R = ConcreteSimulator(P, H).run();
   ASSERT_EQ(R.totalAccesses(), 1499994u);
   EXPECT_EQ(T.totalAccesses(), R.totalAccesses());

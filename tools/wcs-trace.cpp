@@ -63,7 +63,7 @@ int main(int argc, char **argv) {
   std::string Kernel, File, Mode;
   ProblemSize Size = ProblemSize::Mini;
   std::map<std::string, int64_t> Params;
-  TraceOptions TO;
+  bool Scalars = false;
   CacheConfig FilterL1;
 
   for (int I = 1; I < argc; ++I) {
@@ -97,7 +97,7 @@ int main(int argc, char **argv) {
       }
       Params[ParamName] = ParamVal;
     } else if (A == "--scalars") {
-      TO.IncludeScalars = true;
+      Scalars = true;
     } else if (A == "--din" || A == "--histogram" || A == "--curve") {
       Mode = A;
     } else if (A == "--filtered") {
@@ -159,7 +159,7 @@ int main(int argc, char **argv) {
     // stream a NINE L2 of this L1 would see. Addresses are block
     // starts (the filter works at block granularity).
     SimOptions SO;
-    SO.IncludeScalars = TO.IncludeScalars;
+    SO.IncludeScalars = Scalars;
     FilteredStream FS = FilteredStream::record(P, FilterL1, SO);
     std::printf("# %s: L1-filtered stream of %s\n", P.Name.c_str(),
                 FilterL1.str().c_str());
@@ -181,7 +181,7 @@ int main(int argc, char **argv) {
   if (Mode == "--din") {
     // Dinero IV din format: "<label> <hex address>" per line, label 0 =
     // read, 1 = write.
-    generateTrace(P, TO, [](const TraceRecord &R) {
+    generateTrace(P, Scalars, [](const TraceRecord &R) {
       std::printf("%d %llx\n", R.IsWrite ? 1 : 0,
                   static_cast<unsigned long long>(R.Addr));
     });
@@ -190,8 +190,7 @@ int main(int argc, char **argv) {
 
   // The fully associative profile: one set of 64 B lines, so wide that
   // only cold accesses miss at every width it answers.
-  SetDistanceBank Prof =
-      profileProgramSets(P, 64, 1, UINT_MAX, TO.IncludeScalars);
+  SetDistanceBank Prof = profileProgramSets(P, 64, 1, UINT_MAX, Scalars);
 
   if (Mode == "--histogram") {
     std::printf("# %s: %llu accesses, %llu cold\n", P.Name.c_str(),
