@@ -12,7 +12,7 @@
 //   fig06        warping vs non-warping per replacement policy (scaled
 //                L1); prints the no-warp floor ratio (concrete s /
 //                warping s over the pairs that did 0 warps) and the pairs
-//                won, and requires the ratio >= 0.5 in the CI gate
+//                won, and requires the ratio >= 0.7 in the CI gate
 //                configuration
 //   fig07        warping vs non-warping at the chosen size and the next
 //                larger
@@ -64,7 +64,7 @@
 // engine, >= 1x -- strictly better than the runs it replaces -- for the
 // fig07-warp-sweep periodic pass. Two more contracts guard the stepping
 // floor: hotloop's batched walk >= 2x the scalar one, and fig06's
-// no-warp floor ratio >= 0.5.
+// no-warp floor ratio >= 0.7.
 //
 //   wcs-bench --size small --out BENCH_results.json
 //   wcs-bench --suite fig06 --suite fig12 --jobs 4
@@ -912,7 +912,7 @@ int main(int argc, char **argv) {
   // The Fig. 6 premise: where warping cannot warp, it costs about what
   // ordinary simulation costs. The no-warp floor ratio is sum(concrete s)
   // / sum(warping s) over the pairs whose warping job did 0 warps (each
-  // job's mean over the reps); >= 0.5 is enforced in the CI gate
+  // job's mean over the reps); >= 0.7 is enforced in the CI gate
   // configuration (serial jobs, gate sizes), like the other contracts.
   if (HasSuite("fig06")) {
     auto MeanSeconds = [&](size_t J) {
@@ -941,10 +941,10 @@ int main(int argc, char **argv) {
                 "warps, warping won %u of %u pairs\n",
                 Floor, NoWarpPairs, Won, Fig06Pairs);
     if (Jobs == 1 && Size <= ProblemSize::Medium && NoWarpPairs != 0 &&
-        Floor < 0.5) {
+        Floor < 0.7) {
       std::fprintf(stderr,
                    "fatal: fig06 no-warp floor ratio %.2f is below the "
-                   "0.5 warping-floor contract (%u pairs with 0 warps)\n",
+                   "0.7 warping-floor contract (%u pairs with 0 warps)\n",
                    Floor, NoWarpPairs);
       return 1;
     }

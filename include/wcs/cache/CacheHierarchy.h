@@ -158,6 +158,15 @@ public:
     return Copied;
   }
 
+  /// SetAssocCache::copyLinesFrom at every level of \p O, a hierarchy of
+  /// the same configuration over any tag type.
+  template <typename OtherTagT>
+  void copyLinesFrom(const CacheHierarchy<OtherTagT> &O) {
+    assert(O.numLevels() == numLevels() && "copying a foreign hierarchy");
+    for (unsigned L = 0; L < numLevels(); ++L)
+      Levels[L].copyLinesFrom(O.level(L));
+  }
+
   /// Performs one memory access (paper Eq. (24) extended to writes). A
   /// tagged hierarchy stores \p Tag in every line the access touches.
   /// With a nonnull \p DepthHist, an L1 hit counts at its pre-update way,

@@ -366,6 +366,21 @@ public:
     return Copied;
   }
 
+  /// Makes this cache hold \p O's lines and replacement state -- block
+  /// rows, PLRU bits, QLRU ages, the rotation base and the MRA set --
+  /// whatever the tag type of either: how a warping run hands its state
+  /// to the concrete floor (see WarpingSimulator.h). No tag is copied.
+  template <typename OtherTagT>
+  void copyLinesFrom(const SetAssocCache<OtherTagT> &O) {
+    assert(Sets == O.Sets && Assoc == O.Assoc && Cfg.Policy == O.Cfg.Policy &&
+           "copying a foreign geometry");
+    Blocks = O.Blocks;
+    PlruBits = O.PlruBits;
+    Ages = O.Ages;
+    Base = O.Base;
+    MraSet = O.MraSet;
+  }
+
   /// Applies the set rotation `s -> s + Amount (mod Sets)` to the whole
   /// cache state in O(1) (paper Theorem 4: warping rotates cache sets).
   /// Lines are NOT rewritten; the symbolic layer re-derives concrete
@@ -378,6 +393,8 @@ public:
   }
 
 private:
+  template <typename> friend class SetAssocCache;
+
   unsigned phys(unsigned LogicalSet) const {
     return static_cast<unsigned>(
         static_cast<uint64_t>(LogicalSet + Base) & SetMask);
@@ -391,9 +408,15 @@ private:
   }
   /// row() with the way count supplied by the caller, so accessImpl
   /// instantiations with a compile-time associativity index with a
-  /// constant multiplier (a shift for the power-of-two counts).
+  /// constant multiplier (a shift for the power-of-two counts). The
+  /// block array is never empty: saying so keeps GCC's -Warray-bounds,
+  /// in sanitizer builds, from taking a null row for a zero-size object
+  /// at the row shifts of accessImpl.
   BlockId *rowAt(unsigned Ph, unsigned A) {
-    return &Blocks[static_cast<size_t>(Ph) * A];
+    BlockId *Rows = Blocks.data();
+    if (Rows == nullptr)
+      __builtin_unreachable();
+    return Rows + static_cast<size_t>(Ph) * A;
   }
   TagT *tagRow(unsigned Ph) {
     return &Tags[static_cast<size_t>(Ph) * Assoc];
@@ -452,8 +475,11 @@ private:
       R.Hit = true;
       R.HitDepth = I;
       if constexpr (P == PolicyKind::Lru) {
-        // A hit at way 0 changes no order.
+        // A hit at way 0 changes no order. The hit way is inside the row
+        // (the bound keeps GCC from warning about the shift, see rowAt).
         if (I != 0) {
+          if (I >= A)
+            __builtin_unreachable();
           std::memmove(Row + 1, Row, I * sizeof(BlockId));
           Row[0] = B;
           if constexpr (HasTag) {

@@ -32,11 +32,13 @@
 ///        is one task that walks the program once.
 ///    A counting pre-walk (one step per loop activation) measures the
 ///    trace. Short traces, and sweeps whose WarpSweepMinAccesses is
-///    UINT64_MAX, walk every bank linearly. Longer traces start one
-///    periodic pass per bank under a warp pilot: a pass that has
-///    stepped 1/WarpPilotFraction of the trace without one warp is
-///    abandoned, and its bank joins the linear walk. A threshold of 0
-///    runs every periodic pass to its end.
+///    UINT64_MAX, walk every bank linearly. Longer traces run one
+///    periodic pass per bank under the warp pilot of every warping run
+///    (WarpPilotFraction): a pass that has stepped an eighth of the
+///    trace without one warp finishes on the concrete floor, its
+///    histogram complete. A threshold of 0 takes this flavor for any
+///    trace. The linear walk then feeds only the banks whose pass failed
+///    or whose bulk update was refused.
 ///
 ///  - Two-level NINE points are grouped by their L1 configuration: the
 ///    L1-miss-filtered access stream of each distinct L1 is recorded
@@ -111,12 +113,6 @@ struct SweepPoint {
   SimStats Stats;
 };
 
-/// The warp pilot of the sweep's periodic flavor: a bank's periodic pass
-/// that has stepped 1/WarpPilotFraction of the trace's accesses without
-/// a single warp is abandoned, and the bank is fed by the linear walk.
-/// A pass that is kept runs and decides exactly as without a pilot.
-inline constexpr uint64_t WarpPilotFraction = 8;
-
 /// How to run a sweep. Sim.IncludeScalars and Backend change counters;
 /// everything else is a per-run knob that only changes how this process
 /// computes them (the warping search bounds in Sim.Warp, Threads, the
@@ -138,18 +134,18 @@ struct SweepOptions {
   /// 0 = unlimited. The default bounds a stream at 512 MiB.
   uint64_t MaxFilteredRecords = 1ull << 26;
   /// Warp-aware sweeping: the trace length (in accesses) at which the
-  /// single-level LRU banks start per-geometry periodic passes
-  /// (trace/PeriodicPass) under the warp pilot (WarpPilotFraction)
-  /// instead of taking the linear walk. Results are bit-identical either
-  /// way; this only moves cost. A counting pre-walk (countAccesses)
-  /// measures the whole trace: it counts trip count x lanes per
-  /// innermost activation, so it takes one step per loop activation
-  /// rather than one per access (0.06-1.43 ms per grid-a request of the
-  /// sweep-medium benchmark on a shared 4-core host). Below the
+  /// single-level LRU banks run per-geometry periodic passes
+  /// (trace/PeriodicPass) under the warp pilot (WarpPilotFraction, set
+  /// from the pre-walk's count) instead of taking the linear walk.
+  /// Results are bit-identical either way; this only moves cost. A
+  /// counting pre-walk (countAccesses) measures the whole trace: it
+  /// counts trip count x lanes per innermost activation, so it takes one
+  /// step per loop activation rather than one per access (0.06-1.43 ms
+  /// per grid-a request of the sweep-medium benchmark on a shared 4-core
+  /// host). Below the
   /// threshold the linear walk is already cheap and the per-bank
   /// warping runs would not pay for themselves (a cache that never
-  /// fills never warps). 0 = always periodic, every pass run to its end
-  /// (no pilot); 1 = a pilot-run periodic pass for every bank of any
+  /// fills never warps). 0 = a periodic pass for every bank of any
   /// trace; UINT64_MAX = always the linear walk, without the pre-walk
   /// (the wcs-sim --no-warp-sweep escape hatch).
   uint64_t WarpSweepMinAccesses = 2ull << 20;
@@ -160,12 +156,12 @@ struct SweepOptions {
 /// the "wcs-sweep" document that tools write and wcs-serve answers
 /// with. The document carries the labels, Threads, the points and the
 /// figures its serializer names; NumBanks, StackDistancePoints,
-/// PeriodicAbandoned, FilteredPoints, ReplayJobs and WallSeconds are
-/// in-process figures that a read leaves at 0. The periodic-pass and per-method-seconds
-/// figures joined the v1 schema after its first release: always
-/// written, optional on read (defaulting to 0/false/empty, which is
-/// what pre-periodic sweeps genuinely had), so older v1 files keep
-/// parsing.
+/// PeriodicFinishedConcretely, FilteredPoints, ReplayJobs and
+/// WallSeconds are in-process figures that a read leaves at 0. The
+/// periodic-pass and per-method-seconds figures joined the v1 schema
+/// after its first release: always written, optional on read
+/// (defaulting to 0/false/empty, which is what pre-periodic sweeps
+/// genuinely had), so older v1 files keep parsing.
 struct SweepReport {
   std::string Tool;     ///< Producing tool ("wcs-sim", "wcs-serve").
   std::string Program;  ///< Swept program (kernel name or file).
@@ -182,12 +178,12 @@ struct SweepReport {
   /// walk.
   bool PeriodicPass = false;
   /// Sum of per-bank pass times and the pre-walk, discarded passes
-  /// included (a bank whose pass was abandoned, failed or had its result
-  /// rejected is conditioned by a linear walk instead, timed in
-  /// TracePassSeconds).
+  /// included (a bank whose pass failed or had its result rejected is
+  /// conditioned by a linear walk instead, timed in TracePassSeconds).
   double PeriodicPassSeconds = 0.0;
-  /// Periodic passes the warp pilot abandoned.
-  unsigned PeriodicAbandoned = 0;
+  /// Periodic passes whose warp pilot fired: they finished on the
+  /// concrete floor.
+  unsigned PeriodicFinishedConcretely = 0;
   uint64_t PeriodicWarps = 0; ///< Warps of the passes used.
   /// Accesses the passes used skipped analytically.
   uint64_t PeriodicWarpedAccesses = 0;

@@ -8,10 +8,11 @@
 /// \file
 /// The one program-order walk of a SCoP tree, under every consumer: both
 /// simulators, the trace generator, the stack-distance passes and the
-/// sweep's counting pre-walk. ScopWalk owns loop bounds, the scalar
-/// filter, guards, the batchable test and lane setup. Its visitor is a
-/// template parameter (no virtual or std::function call per access or
-/// per chunk) and takes up to three events:
+/// access count (countAccesses) behind the sweep's pre-walk and the warp
+/// pilot. ScopWalk owns loop bounds, the scalar filter, guards, the
+/// batchable test and lane setup. Its visitor is a template parameter
+/// (no virtual or std::function call per access or per chunk) and takes
+/// up to three events:
 ///
 ///  1. access(A, Iter, Addr): an included access outside a batchable
 ///     loop, at iteration point Iter and byte address Addr.
@@ -186,6 +187,47 @@ private:
   Visitor &V;
   std::vector<WalkLane> Lanes; ///< Scratch of the lanes event.
 };
+
+namespace detail {
+
+/// countAccesses' visitor: a lanes event counts trip count x lanes.
+/// Throws Capped once the count reaches the cap.
+struct AccessCounter {
+  struct Capped {};
+  uint64_t Cap;
+  uint64_t Count = 0;
+
+  void add(uint64_t N) {
+    if (__builtin_add_overflow(Count, N, &Count) || Count >= Cap)
+      throw Capped{};
+  }
+  void access(const AccessNode &, const IterVec &, int64_t) { add(1); }
+  void lanes(const LoopNode &, int64_t Lo, int64_t Hi,
+             std::span<WalkLane> Lanes) {
+    uint64_t N;
+    if (__builtin_mul_overflow(static_cast<uint64_t>(Hi - Lo) + 1,
+                               Lanes.size(), &N))
+      throw Capped{};
+    add(N);
+  }
+};
+
+} // namespace detail
+
+/// The number of accesses the walk visits, or \p Cap when that is not
+/// smaller: the walk stops as the count reaches it. It counts through
+/// the lanes event, so it costs one step per loop activation, not per
+/// access.
+inline uint64_t countAccesses(const ScopProgram &Program, bool IncludeScalars,
+                              uint64_t Cap = UINT64_MAX) {
+  detail::AccessCounter V{Cap};
+  try {
+    ScopWalk(Program, IncludeScalars, /*Batch=*/true, V).run();
+  } catch (const detail::AccessCounter::Capped &) {
+    return Cap;
+  }
+  return V.Count;
+}
 
 /// The run-aware chunk generator of the lanes event (see the file
 /// comment). It writes the ops of a lanes event into one buffer and hands

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Options shared by the simulators, and the engineering bounds of the
-/// warping search. All bounds are soundness-neutral: exceeding them only
+/// Options shared by the simulators, the engineering bounds of the
+/// warping search and the warp pilot's constants. All of them are
+/// soundness-neutral: exceeding a bound, or the pilot firing, only
 /// forfeits warping opportunities, never correctness (validated by the
 /// warping == non-warping equivalence suite).
 ///
@@ -86,6 +87,17 @@ struct WarpConfig {
   bool EnableProfitGuard = true;
 };
 
+/// The warp pilot of every warping run (WarpingSimulator::setWarpPilot):
+/// a run that has stepped 1/WarpPilotFraction of its trace without a
+/// single warp finishes on the concrete floor. The first warp lifts it,
+/// so a run that warps in time decides exactly as without a pilot.
+inline constexpr uint64_t WarpPilotFraction = 8;
+
+/// Stepped accesses below which a run without a warp does not count its
+/// trace for the pilot: short runs pay no count, and a run that warps
+/// early (a stencil) never counts at all.
+inline constexpr uint64_t WarpPilotCountFloor = uint64_t(1) << 16;
+
 /// Options shared by all simulators.
 struct SimOptions {
   /// Include scalar (zero-dimensional) accesses. The paper's tool counts
@@ -100,7 +112,8 @@ struct SimOptions {
   /// call per access. The warping simulator batches every such stretch
   /// it is not probing -- whole activations of loops that cannot probe
   /// or stopped probing, and the tail after WarpConfig::MaxProbeIters --
-  /// and refreshes the symbolic tags inside the batch loop. Where every
+  /// and refreshes the symbolic tags inside the batch loop, until its
+  /// warp pilot fires and the concrete batch loop takes over. Where every
   /// lane moves less than a block per iteration, the batched walk also
   /// skips: repetitions of an iteration that hits everywhere in the L1
   /// are counted, not simulated (HierarchyStepper,

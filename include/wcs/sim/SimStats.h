@@ -90,6 +90,10 @@ struct SimStats {
   uint64_t FailedWarpChecks = 0;
   /// FailedWarpChecks by reason.
   WarpCheckFailures FailedBy;
+  /// Accesses a warping run stepped on the concrete floor after its warp
+  /// pilot fired (no warp by 1/WarpPilotFraction of the trace); 0 when
+  /// the pilot never fired. Part of SimulatedAccesses.
+  uint64_t PilotTailAccesses = 0;
 
   /// Wall-clock seconds spent inside the simulation loop.
   double Seconds = 0.0;

@@ -64,11 +64,36 @@
 /// warp fast-forward scales counters with checked arithmetic: a count
 /// past 2^64 - 1 throws std::overflow_error("counter overflow").
 ///
+/// The warp pilot. Tags and probes pay only where the cache state
+/// recurs, so every run is under a pilot: once it has stepped
+/// 1/WarpPilotFraction of its trace without a single warp (checked at
+/// loop-activation tops, one compare each), it finishes on the concrete
+/// floor in place. It copies its hierarchy's block rows and replacement
+/// metadata into a ConcreteHierarchy -- no set rotation can have
+/// happened, only warps rotate -- and routes every later access and
+/// lanes event of the walk to a HierarchyStepper<NoTag> over that copy,
+/// counting into the same SimStats and depth histogram. Probing stops
+/// everywhere: loop tops return at once, activations still open stop at
+/// their next probe point, and the probe state (snapshot rings, key
+/// caches) is freed. SimStats::PilotTailAccesses counts the accesses
+/// stepped there. The first warp lifts the pilot for good, so a run that
+/// warps before its pilot point decides exactly as without one; a run
+/// whose first warp would come later loses it. The trace is counted
+/// lazily: only a run with no warp by WarpPilotCountFloor stepped
+/// accesses counts it (countAccesses), capped at 256 times what it
+/// stepped; a capped count puts the pilot point past an eighth of the
+/// cap, and the next count waits for half that. So the pilot fires at
+/// the first activation top past an eighth of the trace (past the floor
+/// in traces shorter than 8 x the floor), no count walks more than 256
+/// times what the run stepped, and the capped counts add up to about
+/// one trace at most. setWarpPilot overrides the point.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SIM_WARPINGSIMULATOR_H
 #define WCS_SIM_WARPINGSIMULATOR_H
 
+#include "wcs/cache/ConcreteCache.h"
 #include "wcs/scop/Program.h"
 #include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/SimConfig.h"
@@ -110,27 +135,26 @@ public:
   /// after a run() with enableDepthProfile().
   const std::vector<uint64_t> &depthHist() const { return DepthHist; }
 
-  /// Warp pilot: run() stops at the first loop-activation top at which
-  /// \p Accesses or more accesses were stepped without a single warp,
-  /// and abandoned() then holds; its stats count what was stepped. The
-  /// check is one compare per activation and lifts at the first warp,
-  /// so a run that warps in time runs and decides exactly as without a
-  /// pilot. Call before run().
-  void setWarpPilot(uint64_t Accesses) { PilotLimit = Accesses; }
-
-  /// True when the warp pilot stopped run().
-  bool abandoned() const { return Abandoned; }
+  /// Sets the warp pilot's point (see the file comment): the run
+  /// finishes on the concrete floor at the first loop-activation top at
+  /// which \p Accesses or more accesses were stepped without a single
+  /// warp, and counts no trace; UINT64_MAX never does. Call before run().
+  void setWarpPilot(uint64_t Accesses) {
+    PilotCheckAt = Accesses;
+    PilotPointKnown = true;
+  }
 
   /// The most entries the epoch table held during run(): bounded by a
   /// small multiple of the distinct prefixes still referenced, not by
   /// the number of loop activations.
   size_t epochHighWater() const { return Epochs.highWater(); }
 
-  /// What a probe hook sees: the live state at a probe, the probing
-  /// activation's scope and the incremental key; Stored is the snapshot
-  /// this probe stored, or null.
+  /// What a probe hook sees: the live state and counters at a probe, the
+  /// probing activation's scope and the incremental key; Stored is the
+  /// snapshot this probe stored, or null.
   struct ProbeView {
     const SymbolicHierarchy &State;
+    const SimStats &Stats;
     const EpochTable &Epochs;
     const WarpScope &Scope;
     uint64_t Key;
@@ -146,9 +170,24 @@ public:
 
 private:
   /// The walk's visitor: the shared step, plus Algorithm 2 at every loop
-  /// top.
+  /// top. Once the warp pilot fired, the concrete floor's step.
   struct Visitor : HierarchyStepper<SymTag> {
     WarpingSimulator &Sim;
+    HierarchyStepper<NoTag> *FloorStep = nullptr;
+
+    void access(const AccessNode &A, const IterVec &Iter, int64_t Addr) {
+      if (FloorStep)
+        FloorStep->access(A, Iter, Addr);
+      else
+        HierarchyStepper<SymTag>::access(A, Iter, Addr);
+    }
+    void lanes(const LoopNode &L, int64_t Lo, int64_t Hi,
+               std::span<WalkLane> Lanes) {
+      if (FloorStep)
+        FloorStep->lanes(L, Lo, Hi, Lanes);
+      else
+        HierarchyStepper<SymTag>::lanes(L, Lo, Hi, Lanes);
+    }
     int64_t loopTop(ScopWalk<Visitor> &Walk, const LoopNode &L,
                     IterVec &Iter, int64_t Lo, int64_t Hi) {
       return Sim.activation(Walk, L, Iter, Lo, Hi);
@@ -170,6 +209,24 @@ private:
   /// Opens the epoch of a loop activation whose enclosing iterators are
   /// \p Prefix, collecting unreferenced epochs first when due.
   void openEpoch(const IterVec &Prefix);
+
+  /// The warp pilot's check, due at PilotCheckAt stepped accesses: lifts
+  /// the pilot after a warp, counts the trace while its point is
+  /// unknown, and finishes the run on the concrete floor past it.
+  void checkPilot();
+
+  /// The concrete floor of a run whose warp pilot fired: a tag-free copy
+  /// of the hierarchy and its stepper.
+  struct ConcreteFloor {
+    ConcreteHierarchy Cache;
+    HierarchyStepper<NoTag> Step;
+    uint64_t AccessesBefore; ///< Accesses stepped before the switch.
+
+    ConcreteFloor(const HierarchyConfig &Cfg, SimStats &Stats,
+                  unsigned BlockShift)
+        : Cache(Cfg), Step(Cache, Stats, BlockShift),
+          AccessesBefore(Stats.Level[0].Accesses) {}
+  };
 
   const ScopProgram &Program;
   HierarchyConfig CacheCfg;
@@ -195,10 +252,14 @@ private:
   /// Depth profiling (enableDepthProfile): hit counts by L1 stack depth.
   std::vector<uint64_t> DepthHist;
   bool DepthProfile = false;
-  /// Warp pilot (setWarpPilot): the stepped accesses at which a run
-  /// without a warp stops; UINT64_MAX once lifted or never set.
-  uint64_t PilotLimit = UINT64_MAX;
-  bool Abandoned = false;
+  /// Warp pilot: the stepped accesses at which checkPilot runs next
+  /// (UINT64_MAX once lifted or fired), and whether that is the pilot
+  /// point itself rather than a point to count the trace at.
+  uint64_t PilotCheckAt = WarpPilotCountFloor;
+  bool PilotPointKnown = false;
+  std::unique_ptr<ConcreteFloor> Floor;
+  /// Probe telemetry of the pools freed when the pilot fired.
+  uint64_t FreedRehashed = 0, FreedCopied = 0;
   std::function<void(const ProbeView &)> ProbeHook;
 };
 

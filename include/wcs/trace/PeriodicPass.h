@@ -38,11 +38,12 @@
 /// profiled width through the bulk entry point
 /// (SetDistanceBank::addPeriodicContribution).
 ///
-/// A warp pilot may cut the pass short: the pass pays only where the
-/// cache state recurs, so a caller that can condition the bank another
-/// way (the sweep's linear walk) gives up a pass that has stepped a set
-/// number of accesses without one warp (WarpingSimulator::
-/// setWarpPilot), and the result reports the abandonment and its cost.
+/// The pass pays only where the cache state recurs. Under a warp pilot
+/// (WarpingSimulator::setWarpPilot), a pass that has stepped a set number
+/// of accesses without one warp finishes on the concrete floor: the rest
+/// of the walk steps a tag-free copy of its cache, depth histogram and
+/// all, so the histogram is still exact and complete, and
+/// Stats.PilotTailAccesses counts the accesses stepped there.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,11 +70,9 @@ struct PeriodicPassResult {
   /// The profiled ways: the width of the banks the pass conditions.
   unsigned MaxAssoc = 0;
   /// Counters of the underlying warping run; Stats.Seconds is the pass
-  /// cost, Stats.WarpedAccesses / Warps its periodicity diagnostics.
+  /// cost, Stats.WarpedAccesses / Warps its periodicity diagnostics, and
+  /// Stats.PilotTailAccesses what it stepped after its pilot fired.
   SimStats Stats;
-  /// The warp pilot stopped the pass: Stats count the accesses it
-  /// stepped, and Histogram is empty -- it must not condition a bank.
-  bool Abandoned = false;
 
   /// Conditions \p Bank (of the same geometry, MaxAssoc wide) on the
   /// pass result: one bulk update. Returns false -- leaving the bank
@@ -81,7 +80,6 @@ struct PeriodicPassResult {
   /// would overflow; the caller must then condition the bank through the
   /// linear pass instead.
   [[nodiscard]] bool addTo(SetDistanceBank &Bank) const {
-    assert(!Abandoned && "an abandoned pass holds no histogram");
     assert(Bank.maxAssoc() == MaxAssoc && "the bank has the pass's width");
     return Bank.addPeriodicContribution(Histogram, 1);
   }
@@ -90,9 +88,9 @@ struct PeriodicPassResult {
 /// Runs the periodic pass for geometry (\p BlockBytes, \p NumSets),
 /// answering write-allocate LRU points of every associativity up to
 /// \p MaxAssoc. \p NumSets must be a power of two and \p MaxAssoc within
-/// the LRU associativity limit (4096). The pass is abandoned once it has
-/// stepped \p PilotAccesses accesses without a warp (checked at loop
-/// activation tops); UINT64_MAX runs it to the end.
+/// the LRU associativity limit (4096). The pass finishes on the concrete
+/// floor once it has stepped \p PilotAccesses accesses without a warp
+/// (checked at loop activation tops); UINT64_MAX probes to the end.
 PeriodicPassResult runPeriodicPass(const ScopProgram &Program,
                                    unsigned BlockBytes, unsigned NumSets,
                                    unsigned MaxAssoc,

@@ -7,12 +7,11 @@
 ///
 /// \file
 /// Generates the explicit memory-access trace of a ScopProgram, streamed
-/// record by record in execution order, and counts its accesses. Both
-/// are visitors of the program-order walk (sim/BatchWalk.h):
-/// generateTrace takes its per-access reference mode -- the independent
-/// program-order reference of the tests, and the per-record cost the
-/// trace-driven baseline of Fig. 12 must pay -- and countAccesses its
-/// lanes, so it costs one step per loop activation, not per access.
+/// record by record in execution order: a visitor of the program-order
+/// walk (sim/BatchWalk.h) in its per-access reference mode -- the
+/// independent program-order reference of the tests, and the per-record
+/// cost the trace-driven baseline of Fig. 12 must pay. The walk's
+/// countAccesses counts the same records without generating them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,11 +37,6 @@ struct TraceRecord {
 /// them). Returns the number of records emitted.
 uint64_t generateTrace(const ScopProgram &Program, bool IncludeScalars,
                        const std::function<void(const TraceRecord &)> &Sink);
-
-/// The number of records generateTrace emits, or \p Cap when that is
-/// not smaller: the walk stops as the count reaches it.
-uint64_t countAccesses(const ScopProgram &Program, bool IncludeScalars,
-                       uint64_t Cap = UINT64_MAX);
 
 } // namespace wcs
 

@@ -48,6 +48,9 @@ Value wcs::toJson(const SimStats &S) {
   Reasons.set("unknown", S.FailedBy.Unknown);
   Reasons.set("agree", S.FailedBy.Agree);
   V.set("failed_check_reasons", std::move(Reasons));
+  // Only runs whose warp pilot fired carry it.
+  if (S.PilotTailAccesses != 0)
+    V.set("pilot_tail_accesses", S.PilotTailAccesses);
   V.set("seconds", S.Seconds);
   return V;
 }
@@ -80,7 +83,9 @@ bool wcs::fromJson(const Value &V, SimStats &Out, std::string *Err) {
         !needUInt(*Reasons, "agree", F.Agree, Err))
       return false;
   }
-  return true;
+  // Optional: absent when the pilot never fired, and from older
+  // documents.
+  return optUInt(V, "pilot_tail_accesses", Out.PilotTailAccesses, Err);
 }
 
 //===----------------------------------------------------------------------===//

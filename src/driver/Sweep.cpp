@@ -8,6 +8,7 @@
 #include "wcs/driver/Sweep.h"
 
 #include "wcs/driver/Results.h"
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/support/FaultInjection.h"
 #include "wcs/support/JsonReader.h"
 #include "wcs/support/StringUtil.h"
@@ -15,7 +16,6 @@
 #include "wcs/trace/FilteredStream.h"
 #include "wcs/trace/PeriodicPass.h"
 #include "wcs/trace/StackDistance.h"
-#include "wcs/trace/TraceGenerator.h"
 
 #include <algorithm>
 #include <array>
@@ -135,9 +135,9 @@ std::string SweepReport::summary() const {
   char Pass[160];
   if (PeriodicPass)
     std::snprintf(Pass, sizeof(Pass),
-                  "%u periodic warp passes (%u abandoned, %llu warps, "
-                  "%.3f s; linear walk %.3f s)",
-                  NumBanks, PeriodicAbandoned,
+                  "%u periodic warp passes (%u finished concretely, %llu "
+                  "warps, %.3f s; linear walk %.3f s)",
+                  NumBanks, PeriodicFinishedConcretely,
                   static_cast<unsigned long long>(PeriodicWarps),
                   PeriodicPassSeconds, TracePassSeconds);
   else
@@ -286,18 +286,19 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
   // A counting pre-walk (one step per loop activation) measures the
   // trace. Traces shorter than the threshold walk linearly -- their pass
   // is already cheap, and warping a cache that never fills cannot pay
-  // for itself. Longer traces start a periodic pass per bank under a
-  // warp pilot: a pass that has stepped 1/WarpPilotFraction of the trace
-  // without a warp is abandoned, and its bank joins the linear walk. A
-  // threshold of 0 runs every periodic pass to its end; UINT64_MAX
-  // always walks linearly, without the pre-walk.
+  // for itself. Longer traces run a periodic pass per bank under the
+  // warp pilot, set from the pre-walk's count: a pass that has stepped
+  // 1/WarpPilotFraction of the trace without a warp finishes on the
+  // concrete floor, its histogram complete. A threshold of 0 takes the
+  // periodic flavor for any trace; UINT64_MAX always walks linearly,
+  // without the pre-walk.
   //
   // Per bank: its periodic pass (none in the linear flavor, so its
   // seconds stay 0); whether the linear walk conditions it (every bank in
-  // the linear flavor, the banks whose pass was not used in the periodic
-  // one); and whether its pass counted past 2^64 - 1, which fails its
-  // points with "counter overflow" -- a linear walk would count the same
-  // accesses one by one and overflow too.
+  // the linear flavor, the banks whose pass failed or was refused in the
+  // periodic one); and whether its pass counted past 2^64 - 1, which
+  // fails its points with "counter overflow" -- a linear walk would
+  // count the same accesses one by one and overflow too.
   std::vector<PeriodicPassResult> PassResults(Banks.size());
   std::vector<uint8_t> Walked(Banks.size(), 0), Overflowed(Banks.size(), 0);
   double PreWalkSeconds = 0.0;         ///< The counting pre-walk's cost.
@@ -316,8 +317,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     if (Periodic) {
       Rep.PeriodicPass = true;
       Rep.PeriodicPassSeconds += PreWalkSeconds;
-      const uint64_t Pilot =
-          Threshold == 0 ? UINT64_MAX : TraceLen / WarpPilotFraction;
+      const uint64_t Pilot = TraceLen / WarpPilotFraction;
       // A pass that throws (e.g. bad_alloc) must not poison its bank: a
       // default-constructed PassResult holds an EMPTY histogram whose
       // addTo would "succeed" and make every point on the bank report
@@ -343,8 +343,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
           }
           // The pass's cost, whatever its outcome.
           PassResults[B].Stats.Seconds = telemetry::secondsSince(S0);
-          PassSpan.arg("abandoned",
-                       static_cast<uint64_t>(PassResults[B].Abandoned));
+          PassSpan.arg("pilot_tail_accesses",
+                       PassResults[B].Stats.PilotTailAccesses);
           PassSpan.arg("accesses", PassResults[B].Stats.SimulatedAccesses);
         });
       Runner.runTasks(Tasks);
@@ -352,18 +352,15 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       // counters would overflow). Either way the bank stays empty and
       // is conditioned by the linear pass below instead -- the same
       // accesses, walked not scaled, so its points stay exact. Every
-      // pass's seconds were spent, abandoned and failed ones included;
-      // only the used passes' warps count. The fault point discards a
-      // finished pass like a rejected result; it draws here, in bank
-      // order, so a seeded schedule replays.
+      // pass's seconds were spent, failed ones included; only the used
+      // passes' warps count. The fault point discards a finished pass
+      // like a rejected result; it draws here, in bank order, so a
+      // seeded schedule replays.
       for (size_t B = 0; B < Banks.size(); ++B) {
         Rep.PeriodicPassSeconds += PassResults[B].Stats.Seconds;
         if (Overflowed[B])
           continue;
-        if (PassResults[B].Abandoned)
-          ++Rep.PeriodicAbandoned;
-        if (Walked[B] || PassResults[B].Abandoned ||
-            faultinject::shouldFail("sweep.periodic-pass") ||
+        if (Walked[B] || faultinject::shouldFail("sweep.periodic-pass") ||
             !PassResults[B].addTo(Banks[B])) {
           Walked[B] = 1;
           Walk.push_back(&Banks[B]);
@@ -371,6 +368,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         }
         if (Rep.TraceAccesses == 0)
           Rep.TraceAccesses = PassResults[B].Histogram.Accesses;
+        Rep.PeriodicFinishedConcretely +=
+            PassResults[B].Stats.PilotTailAccesses != 0;
         Rep.PeriodicWarps += PassResults[B].Stats.Warps;
         Rep.PeriodicWarpedAccesses +=
             PassResults[B].Stats.WarpedAccesses;
@@ -567,6 +566,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       P.Stats.Warps = PassStats.Warps;
       P.Stats.FailedWarpChecks = PassStats.FailedWarpChecks;
       P.Stats.FailedBy = PassStats.FailedBy;
+      P.Stats.PilotTailAccesses = PassStats.PilotTailAccesses;
     }
     P.Ok = true;
   }
@@ -636,7 +636,7 @@ void wcs::mergeSweepReports(SweepReport &Into, const SweepReport &From) {
   Into.StackDistancePoints += From.StackDistancePoints;
   Into.PeriodicPass = Into.PeriodicPass || From.PeriodicPass;
   Into.PeriodicPassSeconds += From.PeriodicPassSeconds;
-  Into.PeriodicAbandoned += From.PeriodicAbandoned;
+  Into.PeriodicFinishedConcretely += From.PeriodicFinishedConcretely;
   Into.PeriodicWarps += From.PeriodicWarps;
   Into.PeriodicWarpedAccesses += From.PeriodicWarpedAccesses;
   Into.FilteredPoints += From.FilteredPoints;

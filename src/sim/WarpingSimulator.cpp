@@ -41,9 +41,6 @@ struct Bucket {
   std::vector<StoredEntry> Entries;
 };
 
-/// Thrown at an activation top when the warp pilot gives up on the run.
-struct PilotStop {};
-
 } // namespace
 
 /// Pooled per-activation scratch: the state-key map, the cached set
@@ -126,6 +123,12 @@ WarpingSimulator::activationAtDepth(unsigned Depth) {
 
 namespace {
 
+/// How many times its stepped accesses a run with no warp counts of its
+/// trace at most, to find its pilot point (see WarpingSimulator.h). One
+/// count at the floor covers every trace up to 2^24 accesses; counting
+/// an access costs a small fraction of stepping it.
+constexpr uint64_t PilotCountScale = 256;
+
 /// The epoch-table size below which no collection runs: twice the tag
 /// slots plus the open activations of the deepest nest, so a collection
 /// frees at least about one epoch per tag slot.
@@ -166,14 +169,12 @@ void WarpingSimulator::enableDepthProfile() {
 
 SimStats WarpingSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
-  try {
-    ScopWalk(Program, Options.IncludeScalars, Options.BatchConcrete, Step)
-        .run();
-  } catch (const PilotStop &) {
-    Abandoned = true;
-  }
+  ScopWalk(Program, Options.IncludeScalars, Options.BatchConcrete, Step)
+      .run();
+  if (Floor)
+    Stats.PilotTailAccesses = Stats.Level[0].Accesses - Floor->AccessesBefore;
   Stats.Seconds = telemetry::secondsSince(Start);
-  uint64_t Rehashed = 0, Copied = 0;
+  uint64_t Rehashed = FreedRehashed, Copied = FreedCopied;
   for (const std::unique_ptr<Activation> &A : Pools) {
     Rehashed += A->Keys.Rehashed;
     Copied += A->SetsCopied;
@@ -210,16 +211,56 @@ void WarpingSimulator::openEpoch(const IterVec &Prefix) {
   Open.push_back(Epochs.add(Prefix));
 }
 
+void WarpingSimulator::checkPilot() {
+  // The first warp lifts the pilot for good.
+  if (Stats.Warps != 0) {
+    PilotCheckAt = UINT64_MAX;
+    return;
+  }
+  const uint64_t Stepped = Stats.Level[0].Accesses;
+  if (!PilotPointKnown) {
+    // Count the trace, capped at PilotCountScale times what was stepped.
+    // A capped count puts the pilot point past Cap / WarpPilotFraction;
+    // the next count waits for half that, so it is due before the pilot
+    // point, and the capped counts add up to about one trace at most.
+    uint64_t Cap = UINT64_MAX;
+    if (Stepped <= UINT64_MAX / PilotCountScale)
+      Cap = Stepped * PilotCountScale;
+    const uint64_t Trace = countAccesses(Program, Options.IncludeScalars, Cap);
+    if (Trace == Cap) {
+      PilotCheckAt = Cap / (2 * WarpPilotFraction);
+      return;
+    }
+    PilotPointKnown = true;
+    PilotCheckAt = Trace / WarpPilotFraction;
+    if (Stepped < PilotCheckAt)
+      return;
+  }
+  // No warp by the pilot point: finish on the concrete floor. Nothing
+  // probes any more, so the probe state goes first; the open
+  // activations' pools are not touched again (see activation).
+  PilotCheckAt = UINT64_MAX;
+  for (const std::unique_ptr<Activation> &A : Pools) {
+    FreedRehashed += A->Keys.Rehashed;
+    FreedCopied += A->SetsCopied;
+  }
+  Pools.clear();
+  Pools.shrink_to_fit();
+  const unsigned BlockShift = log2Exact(CacheCfg.blockBytes());
+  Floor = std::make_unique<ConcreteFloor>(CacheCfg, Stats, BlockShift);
+  Floor->Cache.copyLinesFrom(Cache);
+  Floor->Step.DepthHist = Step.DepthHist;
+  Step.FloorStep = &Floor->Step;
+  telemetry::registry().counter("sim.warp.pilot_stops").add(1);
+}
+
 int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
                                      const LoopNode &L, IterVec &Iter,
                                      int64_t Lo, int64_t Hi) {
-  // The warp pilot (setWarpPilot): no warp by the limit stops the run,
-  // the first warp lifts the limit.
-  if (Stats.Level[0].Accesses >= PilotLimit) {
-    if (Stats.Warps == 0)
-      throw PilotStop{};
-    PilotLimit = UINT64_MAX;
-  }
+  if (Stats.Level[0].Accesses >= PilotCheckAt)
+    checkPilot();
+  if (Floor)
+    return Lo; // The pilot fired: the walk steps the concrete floor.
   const WarpConfig &WC = Options.Warp;
   // Viable match distances are multiples of the loop's delta unit
   // (computed once per loop node); a zero unit means the loop can never
@@ -243,13 +284,15 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
   bool EagerSnapshots = Hi - Lo < WC.EagerSnapshotTripLimit;
   uint64_t GainBefore = Stats.WarpedAccesses;
 
+  // A pilot that fires inside an iteration ends the probing, and this
+  // activation's pool with it.
   int64_t X = Lo;
-  while (X <= Hi && Probes < WC.MaxProbeIters) {
+  while (X <= Hi && Probes < WC.MaxProbeIters && !Floor) {
     ++Probes;
     const uint64_t Now = Cache.tick();
     uint64_t Key = Engine.stateKey(Cache, Epochs, Scope, Act.Keys, Now);
     if (ProbeHook)
-      ProbeHook(ProbeView{Cache, Epochs, Scope, Key, nullptr});
+      ProbeHook(ProbeView{Cache, Stats, Epochs, Scope, Key, nullptr});
     Bucket &Bk = Act.Map[Key];
     bool Warped = false;
     // Try stored snapshots, most recent (smallest delta) first.
@@ -317,7 +360,7 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
                                        DepthProfile ? &DepthHist : nullptr,
                                        Now));
         if (ProbeHook)
-          ProbeHook(ProbeView{Cache, Epochs, Scope, Key,
+          ProbeHook(ProbeView{Cache, Stats, Epochs, Scope, Key,
                               &Act.Snapshots[Bk.Entries.back().Slot]});
       }
     }
@@ -330,6 +373,8 @@ int64_t WarpingSimulator::activation(ScopWalk<Visitor> &Walk,
   if (!Walk.batches(L))
     for (; X <= Hi; ++X)
       Walk.iteration(L, Iter, X);
+  if (Floor)
+    return X;
 
   // Profit guard: a loop stops probing as soon as the accesses its warps
   // saved fall below what its probes and stores cost. The cost is a

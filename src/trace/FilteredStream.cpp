@@ -7,10 +7,10 @@
 
 #include "wcs/trace/FilteredStream.h"
 
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/support/Hashing.h"
 #include "wcs/support/Telemetry.h"
-#include "wcs/trace/TraceGenerator.h"
 
 #include <algorithm>
 #include <cassert>

@@ -34,9 +34,6 @@ PeriodicPassResult wcs::runPeriodicPass(const ScopProgram &Program,
   PeriodicPassResult R;
   R.MaxAssoc = MaxAssoc;
   R.Stats = Sim.run();
-  R.Abandoned = Sim.abandoned();
-  if (R.Abandoned)
-    return R;
   R.Histogram.Hist = Sim.depthHist();
   // Trim trailing zero bins so bulk updates touch only populated depths.
   while (!R.Histogram.Hist.empty() && R.Histogram.Hist.back() == 0)

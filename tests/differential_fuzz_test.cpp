@@ -22,10 +22,12 @@
 #include "RandomProgram.h"
 #include "wcs/driver/BatchRunner.h"
 #include "wcs/driver/Sweep.h"
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/sim/WarpEngine.h"
 #include "wcs/sim/WarpingSimulator.h"
 #include "wcs/support/Telemetry.h"
+#include "wcs/trace/StackDistance.h"
 
 #include <gtest/gtest.h>
 
@@ -327,6 +329,73 @@ TEST(DifferentialFuzz, IncrementalProbesMatchFullRecompute) {
   EXPECT_GT(RotatedProbes, 0u) << "no probe saw a rotated set base";
   EXPECT_GT(PartialCopies, 0u) << "no snapshot store copied incrementally";
   EXPECT_GT(Rehashed.value(), RehashedBefore);
+}
+
+/// The warp pilot fired at a random access count: the run copies its
+/// blocks and replacement metadata (PLRU bits, QLRU ages) into a
+/// tag-free hierarchy and finishes there, so its counters -- and, under
+/// depth profiling, its hit-depth histogram -- must equal a concrete
+/// walk's bit for bit: all policies, one and two levels, every
+/// inclusion, batched and per-access stepping.
+TEST(DifferentialFuzz, PilotFinishesOnTheConcreteFloor) {
+  std::mt19937 Rng(0x9170);
+  const InclusionPolicy Inclusions[] = {
+      InclusionPolicy::NonInclusiveNonExclusive, InclusionPolicy::Inclusive,
+      InclusionPolicy::Exclusive};
+  uint64_t Fired = 0, FiredProfiled = 0;
+  const unsigned Iters = fuzzIters();
+  for (unsigned I = 0; I < Iters; ++I) {
+    const ProgramShape Shape =
+        I % 2 == 1 ? ProgramShape::LongRuns : ProgramShape::Plain;
+    ScopProgram P = generateProgram(Rng, Shape);
+    const uint64_t Trace = countAccesses(P, /*IncludeScalars=*/false);
+    auto PilotAt = [&] {
+      return std::uniform_int_distribution<uint64_t>(0, Trace)(Rng);
+    };
+    for (bool Batch : {true, false}) {
+      SimOptions O;
+      O.BatchConcrete = Batch;
+      const std::string Walk = Batch ? " batched" : " per-access";
+      for (PolicyKind K : kPolicies)
+        for (bool TwoLevel : {false, true})
+          for (InclusionPolicy Incl : Inclusions) {
+            if (!TwoLevel && Incl != Inclusions[0])
+              continue;
+            HierarchyConfig H = randomHierarchy(Rng, K, TwoLevel);
+            H.Inclusion = Incl;
+            const uint64_t At = PilotAt();
+            std::string Ctx = "iter " + std::to_string(I) + Walk;
+            Ctx += " " + H.str() + " " + inclusionName(Incl);
+            Ctx += " pilot at " + std::to_string(At);
+            WarpingSimulator Sim(P, H, O);
+            Sim.setWarpPilot(At);
+            SimStats S = Sim.run();
+            expectStatsEqual(ConcreteSimulator(P, H).run(), S, Ctx);
+            EXPECT_EQ(S.FailedBy.total(), S.FailedWarpChecks) << Ctx;
+            Fired += S.PilotTailAccesses != 0;
+          }
+      // Depth profiling: the histogram of a single-level LRU run against
+      // the linear walk's bank of the same geometry.
+      HierarchyConfig H = randomHierarchy(Rng, PolicyKind::Lru, false);
+      const CacheConfig &L1 = H.Levels.front();
+      const uint64_t At = PilotAt();
+      std::string Ctx = "iter " + std::to_string(I) + Walk;
+      Ctx += " depth-profiled " + H.str();
+      Ctx += " pilot at " + std::to_string(At);
+      WarpingSimulator Sim(P, H, O);
+      Sim.enableDepthProfile();
+      Sim.setWarpPilot(At);
+      SimStats S = Sim.run();
+      SetDistanceBank Bank(L1.BlockBytes, L1.numSets(), L1.Assoc);
+      feedBanks(P, /*IncludeScalars=*/false, {&Bank});
+      EXPECT_EQ(Sim.depthHist(), Bank.histogram()) << Ctx;
+      EXPECT_EQ(S.Level[0].Misses, Bank.alwaysMisses()) << Ctx;
+      EXPECT_EQ(S.Level[0].Accesses, Bank.totalAccesses()) << Ctx;
+      FiredProfiled += S.PilotTailAccesses != 0;
+    }
+  }
+  EXPECT_GT(Fired, 0u) << "no pilot fired";
+  EXPECT_GT(FiredProfiled, 0u) << "no depth-profiled pilot fired";
 }
 
 /// Warping, concrete and trace backends (plus stack-distance where it

@@ -17,10 +17,10 @@
 #include "wcs/driver/Sweep.h"
 #include "wcs/polybench/Polybench.h"
 #include "wcs/scop/Builder.h"
+#include "wcs/sim/BatchWalk.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/trace/PeriodicPass.h"
 #include "wcs/trace/StackDistance.h"
-#include "wcs/trace/TraceGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -134,16 +134,16 @@ TEST(PeriodicPass, BankOfThePassWidthAnswersOnlyWithinIt) {
 
 /// The warp pilot: a pass that warps within its budget runs and decides
 /// exactly as without a pilot; one that steps its budget without a warp
-/// is abandoned at the next activation top, its stats counting what it
-/// stepped and its histogram empty.
-TEST(PeriodicPass, WarpPilotKeepsWarpingPassesAndAbandonsTheRest) {
+/// finishes on the concrete floor at the next activation top, and its
+/// histogram is still the linear walk's.
+TEST(PeriodicPass, WarpPilotKeepsWarpingPassesAndFinishesTheRestConcretely) {
   ScopProgram P = periodicSweepProgram(/*Steps=*/40, /*Blocks=*/64);
   PeriodicPassResult Free = runPeriodicPass(P, 64, 1, 128);
   ASSERT_GT(Free.Stats.Warps, 0u);
   const uint64_t Trace = Free.Stats.Level[0].Accesses;
   PeriodicPassResult Kept =
       runPeriodicPass(P, 64, 1, 128, SimOptions(), Trace / 8);
-  EXPECT_FALSE(Kept.Abandoned);
+  EXPECT_EQ(Kept.Stats.PilotTailAccesses, 0u);
   EXPECT_EQ(Kept.Stats.Warps, Free.Stats.Warps);
   EXPECT_EQ(Kept.Stats.WarpedAccesses, Free.Stats.WarpedAccesses);
   EXPECT_EQ(Kept.Stats.SimulatedAccesses, Free.Stats.SimulatedAccesses);
@@ -155,15 +155,21 @@ TEST(PeriodicPass, WarpPilotKeepsWarpingPassesAndAbandonsTheRest) {
   ScopProgram Gemm = buildKernel("gemm", ProblemSize::Small, &Err);
   ASSERT_EQ(Err, "");
   const uint64_t GemmTrace = countAccesses(Gemm, /*IncludeScalars=*/false);
-  PeriodicPassResult Gone =
+  PeriodicPassResult Tail =
       runPeriodicPass(Gemm, 64, 4, 16, SimOptions(), GemmTrace / 8);
-  EXPECT_TRUE(Gone.Abandoned);
-  EXPECT_EQ(Gone.Stats.Warps, 0u);
-  EXPECT_GE(Gone.Stats.SimulatedAccesses, GemmTrace / 8);
-  EXPECT_LT(Gone.Stats.SimulatedAccesses, GemmTrace / 4);
-  EXPECT_EQ(Gone.Stats.Level[0].Accesses, Gone.Stats.SimulatedAccesses);
-  EXPECT_TRUE(Gone.Histogram.Hist.empty());
-  EXPECT_GT(Gone.Stats.Seconds, 0.0);
+  EXPECT_EQ(Tail.Stats.Warps, 0u);
+  const uint64_t Probed = GemmTrace - Tail.Stats.PilotTailAccesses;
+  EXPECT_GE(Probed, GemmTrace / 8);
+  EXPECT_LT(Probed, GemmTrace / 4);
+  EXPECT_EQ(Tail.Stats.Level[0].Accesses, GemmTrace);
+  EXPECT_EQ(Tail.Stats.SimulatedAccesses, GemmTrace);
+  EXPECT_GT(Tail.Stats.Seconds, 0.0);
+  SetDistanceBank FromPass(64, 4, 16), Linear(64, 4, 16);
+  ASSERT_TRUE(Tail.addTo(FromPass));
+  EXPECT_EQ(feedBanks(Gemm, /*IncludeScalars=*/false, {&Linear}), GemmTrace);
+  EXPECT_EQ(FromPass.histogram(), Linear.histogram());
+  EXPECT_EQ(FromPass.alwaysMisses(), Linear.alwaysMisses());
+  EXPECT_EQ(FromPass.totalAccesses(), Linear.totalAccesses());
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "wcs/frontend/Frontend.h"
+#include "wcs/polybench/Polybench.h"
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/sim/WarpingSimulator.h"
@@ -341,6 +342,51 @@ TEST(WarpingSim, ProfitGuardStopsProbingByOneRule) {
                                Warps),
             Every);
   EXPECT_GE(Warps, 6u) << "the inner loop must warp in every activation";
+}
+
+/// The warp pilot of every warping run: syrk never warps, so once it
+/// has stepped past the pilot's count floor (an eighth of its SMALL
+/// trace is below it) it finishes on the concrete floor with the
+/// concrete counters, and no probe comes after the switch. jacobi-2d
+/// warps early, so its pilot lifts and every warp decision is the one
+/// of a run without a pilot.
+TEST(WarpingSim, PilotFinishesOnTheConcreteFloor) {
+  const HierarchyConfig Scaled = HierarchyConfig::singleLevel(
+      CacheConfig{4096, 8, 64, PolicyKind::Lru, WriteAllocate::Yes});
+  std::string Err;
+  ScopProgram Syrk = buildKernel("syrk", ProblemSize::Small, &Err);
+  ASSERT_EQ(Err, "");
+  WarpingSimulator Sim(Syrk, Scaled);
+  uint64_t Probes = 0, LastProbeAt = 0;
+  Sim.setProbeHook([&](const WarpingSimulator::ProbeView &V) {
+    ++Probes;
+    LastProbeAt = V.Stats.Level[0].Accesses;
+  });
+  SimStats S = Sim.run();
+  SimStats C = ConcreteSimulator(Syrk, Scaled).run();
+  EXPECT_EQ(S.Level[0].Accesses, C.Level[0].Accesses);
+  EXPECT_EQ(S.Level[0].Misses, C.Level[0].Misses);
+  EXPECT_EQ(S.SimulatedAccesses, C.Level[0].Accesses);
+  EXPECT_EQ(S.Warps, 0u);
+  ASSERT_GT(S.PilotTailAccesses, 0u);
+  const uint64_t Switch = S.Level[0].Accesses - S.PilotTailAccesses;
+  EXPECT_GE(Switch, WarpPilotCountFloor);
+  EXPECT_GT(Probes, 0u);
+  EXPECT_LE(LastProbeAt, Switch) << "a probe after the switch";
+
+  ScopProgram Jacobi = buildKernel("jacobi-2d", ProblemSize::Small, &Err);
+  ASSERT_EQ(Err, "");
+  SimStats Piloted = WarpingSimulator(Jacobi, Scaled).run();
+  WarpingSimulator Free(Jacobi, Scaled);
+  Free.setWarpPilot(UINT64_MAX);
+  SimStats Ref = Free.run();
+  EXPECT_GT(Ref.Warps, 0u);
+  EXPECT_EQ(Piloted.PilotTailAccesses, 0u);
+  EXPECT_EQ(Piloted.Warps, Ref.Warps);
+  EXPECT_EQ(Piloted.WarpedAccesses, Ref.WarpedAccesses);
+  EXPECT_EQ(Piloted.SimulatedAccesses, Ref.SimulatedAccesses);
+  EXPECT_EQ(Piloted.FailedWarpChecks, Ref.FailedWarpChecks);
+  EXPECT_EQ(Piloted.Level[0].Misses, Ref.Level[0].Misses);
 }
 
 } // namespace

@@ -374,10 +374,11 @@ std::vector<HierarchyConfig> pilotLadder() {
   return Grid;
 }
 
-/// The warp pilot's choice per bank, at threshold 1 (every bank starts a
+/// The warp pilot's choice per bank, at threshold 1 (every bank runs a
 /// periodic pass, and every pass is under the pilot): the set counts of
-/// the banks whose pass was kept. Kept passes warped; abandoned banks
-/// were fed by the linear walk, and every point matches it.
+/// the banks whose pass warped in time. The others finished on the
+/// concrete floor, with histograms equal to the linear walk's: every
+/// point matches it.
 TEST(SweepPilot, PerBankChoiceIsPinned) {
   const struct {
     const char *Kernel;
@@ -400,30 +401,36 @@ TEST(SweepPilot, PerBankChoiceIsPinned) {
     SweepReport Ref = runSweep(P, Grid, Linear);
     ASSERT_TRUE(Rep.allOk()) << C.Kernel;
     ASSERT_TRUE(Rep.PeriodicPass) << C.Kernel;
+    EXPECT_EQ(Rep.TracePassSeconds, 0.0) << C.Kernel << ": no bank walked";
     std::vector<unsigned> Kept;
     for (size_t I = 0; I < Grid.size(); ++I) {
       const SimStats &S = Rep.Points[I].Stats;
       EXPECT_EQ(S.Level[0].Misses, Ref.Points[I].Stats.Level[0].Misses)
           << C.Kernel << " " << Grid[I].str();
-      if (S.Warps > 0)
+      if (S.Warps > 0) {
         Kept.push_back(Grid[I].Levels[0].numSets());
-      else
-        EXPECT_EQ(S.SimulatedAccesses, S.Level[0].Accesses)
-            << C.Kernel << " " << Grid[I].str() << ": an abandoned bank's "
-            << "points carry the linear walk's provenance";
+        EXPECT_EQ(S.PilotTailAccesses, 0u) << C.Kernel << " " << Grid[I].str();
+        continue;
+      }
+      EXPECT_EQ(S.SimulatedAccesses, S.Level[0].Accesses)
+          << C.Kernel << " " << Grid[I].str();
+      EXPECT_GT(S.PilotTailAccesses, S.Level[0].Accesses / 2)
+          << C.Kernel << " " << Grid[I].str()
+          << ": a pass with no warp finishes on the concrete floor";
     }
     EXPECT_EQ(Kept, C.Kept) << C.Kernel;
-    EXPECT_EQ(Rep.PeriodicAbandoned, Grid.size() - C.Kept.size())
+    EXPECT_EQ(Rep.PeriodicFinishedConcretely, Grid.size() - C.Kept.size())
         << C.Kernel;
   }
 }
 
-/// With pilots abandoned and the linear walk split across workers, the
-/// points' seconds still sum to the method's: the pre-walk, every pass
-/// (abandoned ones included) and every walk task. The linear flavor
-/// prices its points by the same rule, as no pass and every bank walked,
-/// with the pre-walk (a trace below the threshold) or without it
-/// (threshold UINT64_MAX).
+/// The points' seconds sum to the method's: the pre-walk and every pass
+/// (those that finished on the concrete floor included), plus the
+/// linear walk split across workers when passes are discarded (the
+/// fault point discards a finished pass like a refused bulk update).
+/// The linear flavor prices its points by the same rule, as no pass and
+/// every bank walked, with the pre-walk (a trace below the threshold)
+/// or without it (threshold UINT64_MAX).
 TEST(SweepPilot, PointSecondsSumToThePassesAndTheSplitWalk) {
   std::string Err;
   ScopProgram P = buildKernel("jacobi-2d", ProblemSize::Small, &Err);
@@ -432,29 +439,57 @@ TEST(SweepPilot, PointSecondsSumToThePassesAndTheSplitWalk) {
   SweepOptions Pilot;
   Pilot.WarpSweepMinAccesses = 1;
   Pilot.Threads = 3;
+  auto SumsToTheMethod = [&](const SweepReport &Rep) {
+    double PointSeconds = 0.0;
+    for (const SweepPoint &Pt : Rep.Points)
+      PointSeconds += Pt.Stats.Seconds;
+    EXPECT_NEAR(PointSeconds, Rep.stackDistanceSeconds(),
+                1e-9 * Grid.size() + 1e-12);
+  };
   SweepReport Rep = runSweep(P, Grid, Pilot);
   ASSERT_TRUE(Rep.allOk());
-  ASSERT_GT(Rep.PeriodicAbandoned, 2u) << "the walk must split three ways";
-  ASSERT_LT(Rep.PeriodicAbandoned, Grid.size()) << "some pass must be kept";
-  EXPECT_GT(Rep.TracePassSeconds, 0.0);
+  ASSERT_GT(Rep.PeriodicFinishedConcretely, 0u);
+  ASSERT_LT(Rep.PeriodicFinishedConcretely, Grid.size())
+      << "some pass must warp";
+  EXPECT_EQ(Rep.TracePassSeconds, 0.0);
   EXPECT_GT(Rep.PeriodicPassSeconds, 0.0);
-  double PointSeconds = 0.0;
-  for (const SweepPoint &Pt : Rep.Points)
-    PointSeconds += Pt.Stats.Seconds;
-  EXPECT_NEAR(PointSeconds, Rep.stackDistanceSeconds(),
-              1e-9 * Grid.size() + 1e-12);
-  EXPECT_NE(Rep.summary().find(
-                std::to_string(Rep.PeriodicAbandoned) + " abandoned"),
-            std::string::npos)
+  SumsToTheMethod(Rep);
+  const std::string Finished =
+      std::to_string(Rep.PeriodicFinishedConcretely) + " finished concretely";
+  EXPECT_NE(Rep.summary().find(Finished), std::string::npos)
       << Rep.summary();
 
-  // Threshold 0 forces every pass to its end: nothing is abandoned.
+  // Discarded passes walk linearly, three ways: the first seed that
+  // discards between 3 and all but one of the passes.
+  uint64_t Discarded = 0;
+  SweepReport Mixed;
+  for (uint64_t Seed = 0; Discarded < 3 || Discarded >= Grid.size();
+       ++Seed) {
+    ASSERT_LT(Seed, 64u) << "no seed discards a few passes";
+    ASSERT_TRUE(faultinject::arm("sweep.periodic-pass:0.5", Seed, &Err))
+        << Err;
+    Mixed = runSweep(P, Grid, Pilot);
+    Discarded = faultinject::injectedCount("sweep.periodic-pass");
+    faultinject::disarm();
+  }
+  ASSERT_TRUE(Mixed.allOk());
+  EXPECT_GT(Mixed.TracePassSeconds, 0.0);
+  EXPECT_GT(Mixed.PeriodicPassSeconds, 0.0);
+  SumsToTheMethod(Mixed);
+  for (size_t I = 0; I < Grid.size(); ++I)
+    EXPECT_EQ(Mixed.Points[I].Stats.Level[0].Misses,
+              Rep.Points[I].Stats.Level[0].Misses);
+
+  // Threshold 0 takes the periodic flavor under the same pilot.
   Pilot.WarpSweepMinAccesses = 0;
   SweepReport Forced = runSweep(P, Grid, Pilot);
-  EXPECT_EQ(Forced.PeriodicAbandoned, 0u);
-  for (size_t I = 0; I < Grid.size(); ++I)
+  EXPECT_EQ(Forced.PeriodicFinishedConcretely,
+            Rep.PeriodicFinishedConcretely);
+  for (size_t I = 0; I < Grid.size(); ++I) {
     EXPECT_EQ(Forced.Points[I].Stats.Level[0].Misses,
               Rep.Points[I].Stats.Level[0].Misses);
+    EXPECT_EQ(Forced.Points[I].Stats.Warps, Rep.Points[I].Stats.Warps);
+  }
 
   for (uint64_t Threshold : {UINT64_MAX - 1, UINT64_MAX}) {
     Pilot.WarpSweepMinAccesses = Threshold;

@@ -149,6 +149,11 @@ void printStats(const char *Tag, const SimStats &S) {
                 static_cast<unsigned long long>(S.FailedBy.Room),
                 static_cast<unsigned long long>(S.FailedBy.Unknown),
                 static_cast<unsigned long long>(S.FailedBy.Agree));
+  if (S.PilotTailAccesses != 0)
+    std::printf("  pilot         no warp by 1/%llu of the trace; %llu "
+                "accesses on the concrete floor\n",
+                static_cast<unsigned long long>(WarpPilotFraction),
+                static_cast<unsigned long long>(S.PilotTailAccesses));
   std::printf("  time          %.4f s\n", S.Seconds);
 }
 
